@@ -73,14 +73,14 @@ func BenchmarkStudy1(b *testing.B) {
 		name string
 		fn   func() error
 	}{
-		{"coo-serial", func() error { return kernels.COOSerial(m, bb, c, k) }},
-		{"csr-serial", func() error { return kernels.CSRSerial(csr, bb, c, k) }},
-		{"ell-serial", func() error { return kernels.ELLSerial(ell, bb, c, k) }},
-		{"bcsr-serial", func() error { return kernels.BCSRSerial(bcsr, bb, c, k) }},
-		{"coo-omp", func() error { return kernels.COOParallel(m, bb, c, k, 4) }},
-		{"csr-omp", func() error { return kernels.CSRParallel(csr, bb, c, k, 4) }},
-		{"ell-omp", func() error { return kernels.ELLParallel(ell, bb, c, k, 4) }},
-		{"bcsr-omp", func() error { return kernels.BCSRParallel(bcsr, bb, c, k, 4) }},
+		{"coo-serial", func() error { return kernels.COO(m, bb, c, k, kernels.Spec{}) }},
+		{"csr-serial", func() error { return kernels.CSR(csr, bb, c, k, kernels.Spec{}) }},
+		{"ell-serial", func() error { return kernels.ELL(ell, bb, c, k, kernels.Spec{}) }},
+		{"bcsr-serial", func() error { return kernels.BCSR(bcsr, bb, c, k, kernels.Spec{}) }},
+		{"coo-omp", func() error { return kernels.COO(m, bb, c, k, kernels.Spec{Threads: 4}) }},
+		{"csr-omp", func() error { return kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}) }},
+		{"ell-omp", func() error { return kernels.ELL(ell, bb, c, k, kernels.Spec{Threads: 4}) }},
+		{"bcsr-omp", func() error { return kernels.BCSR(bcsr, bb, c, k, kernels.Spec{Threads: 4}) }},
 	}
 	for _, r := range runs {
 		b.Run(r.name, func(b *testing.B) {
@@ -104,7 +104,7 @@ func BenchmarkStudy2(b *testing.B) {
 	csr := formats.CSRFromCOO(m)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRSerial(csr, bb, c, k); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -112,7 +112,7 @@ func BenchmarkStudy2(b *testing.B) {
 	})
 	b.Run("omp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallel(csr, bb, c, k, 4); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -193,7 +193,7 @@ func BenchmarkStudy4(b *testing.B) {
 		c := matrix.NewDense[float64](m.Rows, k)
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := kernels.CSRParallel(csr, bb, c, k, 4); err != nil {
+				if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +215,7 @@ func BenchmarkStudy5(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("serial/b%d", block), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := kernels.BCSRSerial(bcsr, bb, c, k); err != nil {
+				if err := kernels.BCSR(bcsr, bb, c, k, kernels.Spec{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -223,7 +223,7 @@ func BenchmarkStudy5(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("omp/b%d", block), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := kernels.BCSRParallel(bcsr, bb, c, k, 4); err != nil {
+				if err := kernels.BCSR(bcsr, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -313,7 +313,7 @@ func BenchmarkStudy8(b *testing.B) {
 	csr := formats.CSRFromCOO(m)
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallel(csr, bb, c, k, 4); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -322,7 +322,7 @@ func BenchmarkStudy8(b *testing.B) {
 	b.Run("transposed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bt := bb.Transpose() // part of the measured work (§5.10)
-			if err := kernels.CSRParallelT(csr, bt, c, k, 4); err != nil {
+			if err := kernels.CSR(csr, bt, c, k, kernels.Spec{Threads: 4, Inner: kernels.InnerTransB}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -340,7 +340,7 @@ func BenchmarkStudy9(b *testing.B) {
 	csr := formats.CSRFromCOO(m)
 	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRSerial(csr, bb, c, k); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -348,7 +348,7 @@ func BenchmarkStudy9(b *testing.B) {
 	})
 	b.Run("fixedk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRSerialFixed(csr, bb, c, k); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Inner: kernels.InnerFixedK}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -367,7 +367,7 @@ func BenchmarkAblationCOOPartition(b *testing.B) {
 	c := matrix.NewDense[float64](m.Rows, k)
 	b.Run("rowpartition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.COOParallel(m, bb, c, k, 4); err != nil {
+			if err := kernels.COO(m, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -394,7 +394,7 @@ func BenchmarkAblationELLLayout(b *testing.B) {
 		ell := formats.ELLFromCOO(m, layout)
 		b.Run(layout.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := kernels.ELLSerial(ell, bb, c, k); err != nil {
+				if err := kernels.ELL(ell, bb, c, k, kernels.Spec{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -433,7 +433,7 @@ func BenchmarkAblationUnroll(b *testing.B) {
 		c := matrix.NewDense[float64](m.Rows, k)
 		b.Run(fmt.Sprintf("generic/k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := kernels.CSRSerial(csr, bb, c, k); err != nil {
+				if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -441,7 +441,7 @@ func BenchmarkAblationUnroll(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("fixed/k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := kernels.CSRSerialFixed(csr, bb, c, k); err != nil {
+				if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Inner: kernels.InnerFixedK}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -465,7 +465,7 @@ func BenchmarkAblationValueType(b *testing.B) {
 		c := matrix.NewDense[float64](m64.Rows, k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRSerial(csr, bb, c, k); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -477,7 +477,7 @@ func BenchmarkAblationValueType(b *testing.B) {
 		c := matrix.NewDense[float32](m32.Rows, k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRSerial(csr, bb, c, k); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -499,7 +499,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 	c := matrix.NewDense[float64](m.Rows, k)
 	b.Run("static", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallel(csr, bb, c, k, 4); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -507,7 +507,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 	})
 	b.Run("dynamic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallelDynamic(csr, bb, c, k, 4, 32); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4, Schedule: kernels.ScheduleDynamic, Chunk: 32}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -608,12 +608,12 @@ func BenchmarkCalculate(b *testing.B) {
 		name string
 		fn   func() error
 	}{
-		{"csr-serial", func() error { return kernels.CSRSerial(csr, bb, c, k) }},
-		{"ell-serial", func() error { return kernels.ELLSerial(ell, bb, c, k) }},
-		{"bcsr-serial", func() error { return kernels.BCSRSerial(bcsr, bb, c, k) }},
-		{"csr-omp", func() error { return kernels.CSRParallel(csr, bb, c, k, 4) }},
-		{"ell-omp", func() error { return kernels.ELLParallel(ell, bb, c, k, 4) }},
-		{"bcsr-omp", func() error { return kernels.BCSRParallel(bcsr, bb, c, k, 4) }},
+		{"csr-serial", func() error { return kernels.CSR(csr, bb, c, k, kernels.Spec{}) }},
+		{"ell-serial", func() error { return kernels.ELL(ell, bb, c, k, kernels.Spec{}) }},
+		{"bcsr-serial", func() error { return kernels.BCSR(bcsr, bb, c, k, kernels.Spec{}) }},
+		{"csr-omp", func() error { return kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}) }},
+		{"ell-omp", func() error { return kernels.ELL(ell, bb, c, k, kernels.Spec{Threads: 4}) }},
+		{"bcsr-omp", func() error { return kernels.BCSR(bcsr, bb, c, k, kernels.Spec{Threads: 4}) }},
 	}
 	for _, r := range runs {
 		b.Run(r.name, func(b *testing.B) {
@@ -641,7 +641,7 @@ func BenchmarkSchedule(b *testing.B) {
 	b.Run("static", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallel(csr, bb, c, k, threads); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: threads}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -649,9 +649,9 @@ func BenchmarkSchedule(b *testing.B) {
 	})
 	b.Run("balanced", func(b *testing.B) {
 		b.ReportAllocs()
-		o := kernels.Opts{Schedule: kernels.ScheduleBalanced}
+		s := kernels.Spec{Threads: threads, Schedule: kernels.ScheduleBalanced}
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallelOpts(csr, bb, c, k, threads, o); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -669,7 +669,7 @@ func BenchmarkPool(b *testing.B) {
 	b.Run("spawn", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallel(csr, bb, c, k, threads); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: threads}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -678,11 +678,11 @@ func BenchmarkPool(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		pool := parallel.NewPool(threads)
 		defer pool.Close()
-		o := kernels.Opts{Pool: pool}
+		s := kernels.Spec{Threads: threads, Pool: pool}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := kernels.CSRParallelOpts(csr, bb, c, k, threads, o); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -708,7 +708,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s := tr.Start()
-			if err := kernels.CSRSerial(csr, bb, c, k); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
 				b.Fatal(err)
 			}
 			tr.EndDetail(0, trace.PhaseCalculate, "csr-serial", s, 0)
@@ -748,7 +748,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := b.Elapsed()
-			if err := kernels.CSRSerial(csr, bb, c, k); err != nil {
+			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
 				b.Fatal(err)
 			}
 			if instrumented {
@@ -816,10 +816,10 @@ func BenchmarkSpMV(b *testing.B) {
 		name string
 		fn   func() error
 	}{
-		{"coo", func() error { return kernels.COOSpMV(m, x, y) }},
-		{"csr", func() error { return kernels.CSRSpMV(csr, x, y) }},
-		{"ell", func() error { return kernels.ELLSpMV(ell, x, y) }},
-		{"bcsr", func() error { return kernels.BCSRSpMV(bcsr, x, y) }},
+		{"coo", func() error { return kernels.COOSpMV(m, x, y, 1) }},
+		{"csr", func() error { return kernels.CSRSpMV(csr, x, y, 1) }},
+		{"ell", func() error { return kernels.ELLSpMV(ell, x, y, 1) }},
+		{"bcsr", func() error { return kernels.BCSRSpMV(bcsr, x, y, 1) }},
 	}
 	for _, r := range runs {
 		b.Run(r.name, func(b *testing.B) {

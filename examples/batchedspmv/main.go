@@ -42,7 +42,7 @@ func main() {
 		for i := 0; i < a.Cols; i++ {
 			x[i] = b.At(i, v)
 		}
-		if err := kernels.CSRSpMV(csr, x, y); err != nil {
+		if err := kernels.CSRSpMV(csr, x, y, 1); err != nil {
 			log.Fatal(err)
 		}
 		for i := 0; i < a.Rows; i++ {
@@ -54,7 +54,7 @@ func main() {
 	// Way 2: one SpMM with k = batch.
 	cSpMM := matrix.NewDense[float64](a.Rows, batch)
 	start = time.Now()
-	if err := kernels.CSRSerial(csr, b, cSpMM, batch); err != nil {
+	if err := kernels.CSR(csr, b, cSpMM, batch, kernels.Spec{}); err != nil {
 		log.Fatal(err)
 	}
 	spmmTime := time.Since(start)

@@ -54,10 +54,11 @@ func main() {
 	x2 := matrix.NewDense[float64](adj.Rows, features)
 
 	csr := formats.CSRFromCOO(adj)
-	if err := kernels.CSRParallel(csr, x0, x1, features, threads); err != nil {
+	omp := kernels.Spec{Threads: threads}
+	if err := kernels.CSR(csr, x0, x1, features, omp); err != nil {
 		log.Fatal(err)
 	}
-	if err := kernels.CSRParallel(csr, x1, x2, features, threads); err != nil {
+	if err := kernels.CSR(csr, x1, x2, features, omp); err != nil {
 		log.Fatal(err)
 	}
 
@@ -81,10 +82,10 @@ func main() {
 			metrics.MFLOPS(kernels.SpMMFlops(adj.NNZ(), features), secs))
 	}
 	fmt.Println("\nper-layer SpMM throughput by format:")
-	run("coo-omp", func() error { return kernels.COOParallel(adj, b, c, features, threads) })
-	run("csr-omp", func() error { return kernels.CSRParallel(csr, b, c, features, threads) })
+	run("coo-omp", func() error { return kernels.COO(adj, b, c, features, omp) })
+	run("csr-omp", func() error { return kernels.CSR(csr, b, c, features, omp) })
 	ell := formats.ELLFromCOO(adj, formats.RowMajor)
-	run("ell-omp", func() error { return kernels.ELLParallel(ell, b, c, features, threads) })
+	run("ell-omp", func() error { return kernels.ELL(ell, b, c, features, omp) })
 	fmt.Printf("\n(ELL stores %d slots for %d edges — a %.1fx padding blow-up on this\n"+
 		"power-law graph, the degradation the thesis' column-ratio metric predicts.)\n",
 		ell.Stored(), adj.NNZ(), float64(ell.Stored())/float64(adj.NNZ()))

@@ -71,7 +71,7 @@ type Params struct {
 	// Schedule selects the work partition of the CPU-parallel kernels:
 	// ScheduleStatic (equal rows per worker — OpenMP static, the thesis'
 	// baseline) or ScheduleBalanced (equal nonzeros per worker, for skewed
-	// matrices). Serial, GPU, fixed-k and transposed kernels ignore it.
+	// matrices). Serial and GPU kernels ignore it.
 	Schedule kernels.Schedule
 	// Pool, when non-nil, is a persistent worker pool the CPU-parallel
 	// kernels run on instead of spawning goroutines per Calculate call. A
@@ -79,14 +79,14 @@ type Params struct {
 	// workers; nil keeps the pool-free per-call path for one-off runs.
 	Pool *parallel.Pool
 	// Ctx, when non-nil, cancels a run cooperatively: the runner checks it
-	// between repetitions and around Prepare/verify, and
-	// cancellation-aware kernels (CSR, COO) check it inside their row
-	// loops. It rides in Params because the Kernel interface's Calculate
-	// signature is fixed; nil means run to completion.
+	// between repetitions and around Prepare/verify, and every CPU kernel
+	// checks it inside its row loop, serial or parallel, whatever the
+	// schedule and pool. It rides in Params because the Kernel interface's
+	// Calculate signature is fixed; nil means run to completion.
 	Ctx context.Context
 	// Trace, when non-nil and enabled, receives pipeline spans from the
 	// runner (prepare/warmup/calculate/verify on lane 0) and is forwarded
-	// to the kernels' Opts variants for per-dispatch spans. Nil is a valid,
+	// to the parallel CPU kernels for per-dispatch spans. Nil is a valid,
 	// free no-op — see internal/trace.
 	Trace *trace.Tracer
 }
@@ -97,19 +97,6 @@ func (p Params) Context() context.Context {
 		return context.Background()
 	}
 	return p.Ctx
-}
-
-// kernelOpts packs the scheduling parameters for the kernels' Opts
-// variants.
-func (p Params) kernelOpts() kernels.Opts {
-	return kernels.Opts{Schedule: p.Schedule, Pool: p.Pool, Trace: p.Trace}
-}
-
-// scheduled reports whether the run asks for non-default parallel machinery
-// (a balanced schedule or a persistent pool), routing Calculate through the
-// kernels' Opts variants.
-func (p Params) scheduled() bool {
-	return p.Schedule != kernels.ScheduleStatic || p.Pool != nil
 }
 
 // DefaultParams returns the evaluation defaults of §5.1: k=128, 32 threads,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,19 +44,23 @@ func TestRegistryComplete(t *testing.T) {
 	names := Names()
 	// 4 main formats × {serial, omp} × {plain, -t, -fixedk} = 24,
 	// bell/sellcs × {serial, omp} = 4, 5 gpu + 1 gpu-t + 2 vendor gpu = 8.
-	if len(names) != 36 {
-		t.Fatalf("registry has %d kernels, want 36: %v", len(names), names)
+	golden := []string{
+		"bcsr-gpu", "bcsr-omp", "bcsr-omp-fixedk", "bcsr-omp-t", "bcsr-serial", "bcsr-serial-fixedk", "bcsr-serial-t",
+		"bell-gpu", "bell-omp", "bell-serial",
+		"coo-gpu", "coo-omp", "coo-omp-fixedk", "coo-omp-t", "coo-serial", "coo-serial-fixedk", "coo-serial-t",
+		"csr-gpu", "csr-gpu-t", "csr-omp", "csr-omp-fixedk", "csr-omp-t", "csr-serial", "csr-serial-fixedk", "csr-serial-t",
+		"ell-gpu", "ell-omp", "ell-omp-fixedk", "ell-omp-t", "ell-serial", "ell-serial-fixedk", "ell-serial-t",
+		"sellcs-omp", "sellcs-serial", "vendor-coo-gpu", "vendor-csr-gpu",
 	}
-	for _, want := range []string{
-		"coo-serial", "coo-omp", "coo-gpu", "coo-serial-t", "coo-omp-t", "coo-omp-fixedk",
-		"csr-serial", "csr-omp", "csr-gpu", "csr-serial-t", "csr-omp-t",
-		"ell-serial", "ell-omp", "ell-gpu",
-		"bcsr-serial", "bcsr-omp", "bcsr-gpu",
-		"bell-serial", "bell-omp", "bell-gpu", "csr-gpu-t", "sellcs-serial", "sellcs-omp",
-		"vendor-coo-gpu", "vendor-csr-gpu",
-	} {
-		if _, err := New(want, gpuOptions(t)); err != nil {
+	if len(golden) != 36 || !slices.Equal(names, golden) {
+		t.Fatalf("registry names changed:\n got %v\nwant %v", names, golden)
+	}
+	for _, want := range golden {
+		k, err := New(want, gpuOptions(t))
+		if err != nil {
 			t.Errorf("kernel %q: %v", want, err)
+		} else if k.Name() != want {
+			t.Errorf("kernel %q names itself %q", want, k.Name())
 		}
 	}
 	if _, err := New("no-such-kernel", Options{}); !errors.Is(err, ErrUnknownKernel) {
@@ -237,10 +242,10 @@ func TestModeStrings(t *testing.T) {
 }
 
 func TestKernelNamesEncodeVariants(t *testing.T) {
-	if kernelName("csr", Parallel, true, false) != "csr-omp-t" {
+	if kernelName("csr", Parallel, kernels.InnerTransB) != "csr-omp-t" {
 		t.Fatal("transposed name")
 	}
-	if kernelName("ell", Serial, false, true) != "ell-serial-fixedk" {
+	if kernelName("ell", Serial, kernels.InnerFixedK) != "ell-serial-fixedk" {
 		t.Fatal("fixedk name")
 	}
 	for _, n := range Names() {

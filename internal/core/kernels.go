@@ -11,324 +11,69 @@ import (
 )
 
 // This file implements the Kernel interface for every format × mode ×
-// variant combination the registry exposes. Each type holds its formatted
+// inner-loop combination the registry exposes. A kernel holds its formatted
 // matrix between Prepare and Calculate, exactly as the thesis' C++ objects
 // hold their format-specific structures.
 
-// ---- COO ----
+// prepared is the state every kernel keeps between Prepare and Calculate.
+type prepared struct{ a formats.Sparse }
 
-type cooKernel struct {
-	mode       Mode
-	transposed bool
-	fixedK     bool
-	a          *matrix.COO[float64]
-}
-
-func (k *cooKernel) Name() string {
-	return kernelName("coo", k.mode, k.transposed, k.fixedK)
-}
-func (k *cooKernel) Format() string   { return "coo" }
-func (k *cooKernel) Mode() Mode       { return k.mode }
-func (k *cooKernel) Transposed() bool { return k.transposed }
-
-func (k *cooKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	// COO is the base format; "formatting" is a sort (usually a no-op).
-	a.SortRowMajor()
-	k.a = a
-	return nil
-}
-
-func (k *cooKernel) Bytes() int {
-	if k.a == nil {
+// Bytes reports the formatted matrix's footprint, 0 before Prepare.
+func (p prepared) Bytes() int {
+	if p.a == nil {
 		return 0
 	}
-	return k.a.Bytes()
+	return p.a.Bytes()
 }
 
-func (k *cooKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
-	if k.a == nil {
-		return ErrNotPrepared
+// cpuKernel is every CPU kernel of the registry: a format name, the mode
+// and inner loop its registry name spells, and the prepared matrix.
+// Calculate is kernels.Multiply under the Spec the run's Params describe.
+type cpuKernel struct {
+	format string
+	mode   Mode
+	inner  kernels.Inner
+	layout formats.ELLLayout
+	prepared
+}
+
+func (k *cpuKernel) Name() string     { return kernelName(k.format, k.mode, k.inner) }
+func (k *cpuKernel) Format() string   { return k.format }
+func (k *cpuKernel) Mode() Mode       { return k.mode }
+func (k *cpuKernel) Transposed() bool { return k.inner == kernels.InnerTransB }
+
+func (k *cpuKernel) Prepare(a *matrix.COO[float64], p Params) error {
+	f, err := formats.FromCOO(k.format, a, formats.Params{Block: p.BlockSize, Layout: k.layout})
+	if err != nil {
+		return err
 	}
-	switch {
-	case k.fixedK && k.mode == Serial:
-		return kernels.COOSerialFixed(k.a, b, c, p.K)
-	case k.fixedK:
-		return kernels.COOParallelFixed(k.a, b, c, p.K, p.Threads)
-	case k.transposed && k.mode == Serial:
-		return kernels.COOSerialT(k.a, b, c, p.K)
-	case k.transposed:
-		return kernels.COOParallelT(k.a, b, c, p.K, p.Threads)
-	case k.mode == Serial:
-		if p.Ctx != nil {
-			return kernels.COOSerialCtx(p.Ctx, k.a, b, c, p.K)
-		}
-		return kernels.COOSerial(k.a, b, c, p.K)
-	default:
-		if p.Ctx != nil {
-			return kernels.COOParallelCtx(p.Ctx, k.a, b, c, p.K, p.Threads)
-		}
-		if p.scheduled() {
-			return kernels.COOParallelOpts(k.a, b, c, p.K, p.Threads, p.kernelOpts())
-		}
-		return kernels.COOParallel(k.a, b, c, p.K, p.Threads)
-	}
-}
-
-// ---- CSR ----
-
-type csrKernel struct {
-	mode       Mode
-	transposed bool
-	fixedK     bool
-	a          *formats.CSR[float64]
-}
-
-func (k *csrKernel) Name() string {
-	return kernelName("csr", k.mode, k.transposed, k.fixedK)
-}
-func (k *csrKernel) Format() string   { return "csr" }
-func (k *csrKernel) Mode() Mode       { return k.mode }
-func (k *csrKernel) Transposed() bool { return k.transposed }
-
-func (k *csrKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	k.a = formats.CSRFromCOO(a)
+	k.a = f
 	if k.mode == Parallel && p.Schedule == kernels.ScheduleBalanced {
 		// Warm the partition cache at formatting time so the first timed
 		// Calculate already runs the steady-state (allocation-free) path.
-		k.a.BalancedBounds(p.Threads)
+		if bal, ok := f.(interface{ BalancedBounds(chunks int) []int }); ok {
+			bal.BalancedBounds(p.Threads)
+		}
 	}
 	return nil
 }
 
-func (k *csrKernel) Bytes() int {
-	if k.a == nil {
-		return 0
-	}
-	return k.a.Bytes()
-}
-
-func (k *csrKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
+func (k *cpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
 	if k.a == nil {
 		return ErrNotPrepared
 	}
-	switch {
-	case k.fixedK && k.mode == Serial:
-		return kernels.CSRSerialFixed(k.a, b, c, p.K)
-	case k.fixedK:
-		return kernels.CSRParallelFixed(k.a, b, c, p.K, p.Threads)
-	case k.transposed && k.mode == Serial:
-		return kernels.CSRSerialT(k.a, b, c, p.K)
-	case k.transposed:
-		return kernels.CSRParallelT(k.a, b, c, p.K, p.Threads)
-	case k.mode == Serial:
-		if p.Ctx != nil {
-			return kernels.CSRSerialCtx(p.Ctx, k.a, b, c, p.K)
-		}
-		return kernels.CSRSerial(k.a, b, c, p.K)
-	default:
-		if p.Ctx != nil {
-			return kernels.CSRParallelCtx(p.Ctx, k.a, b, c, p.K, p.Threads)
-		}
-		if p.scheduled() {
-			return kernels.CSRParallelOpts(k.a, b, c, p.K, p.Threads, p.kernelOpts())
-		}
-		return kernels.CSRParallel(k.a, b, c, p.K, p.Threads)
-	}
+	return kernels.Multiply(k.a, b, c, p.K, k.spec(p))
 }
 
-// ---- ELLPACK ----
-
-type ellKernel struct {
-	mode       Mode
-	transposed bool
-	fixedK     bool
-	layout     formats.ELLLayout
-	a          *formats.ELL[float64]
-}
-
-func (k *ellKernel) Name() string {
-	return kernelName("ell", k.mode, k.transposed, k.fixedK)
-}
-func (k *ellKernel) Format() string   { return "ell" }
-func (k *ellKernel) Mode() Mode       { return k.mode }
-func (k *ellKernel) Transposed() bool { return k.transposed }
-
-func (k *ellKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	k.a = formats.ELLFromCOO(a, k.layout)
-	return nil
-}
-
-func (k *ellKernel) Bytes() int {
-	if k.a == nil {
-		return 0
+// spec maps the run's parameters onto the kernel lattice. A serial kernel
+// keeps only the context; a parallel one takes the thread count, schedule,
+// pool and tracer whatever its inner loop is.
+func (k *cpuKernel) spec(p Params) kernels.Spec {
+	s := kernels.Spec{Threads: 1, Ctx: p.Ctx, Inner: k.inner}
+	if k.mode == Parallel {
+		s.Threads, s.Schedule, s.Pool, s.Trace = p.Threads, p.Schedule, p.Pool, p.Trace
 	}
-	return k.a.Bytes()
-}
-
-func (k *ellKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
-	if k.a == nil {
-		return ErrNotPrepared
-	}
-	switch {
-	case k.fixedK && k.mode == Serial:
-		return kernels.ELLSerialFixed(k.a, b, c, p.K)
-	case k.fixedK:
-		return kernels.ELLParallelFixed(k.a, b, c, p.K, p.Threads)
-	case k.transposed && k.mode == Serial:
-		return kernels.ELLSerialT(k.a, b, c, p.K)
-	case k.transposed:
-		return kernels.ELLParallelT(k.a, b, c, p.K, p.Threads)
-	case k.mode == Serial:
-		return kernels.ELLSerial(k.a, b, c, p.K)
-	default:
-		if p.scheduled() {
-			return kernels.ELLParallelOpts(k.a, b, c, p.K, p.Threads, p.kernelOpts())
-		}
-		return kernels.ELLParallel(k.a, b, c, p.K, p.Threads)
-	}
-}
-
-// ---- BCSR ----
-
-type bcsrKernel struct {
-	mode       Mode
-	transposed bool
-	fixedK     bool
-	a          *formats.BCSR[float64]
-}
-
-func (k *bcsrKernel) Name() string {
-	return kernelName("bcsr", k.mode, k.transposed, k.fixedK)
-}
-func (k *bcsrKernel) Format() string   { return "bcsr" }
-func (k *bcsrKernel) Mode() Mode       { return k.mode }
-func (k *bcsrKernel) Transposed() bool { return k.transposed }
-
-func (k *bcsrKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	b, err := formats.BCSRFromCOO(a, p.BlockSize, p.BlockSize)
-	if err != nil {
-		return err
-	}
-	k.a = b
-	if k.mode == Parallel && p.Schedule == kernels.ScheduleBalanced {
-		k.a.BalancedBounds(p.Threads)
-	}
-	return nil
-}
-
-func (k *bcsrKernel) Bytes() int {
-	if k.a == nil {
-		return 0
-	}
-	return k.a.Bytes()
-}
-
-func (k *bcsrKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
-	if k.a == nil {
-		return ErrNotPrepared
-	}
-	switch {
-	case k.fixedK && k.mode == Serial:
-		return kernels.BCSRSerialFixed(k.a, b, c, p.K)
-	case k.fixedK:
-		return kernels.BCSRParallelFixed(k.a, b, c, p.K, p.Threads)
-	case k.transposed && k.mode == Serial:
-		return kernels.BCSRSerialT(k.a, b, c, p.K)
-	case k.transposed:
-		return kernels.BCSRParallelT(k.a, b, c, p.K, p.Threads)
-	case k.mode == Serial:
-		return kernels.BCSRSerial(k.a, b, c, p.K)
-	default:
-		if p.scheduled() {
-			return kernels.BCSRParallelOpts(k.a, b, c, p.K, p.Threads, p.kernelOpts())
-		}
-		return kernels.BCSRParallel(k.a, b, c, p.K, p.Threads)
-	}
-}
-
-// ---- BELL (future-work format) ----
-
-type bellKernel struct {
-	mode Mode
-	a    *formats.BELL[float64]
-}
-
-func (k *bellKernel) Name() string     { return kernelName("bell", k.mode, false, false) }
-func (k *bellKernel) Format() string   { return "bell" }
-func (k *bellKernel) Mode() Mode       { return k.mode }
-func (k *bellKernel) Transposed() bool { return false }
-
-func (k *bellKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	b, err := formats.BELLFromCOO(a, p.BlockSize, p.BlockSize)
-	if err != nil {
-		return err
-	}
-	k.a = b
-	return nil
-}
-
-func (k *bellKernel) Bytes() int {
-	if k.a == nil {
-		return 0
-	}
-	return k.a.Bytes()
-}
-
-func (k *bellKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
-	if k.a == nil {
-		return ErrNotPrepared
-	}
-	if k.mode == Serial {
-		return kernels.BELLSerial(k.a, b, c, p.K)
-	}
-	if p.scheduled() {
-		return kernels.BELLParallelOpts(k.a, b, c, p.K, p.Threads, p.kernelOpts())
-	}
-	return kernels.BELLParallel(k.a, b, c, p.K, p.Threads)
-}
-
-// ---- SELL-C-σ (future-work format, CSR5 stand-in) ----
-
-type sellKernel struct {
-	mode Mode
-	a    *formats.SELLCS[float64]
-}
-
-func (k *sellKernel) Name() string     { return kernelName("sellcs", k.mode, false, false) }
-func (k *sellKernel) Format() string   { return "sellcs" }
-func (k *sellKernel) Mode() Mode       { return k.mode }
-func (k *sellKernel) Transposed() bool { return false }
-
-func (k *sellKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	s, err := formats.SELLCSFromCOO(a, 8, 64)
-	if err != nil {
-		return err
-	}
-	k.a = s
-	if k.mode == Parallel && p.Schedule == kernels.ScheduleBalanced {
-		k.a.BalancedBounds(p.Threads)
-	}
-	return nil
-}
-
-func (k *sellKernel) Bytes() int {
-	if k.a == nil {
-		return 0
-	}
-	return k.a.Bytes()
-}
-
-func (k *sellKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
-	if k.a == nil {
-		return ErrNotPrepared
-	}
-	if k.mode == Serial {
-		return kernels.SELLCSSerial(k.a, b, c, p.K)
-	}
-	if p.scheduled() {
-		return kernels.SELLCSParallelOpts(k.a, b, c, p.K, p.Threads, p.kernelOpts())
-	}
-	return kernels.SELLCSParallel(k.a, b, c, p.K, p.Threads)
+	return s
 }
 
 // ---- GPU kernels (simulated device) ----
@@ -346,12 +91,7 @@ type gpuKernel struct {
 	// Transposed() stays false and the runner passes the plain B.
 	transT bool
 
-	coo  *matrix.COO[float64]
-	csr  *formats.CSR[float64]
-	ell  *formats.ELL[float64]
-	bcsr *formats.BCSR[float64]
-	bell *formats.BELL[float64]
-
+	prepared
 	lastSeconds float64
 }
 
@@ -361,57 +101,13 @@ func (k *gpuKernel) Mode() Mode       { return GPU }
 func (k *gpuKernel) Transposed() bool { return false }
 
 func (k *gpuKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	switch k.format {
-	case "coo":
-		a.SortRowMajor()
-		k.coo = a
-	case "csr":
-		k.csr = formats.CSRFromCOO(a)
-	case "ell":
-		// GPU ELL uses the column-major layout (coalesced).
-		k.ell = formats.ELLFromCOO(a, formats.ColMajor)
-	case "bcsr":
-		b, err := formats.BCSRFromCOO(a, p.BlockSize, p.BlockSize)
-		if err != nil {
-			return err
-		}
-		k.bcsr = b
-	case "bell":
-		b, err := formats.BELLFromCOO(a, p.BlockSize, p.BlockSize)
-		if err != nil {
-			return err
-		}
-		k.bell = b
-	default:
-		return fmt.Errorf("core: gpu kernel for %q not available", k.format)
+	// GPU ELL uses the column-major layout (coalesced).
+	f, err := formats.FromCOO(k.format, a, formats.Params{Block: p.BlockSize, Layout: formats.ColMajor})
+	if err != nil {
+		return err
 	}
+	k.a = f
 	return nil
-}
-
-func (k *gpuKernel) Bytes() int {
-	switch k.format {
-	case "coo":
-		if k.coo != nil {
-			return k.coo.Bytes()
-		}
-	case "csr":
-		if k.csr != nil {
-			return k.csr.Bytes()
-		}
-	case "ell":
-		if k.ell != nil {
-			return k.ell.Bytes()
-		}
-	case "bcsr":
-		if k.bcsr != nil {
-			return k.bcsr.Bytes()
-		}
-	case "bell":
-		if k.bell != nil {
-			return k.bell.Bytes()
-		}
-	}
-	return 0
 }
 
 func (k *gpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
@@ -422,47 +118,30 @@ func (k *gpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
 	}
 	var res gpusim.LaunchResult
 	var err error
-	switch {
-	case k.format == "coo" && k.vendor:
-		if k.coo == nil {
-			return ErrNotPrepared
+	switch a := k.a.(type) {
+	case nil:
+		return ErrNotPrepared
+	case *matrix.COO[float64]:
+		if k.vendor {
+			res, err = vendorlib.SpMMCOO(k.dev, a, b, c, p.K)
+		} else {
+			res, err = gpusim.SpMMCOO(k.dev, a, b, c, p.K)
 		}
-		res, err = vendorlib.SpMMCOO(k.dev, k.coo, b, c, p.K)
-	case k.format == "coo":
-		if k.coo == nil {
-			return ErrNotPrepared
+	case *formats.CSR[float64]:
+		switch {
+		case k.vendor:
+			res, err = vendorlib.SpMMCSR(k.dev, a, b, c, p.K)
+		case k.transT:
+			res, err = gpusim.SpMMCSRT(k.dev, a, b, c, p.K)
+		default:
+			res, err = gpusim.SpMMCSR(k.dev, a, b, c, p.K)
 		}
-		res, err = gpusim.SpMMCOO(k.dev, k.coo, b, c, p.K)
-	case k.format == "csr" && k.vendor:
-		if k.csr == nil {
-			return ErrNotPrepared
-		}
-		res, err = vendorlib.SpMMCSR(k.dev, k.csr, b, c, p.K)
-	case k.format == "csr" && k.transT:
-		if k.csr == nil {
-			return ErrNotPrepared
-		}
-		res, err = gpusim.SpMMCSRT(k.dev, k.csr, b, c, p.K)
-	case k.format == "csr":
-		if k.csr == nil {
-			return ErrNotPrepared
-		}
-		res, err = gpusim.SpMMCSR(k.dev, k.csr, b, c, p.K)
-	case k.format == "ell":
-		if k.ell == nil {
-			return ErrNotPrepared
-		}
-		res, err = gpusim.SpMMELL(k.dev, k.ell, b, c, p.K)
-	case k.format == "bcsr":
-		if k.bcsr == nil {
-			return ErrNotPrepared
-		}
-		res, err = gpusim.SpMMBCSR(k.dev, k.bcsr, b, c, p.K)
-	case k.format == "bell":
-		if k.bell == nil {
-			return ErrNotPrepared
-		}
-		res, err = gpusim.SpMMBELL(k.dev, k.bell, b, c, p.K)
+	case *formats.ELL[float64]:
+		res, err = gpusim.SpMMELL(k.dev, a, b, c, p.K)
+	case *formats.BCSR[float64]:
+		res, err = gpusim.SpMMBCSR(k.dev, a, b, c, p.K)
+	case *formats.BELL[float64]:
+		res, err = gpusim.SpMMBELL(k.dev, a, b, c, p.K)
 	default:
 		return fmt.Errorf("core: gpu kernel for %q not available", k.format)
 	}
@@ -476,12 +155,12 @@ func (k *gpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
 // ModelSeconds implements ModelTimed.
 func (k *gpuKernel) ModelSeconds() float64 { return k.lastSeconds }
 
-func kernelName(format string, mode Mode, transposed, fixedK bool) string {
+func kernelName(format string, mode Mode, inner kernels.Inner) string {
 	name := format + "-" + mode.String()
-	if transposed {
+	switch inner {
+	case kernels.InnerTransB:
 		name += "-t"
-	}
-	if fixedK {
+	case kernels.InnerFixedK:
 		name += "-fixedk"
 	}
 	return name

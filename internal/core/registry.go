@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/formats"
 	"repro/internal/gpusim"
+	"repro/internal/kernels"
 )
 
 // Options carries the shared resources kernel constructors may need.
@@ -45,44 +46,19 @@ func register(name string, c constructor) {
 }
 
 func init() {
+	// The CPU kernels are the lattice's serial and parallel columns: one
+	// name per format × mode × inner loop the format's row has.
 	for _, mode := range []Mode{Serial, Parallel} {
-		mode := mode
-		register(kernelName("coo", mode, false, false),
-			func(Options) (Kernel, error) { return &cooKernel{mode: mode}, nil })
-		register(kernelName("coo", mode, true, false),
-			func(Options) (Kernel, error) { return &cooKernel{mode: mode, transposed: true}, nil })
-		register(kernelName("coo", mode, false, true),
-			func(Options) (Kernel, error) { return &cooKernel{mode: mode, fixedK: true}, nil })
-
-		register(kernelName("csr", mode, false, false),
-			func(Options) (Kernel, error) { return &csrKernel{mode: mode}, nil })
-		register(kernelName("csr", mode, true, false),
-			func(Options) (Kernel, error) { return &csrKernel{mode: mode, transposed: true}, nil })
-		register(kernelName("csr", mode, false, true),
-			func(Options) (Kernel, error) { return &csrKernel{mode: mode, fixedK: true}, nil })
-
-		register(kernelName("ell", mode, false, false),
-			func(o Options) (Kernel, error) { return &ellKernel{mode: mode, layout: o.ELLLayout}, nil })
-		register(kernelName("ell", mode, true, false),
-			func(o Options) (Kernel, error) {
-				return &ellKernel{mode: mode, transposed: true, layout: o.ELLLayout}, nil
-			})
-		register(kernelName("ell", mode, false, true),
-			func(o Options) (Kernel, error) {
-				return &ellKernel{mode: mode, fixedK: true, layout: o.ELLLayout}, nil
-			})
-
-		register(kernelName("bcsr", mode, false, false),
-			func(Options) (Kernel, error) { return &bcsrKernel{mode: mode}, nil })
-		register(kernelName("bcsr", mode, true, false),
-			func(Options) (Kernel, error) { return &bcsrKernel{mode: mode, transposed: true}, nil })
-		register(kernelName("bcsr", mode, false, true),
-			func(Options) (Kernel, error) { return &bcsrKernel{mode: mode, fixedK: true}, nil })
-
-		register(kernelName("bell", mode, false, false),
-			func(Options) (Kernel, error) { return &bellKernel{mode: mode}, nil })
-		register(kernelName("sellcs", mode, false, false),
-			func(Options) (Kernel, error) { return &sellKernel{mode: mode}, nil })
+		for _, format := range Formats() {
+			for _, inner := range []kernels.Inner{kernels.InnerTiled, kernels.InnerTransB, kernels.InnerFixedK} {
+				if _, ok := kernels.ParseVariant(format + "/" + (kernels.Spec{Inner: inner}).Name()); !ok {
+					continue
+				}
+				register(kernelName(format, mode, inner), func(o Options) (Kernel, error) {
+					return &cpuKernel{format: format, mode: mode, inner: inner, layout: o.ELLLayout}, nil
+				})
+			}
+		}
 	}
 	for _, format := range []string{"coo", "csr", "ell", "bcsr", "bell"} {
 		name := format + "-gpu"

@@ -123,7 +123,7 @@ func Run(k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result,
 		span = p.Trace.Start()
 		defer func() { p.Trace.EndDetail(0, trace.PhaseVerify, k.Name(), span, 0) }()
 		ref := matrix.NewDense[float64](a.Rows, p.K)
-		if err := kernels.COOSerialCtx(p.Ctx, a, b, ref, p.K); err != nil {
+		if err := kernels.COO(a, b, ref, p.K, kernels.Spec{Ctx: p.Ctx}); err != nil {
 			return Result{}, fmt.Errorf("core: reference kernel: %w", err)
 		}
 		diff, err := c.MaxAbsDiff(ref)
@@ -142,8 +142,8 @@ func Run(k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result,
 }
 
 // RunCtx is Run with a context governing the whole benchmark: the runner
-// checks ctx between repetitions and around Prepare/verify, and
-// cancellation-aware kernels check it inside their row loops. The returned
+// checks ctx between repetitions and around Prepare/verify, and the CPU
+// kernels check it inside their row loops. The returned
 // error wraps ctx.Err() when the run was cut short.
 func RunCtx(ctx context.Context, k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result, error) {
 	p.Ctx = ctx

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/matrix"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // flakyThreadsKernel fails Calculate for the thread counts in failOn — the
@@ -109,5 +113,118 @@ func TestRunNilContextCompletes(t *testing.T) {
 	}
 	if !r.Verified {
 		t.Fatal("run with nil context skipped verification")
+	}
+}
+
+// countdownCtx reports nil from its first n Err calls and context.Canceled
+// from every later one: a cancellation at a known point of the run's check
+// sequence, with no timing involved.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunCtxInterruptsELLMidCalculate: a per-run deadline must be able to
+// cut a kernel short inside Calculate for every format, not only CSR and
+// COO. The countdown passes the runner's entry check and the first checks
+// of the warm-up Calculate, then cancels — so the error must come out of a
+// Calculate call, not out of the runner's between-repetition check.
+func TestRunCtxInterruptsELLMidCalculate(t *testing.T) {
+	const rows = 8 * 1024 // several cancellation strides per worker
+	a := matrix.NewCOO[float64](rows, rows, rows)
+	for i := 0; i < rows; i++ {
+		a.Append(int32(i), int32(i), 1)
+	}
+	k, err := New("ell-omp", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(3)
+	_, err = RunCtx(ctx, k, a, "diag", smallParams())
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "calculate") {
+		t.Fatalf("RunCtx returned %v, want context.Canceled out of a Calculate call", err)
+	}
+}
+
+// regions reads one series of spmm_parallel_regions_total.
+func regions(t *testing.T, mode string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	series := fmt.Sprintf("spmm_parallel_regions_total{mode=%q} ", mode)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, series); ok {
+			var v float64
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				t.Fatalf("unparseable sample %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("series %s not exported", series)
+	return 0
+}
+
+// TestRunCtxKeepsScheduleAndPool: a context must not change which machinery
+// runs. Every harness campaign goes through RunCtx, so a run asking for the
+// balanced schedule on a pool has to dispatch on that pool — and produce the
+// bits csr-serial does.
+func TestRunCtxKeepsScheduleAndPool(t *testing.T) {
+	a := testCOO(14, 300, 200, 4000)
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	p := smallParams()
+	p.Schedule = kernels.ScheduleBalanced
+	p.Pool = pool
+
+	serial, err := New("csr-serial", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.Prepare(a, p); err != nil {
+		t.Fatal(err)
+	}
+	b := matrix.NewDenseRand[float64](a.Cols, p.K, p.Seed)
+	want := matrix.NewDense[float64](a.Rows, p.K)
+	if err := serial.Calculate(b, want, p); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, name := range []string{"csr-omp", "coo-omp"} {
+		k, err := New(name, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, static := regions(t, "pool"), regions(t, "static")
+		r, err := RunCtx(context.Background(), k, a, "t", p)
+		if err != nil || !r.Verified {
+			t.Fatalf("%s: %+v, %v", name, r, err)
+		}
+		if got := regions(t, "pool"); got <= pooled {
+			t.Errorf("%s: no region ran on the pool under a ctx (spmm_parallel_regions_total{mode=\"pool\"} stayed %v)", name, got)
+		}
+		if got := regions(t, "static"); got != static {
+			t.Errorf("%s: %v goroutine-per-call static regions under a ctx, want 0", name, got-static)
+		}
+
+		q := p
+		q.Ctx = context.Background()
+		got := matrix.NewDense[float64](a.Rows, p.K)
+		if err := k.Calculate(b, got, q); err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualTol(want, 0) {
+			t.Errorf("%s under ctx + balanced + pool is not bitwise equal to csr-serial", name)
+		}
 	}
 }

@@ -39,11 +39,7 @@ type SpMVKernel interface {
 type spmvKernel struct {
 	format string
 	mode   Mode
-
-	coo  *matrix.COO[float64]
-	csr  *formats.CSR[float64]
-	ell  *formats.ELL[float64]
-	bcsr *formats.BCSR[float64]
+	prepared
 }
 
 func (k *spmvKernel) Name() string {
@@ -53,83 +49,30 @@ func (k *spmvKernel) Format() string { return k.format }
 func (k *spmvKernel) Mode() Mode     { return k.mode }
 
 func (k *spmvKernel) Prepare(a *matrix.COO[float64], p Params) error {
-	switch k.format {
-	case "coo":
-		a.SortRowMajor()
-		k.coo = a
-	case "csr":
-		k.csr = formats.CSRFromCOO(a)
-	case "ell":
-		k.ell = formats.ELLFromCOO(a, formats.RowMajor)
-	case "bcsr":
-		b, err := formats.BCSRFromCOO(a, p.BlockSize, p.BlockSize)
-		if err != nil {
-			return err
-		}
-		k.bcsr = b
-	default:
-		return fmt.Errorf("core: no spmv kernel for format %q", k.format)
+	f, err := formats.FromCOO(k.format, a, formats.Params{Block: p.BlockSize, Layout: formats.RowMajor})
+	if err != nil {
+		return err
 	}
+	k.a = f
 	return nil
 }
 
-func (k *spmvKernel) Bytes() int {
-	switch k.format {
-	case "coo":
-		if k.coo != nil {
-			return k.coo.Bytes()
-		}
-	case "csr":
-		if k.csr != nil {
-			return k.csr.Bytes()
-		}
-	case "ell":
-		if k.ell != nil {
-			return k.ell.Bytes()
-		}
-	case "bcsr":
-		if k.bcsr != nil {
-			return k.bcsr.Bytes()
-		}
-	}
-	return 0
-}
-
 func (k *spmvKernel) CalculateVec(x, y []float64, p Params) error {
-	serial := k.mode == Serial
-	switch k.format {
-	case "coo":
-		if k.coo == nil {
-			return ErrNotPrepared
-		}
-		if serial {
-			return kernels.COOSpMV(k.coo, x, y)
-		}
-		return kernels.COOSpMVParallel(k.coo, x, y, p.Threads)
-	case "csr":
-		if k.csr == nil {
-			return ErrNotPrepared
-		}
-		if serial {
-			return kernels.CSRSpMV(k.csr, x, y)
-		}
-		return kernels.CSRSpMVParallel(k.csr, x, y, p.Threads)
-	case "ell":
-		if k.ell == nil {
-			return ErrNotPrepared
-		}
-		if serial {
-			return kernels.ELLSpMV(k.ell, x, y)
-		}
-		return kernels.ELLSpMVParallel(k.ell, x, y, p.Threads)
-	case "bcsr":
-		if k.bcsr == nil {
-			return ErrNotPrepared
-		}
-		if serial {
-			return kernels.BCSRSpMV(k.bcsr, x, y)
-		}
-		return kernels.BCSRSpMVParallel(k.bcsr, x, y, p.Threads)
+	threads := 1
+	if k.mode == Parallel {
+		threads = p.Threads
+	}
+	switch a := k.a.(type) {
+	case nil:
+		return ErrNotPrepared
+	case *matrix.COO[float64]:
+		return kernels.COOSpMV(a, x, y, threads)
+	case *formats.CSR[float64]:
+		return kernels.CSRSpMV(a, x, y, threads)
+	case *formats.ELL[float64]:
+		return kernels.ELLSpMV(a, x, y, threads)
+	case *formats.BCSR[float64]:
+		return kernels.BCSRSpMV(a, x, y, threads)
 	}
 	return fmt.Errorf("core: no spmv kernel for format %q", k.format)
 }
@@ -217,7 +160,7 @@ func RunSpMV(k SpMVKernel, a *matrix.COO[float64], matrixName string, p Params) 
 
 	if p.Verify {
 		ref := make([]float64, a.Rows)
-		if err := kernels.COOSpMV(a, x, ref); err != nil {
+		if err := kernels.COOSpMV(a, x, ref, 1); err != nil {
 			return Result{}, fmt.Errorf("core: reference spmv: %w", err)
 		}
 		tol := matrix.DefaultTol[float64]()

@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 func TestSpMVRegistry(t *testing.T) {
 	names := SpMVNames()
-	if len(names) != 8 {
-		t.Fatalf("spmv registry has %d kernels, want 8: %v", len(names), names)
+	golden := []string{"bcsr-spmv-omp", "bcsr-spmv-serial", "coo-spmv-omp", "coo-spmv-serial",
+		"csr-spmv-omp", "csr-spmv-serial", "ell-spmv-omp", "ell-spmv-serial"}
+	if !slices.Equal(names, golden) {
+		t.Fatalf("spmv registry names changed:\n got %v\nwant %v", names, golden)
 	}
 	for _, n := range names {
 		if _, err := NewSpMV(n); err != nil {

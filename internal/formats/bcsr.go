@@ -192,13 +192,13 @@ func (b *BCSR[T]) ToCOO() *matrix.COO[T] {
 	return m
 }
 
-// FormatName implements Sparse.
+// FormatName is the short name used in reports.
 func (b *BCSR[T]) FormatName() string { return "bcsr" }
 
-// Dims implements Sparse.
+// Dims returns the logical matrix dimensions.
 func (b *BCSR[T]) Dims() (int, int) { return b.Rows, b.Cols }
 
-// NNZ implements Sparse; it counts nonzero stored values, excluding block
+// NNZ reports the number of logical nonzeros; it counts nonzero stored values, excluding block
 // padding.
 func (b *BCSR[T]) NNZ() int {
 	n := 0
@@ -210,7 +210,7 @@ func (b *BCSR[T]) NNZ() int {
 	return n
 }
 
-// Stored implements Sparse; every block slot is stored.
+// Stored reports the stored value slots; every block slot is stored.
 func (b *BCSR[T]) Stored() int { return len(b.Vals) }
 
 // Bytes implements Sparse.

@@ -101,13 +101,13 @@ func (e *BELL[T]) ToCOO() *matrix.COO[T] {
 	return m
 }
 
-// FormatName implements Sparse.
+// FormatName is the short name used in reports.
 func (e *BELL[T]) FormatName() string { return "bell" }
 
-// Dims implements Sparse.
+// Dims returns the logical matrix dimensions.
 func (e *BELL[T]) Dims() (int, int) { return e.Rows, e.Cols }
 
-// NNZ implements Sparse.
+// NNZ reports the number of logical nonzeros.
 func (e *BELL[T]) NNZ() int {
 	n := 0
 	for _, v := range e.Vals {
@@ -118,7 +118,7 @@ func (e *BELL[T]) NNZ() int {
 	return n
 }
 
-// Stored implements Sparse.
+// Stored reports the stored value slots, padding included.
 func (e *BELL[T]) Stored() int { return len(e.Vals) }
 
 // Bytes implements Sparse.

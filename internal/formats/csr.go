@@ -52,16 +52,16 @@ func (c *CSR[T]) ToCOO() *matrix.COO[T] {
 	return m
 }
 
-// FormatName implements Sparse.
+// FormatName is the short name used in reports.
 func (c *CSR[T]) FormatName() string { return "csr" }
 
-// Dims implements Sparse.
+// Dims returns the logical matrix dimensions.
 func (c *CSR[T]) Dims() (int, int) { return c.Rows, c.Cols }
 
-// NNZ implements Sparse.
+// NNZ reports the number of logical nonzeros.
 func (c *CSR[T]) NNZ() int { return len(c.Vals) }
 
-// Stored implements Sparse; CSR stores exactly the nonzeros.
+// Stored reports the stored value slots; CSR stores exactly the nonzeros.
 func (c *CSR[T]) Stored() int { return len(c.Vals) }
 
 // Bytes implements Sparse.
@@ -123,16 +123,16 @@ func CSCFromCOO[T matrix.Float](m *matrix.COO[T]) *CSC[T] {
 	}
 }
 
-// FormatName implements Sparse.
+// FormatName is the short name used in reports.
 func (c *CSC[T]) FormatName() string { return "csc" }
 
-// Dims implements Sparse.
+// Dims returns the logical matrix dimensions.
 func (c *CSC[T]) Dims() (int, int) { return c.Rows, c.Cols }
 
-// NNZ implements Sparse.
+// NNZ reports the number of logical nonzeros.
 func (c *CSC[T]) NNZ() int { return len(c.Vals) }
 
-// Stored implements Sparse.
+// Stored reports the stored value slots, padding included.
 func (c *CSC[T]) Stored() int { return len(c.Vals) }
 
 // Bytes implements Sparse.

@@ -143,13 +143,13 @@ func (e *ELL[T]) ToCOO() *matrix.COO[T] {
 	return m
 }
 
-// FormatName implements Sparse.
+// FormatName is the short name used in reports.
 func (e *ELL[T]) FormatName() string { return "ell" }
 
-// Dims implements Sparse.
+// Dims returns the logical matrix dimensions.
 func (e *ELL[T]) Dims() (int, int) { return e.Rows, e.Cols }
 
-// NNZ implements Sparse; it counts nonzero stored values, excluding padding.
+// NNZ reports the number of logical nonzeros; it counts nonzero stored values, excluding padding.
 func (e *ELL[T]) NNZ() int {
 	n := 0
 	for _, v := range e.Vals {
@@ -160,7 +160,7 @@ func (e *ELL[T]) NNZ() int {
 	return n
 }
 
-// Stored implements Sparse; every slot, padded or not, is stored.
+// Stored reports the stored value slots; every slot, padded or not, is stored.
 func (e *ELL[T]) Stored() int { return len(e.Vals) }
 
 // Bytes implements Sparse.

@@ -2,6 +2,7 @@ package formats
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -341,21 +342,34 @@ func TestSELLCSPadsLessThanELL(t *testing.T) {
 	}
 }
 
-func TestSparseInterfaceCompliance(t *testing.T) {
+// TestFromCOO pins the single conversion site: every format name yields its
+// concrete type with the bookkeeping methods the reports rely on, "coo" hands
+// the sorted input back, and an unknown name or a bad block is an error.
+func TestFromCOO(t *testing.T) {
 	m := quickCOO(11)
-	var sparses []Sparse
-	sparses = append(sparses, CSRFromCOO(m), CSCFromCOO(m), ELLFromCOO(m, RowMajor))
-	if b, err := BCSRFromCOO(m, 4, 4); err == nil {
-		sparses = append(sparses, b)
-	}
-	if e, err := BELLFromCOO(m, 4, 4); err == nil {
-		sparses = append(sparses, e)
-	}
-	if s, err := SELLCSFromCOO(m, 4, 8); err == nil {
-		sparses = append(sparses, s)
+	type described interface {
+		Sparse
+		FormatName() string
+		Dims() (rows, cols int)
+		NNZ() int
+		Stored() int
 	}
 	names := map[string]bool{}
-	for _, s := range sparses {
+	for _, name := range []string{"csr", "csc", "ell", "bcsr", "bell", "sellcs"} {
+		sp, err := FromCOO(name, m, Params{Block: 4, Layout: ColMajor})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s, ok := sp.(described)
+		if !ok || s.FormatName() != name {
+			t.Fatalf("FromCOO(%q) returned %T", name, sp)
+		}
+		if e, ok := sp.(*ELL[float64]); ok && e.Layout != ColMajor {
+			t.Fatalf("ell: layout %v, want the requested ColMajor", e.Layout)
+		}
+		if sl, ok := sp.(*SELLCS[float64]); ok && (sl.C != SELLC || sl.Sigma != SELLSigma) {
+			t.Fatalf("sellcs: C=%d σ=%d, want %d/%d", sl.C, sl.Sigma, SELLC, SELLSigma)
+		}
 		if s.FormatName() == "" || names[s.FormatName()] {
 			t.Fatalf("duplicate or empty format name %q", s.FormatName())
 		}
@@ -370,6 +384,19 @@ func TestSparseInterfaceCompliance(t *testing.T) {
 		if s.Bytes() <= 0 && s.NNZ() > 0 {
 			t.Fatalf("%s: Bytes %d", s.FormatName(), s.Bytes())
 		}
+	}
+
+	unsorted := matrix.NewCOO[float64](3, 3, 2)
+	unsorted.Append(2, 0, 1)
+	unsorted.Append(0, 1, 2)
+	if sp, err := FromCOO("coo", unsorted, Params{}); err != nil || sp != Sparse(unsorted) || !unsorted.IsSortedRowMajor() {
+		t.Fatalf("coo: got %v, %v; want the input itself, sorted", sp, err)
+	}
+	if _, err := FromCOO("dia", m, Params{}); err == nil {
+		t.Fatal("unknown format accepted")
+	}
+	if _, err := FromCOO("bcsr", m, Params{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("bcsr with block 0: %v, want ErrInvalid", err)
 	}
 }
 

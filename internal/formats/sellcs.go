@@ -162,13 +162,13 @@ func (s *SELLCS[T]) ToCOO() *matrix.COO[T] {
 	return m
 }
 
-// FormatName implements Sparse.
+// FormatName is the short name used in reports.
 func (s *SELLCS[T]) FormatName() string { return "sellcs" }
 
-// Dims implements Sparse.
+// Dims returns the logical matrix dimensions.
 func (s *SELLCS[T]) Dims() (int, int) { return s.Rows, s.Cols }
 
-// NNZ implements Sparse.
+// NNZ reports the number of logical nonzeros.
 func (s *SELLCS[T]) NNZ() int {
 	n := 0
 	for _, v := range s.Vals {
@@ -179,7 +179,7 @@ func (s *SELLCS[T]) NNZ() int {
 	return n
 }
 
-// Stored implements Sparse.
+// Stored reports the stored value slots, padding included.
 func (s *SELLCS[T]) Stored() int { return len(s.Vals) }
 
 // Bytes implements Sparse.

@@ -32,9 +32,9 @@ func TestSerialCalculateZeroAlloc(t *testing.T) {
 	for _, k := range []int{128, 336} { // single panel and tiled
 		_, csr, ell, bcsr, b, c := allocFixtures(t, k)
 		for name, run := range map[string]func(){
-			"csr":  func() { _ = CSRSerial(csr, b, c, k) },
-			"ell":  func() { _ = ELLSerial(ell, b, c, k) },
-			"bcsr": func() { _ = BCSRSerial(bcsr, b, c, k) },
+			"csr":  func() { _ = CSR(csr, b, c, k, Spec{}) },
+			"ell":  func() { _ = ELL(ell, b, c, k, Spec{}) },
+			"bcsr": func() { _ = BCSR(bcsr, b, c, k, Spec{}) },
 		} {
 			if n := testing.AllocsPerRun(10, run); n != 0 {
 				t.Errorf("%s serial k=%d: %.0f allocs/op, want 0", name, k, n)
@@ -47,9 +47,9 @@ func TestFixedKCalculateZeroAlloc(t *testing.T) {
 	for _, k := range []int{128, 256} { // unrolled and tiled composition
 		_, csr, ell, bcsr, b, c := allocFixtures(t, k)
 		for name, run := range map[string]func(){
-			"csr-fixed":  func() { _ = CSRSerialFixed(csr, b, c, k) },
-			"ell-fixed":  func() { _ = ELLSerialFixed(ell, b, c, k) },
-			"bcsr-fixed": func() { _ = BCSRSerialFixed(bcsr, b, c, k) },
+			"csr-fixed":  func() { _ = CSR(csr, b, c, k, Spec{Inner: InnerFixedK}) },
+			"ell-fixed":  func() { _ = ELL(ell, b, c, k, Spec{Inner: InnerFixedK}) },
+			"bcsr-fixed": func() { _ = BCSR(bcsr, b, c, k, Spec{Inner: InnerFixedK}) },
 		} {
 			if n := testing.AllocsPerRun(10, run); n != 0 {
 				t.Errorf("%s k=%d: %.0f allocs/op, want 0", name, k, n)
@@ -71,9 +71,9 @@ func TestSerialCalculateZeroAllocTracerInstalled(t *testing.T) {
 	const k = 128
 	_, csr, ell, bcsr, b, c := allocFixtures(t, k)
 	for name, run := range map[string]func(){
-		"csr":  func() { s := tr.Start(); _ = CSRSerial(csr, b, c, k); tr.End(0, trace.PhaseCalculate, s, 0) },
-		"ell":  func() { s := tr.Start(); _ = ELLSerial(ell, b, c, k); tr.End(0, trace.PhaseCalculate, s, 0) },
-		"bcsr": func() { s := tr.Start(); _ = BCSRSerial(bcsr, b, c, k); tr.End(0, trace.PhaseCalculate, s, 0) },
+		"csr":  func() { s := tr.Start(); _ = CSR(csr, b, c, k, Spec{}); tr.End(0, trace.PhaseCalculate, s, 0) },
+		"ell":  func() { s := tr.Start(); _ = ELL(ell, b, c, k, Spec{}); tr.End(0, trace.PhaseCalculate, s, 0) },
+		"bcsr": func() { s := tr.Start(); _ = BCSR(bcsr, b, c, k, Spec{}); tr.End(0, trace.PhaseCalculate, s, 0) },
 	} {
 		if n := testing.AllocsPerRun(10, run); n != 0 {
 			t.Errorf("%s serial with disabled tracer: %.0f allocs/op, want 0", name, n)
@@ -88,30 +88,32 @@ func TestSerialCalculateZeroAllocTracerInstalled(t *testing.T) {
 	// per-call goroutine spawns dominate its allocs either way).
 	pool := parallel.NewPool(4)
 	defer pool.Close()
-	o := Opts{Pool: pool, Trace: tr}
-	if n := testing.AllocsPerRun(10, func() { _ = CSRParallelOpts(csr, b, c, k, 4, o) }); n > 3 {
+	pooled := Spec{Threads: 4, Pool: pool, Trace: tr}
+	if n := testing.AllocsPerRun(10, func() { _ = CSR(csr, b, c, k, pooled) }); n > 3 {
 		t.Errorf("csr pooled opts with disabled tracer: %.0f allocs/op, want <= 3", n)
 	}
 }
 
 func TestPooledBalancedCalculateAllocBound(t *testing.T) {
-	// The pooled balanced path may allocate only the kernel's own body
+	// The pooled balanced path may allocate only the entry's own body
 	// closure (the partition is memoized, the pool dispatch is struct
-	// sends, the join WaitGroup lives in the pool). Two allocs of headroom
+	// sends, the join WaitGroup lives in the pool; measured: 1 alloc/op for
+	// CSR/ELL/BCSR, 3 for COO's two closures and triplet bounds, before and
+	// after the Spec refactor). Two allocs of headroom
 	// keep the bound robust across compiler versions while still catching
 	// per-chunk or per-row escapes.
 	const k, threads = 128, 4
 	pool := parallel.NewPool(threads)
 	defer pool.Close()
 	coo, csr, ell, bcsr, b, c := allocFixtures(t, k)
-	o := Opts{Schedule: ScheduleBalanced, Pool: pool}
+	s := Spec{Threads: threads, Schedule: ScheduleBalanced, Pool: pool}
 	csr.BalancedBounds(threads) // warm, as Prepare does
 	bcsr.BalancedBounds(threads)
 	for name, run := range map[string]func(){
-		"csr":  func() { _ = CSRParallelOpts(csr, b, c, k, threads, o) },
-		"ell":  func() { _ = ELLParallelOpts(ell, b, c, k, threads, o) },
-		"bcsr": func() { _ = BCSRParallelOpts(bcsr, b, c, k, threads, o) },
-		"coo":  func() { _ = COOParallelOpts(coo, b, c, k, threads, o) },
+		"csr":  func() { _ = CSR(csr, b, c, k, s) },
+		"ell":  func() { _ = ELL(ell, b, c, k, s) },
+		"bcsr": func() { _ = BCSR(bcsr, b, c, k, s) },
+		"coo":  func() { _ = COO(coo, b, c, k, s) },
 	} {
 		if n := testing.AllocsPerRun(10, run); n > 3 {
 			t.Errorf("%s pooled balanced: %.0f allocs/op, want <= 3", name, n)

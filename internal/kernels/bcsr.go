@@ -6,15 +6,40 @@ import (
 	"repro/internal/parallel"
 )
 
-// BCSRSerial computes C[:, :k] = A × B[:, :k] with A in BCSR form. The
-// kernel walks whole blocks, including their padding zeros — the extra work
-// a badly chosen block size costs.
-func BCSRSerial[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+// BCSR computes C[:, :k] = A × B[:, :k] with A in BCSR form, executed as s
+// says. The kernel walks whole blocks, including their padding zeros — the
+// extra work a badly chosen block size costs. Parallelising at block-row
+// granularity is what the blocked format buys: each worker owns whole C
+// row-bands, and balanced scheduling equalises stored blocks per worker.
+// Under InnerTransB, b is Bᵀ.
+func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Spec) error {
+	if err := check(rowBCSR, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	bcsrBlockRows(a, b, c, k, 0, a.BlockRows)
-	return nil
+	inner := s.Inner
+	if s.direct() {
+		bcsrRange(a, b, c, k, inner, 0, a.BlockRows)
+		return nil
+	}
+	var bounds []int
+	if s.Threads > 1 && s.Schedule == ScheduleBalanced {
+		bounds = a.BalancedBounds(s.Threads)
+	}
+	return run(s, rowBCSR, a.BlockRows, bounds, func(lo, hi, _ int) {
+		bcsrRange(a, b, c, k, inner, lo, hi)
+	})
+}
+
+// bcsrRange runs the range function inner selects over block rows [lo, hi).
+func bcsrRange[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
+	switch inner {
+	case InnerFixedK:
+		bcsrBlockRowsFixed(a, b, c, k, lo, hi)
+	case InnerTransB:
+		bcsrBlockRowsT(a, b, c, k, lo, hi)
+	default:
+		bcsrBlockRows(a, b, c, k, lo, hi)
+	}
 }
 
 // bcsrBlockRows processes block rows [lo, hi). A trailing padded fringe
@@ -60,28 +85,8 @@ func bcsrBlockRowsPanel[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T
 	}
 }
 
-// BCSRParallel computes C[:, :k] = A × B[:, :k] with block rows statically
-// divided over `threads` workers. Parallelising at block-row granularity is
-// what the blocked format buys: each worker owns whole C row-bands.
-func BCSRParallel[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.For(a.BlockRows, threads, func(lo, hi, _ int) {
-		bcsrBlockRows(a, b, c, k, lo, hi)
-	})
-	return nil
-}
-
-// BCSRSerialT computes C[:, :k] = A × B[:, :k] given bt, the transpose of B.
-func BCSRSerialT[T matrix.Float](a *formats.BCSR[T], bt, c *matrix.Dense[T], k int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
-	}
-	bcsrBlockRowsT(a, bt, c, k, 0, a.BlockRows)
-	return nil
-}
-
+// bcsrBlockRowsT is the transposed-B block-row loop: bt is the kb×n
+// transpose of B.
 func bcsrBlockRowsT[T matrix.Float](a *formats.BCSR[T], bt, c *matrix.Dense[T], k, lo, hi int) {
 	br, bc := a.BR, a.BC
 	for bri := lo; bri < hi; bri++ {
@@ -111,23 +116,40 @@ func bcsrBlockRowsT[T matrix.Float](a *formats.BCSR[T], bt, c *matrix.Dense[T], 
 	}
 }
 
-// BCSRParallelT is the parallel transposed-B BCSR kernel.
-func BCSRParallelT[T matrix.Float](a *formats.BCSR[T], bt, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
+// bcsrBlockRowsFixed is bcsrBlockRows with the k loop specialised.
+func bcsrBlockRowsFixed[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
+	br, bc := a.BR, a.BC
+	for bri := lo; bri < hi; bri++ {
+		rowBase := bri * br
+		rowLim := min(br, a.Rows-rowBase)
+		for r := 0; r < rowLim; r++ {
+			clear(c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k])
+		}
+		for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
+			colBase := int(a.ColIdx[p]) * bc
+			colLim := min(bc, a.Cols-colBase)
+			blk := a.Block(int(p))
+			for r := 0; r < rowLim; r++ {
+				crow := c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k]
+				for cc := 0; cc < colLim; cc++ {
+					v := blk[r*bc+cc]
+					if v == 0 {
+						continue
+					}
+					axpyFixedTiled(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
+				}
+			}
+		}
 	}
-	parallel.For(a.BlockRows, threads, func(lo, hi, _ int) {
-		bcsrBlockRowsT(a, bt, c, k, lo, hi)
-	})
-	return nil
 }
 
-// BCSRParallelInner is the Study 9 footnote variant: it parallelises the
-// *inner* (within-block-row) loop instead of the block-row loop. The thesis
-// notes this change "clearly made the overall performance worse"; the suite
-// keeps it so the regression is reproducible.
+// BCSRParallelInner is the Study 9 footnote variant, an ablation outside
+// the lattice: it parallelises the *inner* (within-block-row) loop instead
+// of the block-row loop. The thesis notes this change "clearly made the
+// overall performance worse"; the suite keeps it so the regression is
+// reproducible.
 func BCSRParallelInner[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k, false); err != nil {
 		return err
 	}
 	zeroK(c, k)
@@ -166,16 +188,27 @@ func BCSRParallelInner[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T]
 	return nil
 }
 
-// BCSRSpMV computes y = A × x with A in BCSR form.
-func BCSRSpMV[T matrix.Float](a *formats.BCSR[T], x, y []T) error {
+// BCSRSpMV computes y = A × x with A in BCSR form, block rows divided over
+// threads workers (serial at 1 or below).
+func BCSRSpMV[T matrix.Float](a *formats.BCSR[T], x, y []T, threads int) error {
 	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
 		return err
 	}
-	clear(y)
+	if threads <= 1 {
+		bcsrSpMVBlockRows(a, x, y, 0, a.BlockRows)
+		return nil
+	}
+	return run(Spec{Threads: threads}, rowBCSR, a.BlockRows, nil, func(lo, hi, _ int) {
+		bcsrSpMVBlockRows(a, x, y, lo, hi)
+	})
+}
+
+func bcsrSpMVBlockRows[T matrix.Float](a *formats.BCSR[T], x, y []T, lo, hi int) {
 	br, bc := a.BR, a.BC
-	for bri := 0; bri < a.BlockRows; bri++ {
+	for bri := lo; bri < hi; bri++ {
 		rowBase := bri * br
 		rowLim := min(br, a.Rows-rowBase)
+		clear(y[rowBase : rowBase+rowLim])
 		for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
 			colBase := int(a.ColIdx[p]) * bc
 			colLim := min(bc, a.Cols-colBase)
@@ -189,33 +222,4 @@ func BCSRSpMV[T matrix.Float](a *formats.BCSR[T], x, y []T) error {
 			}
 		}
 	}
-	return nil
-}
-
-// BCSRSpMVParallel computes y = A × x with block rows divided over workers.
-func BCSRSpMVParallel[T matrix.Float](a *formats.BCSR[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	br, bc := a.BR, a.BC
-	parallel.For(a.BlockRows, threads, func(lo, hi, _ int) {
-		for bri := lo; bri < hi; bri++ {
-			rowBase := bri * br
-			rowLim := min(br, a.Rows-rowBase)
-			clear(y[rowBase : rowBase+rowLim])
-			for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
-				colBase := int(a.ColIdx[p]) * bc
-				colLim := min(bc, a.Cols-colBase)
-				blk := a.Block(int(p))
-				for r := 0; r < rowLim; r++ {
-					var sum T
-					for cc := 0; cc < colLim; cc++ {
-						sum += blk[r*bc+cc] * x[colBase+cc]
-					}
-					y[rowBase+r] += sum
-				}
-			}
-		}
-	})
-	return nil
 }

@@ -3,19 +3,24 @@ package kernels
 import (
 	"repro/internal/formats"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
-// BELLSerial computes C[:, :k] = A × B[:, :k] with A in Blocked-ELL form.
-// Every block row walks exactly Width blocks — padded block slots hold zero
-// values and are skipped by the value guard, but their slots are visited,
-// the same fixed-shape trade-off as scalar ELLPACK.
-func BELLSerial[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+// BELL computes C[:, :k] = A × B[:, :k] with A in Blocked-ELL form,
+// executed as s says. Every block row walks exactly Width blocks — padded
+// block slots hold zero values and are skipped by the value guard, but
+// their slots are visited, the same fixed-shape trade-off as scalar
+// ELLPACK — so static chunks of block rows are perfectly balanced.
+func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Spec) error {
+	if err := check(rowBELL, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	bellBlockRows(a, b, c, k, 0, a.BlockRows)
-	return nil
+	if s.direct() {
+		bellBlockRows(a, b, c, k, 0, a.BlockRows)
+		return nil
+	}
+	return run(s, rowBELL, a.BlockRows, nil, func(lo, hi, _ int) {
+		bellBlockRows(a, b, c, k, lo, hi)
+	})
 }
 
 func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
@@ -44,28 +49,27 @@ func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k,
 	}
 }
 
-// BELLParallel computes C[:, :k] = A × B[:, :k] with block rows statically
-// divided over `threads` workers; the uniform block-row width gives
-// perfectly balanced static chunks.
-func BELLParallel[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+// SELLCS computes C[:, :k] = A × B[:, :k] with A in SELL-C-σ form,
+// executed as s says. Slices are walked slot-major (the layout order);
+// output rows are un-permuted on the fly via the stored permutation. Slices
+// own disjoint output rows (the permutation maps each row to exactly one
+// lane), so they parallelise without synchronisation; balanced scheduling
+// equalises stored (padded) elements per worker, read off SlicePtr.
+func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, s Spec) error {
+	if err := check(rowSELLCS, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	parallel.For(a.BlockRows, threads, func(lo, hi, _ int) {
-		bellBlockRows(a, b, c, k, lo, hi)
+	if s.direct() {
+		sellSlices(a, b, c, k, 0, a.NumSlices())
+		return nil
+	}
+	var bounds []int
+	if s.Threads > 1 && s.Schedule == ScheduleBalanced {
+		bounds = a.BalancedBounds(s.Threads)
+	}
+	return run(s, rowSELLCS, a.NumSlices(), bounds, func(lo, hi, _ int) {
+		sellSlices(a, b, c, k, lo, hi)
 	})
-	return nil
-}
-
-// SELLCSSerial computes C[:, :k] = A × B[:, :k] with A in SELL-C-σ form.
-// Slices are walked slot-major (the layout order); output rows are
-// un-permuted on the fly via the stored permutation.
-func SELLCSSerial[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	sellSlices(a, b, c, k, 0, a.NumSlices())
-	return nil
 }
 
 func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, lo, hi int) {
@@ -88,17 +92,4 @@ func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, 
 			}
 		}
 	}
-}
-
-// SELLCSParallel computes C[:, :k] = A × B[:, :k] with slices divided over
-// `threads` workers. Slices own disjoint output rows (the permutation maps
-// each row to exactly one lane), so no synchronisation is needed.
-func SELLCSParallel[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.For(a.NumSlices(), threads, func(lo, hi, _ int) {
-		sellSlices(a, b, c, k, lo, hi)
-	})
-	return nil
 }

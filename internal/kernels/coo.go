@@ -1,81 +1,83 @@
 package kernels
 
 import (
-	"context"
-
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
-// COOSerial computes C[:, :k] = A × B[:, :k] with A in COO form. This is
-// also the suite's verification kernel, as in the thesis (§4.3).
-func COOSerial[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+// COO computes C[:, :k] = A × B[:, :k] with A in COO form, executed as s
+// says. This is also the suite's verification kernel, as in the thesis
+// (§4.3). The loop unit is the triplet, so C is zeroed in a pass of its own
+// first. A parallel run needs A sorted row-major (format conversion
+// guarantees this): it splits the triplets at row boundaries, a partition
+// that is nonzero-balanced by construction, so the schedule axis changes
+// nothing and row-aligned chunks keep every Spec bitwise identical to the
+// serial kernel. Under InnerTransB, b is Bᵀ.
+func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec) error {
+	if err := check(rowCOO, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	zeroK(c, k)
-	for p := range a.Vals {
+	inner := s.Inner
+	if s.direct() {
+		zeroK(c, k)
+		cooRange(a, b, c, k, inner, 0, a.NNZ())
+		return nil
+	}
+	if err := run(s, rowCOO, c.Rows, nil, func(lo, hi, _ int) { zeroKRows(c, k, lo, hi) }); err != nil {
+		return err
+	}
+	var bounds []int
+	if s.Threads > 1 {
+		bounds = cooRowPartition(a, s.Threads)
+		obsNonzeros.Add(int64(a.NNZ()))
+	}
+	return run(s, rowCOO, a.NNZ(), bounds, func(lo, hi, _ int) {
+		cooRange(a, b, c, k, inner, lo, hi)
+	})
+}
+
+// cooRange runs the range function inner selects over triplets [lo, hi).
+func cooRange[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
+	switch inner {
+	case InnerFixedK:
+		cooTripletsFixed(a, b, c, k, lo, hi)
+	case InnerTransB:
+		cooTripletsT(a, b, c, k, lo, hi)
+	default:
+		cooTriplets(a, b, c, k, lo, hi)
+	}
+}
+
+// cooTriplets accumulates triplets [lo, hi) into C.
+func cooTriplets[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo, hi int) {
+	for p := lo; p < hi; p++ {
 		r := int(a.RowIdx[p])
 		col := int(a.ColIdx[p])
 		axpy(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
 	}
-	return nil
 }
 
-// COOSerialCtx is COOSerial with cooperative cancellation: the triplet loop
-// checks ctx every cancelStride entries and returns ctx.Err() early, leaving
-// C partially accumulated. A nil ctx behaves exactly like COOSerial.
-func COOSerialCtx[T matrix.Float](ctx context.Context, a *matrix.COO[T], b, c *matrix.Dense[T], k int) error {
-	if ctx == nil {
-		return COOSerial(a, b, c, k)
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	zeroK(c, k)
-	nnz := a.NNZ()
-	for lo := 0; lo < nnz; lo += cancelStride {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for p := lo; p < min(lo+cancelStride, nnz); p++ {
-			r := int(a.RowIdx[p])
-			col := int(a.ColIdx[p])
-			axpy(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
+// cooTripletsT is the transposed-B triplet loop: bt is the kb×n transpose
+// of B. Study 8 measures whether transposed access to B pays off.
+func cooTripletsT[T matrix.Float](a *matrix.COO[T], bt, c *matrix.Dense[T], k, lo, hi int) {
+	for p := lo; p < hi; p++ {
+		r := int(a.RowIdx[p])
+		col := int(a.ColIdx[p])
+		v := a.Vals[p]
+		crow := c.Data[r*c.Stride : r*c.Stride+k]
+		for j := range crow {
+			crow[j] += v * bt.Data[j*bt.Stride+col]
 		}
 	}
-	return ctx.Err()
 }
 
-// COOParallelCtx is COOParallel with cooperative cancellation: each worker
-// checks ctx every cancelStride triplets inside its row-aligned chunk. The
-// partition is identical to COOParallel's, so timings stay comparable.
-func COOParallelCtx[T matrix.Float](ctx context.Context, a *matrix.COO[T], b, c *matrix.Dense[T], k, threads int) error {
-	if ctx == nil {
-		return COOParallel(a, b, c, k, threads)
+// cooTripletsFixed is cooTriplets with the k loop specialised.
+func cooTripletsFixed[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo, hi int) {
+	for p := lo; p < hi; p++ {
+		r := int(a.RowIdx[p])
+		col := int(a.ColIdx[p])
+		axpyFixedTiled(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
 	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	bounds := cooRowPartition(a, threads)
-	chunks := len(bounds) - 1
-	if err := parallel.ForCtx(ctx, c.Rows, threads, func(lo, hi, _ int) {
-		zeroKRows(c, k, lo, hi)
-	}); err != nil {
-		return err
-	}
-	return parallel.ForCtx(ctx, chunks, chunks, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			for p := bounds[w]; p < bounds[w+1]; p++ {
-				if (p-bounds[w])%cancelStride == 0 && ctx.Err() != nil {
-					return
-				}
-				r := int(a.RowIdx[p])
-				col := int(a.ColIdx[p])
-				axpy(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
-			}
-		}
-	})
 }
 
 // cooRowPartition splits [0, nnz) into up to `threads` chunks whose
@@ -104,150 +106,38 @@ func cooRowPartition[T matrix.Float](a *matrix.COO[T], threads int) []int {
 	return bounds
 }
 
-// COOParallel computes C[:, :k] = A × B[:, :k] with the triplets divided
-// over `threads` workers at row boundaries. A must be sorted row-major
-// (format conversion guarantees this).
-func COOParallel[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	bounds := cooRowPartition(a, threads)
-	chunks := len(bounds) - 1
-	parallel.For(c.Rows, threads, func(lo, hi, _ int) {
-		zeroKRows(c, k, lo, hi)
-	})
-	parallel.For(chunks, chunks, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			for p := bounds[w]; p < bounds[w+1]; p++ {
-				r := int(a.RowIdx[p])
-				col := int(a.ColIdx[p])
-				axpy(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
-			}
-		}
-	})
-	return nil
-}
-
-// COOParallelReplicated is the ablation alternative to COOParallel: each
-// worker takes an arbitrary (not row-aligned) slice of triplets, accumulates
-// into a private copy of C, and the copies are reduced at the end. It
-// tolerates unsorted input but pays threads×(m×k) extra memory and a
-// reduction pass.
+// COOParallelReplicated is the ablation alternative to COO's row-aligned
+// partition, outside the lattice: each worker takes an arbitrary (not
+// row-aligned) slice of triplets and accumulates into a private copy of C
+// (see replicated). It tolerates unsorted input.
 func COOParallelReplicated[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k, false); err != nil {
 		return err
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	nnz := a.NNZ()
-	if threads > nnz {
-		threads = max(nnz, 1)
-	}
-	zeroK(c, k)
-	if threads == 1 {
-		return COOSerial(a, b, c, k)
-	}
-	privs := make([]*matrix.Dense[T], threads)
-	parallel.For(threads, threads, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			priv := matrix.NewDense[T](c.Rows, k)
-			privs[w] = priv
-			lo, hi := parallel.ChunkBounds(nnz, threads, w)
-			for p := lo; p < hi; p++ {
-				r := int(a.RowIdx[p])
-				col := int(a.ColIdx[p])
-				axpy(priv.Data[r*priv.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
-			}
-		}
-	})
-	// Reduce, parallel over rows.
-	parallel.For(c.Rows, threads, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			crow := c.Data[i*c.Stride : i*c.Stride+k]
-			for _, priv := range privs {
-				prow := priv.Data[i*priv.Stride : i*priv.Stride+k]
-				for j := range crow {
-					crow[j] += prow[j]
-				}
-			}
-		}
+	replicated(c, k, a.NNZ(), threads, func(into *matrix.Dense[T], lo, hi int) {
+		cooTriplets(a, b, into, k, lo, hi)
 	})
 	return nil
 }
 
-// COOSerialT computes C[:, :k] = A × B[:, :k] given bt, the transpose of B
-// (kb×n). Study 8 measures whether transposed access to B pays off.
-func COOSerialT[T matrix.Float](a *matrix.COO[T], bt, c *matrix.Dense[T], k int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
-	}
-	zeroK(c, k)
-	for p := range a.Vals {
-		r := int(a.RowIdx[p])
-		col := int(a.ColIdx[p])
-		v := a.Vals[p]
-		crow := c.Data[r*c.Stride : r*c.Stride+k]
-		for j := range crow {
-			crow[j] += v * bt.Data[j*bt.Stride+col]
-		}
-	}
-	return nil
-}
-
-// COOParallelT is the parallel transposed-B COO kernel.
-func COOParallelT[T matrix.Float](a *matrix.COO[T], bt, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
-	}
-	bounds := cooRowPartition(a, threads)
-	chunks := len(bounds) - 1
-	parallel.For(c.Rows, threads, func(lo, hi, _ int) {
-		zeroKRows(c, k, lo, hi)
-	})
-	parallel.For(chunks, chunks, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			for p := bounds[w]; p < bounds[w+1]; p++ {
-				r := int(a.RowIdx[p])
-				col := int(a.ColIdx[p])
-				v := a.Vals[p]
-				crow := c.Data[r*c.Stride : r*c.Stride+k]
-				for j := range crow {
-					crow[j] += v * bt.Data[j*bt.Stride+col]
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// COOSpMV computes y = A × x with A in COO form.
-func COOSpMV[T matrix.Float](a *matrix.COO[T], x, y []T) error {
+// COOSpMV computes y = A × x with A in COO form; beyond one thread the
+// triplets are row-partitioned, so A must be sorted row-major.
+func COOSpMV[T matrix.Float](a *matrix.COO[T], x, y []T, threads int) error {
 	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
 		return err
 	}
 	clear(y)
-	for p := range a.Vals {
+	if threads <= 1 {
+		cooSpMVTriplets(a, x, y, 0, a.NNZ())
+		return nil
+	}
+	return run(Spec{Threads: threads}, rowCOO, a.NNZ(), cooRowPartition(a, threads), func(lo, hi, _ int) {
+		cooSpMVTriplets(a, x, y, lo, hi)
+	})
+}
+
+func cooSpMVTriplets[T matrix.Float](a *matrix.COO[T], x, y []T, lo, hi int) {
+	for p := lo; p < hi; p++ {
 		y[a.RowIdx[p]] += a.Vals[p] * x[a.ColIdx[p]]
 	}
-	return nil
-}
-
-// COOSpMVParallel computes y = A × x with row-partitioned workers; A must
-// be sorted row-major.
-func COOSpMVParallel[T matrix.Float](a *matrix.COO[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	clear(y)
-	bounds := cooRowPartition(a, threads)
-	chunks := len(bounds) - 1
-	parallel.For(chunks, chunks, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			for p := bounds[w]; p < bounds[w+1]; p++ {
-				y[a.RowIdx[p]] += a.Vals[p] * x[a.ColIdx[p]]
-			}
-		}
-	})
-	return nil
 }

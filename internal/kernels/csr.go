@@ -1,20 +1,48 @@
 package kernels
 
 import (
-	"context"
-
 	"repro/internal/formats"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
-// CSRSerial computes C[:, :k] = A × B[:, :k] with A in CSR form.
-func CSRSerial[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+// CSR computes C[:, :k] = A × B[:, :k] with A in CSR form, executed as s
+// says: rows are the unit of every partition, so each Spec — static (the
+// thesis' OpenMP "parallel for" over rows), nonzero-balanced from the
+// memoized prefix-sum splits, dynamic, pooled, cancellable — is bitwise
+// identical to the serial kernel. Under InnerTransB, b is Bᵀ.
+func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec) error {
+	if err := check(rowCSR, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	csrRows(a, b, c, k, 0, a.Rows)
-	return nil
+	inner := s.Inner
+	if s.direct() {
+		csrRange(a, b, c, k, inner, 0, a.Rows)
+		return nil
+	}
+	var bounds []int
+	if s.Threads > 1 {
+		if s.Schedule == ScheduleBalanced {
+			bounds = a.BalancedBounds(s.Threads)
+		}
+		obsNonzeros.Add(int64(a.NNZ()))
+		recordCSRImbalance(a.RowPtr, a.Rows, s.Threads, bounds)
+	}
+	return run(s, rowCSR, a.Rows, bounds, func(lo, hi, _ int) {
+		csrRange(a, b, c, k, inner, lo, hi)
+	})
+}
+
+// csrRange runs the range function inner selects over rows [lo, hi): one
+// branch per range, never per nonzero.
+func csrRange[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
+	switch inner {
+	case InnerFixedK:
+		csrRowsFixed(a, b, c, k, lo, hi)
+	case InnerTransB:
+		csrRowsT(a, b, c, k, lo, hi)
+	default:
+		csrRows(a, b, c, k, lo, hi)
+	}
 }
 
 // csrRows runs the CSR row loop over rows [lo, hi), processing B in panels
@@ -44,80 +72,7 @@ func csrRowsPanel[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], j0, 
 	}
 }
 
-// CSRParallel computes C[:, :k] = A × B[:, :k] with rows statically divided
-// over `threads` workers — the direct analogue of the thesis' OpenMP
-// "parallel for" over rows.
-func CSRParallel[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		csrRows(a, b, c, k, lo, hi)
-	})
-	return nil
-}
-
-// CSRSerialCtx is CSRSerial with cooperative cancellation: the row loop
-// checks ctx every cancelStride rows and returns ctx.Err() early, leaving C
-// partially written. A nil ctx behaves exactly like CSRSerial.
-func CSRSerialCtx[T matrix.Float](ctx context.Context, a *formats.CSR[T], b, c *matrix.Dense[T], k int) error {
-	if ctx == nil {
-		return CSRSerial(a, b, c, k)
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	for lo := 0; lo < a.Rows; lo += cancelStride {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		csrRows(a, b, c, k, lo, min(lo+cancelStride, a.Rows))
-	}
-	return ctx.Err()
-}
-
-// CSRParallelCtx is CSRParallel with cooperative cancellation. It keeps
-// CSRParallel's static row partition (so timings are comparable) and adds a
-// ctx check every cancelStride rows inside each worker's chunk.
-func CSRParallelCtx[T matrix.Float](ctx context.Context, a *formats.CSR[T], b, c *matrix.Dense[T], k, threads int) error {
-	if ctx == nil {
-		return CSRParallel(a, b, c, k, threads)
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	return parallel.ForCtx(ctx, a.Rows, threads, func(lo, hi, _ int) {
-		for l := lo; l < hi; l += cancelStride {
-			if ctx.Err() != nil {
-				return
-			}
-			csrRows(a, b, c, k, l, min(l+cancelStride, hi))
-		}
-	})
-}
-
-// CSRParallelDynamic is CSRParallel with dynamic self-scheduling, for
-// matrices whose row lengths are too irregular for static chunks (high
-// column ratio, e.g. torso1).
-func CSRParallelDynamic[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, threads, chunk int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.ForDynamic(a.Rows, threads, chunk, func(lo, hi, _ int) {
-		csrRows(a, b, c, k, lo, hi)
-	})
-	return nil
-}
-
-// CSRSerialT computes C[:, :k] = A × B[:, :k] given bt, the transpose of B.
-func CSRSerialT[T matrix.Float](a *formats.CSR[T], bt, c *matrix.Dense[T], k int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
-	}
-	csrRowsT(a, bt, c, k, 0, a.Rows)
-	return nil
-}
-
+// csrRowsT is the transposed-B row loop: bt is the kb×n transpose of B.
 func csrRowsT[T matrix.Float](a *formats.CSR[T], bt, c *matrix.Dense[T], k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		crow := c.Data[i*c.Stride : i*c.Stride+k]
@@ -132,110 +87,80 @@ func csrRowsT[T matrix.Float](a *formats.CSR[T], bt, c *matrix.Dense[T], k, lo, 
 	}
 }
 
-// CSRParallelT is the parallel transposed-B CSR kernel.
-func CSRParallelT[T matrix.Float](a *formats.CSR[T], bt, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
+// csrRowsFixed is csrRows with the k loop specialised at compile time.
+func csrRowsFixed[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		crow := c.Data[i*c.Stride : i*c.Stride+k]
+		clear(crow)
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			axpyFixedTiled(crow, b.Data[int(a.ColIdx[p])*b.Stride:], a.Vals[p], k)
+		}
 	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		csrRowsT(a, bt, c, k, lo, hi)
-	})
-	return nil
 }
 
-// CSRSpMV computes y = A × x with A in CSR form.
-func CSRSpMV[T matrix.Float](a *formats.CSR[T], x, y []T) error {
+// CSRSpMV computes y = A × x with A in CSR form, rows divided over threads
+// workers (serial at 1 or below).
+func CSRSpMV[T matrix.Float](a *formats.CSR[T], x, y []T, threads int) error {
 	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
 		return err
 	}
-	for i := 0; i < a.Rows; i++ {
+	if threads <= 1 {
+		csrSpMVRows(a, x, y, 0, a.Rows)
+		return nil
+	}
+	return run(Spec{Threads: threads}, rowCSR, a.Rows, nil, func(lo, hi, _ int) { csrSpMVRows(a, x, y, lo, hi) })
+}
+
+func csrSpMVRows[T matrix.Float](a *formats.CSR[T], x, y []T, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		var sum T
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			sum += a.Vals[p] * x[a.ColIdx[p]]
 		}
 		y[i] = sum
 	}
-	return nil
 }
 
-// CSRSpMVParallel computes y = A × x with rows divided over workers.
-func CSRSpMVParallel[T matrix.Float](a *formats.CSR[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			var sum T
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				sum += a.Vals[p] * x[a.ColIdx[p]]
-			}
-			y[i] = sum
-		}
-	})
-	return nil
-}
-
-// CSCSerial computes C[:, :k] = A × B[:, :k] with A in CSC form. Column
+// CSC computes C[:, :k] = A × B[:, :k] with A in CSC form. Column
 // orientation means every stored entry scatters into C rows, so unlike CSR
-// the row loop cannot be parallelised without synchronisation; the suite
-// provides only the serial kernel (the related work's CSC SpMM systems
-// partition by column panels instead).
-func CSCSerial[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+// the loop has no range decomposition that owns C rows: the lattice row is
+// serial only (the related work's CSC SpMM systems partition by column
+// panels instead), and CSCParallel is the replicated-accumulator ablation.
+func CSC[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k int, s Spec) error {
+	if err := check(rowCSC, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	zeroK(c, k)
-	for j := 0; j < a.Cols; j++ {
+	if s.direct() {
+		zeroK(c, k)
+		cscCols(a, b, c, k, 0, a.Cols)
+		return nil
+	}
+	if err := run(s, rowCSC, c.Rows, nil, func(lo, hi, _ int) { zeroKRows(c, k, lo, hi) }); err != nil {
+		return err
+	}
+	return run(s, rowCSC, a.Cols, nil, func(lo, hi, _ int) { cscCols(a, b, c, k, lo, hi) })
+}
+
+// cscCols scatters columns [lo, hi) of A into C.
+func cscCols[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k, lo, hi int) {
+	for j := lo; j < hi; j++ {
 		brow := b.Data[j*b.Stride:]
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			axpy(c.Data[int(a.RowIdx[p])*c.Stride:], brow, a.Vals[p], k)
 		}
 	}
-	return nil
 }
 
-// CSCParallel computes C[:, :k] = A × B[:, :k] with A in CSC form by
-// splitting the columns over workers, each accumulating into a private copy
-// of C, followed by a parallel reduction — the replication strategy column
-// orientation forces (all workers scatter into all C rows).
+// CSCParallel is the ablation outside the lattice: the columns are split
+// over workers, each accumulating into a private copy of C (see replicated)
+// — the strategy column orientation forces, since all workers scatter into
+// all C rows.
 func CSCParallel[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k, false); err != nil {
 		return err
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > a.Cols {
-		threads = max(a.Cols, 1)
-	}
-	if threads == 1 {
-		return CSCSerial(a, b, c, k)
-	}
-	privs := make([]*matrix.Dense[T], threads)
-	parallel.For(threads, threads, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			priv := matrix.NewDense[T](c.Rows, k)
-			privs[w] = priv
-			lo, hi := parallel.ChunkBounds(a.Cols, threads, w)
-			for j := lo; j < hi; j++ {
-				brow := b.Data[j*b.Stride:]
-				for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-					axpy(priv.Data[int(a.RowIdx[p])*priv.Stride:], brow, a.Vals[p], k)
-				}
-			}
-		}
-	})
-	parallel.For(c.Rows, threads, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			crow := c.Data[i*c.Stride : i*c.Stride+k]
-			clear(crow)
-			for _, priv := range privs {
-				prow := priv.Data[i*priv.Stride : i*priv.Stride+k]
-				for j := range crow {
-					crow[j] += prow[j]
-				}
-			}
-		}
+	replicated(c, k, a.Cols, threads, func(into *matrix.Dense[T], lo, hi int) {
+		cscCols(a, b, into, k, lo, hi)
 	})
 	return nil
 }

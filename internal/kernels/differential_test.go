@@ -1,32 +1,37 @@
 package kernels
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"math"
 	"math/rand"
-	"regexp"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
-// The differential sweep: every registered kernel variant (serial, parallel,
-// pooled, balanced, transposed-B, fixed-k, every format) runs against the
-// dense GEMM reference on five structurally adversarial matrix classes.
+// The differential sweep: every valid point of the format × execution
+// lattice (serial, parallel, pooled, balanced, dynamic, cancellable,
+// transposed-B, fixed-k, both ELL layouts, every format) and the three
+// ablations run against the dense GEMM reference on five structurally
+// adversarial matrix classes.
 // Variants whose accumulation order matches the serial per-element order
 // must agree bit for bit; the reassociating variants (private-accumulator
 // reductions) must agree within one ULP of the accumulated magnitude per
 // partial sum — the tightest bound reassociation admits, since an element
 // whose terms cancel can legitimately sit many result-ULPs away while still
 // being correctly rounded at the magnitude it was summed at. A go/parser
-// completeness
-// check closes the loop: an exported SpMM kernel that is not in the registry
-// fails the test, so new variants cannot dodge the sweep.
+// completeness check closes the loop: an exported function with an SpMM
+// signature that no enumerated variant reaches fails the test, so new entry
+// points cannot dodge the sweep.
 
 // sweepK is a multiple of 8 so the fixed-k specialisations participate, and
 // above 8 so the tiled panel chaining (16 = 8+8) is exercised too.
@@ -35,7 +40,7 @@ const sweepK = 16
 const sweepThreads = 4
 
 // sweepMatrices builds the five matrix classes of the sweep. All are small
-// enough that the whole registry runs in well under a second.
+// enough that the whole lattice runs in well under a second.
 func sweepMatrices() map[string]*matrix.COO[float64] {
 	random := matrix.NewCOO[float64](40, 31, 0)
 	rng := rand.New(rand.NewSource(11))
@@ -102,11 +107,15 @@ func TestDifferentialSweep(t *testing.T) {
 	defer pool.Close()
 	variants := Variants()
 	for class, coo := range sweepMatrices() {
-		in, err := NewVariantInput(coo, sweepK, sweepThreads, 3, 4, 8, 21)
+		in := NewVariantInput(coo, sweepK, sweepThreads, 3, 21)
+		in.Pool = pool
+		// Slices of 4 rows sorted in windows of 8, so even the 30-row
+		// classes span several slices and sorting windows.
+		sell, err := formats.SELLCSFromCOO(coo, 4, 8)
 		if err != nil {
 			t.Fatalf("%s: fixture: %v", class, err)
 		}
-		in.Pool = pool
+		in.Formats = map[string]formats.Sparse{"sellcs": sell}
 
 		ref := matrix.NewDense[float64](coo.Rows, sweepK)
 		if err := GEMM(coo.ToDense(), in.B, ref); err != nil {
@@ -142,16 +151,33 @@ func TestDifferentialSweep(t *testing.T) {
 	}
 }
 
-// kernelFuncPattern matches the exported SpMM kernel entry points: a format
-// prefix followed by a machinery suffix. SpMV kernels, flops helpers and
-// the dense GEMM reference are outside the sweep's scope.
-var kernelFuncPattern = regexp.MustCompile(`^(COO|CSR|CSC|ELL|BCSR|BELL|SELLCS)[A-Za-z]*$`)
+// spmmSignature reports whether fd is an exported SpMM entry point: a
+// package-level function taking dense operands named b (or bt) and c, a
+// column count k, and returning one error. SpMV kernels, flops helpers and
+// the dense GEMM reference do not match.
+func spmmSignature(fd *ast.FuncDecl) bool {
+	if fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
+		return false
+	}
+	if id, ok := fd.Type.Results.List[0].Type.(*ast.Ident); !ok || id.Name != "error" {
+		return false
+	}
+	params := map[string]bool{}
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			params[name.Name] = true
+		}
+	}
+	return params["a"] && (params["b"] || params["bt"]) && params["c"] && params["k"]
+}
 
 // TestVariantRegistryComplete parses the package source and cross-checks
-// the declared kernel entry points against the registry, in both
-// directions: an exported kernel missing from the registry fails (adding a
-// variant without sweep coverage is a test failure), and a registry Func
-// naming no declared function fails (catches renames and typos).
+// the declared SpMM entry points against the enumeration, in both
+// directions: an exported function with an SpMM signature that no variant
+// reaches fails (adding an entry point without sweep coverage is a test
+// failure), and a variant naming a function the package does not declare
+// fails (catches renames and typos). Every lattice point runs through
+// Multiply, so Multiply counts as reached as soon as one exists.
 func TestVariantRegistryComplete(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -164,36 +190,162 @@ func TestVariantRegistryComplete(t *testing.T) {
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || !fd.Name.IsExported() {
-					continue
-				}
-				name := fd.Name.Name
-				if kernelFuncPattern.MatchString(name) && !strings.Contains(name, "SpMV") {
-					declared[name] = false // not yet seen in the registry
+				if fd, ok := decl.(*ast.FuncDecl); ok && spmmSignature(fd) {
+					declared[fd.Name.Name] = false // not yet reached
 				}
 			}
 		}
 	}
 	if len(declared) == 0 {
-		t.Fatal("parsed no kernel entry points — pattern or directory wrong")
+		t.Fatal("parsed no kernel entry points — signature test or directory wrong")
+	}
+	if len(declared) > 11 {
+		t.Errorf("%d exported SpMM entry points, want at most 11 (seven formats, Multiply, three ablations): %v",
+			len(declared), declared)
 	}
 
-	registered := map[string]bool{}
+	reached := map[string]bool{}
 	for _, v := range Variants() {
-		registered[v.Func] = true
-		if _, ok := declared[v.Func]; ok {
-			declared[v.Func] = true
+		reached[v.Func] = true
+		if v.ablation == nil {
+			reached["Multiply"] = true
 		}
+	}
+	for name := range reached {
+		if _, ok := declared[name]; !ok {
+			t.Errorf("a variant names %s but the package declares no such SpMM entry point", name)
+		}
+		declared[name] = true
 	}
 	for name, covered := range declared {
 		if !covered {
-			t.Errorf("exported kernel %s has no entry in the variant registry — add it to Variants() so the differential sweep covers it", name)
+			t.Errorf("exported kernel %s is reached by no variant — give it a lattice row (or list it as an ablation) so the differential sweep covers it", name)
 		}
 	}
-	for name := range registered {
-		if _, ok := declared[name]; !ok {
-			t.Errorf("registry names %s but the package declares no such kernel", name)
+}
+
+// legacyVariantNames are the 57 names of the hand-written registry the
+// lattice replaced. Serving WALs, tuner profiles and saved sweep output
+// hold them, so every one must keep resolving.
+var legacyVariantNames = []string{
+	"coo/serial", "coo/serial-ctx", "coo/parallel", "coo/parallel-ctx", "coo/parallel-replicated",
+	"coo/serial-bt", "coo/parallel-bt", "coo/serial-fixed", "coo/parallel-fixed",
+	"coo/opts-static", "coo/opts-pool",
+	"csr/serial", "csr/serial-ctx", "csr/parallel", "csr/parallel-ctx", "csr/parallel-dynamic",
+	"csr/serial-bt", "csr/parallel-bt", "csr/serial-fixed", "csr/parallel-fixed",
+	"csr/opts-static", "csr/opts-balanced", "csr/opts-pool", "csr/opts-balanced-pool",
+	"csc/serial", "csc/parallel",
+	"ell/serial", "ell/serial-colmajor", "ell/parallel", "ell/parallel-colmajor",
+	"ell/serial-bt", "ell/parallel-bt", "ell/serial-fixed", "ell/parallel-fixed",
+	"ell/opts-static", "ell/opts-pool",
+	"bcsr/serial", "bcsr/parallel", "bcsr/parallel-inner", "bcsr/serial-bt", "bcsr/parallel-bt",
+	"bcsr/serial-fixed", "bcsr/parallel-fixed",
+	"bcsr/opts-static", "bcsr/opts-balanced", "bcsr/opts-pool", "bcsr/opts-balanced-pool",
+	"bell/serial", "bell/parallel", "bell/opts-static", "bell/opts-pool",
+	"sellcs/serial", "sellcs/parallel",
+	"sellcs/opts-static", "sellcs/opts-balanced", "sellcs/opts-pool", "sellcs/opts-balanced-pool",
+}
+
+// servableVariantNames are the tuner's arms, in its round-robin order.
+var servableVariantNames = []string{
+	"coo/opts-static", "coo/opts-pool",
+	"csr/opts-static", "csr/opts-balanced", "csr/opts-pool", "csr/opts-balanced-pool",
+	"ell/opts-static", "ell/opts-pool",
+	"bcsr/opts-static", "bcsr/opts-balanced", "bcsr/opts-pool", "bcsr/opts-balanced-pool",
+	"bell/opts-static", "bell/opts-pool",
+	"sellcs/opts-static", "sellcs/opts-balanced", "sellcs/opts-pool", "sellcs/opts-balanced-pool",
+}
+
+func TestVariantNamesGolden(t *testing.T) {
+	if len(legacyVariantNames) != 57 {
+		t.Fatalf("golden list has %d names, want 57", len(legacyVariantNames))
+	}
+	for _, name := range legacyVariantNames {
+		v, ok := ParseVariant(name)
+		if !ok {
+			t.Errorf("legacy variant %q no longer resolves", name)
+			continue
+		}
+		if format, _, _ := strings.Cut(name, "/"); v.Format != format {
+			t.Errorf("%q resolved to format %q", name, v.Format)
+		}
+	}
+	// The goroutine-per-call spellings are aliases of the canonical names.
+	for alias, want := range map[string]string{
+		"csr/parallel":          "csr/opts-static",
+		"csr/parallel-ctx":      "csr/opts-static-ctx",
+		"csr/parallel-dynamic":  "csr/opts-dynamic",
+		"ell/parallel-colmajor": "ell/opts-static-colmajor",
+		"bcsr/parallel-inner":   "bcsr/parallel-inner", // an ablation, not an alias
+	} {
+		if v, ok := ParseVariant(alias); !ok || v.Name != want {
+			t.Errorf("ParseVariant(%q) = %q, %v; want %q", alias, v.Name, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "csr", "csr/", "dia/serial", "csc/opts-static", "bell/serial-bt", "coo/opts-dynamic", "csr/opts-dynamic-pool"} {
+		if v, ok := ParseVariant(bad); ok {
+			t.Errorf("ParseVariant(%q) resolved to %q", bad, v.Name)
+		}
+	}
+
+	var servable []string
+	for _, v := range ServableVariants() {
+		servable = append(servable, v.Name)
+		format, sched, pooled, ok := PlanForVariant(v.Name)
+		if !ok || ServingVariant(format, sched, pooled) != v.Name {
+			t.Errorf("%s: plan (%s, %s, pooled=%v, ok=%v) does not compose back", v.Name, format, sched, pooled, ok)
+		}
+	}
+	if !slices.Equal(servable, servableVariantNames) {
+		t.Errorf("ServableVariants() = %v\nwant %v", servable, servableVariantNames)
+	}
+	for _, name := range []string{"csr/serial", "csr/opts-static-ctx", "csr/opts-dynamic", "csr/opts-pool-bt", "ell/opts-pool-colmajor", "csc/parallel"} {
+		if _, _, _, ok := PlanForVariant(name); ok {
+			t.Errorf("PlanForVariant(%q) ok, want outside the servable subset", name)
+		}
+	}
+	// Formats without a distinct balanced partition degrade to static.
+	if got := ServingVariant("ell", ScheduleBalanced, true); got != "ell/opts-pool" {
+		t.Errorf("ServingVariant(ell, balanced, pooled) = %q, want ell/opts-pool", got)
+	}
+}
+
+// TestVariantNameRoundTrip: names are an injective spelling of the lattice
+// coordinates — parsing an enumerated point's name gives the point back —
+// and a Spec bound to real resources spells the same machinery.
+func TestVariantNameRoundTrip(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	seen := map[string]bool{}
+	for _, v := range Variants() {
+		if seen[v.Name] {
+			t.Errorf("name %q enumerated twice", v.Name)
+		}
+		seen[v.Name] = true
+		got, ok := ParseVariant(v.Name)
+		if !ok {
+			t.Errorf("enumerated variant %q does not parse", v.Name)
+			continue
+		}
+		got.ablation, v.ablation = nil, nil
+		if !reflect.DeepEqual(got, v) {
+			t.Errorf("ParseVariant(%q) = %+v, want %+v", v.Name, got, v)
+		}
+		if v.Func == strings.ToUpper(v.Format) { // a lattice point
+			s := Spec{Threads: 1, Schedule: v.Schedule, Inner: v.Inner}
+			if v.Parallel {
+				s.Threads = 2
+			}
+			if v.Pooled {
+				s.Pool = pool
+			}
+			if v.Ctx {
+				s.Ctx = context.Background()
+			}
+			want := strings.TrimSuffix(strings.TrimPrefix(v.Name, v.Format+"/"), "-colmajor")
+			if s.Name() != want {
+				t.Errorf("%s: Spec.Name() = %q, want %q", v.Name, s.Name(), want)
+			}
 		}
 	}
 }

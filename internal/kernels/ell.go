@@ -3,19 +3,38 @@ package kernels
 import (
 	"repro/internal/formats"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
-// ELLSerial computes C[:, :k] = A × B[:, :k] with A in ELLPACK form. Both
-// storage layouts are supported; the padded slots carry value zero, so they
-// contribute nothing (but do cost work — the ELL trade-off the thesis
-// studies).
-func ELLSerial[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
+// ELL computes C[:, :k] = A × B[:, :k] with A in ELLPACK form, executed as
+// s says. Both storage layouts are supported; the padded slots carry value
+// zero, so they contribute nothing (but do cost work — the ELL trade-off
+// the thesis studies). Every row stores exactly Width slots, so the static
+// row partition is already nonzero-balanced — the property that makes the
+// format attractive in parallel environments. Under InnerTransB, b is Bᵀ.
+func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec) error {
+	if err := check(rowELL, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	ellRows(a, b, c, k, 0, a.Rows)
-	return nil
+	inner := s.Inner
+	if s.direct() {
+		ellRange(a, b, c, k, inner, 0, a.Rows)
+		return nil
+	}
+	return run(s, rowELL, a.Rows, nil, func(lo, hi, _ int) {
+		ellRange(a, b, c, k, inner, lo, hi)
+	})
+}
+
+// ellRange runs the range function inner selects over rows [lo, hi).
+func ellRange[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
+	switch inner {
+	case InnerFixedK:
+		ellRowsFixed(a, b, c, k, lo, hi)
+	case InnerTransB:
+		ellRowsT(a, b, c, k, lo, hi)
+	default:
+		ellRows(a, b, c, k, lo, hi)
+	}
 }
 
 // ellRows runs the ELL row loop over rows [lo, hi), k-tiled like csrRows so
@@ -65,29 +84,7 @@ func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, 
 	}
 }
 
-// ELLParallel computes C[:, :k] = A × B[:, :k] with rows statically divided
-// over `threads` workers. ELL's constant row width makes static chunks
-// perfectly balanced — the property that makes the format attractive in
-// parallel environments.
-func ELLParallel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		ellRows(a, b, c, k, lo, hi)
-	})
-	return nil
-}
-
-// ELLSerialT computes C[:, :k] = A × B[:, :k] given bt, the transpose of B.
-func ELLSerialT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
-	}
-	ellRowsT(a, bt, c, k, 0, a.Rows)
-	return nil
-}
-
+// ellRowsT is the transposed-B row loop: bt is the kb×n transpose of B.
 func ellRowsT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		crow := c.Data[i*c.Stride : i*c.Stride+k]
@@ -104,23 +101,36 @@ func ellRowsT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k, lo, 
 	}
 }
 
-// ELLParallelT is the parallel transposed-B ELLPACK kernel.
-func ELLParallelT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMMT(a.Rows, a.Cols, bt, c, k); err != nil {
-		return err
+// ellRowsFixed is ellRows with the k loop specialised.
+func ellRowsFixed[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		crow := c.Data[i*c.Stride : i*c.Stride+k]
+		clear(crow)
+		for s := 0; s < a.Width; s++ {
+			col, v := a.At(i, s)
+			if v == 0 {
+				continue
+			}
+			axpyFixedTiled(crow, b.Data[int(col)*b.Stride:], v, k)
+		}
 	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		ellRowsT(a, bt, c, k, lo, hi)
-	})
-	return nil
 }
 
-// ELLSpMV computes y = A × x with A in ELLPACK form.
-func ELLSpMV[T matrix.Float](a *formats.ELL[T], x, y []T) error {
+// ELLSpMV computes y = A × x with A in ELLPACK form, rows divided over
+// threads workers (serial at 1 or below).
+func ELLSpMV[T matrix.Float](a *formats.ELL[T], x, y []T, threads int) error {
 	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
 		return err
 	}
-	for i := 0; i < a.Rows; i++ {
+	if threads <= 1 {
+		ellSpMVRows(a, x, y, 0, a.Rows)
+		return nil
+	}
+	return run(Spec{Threads: threads}, rowELL, a.Rows, nil, func(lo, hi, _ int) { ellSpMVRows(a, x, y, lo, hi) })
+}
+
+func ellSpMVRows[T matrix.Float](a *formats.ELL[T], x, y []T, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		var sum T
 		for s := 0; s < a.Width; s++ {
 			col, v := a.At(i, s)
@@ -128,23 +138,4 @@ func ELLSpMV[T matrix.Float](a *formats.ELL[T], x, y []T) error {
 		}
 		y[i] = sum
 	}
-	return nil
-}
-
-// ELLSpMVParallel computes y = A × x with rows divided over workers.
-func ELLSpMVParallel[T matrix.Float](a *formats.ELL[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			var sum T
-			for s := 0; s < a.Width; s++ {
-				col, v := a.At(i, s)
-				sum += v * x[col]
-			}
-			y[i] = sum
-		}
-	})
-	return nil
 }

@@ -33,7 +33,7 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 
 		b := matrix.NewDenseRand[float64](cols, k, seed)
 		ref := matrix.NewDense[float64](rows, k)
-		if err := COOSerial(coo, b, ref, k); err != nil {
+		if err := COO(coo, b, ref, k, Spec{}); err != nil {
 			t.Logf("reference: %v", err)
 			return false
 		}
@@ -61,22 +61,26 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 		}
 
 		runs := map[string]func(out *matrix.Dense[float64]) error{
-			"coo-par":    func(out *matrix.Dense[float64]) error { return COOParallel(coo, b, out, k, threads) },
-			"coo-rep":    func(out *matrix.Dense[float64]) error { return COOParallelReplicated(coo, b, out, k, threads) },
-			"coo-t":      func(out *matrix.Dense[float64]) error { return COOSerialT(coo, bt, out, k) },
-			"csr":        func(out *matrix.Dense[float64]) error { return CSRSerial(csr, b, out, k) },
-			"csr-par":    func(out *matrix.Dense[float64]) error { return CSRParallel(csr, b, out, k, threads) },
-			"csr-dyn":    func(out *matrix.Dense[float64]) error { return CSRParallelDynamic(csr, b, out, k, threads, 4) },
-			"csr-t":      func(out *matrix.Dense[float64]) error { return CSRParallelT(csr, bt, out, k, threads) },
-			"csc":        func(out *matrix.Dense[float64]) error { return CSCSerial(csc, b, out, k) },
+			"coo-par": func(out *matrix.Dense[float64]) error { return COO(coo, b, out, k, Spec{Threads: threads}) },
+			"coo-rep": func(out *matrix.Dense[float64]) error { return COOParallelReplicated(coo, b, out, k, threads) },
+			"coo-t":   func(out *matrix.Dense[float64]) error { return COO(coo, bt, out, k, Spec{Inner: InnerTransB}) },
+			"csr":     func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{}) },
+			"csr-par": func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{Threads: threads}) },
+			"csr-dyn": func(out *matrix.Dense[float64]) error {
+				return CSR(csr, b, out, k, Spec{Threads: threads, Schedule: ScheduleDynamic, Chunk: 4})
+			},
+			"csr-t": func(out *matrix.Dense[float64]) error {
+				return CSR(csr, bt, out, k, Spec{Threads: threads, Inner: InnerTransB})
+			},
+			"csc":        func(out *matrix.Dense[float64]) error { return CSC(csc, b, out, k, Spec{}) },
 			"csc-par":    func(out *matrix.Dense[float64]) error { return CSCParallel(csc, b, out, k, threads) },
-			"ell":        func(out *matrix.Dense[float64]) error { return ELLSerial(ell, b, out, k) },
-			"ell-cm":     func(out *matrix.Dense[float64]) error { return ELLParallel(ellCM, b, out, k, threads) },
-			"bcsr":       func(out *matrix.Dense[float64]) error { return BCSRSerial(bcsr, b, out, k) },
-			"bcsr-par":   func(out *matrix.Dense[float64]) error { return BCSRParallel(bcsr, b, out, k, threads) },
+			"ell":        func(out *matrix.Dense[float64]) error { return ELL(ell, b, out, k, Spec{}) },
+			"ell-cm":     func(out *matrix.Dense[float64]) error { return ELL(ellCM, b, out, k, Spec{Threads: threads}) },
+			"bcsr":       func(out *matrix.Dense[float64]) error { return BCSR(bcsr, b, out, k, Spec{}) },
+			"bcsr-par":   func(out *matrix.Dense[float64]) error { return BCSR(bcsr, b, out, k, Spec{Threads: threads}) },
 			"bcsr-inner": func(out *matrix.Dense[float64]) error { return BCSRParallelInner(bcsr, b, out, k, threads) },
-			"bell":       func(out *matrix.Dense[float64]) error { return BELLParallel(bell, b, out, k, threads) },
-			"sellcs":     func(out *matrix.Dense[float64]) error { return SELLCSParallel(sell, b, out, k, threads) },
+			"bell":       func(out *matrix.Dense[float64]) error { return BELL(bell, b, out, k, Spec{Threads: threads}) },
+			"sellcs":     func(out *matrix.Dense[float64]) error { return SELLCS(sell, b, out, k, Spec{Threads: threads}) },
 		}
 		for name, run := range runs {
 			out := matrix.NewDense[float64](rows, k)

@@ -1,13 +1,9 @@
 package kernels
 
-import (
-	"repro/internal/formats"
-	"repro/internal/matrix"
-	"repro/internal/parallel"
-)
+import "repro/internal/matrix"
 
-// This file is the Go analogue of the thesis' manual-optimisation study
-// (Study 9). The C++ suite used templates to "hard-code the value of k in
+// This file is the arithmetic of the thesis' manual-optimisation study
+// (Study 9), which the formats' *Fixed range functions (InnerFixedK) call. The C++ suite used templates to "hard-code the value of k in
 // the loop" so the compiler could unroll and vectorise; Go has no value
 // generics, so the same effect is achieved with hand-unrolled panel
 // kernels whose trip counts are compile-time constants, chained from
@@ -92,174 +88,4 @@ func axpyFixedTiled[T matrix.Float](c, b []T, v T, k int) {
 	if k >= 8 {
 		axpy8(c, b, v)
 	}
-}
-
-// CSRSerialFixed is CSRSerial with the k loop specialised at compile time.
-func CSRSerialFixed[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	csrRowsFixed(a, b, c, k, 0, a.Rows)
-	return nil
-}
-
-func csrRowsFixed[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+k]
-		clear(crow)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			axpyFixedTiled(crow, b.Data[int(a.ColIdx[p])*b.Stride:], a.Vals[p], k)
-		}
-	}
-}
-
-// CSRParallelFixed is CSRParallel with the k loop specialised.
-func CSRParallelFixed[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, threads int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		csrRowsFixed(a, b, c, k, lo, hi)
-	})
-	return nil
-}
-
-// COOSerialFixed is COOSerial with the k loop specialised.
-func COOSerialFixed[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	zeroK(c, k)
-	for p := range a.Vals {
-		r := int(a.RowIdx[p])
-		col := int(a.ColIdx[p])
-		axpyFixedTiled(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
-	}
-	return nil
-}
-
-// COOParallelFixed is COOParallel with the k loop specialised.
-func COOParallelFixed[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, threads int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	bounds := cooRowPartition(a, threads)
-	chunks := len(bounds) - 1
-	parallel.For(c.Rows, threads, func(lo, hi, _ int) {
-		zeroKRows(c, k, lo, hi)
-	})
-	parallel.For(chunks, chunks, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			for p := bounds[w]; p < bounds[w+1]; p++ {
-				r := int(a.RowIdx[p])
-				col := int(a.ColIdx[p])
-				axpyFixedTiled(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
-			}
-		}
-	})
-	return nil
-}
-
-// ELLSerialFixed is ELLSerial with the k loop specialised.
-func ELLSerialFixed[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	ellRowsFixed(a, b, c, k, 0, a.Rows)
-	return nil
-}
-
-func ellRowsFixed[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+k]
-		clear(crow)
-		for s := 0; s < a.Width; s++ {
-			col, v := a.At(i, s)
-			if v == 0 {
-				continue
-			}
-			axpyFixedTiled(crow, b.Data[int(col)*b.Stride:], v, k)
-		}
-	}
-}
-
-// ELLParallelFixed is ELLParallel with the k loop specialised.
-func ELLParallelFixed[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, threads int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.For(a.Rows, threads, func(lo, hi, _ int) {
-		ellRowsFixed(a, b, c, k, lo, hi)
-	})
-	return nil
-}
-
-// BCSRSerialFixed is BCSRSerial with the k loop specialised.
-func BCSRSerialFixed[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	bcsrBlockRowsFixed(a, b, c, k, 0, a.BlockRows)
-	return nil
-}
-
-func bcsrBlockRowsFixed[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	br, bc := a.BR, a.BC
-	for bri := lo; bri < hi; bri++ {
-		rowBase := bri * br
-		rowLim := min(br, a.Rows-rowBase)
-		for r := 0; r < rowLim; r++ {
-			clear(c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k])
-		}
-		for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
-			colBase := int(a.ColIdx[p]) * bc
-			colLim := min(bc, a.Cols-colBase)
-			blk := a.Block(int(p))
-			for r := 0; r < rowLim; r++ {
-				crow := c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k]
-				for cc := 0; cc < colLim; cc++ {
-					v := blk[r*bc+cc]
-					if v == 0 {
-						continue
-					}
-					axpyFixedTiled(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
-				}
-			}
-		}
-	}
-}
-
-// BCSRParallelFixed is BCSRParallel with the k loop specialised.
-func BCSRParallelFixed[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, threads int) error {
-	if !HasFixedK(k) {
-		return ErrUnsupportedK
-	}
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	parallel.For(a.BlockRows, threads, func(lo, hi, _ int) {
-		bcsrBlockRowsFixed(a, b, c, k, lo, hi)
-	})
-	return nil
 }

@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/formats"
 	"repro/internal/matrix"
 )
 
 // FuzzSpMM is the differential sweep's fuzzing arm, alongside mmio's
 // FuzzReadCOO: the fuzzer steers matrix shape, density, k, and block size;
-// the body converts a random COO into every registered format and checks
-// every variant against the dense GEMM reference under the sweep's
+// the body converts a random COO into every format and checks every
+// enumerated variant against the dense GEMM reference under the sweep's
 // contracts (bitwise for order-preserving variants, accumulated-magnitude
 // ULP for the reassociating ones). Any structural edge the generators in
 // differential_test.go miss — odd block remainders, width-zero ELL, a
@@ -40,11 +41,13 @@ func FuzzSpMM(f *testing.F) {
 		}
 		coo.Dedup()
 
+		in := NewVariantInput(coo, k, threads, block, seed)
 		sliceC := 1 + int(block8)%4
-		in, err := NewVariantInput(coo, k, threads, block, sliceC, sliceC*(1+int(k8)%4), seed)
+		sell, err := formats.SELLCSFromCOO(coo, sliceC, sliceC*(1+int(k8)%4))
 		if err != nil {
 			t.Fatalf("fixture rows=%d cols=%d nnz=%d block=%d: %v", rows, cols, coo.NNZ(), block, err)
 		}
+		in.Formats = map[string]formats.Sparse{"sellcs": sell}
 		ref := matrix.NewDense[float64](rows, k)
 		if err := GEMM(coo.ToDense(), in.B, ref); err != nil {
 			t.Fatal(err)

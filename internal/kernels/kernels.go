@@ -1,13 +1,19 @@
 // Package kernels implements the sparse-dense matrix multiplication (SpMM)
-// kernels of the benchmark suite: for every format a serial, a CPU-parallel,
-// and transposed-B variants, plus the fixed-k specialised kernels of the
-// manual-optimisation study and the SpMV kernels the thesis lists as future
-// work (§6.3.4).
+// kernels of the benchmark suite as a lattice: one exported entry per format
+// (COO, CSR, CSC, ELL, BCSR, BELL, SELLCS) taking a Spec that says how the
+// call executes — serial or parallel, which partition, which machinery,
+// cancellable or not, and which of the format's inner loops (runtime-k
+// tiled, the fixed-k specialisation of the manual-optimisation study, or
+// transposed-B) — plus Multiply, which dispatches a prepared float64 matrix
+// to its entry. Three ablations the thesis discusses sit outside the
+// lattice as named functions, and the SpMV kernels the thesis lists as
+// future work (§6.3.4) ride along.
 //
 // Every SpMM kernel computes C[:, :k] = A × B[:, :k] for a sparse m×n A and
 // dense n×kb B (kb >= k), overwriting the first k columns of C. The "k loop"
-// bound is the runtime parameter Study 4 sweeps; kernels in fixedk.go embed
-// it at compile time instead, mirroring the thesis' C++ template trick.
+// bound is the runtime parameter Study 4 sweeps; the InnerFixedK range
+// functions embed it at compile time instead, mirroring the thesis' C++
+// template trick.
 package kernels
 
 import (
@@ -15,18 +21,19 @@ import (
 	"fmt"
 
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 )
 
 // ErrShape is returned when operand dimensions are inconsistent.
 var ErrShape = errors.New("kernels: operand shape mismatch")
 
-// cancelStride is how many rows (or triplets) a cancellation-aware kernel
-// processes between context checks: small enough to cancel within
-// microseconds of work, large enough that the atomic load disappears in
-// the row loop's cost.
+// cancelStride is how many rows (or block rows, slices, triplets, columns)
+// a kernel running under a context processes between checks: small enough
+// to cancel within microseconds of work, large enough that the atomic load
+// disappears in the row loop's cost.
 const cancelStride = 1024
 
-// ErrUnsupportedK is returned by fixed-k kernels when no specialisation
+// ErrUnsupportedK is returned under InnerFixedK when no specialisation
 // exists for the requested k.
 var ErrUnsupportedK = errors.New("kernels: no fixed-k specialisation for this k")
 
@@ -49,33 +56,20 @@ func SpMMFlops(nnz, k int) float64 { return 2 * float64(nnz) * float64(k) }
 // SpMVFlops returns the operation count of one SpMV.
 func SpMVFlops(nnz int) float64 { return 2 * float64(nnz) }
 
-// checkSpMM validates C[:, :k] = A(ar×ac) × B[:, :k].
-func checkSpMM[T matrix.Float](ar, ac int, b, c *matrix.Dense[T], k int) error {
-	switch {
-	case k < 0:
-		return fmt.Errorf("%w: negative k=%d", ErrShape, k)
-	case b.Rows != ac:
-		return fmt.Errorf("%w: A is %dx%d but B has %d rows", ErrShape, ar, ac, b.Rows)
-	case k > b.Cols:
-		return fmt.Errorf("%w: k=%d exceeds B's %d columns", ErrShape, k, b.Cols)
-	case c.Rows != ar:
-		return fmt.Errorf("%w: A has %d rows but C has %d", ErrShape, ar, c.Rows)
-	case k > c.Cols:
-		return fmt.Errorf("%w: k=%d exceeds C's %d columns", ErrShape, k, c.Cols)
+// checkSpMM validates C[:, :k] = A(ar×ac) × B[:, :k]. With transposed set,
+// b is the kb×n transpose of B.
+func checkSpMM[T matrix.Float](ar, ac int, b, c *matrix.Dense[T], k int, transposed bool) error {
+	name, bn, bk := "B", b.Rows, b.Cols
+	if transposed {
+		name, bn, bk = "Bᵀ", b.Cols, b.Rows
 	}
-	return nil
-}
-
-// checkSpMMT validates C[:, :k] = A(ar×ac) × Bᵀ[:, :k] where bt is the
-// kb×n transpose of B.
-func checkSpMMT[T matrix.Float](ar, ac int, bt, c *matrix.Dense[T], k int) error {
 	switch {
 	case k < 0:
 		return fmt.Errorf("%w: negative k=%d", ErrShape, k)
-	case bt.Cols != ac:
-		return fmt.Errorf("%w: A is %dx%d but Bᵀ has %d columns", ErrShape, ar, ac, bt.Cols)
-	case k > bt.Rows:
-		return fmt.Errorf("%w: k=%d exceeds Bᵀ's %d rows", ErrShape, k, bt.Rows)
+	case bn != ac:
+		return fmt.Errorf("%w: A is %dx%d but %s is %dx%d", ErrShape, ar, ac, name, b.Rows, b.Cols)
+	case k > bk:
+		return fmt.Errorf("%w: k=%d exceeds the %d columns of B (%s is %dx%d)", ErrShape, k, bk, name, b.Rows, b.Cols)
 	case c.Rows != ar:
 		return fmt.Errorf("%w: A has %d rows but C has %d", ErrShape, ar, c.Rows)
 	case k > c.Cols:
@@ -96,11 +90,7 @@ func checkSpMV[T matrix.Float](ar, ac int, x, y []T) error {
 }
 
 // zeroK zeroes the first k columns of every row of c.
-func zeroK[T matrix.Float](c *matrix.Dense[T], k int) {
-	for i := 0; i < c.Rows; i++ {
-		clear(c.Data[i*c.Stride : i*c.Stride+k])
-	}
-}
+func zeroK[T matrix.Float](c *matrix.Dense[T], k int) { zeroKRows(c, k, 0, c.Rows) }
 
 // zeroKRows zeroes the first k columns of rows [lo, hi) of c.
 func zeroKRows[T matrix.Float](c *matrix.Dense[T], k, lo, hi int) {
@@ -118,6 +108,40 @@ func axpy[T matrix.Float](c, b []T, v T, k int) {
 	for j := range c {
 		c[j] += v * b[j]
 	}
+}
+
+// replicated is the scaffolding the two reassociating ablations share: each
+// of `threads` workers accumulates its static chunk of [0, n) into a private
+// m×k copy of C, and the copies are then summed into c, parallel over rows.
+// It costs threads×(m×k) extra memory and a reduction pass whose partial
+// sums no longer follow the serial accumulation order.
+func replicated[T matrix.Float](c *matrix.Dense[T], k, n, threads int, accumulate func(into *matrix.Dense[T], lo, hi int)) {
+	threads = max(1, min(threads, n))
+	if threads == 1 {
+		zeroK(c, k)
+		accumulate(c, 0, n)
+		return
+	}
+	privs := make([]*matrix.Dense[T], threads)
+	parallel.For(threads, threads, func(wlo, whi, _ int) {
+		for w := wlo; w < whi; w++ {
+			privs[w] = matrix.NewDense[T](c.Rows, k)
+			lo, hi := parallel.ChunkBounds(n, threads, w)
+			accumulate(privs[w], lo, hi)
+		}
+	})
+	parallel.For(c.Rows, threads, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			crow := c.Data[i*c.Stride : i*c.Stride+k]
+			clear(crow)
+			for _, priv := range privs {
+				prow := priv.Data[i*priv.Stride : i*priv.Stride+k]
+				for j := range crow {
+					crow[j] += prow[j]
+				}
+			}
+		}
+	})
 }
 
 // GEMM computes the dense product C = A × B naively. It exists for

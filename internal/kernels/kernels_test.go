@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 )
 
 // testCase bundles a sparse matrix, its dense expansion, a dense B, and the
@@ -89,13 +90,13 @@ func forAllShapes(t *testing.T, name string, run func(t *testing.T, tc *testCase
 func TestCOOKernels(t *testing.T) {
 	forAllShapes(t, "coo", func(t *testing.T, tc *testCase, threads int) {
 		c := tc.out()
-		if err := COOSerial(tc.coo, tc.b, c, tc.k); err != nil {
+		if err := COO(tc.coo, tc.b, c, tc.k, Spec{}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "COOSerial")
 
 		c = tc.out()
-		if err := COOParallel(tc.coo, tc.b, c, tc.k, threads); err != nil {
+		if err := COO(tc.coo, tc.b, c, tc.k, Spec{Threads: threads}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "COOParallel")
@@ -107,13 +108,13 @@ func TestCOOKernels(t *testing.T) {
 		tc.check(t, c, "COOParallelReplicated")
 
 		c = tc.out()
-		if err := COOSerialT(tc.coo, tc.bt, c, tc.k); err != nil {
+		if err := COO(tc.coo, tc.bt, c, tc.k, Spec{Inner: InnerTransB}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "COOSerialT")
 
 		c = tc.out()
-		if err := COOParallelT(tc.coo, tc.bt, c, tc.k, threads); err != nil {
+		if err := COO(tc.coo, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "COOParallelT")
@@ -127,11 +128,15 @@ func TestCSRKernels(t *testing.T) {
 			label string
 			fn    func(c *matrix.Dense[float64]) error
 		}{
-			{"CSRSerial", func(c *matrix.Dense[float64]) error { return CSRSerial(a, tc.b, c, tc.k) }},
-			{"CSRParallel", func(c *matrix.Dense[float64]) error { return CSRParallel(a, tc.b, c, tc.k, threads) }},
-			{"CSRParallelDynamic", func(c *matrix.Dense[float64]) error { return CSRParallelDynamic(a, tc.b, c, tc.k, threads, 8) }},
-			{"CSRSerialT", func(c *matrix.Dense[float64]) error { return CSRSerialT(a, tc.bt, c, tc.k) }},
-			{"CSRParallelT", func(c *matrix.Dense[float64]) error { return CSRParallelT(a, tc.bt, c, tc.k, threads) }},
+			{"CSRSerial", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, tc.k, Spec{}) }},
+			{"CSRParallel", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, tc.k, Spec{Threads: threads}) }},
+			{"CSRParallelDynamic", func(c *matrix.Dense[float64]) error {
+				return CSR(a, tc.b, c, tc.k, Spec{Threads: threads, Schedule: ScheduleDynamic, Chunk: 8})
+			}},
+			{"CSRSerialT", func(c *matrix.Dense[float64]) error { return CSR(a, tc.bt, c, tc.k, Spec{Inner: InnerTransB}) }},
+			{"CSRParallelT", func(c *matrix.Dense[float64]) error {
+				return CSR(a, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB})
+			}},
 		} {
 			c := tc.out()
 			if err := run.fn(c); err != nil {
@@ -146,7 +151,7 @@ func TestCSCKernel(t *testing.T) {
 	forAllShapes(t, "csc", func(t *testing.T, tc *testCase, threads int) {
 		a := formats.CSCFromCOO(tc.coo)
 		c := tc.out()
-		if err := CSCSerial(a, tc.b, c, tc.k); err != nil {
+		if err := CSC(a, tc.b, c, tc.k, Spec{}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "CSCSerial")
@@ -158,25 +163,25 @@ func TestELLKernels(t *testing.T) {
 		forAllShapes(t, "ell", func(t *testing.T, tc *testCase, threads int) {
 			a := formats.ELLFromCOO(tc.coo, layout)
 			c := tc.out()
-			if err := ELLSerial(a, tc.b, c, tc.k); err != nil {
+			if err := ELL(a, tc.b, c, tc.k, Spec{}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "ELLSerial "+layout.String())
 
 			c = tc.out()
-			if err := ELLParallel(a, tc.b, c, tc.k, threads); err != nil {
+			if err := ELL(a, tc.b, c, tc.k, Spec{Threads: threads}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "ELLParallel "+layout.String())
 
 			c = tc.out()
-			if err := ELLSerialT(a, tc.bt, c, tc.k); err != nil {
+			if err := ELL(a, tc.bt, c, tc.k, Spec{Inner: InnerTransB}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "ELLSerialT "+layout.String())
 
 			c = tc.out()
-			if err := ELLParallelT(a, tc.bt, c, tc.k, threads); err != nil {
+			if err := ELL(a, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "ELLParallelT "+layout.String())
@@ -192,13 +197,13 @@ func TestBCSRKernels(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := tc.out()
-			if err := BCSRSerial(a, tc.b, c, tc.k); err != nil {
+			if err := BCSR(a, tc.b, c, tc.k, Spec{}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "BCSRSerial")
 
 			c = tc.out()
-			if err := BCSRParallel(a, tc.b, c, tc.k, threads); err != nil {
+			if err := BCSR(a, tc.b, c, tc.k, Spec{Threads: threads}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "BCSRParallel")
@@ -210,13 +215,13 @@ func TestBCSRKernels(t *testing.T) {
 			tc.check(t, c, "BCSRParallelInner")
 
 			c = tc.out()
-			if err := BCSRSerialT(a, tc.bt, c, tc.k); err != nil {
+			if err := BCSR(a, tc.bt, c, tc.k, Spec{Inner: InnerTransB}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "BCSRSerialT")
 
 			c = tc.out()
-			if err := BCSRParallelT(a, tc.bt, c, tc.k, threads); err != nil {
+			if err := BCSR(a, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB}); err != nil {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "BCSRParallelT")
@@ -231,13 +236,13 @@ func TestBELLAndSELLKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := tc.out()
-		if err := BELLSerial(be, tc.b, c, tc.k); err != nil {
+		if err := BELL(be, tc.b, c, tc.k, Spec{}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "BELLSerial")
 
 		c = tc.out()
-		if err := BELLParallel(be, tc.b, c, tc.k, threads); err != nil {
+		if err := BELL(be, tc.b, c, tc.k, Spec{Threads: threads}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "BELLParallel")
@@ -247,13 +252,13 @@ func TestBELLAndSELLKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		c = tc.out()
-		if err := SELLCSSerial(se, tc.b, c, tc.k); err != nil {
+		if err := SELLCS(se, tc.b, c, tc.k, Spec{}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "SELLCSSerial")
 
 		c = tc.out()
-		if err := SELLCSParallel(se, tc.b, c, tc.k, threads); err != nil {
+		if err := SELLCS(se, tc.b, c, tc.k, Spec{Threads: threads}); err != nil {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "SELLCSParallel")
@@ -273,14 +278,18 @@ func TestFixedKKernelsMatchGeneric(t *testing.T) {
 			label string
 			fn    func(c *matrix.Dense[float64]) error
 		}{
-			{"CSRSerialFixed", func(c *matrix.Dense[float64]) error { return CSRSerialFixed(a, tc.b, c, k) }},
-			{"CSRParallelFixed", func(c *matrix.Dense[float64]) error { return CSRParallelFixed(a, tc.b, c, k, 4) }},
-			{"COOSerialFixed", func(c *matrix.Dense[float64]) error { return COOSerialFixed(tc.coo, tc.b, c, k) }},
-			{"COOParallelFixed", func(c *matrix.Dense[float64]) error { return COOParallelFixed(tc.coo, tc.b, c, k, 4) }},
-			{"ELLSerialFixed", func(c *matrix.Dense[float64]) error { return ELLSerialFixed(e, tc.b, c, k) }},
-			{"ELLParallelFixed", func(c *matrix.Dense[float64]) error { return ELLParallelFixed(e, tc.b, c, k, 4) }},
-			{"BCSRSerialFixed", func(c *matrix.Dense[float64]) error { return BCSRSerialFixed(bb, tc.b, c, k) }},
-			{"BCSRParallelFixed", func(c *matrix.Dense[float64]) error { return BCSRParallelFixed(bb, tc.b, c, k, 4) }},
+			{"CSRSerialFixed", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, k, Spec{Inner: InnerFixedK}) }},
+			{"CSRParallelFixed", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, k, Spec{Threads: 4, Inner: InnerFixedK}) }},
+			{"COOSerialFixed", func(c *matrix.Dense[float64]) error { return COO(tc.coo, tc.b, c, k, Spec{Inner: InnerFixedK}) }},
+			{"COOParallelFixed", func(c *matrix.Dense[float64]) error {
+				return COO(tc.coo, tc.b, c, k, Spec{Threads: 4, Inner: InnerFixedK})
+			}},
+			{"ELLSerialFixed", func(c *matrix.Dense[float64]) error { return ELL(e, tc.b, c, k, Spec{Inner: InnerFixedK}) }},
+			{"ELLParallelFixed", func(c *matrix.Dense[float64]) error { return ELL(e, tc.b, c, k, Spec{Threads: 4, Inner: InnerFixedK}) }},
+			{"BCSRSerialFixed", func(c *matrix.Dense[float64]) error { return BCSR(bb, tc.b, c, k, Spec{Inner: InnerFixedK}) }},
+			{"BCSRParallelFixed", func(c *matrix.Dense[float64]) error {
+				return BCSR(bb, tc.b, c, k, Spec{Threads: 4, Inner: InnerFixedK})
+			}},
 		} {
 			c := tc.out()
 			if err := run.fn(c); err != nil {
@@ -295,7 +304,7 @@ func TestFixedKUnsupported(t *testing.T) {
 	tc := newCase(t, 1, 10, 10, 20, 10, 10)
 	a := formats.CSRFromCOO(tc.coo)
 	c := tc.out()
-	if err := CSRSerialFixed(a, tc.b, c, 10); !errors.Is(err, ErrUnsupportedK) {
+	if err := CSR(a, tc.b, c, 10, Spec{Inner: InnerFixedK}); !errors.Is(err, ErrUnsupportedK) {
 		t.Fatalf("want ErrUnsupportedK, got %v", err)
 	}
 	if HasFixedK(10) || !HasFixedK(64) {
@@ -310,24 +319,53 @@ func TestShapeErrors(t *testing.T) {
 	b := matrix.NewDense[float64](4, 8)
 	c := matrix.NewDense[float64](4, 8)
 
-	if err := CSRSerial(a, b, c, 9); !errors.Is(err, ErrShape) {
+	if err := CSR(a, b, c, 9, Spec{}); !errors.Is(err, ErrShape) {
 		t.Fatalf("k too large: %v", err)
 	}
-	if err := CSRSerial(a, b, c, -1); !errors.Is(err, ErrShape) {
+	if err := CSR(a, b, c, -1, Spec{}); !errors.Is(err, ErrShape) {
 		t.Fatalf("negative k: %v", err)
 	}
 	badB := matrix.NewDense[float64](5, 8)
-	if err := CSRSerial(a, badB, c, 4); !errors.Is(err, ErrShape) {
+	if err := CSR(a, badB, c, 4, Spec{}); !errors.Is(err, ErrShape) {
 		t.Fatalf("B rows mismatch: %v", err)
 	}
 	badC := matrix.NewDense[float64](3, 8)
-	if err := CSRSerial(a, b, badC, 4); !errors.Is(err, ErrShape) {
+	if err := CSR(a, b, badC, 4, Spec{}); !errors.Is(err, ErrShape) {
 		t.Fatalf("C rows mismatch: %v", err)
 	}
 	// Transposed-B checks.
 	bt := matrix.NewDense[float64](8, 5)
-	if err := CSRSerialT(a, bt, c, 4); !errors.Is(err, ErrShape) {
+	if err := CSR(a, bt, c, 4, Spec{Inner: InnerTransB}); !errors.Is(err, ErrShape) {
 		t.Fatalf("Bᵀ cols mismatch: %v", err)
+	}
+}
+
+// TestSpecErrors: a Spec outside a format's lattice row is an error, never
+// a silently different execution.
+func TestSpecErrors(t *testing.T) {
+	coo := matrix.NewCOO[float64](4, 4, 1)
+	coo.Append(0, 0, 1)
+	b := matrix.NewDense[float64](4, 8)
+	c := matrix.NewDense[float64](4, 8)
+	bell, err := formats.BELLFromCOO(coo, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	for name, err := range map[string]error{
+		"bell transposed-B": BELL(bell, b, c, 8, Spec{Inner: InnerTransB}),
+		"bell fixed-k":      BELL(bell, b, c, 8, Spec{Inner: InnerFixedK}),
+		"csc parallel":      CSC(formats.CSCFromCOO(coo), b, c, 8, Spec{Threads: 2}),
+		"coo dynamic":       COO(coo, b, c, 8, Spec{Threads: 2, Schedule: ScheduleDynamic, Chunk: 1}),
+		"csr dynamic pool":  CSR(formats.CSRFromCOO(coo), b, c, 8, Spec{Threads: 2, Schedule: ScheduleDynamic, Pool: pool}),
+	} {
+		if !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: %v, want ErrSpec", name, err)
+		}
+	}
+	if err := Multiply(struct{ formats.Sparse }{}, b, c, 8, Spec{}); err == nil {
+		t.Error("Multiply accepted a format it has no kernel for")
 	}
 }
 
@@ -362,34 +400,34 @@ func TestSpMVKernels(t *testing.T) {
 			return true
 		}
 		y := make([]float64, rows)
-		if COOSpMV(coo, x, y) != nil || !close(y) {
+		if COOSpMV(coo, x, y, 1) != nil || !close(y) {
 			return false
 		}
-		if COOSpMVParallel(coo, x, y, 4) != nil || !close(y) {
+		if COOSpMV(coo, x, y, 4) != nil || !close(y) {
 			return false
 		}
 		csr := formats.CSRFromCOO(coo)
-		if CSRSpMV(csr, x, y) != nil || !close(y) {
+		if CSRSpMV(csr, x, y, 1) != nil || !close(y) {
 			return false
 		}
-		if CSRSpMVParallel(csr, x, y, 4) != nil || !close(y) {
+		if CSRSpMV(csr, x, y, 4) != nil || !close(y) {
 			return false
 		}
 		ell := formats.ELLFromCOO(coo, formats.RowMajor)
-		if ELLSpMV(ell, x, y) != nil || !close(y) {
+		if ELLSpMV(ell, x, y, 1) != nil || !close(y) {
 			return false
 		}
-		if ELLSpMVParallel(ell, x, y, 4) != nil || !close(y) {
+		if ELLSpMV(ell, x, y, 4) != nil || !close(y) {
 			return false
 		}
 		bcsr, err := formats.BCSRFromCOO(coo, 3, 3)
 		if err != nil {
 			return false
 		}
-		if BCSRSpMV(bcsr, x, y) != nil || !close(y) {
+		if BCSRSpMV(bcsr, x, y, 1) != nil || !close(y) {
 			return false
 		}
-		if BCSRSpMVParallel(bcsr, x, y, 4) != nil || !close(y) {
+		if BCSRSpMV(bcsr, x, y, 4) != nil || !close(y) {
 			return false
 		}
 		return true
@@ -401,10 +439,10 @@ func TestSpMVKernels(t *testing.T) {
 
 func TestSpMVShapeErrors(t *testing.T) {
 	coo := matrix.NewCOO[float64](3, 4, 0)
-	if err := COOSpMV(coo, make([]float64, 3), make([]float64, 3)); !errors.Is(err, ErrShape) {
+	if err := COOSpMV(coo, make([]float64, 3), make([]float64, 3), 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("x length: %v", err)
 	}
-	if err := COOSpMV(coo, make([]float64, 4), make([]float64, 2)); !errors.Is(err, ErrShape) {
+	if err := COOSpMV(coo, make([]float64, 4), make([]float64, 2), 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("y length: %v", err)
 	}
 }
@@ -441,7 +479,7 @@ func TestKernelsFloat32(t *testing.T) {
 	}
 	a := formats.CSRFromCOO(coo)
 	c := matrix.NewDense[float32](20, 16)
-	if err := CSRParallel(a, b, c, 16, 4); err != nil {
+	if err := CSR(a, b, c, 16, Spec{Threads: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if !c.EqualTol(want, matrix.DefaultTol[float32]()) {

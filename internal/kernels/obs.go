@@ -5,28 +5,17 @@ import (
 	"repro/internal/parallel"
 )
 
-// Scheduling-layer metrics, exported to the process-wide registry. The Opts
-// dispatchers do a handful of atomic adds per call (never per row), plus an
-// allocation-free walk of the CSR row pointers to publish the chunk
+// Scheduling-layer metrics, exported to the process-wide registry. Every
+// parallel dispatch (run) does a handful of atomic adds per call (never per
+// row) — the per-format dispatch counters live on the lattice rows — plus,
+// for CSR, an allocation-free walk of the row pointers to publish the chunk
 // imbalance the chosen schedule produces — the live counterpart of the
 // schedule study's imbalance tables.
 var (
-	obsDispatchCSR = obs.NewCounter(`spmm_kernels_dispatch_total{format="csr"}`,
-		"Parallel kernel dispatches by format.")
-	obsDispatchBCSR = obs.NewCounter(`spmm_kernels_dispatch_total{format="bcsr"}`,
-		"Parallel kernel dispatches by format.")
-	obsDispatchSELLCS = obs.NewCounter(`spmm_kernels_dispatch_total{format="sellcs"}`,
-		"Parallel kernel dispatches by format.")
-	obsDispatchELL = obs.NewCounter(`spmm_kernels_dispatch_total{format="ell"}`,
-		"Parallel kernel dispatches by format.")
-	obsDispatchBELL = obs.NewCounter(`spmm_kernels_dispatch_total{format="bell"}`,
-		"Parallel kernel dispatches by format.")
-	obsDispatchCOO = obs.NewCounter(`spmm_kernels_dispatch_total{format="coo"}`,
-		"Parallel kernel dispatches by format.")
 	obsRows = obs.NewCounter("spmm_kernels_rows_total",
-		"Rows (or block rows / slices) covered by Opts dispatches.")
+		"Loop iterations (rows, block rows, slices or COO triplets) covered by parallel kernel dispatches.")
 	obsNonzeros = obs.NewCounter("spmm_kernels_nonzeros_total",
-		"Stored nonzeros covered by Opts dispatches (formats with O(1) counts).")
+		"Stored nonzeros covered by parallel kernel dispatches (formats with O(1) counts).")
 	obsImbalance = obs.NewGauge("spmm_kernels_chunk_imbalance_ratio",
 		"Nonzero imbalance of the last CSR dispatch: max chunk nnz over fair share (1 = perfectly balanced).")
 )

@@ -35,7 +35,7 @@ func powerLawCOO(rows, cols int, seed int64) *matrix.COO[float64] {
 
 // TestOptsVariantsBitwiseEqual pins the strongest property the scheduling
 // layer offers: balanced scheduling, pooled execution and k-tiling never
-// change the per-element accumulation order, so every Opts variant must be
+// change the per-element accumulation order, so every scheduled Spec must be
 // *bitwise* identical to its format's serial kernel — on skewed matrices
 // with empty rows, with rows >> threads and threads >> rows, and for k both
 // below and above the tile width.
@@ -67,12 +67,12 @@ func TestOptsVariantsBitwiseEqual(t *testing.T) {
 			b := matrix.NewDenseRand[float64](shape.cols, k, 7)
 			serial := map[string]*matrix.Dense[float64]{}
 			for name, run := range map[string]func(out *matrix.Dense[float64]) error{
-				"csr":  func(out *matrix.Dense[float64]) error { return CSRSerial(csr, b, out, k) },
-				"ell":  func(out *matrix.Dense[float64]) error { return ELLSerial(ell, b, out, k) },
-				"bcsr": func(out *matrix.Dense[float64]) error { return BCSRSerial(bcsr, b, out, k) },
-				"bell": func(out *matrix.Dense[float64]) error { return BELLSerial(bell, b, out, k) },
-				"sell": func(out *matrix.Dense[float64]) error { return SELLCSSerial(sell, b, out, k) },
-				"coo":  func(out *matrix.Dense[float64]) error { return COOSerial(coo, b, out, k) },
+				"csr":  func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{}) },
+				"ell":  func(out *matrix.Dense[float64]) error { return ELL(ell, b, out, k, Spec{}) },
+				"bcsr": func(out *matrix.Dense[float64]) error { return BCSR(bcsr, b, out, k, Spec{}) },
+				"bell": func(out *matrix.Dense[float64]) error { return BELL(bell, b, out, k, Spec{}) },
+				"sell": func(out *matrix.Dense[float64]) error { return SELLCS(sell, b, out, k, Spec{}) },
+				"coo":  func(out *matrix.Dense[float64]) error { return COO(coo, b, out, k, Spec{}) },
 			} {
 				out := matrix.NewDense[float64](shape.rows, k)
 				if err := run(out); err != nil {
@@ -82,32 +82,20 @@ func TestOptsVariantsBitwiseEqual(t *testing.T) {
 			}
 
 			for _, threads := range []int{1, 4, 64} {
-				for _, o := range []Opts{
-					{Schedule: ScheduleBalanced},
-					{Pool: pool},
-					{Schedule: ScheduleBalanced, Pool: pool},
+				for _, s := range []Spec{
+					{Threads: threads, Schedule: ScheduleBalanced},
+					{Threads: threads, Pool: pool},
+					{Threads: threads, Schedule: ScheduleBalanced, Pool: pool},
 				} {
 					label := fmt.Sprintf("k=%d threads=%d sched=%s pool=%v",
-						k, threads, o.Schedule, o.Pool != nil)
+						k, threads, s.Schedule, s.Pool != nil)
 					variants := map[string]func(out *matrix.Dense[float64]) error{
-						"csr": func(out *matrix.Dense[float64]) error {
-							return CSRParallelOpts(csr, b, out, k, threads, o)
-						},
-						"ell": func(out *matrix.Dense[float64]) error {
-							return ELLParallelOpts(ell, b, out, k, threads, o)
-						},
-						"bcsr": func(out *matrix.Dense[float64]) error {
-							return BCSRParallelOpts(bcsr, b, out, k, threads, o)
-						},
-						"bell": func(out *matrix.Dense[float64]) error {
-							return BELLParallelOpts(bell, b, out, k, threads, o)
-						},
-						"sell": func(out *matrix.Dense[float64]) error {
-							return SELLCSParallelOpts(sell, b, out, k, threads, o)
-						},
-						"coo": func(out *matrix.Dense[float64]) error {
-							return COOParallelOpts(coo, b, out, k, threads, o)
-						},
+						"csr":  func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, s) },
+						"ell":  func(out *matrix.Dense[float64]) error { return ELL(ell, b, out, k, s) },
+						"bcsr": func(out *matrix.Dense[float64]) error { return BCSR(bcsr, b, out, k, s) },
+						"bell": func(out *matrix.Dense[float64]) error { return BELL(bell, b, out, k, s) },
+						"sell": func(out *matrix.Dense[float64]) error { return SELLCS(sell, b, out, k, s) },
+						"coo":  func(out *matrix.Dense[float64]) error { return COO(coo, b, out, k, s) },
 					}
 					for name, run := range variants {
 						out := matrix.NewDense[float64](shape.rows, k)
@@ -145,18 +133,26 @@ func TestFixedTiledMatchesGeneric(t *testing.T) {
 		}
 		b := matrix.NewDenseRand[float64](80, k, 11)
 		want := matrix.NewDense[float64](120, k)
-		if err := CSRSerial(csr, b, want, k); err != nil {
+		if err := CSR(csr, b, want, k, Spec{}); err != nil {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func(out *matrix.Dense[float64]) error{
-			"csr-fixed":      func(out *matrix.Dense[float64]) error { return CSRSerialFixed(csr, b, out, k) },
-			"csr-fixed-par":  func(out *matrix.Dense[float64]) error { return CSRParallelFixed(csr, b, out, k, 4) },
-			"ell-fixed":      func(out *matrix.Dense[float64]) error { return ELLSerialFixed(ell, b, out, k) },
-			"ell-fixed-par":  func(out *matrix.Dense[float64]) error { return ELLParallelFixed(ell, b, out, k, 4) },
-			"bcsr-fixed":     func(out *matrix.Dense[float64]) error { return BCSRSerialFixed(bcsr, b, out, k) },
-			"bcsr-fixed-par": func(out *matrix.Dense[float64]) error { return BCSRParallelFixed(bcsr, b, out, k, 4) },
-			"coo-fixed":      func(out *matrix.Dense[float64]) error { return COOSerialFixed(coo, b, out, k) },
-			"coo-fixed-par":  func(out *matrix.Dense[float64]) error { return COOParallelFixed(coo, b, out, k, 4) },
+			"csr-fixed": func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{Inner: InnerFixedK}) },
+			"csr-fixed-par": func(out *matrix.Dense[float64]) error {
+				return CSR(csr, b, out, k, Spec{Threads: 4, Inner: InnerFixedK})
+			},
+			"ell-fixed": func(out *matrix.Dense[float64]) error { return ELL(ell, b, out, k, Spec{Inner: InnerFixedK}) },
+			"ell-fixed-par": func(out *matrix.Dense[float64]) error {
+				return ELL(ell, b, out, k, Spec{Threads: 4, Inner: InnerFixedK})
+			},
+			"bcsr-fixed": func(out *matrix.Dense[float64]) error { return BCSR(bcsr, b, out, k, Spec{Inner: InnerFixedK}) },
+			"bcsr-fixed-par": func(out *matrix.Dense[float64]) error {
+				return BCSR(bcsr, b, out, k, Spec{Threads: 4, Inner: InnerFixedK})
+			},
+			"coo-fixed": func(out *matrix.Dense[float64]) error { return COO(coo, b, out, k, Spec{Inner: InnerFixedK}) },
+			"coo-fixed-par": func(out *matrix.Dense[float64]) error {
+				return COO(coo, b, out, k, Spec{Threads: 4, Inner: InnerFixedK})
+			},
 		} {
 			out := matrix.NewDense[float64](120, k)
 			for i := range out.Data {
@@ -176,7 +172,7 @@ func TestFixedTiledMatchesGeneric(t *testing.T) {
 		}
 		out := matrix.NewDense[float64](120, max(k, 1))
 		b := matrix.NewDenseRand[float64](80, max(k, 1), 11)
-		if err := CSRSerialFixed(csr, b, out, k); err != ErrUnsupportedK {
+		if err := CSR(csr, b, out, k, Spec{Inner: InnerFixedK}); err != ErrUnsupportedK {
 			t.Fatalf("CSRSerialFixed k=%d: err %v, want ErrUnsupportedK", k, err)
 		}
 	}

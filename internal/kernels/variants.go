@@ -3,86 +3,34 @@ package kernels
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync"
 
 	"repro/internal/formats"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
-// This file is the kernel-variant registry behind the differential-testing
-// sweep: every exported SpMM entry point (serial, goroutine-per-call,
-// pooled, balanced, transposed-B, fixed-k, every format) is listed here
-// exactly once per distinct code path, with its accumulation-order contract
-// (bitwise vs. reassociated) recorded next to it. The sweep runs the whole
-// registry against the dense reference; a completeness test parses the
-// package and fails if an exported kernel is missing from the registry, so
-// a new variant cannot land without sweep coverage.
+// This file is the naming half of the lattice: Variants enumerates every
+// valid (format, Spec) point from the lattice rows — plus the three
+// ablations that are different algorithms, not points — with its
+// accumulation-order contract recorded next to it. The differential sweep
+// runs the whole enumeration against the dense reference; the serving layer
+// and the tuner address points by name, so a name is a stable, parseable
+// spelling of the coordinates and every arm the tuner can promote is a code
+// path the sweep already verified.
 
-// VariantInput bundles one sparse matrix in every format the suite knows,
-// plus the dense operands, so a single fixture drives every registered
-// variant. Build it with NewVariantInput.
-type VariantInput struct {
-	COO   *matrix.COO[float64]
-	CSR   *formats.CSR[float64]
-	CSC   *formats.CSC[float64]
-	ELL   *formats.ELL[float64] // row-major value layout
-	ELLCM *formats.ELL[float64] // column-major value layout
-	BCSR  *formats.BCSR[float64]
-	BELL  *formats.BELL[float64]
-	SELL  *formats.SELLCS[float64]
-
-	B  *matrix.Dense[float64] // n×k dense operand
-	BT *matrix.Dense[float64] // k×n transpose for the *T kernels
-
-	K       int
-	Threads int
-	// Pool, when non-nil, backs the pooled Opts variants; nil degrades them
-	// to goroutine-per-call (still correct, just a different machinery).
-	Pool *parallel.Pool
-}
-
-// NewVariantInput converts coo into every format and materialises the dense
-// operands. block is the BCSR/BELL block edge, c and sigma the SELL-C-σ
-// parameters, seed the B fill.
-func NewVariantInput(coo *matrix.COO[float64], k, threads, block, c, sigma int, seed int64) (*VariantInput, error) {
-	bcsr, err := formats.BCSRFromCOO(coo, block, block)
-	if err != nil {
-		return nil, fmt.Errorf("bcsr: %w", err)
-	}
-	bell, err := formats.BELLFromCOO(coo, block, block)
-	if err != nil {
-		return nil, fmt.Errorf("bell: %w", err)
-	}
-	sell, err := formats.SELLCSFromCOO(coo, c, sigma)
-	if err != nil {
-		return nil, fmt.Errorf("sellcs: %w", err)
-	}
-	b := matrix.NewDenseRand[float64](coo.Cols, k, seed)
-	return &VariantInput{
-		COO:     coo,
-		CSR:     formats.CSRFromCOO(coo),
-		CSC:     formats.CSCFromCOO(coo),
-		ELL:     formats.ELLFromCOO(coo, formats.RowMajor),
-		ELLCM:   formats.ELLFromCOO(coo, formats.ColMajor),
-		BCSR:    bcsr,
-		BELL:    bell,
-		SELL:    sell,
-		B:       b,
-		BT:      b.Transpose(),
-		K:       k,
-		Threads: threads,
-	}, nil
-}
-
-// Variant is one registered kernel entry point.
+// Variant is one named way to run SpMM: a point of the format × execution
+// lattice, or one of the three ablations outside it.
 type Variant struct {
-	// Name is the sweep identifier, "<format>/<machinery>".
+	// Name is "<format>/<machinery>": the Spec's Name, plus "-colmajor"
+	// for ELL points on the column-major layout.
 	Name string
 	// Format is the sparse format the variant consumes.
 	Format string
-	// Func is the exported kernel function the variant exercises. The
-	// completeness test cross-checks this set against the package's
-	// declarations, in both directions.
+	// Func is the exported kernel function the variant reaches (through
+	// Multiply, for lattice points). The completeness test cross-checks
+	// this set against the package's declarations, in both directions.
 	Func string
 	// Bitwise records the accumulation-order contract: true means the
 	// variant preserves the serial per-element accumulation order (ascending
@@ -93,246 +41,304 @@ type Variant struct {
 	// NeedsFixedK marks the fixed-k specialisations, defined only for
 	// k % 8 == 0 (HasFixedK); sweeps with other k skip these.
 	NeedsFixedK bool
-	// Run executes the variant, overwriting out[:, :K].
-	Run func(in *VariantInput, out *matrix.Dense[float64]) error
+
+	// The lattice coordinates, with the Spec's resources reduced to
+	// present/absent; Run binds them from the VariantInput.
+	Parallel bool // Spec.Threads > 1
+	Schedule Schedule
+	Pooled   bool // Spec.Pool != nil
+	Ctx      bool // Spec.Ctx != nil
+	Inner    Inner
+	Layout   formats.ELLLayout // ELL only
+
+	ablation func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error
 }
 
-// Variants returns the full registry. The list is rebuilt per call so tests
-// may not corrupt shared state.
-func Variants() []Variant {
-	ctx := context.Background()
-	pooled := func(in *VariantInput, sched Schedule) Opts {
-		return Opts{Schedule: sched, Pool: in.Pool}
+// dynamicChunk is the rows-per-claim of the enumerated dynamic points.
+const dynamicChunk = 4
+
+// machinery spells v's execution coordinates as the second half of a
+// variant name. The parallel spellings keep the names the serving WAL
+// persists: "opts-static", "opts-balanced", "opts-pool" (static, pooled),
+// "opts-balanced-pool".
+func (v Variant) machinery() string {
+	name := "serial"
+	switch {
+	case v.Parallel && v.Pooled && v.Schedule == ScheduleStatic:
+		name = "opts-pool"
+	case v.Parallel && v.Pooled:
+		name = "opts-" + v.Schedule.String() + "-pool"
+	case v.Parallel:
+		name = "opts-" + v.Schedule.String()
 	}
-	return []Variant{
-		// COO — the verification format. Row-aligned partitions keep the
-		// per-element order; only the replicated ablation reassociates.
-		{Name: "coo/serial", Format: "coo", Func: "COOSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return COOSerial(in.COO, in.B, out, in.K) }},
-		{Name: "coo/serial-ctx", Format: "coo", Func: "COOSerialCtx", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOSerialCtx(ctx, in.COO, in.B, out, in.K)
-			}},
-		{Name: "coo/parallel", Format: "coo", Func: "COOParallel", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOParallel(in.COO, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "coo/parallel-ctx", Format: "coo", Func: "COOParallelCtx", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOParallelCtx(ctx, in.COO, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "coo/parallel-replicated", Format: "coo", Func: "COOParallelReplicated", Bitwise: false,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOParallelReplicated(in.COO, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "coo/serial-bt", Format: "coo", Func: "COOSerialT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return COOSerialT(in.COO, in.BT, out, in.K) }},
-		{Name: "coo/parallel-bt", Format: "coo", Func: "COOParallelT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOParallelT(in.COO, in.BT, out, in.K, in.Threads)
-			}},
-		{Name: "coo/serial-fixed", Format: "coo", Func: "COOSerialFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOSerialFixed(in.COO, in.B, out, in.K)
-			}},
-		{Name: "coo/parallel-fixed", Format: "coo", Func: "COOParallelFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOParallelFixed(in.COO, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "coo/opts-static", Format: "coo", Func: "COOParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOParallelOpts(in.COO, in.B, out, in.K, in.Threads, Opts{})
-			}},
-		{Name: "coo/opts-pool", Format: "coo", Func: "COOParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return COOParallelOpts(in.COO, in.B, out, in.K, in.Threads, pooled(in, ScheduleStatic))
-			}},
-
-		// CSR — the workhorse. Every variant partitions whole rows, so all
-		// are bitwise, including dynamic scheduling and the balanced splits.
-		{Name: "csr/serial", Format: "csr", Func: "CSRSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return CSRSerial(in.CSR, in.B, out, in.K) }},
-		{Name: "csr/serial-ctx", Format: "csr", Func: "CSRSerialCtx", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRSerialCtx(ctx, in.CSR, in.B, out, in.K)
-			}},
-		{Name: "csr/parallel", Format: "csr", Func: "CSRParallel", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallel(in.CSR, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "csr/parallel-ctx", Format: "csr", Func: "CSRParallelCtx", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelCtx(ctx, in.CSR, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "csr/parallel-dynamic", Format: "csr", Func: "CSRParallelDynamic", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelDynamic(in.CSR, in.B, out, in.K, in.Threads, 4)
-			}},
-		{Name: "csr/serial-bt", Format: "csr", Func: "CSRSerialT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return CSRSerialT(in.CSR, in.BT, out, in.K) }},
-		{Name: "csr/parallel-bt", Format: "csr", Func: "CSRParallelT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelT(in.CSR, in.BT, out, in.K, in.Threads)
-			}},
-		{Name: "csr/serial-fixed", Format: "csr", Func: "CSRSerialFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRSerialFixed(in.CSR, in.B, out, in.K)
-			}},
-		{Name: "csr/parallel-fixed", Format: "csr", Func: "CSRParallelFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelFixed(in.CSR, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "csr/opts-static", Format: "csr", Func: "CSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelOpts(in.CSR, in.B, out, in.K, in.Threads, Opts{})
-			}},
-		{Name: "csr/opts-balanced", Format: "csr", Func: "CSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelOpts(in.CSR, in.B, out, in.K, in.Threads, Opts{Schedule: ScheduleBalanced})
-			}},
-		{Name: "csr/opts-pool", Format: "csr", Func: "CSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelOpts(in.CSR, in.B, out, in.K, in.Threads, pooled(in, ScheduleStatic))
-			}},
-		{Name: "csr/opts-balanced-pool", Format: "csr", Func: "CSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSRParallelOpts(in.CSR, in.B, out, in.K, in.Threads, pooled(in, ScheduleBalanced))
-			}},
-
-		// CSC — column orientation. The serial kernel still visits each
-		// output element's terms in ascending column order (bitwise); the
-		// parallel kernel reduces private replicas (reassociated).
-		{Name: "csc/serial", Format: "csc", Func: "CSCSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return CSCSerial(in.CSC, in.B, out, in.K) }},
-		{Name: "csc/parallel", Format: "csc", Func: "CSCParallel", Bitwise: false,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return CSCParallel(in.CSC, in.B, out, in.K, in.Threads)
-			}},
-
-		// ELL — both value layouts through the same entry points; padding
-		// slots contribute exact-zero terms that cannot perturb the sum.
-		{Name: "ell/serial", Format: "ell", Func: "ELLSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return ELLSerial(in.ELL, in.B, out, in.K) }},
-		{Name: "ell/serial-colmajor", Format: "ell", Func: "ELLSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return ELLSerial(in.ELLCM, in.B, out, in.K) }},
-		{Name: "ell/parallel", Format: "ell", Func: "ELLParallel", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return ELLParallel(in.ELL, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "ell/parallel-colmajor", Format: "ell", Func: "ELLParallel", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return ELLParallel(in.ELLCM, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "ell/serial-bt", Format: "ell", Func: "ELLSerialT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return ELLSerialT(in.ELL, in.BT, out, in.K) }},
-		{Name: "ell/parallel-bt", Format: "ell", Func: "ELLParallelT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return ELLParallelT(in.ELL, in.BT, out, in.K, in.Threads)
-			}},
-		{Name: "ell/serial-fixed", Format: "ell", Func: "ELLSerialFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return ELLSerialFixed(in.ELL, in.B, out, in.K)
-			}},
-		{Name: "ell/parallel-fixed", Format: "ell", Func: "ELLParallelFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return ELLParallelFixed(in.ELL, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "ell/opts-static", Format: "ell", Func: "ELLParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return ELLParallelOpts(in.ELL, in.B, out, in.K, in.Threads, Opts{})
-			}},
-		{Name: "ell/opts-pool", Format: "ell", Func: "ELLParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return ELLParallelOpts(in.ELL, in.B, out, in.K, in.Threads, pooled(in, ScheduleStatic))
-			}},
-
-		// BCSR — block storage with explicit zero padding inside partial
-		// blocks; the inner-parallel regression variant splits block rows,
-		// never an output element's terms, so even it stays bitwise.
-		{Name: "bcsr/serial", Format: "bcsr", Func: "BCSRSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return BCSRSerial(in.BCSR, in.B, out, in.K) }},
-		{Name: "bcsr/parallel", Format: "bcsr", Func: "BCSRParallel", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallel(in.BCSR, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "bcsr/parallel-inner", Format: "bcsr", Func: "BCSRParallelInner", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallelInner(in.BCSR, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "bcsr/serial-bt", Format: "bcsr", Func: "BCSRSerialT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRSerialT(in.BCSR, in.BT, out, in.K)
-			}},
-		{Name: "bcsr/parallel-bt", Format: "bcsr", Func: "BCSRParallelT", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallelT(in.BCSR, in.BT, out, in.K, in.Threads)
-			}},
-		{Name: "bcsr/serial-fixed", Format: "bcsr", Func: "BCSRSerialFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRSerialFixed(in.BCSR, in.B, out, in.K)
-			}},
-		{Name: "bcsr/parallel-fixed", Format: "bcsr", Func: "BCSRParallelFixed", Bitwise: true, NeedsFixedK: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallelFixed(in.BCSR, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "bcsr/opts-static", Format: "bcsr", Func: "BCSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallelOpts(in.BCSR, in.B, out, in.K, in.Threads, Opts{})
-			}},
-		{Name: "bcsr/opts-balanced", Format: "bcsr", Func: "BCSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallelOpts(in.BCSR, in.B, out, in.K, in.Threads, Opts{Schedule: ScheduleBalanced})
-			}},
-		{Name: "bcsr/opts-pool", Format: "bcsr", Func: "BCSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallelOpts(in.BCSR, in.B, out, in.K, in.Threads, pooled(in, ScheduleStatic))
-			}},
-		{Name: "bcsr/opts-balanced-pool", Format: "bcsr", Func: "BCSRParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BCSRParallelOpts(in.BCSR, in.B, out, in.K, in.Threads, pooled(in, ScheduleBalanced))
-			}},
-
-		// BELL — blocked ELL: uniform block rows, so static already balances.
-		{Name: "bell/serial", Format: "bell", Func: "BELLSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error { return BELLSerial(in.BELL, in.B, out, in.K) }},
-		{Name: "bell/parallel", Format: "bell", Func: "BELLParallel", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BELLParallel(in.BELL, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "bell/opts-static", Format: "bell", Func: "BELLParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BELLParallelOpts(in.BELL, in.B, out, in.K, in.Threads, Opts{})
-			}},
-		{Name: "bell/opts-pool", Format: "bell", Func: "BELLParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return BELLParallelOpts(in.BELL, in.B, out, in.K, in.Threads, pooled(in, ScheduleStatic))
-			}},
-
-		// SELL-C-σ — σ-sorting permutes row storage order, never the order
-		// of one row's terms, so every variant stays bitwise.
-		{Name: "sellcs/serial", Format: "sellcs", Func: "SELLCSSerial", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return SELLCSSerial(in.SELL, in.B, out, in.K)
-			}},
-		{Name: "sellcs/parallel", Format: "sellcs", Func: "SELLCSParallel", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return SELLCSParallel(in.SELL, in.B, out, in.K, in.Threads)
-			}},
-		{Name: "sellcs/opts-static", Format: "sellcs", Func: "SELLCSParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return SELLCSParallelOpts(in.SELL, in.B, out, in.K, in.Threads, Opts{})
-			}},
-		{Name: "sellcs/opts-balanced", Format: "sellcs", Func: "SELLCSParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return SELLCSParallelOpts(in.SELL, in.B, out, in.K, in.Threads, Opts{Schedule: ScheduleBalanced})
-			}},
-		{Name: "sellcs/opts-pool", Format: "sellcs", Func: "SELLCSParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return SELLCSParallelOpts(in.SELL, in.B, out, in.K, in.Threads, pooled(in, ScheduleStatic))
-			}},
-		{Name: "sellcs/opts-balanced-pool", Format: "sellcs", Func: "SELLCSParallelOpts", Bitwise: true,
-			Run: func(in *VariantInput, out *matrix.Dense[float64]) error {
-				return SELLCSParallelOpts(in.SELL, in.B, out, in.K, in.Threads, pooled(in, ScheduleBalanced))
-			}},
+	if v.Ctx {
+		name += "-ctx"
 	}
+	switch v.Inner {
+	case InnerTransB:
+		name += "-bt"
+	case InnerFixedK:
+		name += "-fixed"
+	}
+	return name
+}
+
+// point completes the lattice variant at the coordinates v holds.
+func (r *row) point(v Variant) Variant {
+	v.Format, v.Func, v.Bitwise = r.format, strings.ToUpper(r.format), true
+	v.NeedsFixedK = v.Inner == InnerFixedK
+	v.Name = r.format + "/" + v.machinery()
+	if v.Layout == formats.ColMajor {
+		v.Name += "-colmajor"
+	}
+	return v
+}
+
+// points enumerates r's row of the lattice: the serial points, then the
+// parallel ones spawn-before-pooled and static-before-balanced — the order
+// ServableVariants (and so the tuner's round-robin) has always had.
+func (r *row) points() []Variant {
+	inners := []Inner{InnerTiled}
+	if r.inners {
+		inners = []Inner{InnerTiled, InnerTransB, InnerFixedK}
+	}
+	layouts := []formats.ELLLayout{formats.RowMajor}
+	if r.colMajor {
+		layouts = []formats.ELLLayout{formats.RowMajor, formats.ColMajor}
+	}
+	type machine struct {
+		parallel, pooled bool
+		sched            Schedule
+	}
+	machines := []machine{{}}
+	if r.parallel {
+		for _, pooled := range []bool{false, true} {
+			machines = append(machines, machine{true, pooled, ScheduleStatic})
+			if r.balanced {
+				machines = append(machines, machine{true, pooled, ScheduleBalanced})
+			}
+			if r.dynamic && !pooled {
+				machines = append(machines, machine{true, false, ScheduleDynamic})
+			}
+		}
+	}
+	var out []Variant
+	for _, m := range machines {
+		for _, layout := range layouts {
+			for _, inner := range inners {
+				for _, ctx := range []bool{false, true} {
+					out = append(out, r.point(Variant{Parallel: m.parallel, Schedule: m.sched,
+						Pooled: m.pooled, Ctx: ctx, Inner: inner, Layout: layout}))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// ablations are the three kernels outside the lattice: different
+// algorithms the paper discusses, not execution choices. The two that
+// reduce private accumulators reassociate sums and are the only
+// non-bitwise entries of the sweep.
+var ablations = []Variant{
+	// Arbitrary (not row-aligned) triplet slices into private copies of C.
+	{Name: "coo/parallel-replicated", Format: "coo", Func: "COOParallelReplicated", Bitwise: false,
+		ablation: func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error {
+			return COOParallelReplicated(a.(*matrix.COO[float64]), in.B, out, in.K, in.Threads)
+		}},
+	// Column panels into private copies of C: what column orientation forces.
+	{Name: "csc/parallel", Format: "csc", Func: "CSCParallel", Bitwise: false,
+		ablation: func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error {
+			return CSCParallel(a.(*formats.CSC[float64]), in.B, out, in.K, in.Threads)
+		}},
+	// The Study 9 regression: it splits block rows, never an output
+	// element's terms, so even it stays bitwise.
+	{Name: "bcsr/parallel-inner", Format: "bcsr", Func: "BCSRParallelInner", Bitwise: true,
+		ablation: func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error {
+			return BCSRParallelInner(a.(*formats.BCSR[float64]), in.B, out, in.K, in.Threads)
+		}},
+}
+
+// variantIndex is the enumeration and its by-name inverse.
+type variantIndex struct {
+	all    []Variant
+	byName map[string]Variant
+}
+
+var index = sync.OnceValue(func() variantIndex {
+	ix := variantIndex{byName: map[string]Variant{}}
+	for _, r := range lattice {
+		ix.all = append(ix.all, r.points()...)
+	}
+	ix.all = append(ix.all, ablations...)
+	for _, v := range ix.all {
+		if _, dup := ix.byName[v.Name]; dup {
+			panic("kernels: variant name " + v.Name + " is not injective")
+		}
+		ix.byName[v.Name] = v
+	}
+	return ix
+})
+
+// Variants returns every valid lattice point followed by the ablations.
+// The slice is a copy, so tests may not corrupt shared state.
+func Variants() []Variant { return append([]Variant(nil), index().all...) }
+
+// ParseVariant is the inverse of the enumeration's naming: it resolves a
+// variant name to its coordinates. The pre-lattice spellings of the
+// goroutine-per-call points — "parallel" for "opts-static",
+// "parallel-dynamic" for "opts-dynamic" — keep resolving.
+func ParseVariant(name string) (Variant, bool) {
+	ix := index()
+	if v, ok := ix.byName[name]; ok {
+		return v, true
+	}
+	format, m, _ := strings.Cut(name, "/")
+	if rest, ok := strings.CutPrefix(m, "parallel-dynamic"); ok {
+		m = "opts-dynamic" + rest
+	} else if rest, ok := strings.CutPrefix(m, "parallel"); ok {
+		m = "opts-static" + rest
+	}
+	v, ok := ix.byName[format+"/"+m]
+	return v, ok
+}
+
+// servable reports whether a server may dispatch a live multiply (or a
+// shadow trial) on v: a parallel lattice point on the row-major layout with
+// the tiled inner loop, a precomputed partition, and no context — bitwise
+// (so a challenger's output can be verified against the served result
+// exactly), valid for any k, and scheduled by its name alone.
+func (v Variant) servable() bool {
+	return v.Parallel && !v.Ctx && v.Inner == InnerTiled &&
+		v.Schedule != ScheduleDynamic && v.Layout == formats.RowMajor
+}
+
+// ServableVariants returns the enumeration's servable subset, in order.
+func ServableVariants() []Variant {
+	var out []Variant
+	for _, v := range index().all {
+		if v.servable() {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// PlanForVariant decodes a servable variant name into the serving plan it
+// executes: the sparse format, the work-partition schedule, and whether
+// dispatch rides the persistent pool. ok is false for names outside the
+// servable subset.
+func PlanForVariant(name string) (format string, sched Schedule, pooled bool, ok bool) {
+	v, found := ParseVariant(name)
+	if !found || !v.servable() {
+		return "", ScheduleStatic, false, false
+	}
+	return v.Format, v.Schedule, v.Pooled, true
+}
+
+// ServingVariant composes the variant name for a serving plan. Formats
+// whose balanced partition is identical to static have no balanced points;
+// dropping the qualifier changes nothing about the dispatch for them.
+func ServingVariant(format string, sched Schedule, pooled bool) string {
+	for _, r := range lattice {
+		if r.format == format && !r.balanced {
+			sched = ScheduleStatic
+		}
+	}
+	return format + "/" + Variant{Parallel: true, Schedule: sched, Pooled: pooled}.machinery()
+}
+
+// VariantInput is one sparse matrix plus the dense operands and execution
+// resources a Variant runs with. Formats are converted on first use and
+// cached, so one fixture drives every variant and a tuner pays for a format
+// only once an arm needs it.
+type VariantInput struct {
+	COO *matrix.COO[float64]
+	// Block is the BCSR/BELL block edge Prepare converts with.
+	Block int
+
+	B  *matrix.Dense[float64] // n×k dense operand
+	BT *matrix.Dense[float64] // k×n transpose, for the InnerTransB points
+
+	K       int
+	Threads int
+	// Pool, when non-nil, backs the pooled points; nil degrades them to
+	// goroutine-per-call (still correct, just a different machinery).
+	Pool *parallel.Pool
+
+	// Formats caches Prepare's conversions by format name ("ell-colmajor"
+	// for the column-major ELL). A caller may pre-populate an entry to run
+	// the variants on a conversion of its own.
+	Formats map[string]formats.Sparse
+}
+
+// NewVariantInput materialises the dense operands for coo. block is the
+// BCSR/BELL block edge, seed the B fill.
+func NewVariantInput(coo *matrix.COO[float64], k, threads, block int, seed int64) *VariantInput {
+	b := matrix.NewDenseRand[float64](coo.Cols, k, seed)
+	return &VariantInput{COO: coo, Block: block, B: b, BT: b.Transpose(), K: k, Threads: threads}
+}
+
+// Prepare returns the format v consumes, converting and caching it on first
+// use. It is not safe for concurrent use.
+func (in *VariantInput) Prepare(v Variant) (formats.Sparse, error) {
+	key := v.Format
+	if v.Layout == formats.ColMajor {
+		key += "-colmajor"
+	}
+	if a, ok := in.Formats[key]; ok {
+		return a, nil
+	}
+	a, err := formats.FromCOO(v.Format, in.COO, formats.Params{Block: in.Block, Layout: v.Layout})
+	if err != nil {
+		return nil, fmt.Errorf("kernels: %s conversion: %w", key, err)
+	}
+	if in.Formats == nil {
+		in.Formats = map[string]formats.Sparse{}
+	}
+	in.Formats[key] = a
+	return a, nil
+}
+
+// spec binds the variant's coordinates to in's resources.
+func (v Variant) spec(in *VariantInput) Spec {
+	s := Spec{Threads: 1, Schedule: v.Schedule, Inner: v.Inner}
+	if v.Parallel {
+		s.Threads = in.Threads
+	}
+	if v.Schedule == ScheduleDynamic {
+		s.Chunk = dynamicChunk
+	}
+	if v.Pooled {
+		s.Pool = in.Pool
+	}
+	if v.Ctx {
+		s.Ctx = context.Background()
+	}
+	return s
+}
+
+// Run executes the variant against in, overwriting out[:, :in.K].
+func (v Variant) Run(in *VariantInput, out *matrix.Dense[float64]) error {
+	a, err := in.Prepare(v)
+	if err != nil {
+		return err
+	}
+	if v.ablation != nil {
+		return v.ablation(a, in, out)
+	}
+	b := in.B
+	if v.Inner == InnerTransB {
+		b = in.BT
+	}
+	return Multiply(a, b, out, in.K, v.spec(in))
+}
+
+// RunVariant executes the named variant against in.
+func RunVariant(name string, in *VariantInput, out *matrix.Dense[float64]) error {
+	v, ok := ParseVariant(name)
+	if !ok {
+		return fmt.Errorf("kernels: unknown variant %q", name)
+	}
+	return v.Run(in, out)
 }

@@ -99,7 +99,7 @@ func TestSimulatorCountersFlow(t *testing.T) {
 	}
 
 	dispatchBefore := metricValue(t, "spmm_kernels_dispatch_total")
-	if err := kernels.CSRParallelOpts(csr, b, c, k, 2, kernels.Opts{}); err != nil {
+	if err := kernels.CSR(csr, b, c, k, kernels.Spec{Threads: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricValue(t, "spmm_kernels_dispatch_total"); got != dispatchBefore+1 {

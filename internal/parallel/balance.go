@@ -121,8 +121,10 @@ func ForBounds(bounds []int, body func(lo, hi, worker int)) {
 
 // Exec selects the execution machinery for one parallel loop: an optional
 // persistent worker pool (reusing warmed goroutines instead of spawning
-// fresh ones per call) and optional precomputed chunk bounds (nonzero-
-// balanced instead of row-static). The zero value behaves exactly like For.
+// fresh ones per call), optional precomputed chunk bounds (nonzero-balanced
+// instead of row-static), or dynamic self-scheduling. The zero value behaves
+// exactly like For. Cancellation is not a machinery concern: a caller with a
+// context checks it inside body, at the granularity it needs.
 type Exec struct {
 	// Pool, when non-nil, runs the chunks on the persistent pool.
 	Pool *Pool
@@ -130,25 +132,33 @@ type Exec struct {
 	// BalancedBounds); the loop runs len(Bounds)-1 chunks and ignores the
 	// static partition of [0, n).
 	Bounds []int
+	// Chunk, when positive, self-schedules chunks of that many iterations
+	// over fresh goroutines (ForDynamic). Workers claim chunks as they go,
+	// so neither precomputed Bounds nor the pool's one-chunk-per-task
+	// dispatch applies: Run panics if Chunk is combined with either.
+	Chunk int
 }
 
 // Run executes body over [0, n) under the configured machinery. With nil
 // Bounds the loop is split into min(threads, n) static chunks exactly like
 // For; with Bounds set, n and threads only bound the degenerate serial case
 // and the chunk count comes from the bounds. The worker id passed to body is
-// always the chunk index — see the worker-id contract on For.
+// always the chunk index — see the worker-id contract on For — except under
+// Chunk, where it is the claiming goroutine's index in [0, threads).
 func (e Exec) Run(n, threads int, body func(lo, hi, worker int)) {
-	if e.Bounds != nil {
-		if e.Pool != nil {
-			e.Pool.RunBounds(e.Bounds, body)
-			return
+	switch {
+	case e.Chunk > 0:
+		if e.Pool != nil || e.Bounds != nil {
+			panic("parallel: Exec.Chunk excludes Pool and Bounds")
 		}
+		ForDynamic(n, threads, e.Chunk, body)
+	case e.Bounds != nil && e.Pool != nil:
+		e.Pool.RunBounds(e.Bounds, body)
+	case e.Bounds != nil:
 		ForBounds(e.Bounds, body)
-		return
-	}
-	if e.Pool != nil {
+	case e.Pool != nil:
 		e.Pool.Run(n, threads, body)
-		return
+	default:
+		For(n, threads, body)
 	}
-	For(n, threads, body)
 }

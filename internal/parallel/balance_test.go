@@ -135,16 +135,6 @@ func TestWorkerIDContract(t *testing.T) {
 		"Exec{Pool}": func(n, threads int, body func(lo, hi, w int)) {
 			Exec{Pool: pool}.Run(n, threads, body)
 		},
-		"ForCtx": func(n, threads int, body func(lo, hi, w int)) {
-			if err := ForCtx(nil, n, threads, body); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"Pool.RunCtx": func(n, threads int, body func(lo, hi, w int)) {
-			if err := pool.RunCtx(nil, n, threads, body); err != nil {
-				t.Fatal(err)
-			}
-		},
 	}
 	for name, run := range runners {
 		for _, tc := range []struct{ n, threads int }{
@@ -232,6 +222,7 @@ func TestExecDispatch(t *testing.T) {
 		"pool":        {Pool: p},
 		"bounds":      {Bounds: bounds},
 		"pool+bounds": {Pool: p, Bounds: bounds},
+		"dynamic":     {Chunk: 16},
 	} {
 		var total atomic.Int64
 		e.Run(1000, 4, func(lo, hi, _ int) {

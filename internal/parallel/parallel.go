@@ -7,7 +7,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -41,7 +40,7 @@ func ChunkBounds(n, chunks, i int) (lo, hi int) {
 // Worker-id contract: body receives its chunk bounds and a worker id that is
 // the *chunk index*, in [0, min(threads, n)) — when threads exceeds n the
 // thread count is clamped to n and ids stay dense. Every loop runner in this
-// package (For, ForCtx, Pool.Run, Pool.RunBounds, ForBounds, Exec.Run)
+// package (For, ForDynamic, Pool.Run, Pool.RunBounds, ForBounds, Exec.Run)
 // follows the same contract, so per-worker scratch indexed by the id is safe
 // regardless of the machinery; the id is never a pool-goroutine identity.
 func For(n, threads int, body func(lo, hi, worker int)) {
@@ -69,49 +68,6 @@ func For(n, threads int, body func(lo, hi, worker int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// ForCtx is For with cooperative cancellation: each worker checks ctx once
-// before running its chunk, and the call returns ctx.Err() if the context
-// was cancelled at any point. A chunk that has already started runs to
-// completion (long-running bodies should check ctx themselves for finer
-// granularity). A nil ctx behaves exactly like For.
-func ForCtx(ctx context.Context, n, threads int, body func(lo, hi, worker int)) error {
-	if ctx == nil {
-		For(n, threads, body)
-		return nil
-	}
-	body = traceBody(body)
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > n {
-		threads = max(n, 1)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	countRegion(obsRegionsStatic, threads, n)
-	if threads == 1 {
-		body(0, n, 0)
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			lo, hi := ChunkBounds(n, threads, w)
-			if lo < hi {
-				body(lo, hi, w)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // ForDynamic executes body over [0, n) using self-scheduled chunks of the
@@ -149,57 +105,6 @@ func ForDynamic(n, threads, chunk int, body func(lo, hi, worker int)) {
 	wg.Wait()
 }
 
-// ForDynamicCtx is ForDynamic with cooperative cancellation: every worker
-// checks ctx before claiming each chunk, so a cancelled context stops the
-// loop within one chunk's worth of work per worker. Remaining chunks are
-// never executed. A nil ctx behaves exactly like ForDynamic.
-func ForDynamicCtx(ctx context.Context, n, threads, chunk int, body func(lo, hi, worker int)) error {
-	if ctx == nil {
-		ForDynamic(n, threads, chunk, body)
-		return nil
-	}
-	body = traceBody(body)
-	if threads < 1 {
-		threads = 1
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	countRegion(obsRegionsDynamic, (n+chunk-1)/chunk, n)
-	if threads == 1 {
-		for lo := 0; lo < n; lo += chunk {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			body(lo, min(lo+chunk, n), 0)
-		}
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				body(lo, min(lo+chunk, n), w)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // Pool is a persistent worker pool — a warmed OpenMP thread team. A
 // campaign keeps one pool per process so repeated kernel invocations reuse
 // the same goroutines instead of paying spawn plus WaitGroup churn per
@@ -213,17 +118,16 @@ func ForDynamicCtx(ctx context.Context, n, threads, chunk int, body func(lo, hi,
 type Pool struct {
 	workers  int
 	tasks    chan poolTask
-	mu       sync.Mutex     // serialises Run/RunBounds/RunCtx
+	mu       sync.Mutex     // serialises Run/RunBounds
 	joinWG   sync.WaitGroup // completion of the current region's chunks
 	workerWG sync.WaitGroup // worker goroutine lifetimes
 	closed   atomic.Bool
 }
 
-// poolTask is one chunk of a fork/join region. ctx is nil for non-Ctx runs.
+// poolTask is one chunk of a fork/join region.
 type poolTask struct {
 	lo, hi, worker int
 	body           func(lo, hi, worker int)
-	ctx            context.Context
 }
 
 // NewPool starts a pool of the given number of worker goroutines.
@@ -240,9 +144,7 @@ func NewPool(workers int) *Pool {
 		go func() {
 			defer p.workerWG.Done()
 			for t := range p.tasks {
-				if t.ctx == nil || t.ctx.Err() == nil {
-					t.body(t.lo, t.hi, t.worker)
-				}
+				t.body(t.lo, t.hi, t.worker)
 				p.joinWG.Done()
 			}
 		}()
@@ -271,7 +173,7 @@ func (p *Pool) Run(n, threads int, body func(lo, hi, worker int)) {
 		body(0, n, 0)
 		return
 	}
-	p.dispatch(nil, n, threads, nil, body)
+	p.dispatch(n, threads, nil, body)
 }
 
 // RunBounds executes body over the precomputed chunks (for example from
@@ -287,35 +189,7 @@ func (p *Pool) RunBounds(bounds []int, body func(lo, hi, worker int)) {
 		body(bounds[0], bounds[1], 0)
 		return
 	}
-	p.dispatch(nil, 0, chunks, bounds, body)
-}
-
-// RunCtx is Run with cooperative cancellation. An already-cancelled context
-// returns immediately without enqueueing any chunk; otherwise each queued
-// chunk re-checks ctx before executing, so remaining chunks are dropped as
-// soon as the context is cancelled. A nil ctx behaves exactly like Run.
-func (p *Pool) RunCtx(ctx context.Context, n, threads int, body func(lo, hi, worker int)) error {
-	if ctx == nil {
-		p.Run(n, threads, body)
-		return nil
-	}
-	body = traceBody(body)
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > n {
-		threads = max(n, 1)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	countRegion(obsRegionsPool, threads, n)
-	if threads == 1 {
-		body(0, n, 0)
-		return ctx.Err()
-	}
-	p.dispatch(ctx, n, threads, nil, body)
-	return ctx.Err()
+	p.dispatch(0, chunks, bounds, body)
 }
 
 // dispatch queues one fork/join region of `chunks` chunks and waits for the
@@ -323,7 +197,7 @@ func (p *Pool) RunCtx(ctx context.Context, n, threads int, body func(lo, hi, wor
 // bounds set they hold the precomputed splits. The pool-level mutex keeps
 // regions from interleaving so the shared join WaitGroup stays coherent, and
 // nothing here reaches the heap — chunks are plain struct sends.
-func (p *Pool) dispatch(ctx context.Context, n, chunks int, bounds []int, body func(lo, hi, worker int)) {
+func (p *Pool) dispatch(n, chunks int, bounds []int, body func(lo, hi, worker int)) {
 	if p.closed.Load() {
 		panic("parallel: Run on closed Pool")
 	}
@@ -341,7 +215,7 @@ func (p *Pool) dispatch(ctx context.Context, n, chunks int, bounds []int, body f
 			p.joinWG.Done()
 			continue
 		}
-		p.tasks <- poolTask{lo: lo, hi: hi, worker: w, body: body, ctx: ctx}
+		p.tasks <- poolTask{lo: lo, hi: hi, worker: w, body: body}
 	}
 	p.joinWG.Wait()
 }

@@ -38,11 +38,11 @@ func (e *env) studyMem() ([]Section, error) {
 		if err != nil {
 			return nil, err
 		}
-		bell, err := formats.BELLFromCOO(m, 4, 4)
+		bell, err := formats.FromCOO("bell", m, formats.Params{Block: 4})
 		if err != nil {
 			return nil, err
 		}
-		sell, err := formats.SELLCSFromCOO(m, 8, 64)
+		sell, err := formats.FromCOO("sellcs", m, formats.Params{})
 		if err != nil {
 			return nil, err
 		}

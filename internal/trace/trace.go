@@ -63,7 +63,7 @@ const (
 	PhaseWarmup    = "warmup"     // untimed warm-up Calculate
 	PhaseCalculate = "calculate"  // one timed Calculate repetition
 	PhaseVerify    = "verify"     // COO-reference verification
-	PhaseKernel    = "kernel"     // one kernels.*Opts dispatch
+	PhaseKernel    = "kernel"     // one parallel kernels dispatch
 	PhaseChunk     = "chunk"      // one parallel worker's chunk
 	PhaseAttempt   = "attempt"    // one harness attempt (core.Run inside)
 	PhaseBackoff   = "backoff"    // harness retry backoff sleep

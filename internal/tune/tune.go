@@ -1,7 +1,7 @@
 // Package tune is the serving layer's online auto-tuner: a bandit-style
-// control loop that treats the kernel variant registry (kernels.Variants,
-// filtered to the servable Opts arms) as an arm space and live traffic as
-// the measurement budget.
+// control loop that treats the kernel lattice (kernels.Variants, filtered
+// to the servable points) as an arm space and live traffic as the
+// measurement budget.
 //
 // The paper's central finding is that no single sparse format wins across
 // matrices; the advisor turns that into a per-matrix heuristic, and this
@@ -165,7 +165,6 @@ func (a *arm) push(micros float64, cap int) {
 type state struct {
 	id          string
 	coo         *matrix.COO[float64]
-	block       int
 	feat        advisor.FeatureSummary
 	arms        []*arm
 	byName      map[string]*arm
@@ -280,12 +279,11 @@ func (t *Tuner) Track(id string, coo *matrix.COO[float64], block int, feat advis
 	st := &state{
 		id:          id,
 		coo:         coo,
-		block:       block,
 		feat:        feat,
 		byName:      map[string]*arm{},
 		planVersion: planVersion,
 	}
-	st.in.COO = coo
+	st.in.COO, st.in.Block = coo, block
 	for _, v := range kernels.ServableVariants() {
 		a := &arm{name: v.Name, v: v}
 		st.arms = append(st.arms, a)
@@ -359,12 +357,11 @@ func (t *Tuner) Rebase(id string, coo *matrix.COO[float64], block int, feat advi
 	st := &state{
 		id:          id,
 		coo:         coo,
-		block:       block,
 		feat:        feat,
 		byName:      map[string]*arm{},
 		planVersion: planVersion,
 	}
-	st.in.COO = coo
+	st.in.COO, st.in.Block = coo, block
 	for _, v := range kernels.ServableVariants() {
 		a := &arm{name: v.Name, v: v}
 		st.arms = append(st.arms, a)
@@ -511,11 +508,11 @@ func (t *Tuner) trial(s *sample) {
 	}
 
 	// Materialize the formats the pair needs (worker-only lab state).
-	if err := ensureFormat(&st.in, st.coo, st.block, inc.v.Format); err != nil {
+	if _, err := st.in.Prepare(inc.v); err != nil {
 		t.warn("incumbent format unavailable", "id", s.id, "variant", inc.name, "err", err)
 		return
 	}
-	if err := ensureFormat(&st.in, st.coo, st.block, ch.v.Format); err != nil {
+	if _, err := st.in.Prepare(ch.v); err != nil {
 		t.disqualify(st, ch, "format prepare failed: "+err.Error())
 		return
 	}

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the pre-commit gate for the suite: static checks plus the
-# race-sensitive packages (the threading substrate, the campaign harness,
-# the lock-free tracer, and the metric registry) under the race detector.
+# race-sensitive packages (the threading substrate, the kernels whose
+# correctness is chunk disjointness, the benchmark core, the campaign
+# harness, the lock-free tracer, and the metric registry) under the race
+# detector.
 #
 #   ./scripts/check.sh
 set -euo pipefail
@@ -18,8 +20,11 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go test -race (parallel, harness, trace, obs, serve, delta, tune, clock, cluster) =="
-# -short skips the subprocess e2e; the full chaos suite (torn WAL tails,
+echo "== go test -race (parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
+# The kernels package runs the differential sweep over every lattice point
+# and the ctx-everywhere table here (~16 s under -race), so a partition
+# that lets two workers touch one C row is a reported race, not a flaky
+# bit. -short skips the subprocess e2e; the full chaos suite (torn WAL tails,
 # corrupt snapshots, injected fsync/disk-full faults), the deterministic
 # auto-tuner suite (promotion hysteresis, duty bounds, wrong-variant
 # rejection), the mutation suite (1000-batch mutation stream against
@@ -30,7 +35,7 @@ echo "== go test -race (parallel, harness, trace, obs, serve, delta, tune, clock
 # propagation test — one rid across router attempt spans, replica phase
 # spans, and the slow-request log, under scripted failover) run here
 # under -race.
-go test -race -short ./internal/parallel/... ./internal/harness/... ./internal/trace/... ./internal/obs/... ./internal/serve/... ./internal/delta/... ./internal/tune/... ./internal/clock/... ./internal/cluster/...
+go test -race -short ./internal/parallel/... ./internal/kernels/... ./internal/core/... ./internal/harness/... ./internal/trace/... ./internal/obs/... ./internal/serve/... ./internal/delta/... ./internal/tune/... ./internal/clock/... ./internal/cluster/...
 
 echo "== flake gate (serve + delta + cluster, shuffled, 3x) =="
 # The time-sensitive suites run on injected clocks; repeated shuffled runs
