@@ -489,7 +489,7 @@ func runCampaign(ctx context.Context, logger *slog.Logger, kernels, matrices []s
 		}
 	}
 	fmt.Printf("\ncampaign: %d runs in %v\n", len(outs), time.Since(start).Round(time.Millisecond))
-	for _, cv := range h.Counters().Snapshot() {
+	for _, cv := range h.Counters() {
 		fmt.Printf("  %-10s %d\n", cv.Name, cv.Value)
 	}
 	if execErr != nil {

@@ -241,7 +241,7 @@ func main() {
 	}
 	if h != nil && !*quiet {
 		fmt.Fprintln(os.Stderr, "[harness counters]")
-		for _, cv := range h.Counters().Snapshot() {
+		for _, cv := range h.Counters() {
 			fmt.Fprintf(os.Stderr, "  %-10s %d\n", cv.Name, cv.Value)
 		}
 	}

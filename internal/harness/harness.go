@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -109,8 +110,11 @@ type Outcome struct {
 
 // Harness executes campaign plans with per-run containment and recovery.
 type Harness struct {
-	cfg      Config
-	counters *metrics.CounterSet
+	cfg Config
+	// Campaign tallies, in the order Counters reports them. Per harness:
+	// the process-wide view is the spmm_harness_* series in obs.go.
+	ok, retried, degraded, skipped, failed atomic.Int64
+
 	journal  *Journal
 	done     map[string]Record
 	rng      *rand.Rand
@@ -125,7 +129,6 @@ type Harness struct {
 func New(cfg Config) (*Harness, error) {
 	h := &Harness{
 		cfg:      cfg,
-		counters: metrics.NewCounterSet("ok", "retried", "degraded", "skipped", "failed"),
 		done:     map[string]Record{},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		matrices: map[string]*matrix.COO[float64]{},
@@ -170,9 +173,16 @@ func (h *Harness) Close() error {
 	return nil
 }
 
-// Counters exposes the campaign tallies (ok / retried / degraded /
-// skipped / failed).
-func (h *Harness) Counters() *metrics.CounterSet { return h.counters }
+// Counters reports the campaign tallies in rendering order.
+func (h *Harness) Counters() []metrics.CounterValue {
+	return []metrics.CounterValue{
+		{Name: "ok", Value: h.ok.Load()},
+		{Name: "retried", Value: h.retried.Load()},
+		{Name: "degraded", Value: h.degraded.Load()},
+		{Name: "skipped", Value: h.skipped.Load()},
+		{Name: "failed", Value: h.failed.Load()},
+	}
+}
 
 // logInfo and logWarn emit one structured progress record; both are no-ops
 // without a configured logger. ctx may carry campaign attributes installed
@@ -244,7 +254,7 @@ func (h *Harness) runLoaded(ctx context.Context, s Spec, m *matrix.COO[float64])
 		slog.String("kernel", s.Kernel), slog.String("matrix", s.Matrix))
 
 	if rec, ok := h.done[id]; ok {
-		h.counters.Add("skipped", 1)
+		h.skipped.Add(1)
 		countOutcome(StatusSkipped)
 		h.cfg.Trace.Instant(0, trace.PhaseSkip, id, 0)
 		h.logInfo(ctx, "skip: already journaled", "run", id, "status", rec.Status)
@@ -302,7 +312,7 @@ func (h *Harness) runLoaded(ctx context.Context, s Spec, m *matrix.COO[float64])
 			break
 		}
 		if attempts == 1 {
-			h.counters.Add("retried", 1)
+			h.retried.Add(1)
 		}
 		obsRetries.Inc()
 		h.cfg.Trace.Instant(0, trace.PhaseRetry, class.String(), int64(attempts))
@@ -417,11 +427,11 @@ func (h *Harness) record(out Outcome) {
 	// orthogonal tally kept by the retry loop.
 	switch out.Status {
 	case StatusFailed:
-		h.counters.Add("failed", 1)
+		h.failed.Add(1)
 	case StatusDegraded:
-		h.counters.Add("degraded", 1)
+		h.degraded.Add(1)
 	default:
-		h.counters.Add("ok", 1)
+		h.ok.Add(1)
 	}
 	countOutcome(out.Status)
 	if h.journal == nil {

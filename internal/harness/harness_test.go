@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/matrix"
+	"repro/internal/metrics"
 )
 
 func testDevice(t *testing.T) *gpusim.Device {
@@ -142,13 +144,12 @@ func TestCampaignRecoversFromEveryFaultClass(t *testing.T) {
 		t.Fatalf("slow run status %q err %v", slow.Status, slow.Err)
 	}
 
-	c := h.Counters()
-	for name, want := range map[string]int64{
-		"ok": 1, "retried": 1, "degraded": 1, "skipped": 0, "failed": 2,
-	} {
-		if got := c.Get(name); got != want {
-			t.Errorf("counter %s = %d, want %d", name, got, want)
-		}
+	want := []metrics.CounterValue{
+		{Name: "ok", Value: 1}, {Name: "retried", Value: 1}, {Name: "degraded", Value: 1},
+		{Name: "skipped", Value: 0}, {Name: "failed", Value: 2},
+	}
+	if got := h.Counters(); !slices.Equal(got, want) {
+		t.Errorf("counters = %v, want %v", got, want)
 	}
 
 	// The journal holds one terminal record per run.
@@ -215,7 +216,7 @@ func TestCampaignResume(t *testing.T) {
 	if outs[2].Status != StatusOK {
 		t.Fatalf("fresh run status %q (%v)", outs[2].Status, outs[2].Err)
 	}
-	if got := h2.Counters().Get("skipped"); got != 2 {
+	if got := h2.skipped.Load(); got != 2 {
 		t.Fatalf("skipped counter %d, want 2", got)
 	}
 }
@@ -269,7 +270,7 @@ func TestModelKernelsNeverRetry(t *testing.T) {
 	if out.Attempts != 1 {
 		t.Fatalf("model kernel was retried: %d attempts", out.Attempts)
 	}
-	if got := h.Counters().Get("retried"); got != 0 {
+	if got := h.retried.Load(); got != 0 {
 		t.Fatalf("retried counter %d, want 0", got)
 	}
 }

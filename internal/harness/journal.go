@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -183,41 +184,57 @@ func ReadJournal(path string) ([]Record, error) {
 // (partial or malformed) final record was skipped — resume paths log it as
 // a warning instead of failing the whole campaign.
 func ReadJournalTorn(path string) (recs []Record, torn bool, err error) {
+	torn, err = ReadLines(path, 16*1024*1024, func(text []byte) error {
+		var rec Record
+		if err := json.Unmarshal(text, &rec); err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("harness: journal %w", err)
+	}
+	return recs, torn, nil
+}
+
+// ReadLines is the shared reader for every JSONL log in the suite (campaign
+// journals here, the serve registry WAL): it calls fn with each non-blank
+// line of the file at path, in order. fn returning an error marks the line
+// bad. A bad FINAL line is the crash case per-record appends bound us to —
+// it is skipped and reported as torn; a bad line followed by another one
+// stops the read there and returns fn's error (with torn set), since
+// everything before it was already handed to fn. A missing file is an empty
+// log. maxLine bounds one line; text is only valid during the call.
+func ReadLines(path string, maxLine int, fn func(text []byte) error) (torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false, nil
+			return false, nil
 		}
-		return nil, false, fmt.Errorf("harness: read journal: %w", err)
+		return false, err
 	}
 	defer f.Close()
 
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	var pending error
+	for line := 1; sc.Scan(); line++ {
+		text := bytes.TrimSpace(sc.Bytes())
 		if len(text) == 0 {
 			continue
 		}
-		// A malformed line is only tolerable if it turns out to be the
-		// last one (torn by a crash mid-Append).
-		if pendingErr != nil {
-			return nil, false, pendingErr
+		if pending != nil {
+			return true, pending
 		}
-		var rec Record
-		if err := json.Unmarshal(text, &rec); err != nil {
-			pendingErr = fmt.Errorf("harness: journal %s line %d: %w", path, line, err)
-			continue
+		if err := fn(text); err != nil {
+			pending = fmt.Errorf("%s line %d: %w", path, line, err)
 		}
-		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("harness: read journal: %w", err)
+		return false, fmt.Errorf("%s: %w", path, err)
 	}
-	return recs, pendingErr != nil, nil
+	return pending != nil, nil
 }
 
 // CompletedIDs indexes journal records by run ID. Every recorded terminal

@@ -8,8 +8,8 @@ import (
 )
 
 // Campaign-progress metrics, exported to the process-wide registry alongside
-// the harness's own CounterSet (which still feeds the end-of-campaign summary
-// table). spmm_harness_runs_total counts every settled run — the live
+// the harness's own per-campaign tallies (which feed the end-of-campaign
+// summary table). spmm_harness_runs_total counts every settled run — the live
 // progress figure a `-serve` scrape watches climb during a campaign.
 var (
 	obsRuns = obs.NewCounter("spmm_harness_runs_total",

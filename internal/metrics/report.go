@@ -7,6 +7,13 @@ import (
 	"strings"
 )
 
+// CounterValue is one (name, value) pair of an ordered tally — what the
+// campaign harness reports its run outcomes as.
+type CounterValue struct {
+	Name  string
+	Value int64
+}
+
 // Table accumulates rows of string cells and renders them with aligned
 // columns — the studies print their figure data as such tables so every
 // series the paper plots is regenerable as text.

@@ -10,18 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// batcher coalesces concurrent multiply requests against one matrix into a
-// single wider-k kernel dispatch. SpMM throughput grows with k (the B-panel
-// width) because every loaded nonzero of A is reused across all k columns —
+// batcher is one matrix's open batch: the server coalesces concurrent
+// multiply requests against the matrix into a single wider-k kernel
+// dispatch. SpMM throughput grows with k (the B-panel width) because every
+// loaded nonzero of A is reused across all k columns —
 // so stacking the B panels of requests that arrive within a short window
 // and running one A×[B1|B2|...] multiplies the arithmetic intensity of the
 // dispatch at the cost of two panel copies. The window is the classic
 // latency/throughput trade: a solo request waits out the window before it
 // runs; a loaded server amortizes one kernel launch over the whole batch.
 type batcher struct {
-	s *Server
-	m *Matrix
-
 	mu       sync.Mutex
 	pending  []*batchRequest
 	pendingK int
@@ -56,18 +54,19 @@ type batchResult struct {
 	err   error
 }
 
-// multiply runs one request through the batcher. With batching disabled
+// multiply runs one request through m's batcher. With batching disabled
 // (window <= 0) or a panel already at the batch-width cap it dispatches
 // immediately; otherwise it joins the open batch (starting the window timer
 // if it is the first) and waits for the flush or the caller's deadline,
 // whichever comes first.
-func (t *batcher) multiply(ctx context.Context, sv Serving, b *matrix.Dense[float64], k int, tr *trace.Req) batchResult {
-	if t.s.cfg.BatchWindow <= 0 || k >= t.s.cfg.MaxBatchK {
+func (s *Server) multiply(ctx context.Context, m *Matrix, sv Serving, b *matrix.Dense[float64], k int, tr *trace.Req) batchResult {
+	if s.cfg.BatchWindow <= 0 || k >= s.cfg.MaxBatchK {
 		req := &batchRequest{sv: sv, b: b, k: k, done: make(chan batchResult, 1), req: tr, joined: tr.Now()}
-		t.run([]*batchRequest{req})
+		s.runBatch(m, []*batchRequest{req})
 		return <-req.done
 	}
 	req := &batchRequest{sv: sv, b: b, k: k, done: make(chan batchResult, 1), req: tr, joined: tr.Now()}
+	t := &m.batch
 	t.mu.Lock()
 	// A mutation landing between two joiners' Prepared calls must not let
 	// them share one dispatch: same-epoch requests are bitwise-exchangeable,
@@ -75,22 +74,22 @@ func (t *batcher) multiply(ctx context.Context, sv Serving, b *matrix.Dense[floa
 	// open a fresh one for this request.
 	if len(t.pending) > 0 && t.pending[0].sv.Epoch != sv.Epoch {
 		stale := t.takeLocked()
-		go t.run(stale)
+		go s.runBatch(m, stale)
 	}
 	t.pending = append(t.pending, req)
 	t.pendingK += k
 	if len(t.pending) == 1 {
 		// The window timer comes from the server's injectable clock, so
 		// tests script the coalescing window instead of sleeping on it.
-		t.timer = t.s.clk.AfterFunc(t.s.cfg.BatchWindow, t.flushPending)
+		t.timer = s.clk.AfterFunc(s.cfg.BatchWindow, func() { s.flushPending(m) })
 	}
 	var full []*batchRequest
-	if t.pendingK >= t.s.cfg.MaxBatchK {
+	if t.pendingK >= s.cfg.MaxBatchK {
 		full = t.takeLocked()
 	}
 	t.mu.Unlock()
 	if full != nil {
-		t.run(full)
+		s.runBatch(m, full)
 	}
 	select {
 	case res := <-req.done:
@@ -115,26 +114,25 @@ func (t *batcher) takeLocked() []*batchRequest {
 }
 
 // flushPending is the window-timer callback.
-func (t *batcher) flushPending() {
-	t.mu.Lock()
-	batch := t.takeLocked()
-	t.mu.Unlock()
+func (s *Server) flushPending(m *Matrix) {
+	m.batch.mu.Lock()
+	batch := m.batch.takeLocked()
+	m.batch.mu.Unlock()
 	if len(batch) > 0 {
-		t.run(batch)
+		s.runBatch(m, batch)
 	}
 }
 
-// run dispatches one batch as a single kernel call and distributes the
+// runBatch dispatches one batch as a single kernel call and distributes the
 // result columns back to the callers. A width-1 batch skips the panel
 // copies and dispatches on the caller's B directly.
-func (t *batcher) run(batch []*batchRequest) {
-	s := t.s
+func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 	totalK := 0
 	for _, req := range batch {
 		totalK += req.k
 	}
-	rows := t.m.COO.Rows
-	cols := t.m.COO.Cols
+	rows := m.COO.Rows
+	cols := m.COO.Cols
 	// The whole batch executes under the first member's Serving view; the
 	// epoch-split in multiply() guarantees every member captured the same
 	// epoch, so later joiners that captured a different (promoted) plan
@@ -176,10 +174,10 @@ func (t *batcher) run(batch []*batchRequest) {
 		applyStart := time.Now()
 		sv.Overlay.Apply(combC, combB, totalK)
 		applyNs := int64(time.Since(applyStart))
-		t.m.applyNs.Add(applyNs)
+		m.applyNs.Add(applyNs)
 		obsDeltaApplySeconds.Observe(float64(applyNs) / 1e9)
-		if s.reg.shouldCompact(t.m, s.costModel) {
-			s.requestCompact(t.m.ID)
+		if s.reg.shouldCompact(m, s.costModel) {
+			s.requestCompact(m)
 		}
 	}
 	s.tracer.EndDetail(0, trace.PhaseBatch, plan.Format, span, int64(len(batch)))

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -317,108 +316,6 @@ func TestExportOverlayRoundTrip(t *testing.T) {
 	}
 	if diff, _ := res.C.MaxAbsDiff(ref); diff != 0 {
 		t.Fatalf("post-compact import multiply differs by %g", diff)
-	}
-}
-
-// TestMutateDurableAcrossRestart is the mutation durability contract: a
-// mutate→compact→mutate history survives a restart exactly — epoch,
-// content hash, pending overlay, and served bits — and the epoch sequence
-// continues where it left off.
-func TestMutateDurableAcrossRestart(t *testing.T) {
-	const k = 4
-	dir := t.TempDir()
-	_, c1, teardown1 := durableServer(t, dir, nil)
-	reg, local := registerSmall(t, c1, 180, 140, 900, 17)
-	plan := buildDeltaPlan(t, local, 6, 14, 23)
-
-	for b := 0; b < 3; b++ {
-		if _, err := c1.Mutate(reg.ID, plan.batches[b]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cres, err := c1.Compact(reg.ID); err != nil || !cres.Compacted {
-		t.Fatalf("compact: %+v, %v", cres, err)
-	}
-	var last *MutateResponse
-	var err error
-	for b := 3; b < 5; b++ {
-		if last, err = c1.Mutate(reg.ID, plan.batches[b]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantHash := fmt.Sprintf("%s+e%d", ContentID(plan.states[3]), 5)
-	if last.Epoch != 5 || last.Hash != wantHash {
-		t.Fatalf("pre-restart state epoch %d hash %q, want 5/%q", last.Epoch, last.Hash, wantHash)
-	}
-	teardown1()
-
-	_, c2, _ := durableServer(t, dir, nil)
-	info := mutateInfo(t, c2, reg.ID)
-	if info.Epoch != 5 || info.Hash != wantHash || info.OverlayNNZ != last.OverlayNNZ {
-		t.Fatalf("recovered state %+v, want epoch 5 hash %q overlay %d",
-			info, wantHash, last.OverlayNNZ)
-	}
-	bm := matrix.NewDenseRand[float64](reg.Cols, k, 77)
-	res, err := c2.Multiply(reg.ID, reg.Rows, bm, k, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epoch != 5 || res.Hash != wantHash {
-		t.Fatalf("recovered multiply at epoch %d hash %q", res.Epoch, res.Hash)
-	}
-	if diff, _ := res.C.MaxAbsDiff(multiplyRef(t, plan.states[5], bm, k)); diff != 0 {
-		t.Fatalf("recovered multiply differs from pre-crash content by %g", diff)
-	}
-	// The epoch sequence continues: no replayed batch, no gap.
-	next, err := c2.Mutate(reg.ID, plan.batches[5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.Epoch != 6 {
-		t.Fatalf("post-restart mutation acked epoch %d, want 6", next.Epoch)
-	}
-}
-
-// TestMutateFsyncFailureNeverAcks extends the ack-after-durable contract
-// to mutations: an fsync failure on the mutate WAL append yields a 503,
-// the epoch does not advance, and a restart shows no trace of the failed
-// batch — while the retry lands cleanly.
-func TestMutateFsyncFailureNeverAcks(t *testing.T) {
-	dir := t.TempDir()
-	inject := harness.NewInjector(1)
-	_, c1, teardown1 := durableServer(t, dir, inject)
-	reg, local := registerSmall(t, c1, 96, 96, 500, 9)
-	plan := buildDeltaPlan(t, local, 1, 12, 19)
-
-	inject.Arm(harness.Fault{
-		Point: harness.PointWALSync, Kind: harness.FaultErr,
-		Err: errors.New("fsync: input/output error"),
-	})
-	_, err := c1.Mutate(reg.ID, plan.batches[0])
-	if se, ok := err.(*StatusError); !ok || se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("mutate with failing fsync: %v, want a 503", err)
-	}
-	if info := mutateInfo(t, c1, reg.ID); info.Epoch != 0 {
-		t.Fatalf("un-durable mutation advanced the epoch: %+v", info)
-	}
-	// Single-shot fault: the retry is the real ack.
-	resp, err := c1.Mutate(reg.ID, plan.batches[0])
-	if err != nil || resp.Epoch != 1 {
-		t.Fatalf("retry: %+v, %v, want epoch 1", resp, err)
-	}
-	teardown1()
-
-	_, c2, _ := durableServer(t, dir, nil)
-	if info := mutateInfo(t, c2, reg.ID); info.Epoch != 1 {
-		t.Fatalf("restart recovered epoch %d, want exactly the acked 1", info.Epoch)
-	}
-	bm := matrix.NewDenseRand[float64](reg.Cols, 4, 5)
-	res, err := c2.Multiply(reg.ID, reg.Rows, bm, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff, _ := res.C.MaxAbsDiff(multiplyRef(t, plan.states[1], bm, 4)); diff != 0 {
-		t.Fatalf("recovered content differs by %g", diff)
 	}
 }
 

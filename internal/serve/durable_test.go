@@ -582,8 +582,8 @@ func TestRecoveredMultiplyLazilyPrepares(t *testing.T) {
 	}
 }
 
-// TestWALRecordGeneratorRoundTrip pins matrixFromRecord: both sourcing
-// paths rebuild the exact registered matrix.
+// TestWALRecordGeneratorRoundTrip pins the registration round trip: a record
+// written for a state applies back to that state from its bytes alone.
 func TestWALRecordGeneratorRoundTrip(t *testing.T) {
 	r := NewRegistry(0, 1)
 	m := testMatrix(t, 40, 40, 0.05, 3)
@@ -591,24 +591,25 @@ func TestWALRecordGeneratorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := recordFor(entry)
+	rec := recordFor(entry, entry.st.Load())
 	if rec.Name != "" || len(rec.Vals) != entry.COO.NNZ() {
 		t.Fatalf("spec-less matrix must serialize triplets: %+v", rec)
 	}
-	got, err := matrixFromRecord(rec, nil)
+	rec.base = nil // what is left after a trip through the disk
+	got, err := (*state)(nil).apply(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != entry.ID || got.Plan() != entry.Plan() {
-		t.Fatalf("round trip changed the plan: %+v != %+v", got.Plan(), entry.Plan())
+	if got.plan != entry.Plan() || got.hash != entry.ID {
+		t.Fatalf("round trip changed the state: %+v != %+v", got, entry.st.Load())
 	}
-	if _, err := core.New(got.Plan().Format+"-omp", core.Options{}); err != nil {
-		t.Fatalf("recovered format %q is not servable: %v", got.Plan().Format, err)
+	if _, err := core.New(got.plan.Format+"-omp", core.Options{}); err != nil {
+		t.Fatalf("recovered format %q is not servable: %v", got.plan.Format, err)
 	}
 
 	// Hash-mismatch detection: corrupt one value.
 	rec.Vals[0] += 1
-	if _, err := matrixFromRecord(rec, nil); err == nil {
+	if _, err := (*state)(nil).apply(rec); err == nil {
 		t.Fatal("corrupted triplets recovered without a hash mismatch")
 	}
 }

@@ -71,8 +71,6 @@ var (
 		"Mutation batches applied and acked.")
 	obsDeltaOps = obs.NewCounter("spmm_delta_ops_total",
 		"Canonicalized mutation ops applied across all batches.")
-	obsDeltaOverlayNNZ = obs.NewGauge("spmm_delta_overlay_nnz",
-		"Pending delta-overlay entries across all matrices, awaiting compaction.")
 	obsDeltaApplySeconds = obs.NewHistogram("spmm_delta_overlay_apply_seconds",
 		"Per-dispatch overlay application latency on mutated matrices.")
 	obsDeltaCompactions = obs.NewCounter("spmm_delta_compactions_total",

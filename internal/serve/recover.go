@@ -72,8 +72,10 @@ type StoreOpts struct {
 // OpenStore opens (creating if needed) the data directory and recovers its
 // contents: the snapshot if it verifies, else a warning and full WAL
 // replay; then the WAL tail, tolerating a torn final record. The returned
-// records are deduplicated by content hash in first-seen order — ready to
-// rebuild a registry.
+// records are the log in order — snapshot first — for the caller to apply
+// one by one; apply is idempotent, so records the snapshot already covers
+// (seq <= LastSeq, duplicate registrations, mutations at or below a
+// registration's epoch) change nothing.
 func OpenStore(dir string, opts StoreOpts) (*Store, []walRecord, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -107,56 +109,21 @@ func OpenStore(dir string, opts StoreOpts) (*Store, []walRecord, error) {
 		st.warn("WAL ended in a torn record (crash mid-append); skipped it")
 	}
 
-	// Merge: snapshot first, then the WAL. Content-addressed IDs make
-	// replay idempotent, so registration records the snapshot already
-	// covers (seq <= LastSeq, or duplicate registrations) dedup naturally —
-	// keeping, when the same handle appears twice, the record with the
-	// highest mutation epoch (a snapshot dump or cluster import of a
-	// mutated matrix supersedes the original registration), replacing in
-	// place so ordering is preserved. Profile records share the matrix ID
-	// but are state, not identity: the NEWEST one per matrix wins (later
-	// promotions supersede earlier profiles). Mutate and compact records
-	// are an ordered journal, never deduplicated — replay applies them in
-	// sequence and skips the ones the base record already covers by epoch.
+	var recs []walRecord
 	var nextSeq uint64
-	regAt := map[string]int{}
-	profAt := map[string]int{}
-	var merged []walRecord
-	add := func(rec walRecord) {
-		if rec.Seq > nextSeq {
-			nextSeq = rec.Seq
-		}
-		switch rec.Kind {
-		case walKindProfile:
-			if i, ok := profAt[rec.ID]; ok {
-				merged[i] = rec
-				return
-			}
-			profAt[rec.ID] = len(merged)
-		case walKindMutate, walKindCompact:
-			merged = append(merged, rec)
-			return
-		default:
-			if i, ok := regAt[rec.ID]; ok {
-				if rec.Epoch >= merged[i].Epoch {
-					merged[i] = rec
-				}
-				return
-			}
-			regAt[rec.ID] = len(merged)
-		}
-		merged = append(merged, rec)
-	}
 	if snap != nil {
-		if snap.LastSeq > nextSeq {
-			nextSeq = snap.LastSeq
-		}
-		for _, rec := range snap.Records {
-			add(rec)
-		}
+		nextSeq = snap.LastSeq
+		recs = snap.Records
 	}
-	for _, rec := range walRecs {
-		add(rec)
+	recs = append(recs, walRecs...)
+	registered := map[string]bool{}
+	for i := range recs {
+		if recs[i].Seq > nextSeq {
+			nextSeq = recs[i].Seq
+		}
+		if recs[i].Kind == "" {
+			registered[recs[i].ID] = true
+		}
 	}
 
 	st.wal, err = openWAL(walPath, !opts.NoFsync, opts.Injector)
@@ -164,7 +131,7 @@ func OpenStore(dir string, opts StoreOpts) (*Store, []walRecord, error) {
 		return nil, nil, err
 	}
 	st.seq = nextSeq
-	st.recovered = len(regAt) // registrations, not profiles or mutations
+	st.recovered = len(registered) // matrices, not profiles or mutations
 	st.recoverySeconds = time.Since(start).Seconds()
 	obsRecoverySeconds.Set(st.recoverySeconds)
 	obsRecoveredMatrices.Set(float64(st.recovered))
@@ -173,7 +140,7 @@ func OpenStore(dir string, opts StoreOpts) (*Store, []walRecord, error) {
 			"from_snapshot", snap != nil, "wal_tail", len(walRecs),
 			"seconds", st.recoverySeconds)
 	}
-	return st, merged, nil
+	return st, recs, nil
 }
 
 // Append durably logs one registration. When it returns a nil error the
@@ -264,36 +231,12 @@ func (st *Store) compact() error {
 	}
 	st.mu.Unlock()
 
-	recs := st.dump()
-	// Replay order matters for the journal kinds, and the inflight map
-	// iterates randomly — restore append order first.
+	// The in-flight records follow the dump in append order (the inflight
+	// map iterates randomly). Whether the dump already reflects one depends
+	// on when it ran; replay applies both and skips what is covered, by
+	// epoch or plan version.
 	sort.Slice(carry, func(i, j int) bool { return carry[i].Seq < carry[j].Seq })
-	// Dedup carry against the dump by (kind, id): a profile record shares
-	// its matrix's ID, and one must never shadow the other. Mutate and
-	// compact records are an ordered journal and always carry — replay
-	// dedups them by epoch against the dump's registration record, which
-	// may or may not already reflect them depending on when the dump ran.
-	key := func(rec *walRecord) string { return rec.Kind + "\x00" + rec.ID }
-	seen := make(map[string]bool, len(recs))
-	for i := range recs {
-		seen[key(&recs[i])] = true
-	}
-	for i := range carry {
-		switch {
-		case carry[i].Kind == walKindMutate || carry[i].Kind == walKindCompact:
-			recs = append(recs, carry[i])
-		case carry[i].Kind == "" && carry[i].Epoch > 0:
-			// A mutated-state registration (cluster import): the dump may
-			// hold an older copy of the handle; replay keeps whichever
-			// epoch is newest, so append unconditionally.
-			recs = append(recs, carry[i])
-		default:
-			if !seen[key(&carry[i])] {
-				seen[key(&carry[i])] = true
-				recs = append(recs, carry[i])
-			}
-		}
-	}
+	recs := append(st.dump(), carry...)
 	snap := &snapshot{Version: 1, LastSeq: upTo, Records: recs}
 	start := time.Now()
 	if err := writeSnapshot(st.dir, snap, st.inject); err != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/kernels"
 	"repro/internal/matrix"
 )
 
@@ -32,19 +31,19 @@ type Registry struct {
 	threads  int   // partition-warm target for prepared formats
 	opts     core.Options
 
-	// persist, when set, durably logs a registration BEFORE the matrix
-	// becomes visible; a persist failure fails the registration, so a
-	// successful Register is always recoverable. It returns a commit
-	// callback the registry must invoke once the matrix is visible (or a
-	// concurrent registration made it visible) — until then the durability
-	// layer carries the record through compactions itself. The server
-	// points it at Store.Append.
-	persist func(*Matrix) (func(), error)
-	// persistMut and persistCompact mirror persist for the mutation write
-	// path: a mutation batch (resp. a compaction boundary) is journaled
-	// before the new epoch becomes visible.
-	persistMut     func(m *Matrix, epoch int64, ops []delta.Op) (func(), error)
-	persistCompact func(m *Matrix, boundary int64, baseHash string) (func(), error)
+	// journal, when set, durably logs a record BEFORE the state it leads to
+	// becomes visible; a journal failure fails the transition, so nothing is
+	// ever acked that a restart would forget. It returns a commit callback
+	// transact invokes once the new state is published — until then the
+	// durability layer carries the record through snapshots itself. The
+	// server points it at Store.Append after recovery, which is what makes
+	// replay the same code with journaling off.
+	journal func(*walRecord) (commit func(), err error)
+
+	// newMu serializes first registrations: a handle with no matrix yet has
+	// no writer lock of its own, so two racing uploads of one matrix meet
+	// here and journal it once.
+	newMu sync.Mutex
 
 	mu       sync.Mutex
 	matrices map[string]*Matrix
@@ -59,17 +58,18 @@ type Registry struct {
 	evictions atomic.Int64
 }
 
-// Matrix is one registered matrix with its serving plan. The plan starts
-// as the advisor's pick and is mutable: the online tuner (internal/tune)
-// promotes a measured-faster variant by installing a new plan version.
-// Multiplies read the plan through an atomic pointer, so a promotion never
+// Matrix is one registered matrix: immutable identity plus the one state
+// pointer everything mutable lives behind. The plan starts as the advisor's
+// pick; the online tuner (internal/tune) promotes a measured-faster variant,
+// mutations extend the overlay, compactions re-base — each by publishing a
+// new state. Multiplies read it with one atomic load, so no transition ever
 // blocks the data path.
 type Matrix struct {
 	ID string
 	// COO is the canonical matrix as registered. It is immutable: the
 	// mutation subsystem never touches it, so lock-free readers of the
 	// dimensions stay safe. After a compaction the CURRENT base lives in
-	// the mutation state — read it through CurrentBase, not this field.
+	// the state — read it through CurrentBase, not this field.
 	COO *matrix.COO[float64]
 	// Report is the full advisor report behind the initial selection.
 	Report advisor.Report
@@ -78,14 +78,17 @@ type Matrix struct {
 	// recovery; without one the WAL stores the canonical triplets.
 	Source RegisterSource
 
-	plan atomic.Pointer[Plan]
+	// st is the current state, never nil; only transact stores it.
+	st atomic.Pointer[state]
+	// mu is the writer lock: transact holds it from reading the current
+	// state to publishing the next. The read path never takes it.
+	mu sync.Mutex
 
-	// mut is the matrix's mutation state; nil until the first mutation,
-	// so clean matrices pay one nil atomic load on the multiply path.
-	mut atomic.Pointer[mutState]
-	// mutMu serializes the mutation write path (Mutate, Compact) per
-	// matrix; the read path never takes it.
-	mutMu sync.Mutex
+	// batch is the matrix's open multiply batch.
+	batch batcher
+	// compactQueued is set while the matrix waits in the server's
+	// compaction queue, so repeated triggers enqueue it once.
+	compactQueued atomic.Bool
 
 	// applyNs accumulates measured overlay-apply time since the last
 	// compaction; prepNs is the last measured base preparation. Together
@@ -94,99 +97,18 @@ type Matrix struct {
 	prepNs  atomic.Int64
 }
 
-// mutState is one immutable mutation-epoch snapshot: the current base
-// (merged at compactions), the pending overlay (nil when clean), and the
-// derived versioning metadata. Multiplies capture the whole state in one
-// atomic load, so a concurrent mutation or compaction can never tear the
-// (base, overlay, epoch) triple a request executes under.
-type mutState struct {
-	// epoch counts acked mutation batches over the matrix's lifetime; it
-	// is NOT bumped by compactions, which only move entries from overlay
-	// to base without changing a result bit.
-	epoch int64
-	// compactedThrough is the epoch boundary of the last compaction:
-	// mutations at or below it are merged into base. Recovery uses it to
-	// skip stale compact records.
-	compactedThrough int64
-	// baseHash is ContentID(base); equals the registry ID until the first
-	// compaction replaces the base with a merged matrix.
-	baseHash string
-	// hash is the served content hash: baseHash while clean, else
-	// baseHash+"+e<epoch>" — every mutation epoch re-versions it and a
-	// compaction restores the canonical post-merge hash.
-	hash    string
-	base    *matrix.COO[float64]
-	overlay *delta.Overlay
-}
-
-// mutView returns the matrix's mutation state, synthesizing the implicit
-// clean state for a never-mutated matrix. Cold paths only — it allocates.
-func (m *Matrix) mutView() *mutState {
-	if ms := m.mut.Load(); ms != nil {
-		return ms
-	}
-	return &mutState{baseHash: m.ID, hash: m.ID, base: m.COO}
-}
-
 // CurrentBase returns the matrix's current canonical base — the registered
 // triplets until a compaction installs a merged matrix.
-func (m *Matrix) CurrentBase() *matrix.COO[float64] {
-	if ms := m.mut.Load(); ms != nil {
-		return ms.base
-	}
-	return m.COO
-}
+func (m *Matrix) CurrentBase() *matrix.COO[float64] { return m.st.Load().base }
 
 // Epoch returns the matrix's mutation epoch (0 = never mutated).
-func (m *Matrix) Epoch() int64 {
-	if ms := m.mut.Load(); ms != nil {
-		return ms.epoch
-	}
-	return 0
-}
+func (m *Matrix) Epoch() int64 { return m.st.Load().epoch }
 
 // ContentHash returns the served content hash for the current epoch.
-func (m *Matrix) ContentHash() string {
-	if ms := m.mut.Load(); ms != nil {
-		return ms.hash
-	}
-	return m.ID
-}
-
-// mutHash derives the served content hash: the canonical base hash while
-// the overlay is empty, re-versioned by epoch while mutations are pending.
-func mutHash(baseHash string, epoch int64, ov *delta.Overlay) string {
-	if ov.NNZ() == 0 {
-		return baseHash
-	}
-	return fmt.Sprintf("%s+e%d", baseHash, epoch)
-}
-
-// Plan is one immutable serving-plan version: which kernel variant every
-// multiply against the matrix dispatches on. Promotions install a new Plan
-// with a bumped Version; the prepared-format cache keys on the version so
-// a stale format is never served after a promotion.
-type Plan struct {
-	// Format is the sparse format multiplies dispatch on.
-	Format string
-	// Schedule is the work-partition choice.
-	Schedule kernels.Schedule
-	// Block is the BCSR block edge used when Format is "bcsr".
-	Block int
-	// Pooled selects dispatch on the persistent worker pool (the serving
-	// default) versus fresh goroutines per call.
-	Pooled bool
-	// Variant is the kernels registry name of the executing arm — the
-	// identity the tuner races and the X-Spmm-Variant header reports.
-	Variant string
-	// Version increments on every promotion; 1 is the advisor's plan.
-	Version int64
-}
+func (m *Matrix) ContentHash() string { return m.st.Load().hash }
 
 // Plan returns the matrix's current serving plan.
-func (m *Matrix) Plan() Plan { return *m.plan.Load() }
-
-func (m *Matrix) setPlan(p Plan) { m.plan.Store(&p) }
+func (m *Matrix) Plan() Plan { return m.st.Load().plan }
 
 // RegisterSource is the provenance of a registered matrix.
 type RegisterSource struct {
@@ -270,77 +192,26 @@ func (r *Registry) Register(m *matrix.COO[float64]) (*Matrix, bool, error) {
 }
 
 // RegisterSourced is Register with upload provenance: a generator spec lets
-// the durability layer journal the spec instead of the triplets. When a
-// persist hook is installed, the registration is durably logged before the
-// matrix becomes visible — a persist failure fails the whole registration,
-// so nothing is ever acked that a restart would forget.
+// the durability layer journal the spec instead of the triplets.
 func (r *Registry) RegisterSourced(m *matrix.COO[float64], src RegisterSource) (*Matrix, bool, error) {
 	if err := m.Validate(); err != nil {
 		return nil, false, fmt.Errorf("serve: register: %w", err)
 	}
 	Canonicalize(m)
 	id := ContentID(m)
-
-	r.mu.Lock()
-	if got, ok := r.matrices[id]; ok {
-		r.mu.Unlock()
+	if got, ok := r.Get(id); ok {
 		return got, true, nil
 	}
-	r.mu.Unlock()
-
-	// Feature extraction and scoring run outside the lock: they cost a
-	// pass over the nonzeros and must not stall concurrent multiplies.
-	f, err := advisor.Extract(m)
+	report, plan, err := advise(id, m)
 	if err != nil {
 		return nil, false, err
-	}
-	report := advisor.NewReport(id, f, []advisor.Environment{advisor.ParallelCPU})
-	best := report.Best(advisor.ParallelCPU)
-	sched := kernels.ScheduleStatic
-	if report.Schedule.Format == "balanced" {
-		sched = kernels.ScheduleBalanced
 	}
 	if src.Name != "" && src.Scale == 0 {
 		src.Scale = 1
 	}
-	entry := &Matrix{
-		ID:     id,
-		COO:    m,
-		Report: report,
-		Source: src,
-	}
-	entry.setPlan(Plan{
-		Format:   best.Format,
-		Schedule: sched,
-		Block:    4,
-		Pooled:   true,
-		Variant:  kernels.ServingVariant(best.Format, sched, true),
-		Version:  1,
-	})
-
-	// Durability before visibility. Two racing registrations of the same
-	// matrix may both journal it; replay dedups by content hash, so the
-	// duplicate record is harmless. The commit callback runs only after
-	// the insert below is visible (deferred behind the unlock): until
-	// then a concurrent compaction cannot see the matrix in the registry
-	// dump, and commit is what tells the store to stop carrying the
-	// journaled record itself.
-	if r.persist != nil {
-		commit, err := r.persist(entry)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrNotDurable, err)
-		}
-		defer commit()
-	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if got, ok := r.matrices[id]; ok { // lost a concurrent register race
-		return got, true, nil
-	}
-	r.matrices[id] = entry
-	r.order = append(r.order, id)
-	return entry, false, nil
+	rec := registration(id, src, report, plan, m, id)
+	entry, _, fresh, err := r.transact(id, func(*state) (*walRecord, error) { return rec, nil })
+	return entry, !fresh, err
 }
 
 // ImportMutated installs a matrix under an existing serving handle — the
@@ -353,8 +224,8 @@ func (r *Registry) RegisterSourced(m *matrix.COO[float64], src RegisterSource) (
 // itself); the import is rejected when the shipped triplets do not
 // reproduce it bitwise. An existing matrix at the same or a newer epoch is
 // returned as-is (idempotent re-import); an older one — a holder that
-// missed mutations — is replaced wholesale, its stale prepared entry
-// dropped.
+// missed mutations — has its state replaced wholesale, its stale prepared
+// entry dropped.
 func (r *Registry) ImportMutated(handle string, base *matrix.COO[float64], src RegisterSource, wantHash string, epoch, compactedThrough int64, ops []delta.Op) (*Matrix, bool, error) {
 	if err := base.Validate(); err != nil {
 		return nil, false, fmt.Errorf("serve: import %s: %w", handle, err)
@@ -368,316 +239,92 @@ func (r *Registry) ImportMutated(handle string, base *matrix.COO[float64], src R
 		return nil, false, fmt.Errorf("serve: import %s: shipped base hashes to %s, want %s",
 			handle, baseHash, wantHash)
 	}
-
-	r.mu.Lock()
-	existing := r.matrices[handle]
-	r.mu.Unlock()
-	if existing != nil && existing.Epoch() >= epoch {
-		return existing, true, nil
-	}
-
-	f, err := advisor.Extract(base)
+	report, plan, err := advise(handle, base)
 	if err != nil {
 		return nil, false, err
-	}
-	report := advisor.NewReport(handle, f, []advisor.Environment{advisor.ParallelCPU})
-	best := report.Best(advisor.ParallelCPU)
-	sched := kernels.ScheduleStatic
-	if report.Schedule.Format == "balanced" {
-		sched = kernels.ScheduleBalanced
 	}
 	if src.Name != "" && src.Scale == 0 {
 		src.Scale = 1
 	}
-	entry := &Matrix{ID: handle, COO: base, Report: report, Source: src}
-	version := int64(1)
-	if existing != nil {
-		// Outrun any plan version the stale copy reached, so a cached
-		// entry prepared for the old object can never be mistaken for one
-		// matching the imported state.
-		version = existing.Plan().Version + 1
-	}
-	entry.setPlan(Plan{
-		Format:   best.Format,
-		Schedule: sched,
-		Block:    4,
-		Pooled:   true,
-		Variant:  kernels.ServingVariant(best.Format, sched, true),
-		Version:  version,
-	})
-	ov, err := (*delta.Overlay)(nil).Extend(base, ops)
-	if err != nil {
-		return nil, false, fmt.Errorf("serve: import %s: %w", handle, err)
-	}
-	if ov.NNZ() == 0 {
-		ov = nil
-	}
-	if epoch > 0 || baseHash != handle {
-		entry.mut.Store(&mutState{
-			epoch:            epoch,
-			compactedThrough: compactedThrough,
-			baseHash:         baseHash,
-			hash:             mutHash(baseHash, epoch, ov),
-			base:             base,
-			overlay:          ov,
-		})
-	}
+	rec := registration(handle, src, report, plan, base, baseHash)
+	rec.Epoch, rec.CompactEpoch = epoch, compactedThrough
+	rec.MutRowIdx, rec.MutColIdx, rec.MutVals, rec.MutDel = opArrays(ops)
+	entry, _, fresh, err := r.transact(handle, func(*state) (*walRecord, error) { return rec, nil })
+	return entry, !fresh, err
+}
 
-	if r.persist != nil {
-		commit, err := r.persist(entry)
+// transact is the one writer of per-matrix state. Under the matrix's writer
+// lock it asks build for the record that follows from the current state
+// (nil: nothing to do), applies it, journals it — durability before
+// visibility: a record that cannot be made durable fails the transition and
+// nothing changes — and publishes the next state together with its effect
+// on the prepared-format cache. It returns the matrix, the state now
+// current, and whether this call changed it. Recovery calls it with the
+// journal unset and a build that hands back the record it read.
+func (r *Registry) transact(id string, build func(cur *state) (*walRecord, error)) (*Matrix, *state, bool, error) {
+	m, _ := r.Get(id)
+	if m == nil {
+		r.newMu.Lock()
+		defer r.newMu.Unlock()
+		m, _ = r.Get(id)
+	}
+	var cur *state
+	if m != nil {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		cur = m.st.Load()
+	}
+	rec, err := build(cur)
+	if rec == nil || err != nil {
+		return m, cur, false, err
+	}
+	next, err := cur.apply(rec)
+	if next == cur || err != nil {
+		return m, cur, false, err
+	}
+	if r.journal != nil {
+		// The commit callback runs after the publish below (deferred ahead
+		// of the unlocks): until then a concurrent snapshot cannot see the
+		// new state in the registry dump, and commit is what tells the store
+		// to stop carrying the journaled record itself.
+		commit, err := r.journal(rec)
 		if err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrNotDurable, err)
+			return m, cur, false, fmt.Errorf("%w: %v", ErrNotDurable, err)
 		}
 		defer commit()
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if got, ok := r.matrices[handle]; ok {
-		if got.Epoch() >= epoch { // lost a concurrent import race
-			return got, true, nil
+	if m == nil {
+		m = &Matrix{
+			ID: id, COO: next.base, Report: rec.Report,
+			Source: RegisterSource{Name: rec.Name, Scale: rec.Scale},
 		}
-		// Replacing a stale copy: its prepared entry must go with it.
-		if el, ok := r.entries[handle]; ok {
-			r.removeLocked(el, el.Value.(*cacheEntry))
-		}
-	} else {
-		r.order = append(r.order, handle)
+		r.matrices[id] = m
+		r.order = append(r.order, id)
 	}
-	r.matrices[handle] = entry
-	return entry, false, nil
-}
-
-// restore inserts a recovered matrix directly, trusting the journaled
-// serving plan instead of re-running the advisor — registration work is
-// the state the WAL exists to preserve. Duplicates are ignored.
-func (r *Registry) restore(entry *Matrix) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.matrices[entry.ID]; ok {
-		return
-	}
-	r.matrices[entry.ID] = entry
-	r.order = append(r.order, entry.ID)
-}
-
-// recordFor serializes a matrix into its WAL/snapshot record, carrying the
-// CURRENT serving plan — so a snapshot taken after a promotion recovers
-// straight into the promoted plan.
-func recordFor(m *Matrix) *walRecord {
-	plan := m.Plan()
-	ms := m.mutView()
-	rec := &walRecord{
-		ID:          m.ID,
-		Rows:        m.COO.Rows,
-		Cols:        m.COO.Cols,
-		Format:      plan.Format,
-		Schedule:    plan.Schedule.String(),
-		Block:       plan.Block,
-		Variant:     plan.Variant,
-		PlanVersion: plan.Version,
-		Report:      m.Report,
-	}
-	// A generator spec only regenerates the ORIGINAL base; once a
-	// compaction has merged mutations into it, the record must carry the
-	// current triplets (and their hash, since they no longer hash to the
-	// registry ID).
-	if m.Source.Name != "" && ms.baseHash == m.ID {
-		rec.Name, rec.Scale = m.Source.Name, m.Source.Scale
-	} else {
-		rec.RowIdx, rec.ColIdx, rec.Vals = ms.base.RowIdx, ms.base.ColIdx, ms.base.Vals
-	}
-	if ms.baseHash != m.ID {
-		rec.BaseHash = ms.baseHash
-	}
-	if ms.epoch > 0 {
-		rec.Epoch = ms.epoch
-		rec.CompactEpoch = ms.compactedThrough
-		if ms.overlay.NNZ() > 0 {
-			rec.MutRowIdx = ms.overlay.RowIdx
-			rec.MutColIdx = ms.overlay.ColIdx
-			rec.MutVals = ms.overlay.Vals
-			rec.MutDel = ms.overlay.Del
+	m.st.Store(next)
+	// Under the same lock Prepared reads the state with, so a lookup sees
+	// either the old state with its format or the new one without: drop the
+	// format a version bump superseded — it can never be served again, and
+	// letting it age out under LRU pressure would only squeeze live entries
+	// out of the budget — and install the one the writer prepared ahead.
+	if el, ok := r.entries[id]; ok {
+		if e := el.Value.(*cacheEntry); e.plan.Version != next.plan.Version {
+			r.removeLocked(el, e)
 		}
 	}
-	return rec
-}
-
-// matrixFromRecord rebuilds a registered matrix from its durable record:
-// regenerate from the spec (and re-verify the content hash — the generator
-// must reproduce the exact matrix that was acked) or adopt the stored
-// canonical triplets.
-func matrixFromRecord(rec *walRecord, regen func(name string, scale float64) (*matrix.COO[float64], error)) (*Matrix, error) {
-	var coo *matrix.COO[float64]
-	if rec.Name != "" {
-		m, err := regen(rec.Name, rec.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recover %s: regenerate %q: %w", rec.ID, rec.Name, err)
-		}
-		Canonicalize(m)
-		coo = m
-	} else {
-		coo = &matrix.COO[float64]{
-			Rows: rec.Rows, Cols: rec.Cols,
-			RowIdx: rec.RowIdx, ColIdx: rec.ColIdx, Vals: rec.Vals,
-		}
-		if err := coo.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: recover %s: %w", rec.ID, err)
-		}
+	if rec.warm != nil {
+		ready := make(chan struct{})
+		close(ready)
+		e := &cacheEntry{id: id, plan: next.plan, kernel: rec.warm, bytes: int64(rec.warm.Bytes()), ready: ready}
+		r.entries[id] = r.lru.PushFront(e)
+		r.used += e.bytes
+		r.evictLocked(e)
+		obsCacheBytes.Set(float64(r.used))
 	}
-	// A compacted matrix's base no longer hashes to its registry ID — the
-	// record carries the merged base's own hash to verify against instead.
-	wantHash := rec.ID
-	if rec.BaseHash != "" {
-		wantHash = rec.BaseHash
-	}
-	if got := ContentID(coo); got != wantHash {
-		return nil, fmt.Errorf("serve: recover %s: rebuilt matrix hashes to %s, want %s", rec.ID, got, wantHash)
-	}
-	sched := kernels.ScheduleStatic
-	if rec.Schedule == kernels.ScheduleBalanced.String() {
-		sched = kernels.ScheduleBalanced
-	}
-	m := &Matrix{
-		ID:     rec.ID,
-		COO:    coo,
-		Report: rec.Report,
-		Source: RegisterSource{Name: rec.Name, Scale: rec.Scale},
-	}
-	plan := Plan{
-		Format:   rec.Format,
-		Schedule: sched,
-		Block:    rec.Block,
-		Pooled:   true,
-		Variant:  rec.Variant,
-		Version:  rec.PlanVersion,
-	}
-	if plan.Variant == "" {
-		// Pre-tuner record: synthesize the arm name its plan executes.
-		plan.Variant = kernels.ServingVariant(plan.Format, sched, true)
-	} else if _, _, pooled, ok := kernels.PlanForVariant(plan.Variant); ok {
-		plan.Pooled = pooled
-	}
-	if plan.Version < 1 {
-		plan.Version = 1
-	}
-	m.setPlan(plan)
-	if rec.Epoch > 0 || rec.BaseHash != "" {
-		ov, err := overlayFromRecord(coo, rec)
-		if err != nil {
-			return nil, fmt.Errorf("serve: recover %s: %w", rec.ID, err)
-		}
-		m.mut.Store(&mutState{
-			epoch:            rec.Epoch,
-			compactedThrough: rec.CompactEpoch,
-			baseHash:         wantHash,
-			hash:             mutHash(wantHash, rec.Epoch, ov),
-			base:             coo,
-			overlay:          ov,
-		})
-	}
-	return m, nil
-}
-
-// overlayFromRecord rebuilds a pending overlay from a record's mutation
-// arrays (nil when the record carries none).
-func overlayFromRecord(base *matrix.COO[float64], rec *walRecord) (*delta.Overlay, error) {
-	if len(rec.MutRowIdx) == 0 {
-		return nil, nil
-	}
-	if len(rec.MutColIdx) != len(rec.MutRowIdx) || len(rec.MutVals) != len(rec.MutRowIdx) ||
-		len(rec.MutDel) != len(rec.MutRowIdx) {
-		return nil, fmt.Errorf("ragged overlay arrays (%d/%d/%d/%d)",
-			len(rec.MutRowIdx), len(rec.MutColIdx), len(rec.MutVals), len(rec.MutDel))
-	}
-	ops := make([]delta.Op, len(rec.MutRowIdx))
-	for i := range ops {
-		ops[i] = delta.Op{Row: rec.MutRowIdx[i], Col: rec.MutColIdx[i], Val: rec.MutVals[i], Del: rec.MutDel[i]}
-	}
-	return (*delta.Overlay)(nil).Extend(base, ops)
-}
-
-// applyRecoveredMutation replays one journaled mutation batch. Replay is
-// idempotent by epoch: a record at or below the matrix's recovered epoch
-// is already reflected (the snapshot folded it in) and is skipped.
-func (r *Registry) applyRecoveredMutation(rec *walRecord) error {
-	r.mu.Lock()
-	m, ok := r.matrices[rec.ID]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("serve: recovered mutation for unknown matrix %q", rec.ID)
-	}
-	m.mutMu.Lock()
-	defer m.mutMu.Unlock()
-	cur := m.mutView()
-	if rec.Epoch <= cur.epoch {
-		return nil
-	}
-	if rec.Epoch != cur.epoch+1 {
-		return fmt.Errorf("serve: recover %s: mutation epoch %d after epoch %d (gap)",
-			rec.ID, rec.Epoch, cur.epoch)
-	}
-	ops := make([]delta.Op, len(rec.MutRowIdx))
-	for i := range ops {
-		ops[i] = delta.Op{Row: rec.MutRowIdx[i], Col: rec.MutColIdx[i], Val: rec.MutVals[i], Del: rec.MutDel[i]}
-	}
-	next, err := cur.overlay.Extend(cur.base, ops)
-	if err != nil {
-		return fmt.Errorf("serve: recover %s: mutation epoch %d: %w", rec.ID, rec.Epoch, err)
-	}
-	m.mut.Store(&mutState{
-		epoch:            rec.Epoch,
-		compactedThrough: cur.compactedThrough,
-		baseHash:         cur.baseHash,
-		hash:             mutHash(cur.baseHash, rec.Epoch, next),
-		base:             cur.base,
-		overlay:          next,
-	})
-	return nil
-}
-
-// applyRecoveredCompaction replays one journaled compaction boundary: the
-// merge is deterministic, so the record only needs the boundary epoch and
-// the expected post-merge hash. A boundary at or below the recovered
-// compactedThrough is already folded in and is skipped.
-func (r *Registry) applyRecoveredCompaction(rec *walRecord) error {
-	r.mu.Lock()
-	m, ok := r.matrices[rec.ID]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("serve: recovered compaction for unknown matrix %q", rec.ID)
-	}
-	m.mutMu.Lock()
-	defer m.mutMu.Unlock()
-	cur := m.mutView()
-	if rec.Epoch <= cur.compactedThrough {
-		return nil
-	}
-	if rec.Epoch != cur.epoch {
-		// Compactions journal under the mutation lock, so in WAL order the
-		// boundary always equals the epoch of the mutations replayed so far.
-		return fmt.Errorf("serve: recover %s: compaction at epoch %d but matrix is at epoch %d",
-			rec.ID, rec.Epoch, cur.epoch)
-	}
-	merged := cur.overlay.Merge()
-	if merged == nil {
-		merged = cur.base
-	}
-	if got := ContentID(merged); rec.BaseHash != "" && got != rec.BaseHash {
-		return fmt.Errorf("serve: recover %s: replayed compaction hashes to %s, want %s",
-			rec.ID, got, rec.BaseHash)
-	}
-	hash := ContentID(merged)
-	m.mut.Store(&mutState{
-		epoch:            cur.epoch,
-		compactedThrough: rec.Epoch,
-		baseHash:         hash,
-		hash:             hash,
-		base:             merged,
-	})
-	// The recovered plan version stays as journaled; there is no prepared
-	// entry yet, so nothing to drop or re-key.
-	return nil
+	return m, next, true, nil
 }
 
 // dumpRecords serializes every registered matrix in registration order —
@@ -687,7 +334,8 @@ func (r *Registry) dumpRecords() []walRecord {
 	defer r.mu.Unlock()
 	out := make([]walRecord, 0, len(r.order))
 	for _, id := range r.order {
-		out = append(out, *recordFor(r.matrices[id]))
+		m := r.matrices[id]
+		out = append(out, *recordFor(m, m.st.Load()))
 	}
 	return out
 }
@@ -707,26 +355,38 @@ func (r *Registry) List() []MatrixInfo {
 	defer r.mu.Unlock()
 	out := make([]MatrixInfo, 0, len(r.order))
 	for _, id := range r.order {
-		m := r.matrices[id]
-		plan := m.Plan()
-		prepared := false
-		if el, ok := r.entries[id]; ok {
-			prepared = el.Value.(*cacheEntry).plan.Version == plan.Version
-		}
-		info := MatrixInfo{
-			ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols, NNZ: m.CurrentBase().NNZ(),
-			Format: plan.Format, Schedule: plan.Schedule.String(), Block: plan.Block,
-			Name: m.Source.Name, Scale: m.Source.Scale,
-			Variant: plan.Variant, PlanVersion: plan.Version,
-			Prepared: prepared,
-			Hash:     m.ID,
-		}
-		if ms := m.mut.Load(); ms != nil {
-			info.Epoch, info.Hash, info.OverlayNNZ = ms.epoch, ms.hash, ms.overlay.NNZ()
-		}
-		out = append(out, info)
+		out = append(out, r.infoLocked(r.matrices[id]))
 	}
 	return out
+}
+
+// info returns one matrix's listing entry.
+func (r *Registry) info(id string) (MatrixInfo, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, ok := r.matrices[id]
+	if !ok {
+		return MatrixInfo{}, false
+	}
+	return r.infoLocked(m), true
+}
+
+// infoLocked describes m from one state load. Callers hold r.mu (the cache
+// residency lives under it).
+func (r *Registry) infoLocked(m *Matrix) MatrixInfo {
+	st := m.st.Load()
+	prepared := false
+	if el, ok := r.entries[m.ID]; ok {
+		prepared = el.Value.(*cacheEntry).plan.Version == st.plan.Version
+	}
+	return MatrixInfo{
+		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols, NNZ: st.base.NNZ(),
+		Format: st.plan.Format, Schedule: st.plan.Schedule.String(), Block: st.plan.Block,
+		Name: m.Source.Name, Scale: m.Source.Scale,
+		Variant: st.plan.Variant, PlanVersion: st.plan.Version,
+		Prepared: prepared,
+		Epoch:    st.epoch, Hash: st.hash, OverlayNNZ: st.overlay.NNZ(),
+	}
 }
 
 // Serving is the consistent execution state one multiply captures: the
@@ -759,8 +419,9 @@ type Serving struct {
 // the same pending-entry single-flight path, so concurrent multiplies
 // during a promotion never double-prepare and never see a half-built
 // format — the returned kernel always matches the returned plan, and
-// (because a base swap always bumps the plan version under the same lock)
-// always matches the returned base + overlay pair.
+// (because plan and base live in one state, and every transition that swaps
+// the base bumps the plan version) always matches the returned base +
+// overlay pair.
 func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit bool, err error) {
 	r.mu.Lock()
 	m, ok := r.matrices[id]
@@ -768,11 +429,9 @@ func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit boo
 		r.mu.Unlock()
 		return Serving{}, false, fmt.Errorf("serve: unknown matrix %q", id)
 	}
-	plan := m.Plan()
-	sv = Serving{Plan: plan, Hash: m.ID, Base: m.COO}
-	if ms := m.mut.Load(); ms != nil {
-		sv.Epoch, sv.Hash, sv.Overlay, sv.Base = ms.epoch, ms.hash, ms.overlay, ms.base
-	}
+	st := m.st.Load()
+	plan := st.plan
+	sv = Serving{Plan: plan, Epoch: st.epoch, Hash: st.hash, Overlay: st.overlay, Base: st.base}
 	if el, ok := r.entries[id]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.plan.Version == plan.Version {
@@ -859,72 +518,19 @@ func (r *Registry) removeLocked(el *list.Element, e *cacheEntry) {
 // off the request path; multiplies in flight keep the plan + kernel pair
 // they captured, which stays bitwise-correct.
 func (r *Registry) Promote(ctx context.Context, id, variant string) (Plan, error) {
-	format, sched, pooled, ok := kernels.PlanForVariant(variant)
-	if !ok {
-		return Plan{}, fmt.Errorf("serve: promote %s: %q is not a servable variant", id, variant)
-	}
-	r.mu.Lock()
-	m, found := r.matrices[id]
-	if !found {
-		r.mu.Unlock()
-		return Plan{}, fmt.Errorf("serve: promote unknown matrix %q", id)
-	}
-	old := m.Plan()
-	plan := Plan{
-		Format:   format,
-		Schedule: sched,
-		Block:    old.Block,
-		Pooled:   pooled,
-		Variant:  variant,
-		Version:  old.Version + 1,
-	}
-	m.setPlan(plan)
-	// Drop the superseded prepared entry promptly, releasing its bytes —
-	// the stale format can never be served again, so letting it age out
-	// under LRU pressure would only squeeze live entries out of budget.
-	r.dropStaleLocked(id, plan.Version)
-	r.mu.Unlock()
-
-	if _, _, err := r.Prepared(ctx, id); err != nil {
-		return plan, fmt.Errorf("serve: promote %s to %s: warm prepare: %w", id, variant, err)
-	}
-	return plan, nil
-}
-
-// dropStaleLocked removes the matrix's cached entry if it was prepared
-// under an older plan version. Callers hold r.mu. A pending (still
-// preparing) stale entry is removed too: its preparer's still-resident
-// re-check sees the removal and never charges the budget.
-func (r *Registry) dropStaleLocked(id string, version int64) {
-	if el, ok := r.entries[id]; ok {
-		if e := el.Value.(*cacheEntry); e.plan.Version != version {
-			r.removeLocked(el, e)
+	_, st, _, err := r.transact(id, func(cur *state) (*walRecord, error) {
+		if cur == nil {
+			return nil, fmt.Errorf("serve: promote unknown matrix %q", id)
 		}
-	}
-}
-
-// adoptPlan restores a recovered profile's promoted plan without bumping
-// the version — recovery replays state, it does not create new versions.
-func (r *Registry) adoptPlan(id, variant string, version int64) error {
-	format, sched, pooled, ok := kernels.PlanForVariant(variant)
-	if !ok {
-		return fmt.Errorf("serve: recovered profile names unservable variant %q", variant)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, found := r.matrices[id]
-	if !found {
-		return fmt.Errorf("serve: recovered profile for unknown matrix %q", id)
-	}
-	old := m.Plan()
-	if version < old.Version {
-		return nil
-	}
-	m.setPlan(Plan{
-		Format: format, Schedule: sched, Block: old.Block,
-		Pooled: pooled, Variant: variant, Version: version,
+		return &walRecord{Kind: walKindProfile, ID: id, Variant: variant, PlanVersion: cur.plan.Version + 1}, nil
 	})
-	return nil
+	if err != nil {
+		return Plan{}, err
+	}
+	if _, _, err := r.Prepared(ctx, id); err != nil {
+		return st.plan, fmt.Errorf("serve: promote %s to %s: warm prepare: %w", id, variant, err)
+	}
+	return st.plan, nil
 }
 
 // prepare builds and formats the serving kernel for base under the given
@@ -954,51 +560,31 @@ func (r *Registry) prepare(m *Matrix, base *matrix.COO[float64], plan Plan) (cor
 // Mutate applies one insert/update/delete batch to a registered matrix,
 // journaling it (durability before visibility, like registrations) and
 // installing the next epoch's overlay. The returned state describes the
-// new epoch. Mutations to the same matrix serialize on its mutMu; the
+// new epoch. Mutations to the same matrix serialize on its writer lock; the
 // multiply path never blocks on it.
-func (r *Registry) Mutate(id string, ops []delta.Op) (*mutState, error) {
-	r.mu.Lock()
-	m, ok := r.matrices[id]
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("serve: mutate unknown matrix %q", id)
-	}
-	m.mutMu.Lock()
-	defer m.mutMu.Unlock()
-
-	cur := m.mutView()
-	next, err := cur.overlay.Extend(cur.base, ops)
-	if err != nil {
-		return nil, fmt.Errorf("serve: mutate %s: %w", id, err)
-	}
-	epoch := cur.epoch + 1
-	if r.persistMut != nil {
-		commit, err := r.persistMut(m, epoch, ops)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNotDurable, err)
+func (r *Registry) Mutate(id string, ops []delta.Op) (*state, error) {
+	_, st, _, err := r.transact(id, func(cur *state) (*walRecord, error) {
+		if cur == nil {
+			return nil, fmt.Errorf("serve: mutate unknown matrix %q", id)
 		}
-		defer commit()
+		rec := &walRecord{Kind: walKindMutate, ID: id, Epoch: cur.epoch + 1}
+		rec.MutRowIdx, rec.MutColIdx, rec.MutVals, rec.MutDel = opArrays(ops)
+		return rec, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	ms := &mutState{
-		epoch:            epoch,
-		compactedThrough: cur.compactedThrough,
-		baseHash:         cur.baseHash,
-		hash:             mutHash(cur.baseHash, epoch, next),
-		base:             cur.base,
-		overlay:          next,
-	}
-	m.mut.Store(ms)
-	return ms, nil
+	return st, nil
 }
 
 // shouldCompact evaluates the cost model against the matrix's measured
 // overlay-apply accumulation and last prepare duration.
 func (r *Registry) shouldCompact(m *Matrix, cm delta.CostModel) bool {
-	ms := m.mut.Load()
-	if ms == nil || ms.overlay.NNZ() == 0 {
+	st := m.st.Load()
+	if st.overlay == nil {
 		return false
 	}
-	return cm.ShouldCompact(ms.overlay.NNZ(), ms.base.NNZ(),
+	return cm.ShouldCompact(st.overlay.NNZ(), st.base.NNZ(),
 		time.Duration(m.applyNs.Load()).Seconds(),
 		time.Duration(m.prepNs.Load()).Seconds())
 }
@@ -1010,9 +596,9 @@ func (r *Registry) deltaTotals() (mutated int, overlayNNZ int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, m := range r.matrices {
-		if ms := m.mut.Load(); ms != nil && ms.overlay.NNZ() > 0 {
+		if n := m.st.Load().overlay.NNZ(); n > 0 {
 			mutated++
-			overlayNNZ += int64(ms.overlay.NNZ())
+			overlayNNZ += int64(n)
 		}
 	}
 	return mutated, overlayNNZ
@@ -1021,76 +607,37 @@ func (r *Registry) deltaTotals() (mutated int, overlayNNZ int64) {
 // Compact merges the matrix's pending overlay into a freshly prepared
 // base, swapping both in atomically under a bumped plan version
 // (superseded prepared entries dropped promptly, the fresh kernel
-// installed warm). The whole sequence holds the matrix's mutation lock:
-// the MULTIPLY path never touches that lock — compaction runs off the
-// request path — but concurrent mutation batches stall until the swap,
-// which keeps the journaled boundary equal to the live epoch and makes
+// installed warm). The merge and the preparation run under the matrix's
+// writer lock: the MULTIPLY path never touches that lock — compaction runs
+// off the request path — but concurrent mutation batches stall until the
+// swap, which keeps the journaled boundary equal to the live epoch and makes
 // crash replay reconstruct the exact pre-crash state (the compact record
 // at epoch E replays as "merge everything through E", which is precisely
-// what it meant when written). Returns false when there was nothing to
-// compact. A kernel-preparation failure still swaps the merged base —
-// the bits are identical either way — and surfaces the error; the next
-// multiply re-prepares through the normal miss path.
+// what it meant when written). A crash between the journal append and the
+// swap replays to bit-identical state — the merged matrix IS the base +
+// overlay it replaces. Returns false when there was nothing to compact. A
+// kernel-preparation failure still swaps the merged base — the bits are
+// identical either way — and surfaces the error; the next multiply
+// re-prepares through the normal miss path.
 func (r *Registry) Compact(id string) (bool, error) {
-	r.mu.Lock()
-	m, ok := r.matrices[id]
-	r.mu.Unlock()
+	m, ok := r.Get(id)
 	if !ok {
 		return false, fmt.Errorf("serve: compact unknown matrix %q", id)
 	}
-	m.mutMu.Lock()
-	defer m.mutMu.Unlock()
-	cur := m.mut.Load()
-	if cur == nil || cur.overlay.NNZ() == 0 {
-		return false, nil
-	}
-	merged := cur.overlay.Merge()
-	newBaseHash := ContentID(merged)
-	// Durability before visibility: the compact record lands (fsynced)
-	// before the swap, so recovery never re-applies merged deltas. A
-	// crash between append and swap replays to bit-identical state — the
-	// merged matrix IS the base + overlay it replaces.
-	if r.persistCompact != nil {
-		commit, err := r.persistCompact(m, cur.epoch, newBaseHash)
-		if err != nil {
-			return false, fmt.Errorf("%w: %v", ErrNotDurable, err)
+	var kerr error
+	_, _, did, err := r.transact(id, func(cur *state) (*walRecord, error) {
+		if cur.overlay == nil {
+			return nil, nil
 		}
-		defer commit()
+		rec := &walRecord{Kind: walKindCompact, ID: id, Epoch: cur.epoch, base: cur.overlay.Merge()}
+		rec.BaseHash = ContentID(rec.base)
+		rec.warm, kerr = r.prepare(m, rec.base, cur.plan)
+		return rec, nil
+	})
+	if err != nil || !did {
+		return false, err
 	}
-	plan := m.Plan()
-	kern, kerr := r.prepare(m, merged, plan)
-	ms := &mutState{
-		epoch:            cur.epoch,
-		compactedThrough: cur.epoch,
-		baseHash:         newBaseHash,
-		hash:             newBaseHash, // canonical post-merge hash restored
-		base:             merged,
-	}
-
-	r.mu.Lock()
-	nowPlan := m.Plan()
-	newPlan := nowPlan
-	newPlan.Version++
-	m.setPlan(newPlan)
-	m.mut.Store(ms)
 	m.applyNs.Store(0)
-	// Prompt stale-entry drop: the old base's prepared format can never
-	// be served again, so release its bytes now instead of letting it
-	// age out under LRU pressure.
-	r.dropStaleLocked(id, newPlan.Version)
-	// Install the freshly prepared kernel warm — unless a promotion raced
-	// the merge and changed the plan, in which case the next multiply
-	// re-prepares the promoted format from the merged base.
-	if kerr == nil && nowPlan.Version == plan.Version {
-		ready := make(chan struct{})
-		close(ready)
-		e := &cacheEntry{id: id, plan: newPlan, kernel: kern, bytes: int64(kern.Bytes()), ready: ready}
-		r.entries[id] = r.lru.PushFront(e)
-		r.used += e.bytes
-		r.evictLocked(e)
-		obsCacheBytes.Set(float64(r.used))
-	}
-	r.mu.Unlock()
 	if kerr != nil {
 		return true, fmt.Errorf("serve: compact %s: prepare merged base: %w", id, kerr)
 	}

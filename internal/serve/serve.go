@@ -48,6 +48,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/matrix"
 	"repro/internal/mmio"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -150,18 +151,15 @@ type Server struct {
 	// clean 503 + Retry-After instead of racing http.Server.Shutdown.
 	draining atomic.Bool
 
-	mu       sync.Mutex
-	batchers map[string]*batcher
-
 	// The background compactor: a single goroutine draining a bounded
-	// queue of matrix IDs whose overlay crossed the cost model. The
-	// pending set dedups enqueues; costModel is the configured policy.
-	costModel      delta.CostModel
-	compactCh      chan string
-	compactWG      sync.WaitGroup
-	compactMu      sync.Mutex
-	compactPending map[string]bool
-	compactClosed  bool
+	// queue of matrices whose overlay crossed the cost model (each queued
+	// at most once, see Matrix.compactQueued); costModel is the configured
+	// policy. compactMu orders enqueues against the queue's close.
+	costModel     delta.CostModel
+	compactCh     chan *Matrix
+	compactWG     sync.WaitGroup
+	compactMu     sync.Mutex
+	compactClosed bool
 
 	// Mutation-subsystem counters (the /v1/stats Delta section).
 	mutations        atomic.Int64
@@ -219,19 +217,27 @@ func New(cfg Config) (*Server, error) {
 		cfg.CompactCost = 1.0
 	}
 	s := &Server{
-		cfg:            cfg,
-		reg:            NewRegistry(cfg.CacheBytes, cfg.Threads),
-		adm:            newAdmission(cfg.MaxInFlight, cfg.QueueDepth),
-		pool:           cfg.Pool,
-		tracer:         cfg.Tracer,
-		reqs:           trace.NewRequests(cfg.ReqTraceRing),
-		log:            cfg.Log,
-		clk:            cfg.Clock,
-		batchers:       map[string]*batcher{},
-		variants:       map[string]int64{},
-		compactCh:      make(chan string, 128),
-		compactPending: map[string]bool{},
+		cfg:       cfg,
+		reg:       NewRegistry(cfg.CacheBytes, cfg.Threads),
+		adm:       newAdmission(cfg.MaxInFlight, cfg.QueueDepth),
+		pool:      cfg.Pool,
+		tracer:    cfg.Tracer,
+		reqs:      trace.NewRequests(cfg.ReqTraceRing),
+		log:       cfg.Log,
+		clk:       cfg.Clock,
+		variants:  map[string]int64{},
+		compactCh: make(chan *Matrix, 128),
 	}
+	// Evaluated at scrape, so no write path walks the registry to keep it
+	// current. The closure holds the registry alone: the process-wide metric
+	// registry outlives the server.
+	reg := s.reg
+	obs.NewGaugeFunc("spmm_delta_overlay_nnz",
+		"Pending delta-overlay entries across all matrices, awaiting compaction.",
+		func() float64 {
+			_, nnz := reg.deltaTotals()
+			return float64(nnz)
+		})
 	s.costModel = delta.CostModel{BreakEven: cfg.CompactCost, MaxRatio: cfg.CompactRatio}
 	if cfg.CompactCost < 0 {
 		s.costModel.BreakEven = 0
@@ -243,7 +249,6 @@ func New(cfg Config) (*Server, error) {
 		s.pool = parallel.NewPool(cfg.Threads)
 		s.ownPool = true
 	}
-	var recovered []*Matrix
 	profiles := map[string]*tune.Profile{}
 	if cfg.DataDir != "" {
 		st, recs, err := OpenStore(cfg.DataDir, StoreOpts{
@@ -256,35 +261,20 @@ func New(cfg Config) (*Server, error) {
 			s.closePool()
 			return nil, err
 		}
+		// Recovery is the write path with the journal not yet attached:
+		// every record goes through the same apply the live handlers use.
 		for i := range recs {
-			switch recs[i].Kind {
-			case walKindProfile:
-				if p := recs[i].Profile; p != nil {
-					profiles[recs[i].ID] = p
+			rec := &recs[i]
+			if _, _, _, err := s.reg.transact(rec.ID, func(*state) (*walRecord, error) { return rec, nil }); err != nil {
+				// One unrecoverable record must not take the whole registry
+				// down with it — skip it loudly.
+				if s.log != nil {
+					s.log.Warn("skipping unrecoverable record", "seq", rec.Seq, "kind", rec.Kind, "err", err)
 				}
-			case walKindMutate:
-				if err := s.reg.applyRecoveredMutation(&recs[i]); err != nil && s.log != nil {
-					s.log.Warn("skipping unrecoverable mutation record", "err", err)
-				}
-			case walKindCompact:
-				if err := s.reg.applyRecoveredCompaction(&recs[i]); err != nil && s.log != nil {
-					s.log.Warn("skipping unrecoverable compaction record", "err", err)
-				}
-			default:
-				m, err := matrixFromRecord(&recs[i], func(name string, scale float64) (*matrix.COO[float64], error) {
-					coo, _, err := gen.GenerateScaled(name, scale)
-					return coo, err
-				})
-				if err != nil {
-					// One unrecoverable record must not take the whole registry
-					// down with it — skip it loudly.
-					if s.log != nil {
-						s.log.Warn("skipping unrecoverable registration", "err", err)
-					}
-					continue
-				}
-				s.reg.restore(m)
-				recovered = append(recovered, m)
+				continue
+			}
+			if rec.Profile != nil {
+				profiles[rec.ID] = rec.Profile
 			}
 		}
 		// The registry dump feeding snapshots carries the tuner's learned
@@ -299,21 +289,7 @@ func New(cfg Config) (*Server, error) {
 			}
 			return out
 		}
-		s.reg.persist = func(m *Matrix) (func(), error) { return st.Append(recordFor(m)) }
-		s.reg.persistMut = func(m *Matrix, epoch int64, ops []delta.Op) (func(), error) {
-			rec := &walRecord{Kind: walKindMutate, ID: m.ID, Epoch: epoch}
-			rec.MutRowIdx = make([]int32, len(ops))
-			rec.MutColIdx = make([]int32, len(ops))
-			rec.MutVals = make([]float64, len(ops))
-			rec.MutDel = make([]bool, len(ops))
-			for i, op := range ops {
-				rec.MutRowIdx[i], rec.MutColIdx[i], rec.MutVals[i], rec.MutDel[i] = op.Row, op.Col, op.Val, op.Del
-			}
-			return st.Append(rec)
-		}
-		s.reg.persistCompact = func(m *Matrix, boundary int64, baseHash string) (func(), error) {
-			return st.Append(&walRecord{Kind: walKindCompact, ID: m.ID, Epoch: boundary, BaseHash: baseHash})
-		}
+		s.reg.journal = st.Append
 		s.store = st
 	}
 	s.compactWG.Add(1)
@@ -337,28 +313,19 @@ func New(cfg Config) (*Server, error) {
 			tc.Persist = s.persistProfile
 		}
 		s.tuner = tune.New(tc)
-		// Warm-start recovered matrices from their recovered profiles. The
-		// profile's promoted plan is adopted before tracking so the tuner's
-		// incumbent and the serving plan agree; a profile that fails
-		// validation leaves the matrix tracked cold.
-		for _, m := range recovered {
-			prof := profiles[m.ID]
-			if prof != nil {
-				if err := s.reg.adoptPlan(m.ID, prof.Incumbent, prof.PlanVersion); err != nil {
-					if s.log != nil {
-						s.log.Warn("discarding recovered tuning profile", "id", m.ID, "err", err)
-					}
-					prof = nil
-				}
-			}
+		// Warm-start recovered matrices from their newest recovered profile
+		// (its plan half was already applied above, tuner or no tuner).
+		for _, id := range s.reg.order {
+			m := s.reg.matrices[id]
+			st, prof := m.st.Load(), profiles[id]
 			// A compacted matrix's current base diverged from the original
 			// registration the profile (and the registration report) describe:
 			// the tuner's lab copy and feature vector must track the CURRENT
 			// base — its trials verify bitwise against served results — so the
 			// learned profile is dropped and the features recomputed.
-			base, feat := m.COO, m.Report.Features
-			if cur := m.CurrentBase(); cur != base {
-				f, err := advisor.Extract(cur)
+			feat := m.Report.Features
+			if st.base != m.COO {
+				f, err := advisor.Extract(st.base)
 				if err != nil {
 					// Tracking the stale base would make every shadow trial
 					// diverge bitwise; leave the matrix untuned instead.
@@ -367,13 +334,11 @@ func New(cfg Config) (*Server, error) {
 					}
 					continue
 				}
-				base = cur
 				feat = advisor.NewReport(m.ID, f, []advisor.Environment{advisor.ParallelCPU}).Features
 				prof = nil
 			}
-			plan := m.Plan()
-			if err := s.tuner.Restore(m.ID, base, plan.Block, feat,
-				plan.Variant, plan.Version, prof); err != nil && s.log != nil {
+			if err := s.tuner.Restore(m.ID, st.base, st.plan.Block, feat,
+				st.plan.Variant, st.plan.Version, prof); err != nil && s.log != nil {
 				s.log.Warn("recovered tuning profile rejected; starting cold", "id", m.ID, "err", err)
 			}
 		}
@@ -381,13 +346,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// persistProfile durably appends a tuner profile record. The commit runs
-// immediately: by the time the tuner calls Persist its in-memory state (the
-// source of the snapshot dump) already reflects the profile, so the
-// compactor never needs to carry it.
+// persistProfile durably appends a tuner profile record — the tuner's
+// learned windows, not per-matrix state: Promote already journaled and
+// published the plan the profile names. The commit runs immediately: by the
+// time the tuner calls Persist its in-memory state (the source of the
+// snapshot dump) already reflects the profile, so the compactor never needs
+// to carry it.
 func (s *Server) persistProfile(id string, p *tune.Profile) error {
-	rec := &walRecord{Kind: walKindProfile, ID: id, Profile: p}
-	commit, err := s.store.Append(rec)
+	commit, err := s.reg.journal(&walRecord{Kind: walKindProfile, ID: id, Profile: p})
 	if err != nil {
 		return err
 	}
@@ -471,17 +437,20 @@ func (s *Server) Close() {
 // requestCompact enqueues a background compaction for the matrix, dropping
 // the request if one is already queued (the compactor re-evaluates the
 // cost model when it runs) or the queue is full (a later trigger retries).
-func (s *Server) requestCompact(id string) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	if s.compactClosed || s.compactPending[id] {
+func (s *Server) requestCompact(m *Matrix) {
+	if !m.compactQueued.CompareAndSwap(false, true) {
 		return
 	}
-	select {
-	case s.compactCh <- id:
-		s.compactPending[id] = true
-	default:
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	if !s.compactClosed {
+		select {
+		case s.compactCh <- m:
+			return
+		default:
+		}
 	}
+	m.compactQueued.Store(false)
 }
 
 // compactorLoop is the background compactor goroutine: it serializes all
@@ -490,11 +459,9 @@ func (s *Server) requestCompact(id string) {
 // re-preparations.
 func (s *Server) compactorLoop() {
 	defer s.compactWG.Done()
-	for id := range s.compactCh {
-		s.compactMu.Lock()
-		delete(s.compactPending, id)
-		s.compactMu.Unlock()
-		s.compactNow(id)
+	for m := range s.compactCh {
+		m.compactQueued.Store(false)
+		s.compactNow(m)
 	}
 }
 
@@ -507,7 +474,8 @@ const driftKeepWithin = 0.25
 // bookkeeping around it: counters, the compact trace span, and rebasing
 // the online tuner onto the merged base (its lab copy must match the
 // served base bitwise for shadow trials to verify).
-func (s *Server) compactNow(id string) (bool, error) {
+func (s *Server) compactNow(m *Matrix) (bool, error) {
+	id := m.ID
 	start := time.Now()
 	span := s.tracer.Start()
 	did, err := s.reg.Compact(id)
@@ -529,13 +497,10 @@ func (s *Server) compactNow(id string) (bool, error) {
 	if h, ok := obsPhaseSeconds[trace.PhaseCompact]; ok {
 		h.Observe(dur.Seconds())
 	}
-	m, ok := s.reg.Get(id)
-	if !ok {
-		return did, err
-	}
 	if s.log != nil {
-		s.log.Info("overlay compacted", "id", id, "epoch", m.Epoch(),
-			"hash", m.ContentHash(), "seconds", dur.Seconds())
+		st := m.st.Load()
+		s.log.Info("overlay compacted", "id", id, "epoch", st.epoch,
+			"hash", st.hash, "seconds", dur.Seconds())
 	}
 	s.rebaseTuner(m)
 	return did, err
@@ -551,8 +516,8 @@ func (s *Server) rebaseTuner(m *Matrix) {
 	if s.tuner == nil {
 		return
 	}
-	base := m.CurrentBase()
-	f, err := advisor.Extract(base)
+	st := m.st.Load()
+	f, err := advisor.Extract(st.base)
 	if err != nil {
 		if s.log != nil {
 			s.log.Warn("tuner rebase: feature extraction failed", "id", m.ID, "err", err)
@@ -560,8 +525,7 @@ func (s *Server) rebaseTuner(m *Matrix) {
 		return
 	}
 	feat := advisor.NewReport(m.ID, f, []advisor.Environment{advisor.ParallelCPU}).Features
-	plan := m.Plan()
-	kept := s.tuner.Rebase(m.ID, base, plan.Block, feat, plan.Variant, plan.Version, driftKeepWithin)
+	kept := s.tuner.Rebase(m.ID, st.base, st.plan.Block, feat, st.plan.Variant, st.plan.Version, driftKeepWithin)
 	if s.log != nil {
 		s.log.Info("tuner rebased onto merged base", "id", m.ID, "windows_kept", kept)
 	}
@@ -617,31 +581,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// batcherFor returns the matrix's batcher, creating it on first use.
-func (s *Server) batcherFor(m *Matrix) *batcher {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.batchers[m.ID]
-	if !ok {
-		t = &batcher{s: s, m: m}
-		s.batchers[m.ID] = t
-	}
-	return t
-}
-
 // pendingBatch reports how many requests are waiting in the matrix's open
 // batch window — the synchronization hook fake-clock tests poll before
 // advancing past the window.
 func (s *Server) pendingBatch(id string) int {
-	s.mu.Lock()
-	t, ok := s.batchers[id]
-	s.mu.Unlock()
+	m, ok := s.reg.Get(id)
 	if !ok {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pending)
+	m.batch.mu.Lock()
+	defer m.batch.mu.Unlock()
+	return len(m.batch.pending)
 }
 
 // maxRegisterBody caps a register request body. The WAL's per-record replay
@@ -782,25 +732,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// deltaOps converts parallel mutation arrays (wire or journal form) into
-// ops, validating that the arrays agree in length.
-func deltaOps(rows, cols []int32, vals []float64, del []bool) ([]delta.Op, error) {
-	if len(cols) != len(rows) ||
-		(len(vals) != len(rows) && !(len(vals) == 0 && len(rows) == 0)) ||
-		(del != nil && len(del) != len(rows)) {
-		return nil, fmt.Errorf("serve: ragged mutation arrays (%d/%d/%d/%d)",
-			len(rows), len(cols), len(vals), len(del))
-	}
-	ops := make([]delta.Op, len(rows))
-	for i := range ops {
-		ops[i] = delta.Op{Row: rows[i], Col: cols[i], Val: vals[i]}
-		if del != nil {
-			ops[i].Del = del[i]
-		}
-	}
-	return ops, nil
-}
-
 // handleImport is the mutated-state registration path (RegisterRequest
 // with ServeID set): the cluster rebalancer shipping a matrix whose served
 // state has diverged from its original registration. The receiver adopts
@@ -844,17 +775,17 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 	if !existed {
 		s.rebaseTuner(m)
 	}
-	plan := m.Plan()
+	st := m.st.Load()
 	if s.log != nil {
-		s.log.Info("matrix imported", "id", m.ID, "epoch", m.Epoch(),
-			"hash", m.ContentHash(), "existed", existed)
+		s.log.Info("matrix imported", "id", m.ID, "epoch", st.epoch,
+			"hash", st.hash, "existed", existed)
 	}
 	writeJSON(w, http.StatusOK, RegisterResponse{
-		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols, NNZ: m.CurrentBase().NNZ(),
-		Format: plan.Format, Schedule: plan.Schedule.String(), Block: plan.Block,
-		Variant: plan.Variant, PlanVersion: plan.Version,
+		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols, NNZ: st.base.NNZ(),
+		Format: st.plan.Format, Schedule: st.plan.Schedule.String(), Block: st.plan.Block,
+		Variant: st.plan.Variant, PlanVersion: st.plan.Version,
 		Existed: existed, FormatBytes: formatBytes, Advice: m.Report,
-		Epoch: m.Epoch(), Hash: m.ContentHash(),
+		Epoch: st.epoch, Hash: st.hash,
 	})
 }
 
@@ -868,17 +799,12 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	obsRequests.Inc()
 	id := r.PathValue("id")
-	m, ok := s.reg.Get(id)
+	info, ok := s.reg.info(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
-	for _, info := range s.reg.List() {
-		if info.ID == m.ID {
-			writeJSON(w, http.StatusOK, info)
-			return
-		}
-	}
+	writeJSON(w, http.StatusOK, info)
 }
 
 // handleExport serves the registry-metadata export: the CURRENT canonical
@@ -896,28 +822,20 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
-	ms := m.mutView()
-	rec := ExportRecord{
+	// The export is the matrix's registration record in wire form, except
+	// that the triplets always travel (the receiver needs no generator).
+	st := m.st.Load()
+	rec := recordFor(m, st)
+	w.Header().Set(HeaderEpoch, strconv.FormatInt(st.epoch, 10))
+	w.Header().Set(HeaderContentHash, st.hash)
+	writeJSON(w, http.StatusOK, ExportRecord{
 		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols,
 		Name: m.Source.Name, Scale: m.Source.Scale,
-		RowIdx: ms.base.RowIdx, ColIdx: ms.base.ColIdx, Vals: ms.base.Vals,
-		Hash: ms.hash,
-	}
-	if ms.epoch > 0 || ms.baseHash != m.ID {
-		rec.Epoch, rec.CompactEpoch = ms.epoch, ms.compactedThrough
-		if ms.baseHash != m.ID {
-			rec.BaseHash = ms.baseHash
-		}
-		if ms.overlay.NNZ() > 0 {
-			rec.OvRowIdx = ms.overlay.RowIdx
-			rec.OvColIdx = ms.overlay.ColIdx
-			rec.OvVals = ms.overlay.Vals
-			rec.OvDel = ms.overlay.Del
-		}
-	}
-	w.Header().Set(HeaderEpoch, strconv.FormatInt(ms.epoch, 10))
-	w.Header().Set(HeaderContentHash, ms.hash)
-	writeJSON(w, http.StatusOK, rec)
+		RowIdx: st.base.RowIdx, ColIdx: st.base.ColIdx, Vals: st.base.Vals,
+		Hash:  st.hash,
+		Epoch: rec.Epoch, CompactEpoch: rec.CompactEpoch, BaseHash: rec.BaseHash,
+		OvRowIdx: rec.MutRowIdx, OvColIdx: rec.MutColIdx, OvVals: rec.MutVals, OvDel: rec.MutDel,
+	})
 }
 
 // handleMutate applies one atomic insert/update/delete batch to a served
@@ -968,13 +886,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.mutOps.Add(int64(len(ops)))
 	obsDeltaMutations.Inc()
 	obsDeltaOps.Add(int64(len(ops)))
-	_, totalOverlay := s.reg.deltaTotals()
-	obsDeltaOverlayNNZ.Set(float64(totalOverlay))
 	if h, ok := obsPhaseSeconds[trace.PhaseMutate]; ok {
 		h.Observe(time.Since(start).Seconds())
 	}
 	if s.reg.shouldCompact(m, s.costModel) {
-		s.requestCompact(id)
+		s.requestCompact(m)
 	}
 	w.Header().Set(HeaderEpoch, strconv.FormatInt(ms.epoch, 10))
 	w.Header().Set(HeaderContentHash, ms.hash)
@@ -987,7 +903,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // handleCompact forces a synchronous overlay compaction — the ops endpoint
 // for "merge now, don't wait for the cost model". It shares the background
 // compactor's code path (counters, tuner rebase included) and serializes
-// with it on the matrix's mutation lock.
+// with it on the matrix's writer lock.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	obsRequests.Inc()
@@ -1001,7 +917,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
-	did, err := s.compactNow(id)
+	did, err := s.compactNow(m)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if isDurabilityErr(err) {
@@ -1010,10 +926,9 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	_, totalOverlay := s.reg.deltaTotals()
-	obsDeltaOverlayNNZ.Set(float64(totalOverlay))
+	st := m.st.Load()
 	writeJSON(w, http.StatusOK, CompactResponse{
-		ID: id, Compacted: did, Epoch: m.Epoch(), Hash: m.ContentHash(),
+		ID: id, Compacted: did, Epoch: st.epoch, Hash: st.hash,
 	})
 }
 
@@ -1194,7 +1109,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Phase(trace.PhasePrepare, cache, prepStart, 0)
 
-	res := s.batcherFor(m).multiply(ctx, sv, b, k, req)
+	res := s.multiply(ctx, m, sv, b, k, req)
 	if res.err != nil {
 		s.failRequest(req, res.err)
 		code := http.StatusInternalServerError

@@ -1,21 +1,20 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/matrix"
 	"repro/internal/tune"
 )
 
@@ -65,9 +64,12 @@ const walKindMutate = "mutate"
 // mutation records to the post-compaction base.
 const walKindCompact = "compact"
 
-// walRecord is one durable record: a registration (Kind "") or a learned
-// tuning profile (Kind "profile", Profile set, keyed by the same matrix
-// ID; replay keeps the newest per matrix).
+// walRecord is one durable record, and one serialized state transition:
+// state.apply (state.go) is what each kind means. Kind "" registers a
+// matrix, "mutate" and "compact" journal the mutation write path, and
+// "profile" is a promotion — journaled bare by Registry.Promote, or carried
+// by a learned tuning profile (Profile set; the tuner restores the newest
+// per matrix).
 type walRecord struct {
 	// Seq is the append sequence number, assigned by the Store; snapshots
 	// record the last seq they cover so replay knows where the tail starts.
@@ -120,6 +122,15 @@ type walRecord struct {
 	MutDel    []bool    `json:"mut_del,omitempty"`
 	// CRC is the IEEE CRC32 of this record's JSON with CRC itself zeroed.
 	CRC uint32 `json:"crc"`
+
+	// Live-path attachments — unexported, so they never reach the disk.
+	// base is the canonical matrix the record installs (a registration's
+	// base, a compaction's merge) when the writer already holds it; replay
+	// rebuilds and re-verifies it instead. warm is a kernel already prepared
+	// from that base under the plan the record leads to, for transact to
+	// install in the prepared-format cache as it publishes.
+	base *matrix.COO[float64]
+	warm core.Kernel
 }
 
 // sealRecord marshals rec with its CRC filled in.
@@ -194,8 +205,9 @@ func openWAL(path string, fsync bool, inject *harness.Injector) (*wal, error) {
 // append seals and writes one record (whose Seq the caller assigned) and
 // fsyncs it. The record is durable when append returns nil — the invariant
 // the register handler relies on to never ack before durability. A failed
-// or short write rolls the file back to the record boundary so the process
-// can keep serving. Fault points: PointWALAppend before the write (FaultErr
+// or short write, or a failed fsync, rolls the file back to the record
+// boundary so the process can keep serving and the refused record can
+// never replay. Fault points: PointWALAppend before the write (FaultErr
 // simulates disk full; FaultTorn persists only half the record then fails,
 // as a crash mid-write would, before the rollback restores the boundary)
 // and PointWALSync before the fsync.
@@ -240,14 +252,19 @@ func (w *wal) append(rec *walRecord) error {
 		return fmt.Errorf("serve: wal append: %w", err)
 	}
 	if w.sync {
-		if err := w.inject.Fire("wal|"+rec.ID, harness.PointWALSync); err != nil {
+		// A record whose fsync failed is refused, so it must leave the file
+		// too: left in place it would replay on the next restart, ahead of
+		// (and shadowing) whatever the caller acks at that epoch instead.
+		err := w.inject.Fire("wal|"+rec.ID, harness.PointWALSync)
+		syncStart := time.Now()
+		if err == nil {
+			err = w.f.Sync()
+		}
+		if err != nil {
+			w.rollback(start)
 			return fmt.Errorf("serve: wal fsync: %w", err)
 		}
-		start := time.Now()
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("serve: wal fsync: %w", err)
-		}
-		obsWALFsyncSeconds.Observe(time.Since(start).Seconds())
+		obsWALFsyncSeconds.Observe(time.Since(syncStart).Seconds())
 	}
 	obsWALAppends.Inc()
 	obsWALBytes.Set(float64(w.bytes))
@@ -280,30 +297,18 @@ func (w *wal) rollback(start int64) {
 func (w *wal) truncate(upTo uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	data, err := os.ReadFile(w.path)
-	if err != nil {
-		return fmt.Errorf("serve: wal truncate: %w", err)
-	}
 	var keep []byte
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			data = nil
-		}
-		body := bytes.TrimSpace(line)
-		if len(body) == 0 {
-			continue
-		}
+	_, err := harness.ReadLines(w.path, maxWALRecordBytes, func(text []byte) error {
 		var head struct {
 			Seq uint64 `json:"seq"`
 		}
-		if json.Unmarshal(body, &head) != nil || head.Seq <= upTo {
-			continue
+		if json.Unmarshal(text, &head) == nil && head.Seq > upTo {
+			keep = append(append(keep, text...), '\n')
 		}
-		keep = append(keep, body...)
-		keep = append(keep, '\n')
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("serve: wal truncate: %w", err)
 	}
 	if len(keep) == 0 {
 		if err := w.f.Truncate(0); err != nil {
@@ -376,45 +381,22 @@ func (w *wal) close() error {
 // file stops the read there and returns the intact prefix alongside the
 // error, so recovery can keep what provably survived.
 func readWAL(path string) (recs []walRecord, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("serve: read wal: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	// The cap must exceed anything append admits, or an acked record would
-	// read back as corruption; append enforces maxWALRecordBytes for
+	// The line cap must exceed anything append admits, or an acked record
+	// would read back as corruption; append enforces maxWALRecordBytes for
 	// exactly this reason.
-	sc.Buffer(make([]byte, 0, 64*1024), maxWALRecordBytes)
-	line := 0
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
-		if len(text) == 0 {
-			continue
-		}
-		// A bad record is only tolerable as the final line.
-		if pendingErr != nil {
-			return recs, true, pendingErr
-		}
+	torn, err = harness.ReadLines(path, maxWALRecordBytes, func(text []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(text, &rec); err != nil {
-			pendingErr = fmt.Errorf("serve: wal %s line %d: %w", path, line, err)
-			continue
+			return err
 		}
 		if err := verifyRecord(&rec); err != nil {
-			pendingErr = fmt.Errorf("serve: wal %s line %d: %w", path, line, err)
-			continue
+			return err
 		}
 		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return recs, torn, fmt.Errorf("serve: read wal %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return recs, false, fmt.Errorf("serve: read wal: %w", err)
-	}
-	return recs, pendingErr != nil, nil
+	return recs, torn, nil
 }
