@@ -90,6 +90,7 @@ func main() {
 		fatal(err)
 	}
 	defer rt.Close()
+	rt.ExportMetrics(obs.Default)
 
 	var monitor *obs.Server
 	if *metricsAddr != "" {

@@ -113,6 +113,7 @@ func main() {
 		fatal(err)
 	}
 	defer srv.Close()
+	srv.ExportMetrics(obs.Default)
 
 	var monitor *obs.Server
 	if *metricsAddr != "" {

@@ -61,21 +61,18 @@ func (rt *Router) probeAll() {
 		rt.mu.Lock()
 		if err != nil {
 			rep.fails++
-			rt.probeFailures.Add(1)
-			obsProbeFailures.Inc()
+			rt.probeFailures.Inc()
 			if !rep.down && rep.fails >= rt.cfg.EjectAfter {
 				rep.down = true
 				rep.stateChange = time.Now()
-				rt.ejects.Add(1)
-				obsEjects.Inc()
+				rt.ejects.Inc()
 				rt.logf("cluster: ejected %s after %d failed probes: %v", rep.name, rep.fails, err)
 			}
 		} else {
 			if rep.down {
 				rep.down = false
 				rep.stateChange = time.Now()
-				rt.readmits.Add(1)
-				obsReadmits.Inc()
+				rt.readmits.Inc()
 				rt.logf("cluster: re-admitted %s", rep.name)
 			}
 			rep.fails = 0

@@ -43,7 +43,7 @@ func (rt *Router) Join(spec JoinRequest) (int, error) {
 		rt.mu.Unlock()
 		return 0, fmt.Errorf("cluster: replica %q already joined", spec.Name)
 	}
-	rep := newReplica(spec)
+	rep := rt.newReplicaLocked(spec)
 	rt.replicas[spec.Name] = rep
 	old := rt.ring.Load()
 	next := old.With(spec.Name)
@@ -57,7 +57,6 @@ func (rt *Router) Join(spec JoinRequest) (int, error) {
 		}
 	}
 	rt.ring.Store(next)
-	obsRingSize.Set(float64(next.Len()))
 	rt.mu.Unlock()
 	rt.logf("cluster: %s joined; ring %v; %d matrices to move", spec.Name, next.Members(), len(moved))
 
@@ -77,8 +76,7 @@ func (rt *Router) Join(spec JoinRequest) (int, error) {
 		e.pinned = ""
 		rt.mu.Unlock()
 		count++
-		rt.moves.Add(1)
-		obsMoves.Inc()
+		rt.moves.Inc()
 	}
 	return count, lastErr
 }
@@ -141,7 +139,6 @@ func (rt *Router) Leave(name string) (int, error) {
 		jobs = append(jobs, moveJob{e: e, target: target})
 	}
 	rt.ring.Store(next)
-	obsRingSize.Set(float64(next.Len()))
 	rt.mu.Unlock()
 	rt.logf("cluster: %s leaving; ring %v; %d matrices to move", name, next.Members(), len(jobs))
 
@@ -169,8 +166,7 @@ func (rt *Router) Leave(name string) (int, error) {
 		job.e.pinned = ""
 		rt.mu.Unlock()
 		count++
-		rt.moves.Add(1)
-		obsMoves.Inc()
+		rt.moves.Inc()
 	}
 
 	rt.mu.Lock()

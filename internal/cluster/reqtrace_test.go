@@ -215,7 +215,13 @@ func TestRequestTracePropagation(t *testing.T) {
 	}
 
 	// Winning replica's ring: the SAME rid, with the serving-side phases.
-	repRecs := tc.replicas[secondary].srv.RequestTraces().Snapshot(trace.ReqFilter{ID: rid})
+	// (The replica seals its record after writing the response, so the
+	// client can get here first.)
+	var repRecs []trace.ReqRecord
+	waitFor(t, "the winning replica to seal its record", func() bool {
+		repRecs = tc.replicas[secondary].srv.RequestTraces().Snapshot(trace.ReqFilter{ID: rid})
+		return len(repRecs) > 0
+	})
 	if len(repRecs) != 1 {
 		t.Fatalf("replica %s ring has %d records for %s", secondary, len(repRecs), rid)
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -90,15 +91,23 @@ type Router struct {
 	mu       sync.Mutex
 	replicas map[string]*replica
 	entries  map[string]*entry
+	// metrics holds every replica name's traffic metrics for the life of
+	// the router, so a replica that leaves and rejoins continues its series;
+	// exported is the registry ExportMetrics named them in (nil before).
+	// Both guarded by mu.
+	metrics  map[string]*replicaMetrics
+	exported *obs.Registry
 
-	requests      atomic.Int64
-	moves         atomic.Int64
-	spillovers    atomic.Int64
-	failovers     atomic.Int64
-	ejects        atomic.Int64
-	readmits      atomic.Int64
-	replications  atomic.Int64
-	probeFailures atomic.Int64
+	// Metrics: each fact is one field, incremented at one site;
+	// ClusterStats and ExportMetrics (obs.go) both read it.
+	requests      obs.Counter
+	moves         obs.Counter
+	spillovers    obs.Counter
+	failovers     obs.Counter
+	ejects        obs.Counter
+	readmits      obs.Counter
+	replications  obs.Counter
+	probeFailures obs.Counter
 	probes        atomic.Int64 // completed probe rounds; tests sync on it
 
 	probeKick chan struct{}
@@ -121,13 +130,22 @@ type replica struct {
 	// age so operators can tell a flapping replica from a stable one.
 	stateChange time.Time
 
+	// inFlight goes down as well as up: it is the spillover load signal,
+	// not a metric.
 	inFlight atomic.Int64
-	proxied  atomic.Int64
-	errors   atomic.Int64
+	*replicaMetrics
+}
+
+// replicaMetrics is one replica name's proxy traffic, kept by the router
+// across leave/rejoin (Router.metrics).
+type replicaMetrics struct {
+	proxied obs.Counter
+	errors  obs.Counter
+	seconds obs.Histogram
 	// failovers counts multiplies this replica served after an earlier
 	// candidate had already failed — who absorbs the fleet's failures.
-	failovers atomic.Int64
-	obs       replicaObs
+	// /v1/cluster only; it has no series.
+	failovers obs.Counter
 }
 
 // entry is the placement record of one registered matrix.
@@ -200,6 +218,7 @@ func New(cfg Config) (*Router, error) {
 		httpc:     cfg.HTTP,
 		replicas:  map[string]*replica{},
 		entries:   map[string]*entry{},
+		metrics:   map[string]*replicaMetrics{},
 		probeKick: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
@@ -217,12 +236,10 @@ func New(cfg Config) (*Router, error) {
 		if _, dup := rt.replicas[spec.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate replica name %q", spec.Name)
 		}
-		rt.replicas[spec.Name] = newReplica(spec)
+		rt.replicas[spec.Name] = rt.newReplicaLocked(spec)
 		names = append(names, spec.Name)
 	}
-	ring := NewRing(cfg.VNodes, names...)
-	rt.ring.Store(ring)
-	obsRingSize.Set(float64(ring.Len()))
+	rt.ring.Store(NewRing(cfg.VNodes, names...))
 
 	rt.wg.Add(1)
 	go rt.proberLoop()
@@ -230,8 +247,19 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-func newReplica(spec JoinRequest) *replica {
-	return &replica{name: spec.Name, base: spec.Base, stateChange: time.Now(), obs: newReplicaObs(spec.Name)}
+// newReplicaLocked builds a replica's state around its name's metrics,
+// creating (and, on an exported router, naming) them on first sight.
+// Callers hold rt.mu, or are New.
+func (rt *Router) newReplicaLocked(spec JoinRequest) *replica {
+	m, ok := rt.metrics[spec.Name]
+	if !ok {
+		m = &replicaMetrics{}
+		rt.metrics[spec.Name] = m
+		if rt.exported != nil {
+			m.export(rt.exported, spec.Name)
+		}
+	}
+	return &replica{name: spec.Name, base: spec.Base, stateChange: time.Now(), replicaMetrics: m}
 }
 
 // Close stops the prober. In-flight proxies complete on their own.
@@ -250,18 +278,26 @@ func (rt *Router) client(rep *replica) *serve.Client {
 // front plus the /v1/cluster control plane.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/matrices", rt.handleRegister)
-	mux.HandleFunc("GET /v1/matrices", rt.handleList)
-	mux.HandleFunc("GET /v1/matrices/{id}", rt.handleProxy)
-	mux.HandleFunc("GET /v1/matrices/{id}/export", rt.handleProxy)
-	mux.HandleFunc("POST /v1/matrices/{id}/prepare", rt.handleProxy)
-	mux.HandleFunc("POST /v1/matrices/{id}/mutate", rt.handleMutate)
-	mux.HandleFunc("POST /v1/matrices/{id}/compact", rt.handleProxy)
-	mux.HandleFunc("POST /v1/matrices/{id}/multiply", rt.handleMultiply)
-	mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	mux.HandleFunc("GET /v1/trace/requests", rt.handleTraceRequests)
-	mux.HandleFunc("GET /v1/trace/requests/{rid}/chrome", rt.handleTraceChrome)
-	mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
+	// The serve-protocol and read-only routes count toward requests here,
+	// before their handler runs; membership changes and /healthz do not.
+	counted := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			rt.requests.Inc()
+			h(w, r)
+		})
+	}
+	counted("POST /v1/matrices", rt.handleRegister)
+	counted("GET /v1/matrices", rt.handleList)
+	counted("GET /v1/matrices/{id}", rt.handleProxy)
+	counted("GET /v1/matrices/{id}/export", rt.handleProxy)
+	counted("POST /v1/matrices/{id}/prepare", rt.handleProxy)
+	counted("POST /v1/matrices/{id}/mutate", rt.handleMutate)
+	counted("POST /v1/matrices/{id}/compact", rt.handleProxy)
+	counted("POST /v1/matrices/{id}/multiply", rt.handleMultiply)
+	counted("GET /v1/stats", rt.handleStats)
+	counted("GET /v1/trace/requests", rt.handleTraceRequests)
+	counted("GET /v1/trace/requests/{rid}/chrome", rt.handleTraceChrome)
+	counted("GET /v1/cluster", rt.handleCluster)
 	mux.HandleFunc("POST /v1/cluster/join", rt.handleJoin)
 	mux.HandleFunc("POST /v1/cluster/leave", rt.handleLeave)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -285,8 +321,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // placement. Because the ID is computed before any replica is contacted,
 // placement is deterministic and re-registration is idempotent end to end.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -457,8 +491,7 @@ func (rt *Router) plan(id string) (*entry, []*replica, error) {
 	if e.pinned == "" && len(cands) >= 2 && !cands[0].down && !cands[1].down {
 		if cands[0].inFlight.Load() > cands[1].inFlight.Load()+rt.cfg.SpillMargin {
 			cands[0], cands[1] = cands[1], cands[0]
-			rt.spillovers.Add(1)
-			obsSpillovers.Inc()
+			rt.spillovers.Inc()
 		}
 	}
 	return e, cands, nil
@@ -470,8 +503,6 @@ func (rt *Router) plan(id string) (*entry, []*replica, error) {
 // kill mid-stream surfaces as a connection error on the router, not the
 // client.
 func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	id := r.PathValue("id")
 
 	// The router is the tracing edge: it adopts a client-supplied request
@@ -536,9 +567,8 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if i > 0 {
-				rt.failovers.Add(1)
-				obsFailovers.Inc()
-				rep.failovers.Add(1)
+				rt.failovers.Inc()
+				rep.failovers.Inc()
 			}
 			e.serves.Add(1)
 			req.Phase(trace.PhaseAttemptRemote, rep.name+" ok", attemptStart, int64(i+1))
@@ -610,8 +640,6 @@ func attemptVerdict(parent context.Context, err error) string {
 // handleProxy forwards info/export/prepare to the first holder that
 // answers, with the same failover discipline as multiply.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	id := r.PathValue("id")
 	_, cands, err := rt.plan(id)
 	if err != nil {
@@ -644,8 +672,6 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 // acked it has diverged and is dropped from the holder set; the client
 // fails only when no holder acked.
 func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	id := r.PathValue("id")
 	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
 	if err != nil {
@@ -782,14 +808,12 @@ func (rt *Router) roundTrip(parent context.Context, rep *replica, method, path, 
 		req.Header.Set(h.name, h.value)
 	}
 	rep.inFlight.Add(1)
-	rep.proxied.Add(1)
-	rep.obs.proxied.Inc()
+	rep.proxied.Inc()
 	start := time.Now()
 	resp, err := rt.httpc.Do(req)
 	if err != nil {
 		rep.inFlight.Add(-1)
-		rep.errors.Add(1)
-		rep.obs.errors.Inc()
+		rep.errors.Inc()
 		if timer != nil {
 			timer.Stop()
 		}
@@ -799,7 +823,7 @@ func (rt *Router) roundTrip(parent context.Context, rep *replica, method, path, 
 	release := func() {
 		resp.Body.Close()
 		rep.inFlight.Add(-1)
-		rep.obs.seconds.Observe(time.Since(start).Seconds())
+		rep.seconds.Observe(time.Since(start).Seconds())
 		if timer != nil {
 			timer.Stop()
 		}
@@ -876,8 +900,7 @@ func (rt *Router) maybeReplicate(e *entry) {
 			rt.logf("cluster: replicate %s to %s: %v", e.id, target.name, err)
 			return
 		}
-		rt.replications.Add(1)
-		obsReplications.Inc()
+		rt.replications.Inc()
 		rt.logf("cluster: replicated hot matrix %s to %s", e.id, target.name)
 	}()
 }
@@ -885,8 +908,6 @@ func (rt *Router) maybeReplicate(e *entry) {
 // handleList merges the live replicas' listings, deduped by ID in the
 // router's placement order — so a serve.Client sees one coherent registry.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	merged := map[string]serve.MatrixInfo{}
 	for _, rep := range rt.aliveReplicas() {
 		infos, err := rt.client(rep).Matrices()
@@ -911,8 +932,6 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // tooling (spmmload's summary, the e2e asserts) works against a cluster
 // unchanged: counts sum, matrix totals dedup through the router's view.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	var agg serve.StatsResponse
 	for _, rep := range rt.aliveReplicas() {
 		st, err := rt.client(rep).Stats()
@@ -984,14 +1003,14 @@ func (rt *Router) ClusterStats() Stats {
 		Ring:          ring.Members(),
 		Matrices:      len(rt.entries),
 		Placements:    map[string][]string{},
-		Requests:      rt.requests.Load(),
-		Moves:         rt.moves.Load(),
-		Spillovers:    rt.spillovers.Load(),
-		Failovers:     rt.failovers.Load(),
-		Ejects:        rt.ejects.Load(),
-		Readmits:      rt.readmits.Load(),
-		Replications:  rt.replications.Load(),
-		ProbeFailures: rt.probeFailures.Load(),
+		Requests:      rt.requests.Value(),
+		Moves:         rt.moves.Value(),
+		Spillovers:    rt.spillovers.Value(),
+		Failovers:     rt.failovers.Value(),
+		Ejects:        rt.ejects.Value(),
+		Readmits:      rt.readmits.Value(),
+		Replications:  rt.replications.Value(),
+		ProbeFailures: rt.probeFailures.Value(),
 		ProbeRounds:   rt.probes.Load(),
 	}
 	held := map[string]int{}
@@ -1012,9 +1031,9 @@ func (rt *Router) ClusterStats() Stats {
 			Name: rep.name, Base: rep.base, Down: rep.down,
 			Matrices:            held[rep.name],
 			InFlight:            rep.inFlight.Load(),
-			Proxied:             rep.proxied.Load(),
-			Errors:              rep.errors.Load(),
-			Failovers:           rep.failovers.Load(),
+			Proxied:             rep.proxied.Value(),
+			Errors:              rep.errors.Value(),
+			Failovers:           rep.failovers.Value(),
 			ProbeFails:          rep.fails,
 			SinceStateChangeSec: time.Since(rep.stateChange).Seconds(),
 		})
@@ -1023,8 +1042,6 @@ func (rt *Router) ClusterStats() Stats {
 }
 
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	writeJSON(w, http.StatusOK, rt.ClusterStats())
 }
 

@@ -61,8 +61,6 @@ func (rt *Router) failRequest(req *trace.Req, err error) {
 // handleTraceRequests serves the router's own recent request records, same
 // query surface as the replicas' endpoint (?id=, ?matrix=, ?min_ms=, ?n=).
 func (rt *Router) handleTraceRequests(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	recs, err := serve.TraceRequestsQuery(rt.reqs, r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -78,8 +76,6 @@ func (rt *Router) handleTraceRequests(w http.ResponseWriter, r *http.Request) {
 // the attempt and added as another process row. Load the result in
 // chrome://tracing or https://ui.perfetto.dev.
 func (rt *Router) handleTraceChrome(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	obsRequests.Inc()
 	rid := r.PathValue("rid")
 	recs := rt.reqs.Snapshot(trace.ReqFilter{ID: rid, Limit: 1})
 	if len(recs) == 0 {

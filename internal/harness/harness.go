@@ -156,7 +156,7 @@ func New(cfg Config) (*Harness, error) {
 		h.done = CompletedIDs(recs)
 	}
 	if cfg.Journal != "" {
-		j, err := OpenJournalOpts(cfg.Journal, JournalOpts{NoSync: cfg.JournalNoSync, Log: h.log})
+		j, err := OpenJournalOpts(cfg.Journal, JournalOpts{NoSync: cfg.JournalNoSync, Log: h.log, Injector: cfg.Injector})
 		if err != nil {
 			return nil, err
 		}

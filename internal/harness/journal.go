@@ -10,7 +10,6 @@ import (
 	"io/fs"
 	"log/slog"
 	"os"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -49,13 +48,11 @@ type Record struct {
 	Result *core.Result `json:"result,omitempty"`
 }
 
-// Journal appends campaign records to a JSONL file, flushing (and by
+// Journal appends campaign records to a JSONL Log, flushing (and by
 // default fsyncing) every record so an interrupted campaign loses at most
 // the run in flight — and a killed process loses nothing it acked.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	sync bool
+	log *Log
 }
 
 // JournalOpts tunes OpenJournalOpts.
@@ -67,6 +64,8 @@ type JournalOpts struct {
 	// Log receives a warning when a torn trailing record is repaired;
 	// nil discards it.
 	Log *slog.Logger
+	// Injector arms the append/fsync fault points (tests only).
+	Injector *Injector
 }
 
 // OpenJournal opens (creating if needed) the journal at path for appending,
@@ -81,26 +80,20 @@ func OpenJournal(path string) (*Journal, error) {
 // appends never fuse onto a half-written line and later resumes see a clean
 // JSONL stream.
 func OpenJournalOpts(path string, opts JournalOpts) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
+	l, dropped, err := OpenLog(path, !opts.NoSync, opts.Injector)
 	if err != nil {
-		return nil, fmt.Errorf("harness: open journal: %w", err)
-	}
-	dropped, err := RepairTornTail(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: journal %s: %w", path, err)
+		return nil, fmt.Errorf("harness: journal %w", err)
 	}
 	if dropped > 0 && opts.Log != nil {
 		opts.Log.Warn("journal: dropped torn trailing record",
 			"path", path, "bytes", dropped)
 	}
-	return &Journal{f: f, sync: !opts.NoSync}, nil
+	return &Journal{log: l}, nil
 }
 
 // RepairTornTail truncates a trailing partial line (no final newline) left
 // by a crash mid-append, returning how many bytes were dropped. It is the
-// shared open-for-append repair for every JSONL log in the suite (campaign
-// journals here, the serve registry WAL).
+// open-for-append repair of every JSONL log in the suite (OpenLog).
 func RepairTornTail(f *os.File) (dropped int64, err error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -143,32 +136,20 @@ func RepairTornTail(f *os.File) (dropped int64, err error) {
 
 // Append writes one record as a single JSON line and, unless the journal
 // was opened with NoSync, fsyncs it — the record is durable before Append
-// returns.
+// returns. A failed append leaves no partial line behind (Log.Append).
 func (j *Journal) Append(rec Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("harness: journal marshal: %w", err)
 	}
-	data = append(data, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(data); err != nil {
-		return fmt.Errorf("harness: journal write: %w", err)
-	}
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("harness: journal fsync: %w", err)
-		}
+	if _, err := j.log.Append(rec.ID, append(data, '\n')); err != nil {
+		return fmt.Errorf("harness: journal %w", err)
 	}
 	return nil
 }
 
 // Close closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
 // ReadJournal loads every complete record from path. A missing file is an
 // empty journal (fresh campaign with -resume is fine). A torn final line —

@@ -149,7 +149,7 @@ func TestJournalNoSyncStillDurableOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.sync {
+	if j.log.sync {
 		t.Fatal("NoSync journal still has per-append fsync armed")
 	}
 	if err := j.Append(Record{ID: "a", Status: StatusOK}); err != nil {
@@ -168,7 +168,7 @@ func TestJournalNoSyncStillDurableOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if !j2.sync {
+	if !j2.log.sync {
 		t.Fatal("default journal does not fsync appends")
 	}
 }
@@ -224,5 +224,36 @@ func TestInjectorFireFaults(t *testing.T) {
 		if p.String() != want {
 			t.Fatalf("FaultPoint %d renders %q, want %q", p, p.String(), want)
 		}
+	}
+}
+
+// TestJournalTornAppendRollsBack: an append that fails after persisting half
+// its line (torn write) must leave no partial line behind — the next append
+// would fuse onto it and ReadLines would reject the whole journal as
+// mid-file corruption, failing -resume. The failed record is refused, the
+// good ones around it read back clean.
+func TestJournalTornAppendRollsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	inject := NewInjector(1, Fault{Run: "torn", Point: PointWALAppend, Kind: FaultTorn})
+	j, err := OpenJournalOpts(path, JournalOpts{Injector: inject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Append(Record{ID: "before", Status: StatusOK}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{ID: "torn", Status: StatusOK}); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("torn append returned %v, want ErrTornWrite", err)
+	}
+	if err := j.Append(Record{ID: "after", Status: StatusOK}); err != nil {
+		t.Fatalf("append after a torn one: %v", err)
+	}
+	recs, torn, err := ReadJournalTorn(path)
+	if err != nil || torn {
+		t.Fatalf("journal after a rolled-back torn append: torn=%v err=%v", torn, err)
+	}
+	if len(recs) != 2 || recs[0].ID != "before" || recs[1].ID != "after" {
+		t.Fatalf("journal holds %+v, want exactly the two good records", recs)
 	}
 }

@@ -11,14 +11,16 @@
 //
 // Design constraints, in order (mirroring internal/trace):
 //
-//   - The hot path is lock-free and allocation-free: a metric handle is
-//     resolved once (package-level var, registration at init) and every
-//     Add/Set/Observe is one or two atomic operations. The alloc audit
-//     (TestHotPathZeroAlloc) and BenchmarkObsOverhead pin 0 allocs/op on
-//     the serial-kernel hot path.
+//   - The hot path is lock-free and allocation-free: a metric is either a
+//     handle resolved once (package-level var, registration at init) or a
+//     value field of the component that counts it, attached to a registry
+//     afterwards (Attach*); either way every Add/Set/Observe is one or two
+//     atomic operations. The alloc audit (TestHotPathZeroAlloc) and
+//     BenchmarkObsOverhead pin 0 allocs/op on the serial-kernel hot path.
 //   - Registration is explicit and collision-checked: the same name must
 //     always carry the same type and help text; a family never mixes metric
-//     types. Misregistration panics at init time, like expvar.
+//     types; an attached value never shares its name. Misregistration
+//     panics, like expvar.
 //   - Exposition is deterministic: families sort by name, series within a
 //     family sort by their label sets, so scrapers (and the golden test)
 //     can rely on a stable schema.
@@ -34,7 +36,9 @@ import (
 )
 
 // Counter is a monotonically increasing int64 metric. The zero value is
-// usable but unregistered; obtain registered counters via NewCounter.
+// usable but unregistered: hold it by value as a field of the component
+// that counts (never copy it) and export it with Registry.AttachCounter, or
+// obtain a process-wide registered counter via NewCounter.
 type Counter struct {
 	v atomic.Int64
 }
@@ -64,7 +68,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a float64 metric that can go up and down.
+// Gauge is a float64 metric that can go up and down. The zero value is
+// usable (see Counter).
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -111,7 +116,8 @@ const histBuckets = 14 // len(HistogramBounds) + the +Inf overflow bucket
 
 // Histogram is a fixed-bucket log-scale histogram (see HistogramBounds).
 // Observe is lock- and allocation-free: one atomic add for the bucket, one
-// for the count, and a CAS loop for the float64 sum.
+// for the count, and a CAS loop for the float64 sum. The zero value is
+// usable (see Counter).
 type Histogram struct {
 	counts  [histBuckets]atomic.Int64
 	count   atomic.Int64
@@ -250,35 +256,62 @@ func splitName(name string) (family, labels string, err error) {
 // happens at package init in this repository, so failure is a programming
 // error, caught by any test that imports the package.
 func (r *Registry) register(name, help string, kind metricKind) *metric {
-	family, labels, err := splitName(name)
-	if err != nil {
+	return r.add(&metric{name: name, help: help, kind: kind}, true)
+}
+
+// add inserts m under its name. With share set an existing series of the
+// same kind is returned instead (the New* constructors are idempotent);
+// without it a taken name panics — an attached value belongs to exactly one
+// instance, so a second one under its name would shadow or double-count.
+func (r *Registry) add(m *metric, share bool) *metric {
+	var err error
+	if m.family, m.labels, err = splitName(m.name); err != nil {
 		panic(err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", name, kind, m.kind))
+	if old, ok := r.byName[m.name]; ok {
+		if !share {
+			panic(fmt.Sprintf("obs: %s attached twice", m.name))
 		}
-		return m
+		if old.kind != m.kind {
+			panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", m.name, m.kind, old.kind))
+		}
+		return old
 	}
-	if f, ok := r.families[family]; ok && f.kind.String() != kind.String() {
-		panic(fmt.Sprintf("obs: family %s mixes %s and %s series", family, f.kind, kind))
+	if f, ok := r.families[m.family]; ok && f.kind.String() != m.kind.String() {
+		panic(fmt.Sprintf("obs: family %s mixes %s and %s series", m.family, f.kind, m.kind))
 	}
-	m := &metric{name: name, family: family, labels: labels, help: help, kind: kind}
-	switch kind {
-	case kindCounter:
+	switch {
+	case m.kind == kindCounter && m.ctr == nil:
 		m.ctr = &Counter{}
-	case kindGauge:
+	case m.kind == kindGauge && m.gauge == nil:
 		m.gauge = &Gauge{}
-	case kindHistogram:
+	case m.kind == kindHistogram && m.hist == nil:
 		m.hist = &Histogram{}
 	}
-	r.byName[name] = m
-	if _, ok := r.families[family]; !ok {
-		r.families[family] = m
+	r.byName[m.name] = m
+	if _, ok := r.families[m.family]; !ok {
+		r.families[m.family] = m
 	}
 	return m
+}
+
+// AttachCounter exports c — a field of the component that counts it —
+// under name. Attaching under a name already registered panics: two
+// instances never share or shadow a series.
+func (r *Registry) AttachCounter(name, help string, c *Counter) {
+	r.add(&metric{name: name, help: help, kind: kindCounter, ctr: c}, false)
+}
+
+// AttachGauge exports g under name (see AttachCounter).
+func (r *Registry) AttachGauge(name, help string, g *Gauge) {
+	r.add(&metric{name: name, help: help, kind: kindGauge, gauge: g}, false)
+}
+
+// AttachHistogram exports h under name (see AttachCounter).
+func (r *Registry) AttachHistogram(name, help string, h *Histogram) {
+	r.add(&metric{name: name, help: help, kind: kindHistogram, hist: h}, false)
 }
 
 // NewCounter returns the registered counter, creating it on first use. The

@@ -151,6 +151,57 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("metric hot path allocates %v times per op, want 0", n)
 	}
+	// The attached-value path: metrics held by value in their owner's
+	// struct, exported afterwards — same atomics, no indirection added.
+	var owner struct {
+		c Counter
+		g Gauge
+		h Histogram
+	}
+	r.AttachCounter("t_attached_total", "", &owner.c)
+	r.AttachGauge("t_attached_gauge", "", &owner.g)
+	r.AttachHistogram("t_attached_seconds", "", &owner.h)
+	if n := testing.AllocsPerRun(100, func() {
+		owner.c.Inc()
+		owner.g.Set(3.5)
+		owner.h.Observe(1e-4)
+	}); n != 0 {
+		t.Fatalf("attached metric hot path allocates %v times per op, want 0", n)
+	}
+}
+
+// TestAttachExportsTheOwnersValue pins the attach contract: the registry
+// renders the very value its owner increments (attached before or after the
+// first increment), and a name that is already taken — by another attach or
+// by a New* registration — panics instead of shadowing or sharing.
+func TestAttachExportsTheOwnersValue(t *testing.T) {
+	r := NewRegistry()
+	var c Counter
+	c.Add(3)
+	r.AttachCounter("t_owned_total", "Owned.", &c)
+	c.Inc()
+	var buf strings.Builder
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# HELP t_owned_total Owned.\n# TYPE t_owned_total counter\nt_owned_total 4\n") {
+		t.Fatalf("attached counter not rendered from its owner's value:\n%s", buf.String())
+	}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	var other Counter
+	mustPanic("second attach under one name", func() { r.AttachCounter("t_owned_total", "Owned.", &other) })
+	r.NewCounter("t_shared_total", "")
+	mustPanic("attach over a registered name", func() { r.AttachCounter("t_shared_total", "", &other) })
+	var g Gauge
+	mustPanic("attach mixing kinds in a family", func() { r.AttachGauge(`t_owned_total{x="1"}`, "", &g) })
 }
 
 func TestHistogramBucketAssignment(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // ErrOverloaded is returned (and mapped to 429 + Retry-After) when the
@@ -16,15 +18,17 @@ var ErrOverloaded = errors.New("serve: overloaded, request shed")
 // execute at once, at most queueDepth more wait for a slot, and everything
 // beyond that is shed. Waiting is deadline-aware — a request whose context
 // expires in the queue leaves without executing, the cooperative-
-// cancellation contract the campaign harness established.
+// cancellation contract the campaign harness established. admitted and
+// executing go down as well as up: they are the gate's control state, read
+// at scrape time (queued), not metrics.
 type admission struct {
 	sem        chan struct{}
 	inFlight   int64
 	queueDepth int64
 	admitted   atomic.Int64 // waiting + executing
 	executing  atomic.Int64
-	shed       atomic.Int64
-	timeouts   atomic.Int64
+	shed       obs.Counter
+	timeouts   obs.Counter
 }
 
 func newAdmission(inFlight, queueDepth int) *admission {
@@ -47,22 +51,16 @@ func newAdmission(inFlight, queueDepth int) *admission {
 func (a *admission) acquire(ctx context.Context) error {
 	if a.admitted.Add(1) > a.inFlight+a.queueDepth {
 		a.admitted.Add(-1)
-		a.shed.Add(1)
-		obsShed.Inc()
+		a.shed.Inc()
 		return ErrOverloaded
 	}
-	obsQueueDepth.Set(float64(a.queued()))
 	select {
 	case a.sem <- struct{}{}:
 		a.executing.Add(1)
-		obsInflight.Set(float64(a.executing.Load()))
-		obsQueueDepth.Set(float64(a.queued()))
 		return nil
 	case <-ctx.Done():
 		a.admitted.Add(-1)
-		a.timeouts.Add(1)
-		obsTimeouts.Inc()
-		obsQueueDepth.Set(float64(a.queued()))
+		a.timeouts.Inc()
 		return ctx.Err()
 	}
 }
@@ -72,8 +70,6 @@ func (a *admission) release() {
 	<-a.sem
 	a.admitted.Add(-1)
 	a.executing.Add(-1)
-	obsInflight.Set(float64(a.executing.Load()))
-	obsQueueDepth.Set(float64(a.queued()))
 }
 
 // queued is the number of admitted requests still waiting for a slot.

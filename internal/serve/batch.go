@@ -175,7 +175,7 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 		sv.Overlay.Apply(combC, combB, totalK)
 		applyNs := int64(time.Since(applyStart))
 		m.applyNs.Add(applyNs)
-		obsDeltaApplySeconds.Observe(float64(applyNs) / 1e9)
+		s.applySeconds.Observe(float64(applyNs) / 1e9)
 		if s.reg.shouldCompact(m, s.costModel) {
 			s.requestCompact(m)
 		}
@@ -195,13 +195,10 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 		}
 	}
 
-	s.batches.Add(1)
+	s.batches.Inc()
 	s.batchedRequests.Add(int64(len(batch)))
 	s.multiplies.Add(int64(len(batch)))
-	obsBatches.Inc()
-	obsBatchedRequests.Add(int64(len(batch)))
-	obsMultiplies.Add(int64(len(batch)))
-	obsBatchWidth.Observe(float64(len(batch)))
+	s.batchWidth.Observe(float64(len(batch)))
 
 	if err != nil {
 		for _, req := range batch {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
 // Store is the registry's durability engine: a fsynced write-ahead log of
@@ -39,10 +40,15 @@ type Store struct {
 	pending  int           // appends since the last snapshot
 	snapDone chan struct{} // non-nil while a compaction is running
 
-	recovered        int
-	recoverySeconds  float64
-	snapshots        int64
-	snapshotFailures int64
+	// recovered and recoverySeconds describe the startup replay; written
+	// once by OpenStore, read-only afterwards.
+	recovered       int
+	recoverySeconds float64
+
+	appendErrors     obs.Counter
+	snapshots        obs.Counter
+	snapshotFailures obs.Counter
+	snapshotSeconds  obs.Histogram
 }
 
 // inflightRec is a registration between sequence assignment and its commit
@@ -133,8 +139,6 @@ func OpenStore(dir string, opts StoreOpts) (*Store, []walRecord, error) {
 	st.seq = nextSeq
 	st.recovered = len(registered) // matrices, not profiles or mutations
 	st.recoverySeconds = time.Since(start).Seconds()
-	obsRecoverySeconds.Set(st.recoverySeconds)
-	obsRecoveredMatrices.Set(float64(st.recovered))
 	if st.log != nil && (st.recovered > 0 || snap != nil) {
 		st.log.Info("registry recovered", "dir", dir, "matrices", st.recovered,
 			"from_snapshot", snap != nil, "wal_tail", len(walRecs),
@@ -161,7 +165,7 @@ func (st *Store) Append(rec *walRecord) (commit func(), err error) {
 		st.mu.Lock()
 		delete(st.inflight, rec.Seq)
 		st.mu.Unlock()
-		obsWALAppendErrors.Inc()
+		st.appendErrors.Inc()
 		return nil, err
 	}
 
@@ -240,10 +244,7 @@ func (st *Store) compact() error {
 	snap := &snapshot{Version: 1, LastSeq: upTo, Records: recs}
 	start := time.Now()
 	if err := writeSnapshot(st.dir, snap, st.inject); err != nil {
-		st.mu.Lock()
-		st.snapshotFailures++
-		st.mu.Unlock()
-		obsSnapshotErrors.Inc()
+		st.snapshotFailures.Inc()
 		st.warn("snapshot failed; WAL keeps growing", "err", err)
 		return err
 	}
@@ -251,11 +252,8 @@ func (st *Store) compact() error {
 		st.warn("WAL truncate after snapshot failed", "err", err)
 		return err
 	}
-	st.mu.Lock()
-	st.snapshots++
-	st.mu.Unlock()
-	obsSnapshots.Inc()
-	obsSnapshotSeconds.Observe(time.Since(start).Seconds())
+	st.snapshots.Inc()
+	st.snapshotSeconds.Observe(time.Since(start).Seconds())
 	if st.log != nil {
 		st.log.Info("registry snapshot", "dir", st.dir,
 			"matrices", len(snap.Records), "last_seq", upTo,
@@ -287,8 +285,8 @@ func (st *Store) Stats() DurabilityStats {
 		Dir:              st.dir,
 		WALBytes:         st.wal.size(),
 		LastSeq:          st.seq,
-		Snapshots:        st.snapshots,
-		SnapshotFailures: st.snapshotFailures,
+		Snapshots:        st.snapshots.Value(),
+		SnapshotFailures: st.snapshotFailures.Value(),
 		Recovered:        st.recovered,
 		RecoverySeconds:  st.recoverySeconds,
 	}

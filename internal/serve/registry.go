@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 )
 
 // Registry is the server's matrix store: uploaded matrices keyed by
@@ -52,10 +53,10 @@ type Registry struct {
 	lru      *list.List // front = most recently used; holds *cacheEntry
 	used     int64
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	prepares  atomic.Int64
-	evictions atomic.Int64
+	hits      obs.Counter
+	misses    obs.Counter
+	prepares  obs.Counter
+	evictions obs.Counter
 }
 
 // Matrix is one registered matrix: immutable identity plus the one state
@@ -322,7 +323,6 @@ func (r *Registry) transact(id string, build func(cur *state) (*walRecord, error
 		r.entries[id] = r.lru.PushFront(e)
 		r.used += e.bytes
 		r.evictLocked(e)
-		obsCacheBytes.Set(float64(r.used))
 	}
 	return m, next, true, nil
 }
@@ -445,8 +445,7 @@ func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit boo
 			if e.err != nil {
 				return sv, false, e.err
 			}
-			r.hits.Add(1)
-			obsCacheHits.Inc()
+			r.hits.Inc()
 			sv.Kernel, sv.Plan = e.kernel, e.plan
 			return sv, true, nil
 		}
@@ -464,8 +463,7 @@ func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit boo
 	e := &cacheEntry{id: id, plan: plan, ready: make(chan struct{})}
 	r.entries[id] = r.lru.PushFront(e)
 	r.mu.Unlock()
-	r.misses.Add(1)
-	obsCacheMisses.Inc()
+	r.misses.Inc()
 
 	e.kernel, e.err = r.prepare(m, sv.Base, plan)
 	if e.err != nil {
@@ -491,7 +489,6 @@ func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit boo
 		e.bytes = bytes
 		r.used += bytes
 		r.evictLocked(e)
-		obsCacheBytes.Set(float64(r.used))
 	}
 	r.mu.Unlock()
 	sv.Kernel = e.kernel
@@ -506,7 +503,6 @@ func (r *Registry) removeLocked(el *list.Element, e *cacheEntry) {
 	if e.bytes > 0 {
 		r.used -= e.bytes
 		e.bytes = 0
-		obsCacheBytes.Set(float64(r.used))
 	}
 }
 
@@ -539,8 +535,7 @@ func (r *Registry) Promote(ctx context.Context, id, variant string) (Plan, error
 // measured duration lands in m.prepNs — the re-preparation price the
 // compaction cost model weighs overlay taxes against.
 func (r *Registry) prepare(m *Matrix, base *matrix.COO[float64], plan Plan) (core.Kernel, error) {
-	r.prepares.Add(1)
-	obsCachePrepares.Inc()
+	r.prepares.Inc()
 	k, err := core.New(plan.Format+"-omp", r.opts)
 	if err != nil {
 		return nil, err
@@ -664,8 +659,7 @@ func (r *Registry) evictLocked(keep *cacheEntry) {
 		r.lru.Remove(el)
 		delete(r.entries, e.id)
 		r.used -= e.bytes
-		r.evictions.Add(1)
-		obsCacheEvictions.Inc()
+		r.evictions.Inc()
 	}
 }
 
@@ -690,10 +684,10 @@ func (r *Registry) Stats() CacheStats {
 		Entries:       entries,
 		Bytes:         used,
 		CapacityBytes: r.capacity,
-		Hits:          r.hits.Load(),
-		Misses:        r.misses.Load(),
-		Prepares:      r.prepares.Load(),
-		Evictions:     r.evictions.Load(),
+		Hits:          r.hits.Value(),
+		Misses:        r.misses.Value(),
+		Prepares:      r.prepares.Value(),
+		Evictions:     r.evictions.Value(),
 	}
 }
 

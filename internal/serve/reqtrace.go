@@ -222,8 +222,6 @@ func TraceRequestsQuery(rr *trace.Requests, q url.Values) ([]RequestTraceRecord,
 
 // handleTraceRequests serves the bounded ring of recent request records.
 func (s *Server) handleTraceRequests(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	recs, err := TraceRequestsQuery(s.reqs, r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -269,7 +267,7 @@ func (s *Server) finishRequest(req *trace.Req) {
 		return
 	}
 	rec := req.Finish()
-	observePhaseSeconds(rec)
+	s.observePhaseSeconds(rec)
 	if s.cfg.SlowRequest > 0 && s.log != nil && time.Duration(rec.TotalNs) >= s.cfg.SlowRequest {
 		s.log.Warn("slow request", slowAttrs(rec)...)
 	}

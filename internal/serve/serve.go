@@ -161,21 +161,28 @@ type Server struct {
 	compactMu     sync.Mutex
 	compactClosed bool
 
-	// Mutation-subsystem counters (the /v1/stats Delta section).
-	mutations        atomic.Int64
-	mutOps           atomic.Int64
-	compactions      atomic.Int64
-	compactionErrors atomic.Int64
-
 	// variants counts multiplies served per kernel variant name — the
 	// /v1/stats view of which arms actually execute.
 	variantMu sync.Mutex
 	variants  map[string]int64
 
-	requests        atomic.Int64
-	multiplies      atomic.Int64
-	batches         atomic.Int64
-	batchedRequests atomic.Int64
+	// Metrics. Each fact the server counts is one field here (or on the
+	// admission gate, registry, store or WAL it belongs to), incremented at
+	// one site; /v1/stats and ExportMetrics (obs.go) are two readers of it.
+	requests        obs.Counter
+	multiplies      obs.Counter
+	batches         obs.Counter
+	batchedRequests obs.Counter
+	batchWidth      obs.Histogram
+	requestSeconds  obs.Histogram
+	// The mutation subsystem (the /v1/stats Delta section).
+	mutations         obs.Counter
+	mutOps            obs.Counter
+	compactions       obs.Counter
+	compactionErrors  obs.Counter
+	applySeconds      obs.Histogram
+	compactionSeconds obs.Histogram
+	phaseSeconds      [len(servePhases)]obs.Histogram
 }
 
 // New builds a Server, filling Config defaults. With DataDir set it opens
@@ -228,16 +235,6 @@ func New(cfg Config) (*Server, error) {
 		variants:  map[string]int64{},
 		compactCh: make(chan *Matrix, 128),
 	}
-	// Evaluated at scrape, so no write path walks the registry to keep it
-	// current. The closure holds the registry alone: the process-wide metric
-	// registry outlives the server.
-	reg := s.reg
-	obs.NewGaugeFunc("spmm_delta_overlay_nnz",
-		"Pending delta-overlay entries across all matrices, awaiting compaction.",
-		func() float64 {
-			_, nnz := reg.deltaTotals()
-			return float64(nnz)
-		})
 	s.costModel = delta.CostModel{BreakEven: cfg.CompactCost, MaxRatio: cfg.CompactRatio}
 	if cfg.CompactCost < 0 {
 		s.costModel.BreakEven = 0
@@ -481,8 +478,7 @@ func (s *Server) compactNow(m *Matrix) (bool, error) {
 	did, err := s.reg.Compact(id)
 	s.tracer.EndDetail(0, trace.PhaseCompact, id, span, 0)
 	if err != nil {
-		s.compactionErrors.Add(1)
-		obsDeltaCompactionErrors.Inc()
+		s.compactionErrors.Inc()
 		if s.log != nil {
 			s.log.Warn("overlay compaction failed", "id", id, "err", err)
 		}
@@ -491,12 +487,9 @@ func (s *Server) compactNow(m *Matrix) (bool, error) {
 		return false, err
 	}
 	dur := time.Since(start)
-	s.compactions.Add(1)
-	obsDeltaCompactions.Inc()
-	obsDeltaCompactionSeconds.Observe(dur.Seconds())
-	if h, ok := obsPhaseSeconds[trace.PhaseCompact]; ok {
-		h.Observe(dur.Seconds())
-	}
+	s.compactions.Inc()
+	s.compactionSeconds.Observe(dur.Seconds())
+	s.phaseHistogram(trace.PhaseCompact).Observe(dur.Seconds())
 	if s.log != nil {
 		st := m.st.Load()
 		s.log.Info("overlay compacted", "id", id, "epoch", st.epoch,
@@ -563,17 +556,25 @@ func (s *Server) params(plan Plan, k int) core.Params {
 //	GET  /healthz                  liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/matrices", s.handleRegister)
-	mux.HandleFunc("GET /v1/matrices", s.handleList)
-	mux.HandleFunc("GET /v1/matrices/{id}", s.handleInfo)
-	mux.HandleFunc("GET /v1/matrices/{id}/export", s.handleExport)
-	mux.HandleFunc("POST /v1/matrices/{id}/prepare", s.handlePrepare)
-	mux.HandleFunc("POST /v1/matrices/{id}/multiply", s.handleMultiply)
-	mux.HandleFunc("POST /v1/matrices/{id}/mutate", s.handleMutate)
-	mux.HandleFunc("POST /v1/matrices/{id}/compact", s.handleCompact)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/tune", s.handleTune)
-	mux.HandleFunc("GET /v1/trace/requests", s.handleTraceRequests)
+	// Every API route counts toward requests here, before its handler runs
+	// (so /v1/stats includes the request reading it); /healthz does not.
+	counted := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			s.requests.Inc()
+			h(w, r)
+		})
+	}
+	counted("POST /v1/matrices", s.handleRegister)
+	counted("GET /v1/matrices", s.handleList)
+	counted("GET /v1/matrices/{id}", s.handleInfo)
+	counted("GET /v1/matrices/{id}/export", s.handleExport)
+	counted("POST /v1/matrices/{id}/prepare", s.handlePrepare)
+	counted("POST /v1/matrices/{id}/multiply", s.handleMultiply)
+	counted("POST /v1/matrices/{id}/mutate", s.handleMutate)
+	counted("POST /v1/matrices/{id}/compact", s.handleCompact)
+	counted("GET /v1/stats", s.handleStats)
+	counted("GET /v1/tune", s.handleTune)
+	counted("GET /v1/trace/requests", s.handleTraceRequests)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
@@ -664,8 +665,6 @@ func Materialize(req RegisterRequest) (*matrix.COO[float64], error) {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
@@ -790,14 +789,10 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	writeJSON(w, http.StatusOK, s.reg.List())
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	id := r.PathValue("id")
 	info, ok := s.reg.info(id)
 	if !ok {
@@ -814,8 +809,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 // it works mid-mutation-stream: the state is captured in one atomic load,
 // so the export is always a consistent epoch snapshot.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	id := r.PathValue("id")
 	m, ok := s.reg.Get(id)
 	if !ok {
@@ -844,8 +837,6 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // every multiply from the ack on reflects the batch, bit-exactly, and the
 // response's epoch/hash identify that state.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
@@ -882,13 +873,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	s.mutations.Add(1)
+	s.mutations.Inc()
 	s.mutOps.Add(int64(len(ops)))
-	obsDeltaMutations.Inc()
-	obsDeltaOps.Add(int64(len(ops)))
-	if h, ok := obsPhaseSeconds[trace.PhaseMutate]; ok {
-		h.Observe(time.Since(start).Seconds())
-	}
+	s.phaseHistogram(trace.PhaseMutate).Observe(time.Since(start).Seconds())
 	if s.reg.shouldCompact(m, s.costModel) {
 		s.requestCompact(m)
 	}
@@ -905,8 +892,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // compactor's code path (counters, tuner rebase included) and serializes
 // with it on the matrix's writer lock.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
@@ -938,8 +923,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // Idempotent; the response (and the X-Spmm-Cache header) reports whether
 // the plan-current format was already resident.
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
@@ -977,16 +960,14 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	resp := StatsResponse{
 		Matrices:        s.reg.Len(),
-		Requests:        s.requests.Load(),
-		Multiplies:      s.multiplies.Load(),
-		Batches:         s.batches.Load(),
-		BatchedRequests: s.batchedRequests.Load(),
-		Shed:            s.adm.shed.Load(),
-		Timeouts:        s.adm.timeouts.Load(),
+		Requests:        s.requests.Value(),
+		Multiplies:      s.multiplies.Value(),
+		Batches:         s.batches.Value(),
+		BatchedRequests: s.batchedRequests.Value(),
+		Shed:            s.adm.shed.Value(),
+		Timeouts:        s.adm.timeouts.Value(),
 		InFlight:        s.adm.executing.Load(),
 		Queued:          s.adm.queued(),
 		Cache:           s.reg.Stats(),
@@ -995,14 +976,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Durability = s.store.Stats()
 	}
 	resp.Variants = s.variantCounts()
-	if mutated, ovnnz := s.reg.deltaTotals(); mutated > 0 || s.mutations.Load() > 0 || s.compactions.Load() > 0 {
+	if mutated, ovnnz := s.reg.deltaTotals(); mutated > 0 || s.mutations.Value() > 0 || s.compactions.Value() > 0 {
 		resp.Delta = &DeltaStats{
-			Mutations:        s.mutations.Load(),
-			Ops:              s.mutOps.Load(),
+			Mutations:        s.mutations.Value(),
+			Ops:              s.mutOps.Value(),
 			Mutated:          mutated,
 			OverlayNNZ:       ovnnz,
-			Compactions:      s.compactions.Load(),
-			CompactionErrors: s.compactionErrors.Load(),
+			Compactions:      s.compactions.Value(),
+			CompactionErrors: s.compactionErrors.Value(),
 		}
 	}
 	if s.tuner != nil {
@@ -1019,8 +1000,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // rankings, promotion history and the global counters. With tuning disabled
 // it reports {"enabled": false}.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	if s.tuner == nil {
 		writeJSON(w, http.StatusOK, tune.Stats{})
 		return
@@ -1031,8 +1010,6 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 // handleMultiply is the data path: admission, panel read, prepared-format
 // lookup (cache), batched dispatch, panel write.
 func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	obsRequests.Inc()
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
@@ -1169,5 +1146,5 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		req.Phase(trace.PhaseRespond, "", respStart, 0)
 		s.finishRequest(req)
 	}
-	obsRequestSeconds.Observe(time.Since(start).Seconds())
+	s.requestSeconds.Observe(time.Since(start).Seconds())
 }

@@ -87,7 +87,10 @@ func writeSnapshot(dir string, snap *snapshot, inject *harness.Injector) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("serve: snapshot publish: %w", err)
 	}
-	return syncDir(dir)
+	if err := harness.SyncDir(dir); err != nil {
+		return fmt.Errorf("serve: snapshot publish: %w", err)
+	}
+	return nil
 }
 
 // loadSnapshot reads and verifies dir/snapshot.dat. A missing file returns
@@ -127,17 +130,4 @@ func loadSnapshot(dir string) (*snapshot, error) {
 		return nil, fmt.Errorf("%w: body: %v", ErrCorruptSnapshot, err)
 	}
 	return &snap, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("serve: open dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("serve: fsync dir: %w", err)
-	}
-	return nil
 }

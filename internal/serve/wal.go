@@ -2,19 +2,14 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sync"
-	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/tune"
 )
 
@@ -29,12 +24,9 @@ import (
 //
 // Each record carries a CRC32 over its own JSON (computed with the crc
 // field zeroed), so corruption is detected per record, and the file is
-// plain JSONL, so a crash can at worst tear the final line — the same
-// append/flush idiom internal/harness/journal.go established, hardened
-// with per-append fsync. While the process is live the log additionally
-// guarantees it always ends on a record boundary: a failed or short write
-// is rolled back to the record's start offset, so a later append can never
-// fuse onto a partial line.
+// plain JSONL, so a crash can at worst tear the final line. The write
+// itself — per-append fsync, and the guarantee that a live log always ends
+// on a record boundary — is harness.Log, shared with campaign journals.
 
 // maxWALRecordBytes bounds one sealed WAL record on both sides of the log:
 // append refuses anything larger, and readWAL sizes its scanner to it, so
@@ -166,57 +158,33 @@ func verifyRecord(rec *walRecord) error {
 	return nil
 }
 
-// wal is the append side of the registry log. Sequence numbers are owned by
-// the Store (which must keep them consistent with its in-flight set); the
-// wal only guarantees durable, boundary-clean writes.
+// wal is the append side of the registry log: records sealed here, written
+// through the suite's one JSONL Log (which owns the boundary-clean durable
+// write, its rollback and the fault points). Sequence numbers are owned by
+// the Store, which must keep them consistent with its in-flight set.
 type wal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	bytes  int64
-	sync   bool
-	inject *harness.Injector
-	// damaged poisons the log after a failed rollback left the file ending
-	// mid-record: every later append fails rather than fuse onto the
-	// partial line. Cleared by a truncate (which rewrites the file) or a
-	// reopen (whose RepairTornTail removes the damage).
-	damaged error
+	log *harness.Log
+
+	appends      obs.Counter
+	fsyncSeconds obs.Histogram
 }
 
 // openWAL opens (creating if needed) the log at path for appending,
 // repairing a torn trailing record the same way harness journals do.
 func openWAL(path string, fsync bool, inject *harness.Injector) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
+	l, _, err := harness.OpenLog(path, fsync, inject)
 	if err != nil {
-		return nil, fmt.Errorf("serve: open wal: %w", err)
+		return nil, fmt.Errorf("serve: wal %w", err)
 	}
-	if _, err := harness.RepairTornTail(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("serve: wal %s: %w", path, err)
-	}
-	size, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("serve: wal seek: %w", err)
-	}
-	return &wal{f: f, path: path, bytes: size, sync: fsync, inject: inject}, nil
+	return &wal{log: l}, nil
 }
 
 // append seals and writes one record (whose Seq the caller assigned) and
 // fsyncs it. The record is durable when append returns nil — the invariant
-// the register handler relies on to never ack before durability. A failed
-// or short write, or a failed fsync, rolls the file back to the record
-// boundary so the process can keep serving and the refused record can
-// never replay. Fault points: PointWALAppend before the write (FaultErr
-// simulates disk full; FaultTorn persists only half the record then fails,
-// as a crash mid-write would, before the rollback restores the boundary)
-// and PointWALSync before the fsync.
+// the register handler relies on to never ack before durability; a refused
+// record never stays in the file (harness.Log.Append), so it can never
+// replay.
 func (w *wal) append(rec *walRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.damaged != nil {
-		return w.damaged
-	}
 	data, err := sealRecord(rec)
 	if err != nil {
 		return err
@@ -228,152 +196,38 @@ func (w *wal) append(rec *walRecord) error {
 		return fmt.Errorf("serve: wal append %s: record is %d bytes, beyond the %d replay limit",
 			rec.ID, len(data), maxWALRecordBytes)
 	}
-	start := w.bytes
-	if err := w.inject.Fire("wal|"+rec.ID, harness.PointWALAppend); err != nil {
-		if errors.Is(err, harness.ErrTornWrite) {
-			// Persist a prefix, as a crash mid-write would, then restore the
-			// record boundary — the process is still alive, and the next
-			// append must not fuse onto the partial line.
-			if n, werr := w.f.Write(data[:len(data)/2]); werr == nil {
-				w.bytes += int64(n)
-				w.f.Sync()
-			}
-			w.rollback(start)
-		}
-		return fmt.Errorf("serve: wal append: %w", err)
+	fsync, err := w.log.Append("wal|"+rec.ID, data)
+	if err != nil {
+		return fmt.Errorf("serve: wal %w", err)
 	}
-	n, err := w.f.Write(data)
-	w.bytes += int64(n)
-	if err != nil || n != len(data) {
-		w.rollback(start)
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		return fmt.Errorf("serve: wal append: %w", err)
+	if fsync > 0 {
+		w.fsyncSeconds.Observe(fsync.Seconds())
 	}
-	if w.sync {
-		// A record whose fsync failed is refused, so it must leave the file
-		// too: left in place it would replay on the next restart, ahead of
-		// (and shadowing) whatever the caller acks at that epoch instead.
-		err := w.inject.Fire("wal|"+rec.ID, harness.PointWALSync)
-		syncStart := time.Now()
-		if err == nil {
-			err = w.f.Sync()
-		}
-		if err != nil {
-			w.rollback(start)
-			return fmt.Errorf("serve: wal fsync: %w", err)
-		}
-		obsWALFsyncSeconds.Observe(time.Since(syncStart).Seconds())
-	}
-	obsWALAppends.Inc()
-	obsWALBytes.Set(float64(w.bytes))
+	w.appends.Inc()
 	return nil
 }
 
-// rollback restores the record boundary after a failed or short write by
-// truncating back to the record's start offset. If even that fails, the
-// file may end mid-record; the log then poisons itself so later appends
-// fail loudly instead of fusing the next record onto the partial line
-// (recovery's RepairTornTail clears the damage on reopen).
-func (w *wal) rollback(start int64) {
-	if err := w.f.Truncate(start); err != nil {
-		w.damaged = fmt.Errorf("serve: wal ends mid-record and rollback failed: %w", err)
-		return
-	}
-	w.bytes = start
-	obsWALBytes.Set(float64(start))
-}
-
-// truncate drops every record a snapshot covers (seq <= upTo). When nothing
-// newer landed the file is simply emptied; otherwise the uncovered tail is
-// rewritten to a fresh file that is atomically renamed over the log, so the
-// WAL shrinks on every successful compaction even under sustained
-// registration traffic instead of growing until a quiet window. A crash
-// anywhere leaves either the old complete log or the new tail, and both
-// replay correctly against the just-published snapshot. A torn or
-// unparseable line is never an acked record (append rolls failed writes
-// back), so the rewrite drops it — which also clears a damaged log.
+// truncate drops every record a snapshot covers (seq <= upTo), keeping the
+// uncovered tail, so the WAL shrinks on every successful compaction even
+// under sustained registration traffic instead of growing until a quiet
+// window. Either the old complete log or the new tail survives a crash, and
+// both replay correctly against the just-published snapshot.
 func (w *wal) truncate(upTo uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var keep []byte
-	_, err := harness.ReadLines(w.path, maxWALRecordBytes, func(text []byte) error {
+	err := w.log.Rewrite(maxWALRecordBytes, func(text []byte) bool {
 		var head struct {
 			Seq uint64 `json:"seq"`
 		}
-		if json.Unmarshal(text, &head) == nil && head.Seq > upTo {
-			keep = append(append(keep, text...), '\n')
-		}
-		return nil
+		return json.Unmarshal(text, &head) == nil && head.Seq > upTo
 	})
 	if err != nil {
 		return fmt.Errorf("serve: wal truncate: %w", err)
 	}
-	if len(keep) == 0 {
-		if err := w.f.Truncate(0); err != nil {
-			return fmt.Errorf("serve: wal truncate: %w", err)
-		}
-		if _, err := w.f.Seek(0, 0); err != nil {
-			return fmt.Errorf("serve: wal seek: %w", err)
-		}
-		w.bytes = 0
-		w.damaged = nil
-		obsWALBytes.Set(0)
-		return nil
-	}
-	tmp := w.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: wal rewrite: %w", err)
-	}
-	if _, err := tf.Write(keep); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: wal rewrite: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: wal rewrite fsync: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: wal rewrite close: %w", err)
-	}
-	// Open the append handle on the temp file first, then rename: the
-	// handle follows the inode, so there is no window where the log's path
-	// exists without a writable handle behind it.
-	nf, err := os.OpenFile(tmp, os.O_APPEND|os.O_RDWR, 0o644)
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: wal reopen: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: wal swap: %w", err)
-	}
-	w.f.Close()
-	w.f = nf
-	w.bytes = int64(len(keep))
-	w.damaged = nil
-	obsWALBytes.Set(float64(w.bytes))
-	return syncDir(filepath.Dir(w.path))
+	return nil
 }
 
-// size reports the log's current byte length.
-func (w *wal) size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bytes
-}
+func (w *wal) size() int64 { return w.log.Size() }
 
-func (w *wal) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
+func (w *wal) close() error { return w.log.Close() }
 
 // readWAL loads every intact record from path, in file order. A missing
 // file is an empty log. A torn or CRC-corrupt final record is skipped (the

@@ -155,6 +155,8 @@ type MatrixStats struct {
 }
 
 // Stats is the tuner's full decision-trail snapshot (the /v1/tune body).
+// Rejects counts every discarded trial: incumbent re-runs that diverged plus
+// challengers disqualified — two counters, summed once in Tuner.Stats.
 type Stats struct {
 	Enabled    bool          `json:"enabled"`
 	Duty       float64       `json:"duty"`
@@ -175,11 +177,11 @@ func (t *Tuner) Stats() Stats {
 		Duty:       t.cfg.Duty,
 		MinSamples: t.cfg.MinSamples,
 		Margin:     t.cfg.Margin,
-		Trials:     t.trials.Load(),
-		Promotions: t.promotions.Load(),
-		Rejects:    t.rejects.Load(),
-		Dropped:    t.dropped.Load(),
-		Stale:      t.stale.Load(),
+		Trials:     t.trials.Value(),
+		Promotions: t.promotions.Value(),
+		Rejects:    t.rejects.Value() + t.disqualified.Value(),
+		Dropped:    t.dropped.Value(),
+		Stale:      t.stale.Value(),
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

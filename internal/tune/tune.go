@@ -30,12 +30,12 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/kernels"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -109,11 +109,17 @@ type Tuner struct {
 	queue chan any // *sample | *flushReq
 	done  chan struct{}
 
-	trials     atomic.Int64
-	promotions atomic.Int64
-	rejects    atomic.Int64
-	dropped    atomic.Int64
-	stale      atomic.Int64
+	// Metrics: each fact is one field, incremented at one site; Stats and
+	// ExportMetrics (obs.go) both read it.
+	trials       obs.Counter
+	promotions   obs.Counter
+	rejects      obs.Counter // trials whose incumbent re-run diverged
+	disqualified obs.Counter // arms removed for good
+	dropped      obs.Counter
+	stale        obs.Counter
+	trialSeconds obs.Histogram
+	// regret is computed per trial and stored nowhere else.
+	regret obs.Gauge
 }
 
 // sample is one captured multiply: the request panel and the bitwise
@@ -227,7 +233,6 @@ func New(cfg Config) *Tuner {
 		t.pool = parallel.NewPool(cfg.Threads)
 		t.ownPool = true
 	}
-	obsDuty.Set(cfg.Duty)
 	go t.worker()
 	return t
 }
@@ -465,8 +470,7 @@ func (t *Tuner) Offer(id, variant string, planVersion int64, b, served *matrix.D
 		return true
 	default:
 		t.mu.Unlock()
-		t.dropped.Add(1)
-		obsDropped.Inc()
+		t.dropped.Inc()
 		return false
 	}
 }
@@ -496,8 +500,7 @@ func (t *Tuner) trial(s *sample) {
 		// The plan moved between capture and trial; the pair no longer
 		// describes the incumbent. Drop it.
 		t.mu.Unlock()
-		t.stale.Add(1)
-		obsStale.Inc()
+		t.stale.Inc()
 		return
 	}
 	inc := st.incumbent
@@ -576,10 +579,9 @@ func (t *Tuner) trial(s *sample) {
 	regret := t.regretLocked()
 	t.mu.Unlock()
 
-	t.trials.Add(1)
-	obsTrials.Inc()
-	obsTrialSeconds.Observe((dInc + dCh).Seconds())
-	obsRegret.Set(regret)
+	t.trials.Inc()
+	t.trialSeconds.Observe((dInc + dCh).Seconds())
+	t.regret.Set(regret)
 
 	if cand != nil {
 		t.promote(st, cand, fromP50, toP50)
@@ -690,8 +692,7 @@ func (t *Tuner) promote(st *state, cand *arm, fromP50, toP50 float64) {
 	st.settled = false
 	prof := st.profileLocked()
 	t.mu.Unlock()
-	t.promotions.Add(1)
-	obsPromotions.Inc()
+	t.promotions.Inc()
 	t.info("variant promoted", "id", st.id, "from", pr.From, "to", pr.To,
 		"p50_from_us", fromP50, "p50_to_us", toP50, "plan_version", ver)
 	if t.cfg.Persist != nil {
@@ -706,8 +707,7 @@ func (t *Tuner) reject(st *state, variant, why string) {
 	t.mu.Lock()
 	st.rejects++
 	t.mu.Unlock()
-	t.rejects.Add(1)
-	obsRejects.Inc()
+	t.rejects.Inc()
 	t.warn("shadow trial rejected", "id", st.id, "variant", variant, "why", why)
 }
 
@@ -716,8 +716,7 @@ func (t *Tuner) disqualify(st *state, a *arm, why string) {
 	a.disq = true
 	st.rejects++
 	t.mu.Unlock()
-	t.rejects.Add(1)
-	obsDisqualified.Inc()
+	t.disqualified.Inc()
 	t.warn("variant disqualified", "id", st.id, "variant", a.name, "why", why)
 }
 

@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kernels"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 )
 
 // The deterministic test rig: execution, time and randomness are all
@@ -465,5 +468,62 @@ func TestMeasuredRankings(t *testing.T) {
 		if ms[i].P50Micros < ms[i-1].P50Micros {
 			t.Fatalf("measured rankings out of order at %d: %+v", i, ms)
 		}
+	}
+}
+
+// TestRejectsAgreeAcrossViews scripts one incumbent-mismatch rejection and
+// one challenger error (a disqualification). /v1/tune's "rejects" is every
+// discarded trial; Prometheus splits it into rejects and disqualifications.
+// Both views read the same two counters — the JSON sums them once, in Stats
+// — where the old twin counters had drifted (the JSON side counted both, the
+// rejects series only the first).
+func TestRejectsAgreeAcrossViews(t *testing.T) {
+	coo := testCOO(t)
+	rec := &promoRecorder{version: 1}
+	cfg := testConfig(rec, func(string) time.Duration { return 100 * time.Microsecond }, "")
+	clean := cfg.Exec
+	// Once armed, the next challenger executed fails, for good. The test
+	// arms it between Flushes, which order its write before the worker's read.
+	var armed bool
+	var failed string
+	cfg.Exec = func(variant string, in *kernels.VariantInput, out *matrix.Dense[float64]) (time.Duration, error) {
+		if armed && failed == "" && variant != testIncumbent {
+			failed = variant
+		}
+		if variant == failed {
+			return 0, errors.New("scripted challenger failure")
+		}
+		return clean(variant, in, out)
+	}
+	tu := New(cfg)
+	defer tu.Close()
+	reg := obs.NewRegistry()
+	tu.ExportMetrics(reg)
+	tu.Track("m1", coo, 4, advisor.FeatureSummary{}, testIncumbent, 1)
+
+	b := matrix.NewDenseRand[float64](coo.Cols, 3, 7)
+	served := matrix.NewDense[float64](coo.Rows, 3)
+	fillResult(served)
+	wrong := matrix.NewDense[float64](coo.Rows, 3)
+	fillResult(wrong)
+	wrong.Row(0)[0]++
+	for i := 0; i < 2; i++ { // duty 0.5: the second offer becomes a trial
+		tu.Offer("m1", testIncumbent, 1, b, wrong, 3) // incumbent re-run diverges: reject
+	}
+	tu.Flush()
+	armed = true
+	for i := 0; i < 2; i++ {
+		tu.Offer("m1", testIncumbent, 1, b, served, 3) // challenger errors: disqualified
+	}
+	tu.Flush()
+
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if got := tu.Stats().Rejects; got != 2 ||
+		!strings.Contains(text.String(), "\nspmm_tune_rejects_total 1\n") ||
+		!strings.Contains(text.String(), "\nspmm_tune_disqualified_total 1\n") {
+		t.Fatalf("one rejection + one disqualification: JSON rejects = %d, want 2 = the sum of\n%s", got, text.String())
 	}
 }

@@ -20,6 +20,11 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== one metrics path (no package-level obs registrations in serve, cluster, tune) =="
+if grep -nE '^\s*obs[A-Z][A-Za-z]*\s*=\s*obs\.New|obs\.New(Counter|Gauge|GaugeFunc|Histogram)\(' $(ls internal/serve/*.go internal/cluster/*.go internal/tune/*.go | grep -v _test.go); then
+    echo "metrics are fields of their owner, named once in ExportMetrics (DESIGN.md section 7)" >&2; exit 1
+fi
+
 echo "== go test -race (parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~16 s under -race), so a partition
