@@ -3,13 +3,16 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,29 +23,44 @@ import (
 
 // The deterministic multi-replica harness: N real spmmserve instances on
 // loopback listeners, each behind a fault gate the test scripts (kill,
-// hang, slow), a router on an injected clock, and a standalone single-node
+// hang, slow, a scripted answer per route), a router on an injected clock, and a standalone single-node
 // server whose answers are the bitwise ground truth. Everything runs
 // in-process, so the whole suite works under -race, and every timing the
 // router owns (probe cadence, attempt timeouts) is scripted through
 // clock.Fake — the only real time left is the loopback round-trip itself.
 
-// faultGate wraps a replica's handler with a scriptable fault. Faults
-// apply to every route, /healthz included — a hung replica hangs its
-// health checks too, which is exactly what the prober must detect.
+// faultGate wraps a replica's handler with a scriptable fault. The hang and
+// slow faults apply to every route, /healthz included — a hung replica hangs
+// its health checks too, which is exactly what the prober must detect. A
+// scripted answer applies only to paths containing its match, so a replica
+// can refuse one route while the rest of it (and its health) stay up.
 type faultGate struct {
 	mu      sync.Mutex
 	inmates sync.WaitGroup // handlers inside the gate; teardown drains them
-	mode    string         // "" healthy, "hang", "slow"
+	mode    string         // "" healthy, "hang", "slow", "script"
 	delay   time.Duration
 	release chan struct{}
+	match   string
+	ans     answer
+	hits    atomic.Int64 // scripted answers played
 	next    http.Handler
+}
+
+// answer is one scripted reply. At most one of status, cut, short and hang
+// is set; none means the replica answers itself, with header stamped on top.
+type answer struct {
+	status int         // answer this status (serve's error shape) without reaching the replica
+	cut    bool        // send a 200 status line and headers promising a body, then drop the connection
+	short  bool        // declare Content-Length 64, deliver 8 bytes
+	hang   bool        // hold the request until heal
+	header http.Header // added to whatever is answered
 }
 
 func (g *faultGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.inmates.Add(1)
 	defer g.inmates.Done()
 	g.mu.Lock()
-	mode, delay, release := g.mode, g.delay, g.release
+	mode, delay, release, match, ans := g.mode, g.delay, g.release, g.match, g.ans
 	g.mu.Unlock()
 	switch mode {
 	case "hang":
@@ -53,8 +71,54 @@ func (g *faultGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	case "slow":
 		time.Sleep(delay)
+	case "script":
+		if strings.Contains(r.URL.Path, match) && ans.play(w, release) {
+			g.hits.Add(1)
+			return
+		}
 	}
 	g.next.ServeHTTP(w, r)
+}
+
+// play performs the scripted reply; false means the replica should answer.
+func (a answer) play(w http.ResponseWriter, release chan struct{}) bool {
+	for name, vals := range a.header {
+		w.Header()[name] = vals
+	}
+	switch {
+	case a.hang:
+		<-release
+		w.WriteHeader(http.StatusServiceUnavailable)
+	case a.cut:
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			panic(err)
+		}
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: 64\r\n\r\n")
+		buf.Flush()
+		conn.Close()
+	case a.short:
+		// The server notices the handler under-delivered and closes the
+		// connection instead of framing a next response onto it.
+		w.Header().Set("Content-Length", "64")
+		w.Write(make([]byte, 8))
+	case a.status > 0:
+		serve.WriteError(w, a.status, errors.New("scripted refusal"))
+	default:
+		return false
+	}
+	return true
+}
+
+// script plays ans for every subsequent request whose path contains match.
+func (g *faultGate) script(match string, ans answer) {
+	g.heal()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.mode, g.match, g.ans = "script", match, ans
+	if ans.hang {
+		g.release = make(chan struct{})
+	}
 }
 
 // hang makes every subsequent request block until heal.

@@ -53,7 +53,7 @@ type ReplicaStats struct {
 	// Proxied / Errors are per-replica proxy totals.
 	Proxied int64 `json:"proxied"`
 	Errors  int64 `json:"errors"`
-	// Failovers counts multiplies this replica served after an earlier
+	// Failovers counts requests this replica served after an earlier
 	// candidate in the plan had already failed.
 	Failovers int64 `json:"failovers"`
 	// ProbeFails is the replica's current consecutive-probe-failure count

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 
 	"repro/internal/serve"
 )
@@ -29,7 +32,52 @@ import (
 // A failure in steps 2–3 just clears the pin and leaves the old placement
 // serving — the ring says the new owner, but plan() only routes to
 // registered holders, so traffic never lands on a replica that missed its
-// warm-up.
+// warm-up. Steps 2–4 are rehome, for a join, a leave and a hot replication
+// alike.
+
+// rehome copies e onto target (register, verify, warm) and settles the
+// move: target joins the holder set, leaving (when named) drops out of it,
+// and the pin clears — or, when the copy failed, the pin alone clears and
+// the old placement keeps serving. It is the only code that ends a move.
+func (rt *Router) rehome(e *entry, target *replica, leaving string) error {
+	err := rt.moveEntry(target, e)
+	rt.mu.Lock()
+	if err == nil {
+		e.addHolderLocked(target.name)
+		if leaving != "" {
+			e.dropHolderLocked(leaving)
+		}
+	}
+	e.pinned = ""
+	rt.mu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("cluster: move %s to %s: %w", e.id, target.name, err)
+		rt.logf("%v", err)
+	}
+	return err
+}
+
+// move is one pending re-home of a ring change.
+type move struct {
+	e      *entry
+	target *replica
+}
+
+// rehomeAll runs a ring change's moves one by one and reports how many
+// landed, each counted in moves.
+func (rt *Router) rehomeAll(moves []move, leaving string) (int, error) {
+	count := 0
+	var lastErr error
+	for _, m := range moves {
+		if err := rt.rehome(m.e, m.target, leaving); err != nil {
+			lastErr = err
+			continue
+		}
+		count++
+		rt.moves.Inc()
+	}
+	return count, lastErr
+}
 
 // Join adds a replica to the fleet and re-homes the matrix IDs the new
 // ring assigns to it, warming each before cutover. It returns how many IDs
@@ -47,38 +95,19 @@ func (rt *Router) Join(spec JoinRequest) (int, error) {
 	rt.replicas[spec.Name] = rep
 	old := rt.ring.Load()
 	next := old.With(spec.Name)
-	var moved []*entry
+	var moved []move
 	for id, e := range rt.entries {
 		if next.Owner(id) != old.Owner(id) {
 			if len(e.holders) > 0 {
 				e.pinned = e.holders[0]
 			}
-			moved = append(moved, e)
+			moved = append(moved, move{e, rep})
 		}
 	}
 	rt.ring.Store(next)
 	rt.mu.Unlock()
 	rt.logf("cluster: %s joined; ring %v; %d matrices to move", spec.Name, next.Members(), len(moved))
-
-	count := 0
-	var lastErr error
-	for _, e := range moved {
-		if err := rt.moveEntry(rep, e); err != nil {
-			rt.mu.Lock()
-			e.pinned = ""
-			rt.mu.Unlock()
-			lastErr = fmt.Errorf("cluster: move %s to %s: %w", e.id, spec.Name, err)
-			rt.logf("%v", lastErr)
-			continue
-		}
-		rt.mu.Lock()
-		e.addHolderLocked(spec.Name)
-		e.pinned = ""
-		rt.mu.Unlock()
-		count++
-		rt.moves.Inc()
-	}
-	return count, lastErr
+	return rt.rehomeAll(moved, "")
 }
 
 // Leave gracefully removes a replica: every matrix it holds is re-homed to
@@ -97,31 +126,13 @@ func (rt *Router) Leave(name string) (int, error) {
 		rt.mu.Unlock()
 		return 0, fmt.Errorf("cluster: cannot remove the last replica %q", name)
 	}
-	type moveJob struct {
-		e      *entry
-		target string
-	}
-	var jobs []moveJob
+	var moved []move
 	for id, e := range rt.entries {
-		held := false
-		for _, h := range e.holders {
-			if h == name {
-				held = true
-				break
-			}
-		}
-		if !held {
+		if !e.holdsLocked(name) {
 			continue
 		}
-		target := next.Owner(id)
-		already := false
-		for _, h := range e.holders {
-			if h == target {
-				already = true
-				break
-			}
-		}
-		if already || target == "" {
+		target := rt.replicas[next.Owner(id)]
+		if target == nil || e.holdsLocked(target.name) {
 			// Another holder owns it post-leave: just drop the leaver.
 			e.dropHolderLocked(name)
 			continue
@@ -136,38 +147,13 @@ func (rt *Router) Leave(name string) (int, error) {
 			}
 		}
 		e.pinned = pin
-		jobs = append(jobs, moveJob{e: e, target: target})
+		moved = append(moved, move{e, target})
 	}
 	rt.ring.Store(next)
 	rt.mu.Unlock()
-	rt.logf("cluster: %s leaving; ring %v; %d matrices to move", name, next.Members(), len(jobs))
+	rt.logf("cluster: %s leaving; ring %v; %d matrices to move", name, next.Members(), len(moved))
 
-	count := 0
-	var lastErr error
-	for _, job := range jobs {
-		rt.mu.Lock()
-		target := rt.replicas[job.target]
-		rt.mu.Unlock()
-		if target == nil {
-			lastErr = fmt.Errorf("cluster: move %s: target %s not in fleet", job.e.id, job.target)
-			continue
-		}
-		if err := rt.moveEntry(target, job.e); err != nil {
-			rt.mu.Lock()
-			job.e.pinned = ""
-			rt.mu.Unlock()
-			lastErr = fmt.Errorf("cluster: move %s to %s: %w", job.e.id, job.target, err)
-			rt.logf("%v", lastErr)
-			continue
-		}
-		rt.mu.Lock()
-		job.e.addHolderLocked(job.target)
-		job.e.dropHolderLocked(name)
-		job.e.pinned = ""
-		rt.mu.Unlock()
-		count++
-		rt.moves.Inc()
-	}
+	count, err := rt.rehomeAll(moved, name)
 
 	rt.mu.Lock()
 	delete(rt.replicas, name)
@@ -177,7 +163,45 @@ func (rt *Router) Leave(name string) (int, error) {
 		e.dropHolderLocked(name)
 	}
 	rt.mu.Unlock()
-	return count, lastErr
+	return count, err
+}
+
+// maybeReplicate kicks off hot replication when an entry's serve count
+// crosses the threshold and it still has holder headroom. The copy happens
+// off the request path; concurrent triggers collapse onto one attempt.
+func (rt *Router) maybeReplicate(e *entry) {
+	if rt.cfg.ReplicateAfter <= 0 || e.serves.Load() < rt.cfg.ReplicateAfter {
+		return
+	}
+	ring := rt.ring.Load()
+	rt.mu.Lock()
+	var target *replica
+	if !e.replicating && len(e.holders) < rt.cfg.MaxHolders {
+		for _, n := range ring.Owners(e.id, ring.Len()) {
+			if rep, ok := rt.replicas[n]; ok && !e.holdsLocked(n) && !rep.down {
+				target = rep
+				break
+			}
+		}
+		e.replicating = target != nil
+	}
+	rt.mu.Unlock()
+	if target == nil {
+		return
+	}
+
+	rt.wg.Add(1)
+	go func() {
+		defer rt.wg.Done()
+		err := rt.rehome(e, target, "")
+		rt.mu.Lock()
+		e.replicating = false
+		rt.mu.Unlock()
+		if err == nil {
+			rt.replications.Inc()
+			rt.logf("cluster: replicated hot matrix %s to %s", e.id, target.name)
+		}
+	}()
 }
 
 // ensureRegistered lands the matrix on rep with its prepared-format cache
@@ -229,22 +253,25 @@ func (rt *Router) moveEntry(rep *replica, e *entry) error {
 	return rt.ensureRegistered(rep, e)
 }
 
-// pullExport fetches the canonical triplets from the first live holder.
+// pullExport fetches the canonical triplets from the first holder that
+// answers, failing over like any other routed request.
 func (rt *Router) pullExport(e *entry) (*serve.ExportRecord, error) {
-	rt.mu.Lock()
-	holders := rt.orderAliveLocked(append([]string(nil), e.holders...))
-	rt.mu.Unlock()
-	var lastErr error
-	for _, rep := range holders {
-		exp, err := rt.client(rep).Export(e.id)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return exp, nil
+	holders := rt.liveHolders(e)
+	if len(holders) == 0 {
+		return nil, fmt.Errorf("cluster: %s has no holders to export from", e.id)
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: %s has no holders to export from", e.id)
+	// Join and Leave carry no context; the attempt timeout bounds each pull.
+	rp, err := rt.forward(context.TODO(), e, holders,
+		outbound{method: http.MethodGet, path: "/v1/matrices/" + e.id + "/export"}, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	if rp.status != http.StatusOK {
+		return nil, fmt.Errorf("export from %s: status %d: %s", rp.rep.name, rp.status, rp.body)
+	}
+	var exp serve.ExportRecord
+	if err := json.Unmarshal(rp.body, &exp); err != nil {
+		return nil, fmt.Errorf("export from %s: %w", rp.rep.name, err)
+	}
+	return &exp, nil
 }

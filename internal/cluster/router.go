@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,7 +143,7 @@ type replicaMetrics struct {
 	proxied obs.Counter
 	errors  obs.Counter
 	seconds obs.Histogram
-	// failovers counts multiplies this replica served after an earlier
+	// failovers counts requests this replica served after an earlier
 	// candidate had already failed — who absorbs the fleet's failures.
 	// /v1/cluster only; it has no series.
 	failovers obs.Counter
@@ -173,7 +174,8 @@ type entry struct {
 	mutMu sync.Mutex
 	// pinned, when set, overrides ring placement while a rebalance warms
 	// the matrix on its new owner: requests keep landing on the pinned
-	// holder until the cutover clears it. Guarded by Router.mu.
+	// holder until rehome clears it; a pin on a replica that has since left
+	// the holder set is ignored. Guarded by Router.mu.
 	pinned string
 	// serves counts multiplies routed for this ID — the hot-replication
 	// signal.
@@ -268,8 +270,9 @@ func (rt *Router) Close() {
 	rt.wg.Wait()
 }
 
-// client builds a serve.Client against one replica for control-plane calls
-// (export, register, prepare) the router issues itself.
+// client builds a serve.Client against one replica for the typed
+// control-plane calls the router issues itself (a move's register and
+// prepare, the list/stats/trace aggregations).
 func (rt *Router) client(rep *replica) *serve.Client {
 	return &serve.Client{Base: rep.base, HTTP: rt.httpc, MaxAttempts: 2, RetryConnErrors: true}
 }
@@ -306,34 +309,206 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+// maxBody caps every body the router buffers — an inbound register, mutate
+// or multiply, and a replica's reply. It is the replicas' own register cap;
+// a replica still applies its tighter per-route limits to what gets through.
+const maxBody = 256 << 20
+
+// readSized buffers a body of declared length n (-1 when undeclared) under
+// maxBody: one exact allocation when the length is declared, a growing read
+// behind http.MaxBytesReader otherwise. A body that ends short of its
+// declared length fails with io.ErrUnexpectedEOF, an oversized one with
+// *http.MaxBytesError (before a byte is read when it declared itself). w,
+// when non-nil, is the response whose connection an oversized request
+// should close.
+func readSized(w http.ResponseWriter, body io.ReadCloser, n int64) ([]byte, error) {
+	if n > maxBody {
+		return nil, &http.MaxBytesError{Limit: maxBody}
+	}
+	if n < 0 {
+		return io.ReadAll(http.MaxBytesReader(w, body, maxBody))
+	}
+	buf := make([]byte, n)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, serve.ErrorResponse{Error: err.Error()})
+// readBody buffers an inbound request body. On failure it has already
+// answered — 413 for an oversized body, 400 for a broken one — before any
+// replica was contacted.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := readSized(w, r.Body, r.ContentLength)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		err = fmt.Errorf("cluster: request body: %w", err)
+		serve.WriteError(w, code, err)
+	}
+	return body, err
 }
 
-// handleRegister content-addresses the upload locally, routes it to the
+// outbound is one request as the router sends it to a replica.
+type outbound struct {
+	method, path string
+	contentType  string // of body
+	body         []byte // nil for a bodiless request
+	header       []headerPair
+}
+
+type headerPair struct{ name, value string }
+
+// reply is a replica's complete answer: attempt has read the whole body, so
+// holding a reply pins no connection, timer or counter.
+type reply struct {
+	rep    *replica
+	status int
+	header http.Header
+	body   []byte
+}
+
+// errMidResponse marks an attempt whose replica answered a status line and
+// then failed to deliver the body it promised.
+var errMidResponse = errors.New("cut mid-response")
+
+// attempt is the only function that sends a request to a replica. It bounds
+// the whole exchange — connect to last body byte — by AttemptTimeout on the
+// router clock, settles the replica's load and traffic counters, and reads
+// the body once, so a replica killed mid-body, hung mid-body or lying about
+// its length is a failed attempt like one that never connected.
+func (rt *Router) attempt(ctx context.Context, rep *replica, out outbound) (reply, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if rt.cfg.AttemptTimeout > 0 {
+		defer rt.clk.AfterFunc(rt.cfg.AttemptTimeout, cancel).Stop()
+	}
+	var rdr io.Reader
+	if out.body != nil {
+		rdr = bytes.NewReader(out.body)
+	}
+	req, err := http.NewRequestWithContext(ctx, out.method, rep.base+out.path, rdr)
+	if err != nil {
+		return reply{}, err
+	}
+	if out.body != nil {
+		req.Header.Set("Content-Type", out.contentType)
+	}
+	for _, h := range out.header {
+		req.Header.Set(h.name, h.value)
+	}
+	rep.inFlight.Add(1)
+	defer rep.inFlight.Add(-1)
+	rep.proxied.Inc()
+	start := time.Now()
+	resp, err := rt.httpc.Do(req)
+	if err != nil {
+		rep.errors.Inc()
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	body, err := readSized(nil, resp.Body, resp.ContentLength)
+	if err != nil {
+		rep.errors.Inc()
+		return reply{}, fmt.Errorf("%w: %w", errMidResponse, err)
+	}
+	rep.seconds.Observe(time.Since(start).Seconds())
+	return reply{rep: rep, status: resp.StatusCode, header: resp.Header, body: body}, nil
+}
+
+// attemptVerdict names an attempt's outcome for its attempt-remote span:
+// "ok", the status code of any other answer, "mid-response" for a body that
+// broke off, "timeout" for the attempt timer firing, "canceled" for the
+// client abandoning the request, "conn-error" for anything else.
+func attemptVerdict(parent context.Context, rp reply, err error) string {
+	switch {
+	case err == nil && rp.status == http.StatusOK:
+		return "ok"
+	case err == nil:
+		return strconv.Itoa(rp.status)
+	case errors.Is(err, errMidResponse):
+		return "mid-response"
+	case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+		return "conn-error"
+	case parent.Err() != nil:
+		return "canceled"
+	}
+	return "timeout"
+}
+
+// forward is the only candidate loop and the only copy of the failover
+// verdict table (DESIGN §11), for every route: a failed attempt moves on; a
+// 404 drops the replica from e's holders (it lost the matrix) and moves on;
+// a retryable status moves on unless this is the last candidate, whose
+// verdict is then relayed with its Retry-After intact; any other answer is
+// final — every replica would say the same. Each attempt is one
+// attempt-remote span on tr (nil when untraced), verdict in the detail. e is
+// nil only while the matrix has no placement yet (a first registration).
+func (rt *Router) forward(ctx context.Context, e *entry, cands []*replica, out outbound, tr *trace.Req) (reply, error) {
+	var lastErr error
+	for i, rep := range cands {
+		start := tr.Now()
+		rp, err := rt.attempt(ctx, rep, out)
+		if tr != nil {
+			tr.Phase(trace.PhaseAttemptRemote, rep.name+" "+attemptVerdict(ctx, rp, err), start, int64(i+1))
+		}
+		switch {
+		case err != nil:
+			lastErr = fmt.Errorf("cluster: replica %s: %w", rep.name, err)
+			rt.logf("cluster: %s %s on %s failed: %v", out.method, out.path, rep.name, err)
+		case rp.status == http.StatusNotFound && e != nil:
+			rt.mu.Lock()
+			e.dropHolderLocked(rep.name)
+			rt.mu.Unlock()
+			lastErr = fmt.Errorf("cluster: replica %s no longer holds %s", rep.name, e.id)
+		case serve.RetryableStatus(rp.status) && i+1 < len(cands):
+			lastErr = fmt.Errorf("cluster: replica %s returned %d", rep.name, rp.status)
+		default:
+			if i > 0 && rp.status == http.StatusOK {
+				rt.failovers.Inc()
+				rep.failovers.Inc()
+			}
+			return rp, nil
+		}
+	}
+	return reply{}, fmt.Errorf("cluster: all holders failed: %w", lastErr)
+}
+
+// relay is the only place a replica's answer becomes the client's: status
+// and body verbatim, Content-Type, Retry-After and every X-Spmm-* header the
+// replica set — by rule, so a header serve adds later needs no edit here —
+// plus the name of the replica that answered.
+func (rp reply) relay(w http.ResponseWriter) {
+	h := w.Header()
+	for name, vals := range rp.header {
+		if name == "Content-Type" || name == "Retry-After" || strings.HasPrefix(name, "X-Spmm-") {
+			h[name] = vals
+		}
+	}
+	h.Set(serve.HeaderReplica, rp.rep.name)
+	h.Set("Content-Length", strconv.Itoa(len(rp.body)))
+	w.WriteHeader(rp.status)
+	w.Write(rp.body)
+}
+
+// handleRegister content-addresses the upload locally, forwards it to the
 // ring owner (falling over to the next alive preference), and records the
 // placement. Because the ID is computed before any replica is contacted,
 // placement is deterministic and re-registration is idempotent end to end.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
+	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	var rr serve.RegisterRequest
 	if err := json.Unmarshal(body, &rr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: register body: %w", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: register body: %w", err))
 		return
 	}
 	m, err := serve.Materialize(rr)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	serve.Canonicalize(m)
@@ -341,43 +516,29 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 	cands := rt.registerCandidates(id)
 	if len(cands) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: no replica available"))
+		serve.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: no replica available"))
 		return
 	}
-	var lastErr error
-	for _, rep := range cands {
-		resp, release, err := rt.roundTrip(r.Context(), rep, http.MethodPost, "/v1/matrices", "application/json", body)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			relayResponse(w, resp, rep.name)
-			release()
-			return
-		}
+	rp, err := rt.forward(r.Context(), nil, cands,
+		outbound{method: http.MethodPost, path: "/v1/matrices", contentType: "application/json", body: body}, nil)
+	if err != nil {
+		serve.WriteError(w, http.StatusBadGateway, err)
+		return
+	}
+	if rp.status == http.StatusOK {
 		var reg serve.RegisterResponse
-		raw, err := io.ReadAll(resp.Body)
-		release()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := json.Unmarshal(raw, &reg); err != nil {
-			lastErr = err
-			continue
+		if err := json.Unmarshal(rp.body, &reg); err != nil {
+			serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: replica %s register reply: %w", rp.rep.name, err))
+			return
 		}
 		if reg.ID != id {
-			writeError(w, http.StatusBadGateway,
-				fmt.Errorf("cluster: replica %s registered %s, router hashed %s", rep.name, reg.ID, id))
+			serve.WriteError(w, http.StatusBadGateway,
+				fmt.Errorf("cluster: replica %s registered %s, router hashed %s", rp.rep.name, reg.ID, id))
 			return
 		}
-		rt.recordPlacement(&reg, rr, rep.name)
-		w.Header().Set(serve.HeaderReplica, rep.name)
-		writeJSON(w, http.StatusOK, &reg)
-		return
+		rt.recordPlacement(&reg, rr, rp.rep.name)
 	}
-	writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: register failed on every candidate: %w", lastErr))
+	rp.relay(w)
 }
 
 // registerCandidates orders replicas for a registration: existing holders
@@ -417,6 +578,13 @@ func (rt *Router) orderAliveLocked(names []string) []*replica {
 	return append(alive, downs...)
 }
 
+// liveHolders is e's holder set as replicas, alive before down.
+func (rt *Router) liveHolders(e *entry) []*replica {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.orderAliveLocked(e.holders)
+}
+
 // recordPlacement records (or extends) the placement entry after a
 // successful registration on rep.
 func (rt *Router) recordPlacement(reg *serve.RegisterResponse, rr serve.RegisterRequest, rep string) {
@@ -434,16 +602,25 @@ func (rt *Router) recordPlacement(reg *serve.RegisterResponse, rr serve.Register
 	e.addHolderLocked(rep)
 }
 
-// addHolderLocked appends a holder if absent. Callers hold Router.mu.
-func (e *entry) addHolderLocked(name string) {
+// holdsLocked reports whether name is a holder. Callers hold Router.mu.
+func (e *entry) holdsLocked(name string) bool {
 	for _, h := range e.holders {
 		if h == name {
-			return
+			return true
 		}
 	}
-	e.holders = append(e.holders, name)
+	return false
 }
 
+// addHolderLocked appends a holder if absent. Callers hold Router.mu.
+func (e *entry) addHolderLocked(name string) {
+	if !e.holdsLocked(name) {
+		e.holders = append(e.holders, name)
+	}
+}
+
+// dropHolderLocked removes a holder. A pin left pointing at it is inert —
+// plan honours a pin only on a holder — until rehome clears it.
 func (e *entry) dropHolderLocked(name string) {
 	kept := e.holders[:0]
 	for _, h := range e.holders {
@@ -452,9 +629,6 @@ func (e *entry) dropHolderLocked(name string) {
 		}
 	}
 	e.holders = kept
-	if e.pinned == name {
-		e.pinned = ""
-	}
 }
 
 // plan orders the replicas to try for one request against id: the pinned
@@ -470,16 +644,13 @@ func (rt *Router) plan(id string) (*entry, []*replica, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: unknown matrix %q", id)
 	}
-	holds := map[string]bool{}
-	for _, h := range e.holders {
-		holds[h] = true
-	}
 	var names []string
-	if e.pinned != "" && holds[e.pinned] {
+	pinned := e.pinned != "" && e.holdsLocked(e.pinned)
+	if pinned {
 		names = append(names, e.pinned)
 	}
 	for _, n := range ring.Owners(id, ring.Len()) {
-		if holds[n] {
+		if e.holdsLocked(n) {
 			names = append(names, n)
 		}
 	}
@@ -488,7 +659,7 @@ func (rt *Router) plan(id string) (*entry, []*replica, error) {
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("cluster: matrix %q has no live holder", id)
 	}
-	if e.pinned == "" && len(cands) >= 2 && !cands[0].down && !cands[1].down {
+	if !pinned && len(cands) >= 2 && !cands[0].down && !cands[1].down {
 		if cands[0].inFlight.Load() > cands[1].inFlight.Load()+rt.cfg.SpillMargin {
 			cands[0], cands[1] = cands[1], cands[0]
 			rt.spillovers.Inc()
@@ -497,11 +668,9 @@ func (rt *Router) plan(id string) (*entry, []*replica, error) {
 	return e, cands, nil
 }
 
-// handleMultiply proxies a multiply with failover: candidates are tried in
-// plan order, transport errors and overload/unavailable statuses move to
-// the next holder, and the client sees only the final outcome — a replica
-// kill mid-stream surfaces as a connection error on the router, not the
-// client.
+// handleMultiply forwards a multiply to the matrix's holders in plan order;
+// the client sees only the final outcome — a replica killed mid-stream is a
+// failed attempt on the router, not an error on the client.
 func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 
@@ -519,390 +688,131 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 
 	loadStart := req.Now()
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(w, r)
 	if err != nil {
 		rt.failRequest(req, err)
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	req.Phase(trace.PhaseLoad, "panel", loadStart, 0)
 	e, cands, err := rt.plan(id)
 	if err != nil {
 		rt.failRequest(req, err)
-		writeError(w, http.StatusNotFound, err)
+		serve.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	path := "/v1/matrices/" + id + "/multiply"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
+	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: "application/octet-stream", body: body}
+	if v := r.Header.Get(serve.HeaderDeadlineMs); v != "" {
+		out.header = append(out.header, headerPair{serve.HeaderDeadlineMs, v})
 	}
-	hdrs := forwardHeader(r, serve.HeaderDeadlineMs)
 	if rid != "" {
-		hdrs = append(hdrs, headerPair{serve.HeaderRequestID, rid})
+		out.header = append(out.header, headerPair{serve.HeaderRequestID, rid})
+		w.Header().Set(serve.HeaderRequestID, rid)
 	}
-	var lastErr error
-	for i, rep := range cands {
-		attemptStart := req.Now()
-		resp, release, err := rt.roundTrip(r.Context(), rep, http.MethodPost, path, "application/octet-stream", body, hdrs...)
-		if err != nil {
-			verdict := attemptVerdict(r.Context(), err)
-			req.Phase(trace.PhaseAttemptRemote, rep.name+" "+verdict, attemptStart, int64(i+1))
-			lastErr = fmt.Errorf("cluster: replica %s: %w", rep.name, err)
-			rt.logf("cluster: multiply %s on %s failed: %v", id, rep.name, err)
-			continue
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			// Buffer the whole panel before acking. A replica killed after
-			// sending its status line but before finishing the body must
-			// surface here as a read error — and fail over — never as a
-			// truncated 200 on the client. The attempt timer stays armed
-			// until release, so a mid-body hang is still bounded.
-			payload, rerr := io.ReadAll(resp.Body)
-			if rerr != nil {
-				release()
-				req.Phase(trace.PhaseAttemptRemote, rep.name+" mid-response", attemptStart, int64(i+1))
-				lastErr = fmt.Errorf("cluster: replica %s died mid-response: %w", rep.name, rerr)
-				rt.logf("cluster: multiply %s on %s cut mid-response: %v", id, rep.name, rerr)
-				continue
-			}
-			if i > 0 {
-				rt.failovers.Inc()
-				rep.failovers.Inc()
-			}
-			e.serves.Add(1)
-			req.Phase(trace.PhaseAttemptRemote, rep.name+" ok", attemptStart, int64(i+1))
-			respondStart := req.Now()
-			// Headers come from resp — the attempt that actually succeeded —
-			// so after a failover the client sees the survivor's variant,
-			// cache verdict and timing, never the dead holder's.
-			relayHeaders(w, resp, rep.name)
-			w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-			if rid != "" {
-				w.Header().Set(serve.HeaderRequestID, rid)
-			}
-			w.WriteHeader(resp.StatusCode)
-			w.Write(payload)
-			release()
-			req.Phase(trace.PhaseRespond, "", respondStart, 0)
-			rt.finishRequest(req)
-			rt.maybeReplicate(e)
-			return
-		case http.StatusNotFound:
-			// The replica lost the matrix (restarted without durability):
-			// drop it from the holder set and try the next candidate.
-			rt.mu.Lock()
-			e.dropHolderLocked(rep.name)
-			rt.mu.Unlock()
-			req.Phase(trace.PhaseAttemptRemote, rep.name+" 404", attemptStart, int64(i+1))
-			lastErr = fmt.Errorf("cluster: replica %s no longer holds %s", rep.name, id)
-			release()
-		case http.StatusTooManyRequests, http.StatusBadGateway,
-			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			req.Phase(trace.PhaseAttemptRemote, rep.name+" "+strconv.Itoa(resp.StatusCode), attemptStart, int64(i+1))
-			lastErr = fmt.Errorf("cluster: replica %s returned %d", rep.name, resp.StatusCode)
-			if len(cands) == i+1 {
-				// Out of candidates: relay the replica's own verdict
-				// (Retry-After and all) instead of masking it.
-				relayResponse(w, resp, rep.name)
-				release()
-				rt.failRequest(req, lastErr)
-				return
-			}
-			release()
-		default:
-			// Deterministic client error (bad k, malformed panel): every
-			// replica would answer the same, so relay immediately.
-			req.Phase(trace.PhaseAttemptRemote, rep.name+" "+strconv.Itoa(resp.StatusCode), attemptStart, int64(i+1))
-			relayResponse(w, resp, rep.name)
-			release()
-			rt.failRequest(req, fmt.Errorf("cluster: replica %s returned %d", rep.name, resp.StatusCode))
-			return
-		}
-	}
-	rt.failRequest(req, lastErr)
-	writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: all holders failed: %w", lastErr))
-}
-
-// attemptVerdict classifies a failed proxy attempt for its attempt-remote
-// span: the attempt timer firing reads as "timeout", the client abandoning
-// the request as "canceled", anything else as "conn-error".
-func attemptVerdict(parent context.Context, err error) string {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if parent.Err() != nil {
-			return "canceled"
-		}
-		return "timeout"
-	}
-	return "conn-error"
-}
-
-// handleProxy forwards info/export/prepare to the first holder that
-// answers, with the same failover discipline as multiply.
-func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	_, cands, err := rt.plan(id)
+	rp, err := rt.forward(r.Context(), e, cands, out, req)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		rt.failRequest(req, err)
+		serve.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	path := r.URL.Path
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	var lastErr error
-	for _, rep := range cands {
-		resp, release, err := rt.roundTrip(r.Context(), rep, r.Method, path, "application/json", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		relayResponse(w, resp, rep.name)
-		release()
+	// Everything the client sees comes from rp — the attempt that actually
+	// answered — so after a failover it is the survivor's variant, cache
+	// verdict and timing, never the dead holder's.
+	respondStart := req.Now()
+	rp.relay(w)
+	if rp.status != http.StatusOK {
+		rt.failRequest(req, fmt.Errorf("cluster: replica %s returned %d", rp.rep.name, rp.status))
 		return
 	}
-	writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: all holders failed: %w", lastErr))
+	req.Phase(trace.PhaseRespond, "", respondStart, 0)
+	rt.finishRequest(req)
+	e.serves.Add(1)
+	rt.maybeReplicate(e)
+}
+
+// handleProxy forwards info/export/prepare/compact to the matrix's holders
+// with the same failover as a multiply.
+func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
+	e, cands, err := rt.plan(r.PathValue("id"))
+	if err != nil {
+		serve.WriteError(w, http.StatusNotFound, err)
+		return
+	}
+	rp, err := rt.forward(r.Context(), e, cands, outbound{method: r.Method, path: r.URL.RequestURI()}, nil)
+	if err != nil {
+		serve.WriteError(w, http.StatusBadGateway, err)
+		return
+	}
+	rp.relay(w)
 }
 
 // handleMutate applies one mutation batch to EVERY holder of the matrix —
 // unlike a multiply, a mutation must reach each copy or the copies diverge
-// bitwise. The fan-out runs under the entry's mutation lock so it also
+// bitwise — so it is the one route that fans out over attempt instead of
+// forwarding. The fan-out runs under the entry's mutation lock so it also
 // serializes with rebalance moves (a batch cannot slip between a move's
 // export and its cutover). A holder that fails the batch while another
 // acked it has diverged and is dropped from the holder set; the client
 // fails only when no holder acked.
 func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
+	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	rt.mu.Lock()
 	e, ok := rt.entries[id]
 	rt.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown matrix %q", id))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown matrix %q", id))
 		return
 	}
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
-	rt.mu.Lock()
-	holders := rt.orderAliveLocked(append([]string(nil), e.holders...))
-	rt.mu.Unlock()
+	holders := rt.liveHolders(e)
 	if len(holders) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: matrix %q has no live holder", id))
+		serve.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: matrix %q has no live holder", id))
 		return
 	}
-	path := "/v1/matrices/" + id + "/mutate"
-	type mutReply struct {
-		rep    string
-		header http.Header
-		status int
-		body   []byte
-	}
-	var acked *mutReply
-	var failed *mutReply
+	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: "application/json", body: body}
+	var acked, refused *reply
 	var diverged []string
 	var lastErr error
 	for _, rep := range holders {
-		resp, release, err := rt.roundTrip(r.Context(), rep, http.MethodPost, path, "application/json", body)
-		if err != nil {
-			diverged = append(diverged, rep.name)
+		rp, err := rt.attempt(r.Context(), rep, out)
+		switch {
+		case err != nil:
 			lastErr = fmt.Errorf("cluster: replica %s: %w", rep.name, err)
 			rt.logf("cluster: mutate %s on %s failed: %v", id, rep.name, err)
+		case rp.status != http.StatusOK:
+			lastErr = fmt.Errorf("cluster: replica %s returned %d", rep.name, rp.status)
+			refused = &rp
+		default:
+			if acked == nil {
+				acked = &rp
+			}
 			continue
 		}
-		payload, rerr := io.ReadAll(resp.Body)
-		status, header := resp.StatusCode, resp.Header
-		release()
-		if rerr != nil {
-			diverged = append(diverged, rep.name)
-			lastErr = fmt.Errorf("cluster: replica %s died mid-response: %w", rep.name, rerr)
-			continue
-		}
-		reply := &mutReply{rep: rep.name, header: header, status: status, body: payload}
-		if status != http.StatusOK {
-			failed = reply
-			diverged = append(diverged, rep.name)
-			lastErr = fmt.Errorf("cluster: replica %s returned %d", rep.name, status)
-			continue
-		}
-		if acked == nil {
-			acked = reply
-		}
+		diverged = append(diverged, rep.name)
 	}
-	if acked == nil {
+	switch {
+	case acked != nil:
+		rt.mu.Lock()
+		e.mutated = true
+		for _, name := range diverged {
+			e.dropHolderLocked(name)
+		}
+		rt.mu.Unlock()
+		if len(diverged) > 0 {
+			rt.logf("cluster: dropped diverged holders %v of %s after mutate fan-out", diverged, id)
+		}
+		acked.relay(w)
+	case refused != nil:
 		// Nobody applied the batch, so nobody diverged: keep the holder set
 		// and relay the most informative refusal.
-		if failed != nil {
-			for _, h := range []string{"Content-Type", "Retry-After"} {
-				if v := failed.header.Get(h); v != "" {
-					w.Header().Set(h, v)
-				}
-			}
-			w.Header().Set(serve.HeaderReplica, failed.rep)
-			w.WriteHeader(failed.status)
-			w.Write(failed.body)
-			return
-		}
-		writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: mutate failed on every holder: %w", lastErr))
-		return
+		refused.relay(w)
+	default:
+		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: mutate failed on every holder: %w", lastErr))
 	}
-	rt.mu.Lock()
-	e.mutated = true
-	for _, name := range diverged {
-		e.dropHolderLocked(name)
-	}
-	rt.mu.Unlock()
-	for _, name := range diverged {
-		rt.logf("cluster: dropped diverged holder %s of %s after mutate fan-out", name, id)
-	}
-	for _, h := range []string{"Content-Type", serve.HeaderEpoch, serve.HeaderContentHash} {
-		if v := acked.header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set(serve.HeaderReplica, acked.rep)
-	w.Header().Set("Content-Length", strconv.Itoa(len(acked.body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(acked.body)
-}
-
-// forwardHeader copies the named request headers into outbound form.
-func forwardHeader(r *http.Request, names ...string) []headerPair {
-	var out []headerPair
-	for _, n := range names {
-		if v := r.Header.Get(n); v != "" {
-			out = append(out, headerPair{n, v})
-		}
-	}
-	return out
-}
-
-type headerPair struct{ name, value string }
-
-// roundTrip performs one proxy attempt against a replica, tracking load and
-// latency. The returned release func must be called after the response body
-// has been consumed; it disarms the attempt timer (scheduled on the
-// router's clock so tests can script it) and settles the counters.
-func (rt *Router) roundTrip(parent context.Context, rep *replica, method, path, contentType string, body []byte, extra ...headerPair) (*http.Response, func(), error) {
-	ctx, cancel := context.WithCancel(parent)
-	var timer clock.Timer
-	if rt.cfg.AttemptTimeout > 0 {
-		timer = rt.clk.AfterFunc(rt.cfg.AttemptTimeout, cancel)
-	}
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, rep.base+path, rdr)
-	if err != nil {
-		cancel()
-		return nil, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
-	}
-	for _, h := range extra {
-		req.Header.Set(h.name, h.value)
-	}
-	rep.inFlight.Add(1)
-	rep.proxied.Inc()
-	start := time.Now()
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		rep.inFlight.Add(-1)
-		rep.errors.Inc()
-		if timer != nil {
-			timer.Stop()
-		}
-		cancel()
-		return nil, nil, err
-	}
-	release := func() {
-		resp.Body.Close()
-		rep.inFlight.Add(-1)
-		rep.seconds.Observe(time.Since(start).Seconds())
-		if timer != nil {
-			timer.Stop()
-		}
-		cancel()
-	}
-	return resp, release, nil
-}
-
-// relayHeaders copies the serve-protocol headers and the replica identity
-// onto an outgoing response.
-func relayHeaders(w http.ResponseWriter, resp *http.Response, replicaName string) {
-	for _, h := range []string{"Content-Type", "Retry-After",
-		serve.HeaderFormat, serve.HeaderCache, serve.HeaderVariant,
-		serve.HeaderBatchWidth, serve.HeaderBatchK,
-		serve.HeaderEpoch, serve.HeaderContentHash,
-		serve.HeaderRequestID, serve.HeaderTiming} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set(serve.HeaderReplica, replicaName)
-}
-
-// relayResponse copies a replica response to the client: headers, status,
-// and the body stream.
-func relayResponse(w http.ResponseWriter, resp *http.Response, replicaName string) {
-	relayHeaders(w, resp, replicaName)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-}
-
-// maybeReplicate kicks off hot replication when an entry's serve count
-// crosses the threshold and it still has holder headroom. The copy happens
-// off the request path; concurrent triggers collapse onto one attempt.
-func (rt *Router) maybeReplicate(e *entry) {
-	if rt.cfg.ReplicateAfter <= 0 || e.serves.Load() < rt.cfg.ReplicateAfter {
-		return
-	}
-	ring := rt.ring.Load()
-	rt.mu.Lock()
-	if e.replicating || len(e.holders) >= rt.cfg.MaxHolders || len(e.holders) >= len(rt.replicas) {
-		rt.mu.Unlock()
-		return
-	}
-	holds := map[string]bool{}
-	for _, h := range e.holders {
-		holds[h] = true
-	}
-	var target *replica
-	for _, n := range ring.Owners(e.id, ring.Len()) {
-		if rep, ok := rt.replicas[n]; ok && !holds[n] && !rep.down {
-			target = rep
-			break
-		}
-	}
-	if target == nil {
-		rt.mu.Unlock()
-		return
-	}
-	e.replicating = true
-	rt.mu.Unlock()
-
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
-		err := rt.moveEntry(target, e)
-		rt.mu.Lock()
-		e.replicating = false
-		if err == nil {
-			e.addHolderLocked(target.name)
-		}
-		rt.mu.Unlock()
-		if err != nil {
-			rt.logf("cluster: replicate %s to %s: %v", e.id, target.name, err)
-			return
-		}
-		rt.replications.Inc()
-		rt.logf("cluster: replicated hot matrix %s to %s", e.id, target.name)
-	}()
 }
 
 // handleList merges the live replicas' listings, deduped by ID in the
@@ -925,7 +835,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleStats aggregates the fleet's serve counters so single-node
@@ -974,7 +884,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	agg.Matrices = len(rt.entries)
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, &agg)
+	serve.WriteJSON(w, http.StatusOK, &agg)
 }
 
 func (rt *Router) aliveReplicas() []*replica {
@@ -1042,24 +952,24 @@ func (rt *Router) ClusterStats() Stats {
 }
 
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.ClusterStats())
+	serve.WriteJSON(w, http.StatusOK, rt.ClusterStats())
 }
 
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var jr JoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	moved, err := rt.Join(jr)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		serve.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	rt.mu.Lock()
 	total := len(rt.entries)
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, JoinResponse{
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{
 		Moved: moved, Matrices: total, Ring: rt.ring.Load().Members(),
 	})
 }
@@ -1067,13 +977,13 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var lr LeaveRequest
 	if err := json.NewDecoder(r.Body).Decode(&lr); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	moved, err := rt.Leave(lr.Name)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		serve.WriteError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, LeaveResponse{Moved: moved, Ring: rt.ring.Load().Members()})
+	serve.WriteJSON(w, http.StatusOK, LeaveResponse{Moved: moved, Ring: rt.ring.Load().Members()})
 }

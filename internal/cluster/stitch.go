@@ -63,10 +63,10 @@ func (rt *Router) failRequest(req *trace.Req, err error) {
 func (rt *Router) handleTraceRequests(w http.ResponseWriter, r *http.Request) {
 	recs, err := serve.TraceRequestsQuery(rt.reqs, r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, recs)
+	serve.WriteJSON(w, http.StatusOK, recs)
 }
 
 // handleTraceChrome stitches one request's distributed timeline into a
@@ -79,7 +79,7 @@ func (rt *Router) handleTraceChrome(w http.ResponseWriter, r *http.Request) {
 	rid := r.PathValue("rid")
 	recs := rt.reqs.Snapshot(trace.ReqFilter{ID: rid, Limit: 1})
 	if len(recs) == 0 {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: no trace record for request %q", rid))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: no trace record for request %q", rid))
 		return
 	}
 	rec := recs[0]

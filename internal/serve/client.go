@@ -86,11 +86,8 @@ func (e *StatusError) Error() string {
 // Overloaded reports a 429 shed.
 func (e *StatusError) Overloaded() bool { return e.Code == http.StatusTooManyRequests }
 
-// Retryable reports a reply worth retrying after a pause: a 429 shed or a
-// 503 (drain, queue deadline, durability unavailable).
-func (e *StatusError) Retryable() bool {
-	return e.Code == http.StatusTooManyRequests || e.Code == http.StatusServiceUnavailable
-}
+// Retryable reports a reply worth retrying after a pause (RetryableStatus).
+func (e *StatusError) Retryable() bool { return RetryableStatus(e.Code) }
 
 func statusError(resp *http.Response) error {
 	var msg ErrorResponse

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 
 	"repro/internal/advisor"
 	"repro/internal/matrix"
@@ -368,6 +369,20 @@ type PrepareResponse struct {
 // ErrorResponse is the JSON body of every non-2xx response.
 type ErrorResponse struct {
 	Error string `json:"error"`
+}
+
+// RetryableStatus is the protocol's one answer to "does this status mean try
+// again, later or elsewhere": a 429 shed, a 503 (drain, queue deadline,
+// durability unavailable), or a router's 502/504 (no holder answered). The
+// error writer attaches Retry-After to exactly these, the client retries
+// exactly these, and the cluster router fails over on exactly these.
+func RetryableStatus(code int) bool {
+	switch code {
+	case http.StatusTooManyRequests, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return true
+	}
+	return false
 }
 
 // WritePanel writes the first k columns of d as raw little-endian float64s,

@@ -224,10 +224,10 @@ func TraceRequestsQuery(rr *trace.Requests, q url.Values) ([]RequestTraceRecord,
 func (s *Server) handleTraceRequests(w http.ResponseWriter, r *http.Request) {
 	recs, err := TraceRequestsQuery(s.reqs, r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, recs)
+	WriteJSON(w, http.StatusOK, recs)
 }
 
 // RequestTraces exposes the request-record ring (nil when request tracing is

@@ -611,19 +611,21 @@ var errDraining = errors.New("serve: draining for shutdown, retry elsewhere")
 
 func isDurabilityErr(err error) bool { return errors.Is(err, ErrNotDurable) }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON body of a reply with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	// Both shed (429) and unavailable (503) are retryable; Retry-After
-	// feeds the client's backoff.
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+// WriteError writes the protocol's error reply. A retryable status carries
+// Retry-After, which feeds the client's backoff. The cluster router answers
+// through it too, so its own refusals pace a client like a replica's.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	if RetryableStatus(code) {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, ErrorResponse{Error: err.Error()})
+	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
 // Materialize builds the COO matrix a register request describes: generator
@@ -666,13 +668,13 @@ func Materialize(req RegisterRequest) (*matrix.COO[float64], error) {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
+		WriteError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	var req RegisterRequest
 	body := http.MaxBytesReader(w, r.Body, maxRegisterBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad register body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad register body: %w", err))
 		return
 	}
 	if req.Import() {
@@ -681,7 +683,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	coo, err := Materialize(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The WAL append (and its fsync) happens inside RegisterSourced,
@@ -694,7 +696,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if isDurabilityErr(err) {
 			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	// Warm the prepared format under the admission gate so a registration
@@ -704,7 +706,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		sv, _, perr := s.reg.Prepared(r.Context(), m.ID)
 		s.adm.release()
 		if perr != nil {
-			writeError(w, http.StatusInternalServerError, perr)
+			WriteError(w, http.StatusInternalServerError, perr)
 			return
 		}
 		formatBytes = sv.Kernel.Bytes()
@@ -723,7 +725,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			"schedule", plan.Schedule.String(), "variant", plan.Variant,
 			"existed", existed)
 	}
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	WriteJSON(w, http.StatusOK, RegisterResponse{
 		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols, NNZ: m.COO.NNZ(),
 		Format: plan.Format, Schedule: plan.Schedule.String(), Block: plan.Block,
 		Variant: plan.Variant, PlanVersion: plan.Version,
@@ -738,7 +740,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // bitwise-identical, and points the tuner at the imported base.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *RegisterRequest) {
 	if !req.Triplets() {
-		writeError(w, http.StatusBadRequest, errors.New("serve: import needs the base triplets"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: import needs the base triplets"))
 		return
 	}
 	base := &matrix.COO[float64]{
@@ -747,7 +749,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 	}
 	ops, err := deltaOps(req.OvRowIdx, req.OvColIdx, req.OvVals, req.OvDel)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	m, existed, err := s.reg.ImportMutated(req.ServeID, base,
@@ -758,7 +760,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 		if isDurabilityErr(err) {
 			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	var formatBytes int
@@ -766,7 +768,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 		sv, _, perr := s.reg.Prepared(r.Context(), m.ID)
 		s.adm.release()
 		if perr != nil {
-			writeError(w, http.StatusInternalServerError, perr)
+			WriteError(w, http.StatusInternalServerError, perr)
 			return
 		}
 		formatBytes = sv.Kernel.Bytes()
@@ -779,7 +781,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 		s.log.Info("matrix imported", "id", m.ID, "epoch", st.epoch,
 			"hash", st.hash, "existed", existed)
 	}
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	WriteJSON(w, http.StatusOK, RegisterResponse{
 		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols, NNZ: st.base.NNZ(),
 		Format: st.plan.Format, Schedule: st.plan.Schedule.String(), Block: st.plan.Block,
 		Variant: st.plan.Variant, PlanVersion: st.plan.Version,
@@ -789,17 +791,17 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.List())
+	WriteJSON(w, http.StatusOK, s.reg.List())
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	info, ok := s.reg.info(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleExport serves the registry-metadata export: the CURRENT canonical
@@ -812,7 +814,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	m, ok := s.reg.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
 	// The export is the matrix's registration record in wire form, except
@@ -821,7 +823,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	rec := recordFor(m, st)
 	w.Header().Set(HeaderEpoch, strconv.FormatInt(st.epoch, 10))
 	w.Header().Set(HeaderContentHash, st.hash)
-	writeJSON(w, http.StatusOK, ExportRecord{
+	WriteJSON(w, http.StatusOK, ExportRecord{
 		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols,
 		Name: m.Source.Name, Scale: m.Source.Scale,
 		RowIdx: st.base.RowIdx, ColIdx: st.base.ColIdx, Vals: st.base.Vals,
@@ -838,24 +840,24 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // response's epoch/hash identify that state.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
+		WriteError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	start := time.Now()
 	id := r.PathValue("id")
 	m, ok := s.reg.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
 	var req MutateRequest
 	body := http.MaxBytesReader(w, r.Body, maxRegisterBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad mutate body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad mutate body: %w", err))
 		return
 	}
 	if len(req.Ops) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("serve: mutate batch carries no ops"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: mutate batch carries no ops"))
 		return
 	}
 	ops := make([]delta.Op, len(req.Ops))
@@ -870,7 +872,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		if isDurabilityErr(err) {
 			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	s.mutations.Inc()
@@ -881,7 +883,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(HeaderEpoch, strconv.FormatInt(ms.epoch, 10))
 	w.Header().Set(HeaderContentHash, ms.hash)
-	writeJSON(w, http.StatusOK, MutateResponse{
+	WriteJSON(w, http.StatusOK, MutateResponse{
 		ID: id, Epoch: ms.epoch, Hash: ms.hash,
 		OverlayNNZ: ms.overlay.NNZ(), Applied: len(ops),
 	})
@@ -893,13 +895,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // with it on the matrix's writer lock.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
+		WriteError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	id := r.PathValue("id")
 	m, ok := s.reg.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
 	did, err := s.compactNow(m)
@@ -908,11 +910,11 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		if isDurabilityErr(err) {
 			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	st := m.st.Load()
-	writeJSON(w, http.StatusOK, CompactResponse{
+	WriteJSON(w, http.StatusOK, CompactResponse{
 		ID: id, Compacted: did, Epoch: st.epoch, Hash: st.hash,
 	})
 }
@@ -924,20 +926,20 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // the plan-current format was already resident.
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
+		WriteError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	id := r.PathValue("id")
 	m, ok := s.reg.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
 	if err := s.adm.acquire(r.Context()); err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			writeError(w, http.StatusTooManyRequests, err)
+			WriteError(w, http.StatusTooManyRequests, err)
 		} else {
-			writeError(w, http.StatusServiceUnavailable,
+			WriteError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("serve: deadline expired in queue: %w", err))
 		}
 		return
@@ -945,7 +947,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	sv, hit, err := s.reg.Prepared(r.Context(), id)
 	s.adm.release()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	cache := "prepare"
@@ -953,7 +955,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		cache = "hit"
 	}
 	w.Header().Set(HeaderCache, cache)
-	writeJSON(w, http.StatusOK, PrepareResponse{
+	WriteJSON(w, http.StatusOK, PrepareResponse{
 		ID: m.ID, Cache: cache, Format: sv.Plan.Format,
 		Variant: sv.Plan.Variant, FormatBytes: sv.Kernel.Bytes(),
 	})
@@ -993,7 +995,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Rejects: ts.Rejects, Dropped: ts.Dropped, Stale: ts.Stale,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTune serves the auto-tuner's full decision trail: per-matrix arm
@@ -1001,17 +1003,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // it reports {"enabled": false}.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if s.tuner == nil {
-		writeJSON(w, http.StatusOK, tune.Stats{})
+		WriteJSON(w, http.StatusOK, tune.Stats{})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.tuner.Stats())
+	WriteJSON(w, http.StatusOK, s.tuner.Stats())
 }
 
 // handleMultiply is the data path: admission, panel read, prepared-format
 // lookup (cache), batched dispatch, panel write.
 func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
+		WriteError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	start := time.Now()
@@ -1019,12 +1021,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	m, ok := s.reg.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
 	k, err := strconv.Atoi(r.URL.Query().Get("k"))
 	if err != nil || k < 1 || k > s.cfg.MaxK {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("serve: k must be an integer in [1, %d]", s.cfg.MaxK))
 		return
 	}
@@ -1033,7 +1035,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get(HeaderDeadlineMs); h != "" {
 		ms, err := strconv.Atoi(h)
 		if err != nil || ms < 1 {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("serve: bad %s %q", HeaderDeadlineMs, h))
 			return
 		}
@@ -1054,9 +1056,9 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if err := s.adm.acquire(ctx); err != nil {
 		s.failRequest(req, err)
 		if errors.Is(err, ErrOverloaded) {
-			writeError(w, http.StatusTooManyRequests, err)
+			WriteError(w, http.StatusTooManyRequests, err)
 		} else {
-			writeError(w, http.StatusServiceUnavailable,
+			WriteError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("serve: deadline expired in queue: %w", err))
 		}
 		return
@@ -1068,7 +1070,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	b, err := ReadPanel(http.MaxBytesReader(w, r.Body, int64(m.COO.Cols)*int64(k)*8+8), m.COO.Cols, k)
 	if err != nil {
 		s.failRequest(req, err)
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	req.Phase(trace.PhaseLoad, "panel", loadStart, int64(k))
@@ -1077,7 +1079,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	sv, hit, err := s.reg.Prepared(ctx, id)
 	if err != nil {
 		s.failRequest(req, err)
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	cache := "prepare"
@@ -1093,7 +1095,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled) {
 			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, res.err)
+		WriteError(w, code, res.err)
 		return
 	}
 
@@ -1134,7 +1136,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		payload.Grow(m.COO.Rows * k * 8)
 		if err := WritePanel(&payload, res.c, k); err != nil {
 			s.failRequest(req, err)
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		snap := req.Snapshot()

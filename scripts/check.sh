@@ -25,6 +25,20 @@ if grep -nE '^\s*obs[A-Z][A-Za-z]*\s*=\s*obs\.New|obs\.New(Counter|Gauge|GaugeFu
     echo "metrics are fields of their owner, named once in ExportMetrics (DESIGN.md section 7)" >&2; exit 1
 fi
 
+echo "== one way to talk to a replica (cluster: body buffering, replica sends and pin writes stay in their one place) =="
+# A body is buffered only by readSized (under readBody and attempt), a
+# request reaches a replica only through attempt (and the prober's probeOne),
+# and a rebalance pin is written only in rebalance.go (DESIGN.md section 11).
+if ! awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    /io\.ReadAll|httpc\.Do/ && fn !~ /^(readSized|attempt|probeOne)$/ { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    /\.pinned = / && FILENAME !~ /rebalance\.go$/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }
+' $(ls internal/cluster/*.go | grep -v _test.go); then
+    echo "replicas are asked through attempt, bodies buffered by readSized, pins settled by rehome (DESIGN.md section 11)" >&2; exit 1
+fi
+
 echo "== go test -race (parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~16 s under -race), so a partition
