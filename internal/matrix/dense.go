@@ -151,11 +151,13 @@ func (d *Dense[T]) View(r0, c0, rows, cols int) (*Dense[T], error) {
 		return nil, dimError("View",
 			fmt.Sprintf("view [%d:%d, %d:%d] of %dx%d", r0, r0+rows, c0, c0+cols, d.Rows, d.Cols))
 	}
+	// A view with no rows may start past the last element (a column block of
+	// a 0-row matrix); it holds nothing, so it starts at the end instead.
 	return &Dense[T]{
 		Rows:   rows,
 		Cols:   cols,
 		Stride: d.Stride,
-		Data:   d.Data[r0*d.Stride+c0:],
+		Data:   d.Data[min(r0*d.Stride+c0, len(d.Data)):],
 	}, nil
 }
 

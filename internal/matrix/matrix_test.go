@@ -96,6 +96,14 @@ func TestDenseView(t *testing.T) {
 	if _, err := d.View(5, 5, 5, 5); err == nil {
 		t.Fatal("out-of-range view must error")
 	}
+	// Empty views are legal wherever they start: below the last row, and as
+	// a column block of a matrix with no rows at all.
+	if v, err := d.View(8, 4, 0, 5); err != nil || v.Rows != 0 || v.Cols != 5 {
+		t.Fatalf("empty view below the last row: %+v, %v", v, err)
+	}
+	if v, err := NewDense[float64](0, 6).View(0, 3, 0, 3); err != nil || v.Rows != 0 || v.Cols != 3 {
+		t.Fatalf("column block of a 0-row matrix: %+v, %v", v, err)
+	}
 }
 
 func TestDenseZeroRespectsViewBounds(t *testing.T) {

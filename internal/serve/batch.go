@@ -16,7 +16,8 @@ import (
 // loaded nonzero of A is reused across all k columns —
 // so stacking the B panels of requests that arrive within a short window
 // and running one A×[B1|B2|...] multiplies the arithmetic intensity of the
-// dispatch at the cost of two panel copies. The window is the classic
+// dispatch at the cost of one panel copy (the gather; results go back as
+// column views of the wide C). The window is the classic
 // latency/throughput trade: a solo request waits out the window before it
 // runs; a loaded server amortizes one kernel launch over the whole batch.
 type batcher struct {
@@ -60,12 +61,11 @@ type batchResult struct {
 // if it is the first) and waits for the flush or the caller's deadline,
 // whichever comes first.
 func (s *Server) multiply(ctx context.Context, m *Matrix, sv Serving, b *matrix.Dense[float64], k int, tr *trace.Req) batchResult {
+	req := &batchRequest{sv: sv, b: b, k: k, done: make(chan batchResult, 1), req: tr, joined: tr.Now()}
 	if s.cfg.BatchWindow <= 0 || k >= s.cfg.MaxBatchK {
-		req := &batchRequest{sv: sv, b: b, k: k, done: make(chan batchResult, 1), req: tr, joined: tr.Now()}
 		s.runBatch(m, []*batchRequest{req})
 		return <-req.done
 	}
-	req := &batchRequest{sv: sv, b: b, k: k, done: make(chan batchResult, 1), req: tr, joined: tr.Now()}
 	t := &m.batch
 	t.mu.Lock()
 	// A mutation landing between two joiners' Prepared calls must not let
@@ -123,9 +123,8 @@ func (s *Server) flushPending(m *Matrix) {
 	}
 }
 
-// runBatch dispatches one batch as a single kernel call and distributes the
-// result columns back to the callers. A width-1 batch skips the panel
-// copies and dispatches on the caller's B directly.
+// runBatch dispatches one batch as a single kernel call — gather B, one
+// Calculate, column views of C back to the callers — whatever its width.
 func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 	totalK := 0
 	for _, req := range batch {
@@ -148,13 +147,10 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 	// below.
 	dispatchAt := time.Now()
 	span := s.tracer.Start()
-	var err error
-	var combB, combC *matrix.Dense[float64]
-	if len(batch) == 1 {
-		combB = batch[0].b
-		combC = matrix.NewDense[float64](rows, batch[0].k)
-		err = kern.Calculate(combB, combC, s.params(plan, batch[0].k))
-	} else {
+	// Gather: a lone member's B is the dispatch's B; coalesced members' B
+	// panels are stacked side by side into one wide panel.
+	combB := batch[0].b
+	if len(batch) > 1 {
 		combB = matrix.NewDense[float64](cols, totalK)
 		for i := 0; i < cols; i++ {
 			dst := combB.Row(i)
@@ -164,9 +160,9 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 				off += req.k
 			}
 		}
-		combC = matrix.NewDense[float64](rows, totalK)
-		err = kern.Calculate(combB, combC, s.params(plan, totalK))
 	}
+	combC := matrix.NewDense[float64](rows, totalK)
+	err := kern.Calculate(combB, combC, s.params(plan, totalK))
 	// Mutated matrix: recompute the dirty rows from base + overlay on top of
 	// the prepared format's result. On the clean path (nil or empty overlay)
 	// this is a single branch — zero allocations, zero work.
@@ -183,40 +179,30 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 	s.tracer.EndDetail(0, trace.PhaseBatch, plan.Format, span, int64(len(batch)))
 	s.countVariant(plan.Variant, int64(len(batch)))
 	kernelNs := int64(time.Since(dispatchAt))
-	for _, req := range batch {
-		if req.req != nil {
-			at := req.req.At(dispatchAt)
-			wait := at - req.joined
-			if wait < 0 {
-				wait = 0
-			}
-			req.req.AddPhase(trace.PhaseBatch, plan.Format, req.joined, wait, int64(len(batch)))
-			req.req.AddPhase(trace.PhaseKernel, plan.Variant, at, kernelNs, int64(totalK))
-		}
-	}
 
 	s.batches.Inc()
 	s.batchedRequests.Add(int64(len(batch)))
 	s.multiplies.Add(int64(len(batch)))
 	s.batchWidth.Observe(float64(len(batch)))
 
-	if err != nil {
-		for _, req := range batch {
-			req.done <- batchResult{err: err, plan: plan, width: len(batch), k: totalK}
-		}
-		return
-	}
-	if len(batch) == 1 {
-		batch[0].done <- batchResult{c: combC, plan: plan, width: 1, k: totalK}
-		return
-	}
+	// Fan out: every member gets the dispatch's interval on its timeline and
+	// its column block of the dispatch's C as a view — no copy-out. A lone
+	// member's view is the whole compact panel, so it leaves the server as
+	// its own wire form; a coalesced member's strided view is encoded once,
+	// straight to the socket. A kernel error reaches every member through the
+	// same loop.
 	off := 0
 	for _, req := range batch {
-		c := matrix.NewDense[float64](rows, req.k)
-		for i := 0; i < rows; i++ {
-			copy(c.Row(i), combC.Row(i)[off:off+req.k])
+		if req.req != nil {
+			at := req.req.At(dispatchAt)
+			req.req.AddPhase(trace.PhaseBatch, plan.Format, req.joined, max(at-req.joined, 0), int64(len(batch)))
+			req.req.AddPhase(trace.PhaseKernel, plan.Variant, at, kernelNs, int64(totalK))
+		}
+		res := batchResult{plan: plan, width: len(batch), k: totalK, err: err}
+		if err == nil {
+			res.c, res.err = combC.View(0, off, rows, req.k)
 		}
 		off += req.k
-		req.done <- batchResult{c: c, plan: plan, width: len(batch), k: totalK}
+		req.done <- res
 	}
 }

@@ -300,14 +300,18 @@ type MultiplyResult struct {
 // matrix. b must have the matrix's column count as rows and at least k
 // columns; deadline 0 leaves the server default in force.
 func (c *Client) Multiply(id string, rows int, b *matrix.Dense[float64], k int, deadline time.Duration) (*MultiplyResult, error) {
-	var payload bytes.Buffer
-	payload.Grow(b.Rows * k * 8)
-	if err := WritePanel(&payload, b, k); err != nil {
+	wire, err := panelWire(b, k)
+	if err != nil {
 		return nil, err
 	}
+	// The body is a private copy, never a view of b: net/http's transport may
+	// still be reading it after Do returns (a server that answers before
+	// reading the body — this one sheds with 429 that way), and the caller
+	// may overwrite b as soon as Multiply returns.
+	body := bytes.Clone(wire)
 	url := fmt.Sprintf("%s/v1/matrices/%s/multiply?k=%d", c.Base, id, k)
 	resp, err := c.do(func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(payload.Bytes()))
+		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
@@ -321,6 +325,12 @@ func (c *Client) Multiply(id string, rows int, b *matrix.Dense[float64], k int, 
 		return nil, err
 	}
 	defer resp.Body.Close()
+	// A caller that has the matrix's row count wrong must not get a prefix
+	// of the reply (or a short-read error) in place of C.
+	if want := int64(rows) * int64(k) * 8; resp.ContentLength >= 0 && resp.ContentLength != want {
+		return nil, fmt.Errorf("serve: multiply reply is %d bytes, a %dx%d panel is %d (rows must be the matrix's row count)",
+			resp.ContentLength, rows, k, want)
+	}
 	out, err := ReadPanel(resp.Body, rows, k)
 	if err != nil {
 		return nil, err

@@ -1,22 +1,17 @@
 package serve
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
 	"net/http"
 
 	"repro/internal/advisor"
-	"repro/internal/matrix"
 )
 
 // The wire protocol: control-plane messages are JSON, data-plane payloads
 // (dense B panels in, C panels out) are raw little-endian float64 arrays in
-// row-major order — the same layout matrix.Dense stores, so encode/decode is
-// one pass with no per-element framing. Metadata about a multiply rides in
-// response headers (see the X-Spmm-* constants) so the body stays pure
-// payload.
+// row-major order — the same layout matrix.Dense stores, so a compact panel
+// is its own wire form and encode/decode is one bulk read or write (panel.go).
+// Metadata about a multiply rides in response headers (see the X-Spmm-*
+// constants) so the body stays pure payload.
 
 // Multiply metadata headers.
 const (
@@ -383,44 +378,4 @@ func RetryableStatus(code int) bool {
 		return true
 	}
 	return false
-}
-
-// WritePanel writes the first k columns of d as raw little-endian float64s,
-// row-major: rows*k values, no framing.
-func WritePanel(w io.Writer, d *matrix.Dense[float64], k int) error {
-	if k < 0 || k > d.Cols {
-		return fmt.Errorf("serve: panel k=%d outside [0, %d]", k, d.Cols)
-	}
-	buf := make([]byte, k*8)
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j := 0; j < k; j++ {
-			binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(row[j]))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadPanel reads a rows×k raw little-endian float64 panel written by
-// WritePanel. It fails if the stream holds fewer than rows*k values; extra
-// trailing bytes are the caller's concern.
-func ReadPanel(r io.Reader, rows, k int) (*matrix.Dense[float64], error) {
-	if rows < 0 || k < 0 {
-		return nil, fmt.Errorf("serve: negative panel shape %dx%d", rows, k)
-	}
-	d := matrix.NewDense[float64](rows, k)
-	buf := make([]byte, k*8)
-	for i := 0; i < rows; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("serve: short panel read at row %d: %w", i, err)
-		}
-		row := d.Row(i)
-		for j := 0; j < k; j++ {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
-		}
-	}
-	return d, nil
 }

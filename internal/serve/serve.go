@@ -27,7 +27,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1030,6 +1029,15 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: k must be an integer in [1, %d]", s.cfg.MaxK))
 		return
 	}
+	// A declared length that is not exactly the panel is refused here, before
+	// it can take a queue slot; an undeclared one (chunked) is held to the
+	// same size by the capped read below.
+	bodyLen := int64(m.COO.Cols) * int64(k) * 8
+	if r.ContentLength >= 0 && r.ContentLength != bodyLen {
+		WriteError(w, http.StatusBadRequest,
+			fmt.Errorf("serve: multiply body is %d bytes, a %dx%d panel is %d", r.ContentLength, m.COO.Cols, k, bodyLen))
+		return
+	}
 
 	deadline := s.cfg.DefaultDeadline
 	if h := r.Header.Get(HeaderDeadlineMs); h != "" {
@@ -1067,7 +1075,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	req.Phase(trace.PhaseQueue, "", queueStart, 0)
 
 	loadStart := req.Now()
-	b, err := ReadPanel(http.MaxBytesReader(w, r.Body, int64(m.COO.Cols)*int64(k)*8+8), m.COO.Cols, k)
+	b, err := ReadPanel(http.MaxBytesReader(w, r.Body, bodyLen), m.COO.Cols, k)
 	if err != nil {
 		s.failRequest(req, err)
 		WriteError(w, http.StatusBadRequest, err)
@@ -1099,8 +1107,9 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Hand the request panel and the served result to the tuner (both are
-	// per-request allocations; ownership transfers). On the duty cycle the
+	// Hand the request panel and the served result to the tuner (neither is
+	// written again; res.c is this request's column view of its dispatch's
+	// C, which a queued sample therefore keeps alive). On the duty cycle the
 	// pair becomes a shadow trial — off this request's critical path. A
 	// matrix with a pending overlay is never offered: shadow trials replay
 	// against the base-only prepared formats and would mis-verify.
@@ -1108,6 +1117,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.tuner.Offer(id, res.plan.Variant, res.plan.Version, b, res.c, k)
 	}
 
+	// One response path, traced or not: headers, then the panel through the
+	// codec — one Write from the kernel's own output when the dispatch was
+	// this request alone. The timing header has to precede the body, so its
+	// respond entry only covers getting this far; the recorded span adds the
+	// encode and the socket write.
+	respStart := req.Now()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(m.COO.Rows*k*8))
 	w.Header().Set(HeaderFormat, res.plan.Format)
@@ -1122,31 +1137,15 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderCache, cache)
 	w.Header().Set(HeaderBatchWidth, strconv.Itoa(res.width))
 	w.Header().Set(HeaderBatchK, strconv.Itoa(res.k))
-	if req == nil {
-		// Untraced fast path: stream the panel straight to the socket.
-		if err := WritePanel(w, res.c, k); err != nil && s.log != nil {
-			s.log.Warn("multiply response write failed", "id", id, "err", err)
-		}
-	} else {
-		// Traced path: encode to a buffer first so the timing header can
-		// carry the response-encode cost (headers must precede the body);
-		// the recorded respond span additionally covers the socket write.
-		respStart := req.Now()
-		var payload bytes.Buffer
-		payload.Grow(m.COO.Rows * k * 8)
-		if err := WritePanel(&payload, res.c, k); err != nil {
-			s.failRequest(req, err)
-			WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
+	if req != nil {
 		snap := req.Snapshot()
 		w.Header().Set(HeaderRequestID, rid)
 		w.Header().Set(HeaderTiming, FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-respStart))
-		if _, err := w.Write(payload.Bytes()); err != nil && s.log != nil {
-			s.log.Warn("multiply response write failed", "id", id, "rid", rid, "err", err)
-		}
-		req.Phase(trace.PhaseRespond, "", respStart, 0)
-		s.finishRequest(req)
 	}
+	if err := WritePanel(w, res.c, k); err != nil && s.log != nil {
+		s.log.Warn("multiply response write failed", "id", id, "rid", rid, "err", err)
+	}
+	req.Phase(trace.PhaseRespond, "", respStart, 0)
+	s.finishRequest(req)
 	s.requestSeconds.Observe(time.Since(start).Seconds())
 }

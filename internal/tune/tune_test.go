@@ -354,6 +354,43 @@ func TestIncumbentMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestStridedServedViewVerifies: the server hands Offer a coalesced member's
+// result as a column view of its dispatch's wide C. Verification walks the
+// view's rows, so the neighbours' columns neither fail a good sample nor hide
+// a bad one.
+func TestStridedServedViewVerifies(t *testing.T) {
+	coo := testCOO(t)
+	dur := func(v string) time.Duration { return 100 * time.Microsecond }
+	for _, tc := range []struct {
+		name            string
+		corrupt         func(wide, served *matrix.Dense[float64])
+		trials, rejects int64
+	}{
+		{"clean view", func(wide, served *matrix.Dense[float64]) {}, 1, 0},
+		{"garbage beside the view", func(wide, served *matrix.Dense[float64]) { wide.Row(0)[1]++; wide.Row(3)[5]++ }, 1, 0},
+		{"wrong bit inside the view", func(wide, served *matrix.Dense[float64]) { served.Row(3)[2]++ }, 0, 1},
+	} {
+		tu := New(testConfig(&promoRecorder{version: 1}, dur, ""))
+		tu.Track("m1", coo, 4, advisor.FeatureSummary{}, testIncumbent, 1)
+		b := matrix.NewDenseRand[float64](coo.Cols, 3, 7)
+		wide := matrix.NewDenseRand[float64](coo.Rows, 7, 9)
+		served, err := wide.View(0, 2, coo.Rows, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillResult(served)
+		tc.corrupt(wide, served)
+		for i := 0; i < 2; i++ { // duty 0.5: the second offer becomes a trial
+			tu.Offer("m1", testIncumbent, 1, b, served, 3)
+		}
+		tu.Flush()
+		if st := tu.Stats(); st.Trials != tc.trials || st.Rejects != tc.rejects {
+			t.Fatalf("%s: trials=%d rejects=%d, want %d/%d", tc.name, st.Trials, st.Rejects, tc.trials, tc.rejects)
+		}
+		tu.Close()
+	}
+}
+
 // TestStaleSampleDropped pins the plan-version gate: a queued sample from
 // an older plan version is discarded, not trialed.
 func TestStaleSampleDropped(t *testing.T) {

@@ -39,6 +39,33 @@ if ! awk '
     echo "replicas are asked through attempt, bodies buffered by readSized, pins settled by rehome (DESIGN.md section 11)" >&2; exit 1
 fi
 
+echo "== one panel codec (serve: unsafe lives in panel.go, a panel becomes bytes only there, one response-write site, one batch shape) =="
+# The wire layout is the Dense layout (DESIGN.md section 8): panel.go is the
+# only non-test file in the repository that imports unsafe and the only one
+# in internal/serve that converts floats to or from bytes; nothing stages a
+# panel per row or in a bytes.Buffer; handleMultiply has one site that writes
+# its body and runBatch has one Calculate and one fan-out send.
+if [ "$(grep -rl --include='*.go' '"unsafe"' . | grep -v _test.go)" != "./internal/serve/panel.go" ]; then
+    echo 'only internal/serve/panel.go may import "unsafe":' >&2
+    grep -rl --include='*.go' '"unsafe"' . | grep -v _test.go >&2; exit 1
+fi
+if ! awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    FILENAME !~ /panel\.go$/ && /PutUint64\(.*Float64bits|Float64frombits|make\(\[\]byte, [^)]*\*8\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    FILENAME ~ /(serve|batch)\.go$/ && /bytes\.Buffer/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    fn == "handleMultiply" && /w\.Write\(|WritePanel\(/ { writes++ }
+    fn == "runBatch" && /\.Calculate\(/ { calcs++ }
+    fn == "runBatch" && /done <-/ { sends++ }
+    END {
+        if (writes != 1) { print "handleMultiply has " writes+0 " response-write sites, want 1"; bad = 1 }
+        if (calcs != 1 || sends != 1) { print "runBatch has " calcs+0 " Calculate calls and " sends+0 " done sends, want 1 and 1"; bad = 1 }
+        exit bad
+    }
+' $(ls internal/serve/*.go | grep -v _test.go); then
+    echo "panels cross the server through panelWire/WritePanel/ReadPanel in one pass (DESIGN.md section 8)" >&2; exit 1
+fi
+
 echo "== go test -race (parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~16 s under -race), so a partition
