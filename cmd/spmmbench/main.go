@@ -210,6 +210,7 @@ func main() {
 		for _, n := range gen.Names() {
 			fmt.Println("  " + n)
 		}
+		fmt.Println("inner loop:", map[bool]string{false: "scalar", true: "avx2"}[matrix.VectorInner()])
 		return
 	}
 

@@ -233,8 +233,8 @@ func (o *Overlay) Extend(base *matrix.COO[float64], ops []Op) (*Overlay, error) 
 // overlay is a no-op that allocates nothing — the clean-matrix hot path.
 //
 // Each dirty row is cleared and re-accumulated from the merge-scan of base
-// and overlay entries in ascending column order, replicating the serial
-// kernels' clear-then-axpy accumulation bit for bit.
+// and overlay entries in ascending column order through matrix.Axpy, the
+// serial kernels' own inner loop, so the accumulation matches bit for bit.
 func (o *Overlay) Apply(c, b *matrix.Dense[float64], k int) {
 	if o == nil || len(o.RowIdx) == 0 {
 		return
@@ -294,19 +294,7 @@ func (o *Overlay) applyRow(r, lo, hi int, c, b *matrix.Dense[float64], k int) {
 				ov++
 			}
 		}
-		axpyRow(crow, b.Data[int(col)*b.Stride:int(col)*b.Stride+k], val, k)
-	}
-}
-
-// axpyRow computes c[j] += v * b[j] for j in [0, k) with the same
-// full-slice re-expression as the kernels package's axpy, so the compiled
-// inner loop — and therefore every floating-point operation — is
-// identical to the one the serial kernels run.
-func axpyRow(c, b []float64, v float64, k int) {
-	c = c[:k:k]
-	b = b[:k:k]
-	for j := range c {
-		c[j] += v * b[j]
+		matrix.Axpy(crow, b.Data[int(col)*b.Stride:], val, k)
 	}
 }
 

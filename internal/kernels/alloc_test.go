@@ -13,7 +13,8 @@ import (
 // heap. Serial kernels (tiled and fixed-k, above and below the tile width)
 // must be exactly 0 allocs/op; the pooled parallel path is allowed only the
 // caller's body closure. testing.AllocsPerRun pins both so any slice-header
-// or closure escape that creeps into the hot loops fails the build.
+// or closure escape that creeps into the hot loops fails the build — under
+// the scalar inner and the vector one, whose float64 dispatch must not box.
 
 func allocFixtures(tb testing.TB, k int) (*matrix.COO[float64], *formats.CSR[float64], *formats.ELL[float64], *formats.BCSR[float64], *matrix.Dense[float64], *matrix.Dense[float64]) {
 	coo := powerLawCOO(300, 100, 9)
@@ -28,7 +29,9 @@ func allocFixtures(tb testing.TB, k int) (*matrix.COO[float64], *formats.CSR[flo
 	return coo, csr, ell, bcsr, b, c
 }
 
-func TestSerialCalculateZeroAlloc(t *testing.T) {
+func TestSerialCalculateZeroAlloc(t *testing.T) { eachInner(t, serialCalculateZeroAlloc) }
+
+func serialCalculateZeroAlloc(t *testing.T) {
 	for _, k := range []int{128, 336} { // single panel and tiled
 		_, csr, ell, bcsr, b, c := allocFixtures(t, k)
 		for name, run := range map[string]func(){
@@ -43,7 +46,9 @@ func TestSerialCalculateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestFixedKCalculateZeroAlloc(t *testing.T) {
+func TestFixedKCalculateZeroAlloc(t *testing.T) { eachInner(t, fixedKCalculateZeroAlloc) }
+
+func fixedKCalculateZeroAlloc(t *testing.T) {
 	for _, k := range []int{128, 256} { // unrolled and tiled composition
 		_, csr, ell, bcsr, b, c := allocFixtures(t, k)
 		for name, run := range map[string]func(){
@@ -95,6 +100,10 @@ func TestSerialCalculateZeroAllocTracerInstalled(t *testing.T) {
 }
 
 func TestPooledBalancedCalculateAllocBound(t *testing.T) {
+	eachInner(t, pooledBalancedCalculateAllocBound)
+}
+
+func pooledBalancedCalculateAllocBound(t *testing.T) {
 	// The pooled balanced path may allocate only the entry's own body
 	// closure (the partition is memoized, the pool dispatch is struct
 	// sends, the join WaitGroup lives in the pool; measured: 1 alloc/op for

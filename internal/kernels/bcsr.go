@@ -78,7 +78,7 @@ func bcsrBlockRowsPanel[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T
 						continue
 					}
 					bo := (colBase+cc)*b.Stride + j0
-					axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
+					matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
 				}
 			}
 		}
@@ -136,7 +136,7 @@ func bcsrBlockRowsFixed[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T
 					if v == 0 {
 						continue
 					}
-					axpyFixedTiled(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
+					matrix.AxpyWhole(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
 				}
 			}
 		}
@@ -179,7 +179,7 @@ func BCSRParallelInner[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T]
 						if v == 0 {
 							continue
 						}
-						axpy(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
+						matrix.Axpy(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
 					}
 				}
 			}

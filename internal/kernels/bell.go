@@ -42,7 +42,7 @@ func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k,
 					if v == 0 {
 						continue
 					}
-					axpy(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
+					matrix.Axpy(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
 				}
 			}
 		}
@@ -88,7 +88,7 @@ func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, 
 					continue
 				}
 				row := int(a.Perm[sl*a.C+l])
-				axpy(c.Data[row*c.Stride:], b.Data[int(a.ColIdx[idx])*b.Stride:], v, k)
+				matrix.Axpy(c.Data[row*c.Stride:], b.Data[int(a.ColIdx[idx])*b.Stride:], v, k)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func cooTriplets[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo,
 	for p := lo; p < hi; p++ {
 		r := int(a.RowIdx[p])
 		col := int(a.ColIdx[p])
-		axpy(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
+		matrix.Axpy(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
 	}
 }
 
@@ -76,7 +76,7 @@ func cooTripletsFixed[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k
 	for p := lo; p < hi; p++ {
 		r := int(a.RowIdx[p])
 		col := int(a.ColIdx[p])
-		axpyFixedTiled(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
+		matrix.AxpyWhole(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
 	}
 }
 

@@ -67,7 +67,7 @@ func csrRowsPanel[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], j0, 
 		clear(crow)
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			bo := int(a.ColIdx[p])*b.Stride + j0
-			axpy(crow, b.Data[bo:bo+jw:bo+jw], a.Vals[p], jw)
+			matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], a.Vals[p], jw)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func csrRowsFixed[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, l
 		crow := c.Data[i*c.Stride : i*c.Stride+k]
 		clear(crow)
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			axpyFixedTiled(crow, b.Data[int(a.ColIdx[p])*b.Stride:], a.Vals[p], k)
+			matrix.AxpyWhole(crow, b.Data[int(a.ColIdx[p])*b.Stride:], a.Vals[p], k)
 		}
 	}
 }
@@ -146,7 +146,7 @@ func cscCols[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k, lo, hi
 	for j := lo; j < hi; j++ {
 		brow := b.Data[j*b.Stride:]
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			axpy(c.Data[int(a.RowIdx[p])*c.Stride:], brow, a.Vals[p], k)
+			matrix.Axpy(c.Data[int(a.RowIdx[p])*c.Stride:], brow, a.Vals[p], k)
 		}
 	}
 }

@@ -125,28 +125,34 @@ func TestDifferentialSweep(t *testing.T) {
 
 		for _, v := range variants {
 			t.Run(class+"/"+v.Name, func(t *testing.T) {
-				out := matrix.NewDense[float64](coo.Rows, sweepK)
-				for i := range out.Data {
-					out.Data[i] = 1e301 // poison: the kernel must overwrite
-				}
-				if err := v.Run(in, out); err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				for i := 0; i < coo.Rows; i++ {
-					for j := 0; j < sweepK; j++ {
-						got, want := out.At(i, j), ref.At(i, j)
-						if v.Bitwise {
-							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("C[%d,%d] = %v (%#x), dense reference %v (%#x): bitwise contract broken",
-									i, j, got, math.Float64bits(got), want, math.Float64bits(want))
-							}
-						} else if tol := float64(sweepThreads+1) * eps * sumAbs.At(i, j); math.Abs(got-want) > tol {
-							t.Fatalf("C[%d,%d] = %v, dense reference %v: off by %g, tolerance %g (1 ULP at accumulated magnitude %g per partial sum)",
-								i, j, got, want, math.Abs(got-want), tol, sumAbs.At(i, j))
-						}
-					}
-				}
+				eachInner(t, func(t *testing.T) { sweepPoint(t, v, in, ref, sumAbs) })
 			})
+		}
+	}
+}
+
+// sweepPoint runs one variant on one matrix class and checks it against the
+// dense reference under the variant's contract.
+func sweepPoint(t *testing.T, v Variant, in *VariantInput, ref, sumAbs *matrix.Dense[float64]) {
+	out := matrix.NewDense[float64](ref.Rows, sweepK)
+	for i := range out.Data {
+		out.Data[i] = 1e301 // poison: the kernel must overwrite
+	}
+	if err := v.Run(in, out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for i := 0; i < ref.Rows; i++ {
+		for j := 0; j < sweepK; j++ {
+			got, want := out.At(i, j), ref.At(i, j)
+			if v.Bitwise {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("C[%d,%d] = %v (%#x), dense reference %v (%#x): bitwise contract broken",
+						i, j, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			} else if tol := float64(sweepThreads+1) * eps * sumAbs.At(i, j); math.Abs(got-want) > tol {
+				t.Fatalf("C[%d,%d] = %v, dense reference %v: off by %g, tolerance %g (1 ULP at accumulated magnitude %g per partial sum)",
+					i, j, got, want, math.Abs(got-want), tol, sumAbs.At(i, j))
+			}
 		}
 	}
 }

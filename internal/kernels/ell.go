@@ -62,7 +62,7 @@ func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, 
 					continue
 				}
 				bo := int(a.ColIdx[idx])*b.Stride + j0
-				axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
+				matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
 			}
 		}
 		return
@@ -79,7 +79,7 @@ func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, 
 				continue
 			}
 			bo := int(cols[s])*b.Stride + j0
-			axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
+			matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func ellRowsFixed[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, l
 			if v == 0 {
 				continue
 			}
-			axpyFixedTiled(crow, b.Data[int(col)*b.Stride:], v, k)
+			matrix.AxpyWhole(crow, b.Data[int(col)*b.Stride:], v, k)
 		}
 	}
 }

@@ -103,9 +103,11 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	eachInner(t, func(t *testing.T) {
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestFormatsRoundTripProperty: every format's ToCOO must reproduce the

@@ -99,17 +99,6 @@ func zeroKRows[T matrix.Float](c *matrix.Dense[T], k, lo, hi int) {
 	}
 }
 
-// axpy computes c[j] += v * b[j] for j in [0, k). It is the inner loop of
-// every row-oriented SpMM kernel; the full-slice re-expressions pin both
-// length and capacity so the compiler elides every bounds check in the loop.
-func axpy[T matrix.Float](c, b []T, v T, k int) {
-	c = c[:k:k]
-	b = b[:k:k]
-	for j := range c {
-		c[j] += v * b[j]
-	}
-}
-
 // replicated is the scaffolding the two reassociating ablations share: each
 // of `threads` workers accumulates its static chunk of [0, n) into a private
 // m×k copy of C, and the copies are then summed into c, parallel over rows.
@@ -161,7 +150,7 @@ func GEMM[T matrix.Float](a, b, c *matrix.Dense[T]) error {
 			if av == 0 {
 				continue
 			}
-			axpy(crow, b.Row(l), av, c.Cols)
+			matrix.Axpy(crow, b.Row(l), av, c.Cols)
 		}
 	}
 	return nil

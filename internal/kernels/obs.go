@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -19,6 +20,17 @@ var (
 	obsImbalance = obs.NewGauge("spmm_kernels_chunk_imbalance_ratio",
 		"Nonzero imbalance of the last CSR dispatch: max chunk nnz over fair share (1 = perfectly balanced).")
 )
+
+func init() {
+	obs.NewGaugeFunc("spmm_kernels_inner_vector",
+		"Inner loop body of every kernel and the overlay: 1 = AVX2, 0 = scalar (no AVX2, not amd64, or a -race build).",
+		func() float64 {
+			if matrix.VectorInner() {
+				return 1
+			}
+			return 0
+		})
+}
 
 // recordCSRImbalance publishes the nonzero imbalance of the partition the
 // dispatch is about to run: the heaviest chunk's nonzeros divided by the

@@ -1,0 +1,17 @@
+//go:build !race
+
+package matrix
+
+// The assembly is left out of -race builds: the detector cannot see its
+// stores, and the differential sweep under -race is what catches two workers
+// sharing a C row.
+
+func init() { vector = hasAVX2() }
+
+//go:noescape
+func axpyAVX2(c, b []float64, v float64)
+
+//go:noescape
+func axpyWholeAVX2(c, b []float64, v float64)
+
+func hasAVX2() bool

@@ -1,0 +1,21 @@
+//go:build race
+
+package matrix
+
+import "testing"
+
+// TestRaceBuildIsScalar: the race detector cannot see stores made by
+// assembly, so a -race build must never select the vector body — else the
+// differential sweep under -race stops catching two workers on one C row.
+func TestRaceBuildIsScalar(t *testing.T) {
+	if VectorInner() {
+		t.Fatal("vector inner selected in a -race build")
+	}
+	c, b := []float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{1, 1, 1, 1, 1, 1, 1, 1}
+	setVector(t, true) // even forced on, this build has only the scalar loop behind it
+	Axpy(c, b, 2, 8)
+	AxpyWhole(c, b, 2, 8)
+	if c[0] != 5 || c[7] != 12 {
+		t.Fatalf("c = %v", c)
+	}
+}

@@ -105,6 +105,20 @@ func TestSimulatorCountersFlow(t *testing.T) {
 	if got := metricValue(t, "spmm_kernels_dispatch_total"); got != dispatchBefore+1 {
 		t.Errorf("spmm_kernels_dispatch_total = %v, want %v", got, dispatchBefore+1)
 	}
+
+	// The golden line of the inner-loop gauge: a replica that reads 0 beside
+	// peers reading 1 is the slow one, and this is why.
+	var expo strings.Builder
+	if err := obs.Default.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE spmm_kernels_inner_vector gauge\nspmm_kernels_inner_vector 0\n"
+	if matrix.VectorInner() {
+		want = "# TYPE spmm_kernels_inner_vector gauge\nspmm_kernels_inner_vector 1\n"
+	}
+	if !strings.Contains(expo.String(), want) {
+		t.Errorf("exposition lacks %q", want)
+	}
 }
 
 func TestHarnessCountersFlow(t *testing.T) {

@@ -66,11 +66,32 @@ if ! awk '
     echo "panels cross the server through panelWire/WritePanel/ReadPanel in one pass (DESIGN.md section 8)" >&2; exit 1
 fi
 
-echo "== go test -race (parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
+echo "== one inner loop (one .s file, no fused multiply-add in it, one scalar c[j] += v*b[j] body, scalar-only build compiles) =="
+# Every format and the overlay accumulate through matrix.Axpy (DESIGN.md
+# section 5): its vector body multiplies then adds, lane by lane, so it is
+# bit-identical to the Go loop — a fused instruction would round once and
+# break every bitwise contract in the tree. The transposed-B loops index bt
+# and are a different statement. go vet above ran asmdecl over the .s file.
+asm=$(find . -name '*.s' -not -name '*_test.s' -not -path './.git/*')
+if [ "$asm" != "./internal/matrix/axpy_amd64.s" ]; then
+    echo "the only assembly in the tree is internal/matrix/axpy_amd64.s; found:" >&2; echo "$asm" >&2; exit 1
+fi
+if grep -nE 'VF(N?MADD|N?MSUB)' "$asm"; then
+    echo "fused multiply-add in $asm: results would stop matching the scalar loop" >&2; exit 1
+fi
+bodies=$(grep -nE '^\s*c\[j\] \+= v \* b\[j\]' $(ls internal/kernels/*.go internal/delta/*.go internal/matrix/*.go | grep -v _test.go))
+if [ "$(echo "$bodies" | wc -l)" != 1 ] || [ "${bodies%%:*}" != "internal/matrix/axpy.go" ]; then
+    echo "want exactly one scalar inner loop body, in internal/matrix/axpy.go; found:" >&2; echo "$bodies" >&2; exit 1
+fi
+GOARCH=arm64 go vet ./internal/...
+
+echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~16 s under -race), so a partition
 # that lets two workers touch one C row is a reported race, not a flaky
-# bit. -short skips the subprocess e2e; the full chaos suite (torn WAL tails,
+# bit — which is why a -race build runs the scalar inner loop only (the
+# detector cannot see assembly stores; matrix's TestRaceBuildIsScalar pins
+# it). -short skips the subprocess e2e; the full chaos suite (torn WAL tails,
 # corrupt snapshots, injected fsync/disk-full faults), the deterministic
 # auto-tuner suite (promotion hysteresis, duty bounds, wrong-variant
 # rejection), the mutation suite (1000-batch mutation stream against
@@ -81,7 +102,7 @@ echo "== go test -race (parallel, kernels, core, harness, trace, obs, serve, del
 # propagation test — one rid across router attempt spans, replica phase
 # spans, and the slow-request log, under scripted failover) run here
 # under -race.
-go test -race -short ./internal/parallel/... ./internal/kernels/... ./internal/core/... ./internal/harness/... ./internal/trace/... ./internal/obs/... ./internal/serve/... ./internal/delta/... ./internal/tune/... ./internal/clock/... ./internal/cluster/...
+go test -race -short ./internal/matrix/... ./internal/parallel/... ./internal/kernels/... ./internal/core/... ./internal/harness/... ./internal/trace/... ./internal/obs/... ./internal/serve/... ./internal/delta/... ./internal/tune/... ./internal/clock/... ./internal/cluster/...
 
 echo "== flake gate (serve + delta + cluster, shuffled, 3x) =="
 # The time-sensitive suites run on injected clocks; repeated shuffled runs
@@ -98,6 +119,6 @@ echo "== cluster e2e (router + 3 replicas, SIGKILL a holder mid-load, rebalance)
 go test -run '^TestClusterSmokeE2E$' -count=1 ./internal/cluster
 
 echo "== bench smoke (1 iteration per bench) =="
-go test -run '^$' -bench . -benchtime=1x . ./internal/serve ./internal/delta > /dev/null
+go test -run '^$' -bench . -benchtime=1x . ./internal/kernels ./internal/serve ./internal/delta > /dev/null
 
 echo "check.sh: all checks passed"
