@@ -197,6 +197,9 @@ var serveTable = []row{
 	{"delta.overlay_nnz", "spmm_delta_overlay_nnz"},
 	{"delta.compactions", "spmm_delta_compactions_total"},
 	{"delta.compaction_errors", "spmm_delta_compaction_errors_total"},
+	{series: `spmm_serve_panel_pool_gets_total{result="hit"}`},
+	{series: `spmm_serve_panel_pool_gets_total{result="miss"}`},
+	{series: "spmm_serve_panel_pool_bytes_recycled_total"},
 	{series: "spmm_serve_batch_width"},
 	{series: "spmm_serve_request_seconds"},
 	{series: `spmm_serve_phase_seconds{phase="queue"}`},

@@ -267,10 +267,10 @@ func (rt *Router) pullExport(e *entry) (*serve.ExportRecord, error) {
 		return nil, err
 	}
 	if rp.status != http.StatusOK {
-		return nil, fmt.Errorf("export from %s: status %d: %s", rp.rep.name, rp.status, rp.body)
+		return nil, fmt.Errorf("export from %s: status %d: %s", rp.rep.name, rp.status, rp.body.Bytes())
 	}
 	var exp serve.ExportRecord
-	if err := json.Unmarshal(rp.body, &exp); err != nil {
+	if err := json.Unmarshal(rp.body.Bytes(), &exp); err != nil {
 		return nil, fmt.Errorf("export from %s: %w", rp.rep.name, err)
 	}
 	return &exp, nil

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -315,28 +314,35 @@ func (rt *Router) Handler() http.Handler {
 const maxBody = 256 << 20
 
 // readSized buffers a body of declared length n (-1 when undeclared) under
-// maxBody: one exact allocation when the length is declared, a growing read
-// behind http.MaxBytesReader otherwise. A body that ends short of its
+// maxBody into a lease the caller may release: one exact read when the length
+// is declared, a growing read behind http.MaxBytesReader, copied into a lease,
+// otherwise. A body that ends short of its
 // declared length fails with io.ErrUnexpectedEOF, an oversized one with
 // *http.MaxBytesError (before a byte is read when it declared itself). w,
 // when non-nil, is the response whose connection an oversized request
 // should close.
-func readSized(w http.ResponseWriter, body io.ReadCloser, n int64) ([]byte, error) {
+func readSized(w http.ResponseWriter, body io.ReadCloser, n int64) (*serve.Lease, error) {
 	if n > maxBody {
 		return nil, &http.MaxBytesError{Limit: maxBody}
 	}
 	if n < 0 {
-		return io.ReadAll(http.MaxBytesReader(w, body, maxBody))
+		raw, err := io.ReadAll(http.MaxBytesReader(w, body, maxBody))
+		if err != nil {
+			return nil, err
+		}
+		buf := serve.LeaseBytes(len(raw))
+		copy(buf.Bytes(), raw)
+		return buf, nil
 	}
-	buf := make([]byte, n)
-	_, err := io.ReadFull(body, buf)
+	buf := serve.LeaseBytes(int(n))
+	_, err := io.ReadFull(body, buf.Bytes())
 	return buf, err
 }
 
 // readBody buffers an inbound request body. On failure it has already
 // answered — 413 for an oversized body, 400 for a broken one — before any
 // replica was contacted.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+func readBody(w http.ResponseWriter, r *http.Request) (*serve.Lease, error) {
 	body, err := readSized(w, r.Body, r.ContentLength)
 	if err != nil {
 		code := http.StatusBadRequest
@@ -353,20 +359,21 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // outbound is one request as the router sends it to a replica.
 type outbound struct {
 	method, path string
-	contentType  string // of body
-	body         []byte // nil for a bodiless request
+	contentType  string       // of body
+	body         *serve.Lease // nil for a bodiless request
 	header       []headerPair
 }
 
 type headerPair struct{ name, value string }
 
 // reply is a replica's complete answer: attempt has read the whole body, so
-// holding a reply pins no connection, timer or counter.
+// holding a reply pins no connection, timer or counter. relay releases the
+// body; a reply that is never relayed leaves its buffer to the collector.
 type reply struct {
 	rep    *replica
 	status int
 	header http.Header
-	body   []byte
+	body   *serve.Lease
 }
 
 // errMidResponse marks an attempt whose replica answered a status line and
@@ -384,14 +391,11 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, out outbound) (repl
 	if rt.cfg.AttemptTimeout > 0 {
 		defer rt.clk.AfterFunc(rt.cfg.AttemptTimeout, cancel).Stop()
 	}
-	var rdr io.Reader
-	if out.body != nil {
-		rdr = bytes.NewReader(out.body)
-	}
-	req, err := http.NewRequestWithContext(ctx, out.method, rep.base+out.path, rdr)
+	req, err := http.NewRequestWithContext(ctx, out.method, rep.base+out.path, nil)
 	if err != nil {
 		return reply{}, err
 	}
+	out.body.SetBody(req) // under a reference of its own, until the transport closes it
 	if out.body != nil {
 		req.Header.Set("Content-Type", out.contentType)
 	}
@@ -487,9 +491,11 @@ func (rp reply) relay(w http.ResponseWriter) {
 		}
 	}
 	h.Set(serve.HeaderReplica, rp.rep.name)
-	h.Set("Content-Length", strconv.Itoa(len(rp.body)))
+	body := rp.body.Bytes()
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(rp.status)
-	w.Write(rp.body)
+	w.Write(body)
+	rp.body.Release()
 }
 
 // handleRegister content-addresses the upload locally, forwards it to the
@@ -501,8 +507,9 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
+	defer body.Release()
 	var rr serve.RegisterRequest
-	if err := json.Unmarshal(body, &rr); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &rr); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: register body: %w", err))
 		return
 	}
@@ -527,7 +534,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	if rp.status == http.StatusOK {
 		var reg serve.RegisterResponse
-		if err := json.Unmarshal(rp.body, &reg); err != nil {
+		if err := json.Unmarshal(rp.body.Bytes(), &reg); err != nil {
 			serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: replica %s register reply: %w", rp.rep.name, err))
 			return
 		}
@@ -687,19 +694,34 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		req = rt.reqs.Begin(rid, id)
 	}
 
-	loadStart := req.Now()
-	body, err := readBody(w, r)
-	if err != nil {
-		rt.failRequest(req, err)
-		return
-	}
-	req.Phase(trace.PhaseLoad, "panel", loadStart, 0)
+	// Plan before buffering: an unknown ID costs no buffer, and a known one's
+	// body is held to its panel — the rule serve.handleMultiply applies — not
+	// to maxBody (a length declared beyond that is still readBody's 413).
 	e, cands, err := rt.plan(id)
 	if err != nil {
 		rt.failRequest(req, err)
 		serve.WriteError(w, http.StatusNotFound, err)
 		return
 	}
+	k, _ := strconv.Atoi(r.URL.Query().Get("k"))
+	bodyLen := int64(e.cols) * int64(k) * 8
+	if k < 1 || (r.ContentLength >= 0 && r.ContentLength <= maxBody && r.ContentLength != bodyLen) {
+		err := fmt.Errorf("cluster: multiply body is %d bytes, a %dx%d panel (k a positive integer) is %d", r.ContentLength, e.cols, k, bodyLen)
+		rt.failRequest(req, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	if r.ContentLength < 0 { // chunked: the read itself stops at the panel
+		r.Body = http.MaxBytesReader(w, r.Body, bodyLen)
+	}
+	loadStart := req.Now()
+	body, err := readBody(w, r)
+	if err != nil {
+		rt.failRequest(req, err)
+		return
+	}
+	defer body.Release()
+	req.Phase(trace.PhaseLoad, "panel", loadStart, 0)
 	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: "application/octet-stream", body: body}
 	if v := r.Header.Get(serve.HeaderDeadlineMs); v != "" {
 		out.header = append(out.header, headerPair{serve.HeaderDeadlineMs, v})
@@ -759,6 +781,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
+	defer body.Release()
 	rt.mu.Lock()
 	e, ok := rt.entries[id]
 	rt.mu.Unlock()

@@ -32,10 +32,11 @@ type batcher struct {
 // The whole Serving view travels together: the kernel was prepared under
 // exactly that plan version, so a promotion landing mid-batch cannot mix a
 // new plan's parameters with an old plan's format — and the epoch + overlay
-// pin which mutation state the dispatch computes.
+// pin which mutation state the dispatch computes. b is the batch's own
+// reference to the panel: the handler may leave on its deadline mid-dispatch.
 type batchRequest struct {
 	sv   Serving
-	b    *matrix.Dense[float64]
+	b    *Lease
 	k    int
 	done chan batchResult
 	// req is the caller's request-trace timeline (nil when request tracing
@@ -46,9 +47,11 @@ type batchRequest struct {
 	joined int64
 }
 
-// batchResult is what a flush hands back to each coalesced caller.
+// batchResult is what a flush hands back to each coalesced caller: c, its
+// column view of the dispatch's C, under lease, its reference to that C.
 type batchResult struct {
 	c     *matrix.Dense[float64]
+	lease *Lease
 	plan  Plan // the plan the dispatch executed under
 	width int  // requests coalesced into the dispatch
 	k     int  // total dense columns of the dispatch
@@ -60,7 +63,8 @@ type batchResult struct {
 // immediately; otherwise it joins the open batch (starting the window timer
 // if it is the first) and waits for the flush or the caller's deadline,
 // whichever comes first.
-func (s *Server) multiply(ctx context.Context, m *Matrix, sv Serving, b *matrix.Dense[float64], k int, tr *trace.Req) batchResult {
+func (s *Server) multiply(ctx context.Context, m *Matrix, sv Serving, b *Lease, k int, tr *trace.Req) batchResult {
+	b.retain()
 	req := &batchRequest{sv: sv, b: b, k: k, done: make(chan batchResult, 1), req: tr, joined: tr.Now()}
 	if s.cfg.BatchWindow <= 0 || k >= s.cfg.MaxBatchK {
 		s.runBatch(m, []*batchRequest{req})
@@ -148,20 +152,24 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 	dispatchAt := time.Now()
 	span := s.tracer.Start()
 	// Gather: a lone member's B is the dispatch's B; coalesced members' B
-	// panels are stacked side by side into one wide panel.
-	combB := batch[0].b
+	// panels are stacked side by side into one wide panel. C is leased
+	// unzeroed: kernels clear every row they write.
+	combB := &batch[0].b.panel
+	var gathered *Lease
 	if len(batch) > 1 {
-		combB = matrix.NewDense[float64](cols, totalK)
+		gathered = leasePanel(cols, totalK)
+		combB = &gathered.panel
 		for i := 0; i < cols; i++ {
 			dst := combB.Row(i)
 			off := 0
 			for _, req := range batch {
-				copy(dst[off:off+req.k], req.b.Row(i)[:req.k])
+				copy(dst[off:off+req.k], req.b.panel.Row(i)[:req.k])
 				off += req.k
 			}
 		}
 	}
-	combC := matrix.NewDense[float64](rows, totalK)
+	wide := leasePanel(rows, totalK)
+	combC := &wide.panel
 	err := kern.Calculate(combB, combC, s.params(plan, totalK))
 	// Mutated matrix: recompute the dirty rows from base + overlay on top of
 	// the prepared format's result. On the clean path (nil or empty overlay)
@@ -176,6 +184,7 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 			s.requestCompact(m)
 		}
 	}
+	gathered.Release()
 	s.tracer.EndDetail(0, trace.PhaseBatch, plan.Format, span, int64(len(batch)))
 	s.countVariant(plan.Variant, int64(len(batch)))
 	kernelNs := int64(time.Since(dispatchAt))
@@ -191,14 +200,18 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) {
 	// its own wire form; a coalesced member's strided view is encoded once,
 	// straight to the socket. A kernel error reaches every member through the
 	// same loop.
+	for range batch[1:] {
+		wide.retain()
+	}
 	off := 0
 	for _, req := range batch {
+		req.b.Release()
 		if req.req != nil {
 			at := req.req.At(dispatchAt)
 			req.req.AddPhase(trace.PhaseBatch, plan.Format, req.joined, max(at-req.joined, 0), int64(len(batch)))
 			req.req.AddPhase(trace.PhaseKernel, plan.Variant, at, kernelNs, int64(totalK))
 		}
-		res := batchResult{plan: plan, width: len(batch), k: totalK, err: err}
+		res := batchResult{lease: wide, plan: plan, width: len(batch), k: totalK, err: err}
 		if err == nil {
 			res.c, res.err = combC.View(0, off, rows, req.k)
 		}

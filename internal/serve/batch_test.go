@@ -43,7 +43,9 @@ func (f failingKernel) Calculate(b, c *matrix.Dense[float64], p core.Params) err
 // of different k coalesce on the fake clock with a fourth whose deadline has
 // already passed: every survivor's C is bitwise what a lone dispatch and
 // csr-serial compute, the headers still report the whole dispatch, the
-// expired member leaves with its context error and disturbs nobody, the
+// expired member leaves with its context error and disturbs nobody — and the
+// dispatch still computes its columns from its B, which the batch's own
+// reference kept out of the pool after the handler's was released — the
 // members' results are disjoint column views of one C, and a kernel error
 // reaches every member through the same fan-out.
 func TestOneBatchShape(t *testing.T) {
@@ -79,22 +81,38 @@ func TestOneBatchShape(t *testing.T) {
 	if err := ref.Prepare(local, refParams); err != nil {
 		t.Fatal(err)
 	}
+	serial := func(b *matrix.Dense[float64], k int) *matrix.Dense[float64] {
+		c := matrix.NewDense[float64](reg.Rows, k)
+		refParams.K = k
+		if err := ref.Calculate(b, c, refParams); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	panels := make([]*matrix.Dense[float64], len(ks))
 	want := make([]*matrix.Dense[float64], len(ks))
 	for i, k := range ks {
 		panels[i] = matrix.NewDenseRand[float64](reg.Cols, k, int64(10+i))
-		want[i] = matrix.NewDense[float64](reg.Rows, k)
-		refParams.K = k
-		if err := ref.Calculate(panels[i], want[i], refParams); err != nil {
-			t.Fatal(err)
-		}
+		want[i] = serial(panels[i], k)
 	}
 
-	// The expired member joins the open batch and leaves at once.
+	// The expired member joins the open batch and leaves at once: its handler
+	// drops its reference to B, and whoever leases that size class next must
+	// not get B's storage while the batch still holds its own.
 	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if res := srv.multiply(past, m, sv, matrix.NewDenseRand[float64](reg.Cols, expiredK, 9), expiredK, nil); !errors.Is(res.err, context.DeadlineExceeded) || res.c != nil {
+	expiredB := matrix.NewDenseRand[float64](reg.Cols, expiredK, 9)
+	expired := leased(expiredB)
+	if res := srv.multiply(past, m, sv, expired, expiredK, nil); !errors.Is(res.err, context.DeadlineExceeded) || res.c != nil {
 		t.Fatalf("expired member got %+v, want its context error", res)
+	}
+	m.batch.mu.Lock()
+	ghost := m.batch.pending[0]
+	m.batch.mu.Unlock()
+	expired.Release()
+	squatter := leasePanel(reg.Cols, expiredK)
+	for i := range squatter.panel.Data {
+		squatter.panel.Data[i] = math.NaN()
 	}
 	results := make([]*MultiplyResult, len(ks))
 	errs := make([]error, len(ks))
@@ -109,6 +127,10 @@ func TestOneBatchShape(t *testing.T) {
 	waitFor(t, "every member in the open batch", func() bool { return srv.pendingBatch(reg.ID) == len(ks)+1 })
 	clk.Advance(time.Second)
 	wg.Wait()
+	if res := <-ghost.done; res.err != nil || !bitsEqual(res.c, serial(expiredB, expiredK)) {
+		t.Fatalf("the expired member's columns were not computed from its B (err %v)", res.err)
+	}
+	squatter.Release()
 	for i, res := range results {
 		if errs[i] != nil {
 			t.Fatalf("member %d: %v", i, errs[i])
@@ -149,7 +171,7 @@ func TestOneBatchShape(t *testing.T) {
 	dispatch := func(sv Serving, members []int) []batchResult {
 		batch := make([]*batchRequest, len(members))
 		for j, i := range members {
-			batch[j] = &batchRequest{sv: sv, b: panels[i], k: ks[i], done: make(chan batchResult, 1)}
+			batch[j] = &batchRequest{sv: sv, b: leased(panels[i]), k: ks[i], done: make(chan batchResult, 1)}
 		}
 		srv.runBatch(m, batch)
 		out := make([]batchResult, len(batch))

@@ -304,17 +304,21 @@ func (c *Client) Multiply(id string, rows int, b *matrix.Dense[float64], k int, 
 	if err != nil {
 		return nil, err
 	}
-	// The body is a private copy, never a view of b: net/http's transport may
+	// The body is a leased copy, never a view of b: net/http's transport may
 	// still be reading it after Do returns (a server that answers before
 	// reading the body — this one sheds with 429 that way), and the caller
-	// may overwrite b as soon as Multiply returns.
-	body := bytes.Clone(wire)
+	// may overwrite b as soon as Multiply returns: each attempt's body holds
+	// a reference of its own until the transport closes it.
+	body := LeaseBytes(len(wire))
+	defer body.Release()
+	copy(body.Bytes(), wire)
 	url := fmt.Sprintf("%s/v1/matrices/%s/multiply?k=%d", c.Base, id, k)
 	resp, err := c.do(func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, url, nil)
 		if err != nil {
 			return nil, err
 		}
+		body.SetBody(req)
 		req.Header.Set("Content-Type", "application/octet-stream")
 		if deadline > 0 {
 			req.Header.Set(HeaderDeadlineMs, strconv.Itoa(int(deadline.Milliseconds())))

@@ -85,6 +85,14 @@ func (s *Server) ExportMetrics(r *obs.Registry) {
 		"Bytes of prepared formats currently resident.",
 		func() float64 { return float64(s.reg.Stats().Bytes) })
 
+	// The panel pool is the process's, not this server's: a client or router
+	// in the same process leases from, and counts in, the same classes.
+	const gets = "Panel-pool leases by outcome: a hit reused recycled storage, a miss allocated its class."
+	r.AttachCounter(`spmm_serve_panel_pool_gets_total{result="hit"}`, gets, &panels.hits)
+	r.AttachCounter(`spmm_serve_panel_pool_gets_total{result="miss"}`, gets, &panels.misses)
+	r.AttachCounter("spmm_serve_panel_pool_bytes_recycled_total",
+		"Bytes of panel storage returned to the pool by a last release.", &panels.recycled)
+
 	// Dynamic matrices: the mutation API, delta-COO overlays, and the
 	// background compactor. overlay_apply_seconds is the per-dispatch tax a
 	// dirty matrix pays; the compactor exists to drive it back to zero.

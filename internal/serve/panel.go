@@ -67,8 +67,8 @@ func panelWire(d *matrix.Dense[float64], k int) ([]byte, error) {
 
 // WritePanel writes the first k columns of d as raw little-endian float64s,
 // row-major: rows*k values, no framing. A panel that is its own wire form
-// goes out in one Write; any other is encoded through one scratch of at most
-// wireChunk bytes, a Write per scratch, never staged whole.
+// goes out in one Write; any other is encoded through one leased scratch of
+// at most wireChunk bytes, a Write per scratch, never staged whole.
 func WritePanel(w io.Writer, d *matrix.Dense[float64], k int) error {
 	if k <= 0 || k > d.Cols || selfWire(d, k) {
 		wire, err := panelWire(d, k)
@@ -79,7 +79,9 @@ func WritePanel(w io.Writer, d *matrix.Dense[float64], k int) error {
 		return err
 	}
 	step := max(1, wireChunk/(k*8))
-	buf := make([]byte, min(step, d.Rows)*k*8)
+	scratch := LeaseBytes(min(step, d.Rows) * k * 8)
+	defer scratch.Release()
+	buf := scratch.Bytes()
 	for r0 := 0; r0 < d.Rows; r0 += step {
 		chunk := buf[:min(step, d.Rows-r0)*k*8]
 		encodeRows(chunk, d, r0, k)
@@ -99,15 +101,24 @@ func ReadPanel(r io.Reader, rows, k int) (*matrix.Dense[float64], error) {
 		return nil, fmt.Errorf("serve: negative panel shape %dx%d", rows, k)
 	}
 	d := matrix.NewDense[float64](rows, k)
+	if err := fillPanel(r, d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// fillPanel reads the compact panel d whole from r: ReadPanel's decoder, and
+// with a leased d the server's.
+func fillPanel(r io.Reader, d *matrix.Dense[float64]) error {
 	raw := floatBytes(d.Data)
 	if n, err := io.ReadFull(r, raw); err != nil {
-		// Only a non-empty panel can read short, so k > 0 here.
-		return nil, fmt.Errorf("serve: short panel read at row %d: %w", n/(k*8), err)
+		// Only a non-empty panel can read short, so Cols > 0 here.
+		return fmt.Errorf("serve: short panel read at row %d: %w", n/(d.Cols*8), err)
 	}
 	if !hostLittleEndian {
 		for i := range d.Data {
 			d.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 	}
-	return d, nil
+	return nil
 }

@@ -1075,8 +1075,19 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	req.Phase(trace.PhaseQueue, "", queueStart, 0)
 
 	loadStart := req.Now()
-	b, err := ReadPanel(http.MaxBytesReader(w, r.Body, bodyLen), m.COO.Cols, k)
-	if err != nil {
+	// The handler's references to B and its dispatch's C are released on
+	// return — unless the tuner sampled the pair for a shadow trial, which
+	// then owns them for good (the collector takes the buffers after it).
+	b := leasePanel(m.COO.Cols, k)
+	var res batchResult
+	sampled := false
+	defer func() {
+		if !sampled {
+			b.Release()
+			res.lease.Release()
+		}
+	}()
+	if err := fillPanel(http.MaxBytesReader(w, r.Body, bodyLen), &b.panel); err != nil {
 		s.failRequest(req, err)
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -1096,7 +1107,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Phase(trace.PhasePrepare, cache, prepStart, 0)
 
-	res := s.multiply(ctx, m, sv, b, k, req)
+	res = s.multiply(ctx, m, sv, b, k, req)
 	if res.err != nil {
 		s.failRequest(req, res.err)
 		code := http.StatusInternalServerError
@@ -1107,14 +1118,13 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Hand the request panel and the served result to the tuner (neither is
-	// written again; res.c is this request's column view of its dispatch's
-	// C, which a queued sample therefore keeps alive). On the duty cycle the
+	// Hand the request panel and the served result to the tuner (res.c is
+	// this request's column view of its dispatch's C). On the duty cycle the
 	// pair becomes a shadow trial — off this request's critical path. A
 	// matrix with a pending overlay is never offered: shadow trials replay
 	// against the base-only prepared formats and would mis-verify.
 	if s.tuner != nil && sv.Overlay.NNZ() == 0 {
-		s.tuner.Offer(id, res.plan.Variant, res.plan.Version, b, res.c, k)
+		sampled = s.tuner.Offer(id, res.plan.Variant, res.plan.Version, &b.panel, res.c, k)
 	}
 
 	// One response path, traced or not: headers, then the panel through the

@@ -66,6 +66,34 @@ if ! awk '
     echo "panels cross the server through panelWire/WritePanel/ReadPanel in one pass (DESIGN.md section 8)" >&2; exit 1
 fi
 
+echo "== one panel pool (sync.Pool only in serve/pool.go; no unpooled panel-sized buffer on the data path) =="
+# Every panel-sized buffer a multiply touches — the client's send copy, the
+# server's B, the batcher's gathered B and wide C, both bodies the router
+# buffers, the codec's strided scratch — is a lease from internal/serve/pool.go
+# (DESIGN.md section 8, "Buffer ownership"), and its byte view goes through
+# floatBytes: the gate above already keeps "unsafe" in panel.go alone. Four
+# counts, each checked on its own so a failure names the site that grew back.
+pool_bad=0
+pools=$(grep -rn --include='*.go' 'sync\.Pool' . | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | cut -d: -f1 | sort -u)
+if [ "$pools" != "./internal/serve/pool.go" ]; then
+    echo "sync.Pool belongs to internal/serve/pool.go alone; found in: ${pools:-no file}" >&2; pool_bad=1
+fi
+if grep -n 'bytes\.Clone(' internal/serve/client.go; then
+    echo "client.go copies a panel outside the pool" >&2; pool_bad=1
+fi
+if ! awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    /matrix\.NewDense/ && (FILENAME ~ /batch\.go$/ || fn == "handleMultiply") { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    END { exit bad }
+' internal/serve/batch.go internal/serve/serve.go; then
+    echo "the dispatch and the multiply handler lease their panels (leasePanel)" >&2; pool_bad=1
+fi
+if grep -n 'make(\[\]byte' $(ls internal/cluster/*.go | grep -v _test.go); then
+    echo "the router buffers bodies in leases (readSized), not in fresh byte slices" >&2; pool_bad=1
+fi
+[ "$pool_bad" = 0 ] || exit 1
+
 echo "== one inner loop (one .s file, no fused multiply-add in it, one scalar c[j] += v*b[j] body, scalar-only build compiles) =="
 # Every format and the overlay accumulate through matrix.Axpy (DESIGN.md
 # section 5): its vector body multiplies then adds, lane by lane, so it is
