@@ -233,8 +233,9 @@ func (o *Overlay) Extend(base *matrix.COO[float64], ops []Op) (*Overlay, error) 
 // overlay is a no-op that allocates nothing — the clean-matrix hot path.
 //
 // Each dirty row is cleared and re-accumulated from the merge-scan of base
-// and overlay entries in ascending column order through matrix.Axpy, the
-// serial kernels' own inner loop, so the accumulation matches bit for bit.
+// and overlay entries in ascending column order through matrix.Axpy, whose
+// result the kernels' row entry (matrix.AxpyRow) reproduces pair for pair,
+// so the accumulation matches bit for bit.
 func (o *Overlay) Apply(c, b *matrix.Dense[float64], k int) {
 	if o == nil || len(o.RowIdx) == 0 {
 		return

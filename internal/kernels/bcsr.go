@@ -33,8 +33,8 @@ func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Sp
 // bcsrRange runs the range function inner selects over block rows [lo, hi).
 func bcsrRange[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
 	switch inner {
-	case InnerFixedK:
-		bcsrBlockRowsFixed(a, b, c, k, lo, hi)
+	case InnerFixedK: // k % 8 == 0 known in advance: one untiled panel
+		bcsrBlockRowsPanel(a, b, c, 0, k, lo, hi)
 	case InnerTransB:
 		bcsrBlockRowsT(a, b, c, k, lo, hi)
 	default:
@@ -57,30 +57,55 @@ func bcsrBlockRows[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k,
 }
 
 func bcsrBlockRowsPanel[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
-	br, bc := a.BR, a.BC
+	blk := blocks[T]{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
+	var g [gatherLanes]rowBuf[T]
 	for bri := lo; bri < hi; bri++ {
-		rowBase := bri * br
-		rowLim := min(br, a.Rows-rowBase)
-		for r := 0; r < rowLim; r++ {
-			o := (rowBase+r)*c.Stride + j0
-			clear(c.Data[o : o+jw])
+		blk.rowPanel(&g, bri, int(a.RowPtr[bri]), int(a.RowPtr[bri+1]), b, c, j0, jw)
+	}
+}
+
+// blocks is what BCSR and BELL share: per stored slot one block-column
+// index and br*bc row-major values. They differ only in which slots a block
+// row owns.
+type blocks[T matrix.Float] struct {
+	rows, cols, br, bc int
+	colIdx             []int32
+	vals               []T
+}
+
+// gatherLanes is how many C rows of a block row are in flight at once, one
+// rowBuf each; a taller block is walked in bands of this many lanes.
+const gatherLanes = 16
+
+// rowPanel accumulates columns [j0, j0+jw) of the C rows of block row bri
+// from its slots [p, q). Each block is walked once, its lanes' survivors
+// going to one rowBuf per C row, so a lane's pairs reach the row entry in
+// slot order — the accumulation order of the per-nonzero loop.
+func (a blocks[T]) rowPanel(g *[gatherLanes]rowBuf[T], bri, p, q int, b, c *matrix.Dense[T], j0, jw int) {
+	rowBase := bri * a.br
+	rowLim := min(a.br, a.rows-rowBase)
+	for r0 := 0; r0 < rowLim; r0 += gatherLanes {
+		lanes := min(gatherLanes, rowLim-r0)
+		for r := 0; r < lanes; r++ {
+			clear(panelRow(c, rowBase+r0+r, j0, jw))
 		}
-		for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
-			colBase := int(a.ColIdx[p]) * bc
-			colLim := min(bc, a.Cols-colBase)
-			blk := a.Block(int(p))
-			for r := 0; r < rowLim; r++ {
-				o := (rowBase+r)*c.Stride + j0
-				crow := c.Data[o : o+jw : o+jw]
-				for cc := 0; cc < colLim; cc++ {
-					v := blk[r*bc+cc]
+		for s := p; s < q; s++ {
+			colBase := int(a.colIdx[s]) * a.bc
+			colLim := min(a.bc, a.cols-colBase)
+			blk := a.vals[s*a.br*a.bc : (s+1)*a.br*a.bc]
+			for r := 0; r < lanes; r++ {
+				for cc, v := range blk[(r0+r)*a.bc : (r0+r)*a.bc+colLim] {
 					if v == 0 {
 						continue
 					}
-					bo := (colBase+cc)*b.Stride + j0
-					matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
+					if g[r].push(int32(colBase+cc), v) {
+						g[r].flush(panelRow(c, rowBase+r0+r, j0, jw), b, j0)
+					}
 				}
 			}
+		}
+		for r := 0; r < lanes; r++ {
+			g[r].flush(panelRow(c, rowBase+r0+r, j0, jw), b, j0)
 		}
 	}
 }
@@ -110,33 +135,6 @@ func bcsrBlockRowsT[T matrix.Float](a *formats.BCSR[T], bt, c *matrix.Dense[T], 
 					for j := range crow {
 						crow[j] += v * bt.Data[j*bt.Stride+col]
 					}
-				}
-			}
-		}
-	}
-}
-
-// bcsrBlockRowsFixed is bcsrBlockRows with the k loop specialised.
-func bcsrBlockRowsFixed[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	br, bc := a.BR, a.BC
-	for bri := lo; bri < hi; bri++ {
-		rowBase := bri * br
-		rowLim := min(br, a.Rows-rowBase)
-		for r := 0; r < rowLim; r++ {
-			clear(c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k])
-		}
-		for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
-			colBase := int(a.ColIdx[p]) * bc
-			colLim := min(bc, a.Cols-colBase)
-			blk := a.Block(int(p))
-			for r := 0; r < rowLim; r++ {
-				crow := c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k]
-				for cc := 0; cc < colLim; cc++ {
-					v := blk[r*bc+cc]
-					if v == 0 {
-						continue
-					}
-					matrix.AxpyWhole(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
 				}
 			}
 		}

@@ -24,28 +24,10 @@ func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Sp
 }
 
 func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	br, bc := a.BR, a.BC
+	blk := blocks[T]{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
+	var g [gatherLanes]rowBuf[T]
 	for bri := lo; bri < hi; bri++ {
-		rowBase := bri * br
-		rowLim := min(br, a.Rows-rowBase)
-		for r := 0; r < rowLim; r++ {
-			clear(c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k])
-		}
-		for s := 0; s < a.Width; s++ {
-			colBase := int(a.ColIdx[bri*a.Width+s]) * bc
-			colLim := min(bc, a.Cols-colBase)
-			blk := a.BlockAt(bri, s)
-			for r := 0; r < rowLim; r++ {
-				crow := c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k]
-				for cc := 0; cc < colLim; cc++ {
-					v := blk[r*bc+cc]
-					if v == 0 {
-						continue
-					}
-					matrix.Axpy(crow, b.Data[(colBase+cc)*b.Stride:], v, k)
-				}
-			}
-		}
+		blk.rowPanel(&g, bri, bri*a.Width, (bri+1)*a.Width, b, c, 0, k)
 	}
 }
 
@@ -72,24 +54,28 @@ func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, 
 	})
 }
 
+// sellSlices walks each slice lane by lane: a lane is one C row, cleared,
+// gathered and flushed before the next, with its un-permuted row looked up
+// once.
 func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, lo, hi int) {
+	var g rowBuf[T]
 	for sl := lo; sl < hi; sl++ {
 		base := int(a.SlicePtr[sl])
 		w := int(a.Width[sl])
 		laneLim := min(a.C, a.Rows-sl*a.C)
 		for l := 0; l < laneLim; l++ {
-			clear(c.Data[int(a.Perm[sl*a.C+l])*c.Stride : int(a.Perm[sl*a.C+l])*c.Stride+k])
-		}
-		for j := 0; j < w; j++ {
-			for l := 0; l < laneLim; l++ {
-				idx := base + j*a.C + l
+			crow := panelRow(c, int(a.Perm[sl*a.C+l]), 0, k)
+			clear(crow)
+			for idx := base + l; idx < base+w*a.C; idx += a.C {
 				v := a.Vals[idx]
 				if v == 0 {
 					continue
 				}
-				row := int(a.Perm[sl*a.C+l])
-				matrix.Axpy(c.Data[row*c.Stride:], b.Data[int(a.ColIdx[idx])*b.Stride:], v, k)
+				if g.push(a.ColIdx[idx], v) {
+					g.flush(crow, b, 0)
+				}
 			}
+			g.flush(crow, b, 0)
 		}
 	}
 }

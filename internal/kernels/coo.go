@@ -39,21 +39,25 @@ func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec)
 // cooRange runs the range function inner selects over triplets [lo, hi).
 func cooRange[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
 	switch inner {
-	case InnerFixedK:
-		cooTripletsFixed(a, b, c, k, lo, hi)
 	case InnerTransB:
 		cooTripletsT(a, b, c, k, lo, hi)
-	default:
+	default: // InnerFixedK too: the triplet loop was never k-tiled
 		cooTriplets(a, b, c, k, lo, hi)
 	}
 }
 
-// cooTriplets accumulates triplets [lo, hi) into C.
+// cooTriplets accumulates triplets [lo, hi) into C, one row-entry call per
+// run of equal RowIdx. It adds to what C holds, so unsorted input (a row in
+// several runs) and any split of the range stay correct.
 func cooTriplets[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	for p := lo; p < hi; p++ {
-		r := int(a.RowIdx[p])
-		col := int(a.ColIdx[p])
-		matrix.Axpy(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
+	for p := lo; p < hi; {
+		r := a.RowIdx[p]
+		q := p + 1
+		for q < hi && a.RowIdx[q] == r {
+			q++
+		}
+		matrix.AxpyRow(panelRow(c, int(r), 0, k), b, 0, a.ColIdx[p:q], a.Vals[p:q])
+		p = q
 	}
 }
 
@@ -68,15 +72,6 @@ func cooTripletsT[T matrix.Float](a *matrix.COO[T], bt, c *matrix.Dense[T], k, l
 		for j := range crow {
 			crow[j] += v * bt.Data[j*bt.Stride+col]
 		}
-	}
-}
-
-// cooTripletsFixed is cooTriplets with the k loop specialised.
-func cooTripletsFixed[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	for p := lo; p < hi; p++ {
-		r := int(a.RowIdx[p])
-		col := int(a.ColIdx[p])
-		matrix.AxpyWhole(c.Data[r*c.Stride:], b.Data[col*b.Stride:], a.Vals[p], k)
 	}
 }
 

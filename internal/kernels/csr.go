@@ -36,8 +36,8 @@ func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec
 // branch per range, never per nonzero.
 func csrRange[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
 	switch inner {
-	case InnerFixedK:
-		csrRowsFixed(a, b, c, k, lo, hi)
+	case InnerFixedK: // k % 8 == 0 known in advance: one untiled panel
+		csrRowsPanel(a, b, c, 0, k, lo, hi)
 	case InnerTransB:
 		csrRowsT(a, b, c, k, lo, hi)
 	default:
@@ -58,17 +58,14 @@ func csrRows[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, lo, hi
 	}
 }
 
-// csrRowsPanel accumulates columns [j0, j0+jw) of C for rows [lo, hi). The
-// full-slice expressions on both operands drop the inner bounds checks.
+// csrRowsPanel accumulates columns [j0, j0+jw) of C for rows [lo, hi): a
+// CSR row is already the run of (col, val) pairs the row entry takes.
 func csrRowsPanel[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		o := i*c.Stride + j0
-		crow := c.Data[o : o+jw : o+jw]
+		crow := panelRow(c, i, j0, jw)
 		clear(crow)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			bo := int(a.ColIdx[p])*b.Stride + j0
-			matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], a.Vals[p], jw)
-		}
+		p, q := a.RowPtr[i], a.RowPtr[i+1]
+		matrix.AxpyRow(crow, b, j0, a.ColIdx[p:q], a.Vals[p:q])
 	}
 }
 
@@ -83,17 +80,6 @@ func csrRowsT[T matrix.Float](a *formats.CSR[T], bt, c *matrix.Dense[T], k, lo, 
 			for j := range crow {
 				crow[j] += v * bt.Data[j*bt.Stride+col]
 			}
-		}
-	}
-}
-
-// csrRowsFixed is csrRows with the k loop specialised at compile time.
-func csrRowsFixed[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+k]
-		clear(crow)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			matrix.AxpyWhole(crow, b.Data[int(a.ColIdx[p])*b.Stride:], a.Vals[p], k)
 		}
 	}
 }

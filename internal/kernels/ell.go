@@ -28,8 +28,8 @@ func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec
 // ellRange runs the range function inner selects over rows [lo, hi).
 func ellRange[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
 	switch inner {
-	case InnerFixedK:
-		ellRowsFixed(a, b, c, k, lo, hi)
+	case InnerFixedK: // k % 8 == 0 known in advance: one untiled panel
+		ellRowsPanel(a, b, c, 0, k, lo, hi)
 	case InnerTransB:
 		ellRowsT(a, b, c, k, lo, hi)
 	default:
@@ -49,38 +49,38 @@ func ellRows[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi
 	}
 }
 
+// ellRowsPanel scans each row's Width slots once, in whichever layout, and
+// hands the ones that are not padding to the row entry.
 func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
-	if a.Layout == formats.ColMajor {
-		for i := lo; i < hi; i++ {
-			o := i*c.Stride + j0
-			crow := c.Data[o : o+jw : o+jw]
-			clear(crow)
+	var g rowBuf[T]
+	for i := lo; i < hi; i++ {
+		crow := panelRow(c, i, j0, jw)
+		clear(crow)
+		if a.Layout == formats.ColMajor {
 			for s := 0; s < a.Width; s++ {
 				idx := s*a.Rows + i
 				v := a.Vals[idx]
 				if v == 0 {
 					continue
 				}
-				bo := int(a.ColIdx[idx])*b.Stride + j0
-				matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
+				if g.push(a.ColIdx[idx], v) {
+					g.flush(crow, b, j0)
+				}
+			}
+		} else {
+			base := i * a.Width
+			cols := a.ColIdx[base : base+a.Width : base+a.Width]
+			vals := a.Vals[base : base+a.Width : base+a.Width]
+			for s, v := range vals {
+				if v == 0 {
+					continue
+				}
+				if g.push(cols[s], v) {
+					g.flush(crow, b, j0)
+				}
 			}
 		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		o := i*c.Stride + j0
-		crow := c.Data[o : o+jw : o+jw]
-		clear(crow)
-		base := i * a.Width
-		cols := a.ColIdx[base : base+a.Width : base+a.Width]
-		vals := a.Vals[base : base+a.Width : base+a.Width]
-		for s, v := range vals {
-			if v == 0 {
-				continue
-			}
-			bo := int(cols[s])*b.Stride + j0
-			matrix.Axpy(crow, b.Data[bo:bo+jw:bo+jw], v, jw)
-		}
+		g.flush(crow, b, j0)
 	}
 }
 
@@ -97,21 +97,6 @@ func ellRowsT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k, lo, 
 			for j := range crow {
 				crow[j] += v * bt.Data[j*bt.Stride+int(col)]
 			}
-		}
-	}
-}
-
-// ellRowsFixed is ellRows with the k loop specialised.
-func ellRowsFixed[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+k]
-		clear(crow)
-		for s := 0; s < a.Width; s++ {
-			col, v := a.At(i, s)
-			if v == 0 {
-				continue
-			}
-			matrix.AxpyWhole(crow, b.Data[int(col)*b.Stride:], v, k)
 		}
 	}
 }

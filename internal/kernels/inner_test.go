@@ -59,6 +59,36 @@ func BenchmarkAxpy(b *testing.B) {
 	}
 }
 
+// BenchmarkAxpyRow prices the row entry on a run of gatherLen pairs, operands
+// L1-resident (2·gatherLen·k flops per op): what a nonzero costs once the call
+// and the C tile's load and store are shared by a row (DESIGN.md section 5,
+// beside BenchmarkAxpy's table).
+func BenchmarkAxpyRow(b *testing.B) {
+	live := vectorInner
+	defer func() { vectorInner = live }()
+	x := matrix.NewDenseRand[float64](8, 128, 1)
+	c := make([]float64, 128)
+	var cols [gatherLen]int32
+	var vals [gatherLen]float64
+	for p := range cols {
+		cols[p], vals[p] = int32(p*5%x.Rows), 1e-9
+	}
+	for _, body := range []string{"scalar", "vector"} {
+		if body == "vector" && !live {
+			continue
+		}
+		for _, k := range []int{1, 2, 4, 8, 16, 32, 128} {
+			b.Run(fmt.Sprintf("%s/k=%d", body, k), func(b *testing.B) {
+				vectorInner = body == "vector"
+				for i := 0; i < b.N; i++ {
+					matrix.AxpyRow(c[:k], x, 0, cols[:], vals[:])
+				}
+				b.ReportMetric(2*gatherLen*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
 var peakSink float64
 
 // BenchmarkScalarPeak is the pure-Go roof: eight independent multiply-add

@@ -47,6 +47,42 @@ var ErrUnsupportedK = errors.New("kernels: no fixed-k specialisation for this k"
 // bitwise identical to the untiled kernels.
 const tileK = 128
 
+// gatherLen is how many (col, val) pairs a rowBuf holds before it goes
+// through the row entry: enough that the call and the C tile's load and
+// store are a few percent of the pairs' own work, small enough that the
+// buffers of a block row's lanes stay on the stack and in L1.
+const gatherLen = 32
+
+// rowBuf collects the surviving nonzeros of one C row for the formats that
+// store padding: the range function scans its slots once, pushes what is
+// not zero, and flushes through matrix.AxpyRow when push reports the buffer
+// full and again at row end. It lives on the range function's stack.
+type rowBuf[T matrix.Float] struct {
+	n    int
+	cols [gatherLen]int32
+	vals [gatherLen]T
+}
+
+// push appends one pair and reports whether the buffer is now full.
+func (g *rowBuf[T]) push(col int32, v T) bool {
+	g.cols[g.n], g.vals[g.n] = col, v
+	g.n++
+	return g.n == gatherLen
+}
+
+// flush accumulates the buffered pairs into crow, columns [j0, j0+len(crow))
+// of B, and empties the buffer.
+func (g *rowBuf[T]) flush(crow []T, b *matrix.Dense[T], j0 int) {
+	matrix.AxpyRow(crow, b, j0, g.cols[:g.n], g.vals[:g.n])
+	g.n = 0
+}
+
+// panelRow is columns [j0, j0+jw) of row i of c.
+func panelRow[T matrix.Float](c *matrix.Dense[T], i, j0, jw int) []T {
+	o := i*c.Stride + j0
+	return c.Data[o : o+jw : o+jw]
+}
+
 // SpMMFlops returns the floating-point operation count of one SpMM with the
 // given nonzero count and k: one multiply and one add per (nonzero, column)
 // pair. This is the basis of every MFLOPS figure the suite reports,

@@ -18,8 +18,9 @@ import (
 // place that chooses between the caller's goroutine, fresh goroutines, a
 // persistent pool, precomputed bounds and dynamic self-scheduling, and the
 // single place that steps a range in cancelStride pieces under a context.
-// The range functions themselves (csrRows, csrRowsT, csrRowsFixed, ...) are
-// the paper's subject and stay one separate loop nest each.
+// The range functions themselves (csrRows, csrRowsT, ...) are the paper's
+// subject and stay one separate loop nest each; InnerFixedK enters the
+// tiled one's panel loop once, untiled.
 
 // Schedule selects how a parallel kernel partitions its rows over workers.
 type Schedule int
@@ -61,8 +62,8 @@ type Inner uint8
 const (
 	// InnerTiled is the runtime-k loop, k-tiled in tileK panels.
 	InnerTiled Inner = iota
-	// InnerFixedK is the Study 9 specialisation: the k loop unrolled at
-	// compile time, defined for k % 8 == 0 (HasFixedK).
+	// InnerFixedK is the Study 9 specialisation: k known in advance, one
+	// untiled panel, defined for k % 8 == 0 (HasFixedK).
 	InnerFixedK
 	// InnerTransB is the Study 8 variant: the dense operand is Bᵀ (kb×n).
 	InnerTransB

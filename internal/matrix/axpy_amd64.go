@@ -12,6 +12,6 @@ func init() { vector = hasAVX2() }
 func axpyAVX2(c, b []float64, v float64)
 
 //go:noescape
-func axpyWholeAVX2(c, b []float64, v float64)
+func axpyRowAVX2(c, b []float64, stride, rows int, cols []int32, vals []float64) int
 
 func hasAVX2() bool

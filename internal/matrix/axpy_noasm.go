@@ -7,4 +7,6 @@ package matrix
 
 func axpyAVX2(c, b []float64, v float64) { axpyScalar(c, b[:len(c)], v) }
 
-func axpyWholeAVX2(c, b []float64, v float64) { axpyScalar(c, b[:len(c)], v) }
+func axpyRowAVX2(c, b []float64, stride, rows int, cols []int32, vals []float64) int {
+	return axpyRowScalar(c, b, stride, rows, cols, vals)
+}

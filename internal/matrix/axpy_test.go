@@ -69,9 +69,6 @@ func TestAxpyBodiesBitwise(t *testing.T) {
 				}
 				v := axpyValue(rng)
 				checkAxpyBodies(t, "Axpy", Axpy[float64], c0, b, v, off, n)
-				if n > 0 && n%8 == 0 {
-					checkAxpyBodies(t, "AxpyWhole", AxpyWhole[float64], c0, b, v, off, n)
-				}
 			}
 		}
 	}
@@ -89,7 +86,7 @@ func TestAxpyScalarTypes(t *testing.T) {
 		cn[j], bn[j] = named(j), named(2*j+1)
 	}
 	Axpy(c32, b32, 3, 24)
-	AxpyWhole(cn, bn, 3, 24)
+	Axpy(cn, bn, 3, 24)
 	for j := range c32 {
 		if want := float32(j) + 3*float32(2*j+1); c32[j] != want || float32(cn[j]) != want {
 			t.Fatalf("j=%d: float32 %v, named %v, want %v", j, c32[j], cn[j], want)
@@ -103,7 +100,10 @@ func TestAxpyZeroAlloc(t *testing.T) {
 	c, b := make([]float64, 128), make([]float64, 128)
 	for _, on := range []bool{false, true} {
 		setVector(t, on)
-		if n := testing.AllocsPerRun(100, func() { Axpy(c, b, 1.5, 128); AxpyWhole(c, b, 1.5, 128) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() {
+			Axpy(c, b, 1.5, 128)
+			AxpyRow(c, &Dense[float64]{Rows: 1, Cols: 128, Stride: 128, Data: b}, 0, []int32{0, 0}, []float64{1.5, 2})
+		}); n != 0 {
 			t.Errorf("vector=%v: %.0f allocs/op, want 0", on, n)
 		}
 	}
@@ -124,8 +124,148 @@ func FuzzAxpy(f *testing.F) {
 			c0[j], b[j] = axpyValue(rng), math.Float64frombits(rng.Uint64())
 		}
 		checkAxpyBodies(t, "Axpy", Axpy[float64], c0, b, math.Float64frombits(vbits), off, n)
-		if n -= n % 8; n > 0 {
-			checkAxpyBodies(t, "AxpyWhole", AxpyWhole[float64], c0, b, math.Float64frombits(vbits), off, n)
+	})
+}
+
+// rowOperands draws a B of `rows` rows whose Stride exceeds j0+k (so a panel
+// at j0 > 0 of a wider matrix is covered), n pairs over it and a c0 with
+// `off` guard elements before the k-wide tile and four after.
+func rowOperands(rng *rand.Rand, rows, k, off, j0, n int, value func(*rand.Rand) float64) (c0 []float64, b *Dense[float64], cols []int32, vals []float64) {
+	b = &Dense[float64]{Rows: rows, Cols: j0 + k + 2, Stride: j0 + k + 5}
+	b.Data = make([]float64, (rows+2)*b.Stride) // slack: a column == rows is inside Data
+	for i := range b.Data {
+		b.Data[i] = value(rng)
+	}
+	c0 = make([]float64, off+k+4)
+	for i := range c0 {
+		c0[i] = value(rng)
+	}
+	cols, vals = make([]int32, n), make([]float64, n)
+	for p := range cols {
+		cols[p], vals[p] = int32(rng.Intn(rows)), value(rng)
+	}
+	return c0, b, cols, vals
+}
+
+// nanPayloads is whether two NaNs must also agree in sign and payload. The
+// -race build turns it off for the row entry: its instrumented copies of the
+// Go loop order a commutative add differently, and no vector body exists
+// there for the payloads to matter to.
+var nanPayloads = true
+
+// checkAxpyRow requires AxpyRow, under each body, to leave in all of c0 —
+// guards included — the bits that feeding the same pairs through the scalar
+// Axpy one by one leaves.
+func checkAxpyRow(t *testing.T, c0 []float64, off, k int, b *Dense[float64], j0 int, cols []int32, vals []float64) {
+	t.Helper()
+	defer func(old bool) { vector = old }(vector)
+	vector = false
+	want := append([]float64(nil), c0...)
+	for p, col := range cols {
+		bo := int(col)*b.Stride + j0
+		Axpy(want[off:], b.Data[bo:], vals[p], k)
+	}
+	for _, on := range []bool{false, true} {
+		vector = on
+		got := append([]float64(nil), c0...)
+		AxpyRow(got[off:off+k:off+k], b, j0, cols, vals)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) && (nanPayloads || got[j] == got[j] || want[j] == want[j]) {
+				t.Fatalf("vector=%v k=%d off=%d j0=%d n=%d: c[%d] = %#x, pair by pair %#x",
+					on, k, off, j0, len(cols), j-off, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
 		}
+	}
+}
+
+// TestAxpyRowBodiesBitwise: every tile width and the tail (k 0..257 at
+// offsets 0..3), run lengths either side of the kernels' gather buffer (32)
+// and one of torso1's longest row, a starting c that is never zero, and
+// panels at j0 > 0 of a B wider than the tile.
+func TestAxpyRowBodiesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for k := 0; k <= 257; k++ {
+		for off := 0; off < 4; off++ {
+			ns := []int{0, 1, 31, 32, 33}
+			if k%43 == 0 {
+				ns = append(ns, 3263)
+			}
+			for _, n := range ns {
+				j0 := (k + off) % 2 * 5
+				c0, b, cols, vals := rowOperands(rng, 9, k, off, j0, n, axpyValue)
+				checkAxpyRow(t, c0, off, k, b, j0, cols, vals)
+			}
+		}
+	}
+}
+
+// TestAxpyRowScalarTypes: float32 takes the Go body whatever the switch
+// says, and agrees with Axpy pair by pair.
+func TestAxpyRowScalarTypes(t *testing.T) {
+	setVector(t, true)
+	b := NewDenseRand[float32](5, 24, 3)
+	c, want := make([]float32, 24), make([]float32, 24)
+	cols, vals := []int32{4, 0, 4, 2}, []float32{1.5, -2, 0.25, 3}
+	AxpyRow(c, b, 0, cols, vals)
+	for p, col := range cols {
+		Axpy(want, b.Row(int(col)), vals[p], 24)
+	}
+	for j := range c {
+		if c[j] != want[j] {
+			t.Fatalf("j=%d: %v, want %v", j, c[j], want[j])
+		}
+	}
+}
+
+// TestAxpyRowColumnOutOfRange: a stored column that is negative or >= B.Rows
+// panics under both bodies — also when it would still land inside B.Data —
+// wherever in the run it sits and whichever tile width meets it, and nothing
+// outside c is written.
+func TestAxpyRowColumnOutOfRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, on := range []bool{false, true} {
+		setVector(t, on)
+		for _, k := range []int{1, 3, 4, 16, 37, 128} {
+			for _, bad := range []int32{9, 10, -1, math.MaxInt32, math.MinInt32} {
+				for _, at := range []int{0, 17, 39} {
+					c0, b, cols, vals := rowOperands(rng, 9, k, 2, 0, 40, axpyValue)
+					cols[at] = bad
+					got := append([]float64(nil), c0...)
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("vector=%v k=%d: column %d at pair %d did not panic", on, k, bad, at)
+							}
+						}()
+						AxpyRow(got[2:2+k:2+k], b, 0, cols, vals)
+					}()
+					for _, j := range []int{0, 1, 2 + k, 3 + k, 4 + k, 5 + k} {
+						if math.Float64bits(got[j]) != math.Float64bits(c0[j]) {
+							t.Fatalf("vector=%v k=%d: guard element %d written", on, k, j-2)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzAxpyRow lets the fuzzer pick the shape and, through the seed, every
+// bit pattern of c, B and the values.
+func FuzzAxpyRow(f *testing.F) {
+	f.Add(int64(1), uint16(37), uint16(33), uint8(1), uint8(0))
+	f.Add(int64(2), uint16(128), uint16(5), uint8(3), uint8(7))
+	f.Add(int64(3), uint16(3), uint16(64), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, k16, n16 uint16, off8, j8 uint8) {
+		k, n, off, j0 := int(k16)%300, int(n16)%100, int(off8)%4, int(j8)%9
+		rng := rand.New(rand.NewSource(seed))
+		bits := func(rng *rand.Rand) float64 {
+			if rng.Intn(2) == 0 {
+				return axpyValue(rng)
+			}
+			return math.Float64frombits(rng.Uint64())
+		}
+		c0, b, cols, vals := rowOperands(rng, 1+int(n16)%7, k, off, j0, n, bits)
+		checkAxpyRow(t, c0, off, k, b, j0, cols, vals)
 	})
 }

@@ -94,12 +94,15 @@ if grep -n 'make(\[\]byte' $(ls internal/cluster/*.go | grep -v _test.go); then
 fi
 [ "$pool_bad" = 0 ] || exit 1
 
-echo "== one inner loop (one .s file, no fused multiply-add in it, one scalar c[j] += v*b[j] body, scalar-only build compiles) =="
-# Every format and the overlay accumulate through matrix.Axpy (DESIGN.md
-# section 5): its vector body multiplies then adds, lane by lane, so it is
-# bit-identical to the Go loop — a fused instruction would round once and
-# break every bitwise contract in the tree. The transposed-B loops index bt
-# and are a different statement. go vet above ran asmdecl over the .s file.
+echo "== one inner loop (one .s file, no fused multiply-add in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, scalar-only build compiles) =="
+# Every format accumulates through matrix.AxpyRow — one call per C row, the
+# tile of C held in registers across the row's nonzeros — and the overlay,
+# GEMM and the ablations through matrix.Axpy (DESIGN.md section 5). Both
+# vector bodies multiply then add, lane by lane, so they are bit-identical to
+# the Go loop (axpyScalar, which the row entry's Go body calls) — a fused
+# instruction would round once and break every bitwise contract in the tree.
+# The transposed-B loops index bt and are a different statement. go vet above
+# ran asmdecl over the .s file.
 asm=$(find . -name '*.s' -not -name '*_test.s' -not -path './.git/*')
 if [ "$asm" != "./internal/matrix/axpy_amd64.s" ]; then
     echo "the only assembly in the tree is internal/matrix/axpy_amd64.s; found:" >&2; echo "$asm" >&2; exit 1
@@ -110,6 +113,17 @@ fi
 bodies=$(grep -nE '^\s*c\[j\] \+= v \* b\[j\]' $(ls internal/kernels/*.go internal/delta/*.go internal/matrix/*.go | grep -v _test.go))
 if [ "$(echo "$bodies" | wc -l)" != 1 ] || [ "${bodies%%:*}" != "internal/matrix/axpy.go" ]; then
     echo "want exactly one scalar inner loop body, in internal/matrix/axpy.go; found:" >&2; echo "$bodies" >&2; exit 1
+fi
+# A call per nonzero is what the row entry replaced: in internal/kernels only
+# the dense reference and the two ablations that are not lattice points still
+# make one.
+if ! awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    /matrix\.Axpy\(/ && fn !~ /^(GEMM|cscCols|BCSRParallelInner)$/ { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    END { exit bad }
+' $(ls internal/kernels/*.go | grep -v _test.go); then
+    echo "range functions reach the inner loop through matrix.AxpyRow, one call per C row (DESIGN.md section 5)" >&2; exit 1
 fi
 GOARCH=arm64 go vet ./internal/...
 
