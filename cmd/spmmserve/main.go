@@ -11,7 +11,8 @@
 //	spmmserve -addr :8080 -trace /tmp/serve.trace.json   # Chrome trace on exit
 //
 // SIGINT drains gracefully: the listener closes, in-flight multiplies (and
-// open batches) finish, then the pool and the metrics endpoint shut down.
+// the requests waiting behind them) finish, then the pool and the metrics
+// endpoint shut down.
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 		metricsAddr  = flag.String("metrics", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090)")
 		threads      = flag.Int("t", parallel.MaxThreads(), "kernel threads per dispatch")
 		cacheMB      = flag.Int("cache-mb", 256, "prepared-format cache budget in MiB (0 = unbounded)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "coalescing window for same-matrix requests (0 disables batching)")
+		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "longest wait behind an in-flight dispatch of the same matrix before dispatching beside it; an idle matrix never waits (0 disables batching)")
 		maxBatchK    = flag.Int("batch-maxk", 512, "max dense columns per coalesced dispatch")
 		maxK         = flag.Int("maxk", 1024, "max dense columns per request")
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently executing multiplies (0 = 2x threads)")

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -201,6 +202,7 @@ var serveTable = []row{
 	{series: `spmm_serve_panel_pool_gets_total{result="miss"}`},
 	{series: "spmm_serve_panel_pool_bytes_recycled_total"},
 	{series: "spmm_serve_batch_width"},
+	{series: "spmm_serve_batch_wait_seconds"},
 	{series: "spmm_serve_request_seconds"},
 	{series: `spmm_serve_phase_seconds{phase="queue"}`},
 	{series: `spmm_serve_phase_seconds{phase="load"}`},
@@ -263,11 +265,8 @@ func TestServeStatsAgreeWithMetrics(t *testing.T) {
 	cacheBytes := first.Registry().Stats().Bytes + 64 // room for one such format, not two
 	closeFirst()
 
-	clk := clock.NewFake()
-	window := 50 * time.Millisecond
 	srv, client, closeSrv := open(serve.Config{
 		MaxInFlight: 1, QueueDepth: 1, CacheBytes: cacheBytes,
-		BatchWindow: window, Clock: clk,
 		SnapshotEvery: 2, // the first automatic snapshot hits the injected fault, the second lands
 		Injector:      harness.NewInjector(1, harness.Fault{Point: harness.PointSnapshot, Kind: harness.FaultErr}),
 		Tune:          &tune.Config{Duty: 0.5},
@@ -285,34 +284,44 @@ func TestServeStatsAgreeWithMetrics(t *testing.T) {
 	}
 
 	// start issues a multiply against A and returns once it holds the only
-	// execution slot (it then parks in its batch window, which only scripted
-	// time ends); finish advances the clock until it completes.
+	// execution slot, with half its body sent: the handler takes the slot
+	// before it reads and keeps it until finish sends the rest.
 	b := matrix.NewDenseRand[float64](a.Cols, k, 1)
-	multiply := func(deadline time.Duration) chan error {
-		done := make(chan error, 1)
+	var wire bytes.Buffer
+	if err := serve.WritePanel(&wire, b, k); err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		body *io.PipeWriter
+		done chan error
+	}
+	start := func() held {
+		pr, pw := io.Pipe()
+		h := held{pw, make(chan error, 1)}
 		go func() {
-			_, err := client.Multiply(a.ID, a.Rows, b, k, deadline)
-			done <- err
-		}()
-		return done
-	}
-	start := func() chan error {
-		done := multiply(0)
-		waitFor(t, "multiply to take the execution slot", func() bool { return stats().InFlight == 1 })
-		return done
-	}
-	finish := func(done chan error) {
-		t.Helper()
-		for {
-			clk.Advance(window)
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
+			resp, err := http.Post(fmt.Sprintf("%s/v1/matrices/%s/multiply?k=%d", client.Base, a.ID, k), "application/octet-stream", pr)
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("held multiply: status %d", resp.StatusCode)
 				}
-				return
-			case <-time.After(time.Millisecond):
 			}
+			h.done <- err
+		}()
+		if _, err := pw.Write(wire.Bytes()[:wire.Len()/2]); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "multiply to take the execution slot", func() bool { return stats().InFlight == 1 })
+		return h
+	}
+	finish := func(h held) {
+		t.Helper()
+		if _, err := h.body.Write(wire.Bytes()[wire.Len()/2:]); err != nil {
+			t.Fatal(err)
+		}
+		h.body.Close()
+		if err := <-h.done; err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -326,13 +335,19 @@ func TestServeStatsAgreeWithMetrics(t *testing.T) {
 
 	// Slot held, one request queued: the next is shed.
 	holder := start()
-	queued := multiply(10 * time.Second)
+	queued := make(chan error, 1)
+	go func() {
+		_, err := client.Multiply(a.ID, a.Rows, b, k, 10*time.Second)
+		queued <- err
+	}()
 	waitFor(t, "second multiply queued for the slot", func() bool { return stats().Queued == 1 })
 	if _, err := client.Multiply(a.ID, a.Rows, b, k, 0); err == nil || !err.(*serve.StatusError).Overloaded() {
 		t.Fatalf("third concurrent multiply: want a 429 shed, got %v", err)
 	}
 	finish(holder)
-	finish(queued)
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
 
 	// Slot held: a queued request's deadline expires first.
 	holder = start()

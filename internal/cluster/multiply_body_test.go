@@ -116,9 +116,9 @@ func TestRoutedMultiplyRoundTripBytes(t *testing.T) {
 		multiply()
 	}
 	runtime.ReadMemStats(&after)
-	perReq := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%.0f B and %.1f objects per routed round trip", perReq, float64(after.Mallocs-before.Mallocs)/n)
-	if perReq > 260000 {
-		t.Fatalf("one routed multiply allocates %.0f B, want at most 260000", perReq)
+	perReq, objects := float64(after.TotalAlloc-before.TotalAlloc)/n, float64(after.Mallocs-before.Mallocs)/n
+	t.Logf("%.0f B and %.1f objects per routed round trip", perReq, objects)
+	if perReq > 260000 || objects > 256 {
+		t.Fatalf("one routed multiply allocates %.0f B in %.1f objects, want at most 260000 B in 256", perReq, objects)
 	}
 }

@@ -62,9 +62,11 @@ func BenchmarkServeUnbatched(b *testing.B) {
 	benchConcurrent(b, 0)
 }
 
-// BenchmarkServeBatched is the same load with a 500µs window: concurrent
-// same-matrix requests stack into wider-k dispatches. Comparing against
-// BenchmarkServeUnbatched prices the coalescing machinery.
+// BenchmarkServeBatched is the same load with batching on (BatchWindow
+// 500µs): requests that arrive behind an in-flight dispatch stack into the
+// next one. Comparing against BenchmarkServeUnbatched prices the coalescing
+// machinery; the reported width (requests per dispatch) rises with -cpu as
+// more callers queue than one dispatch absorbs.
 func BenchmarkServeBatched(b *testing.B) {
 	benchConcurrent(b, 500*time.Microsecond)
 }
@@ -177,9 +179,10 @@ func BenchmarkRequestTraceOverhead(b *testing.B) {
 
 func benchConcurrent(b *testing.B, window time.Duration) {
 	const k = 32
-	_, client, reg, done := benchServer(b, Config{BatchWindow: window, MaxBatchK: 4096})
+	srv, client, reg, done := benchServer(b, Config{BatchWindow: window, MaxBatchK: 4096})
 	defer done()
 
+	requests, batches := srv.batchedRequests.Value(), srv.batches.Value()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		panel := matrix.NewDenseRand[float64](reg.Cols, k, 1)
@@ -189,4 +192,5 @@ func benchConcurrent(b *testing.B, window time.Duration) {
 			}
 		}
 	})
+	b.ReportMetric(float64(srv.batchedRequests.Value()-requests)/float64(srv.batches.Value()-batches), "width")
 }

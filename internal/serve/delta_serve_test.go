@@ -248,7 +248,10 @@ func TestMutateValidation(t *testing.T) {
 // before AND after the source compacts.
 func TestExportOverlayRoundTrip(t *testing.T) {
 	const k = 4
-	_, src, _ := newTestServer(t, Config{Threads: 1})
+	// Compaction is forced below, never background: the measured trigger
+	// would otherwise fire on the first dirty multiply whenever its overlay
+	// apply outlasts the (tiny) base preparation.
+	_, src, _ := newTestServer(t, Config{Threads: 1, CompactRatio: -1, CompactCost: -1})
 	reg, local := registerSmall(t, src, 120, 90, 700, 21)
 	plan := buildDeltaPlan(t, local, 3, 10, 31)
 	for _, ops := range plan.batches {

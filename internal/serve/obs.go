@@ -52,6 +52,8 @@ func (s *Server) ExportMetrics(r *obs.Registry) {
 		"Multiply requests that travelled through a batch dispatch.", &s.batchedRequests)
 	r.AttachHistogram("spmm_serve_batch_width",
 		"Requests coalesced per dispatch.", &s.batchWidth)
+	r.AttachHistogram("spmm_serve_batch_wait_seconds",
+		"Per-request wait behind an in-flight dispatch, join to dispatch (0: none was in flight).", &s.batchWait)
 	r.AttachHistogram("spmm_serve_request_seconds",
 		"Multiply request latency, admission to response write.", &s.requestSeconds)
 	// Per-phase multiply latency, labelled with the request-trace phase

@@ -305,13 +305,13 @@ func TestMultiplyBodySize(t *testing.T) {
 	// On a server with its one slot held and no queue, a well-formed request
 	// is shed (429) but a malformed one is still a 400: the size check runs
 	// before admission, so it can never take a slot.
-	clk := clock.NewFake()
 	full, fullClient, _ := newTestServer(t, Config{
-		Threads: 1, MaxInFlight: 1, QueueDepth: -1, BatchWindow: time.Second, Clock: clk,
+		Threads: 1, MaxInFlight: 1, QueueDepth: -1, BatchWindow: time.Hour, Clock: clock.NewFake(),
 	})
 	if _, err := fullClient.Register(RegisterRequest{Name: "dw4096", Scale: 0.02}); err != nil {
 		t.Fatal(err)
 	}
+	release := holdDispatch(t, full, reg.ID)
 	url = fmt.Sprintf("%s/v1/matrices/%s/multiply?k=%d", fullClient.Base, reg.ID, k)
 	holder := make(chan error, 1)
 	go func() {
@@ -321,7 +321,7 @@ func TestMultiplyBodySize(t *testing.T) {
 		}
 		holder <- err
 	}()
-	waitFor(t, "holder parked in its batch window", func() bool { return full.pendingBatch(reg.ID) == 1 })
+	waitFor(t, "holder parked behind the held dispatch", func() bool { return full.pendingBatch(reg.ID) == 1 })
 	for _, tc := range []struct {
 		body []byte
 		want int
@@ -335,7 +335,7 @@ func TestMultiplyBodySize(t *testing.T) {
 			t.Fatalf("full server: a %d-byte body got %d, want %d", len(tc.body), resp.StatusCode, tc.want)
 		}
 	}
-	clk.Advance(time.Second)
+	release()
 	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}

@@ -171,23 +171,15 @@ func TestLeaseBody(t *testing.T) {
 // intact.
 func TestShedBodyOutlivesMultiply(t *testing.T) {
 	const k = 8
-	clk := clock.NewFake()
 	srv, client, _ := newTestServer(t, Config{
-		Threads: 1, MaxInFlight: 1, QueueDepth: -1, BatchWindow: time.Second, Clock: clk,
+		Threads: 1, MaxInFlight: 1, QueueDepth: -1, BatchWindow: time.Hour, Clock: clock.NewFake(),
 	})
 	// 2 MiB panels: far more than loopback socket buffers hold unread.
 	reg, local := registerSmall(t, client, 16, 32768, 400, 3)
+	release := holdDispatch(t, srv, reg.ID)
 	holderB := matrix.NewDenseRand[float64](reg.Cols, k, 1)
-	type outcome struct {
-		res *MultiplyResult
-		err error
-	}
-	holder := make(chan outcome, 1)
-	go func() {
-		res, err := client.Multiply(reg.ID, reg.Rows, holderB, k, 0)
-		holder <- outcome{res, err}
-	}()
-	waitFor(t, "holder parked in its batch window", func() bool { return srv.pendingBatch(reg.ID) == 1 })
+	holder := multiplyAsync(client, reg, holderB, k, 0)
+	waitFor(t, "holder parked behind the held dispatch", func() bool { return srv.pendingBatch(reg.ID) == 1 })
 
 	for round := 0; round < 3; round++ {
 		recycled := panels.recycled.Value()
@@ -210,21 +202,14 @@ func TestShedBodyOutlivesMultiply(t *testing.T) {
 		other.Release()
 	}
 
-	clk.Advance(time.Second)
+	release()
 	got := <-holder
 	if got.err != nil || !bitsEqual(got.res.C, multiplyRef(t, local, holderB, k)) {
 		t.Fatalf("the parked request was disturbed (err %v)", got.err)
 	}
 	next := matrix.NewDenseRand[float64](reg.Cols, k, 2)
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := client.Multiply(reg.ID, reg.Rows, next, k, 0)
-		done <- outcome{res, err}
-	}()
-	waitFor(t, "the next request in its window", func() bool { return srv.pendingBatch(reg.ID) == 1 })
-	clk.Advance(time.Second)
-	if got := <-done; got.err != nil || !bitsEqual(got.res.C, multiplyRef(t, local, next, k)) {
-		t.Fatalf("the request after the sheds is not bitwise csr-serial (err %v)", got.err)
+	if res, err := client.Multiply(reg.ID, reg.Rows, next, k, 0); err != nil || !bitsEqual(res.C, multiplyRef(t, local, next, k)) {
+		t.Fatalf("the request after the sheds is not bitwise csr-serial (err %v)", err)
 	}
 }
 
@@ -237,8 +222,7 @@ func TestSampledPanelsStayOutOfThePool(t *testing.T) {
 	var nobody atomic.Value
 	cfg := scriptedTuneConfig(&nobody) // every arm "measures" the same: no promotion
 	cfg.Duty = 1                       // the tuner clamps to 0.5: every second request
-	clk := clock.NewFake()
-	srv, client, _ := newTestServer(t, Config{Threads: 2, BatchWindow: time.Second, Clock: clk, Tune: cfg})
+	srv, client, _ := newTestServer(t, Config{Threads: 2, BatchWindow: time.Hour, Clock: clock.NewFake(), Tune: cfg})
 	reg, local := registerSmall(t, client, 300, 200, 2500, 5)
 	for round := 0; round < rounds; round++ {
 		n := 1 + round%2*(width-1) // lone and coalesced dispatches alternate
@@ -246,6 +230,7 @@ func TestSampledPanelsStayOutOfThePool(t *testing.T) {
 		results := make([]*MultiplyResult, n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
+		release := holdDispatch(t, srv, reg.ID)
 		for i := range bs {
 			bs[i] = matrix.NewDenseRand[float64](reg.Cols, k, int64(100*round+i))
 			wg.Add(1)
@@ -254,8 +239,8 @@ func TestSampledPanelsStayOutOfThePool(t *testing.T) {
 				results[i], errs[i] = client.Multiply(reg.ID, reg.Rows, bs[i], k, 0)
 			}()
 		}
-		waitFor(t, "the round's requests in the open batch", func() bool { return srv.pendingBatch(reg.ID) == n })
-		clk.Advance(time.Second)
+		waitFor(t, "the round's requests behind the held dispatch", func() bool { return srv.pendingBatch(reg.ID) == n })
+		release()
 		wg.Wait()
 		for i, res := range results {
 			if errs[i] != nil || !bitsEqual(res.C, multiplyRef(t, local, bs[i], k)) {
@@ -293,8 +278,8 @@ func TestMultiplyRoundTripBytes(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f B and %.1f objects per round trip", bytesPer, allocsPer)
-	if bytesPer > 165000 || allocsPer > 136 {
-		t.Fatalf("one multiply allocates %.0f B in %.1f objects, want at most 165000 B in 136", bytesPer, allocsPer)
+	if bytesPer > 165000 || allocsPer > 132 {
+		t.Fatalf("one multiply allocates %.0f B in %.1f objects, want at most 165000 B in 132", bytesPer, allocsPer)
 	}
 }
 

@@ -85,7 +85,7 @@ type Matrix struct {
 	// state to publishing the next. The read path never takes it.
 	mu sync.Mutex
 
-	// batch is the matrix's open multiply batch.
+	// batch is the matrix's dispatch queue: what is in flight, who waits.
 	batch batcher
 	// compactQueued is set while the matrix waits in the server's
 	// compaction queue, so repeated triggers enqueue it once.

@@ -14,9 +14,10 @@
 //   - A bytes-bounded LRU cache of prepared formats, chosen per matrix by
 //     internal/advisor and warmed (balanced partitions included) so
 //     steady-state multiplies perform zero preparation.
-//   - A multiply endpoint with request batching: requests against the same
-//     matrix inside a short window are stacked into one wider-k dispatch
-//     through the kernels' Opts layer on the shared parallel.Pool.
+//   - A multiply endpoint with request batching: requests that arrive while
+//     a dispatch of their matrix is in flight are stacked into one wider-k
+//     dispatch through the kernels' Opts layer on the shared parallel.Pool;
+//     one that finds none in flight dispatches at once.
 //   - Admission control: a bounded in-flight semaphore plus a bounded
 //     queue; overload sheds with 429 + Retry-After, deadlines cancel
 //     queued requests cooperatively, and shutdown drains in-flight work.
@@ -60,12 +61,15 @@ type Config struct {
 	Threads int
 	// CacheBytes bounds the prepared-format cache (<= 0: unbounded).
 	CacheBytes int64
-	// BatchWindow is how long the first request of a batch waits for
-	// company; 0 disables batching (every request dispatches alone).
+	// BatchWindow is the most a request may wait behind a dispatch already
+	// in flight against its matrix before it is dispatched beside it. A
+	// request that finds none in flight never waits; those that do leave
+	// together, as one wide dispatch, when it returns. 0 disables batching
+	// (every request dispatches alone).
 	BatchWindow time.Duration
 	// MaxBatchK caps the total dense columns of one coalesced dispatch
-	// (default 512). A single request at or above the cap bypasses the
-	// window.
+	// (default 512): waiting requests that reach it leave at once, and a
+	// single request at or above it never waits.
 	MaxBatchK int
 	// MaxK caps one request's panel width (default 1024).
 	MaxK int
@@ -95,8 +99,8 @@ type Config struct {
 	SlowRequest time.Duration
 	// Log receives serving lifecycle notes; nil discards them.
 	Log *slog.Logger
-	// Clock drives the batch-window timers; nil means the wall clock.
-	// Tests inject clock.NewFake() so window expiry is a deterministic
+	// Clock drives the BatchWindow timers; nil means the wall clock.
+	// Tests inject clock.NewFake() so the bound expiring is a deterministic
 	// Advance, not a sleep.
 	Clock clock.Clock
 
@@ -173,6 +177,7 @@ type Server struct {
 	batches         obs.Counter
 	batchedRequests obs.Counter
 	batchWidth      obs.Histogram
+	batchWait       obs.Histogram
 	requestSeconds  obs.Histogram
 	// The mutation subsystem (the /v1/stats Delta section).
 	mutations         obs.Counter
@@ -581,9 +586,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// pendingBatch reports how many requests are waiting in the matrix's open
-// batch window — the synchronization hook fake-clock tests poll before
-// advancing past the window.
+// pendingBatch reports how many requests are waiting behind the matrix's
+// in-flight dispatches — the synchronization hook tests poll before they
+// release a held dispatch or advance the fake clock past BatchWindow.
 func (s *Server) pendingBatch(id string) int {
 	m, ok := s.reg.Get(id)
 	if !ok {

@@ -33,6 +33,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// holdDispatch takes one of the matrix's in-flight dispatch slots, as a
+// running kernel would, so requests sent meanwhile join pending instead of
+// dispatching. release retires the slot exactly as a finishing dispatch does:
+// pending leaves as one batch, led by its oldest member.
+func holdDispatch(t *testing.T, s *Server, id string) (release func()) {
+	t.Helper()
+	m, ok := s.reg.Get(id)
+	if !ok {
+		t.Fatalf("holdDispatch: unknown matrix %s", id)
+	}
+	m.batch.mu.Lock()
+	m.batch.inflight++
+	m.batch.mu.Unlock()
+	return m.batch.retire
+}
+
 // newTestServer spins up an in-process service on a random port and a client
 // pointed at it. The returned teardown (also registered with t.Cleanup, and
 // idempotent) closes client connections, the listener, and the server's
@@ -189,33 +205,32 @@ func TestEndToEndServe(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing pins the tentpole's throughput mechanism: concurrent
-// same-matrix requests inside the window come back from ONE wider-k kernel
-// dispatch — visible both in the response metadata and as a single "batch"
-// trace span whose arg is the coalesced width. The batch window runs on an
-// injected clock, so the test waits for every caller to join the open batch
-// and then elapses the window in one deterministic Advance — all callers
-// coalesce, every run.
+// TestBatchCoalescing pins the batcher's throughput mechanism: same-matrix
+// requests that arrive while a dispatch is in flight come back from ONE
+// wider-k kernel dispatch — visible both in the response metadata and as a
+// single "batch" trace span whose arg is the coalesced width. The test holds
+// the matrix's in-flight slot until every caller has joined, then retires it
+// as a finishing dispatch would — all callers coalesce, every run.
 func TestBatchCoalescing(t *testing.T) {
 	const k = 8
 	const callers = 4
 
 	tracer := trace.New(4, 1<<12)
 	tracer.SetEnabled(true)
-	clk := clock.NewFake()
 	srv, client, _ := newTestServer(t, Config{
 		Threads:     2,
-		BatchWindow: 100 * time.Millisecond,
+		BatchWindow: time.Hour,
 		MaxInFlight: 2 * callers,
 		QueueDepth:  2 * callers,
 		Tracer:      tracer,
-		Clock:       clk,
+		Clock:       clock.NewFake(),
 	})
 	reg, err := client.Register(RegisterRequest{Name: "dw4096", Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref, refParams := serialReference(t, reg, k)
+	release := holdDispatch(t, srv, reg.ID)
 
 	start := make(chan struct{})
 	results := make([]*MultiplyResult, callers)
@@ -232,12 +247,10 @@ func TestBatchCoalescing(t *testing.T) {
 		}(i)
 	}
 	close(start)
-	// The fake clock keeps the window open until every caller has joined;
-	// one Advance then flushes the whole batch as a single dispatch.
-	waitFor(t, "all callers in the open batch", func() bool {
+	waitFor(t, "all callers behind the held dispatch", func() bool {
 		return srv.pendingBatch(reg.ID) == callers
 	})
-	clk.Advance(100 * time.Millisecond)
+	release()
 	wg.Wait()
 
 	refC := matrix.NewDense[float64](reg.Rows, k)
@@ -247,7 +260,7 @@ func TestBatchCoalescing(t *testing.T) {
 		}
 		res := results[i]
 		if res.BatchWidth != callers {
-			t.Fatalf("caller %d: batch width = %d, want %d (scripted window coalesces every caller)",
+			t.Fatalf("caller %d: batch width = %d, want %d (everyone behind one dispatch leaves as one)",
 				i, res.BatchWidth, callers)
 		}
 		if res.BatchK != callers*k {
@@ -298,22 +311,25 @@ func TestBatchCoalescing(t *testing.T) {
 }
 
 // TestOverloadShedsNotDeadlocks drives a MaxInFlight=1, zero-queue server
-// with a burst: the surplus must come back as 429 + Retry-After immediately —
-// not hang, not 500 — while at least one request completes normally.
+// with a burst while its one slot's holder is parked behind a held dispatch:
+// the surplus must come back as 429 + Retry-After immediately — not hang, not
+// 500 — while the request that got the slot completes normally.
 func TestOverloadShedsNotDeadlocks(t *testing.T) {
 	const callers = 8
 	const k = 4
 
-	_, client, _ := newTestServer(t, Config{
+	srv, client, _ := newTestServer(t, Config{
 		Threads:     1,
-		BatchWindow: 30 * time.Millisecond,
+		BatchWindow: time.Hour,
 		MaxInFlight: 1,
 		QueueDepth:  -1, // no queue: surplus sheds instantly
+		Clock:       clock.NewFake(),
 	})
 	reg, err := client.Register(RegisterRequest{Name: "dw4096", Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := holdDispatch(t, srv, reg.ID)
 
 	var ok, shed atomic.Int64
 	start := make(chan struct{})
@@ -342,16 +358,14 @@ func TestOverloadShedsNotDeadlocks(t *testing.T) {
 		}(i)
 	}
 	close(start)
+	waitFor(t, "one caller on the slot and the rest shed", func() bool {
+		return srv.pendingBatch(reg.ID) == 1 && shed.Load() == callers-1
+	})
+	release()
 	wg.Wait()
 
-	if ok.Load() < 1 {
-		t.Fatal("overload shed every request; at least the in-flight one must complete")
-	}
-	if shed.Load() < 1 {
-		t.Fatalf("%d concurrent requests against a 1-slot, 0-queue server and none shed", callers)
-	}
-	if ok.Load()+shed.Load() != callers {
-		t.Fatalf("ok %d + shed %d != %d callers", ok.Load(), shed.Load(), callers)
+	if ok.Load() != 1 || shed.Load() != callers-1 {
+		t.Fatalf("ok %d, shed %d; want the slot's holder served and the other %d shed", ok.Load(), shed.Load(), callers-1)
 	}
 	stats, err := client.Stats()
 	if err != nil {
@@ -364,24 +378,23 @@ func TestOverloadShedsNotDeadlocks(t *testing.T) {
 
 // TestQueueDeadlineExpires covers cooperative cancellation in the queue: a
 // request whose deadline lapses while it waits for an admission slot leaves
-// with 503 without ever executing. The slot holder is parked in a
-// fake-clock batch window that cannot elapse on its own, so the queued
-// request's deadline deterministically expires first — no sleep racing the
-// holder's completion.
+// with 503 without ever executing. The slot holder is parked behind a held
+// dispatch that only the test retires, so the queued request's deadline
+// deterministically expires first — no sleep racing the holder's completion.
 func TestQueueDeadlineExpires(t *testing.T) {
 	const k = 4
-	clk := clock.NewFake()
 	srv, client, _ := newTestServer(t, Config{
 		Threads:     1,
-		BatchWindow: 150 * time.Millisecond, // slot holder dwells in its window
+		BatchWindow: time.Hour,
 		MaxInFlight: 1,
 		QueueDepth:  4,
-		Clock:       clk,
+		Clock:       clock.NewFake(),
 	})
 	reg, err := client.Register(RegisterRequest{Name: "dw4096", Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := holdDispatch(t, srv, reg.ID)
 
 	holderDone := make(chan error, 1)
 	go func() {
@@ -389,8 +402,8 @@ func TestQueueDeadlineExpires(t *testing.T) {
 		_, err := client.Multiply(reg.ID, reg.Rows, b, k, 0)
 		holderDone <- err
 	}()
-	// The holder owns the only slot once it is parked in its batch window.
-	waitFor(t, "holder parked in its batch window", func() bool {
+	// The holder owns the only slot once it is parked behind the dispatch.
+	waitFor(t, "holder parked behind the held dispatch", func() bool {
 		return srv.pendingBatch(reg.ID) == 1
 	})
 
@@ -400,7 +413,7 @@ func TestQueueDeadlineExpires(t *testing.T) {
 	if !isStatus || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("queued request past its deadline: want 503, got %v", err)
 	}
-	clk.Advance(150 * time.Millisecond) // release the holder's window
+	release()
 	if err := <-holderDone; err != nil {
 		t.Fatalf("slot holder failed: %v", err)
 	}

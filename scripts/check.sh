@@ -56,10 +56,10 @@ if ! awk '
     FILENAME ~ /(serve|batch)\.go$/ && /bytes\.Buffer/ { print FILENAME ":" FNR ": " $0; bad = 1 }
     fn == "handleMultiply" && /w\.Write\(|WritePanel\(/ { writes++ }
     fn == "runBatch" && /\.Calculate\(/ { calcs++ }
-    fn == "runBatch" && /done <-/ { sends++ }
+    fn == "runBatch" && /turn <-/ { sends++ }
     END {
         if (writes != 1) { print "handleMultiply has " writes+0 " response-write sites, want 1"; bad = 1 }
-        if (calcs != 1 || sends != 1) { print "runBatch has " calcs+0 " Calculate calls and " sends+0 " done sends, want 1 and 1"; bad = 1 }
+        if (calcs != 1 || sends != 1) { print "runBatch has " calcs+0 " Calculate calls and " sends+0 " turn sends, want 1 and 1"; bad = 1 }
         exit bad
     }
 ' $(ls internal/serve/*.go | grep -v _test.go); then
