@@ -798,38 +798,25 @@ func BenchmarkPhaseMix(b *testing.B) {
 	b.ReportMetric(mix.WorkerIdleFraction*100, "worker-idle-%")
 }
 
-// BenchmarkSpMV covers the future-work SpMV path (§6.3.4) per format.
+// BenchmarkSpMV is the §6.3.4 SpMV reading: the six formats' lattice
+// kernels at k = 1, serial.
 func BenchmarkSpMV(b *testing.B) {
 	m := benchMatrix(b)
-	x := make([]float64, m.Cols)
-	y := make([]float64, m.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	csr := formats.CSRFromCOO(m)
-	ell := formats.ELLFromCOO(m, formats.RowMajor)
-	bcsr, err := formats.BCSRFromCOO(m, 4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runs := []struct {
-		name string
-		fn   func() error
-	}{
-		{"coo", func() error { return kernels.COOSpMV(m, x, y, 1) }},
-		{"csr", func() error { return kernels.CSRSpMV(csr, x, y, 1) }},
-		{"ell", func() error { return kernels.ELLSpMV(ell, x, y, 1) }},
-		{"bcsr", func() error { return kernels.BCSRSpMV(bcsr, x, y, 1) }},
-	}
-	for _, r := range runs {
-		b.Run(r.name, func(b *testing.B) {
+	x := matrix.NewDenseRand[float64](m.Cols, 1, 7)
+	y := matrix.NewDense[float64](m.Rows, 1)
+	for _, format := range []string{"coo", "csr", "ell", "bcsr", "bell", "sellcs"} {
+		a, err := formats.FromCOO(format, m, formats.Params{Block: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(format, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := r.fn(); err != nil {
+				if err := kernels.Multiply(a, x, y, 1, kernels.Spec{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			secs := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(metrics.MFLOPS(kernels.SpMVFlops(m.NNZ()), secs), "MFLOPS")
+			b.ReportMetric(metrics.MFLOPS(kernels.SpMMFlops(m.NNZ(), 1), secs), "MFLOPS")
 		})
 	}
 }

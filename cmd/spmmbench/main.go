@@ -72,7 +72,6 @@ import (
 func main() {
 	var (
 		kernelName  = flag.String("kernel", "csr-serial", "kernel registry name (see -list)")
-		op          = flag.String("op", "spmm", "operation: spmm or spmv (future-work §6.3.4)")
 		matrixName  = flag.String("matrix", "cant", "registry matrix name or path to a .mtx file")
 		scale       = flag.Float64("scale", 0.05, "scale factor for registry matrices")
 		reps        = flag.Int("n", 5, "timed repetitions of the calculation")
@@ -202,10 +201,6 @@ func main() {
 		for _, n := range core.Names() {
 			fmt.Println("  " + n)
 		}
-		fmt.Println("spmv kernels (use with -op spmv):")
-		for _, n := range core.SpMVNames() {
-			fmt.Println("  " + n)
-		}
 		fmt.Println("matrices:")
 		for _, n := range gen.Names() {
 			fmt.Println("  " + n)
@@ -217,8 +212,8 @@ func main() {
 	campaign := *timeout > 0 || *retries > 0 || *memBudget != "" || *journal != "" || *resume ||
 		strings.Contains(*kernelName, ",") || strings.Contains(*matrixName, ",")
 	if campaign {
-		if *op == "spmv" || *threadsList != "" {
-			fatal(fmt.Errorf("campaign mode does not combine with -op spmv or -threads-list"))
+		if *threadsList != "" {
+			fatal(fmt.Errorf("campaign mode does not combine with -threads-list"))
 		}
 		if *resume && *journal == "" {
 			fatal(fmt.Errorf("-resume needs -journal to know what already ran"))
@@ -255,23 +250,6 @@ func main() {
 		fatal(err)
 	}
 	tracer.EndDetail(0, trace.PhaseLoad, *matrixName, span, int64(a.NNZ()))
-
-	if *op == "spmv" {
-		k, err := core.NewSpMV(*kernelName)
-		if err != nil {
-			fatal(err)
-		}
-		p := core.Params{Reps: *reps, Threads: *threads, BlockSize: *block, K: 1,
-			Verify: *verify, Debug: *debug, Seed: 1}
-		props := metrics.Compute(a)
-		fmt.Printf("matrix: %s  (%dx%d, %d nonzeros)\n", *matrixName, props.Rows, props.Cols, props.NNZ)
-		r, err := core.RunSpMV(k, a, *matrixName, p)
-		if err != nil {
-			fatal(err)
-		}
-		report(r, *debug)
-		return
-	}
 
 	opts := core.Options{}
 	if strings.HasSuffix(*kernelName, "-gpu") {

@@ -106,6 +106,62 @@ func TestRunAllKernelsVerified(t *testing.T) {
 	}
 }
 
+// TestRunSpMVAllKernelsVerified: SpMV is Run at K = 1. Every registry name
+// runs it through its own kernel and verifies against the COO reference —
+// bit for bit on the CPU, where every name is a lattice point — and the
+// fixed-k names refuse, as for any k outside their family.
+func TestRunSpMVAllKernelsVerified(t *testing.T) {
+	a := testCOO(21, 80, 80, 500)
+	opts := gpuOptions(t)
+	p := smallParams()
+	p.K = 1
+	for _, name := range Names() {
+		k, err := New(name, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r, err := Run(k, a, "test", p)
+		if strings.HasSuffix(name, "-fixedk") {
+			if !errors.Is(err, kernels.ErrUnsupportedK) {
+				t.Errorf("%s at k=1: %v, want ErrUnsupportedK", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !r.Verified || (k.Mode() != GPU && r.MaxAbsDiff != 0) {
+			t.Errorf("%s: verified=%v, max abs diff %g", name, r.Verified, r.MaxAbsDiff)
+		}
+		if r.K != 1 {
+			t.Errorf("%s: spmv result must report k=1, got %d", name, r.K)
+		}
+		if r.MFLOPS <= 0 || r.FormatBytes <= 0 {
+			t.Errorf("%s: nonsense result %+v", name, r)
+		}
+	}
+}
+
+func TestRunSpMVDeterministicResult(t *testing.T) {
+	a := testCOO(23, 60, 60, 300)
+	p := smallParams()
+	p.K = 1
+	var rs [2]Result
+	for i := range rs {
+		k, err := New("ell-omp", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[i], err = Run(k, a, "t", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Timing varies; the verified numerics and metadata must not.
+	if rs[0].Kernel != rs[1].Kernel || rs[0].MaxAbsDiff != rs[1].MaxAbsDiff || rs[0].FormatBytes != rs[1].FormatBytes {
+		t.Fatalf("results differ: %+v vs %+v", rs[0], rs[1])
+	}
+}
+
 func TestRunFixedKRejectsUnsupportedK(t *testing.T) {
 	a := testCOO(2, 20, 20, 60)
 	k, err := New("csr-serial-fixedk", Options{})

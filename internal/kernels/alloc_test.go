@@ -144,3 +144,17 @@ func pooledBalancedCalculateAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiplyVecAllocBound: a vector call costs its two one-column Dense
+// headers and nothing else — x and y are viewed, never copied.
+func TestMultiplyVecAllocBound(t *testing.T) { eachInner(t, multiplyVecAllocBound) }
+
+func multiplyVecAllocBound(t *testing.T) {
+	coo, csr, ell, bcsr, _, _ := allocFixtures(t, 1)
+	x, y := make([]float64, 100), make([]float64, 300)
+	for name, a := range map[string]formats.Sparse{"coo": coo, "csr": csr, "ell": ell, "bcsr": bcsr} {
+		if n := testing.AllocsPerRun(10, func() { _ = MultiplyVec(a, x, y, Spec{}) }); n > 2 {
+			t.Errorf("%s: %.0f allocs/op, want <= 2", name, n)
+		}
+	}
+}

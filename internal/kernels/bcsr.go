@@ -185,39 +185,3 @@ func BCSRParallelInner[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T]
 	}
 	return nil
 }
-
-// BCSRSpMV computes y = A × x with A in BCSR form, block rows divided over
-// threads workers (serial at 1 or below).
-func BCSRSpMV[T matrix.Float](a *formats.BCSR[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	if threads <= 1 {
-		bcsrSpMVBlockRows(a, x, y, 0, a.BlockRows)
-		return nil
-	}
-	return run(Spec{Threads: threads}, rowBCSR, a.BlockRows, nil, func(lo, hi, _ int) {
-		bcsrSpMVBlockRows(a, x, y, lo, hi)
-	})
-}
-
-func bcsrSpMVBlockRows[T matrix.Float](a *formats.BCSR[T], x, y []T, lo, hi int) {
-	br, bc := a.BR, a.BC
-	for bri := lo; bri < hi; bri++ {
-		rowBase := bri * br
-		rowLim := min(br, a.Rows-rowBase)
-		clear(y[rowBase : rowBase+rowLim])
-		for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
-			colBase := int(a.ColIdx[p]) * bc
-			colLim := min(bc, a.Cols-colBase)
-			blk := a.Block(int(p))
-			for r := 0; r < rowLim; r++ {
-				var sum T
-				for cc := 0; cc < colLim; cc++ {
-					sum += blk[r*bc+cc] * x[colBase+cc]
-				}
-				y[rowBase+r] += sum
-			}
-		}
-	}
-}

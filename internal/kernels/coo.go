@@ -114,25 +114,3 @@ func COOParallelReplicated[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[
 	})
 	return nil
 }
-
-// COOSpMV computes y = A × x with A in COO form; beyond one thread the
-// triplets are row-partitioned, so A must be sorted row-major.
-func COOSpMV[T matrix.Float](a *matrix.COO[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	clear(y)
-	if threads <= 1 {
-		cooSpMVTriplets(a, x, y, 0, a.NNZ())
-		return nil
-	}
-	return run(Spec{Threads: threads}, rowCOO, a.NNZ(), cooRowPartition(a, threads), func(lo, hi, _ int) {
-		cooSpMVTriplets(a, x, y, lo, hi)
-	})
-}
-
-func cooSpMVTriplets[T matrix.Float](a *matrix.COO[T], x, y []T, lo, hi int) {
-	for p := lo; p < hi; p++ {
-		y[a.RowIdx[p]] += a.Vals[p] * x[a.ColIdx[p]]
-	}
-}

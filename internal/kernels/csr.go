@@ -84,29 +84,6 @@ func csrRowsT[T matrix.Float](a *formats.CSR[T], bt, c *matrix.Dense[T], k, lo, 
 	}
 }
 
-// CSRSpMV computes y = A × x with A in CSR form, rows divided over threads
-// workers (serial at 1 or below).
-func CSRSpMV[T matrix.Float](a *formats.CSR[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	if threads <= 1 {
-		csrSpMVRows(a, x, y, 0, a.Rows)
-		return nil
-	}
-	return run(Spec{Threads: threads}, rowCSR, a.Rows, nil, func(lo, hi, _ int) { csrSpMVRows(a, x, y, lo, hi) })
-}
-
-func csrSpMVRows[T matrix.Float](a *formats.CSR[T], x, y []T, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var sum T
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			sum += a.Vals[p] * x[a.ColIdx[p]]
-		}
-		y[i] = sum
-	}
-}
-
 // CSC computes C[:, :k] = A × B[:, :k] with A in CSC form. Column
 // orientation means every stored entry scatters into C rows, so unlike CSR
 // the loop has no range decomposition that owns C rows: the lattice row is

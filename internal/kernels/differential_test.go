@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -22,20 +23,25 @@ import (
 // lattice (serial, parallel, pooled, balanced, dynamic, cancellable,
 // transposed-B, fixed-k, both ELL layouts, every format) and the three
 // ablations run against the dense GEMM reference on five structurally
-// adversarial matrix classes.
+// adversarial matrix classes, as a panel (k = 16) and as a vector (k = 1:
+// SpMV is the same kernels at one column, held to the same contract).
 // Variants whose accumulation order matches the serial per-element order
 // must agree bit for bit; the reassociating variants (private-accumulator
 // reductions) must agree within one ULP of the accumulated magnitude per
 // partial sum — the tightest bound reassociation admits, since an element
 // whose terms cancel can legitimately sit many result-ULPs away while still
 // being correctly rounded at the magnitude it was summed at. A go/parser
-// completeness check closes the loop: an exported function with an SpMM
-// signature that no enumerated variant reaches fails the test, so new entry
-// points cannot dodge the sweep.
+// completeness check closes the loop: an exported function over a sparse a
+// that no enumerated variant reaches fails the test, so new entry points
+// cannot dodge the sweep.
 
 // sweepK is a multiple of 8 so the fixed-k specialisations participate, and
 // above 8 so the tiled panel chaining (16 = 8+8) is exercised too.
 const sweepK = 16
+
+// sweepKs are the column counts every point runs at. The fixed-k points
+// skip k = 1 (NeedsFixedK): no specialisation exists for it.
+var sweepKs = []int{1, sweepK}
 
 const sweepThreads = 4
 
@@ -102,47 +108,64 @@ func sumAbsRef(t *testing.T, coo *matrix.COO[float64], b *matrix.Dense[float64],
 	return out
 }
 
+// sweepFixture is one matrix class at one k: the operands and both
+// references.
+type sweepFixture struct {
+	in          *VariantInput
+	ref, sumAbs *matrix.Dense[float64]
+}
+
 func TestDifferentialSweep(t *testing.T) {
 	pool := parallel.NewPool(sweepThreads)
 	defer pool.Close()
 	variants := Variants()
 	for class, coo := range sweepMatrices() {
-		in := NewVariantInput(coo, sweepK, sweepThreads, 3, 21)
-		in.Pool = pool
 		// Slices of 4 rows sorted in windows of 8, so even the 30-row
 		// classes span several slices and sorting windows.
 		sell, err := formats.SELLCSFromCOO(coo, 4, 8)
 		if err != nil {
 			t.Fatalf("%s: fixture: %v", class, err)
 		}
-		in.Formats = map[string]formats.Sparse{"sellcs": sell}
-
-		ref := matrix.NewDense[float64](coo.Rows, sweepK)
-		if err := GEMM(coo.ToDense(), in.B, ref); err != nil {
-			t.Fatalf("%s: reference: %v", class, err)
+		converted := map[string]formats.Sparse{"sellcs": sell} // shared by both k
+		var fixtures []sweepFixture
+		for _, k := range sweepKs {
+			in := NewVariantInput(coo, k, sweepThreads, 3, 21)
+			in.Pool, in.Formats = pool, converted
+			ref := matrix.NewDense[float64](coo.Rows, k)
+			if err := GEMM(coo.ToDense(), in.B, ref); err != nil {
+				t.Fatalf("%s: reference: %v", class, err)
+			}
+			fixtures = append(fixtures, sweepFixture{in, ref, sumAbsRef(t, coo, in.B, k)})
 		}
-		sumAbs := sumAbsRef(t, coo, in.B, sweepK)
 
 		for _, v := range variants {
 			t.Run(class+"/"+v.Name, func(t *testing.T) {
-				eachInner(t, func(t *testing.T) { sweepPoint(t, v, in, ref, sumAbs) })
+				eachInner(t, func(t *testing.T) {
+					for _, fx := range fixtures {
+						if v.NeedsFixedK && !HasFixedK(fx.in.K) {
+							continue
+						}
+						t.Run(fmt.Sprintf("k=%d", fx.in.K), func(t *testing.T) { sweepPoint(t, v, fx) })
+					}
+				})
 			})
 		}
 	}
 }
 
-// sweepPoint runs one variant on one matrix class and checks it against the
+// sweepPoint runs one variant on one fixture and checks it against the
 // dense reference under the variant's contract.
-func sweepPoint(t *testing.T, v Variant, in *VariantInput, ref, sumAbs *matrix.Dense[float64]) {
-	out := matrix.NewDense[float64](ref.Rows, sweepK)
+func sweepPoint(t *testing.T, v Variant, fx sweepFixture) {
+	ref, sumAbs := fx.ref, fx.sumAbs
+	out := matrix.NewDense[float64](ref.Rows, ref.Cols)
 	for i := range out.Data {
 		out.Data[i] = 1e301 // poison: the kernel must overwrite
 	}
-	if err := v.Run(in, out); err != nil {
+	if err := v.Run(fx.in, out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for i := 0; i < ref.Rows; i++ {
-		for j := 0; j < sweepK; j++ {
+		for j := 0; j < ref.Cols; j++ {
 			got, want := out.At(i, j), ref.At(i, j)
 			if v.Bitwise {
 				if math.Float64bits(got) != math.Float64bits(want) {
@@ -157,29 +180,35 @@ func sweepPoint(t *testing.T, v Variant, in *VariantInput, ref, sumAbs *matrix.D
 	}
 }
 
-// spmmSignature reports whether fd is an exported SpMM entry point: a
-// package-level function taking dense operands named b (or bt) and c, a
-// column count k, and returning one error. SpMV kernels, flops helpers and
-// the dense GEMM reference do not match.
-func spmmSignature(fd *ast.FuncDecl) bool {
+// notKernels are the two exported functions over an operand named a that are
+// not sparse kernels of their own: the dense reference, and the vector view
+// of Multiply (TestSpMVKernels holds it to Multiply's column 0 on every
+// format).
+var notKernels = map[string]bool{"GEMM": true, "MultiplyVec": true}
+
+// kernelSignature reports whether fd is an exported kernel entry point: a
+// package-level function taking an operand named a and returning one error,
+// other than the two notKernels names.
+func kernelSignature(fd *ast.FuncDecl) bool {
 	if fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
 		return false
 	}
 	if id, ok := fd.Type.Results.List[0].Type.(*ast.Ident); !ok || id.Name != "error" {
 		return false
 	}
-	params := map[string]bool{}
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {
-			params[name.Name] = true
+			if name.Name == "a" {
+				return !notKernels[fd.Name.Name]
+			}
 		}
 	}
-	return params["a"] && (params["b"] || params["bt"]) && params["c"] && params["k"]
+	return false
 }
 
 // TestVariantRegistryComplete parses the package source and cross-checks
-// the declared SpMM entry points against the enumeration, in both
-// directions: an exported function with an SpMM signature that no variant
+// the declared kernel entry points against the enumeration, in both
+// directions: an exported function over an operand a that no variant
 // reaches fails (adding an entry point without sweep coverage is a test
 // failure), and a variant naming a function the package does not declare
 // fails (catches renames and typos). Every lattice point runs through
@@ -196,7 +225,7 @@ func TestVariantRegistryComplete(t *testing.T) {
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && spmmSignature(fd) {
+				if fd, ok := decl.(*ast.FuncDecl); ok && kernelSignature(fd) {
 					declared[fd.Name.Name] = false // not yet reached
 				}
 			}
@@ -206,7 +235,7 @@ func TestVariantRegistryComplete(t *testing.T) {
 		t.Fatal("parsed no kernel entry points — signature test or directory wrong")
 	}
 	if len(declared) > 11 {
-		t.Errorf("%d exported SpMM entry points, want at most 11 (seven formats, Multiply, three ablations): %v",
+		t.Errorf("%d exported kernel entry points, want at most 11 (seven formats, Multiply, three ablations): %v",
 			len(declared), declared)
 	}
 
@@ -219,7 +248,7 @@ func TestVariantRegistryComplete(t *testing.T) {
 	}
 	for name := range reached {
 		if _, ok := declared[name]; !ok {
-			t.Errorf("a variant names %s but the package declares no such SpMM entry point", name)
+			t.Errorf("a variant names %s but the package declares no such kernel entry point", name)
 		}
 		declared[name] = true
 	}

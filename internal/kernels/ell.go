@@ -100,27 +100,3 @@ func ellRowsT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k, lo, 
 		}
 	}
 }
-
-// ELLSpMV computes y = A × x with A in ELLPACK form, rows divided over
-// threads workers (serial at 1 or below).
-func ELLSpMV[T matrix.Float](a *formats.ELL[T], x, y []T, threads int) error {
-	if err := checkSpMV(a.Rows, a.Cols, x, y); err != nil {
-		return err
-	}
-	if threads <= 1 {
-		ellSpMVRows(a, x, y, 0, a.Rows)
-		return nil
-	}
-	return run(Spec{Threads: threads}, rowELL, a.Rows, nil, func(lo, hi, _ int) { ellSpMVRows(a, x, y, lo, hi) })
-}
-
-func ellSpMVRows[T matrix.Float](a *formats.ELL[T], x, y []T, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var sum T
-		for s := 0; s < a.Width; s++ {
-			col, v := a.At(i, s)
-			sum += v * x[col]
-		}
-		y[i] = sum
-	}
-}

@@ -6,8 +6,9 @@
 // tiled, the fixed-k specialisation of the manual-optimisation study, or
 // transposed-B) — plus Multiply, which dispatches a prepared float64 matrix
 // to its entry. Three ablations the thesis discusses sit outside the
-// lattice as named functions, and the SpMV kernels the thesis lists as
-// future work (§6.3.4) ride along.
+// lattice as named functions. The SpMV the thesis lists as future work
+// (§6.3.4) is Multiply at k = 1; MultiplyVec is that call for a caller
+// holding plain vectors.
 //
 // Every SpMM kernel computes C[:, :k] = A × B[:, :k] for a sparse m×n A and
 // dense n×kb B (kb >= k), overwriting the first k columns of C. The "k loop"
@@ -89,9 +90,6 @@ func panelRow[T matrix.Float](c *matrix.Dense[T], i, j0, jw int) []T {
 // matching the thesis' metric (§4.3).
 func SpMMFlops(nnz, k int) float64 { return 2 * float64(nnz) * float64(k) }
 
-// SpMVFlops returns the operation count of one SpMV.
-func SpMVFlops(nnz int) float64 { return 2 * float64(nnz) }
-
 // checkSpMM validates C[:, :k] = A(ar×ac) × B[:, :k]. With transposed set,
 // b is the kb×n transpose of B.
 func checkSpMM[T matrix.Float](ar, ac int, b, c *matrix.Dense[T], k int, transposed bool) error {
@@ -110,17 +108,6 @@ func checkSpMM[T matrix.Float](ar, ac int, b, c *matrix.Dense[T], k int, transpo
 		return fmt.Errorf("%w: A has %d rows but C has %d", ErrShape, ar, c.Rows)
 	case k > c.Cols:
 		return fmt.Errorf("%w: k=%d exceeds C's %d columns", ErrShape, k, c.Cols)
-	}
-	return nil
-}
-
-// checkSpMV validates y = A(ar×ac) × x.
-func checkSpMV[T matrix.Float](ar, ac int, x, y []T) error {
-	switch {
-	case len(x) != ac:
-		return fmt.Errorf("%w: A is %dx%d but x has %d entries", ErrShape, ar, ac, len(x))
-	case len(y) != ar:
-		return fmt.Errorf("%w: A has %d rows but y has %d entries", ErrShape, ar, len(y))
 	}
 	return nil
 }

@@ -238,3 +238,14 @@ func Multiply(a formats.Sparse, b, c *matrix.Dense[float64], k int, s Spec) erro
 	}
 	return fmt.Errorf("kernels: no SpMM kernel for %T", a)
 }
+
+// MultiplyVec computes y = A × x: Multiply at k = 1 over the caller's
+// slices, viewed without copying as one-column panels, so a vector gets
+// every format and every Spec the lattice has. A len(x) or len(y) that
+// does not match A's shape is ErrShape, as for any panel — and so is
+// InnerTransB, since x is viewed as the n×1 B, never as a 1×n Bᵀ.
+func MultiplyVec(a formats.Sparse, x, y []float64, s Spec) error {
+	b := &matrix.Dense[float64]{Rows: len(x), Cols: 1, Stride: 1, Data: x}
+	c := &matrix.Dense[float64]{Rows: len(y), Cols: 1, Stride: 1, Data: y}
+	return Multiply(a, b, c, 1, s)
+}

@@ -127,9 +127,22 @@ if ! awk '
 fi
 GOARCH=arm64 go vet ./internal/...
 
+echo "== one kernel family (SpMV is Multiply at k = 1: no SpMV function, registry name or identifier outside examples/batchedspmv) =="
+# A vector is a one-column panel: kernels.MultiplyVec views it and calls
+# Multiply, so SpMV runs the lattice's kernels under the lattice's contract
+# (DESIGN.md section 2). Prose may say SpMV; code may not spell it.
+if ! awk '
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/[ \t]\/\/.*/, "", code) }
+    tolower(code) ~ /spmv/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }
+' $(find . -name '*.go' -not -name '*_test.go' -not -path './examples/batchedspmv/*' -not -path './.git/*'); then
+    echo "SpMV is kernels.Multiply at k = 1 (kernels.MultiplyVec for callers holding slices): no second kernel family" >&2; exit 1
+fi
+
 echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
-# and the ctx-everywhere table here (~16 s under -race), so a partition
+# and the ctx-everywhere table here (~19 s under -race), so a partition
 # that lets two workers touch one C row is a reported race, not a flaky
 # bit — which is why a -race build runs the scalar inner loop only (the
 # detector cannot see assembly stores; matrix's TestRaceBuildIsScalar pins

@@ -4,10 +4,10 @@
 //
 // The facade re-exports the pieces a downstream user needs: the COO/dense
 // matrix types, the sparse formats (CSR, ELLPACK, BCSR, and the future-work
-// BELL and SELL-C-σ formats), the SpMM/SpMV kernels, MatrixMarket I/O, the
-// benchmark runner with its kernel registry, the calibrated synthetic
-// matrix generators, and the study harness that regenerates every table
-// and figure of the thesis' evaluation.
+// BELL and SELL-C-σ formats), the SpMM kernels (SpMV is Params.K = 1 through
+// the same ones), MatrixMarket I/O, the benchmark runner with its kernel
+// registry, the calibrated synthetic matrix generators, and the study
+// harness that regenerates every table and figure of the thesis' evaluation.
 //
 // Quick start:
 //
@@ -209,20 +209,4 @@ func RecommendFormat(f AdvisorFeatures, env AdvisorEnvironment) []Advice {
 // the winner with all results.
 func MeasureFormats(m *COO, env AdvisorEnvironment, p Params, o KernelOptions) (string, []Result, error) {
 	return advisor.Measure(m, env, p, o)
-}
-
-// ---- SpMV (future-work §6.3.4) ----
-
-// SpMVKernel is the vector counterpart of Kernel.
-type SpMVKernel = core.SpMVKernel
-
-// SpMVKernelNames lists the SpMV kernel registry names.
-func SpMVKernelNames() []string { return core.SpMVNames() }
-
-// NewSpMVKernel builds an SpMV kernel by registry name.
-func NewSpMVKernel(name string) (SpMVKernel, error) { return core.NewSpMV(name) }
-
-// RunSpMVBenchmark benchmarks one SpMV kernel on one matrix.
-func RunSpMVBenchmark(k SpMVKernel, a *COO, name string, p Params) (Result, error) {
-	return core.RunSpMV(k, a, name, p)
 }

@@ -145,18 +145,17 @@ func TestFacadeAdvisorAndSpMV(t *testing.T) {
 		t.Fatalf("measure: %q, %d results", best, len(results))
 	}
 
-	if len(SpMVKernelNames()) != 8 {
-		t.Fatalf("spmv kernels: %v", SpMVKernelNames())
-	}
-	k, err := NewSpMVKernel("csr-spmv-serial")
+	// SpMV is the regular runner at K = 1.
+	k, err := NewKernel("sellcs-serial", KernelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunSpMVBenchmark(k, a, "dw4096", p)
+	p.K = 1
+	r, err := RunBenchmark(k, a, "dw4096", p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Verified {
-		t.Fatal("spmv result not verified")
+	if !r.Verified || r.K != 1 || r.MaxAbsDiff != 0 {
+		t.Fatalf("spmv result: verified=%v k=%d diff=%g", r.Verified, r.K, r.MaxAbsDiff)
 	}
 }
