@@ -111,8 +111,8 @@ func scoreCSR(f Features, env Environment) Advice {
 		reason = "serial CPU favours the compact, cache-friendly row walk"
 	}
 	if f.Ratio > 8 {
-		s += 0.3 // long rows poison padded formats, CSR unaffected
-		reason = "high column ratio: padded formats degrade, CSR does not"
+		s += 0.3 // long rows bloat padded formats, CSR unaffected
+		reason = "high column ratio: padded formats grow with the longest row, CSR does not"
 	}
 	return Advice{Format: "csr", Score: s, Reason: reason}
 }
@@ -132,7 +132,10 @@ func scoreCOO(f Features, env Environment) Advice {
 
 func scoreELL(f Features, env Environment) Advice {
 	// ELL lives or dies by the padding overhead (the "ELL ratio" rule of
-	// the related work) and only pays off on parallel hardware.
+	// the related work) and only pays off on parallel hardware. The host
+	// kernels stop at each row's stored length, so heavy padding no longer
+	// costs work per multiply; it still costs the bytes the serving cache
+	// holds and the time to build them, which is what the score keeps.
 	s := 0.5
 	reason := "fixed-width rows: only competitive on parallel hardware"
 	switch {
@@ -144,7 +147,7 @@ func scoreELL(f Features, env Environment) Advice {
 		reason = "low padding, but serial CPUs gain nothing from the fixed shape"
 	case f.ELLOverhead > 3:
 		s = 0.1
-		reason = fmt.Sprintf("padding overhead %.1fx: one long row poisons the whole matrix", f.ELLOverhead)
+		reason = fmt.Sprintf("padding overhead %.1fx: one long row multiplies the footprint and the conversion cost, not the per-multiply work", f.ELLOverhead)
 	}
 	return Advice{Format: "ell", Score: s, Reason: reason}
 }

@@ -1,6 +1,8 @@
 package formats
 
 import (
+	"slices"
+
 	"repro/internal/matrix"
 )
 
@@ -21,6 +23,9 @@ type BELL[T matrix.Float] struct {
 	ColIdx []int32
 	// Vals has BlockRows*Width dense blocks of BR*BC values each.
 	Vals []T
+	// RowLen[i] is how many of block row i's slots hold a real block; zeros
+	// inside a real block are fill, as in BCSR.
+	RowLen []int32
 }
 
 // BELLFromCOO converts a COO matrix to Blocked-ELL by building the block
@@ -46,6 +51,7 @@ func BELLFromCOO[T matrix.Float](m *matrix.COO[T], br, bc int) (*BELL[T], error)
 		Width:     width,
 		ColIdx:    make([]int32, bcsr.BlockRows*width),
 		Vals:      make([]T, bcsr.BlockRows*width*br*bc),
+		RowLen:    make([]int32, bcsr.BlockRows),
 	}
 	blkSize := br * bc
 	for i := 0; i < bcsr.BlockRows; i++ {
@@ -58,6 +64,7 @@ func BELLFromCOO[T matrix.Float](m *matrix.COO[T], br, bc int) (*BELL[T], error)
 			lastCol = bcsr.ColIdx[p]
 			slot++
 		}
+		e.RowLen[i] = int32(slot)
 		for ; slot < width; slot++ {
 			e.ColIdx[i*width+slot] = lastCol
 			// Vals already zero.
@@ -77,7 +84,7 @@ func (e *BELL[T]) BlockAt(i, s int) []T {
 func (e *BELL[T]) ToCOO() *matrix.COO[T] {
 	m := matrix.NewCOO[T](e.Rows, e.Cols, e.NNZ())
 	for i := 0; i < e.BlockRows; i++ {
-		for s := 0; s < e.Width; s++ {
+		for s := 0; s < int(e.RowLen[i]); s++ {
 			bci := int(e.ColIdx[i*e.Width+s])
 			blk := e.BlockAt(i, s)
 			for r := 0; r < e.BR; r++ {
@@ -97,7 +104,7 @@ func (e *BELL[T]) ToCOO() *matrix.COO[T] {
 			}
 		}
 	}
-	m.Dedup() // padding slots may alias a real block column with zero values
+	m.SortRowMajor()
 	return m
 }
 
@@ -124,7 +131,7 @@ func (e *BELL[T]) Stored() int { return len(e.Vals) }
 // Bytes implements Sparse.
 func (e *BELL[T]) Bytes() int {
 	var z T
-	return len(e.ColIdx)*4 + len(e.Vals)*valueSize(z)
+	return len(e.ColIdx)*4 + len(e.Vals)*valueSize(z) + len(e.RowLen)*4
 }
 
 // Validate checks the BELL structural invariants.
@@ -143,5 +150,9 @@ func (e *BELL[T]) Validate() error {
 			return invalidf("bell: slot %d block column %d outside [0, %d)", i, col, e.BlockCols)
 		}
 	}
-	return nil
+	return checkLens("bell", e.RowLen, e.BlockRows, e.Width,
+		func(i int) int32 { return int32(min(i, max(e.BlockCols-1, 0))) },
+		func(i, s int) (int32, bool) {
+			return e.ColIdx[i*e.Width+s], !slices.ContainsFunc(e.BlockAt(i, s), func(v T) bool { return v != 0 })
+		})
 }

@@ -31,7 +31,8 @@ func (l ELLLayout) String() string {
 // nonzero elements to introduce spatial locality" (§2.2): padding slots
 // repeat the row's last real column index (or the row index clamped into
 // range for empty rows) with value 0, so padded loads touch memory the real
-// entries already brought into cache.
+// entries already brought into cache. RowLen makes it ELLPACK-R (Kreutzer
+// et al.): the padding is stored and counted, never executed.
 type ELL[T matrix.Float] struct {
 	Rows, Cols int
 	Width      int
@@ -39,6 +40,9 @@ type ELL[T matrix.Float] struct {
 	// ColIdx and Vals have Rows*Width entries laid out per Layout.
 	ColIdx []int32
 	Vals   []T
+	// RowLen[i] is how many of row i's slots are real: the only statement
+	// of which slots are padding (a real slot may hold a stored zero).
+	RowLen []int32
 }
 
 // ELLFromCOO converts a COO matrix to ELLPACK in the requested layout.
@@ -61,6 +65,7 @@ func ELLFromCOO[T matrix.Float](m *matrix.COO[T], layout ELLLayout) *ELL[T] {
 		Layout: layout,
 		ColIdx: make([]int32, m.Rows*width),
 		Vals:   make([]T, m.Rows*width),
+		RowLen: make([]int32, m.Rows),
 	}
 	if width == 0 {
 		return e
@@ -78,6 +83,7 @@ func ELLFromCOO[T matrix.Float](m *matrix.COO[T], layout ELLLayout) *ELL[T] {
 			slot++
 			p++
 		}
+		e.RowLen[i] = int32(slot)
 		for ; slot < width; slot++ {
 			idx := e.index(i, slot)
 			e.ColIdx[idx] = lastCol
@@ -114,6 +120,7 @@ func (e *ELL[T]) Relayout(layout ELLLayout) *ELL[T] {
 		Layout: layout,
 		ColIdx: make([]int32, len(e.ColIdx)),
 		Vals:   make([]T, len(e.Vals)),
+		RowLen: e.RowLen, // never written after conversion
 	}
 	for i := 0; i < e.Rows; i++ {
 		for s := 0; s < e.Width; s++ {
@@ -126,17 +133,14 @@ func (e *ELL[T]) Relayout(layout ELLLayout) *ELL[T] {
 	return out
 }
 
-// ToCOO expands the real (nonzero) entries back into sorted COO form.
-// Padding slots are dropped, so a round trip through ELL preserves the
-// logical matrix whenever the source had no explicit zero values.
+// ToCOO expands the real slots back into sorted COO form. Padding is what
+// lies at or past RowLen, so a stored zero survives the round trip.
 func (e *ELL[T]) ToCOO() *matrix.COO[T] {
 	m := matrix.NewCOO[T](e.Rows, e.Cols, e.NNZ())
 	for i := 0; i < e.Rows; i++ {
-		for s := 0; s < e.Width; s++ {
+		for s := 0; s < int(e.RowLen[i]); s++ {
 			col, v := e.At(i, s)
-			if v != 0 {
-				m.Append(int32(i), col, v)
-			}
+			m.Append(int32(i), col, v)
 		}
 	}
 	m.SortRowMajor()
@@ -149,16 +153,8 @@ func (e *ELL[T]) FormatName() string { return "ell" }
 // Dims returns the logical matrix dimensions.
 func (e *ELL[T]) Dims() (int, int) { return e.Rows, e.Cols }
 
-// NNZ reports the number of logical nonzeros; it counts nonzero stored values, excluding padding.
-func (e *ELL[T]) NNZ() int {
-	n := 0
-	for _, v := range e.Vals {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+// NNZ reports the number of logical nonzeros: the real slots, padding excluded.
+func (e *ELL[T]) NNZ() int { return sumLens(e.RowLen) }
 
 // Stored reports the stored value slots; every slot, padded or not, is stored.
 func (e *ELL[T]) Stored() int { return len(e.Vals) }
@@ -166,11 +162,12 @@ func (e *ELL[T]) Stored() int { return len(e.Vals) }
 // Bytes implements Sparse.
 func (e *ELL[T]) Bytes() int {
 	var z T
-	return len(e.ColIdx)*4 + len(e.Vals)*valueSize(z)
+	return len(e.ColIdx)*4 + len(e.Vals)*valueSize(z) + len(e.RowLen)*4
 }
 
-// Validate checks structural invariants: array lengths matching Rows*Width
-// and in-range column indices.
+// Validate checks structural invariants: array lengths matching Rows*Width,
+// in-range column indices, and row lengths that reach Width somewhere and
+// leave behind them only the padding ELLFromCOO writes.
 func (e *ELL[T]) Validate() error {
 	want := e.Rows * e.Width
 	if len(e.ColIdx) != want || len(e.Vals) != want {
@@ -185,5 +182,7 @@ func (e *ELL[T]) Validate() error {
 			return invalidf("ell: slot %d column %d outside [0, %d)", i, col, e.Cols)
 		}
 	}
-	return nil
+	return checkLens("ell", e.RowLen, e.Rows, e.Width,
+		func(i int) int32 { return int32(min(i, e.Cols-1)) },
+		func(i, s int) (int32, bool) { col, v := e.At(i, s); return col, v == 0 })
 }

@@ -77,3 +77,42 @@ func invalidf(format string, args ...any) error {
 
 // ceilDiv returns ceil(a/b) for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// sumLens totals the stored lengths of a padded format: its real slots.
+func sumLens(lens []int32) int {
+	n := 0
+	for _, l := range lens {
+		n += int(l)
+	}
+	return n
+}
+
+// checkLens is the invariant ELL, BELL and SELL-C-σ share: n lengths, each
+// in [0, width], the longest exactly width, and past each length only the
+// padding FromCOO writes — zero values at the column of the row's last real
+// slot (emptyCol(i) for a row with none). at reports slot s of row i.
+func checkLens(name string, lens []int32, n, width int, emptyCol func(i int) int32, at func(i, s int) (col int32, zero bool)) error {
+	if len(lens) != n {
+		return invalidf("%s: %d row lengths, want %d", name, len(lens), n)
+	}
+	longest := 0
+	for i, l := range lens {
+		if l < 0 || int(l) > width {
+			return invalidf("%s: row %d has length %d outside [0, %d]", name, i, l, width)
+		}
+		longest = max(longest, int(l))
+		pad := emptyCol(i)
+		if l > 0 {
+			pad, _ = at(i, int(l)-1)
+		}
+		for s := int(l); s < width; s++ {
+			if col, zero := at(i, s); !zero || col != pad {
+				return invalidf("%s: row %d slot %d, past its length %d, is not zero padding at column %d", name, i, s, l, pad)
+			}
+		}
+	}
+	if longest != width {
+		return invalidf("%s: longest row has %d slots, width is %d", name, longest, width)
+	}
+	return nil
+}

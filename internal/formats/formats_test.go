@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +83,111 @@ func TestCSRValidateCatchesCorruption(t *testing.T) {
 		if c.Validate() == nil {
 			t.Fatal("out-of-range column undetected")
 		}
+	}
+}
+
+// TestPaddedValidateCatchesCorruption: RowLen is the only statement of which
+// slots are real, so a length that disagrees with the arrays is an error —
+// per row for ELL (both layouts), per block row for BELL, per lane for
+// SELL-C-σ. (One more than the truth is not a disagreement: it reads the
+// first padding slot as a stored zero at a repeated column.)
+func TestPaddedValidateCatchesCorruption(t *testing.T) {
+	m := matrix.NewCOO[float64](8, 8, 0) // row i holds columns 0 .. i%4
+	for i := int32(0); i < 8; i++ {
+		for j := int32(0); j <= i%4; j++ {
+			m.Append(i, j, float64(1+i+j))
+		}
+	}
+	ell := ELLFromCOO(m, RowMajor)
+	ellCM := ell.Relayout(ColMajor)
+	ellCM.RowLen = slices.Clone(ellCM.RowLen) // Relayout shares it
+	bell, err := BELLFromCOO(m, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sell, err := SELLCSFromCOO(m, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name     string
+		lens     *[]int32
+		want     []int32
+		validate func() error
+	}{
+		{"ell", &ell.RowLen, []int32{1, 2, 3, 4, 1, 2, 3, 4}, ell.Validate},
+		{"ell-colmajor", &ellCM.RowLen, []int32{1, 2, 3, 4, 1, 2, 3, 4}, ellCM.Validate},
+		{"bell", &bell.RowLen, []int32{1, 2, 1, 2}, bell.Validate},
+		{"sellcs", &sell.RowLen, []int32{4, 3, 2, 1, 4, 3, 2, 1}, sell.Validate},
+	} {
+		lens := *f.lens
+		if err := f.validate(); err != nil || !slices.Equal(lens, f.want) {
+			t.Fatalf("%s: fresh conversion: RowLen %v, want %v; Validate %v", f.name, lens, f.want, err)
+		}
+		for i, bad := range map[int]int32{
+			0: -1,          // negative
+			1: 5,           // past the width
+			2: lens[2] - 1, // a real slot left in the padding
+			3: 0,           // a whole row left in the padding
+		} {
+			old := lens[i]
+			lens[i] = bad
+			if err := f.validate(); !errors.Is(err, ErrInvalid) {
+				t.Errorf("%s: RowLen[%d] = %d (was %d) undetected: %v", f.name, i, bad, old, err)
+			}
+			lens[i] = old
+		}
+		*f.lens = lens[:len(lens)-1]
+		if err := f.validate(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: a missing length undetected: %v", f.name, err)
+		}
+		*f.lens = lens
+		if err := f.validate(); err != nil {
+			t.Errorf("%s: restored fixture invalid: %v", f.name, err)
+		}
+	}
+	// No row as long as the width: the arrays are wider than any row needs.
+	ell.Width++
+	ell.ColIdx, ell.Vals = make([]int32, 8*ell.Width), make([]float64, 8*ell.Width)
+	if err := ell.Validate(); !errors.Is(err, ErrInvalid) {
+		t.Errorf("ell: width past the longest row undetected: %v", err)
+	}
+}
+
+// TestStoredZeroSurvivesRoundTrip: an explicit zero is an entry. ELL and
+// SELL-C-σ tell it from padding by RowLen and hand it back; BCSR and BELL
+// store dense blocks, where a zero is fill, and drop it.
+func TestStoredZeroSurvivesRoundTrip(t *testing.T) {
+	m := matrix.NewCOO[float64](3, 4, 4)
+	m.Append(0, 0, 1)
+	m.Append(0, 2, 0) // stored zero, mid-row
+	m.Append(0, 3, 2)
+	m.Append(2, 1, 0) // a row that is nothing but a stored zero
+	sell, err := SELLCSFromCOO(m, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bell, err := BELLFromCOO(m, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]struct {
+		a interface {
+			ToCOO() *matrix.COO[float64]
+			NNZ() int
+		}
+		want int
+	}{
+		"ell":          {ELLFromCOO(m, RowMajor), 4},
+		"ell-colmajor": {ELLFromCOO(m, ColMajor), 4},
+		"sellcs":       {sell, 4},
+		"bell":         {bell, 2},
+	} {
+		back := f.a.ToCOO()
+		if f.a.NNZ() != f.want || back.NNZ() != f.want {
+			t.Errorf("%s: NNZ %d, round trip holds %d entries, want %d", name, f.a.NNZ(), back.NNZ(), f.want)
+		}
+		sameDense(t, m, back, name)
 	}
 }
 
@@ -462,6 +568,25 @@ func TestFloat32Formats(t *testing.T) {
 	c := CSRFromCOO(m)
 	if c.Bytes() >= CSRFromCOO(convert64(m)).Bytes() {
 		t.Fatal("float32 CSR must be smaller than float64")
+	}
+	// The row lengths are 4 bytes a row whatever the value type.
+	e, e64 := ELLFromCOO(m, RowMajor), ELLFromCOO(convert64(m), RowMajor)
+	if err := e.Validate(); err != nil || !slices.Equal(e.RowLen, []int32{1, 0, 0, 1}) {
+		t.Fatalf("float32 ELL: RowLen %v, Validate %v", e.RowLen, err)
+	}
+	if want := 4*4 + 4*4 + 4*4; e.Bytes() != want || e64.Bytes()-e.Bytes() != 4*len(e.Vals) {
+		t.Fatalf("float32 ELL is %d bytes (float64 %d), want %d and 4 more per slot", e.Bytes(), e64.Bytes(), want)
+	}
+	bell, err := BELLFromCOO(m, 2, 2)
+	if err != nil || bell.Validate() != nil || !slices.Equal(bell.RowLen, []int32{1, 1}) {
+		t.Fatalf("float32 BELL: %v, RowLen %v", err, bell.RowLen)
+	}
+	sell, err := SELLCSFromCOO(m, 2, 2)
+	if err != nil || sell.Validate() != nil || sell.NNZ() != 2 || len(sell.RowLen) != 4 {
+		t.Fatalf("float32 SELL-C-σ: %v, RowLen %v", err, sell.RowLen)
+	}
+	if got := sell.ToCOO(); got.NNZ() != 2 || got.Vals[0] != 1.5 || got.Vals[1] != -2.5 {
+		t.Fatalf("float32 SELL-C-σ round trip: %v", got.Vals)
 	}
 }
 

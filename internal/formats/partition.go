@@ -57,9 +57,9 @@ func (b *BCSR[T]) BalancedBounds(chunks int) []int {
 }
 
 // BalancedBounds returns slice chunk bounds of near-equal stored-element
-// count (padding included — SlicePtr already counts the padded slots each
-// lane streams). Memoized per chunk count; callers must not mutate the
-// result.
+// count, read off SlicePtr: padding included, which σ-sorting keeps a small
+// share of a slice, so it stands in for the real elements the kernel walks.
+// Memoized per chunk count; callers must not mutate the result.
 func (s *SELLCS[T]) BalancedBounds(chunks int) []int {
 	return s.balanced.bounds(s.SlicePtr, chunks)
 }

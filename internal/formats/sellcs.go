@@ -34,6 +34,10 @@ type SELLCS[T matrix.Float] struct {
 	// last real column with value 0.
 	ColIdx []int32
 	Vals   []T
+	// RowLen[i] is how many slots of the lane at permuted position i are
+	// real (0 for the last slice's lanes past Rows); the rest of the lane,
+	// up to its slice's width, is padding.
+	RowLen []int32
 
 	balanced partitionCache // memoized element-balanced slice splits
 }
@@ -79,6 +83,7 @@ func SELLCSFromCOO[T matrix.Float](m *matrix.COO[T], c, sigma int) (*SELLCS[T], 
 		Perm:     perm,
 		SlicePtr: make([]int32, numSlices+1),
 		Width:    make([]int32, numSlices),
+		RowLen:   make([]int32, numSlices*c),
 	}
 
 	// First pass: slice widths and offsets.
@@ -104,30 +109,24 @@ func SELLCSFromCOO[T matrix.Float](m *matrix.COO[T], c, sigma int) (*SELLCS[T], 
 	s.ColIdx = make([]int32, total)
 	s.Vals = make([]T, total)
 
-	// Second pass: scatter entries column-major per slice.
+	// Second pass: scatter entries column-major per slice. The last slice's
+	// lanes past the last row stay all zero.
 	for sl := 0; sl < numSlices; sl++ {
 		base := int(s.SlicePtr[sl])
 		w := int(s.Width[sl])
-		for l := 0; l < c; l++ {
-			pos := sl*c + l
-			lastCol := int32(0)
-			if pos < rows {
-				r := int(perm[pos])
-				lastCol = int32(min(r, max(m.Cols-1, 0)))
-				j := 0
-				for p := csr.RowPtr[r]; p < csr.RowPtr[r+1]; p++ {
-					s.ColIdx[base+j*c+l] = csr.ColIdx[p]
-					s.Vals[base+j*c+l] = csr.Vals[p]
-					lastCol = csr.ColIdx[p]
-					j++
-				}
-				for ; j < w; j++ {
-					s.ColIdx[base+j*c+l] = lastCol
-				}
-			} else {
-				for j := 0; j < w; j++ {
-					s.ColIdx[base+j*c+l] = lastCol
-				}
+		for l := 0; l < c && sl*c+l < rows; l++ {
+			r := int(perm[sl*c+l])
+			lastCol := int32(min(r, max(m.Cols-1, 0)))
+			j := 0
+			for p := csr.RowPtr[r]; p < csr.RowPtr[r+1]; p++ {
+				s.ColIdx[base+j*c+l] = csr.ColIdx[p]
+				s.Vals[base+j*c+l] = csr.Vals[p]
+				lastCol = csr.ColIdx[p]
+				j++
+			}
+			s.RowLen[sl*c+l] = int32(j)
+			for ; j < w; j++ {
+				s.ColIdx[base+j*c+l] = lastCol
 			}
 		}
 	}
@@ -143,18 +142,14 @@ func (s *SELLCS[T]) ToCOO() *matrix.COO[T] {
 	m := matrix.NewCOO[T](s.Rows, s.Cols, 0)
 	for sl := 0; sl < s.NumSlices(); sl++ {
 		base := int(s.SlicePtr[sl])
-		w := int(s.Width[sl])
 		for l := 0; l < s.C; l++ {
 			pos := sl*s.C + l
 			if pos >= s.Rows {
 				break
 			}
 			row := s.Perm[pos]
-			for j := 0; j < w; j++ {
-				v := s.Vals[base+j*s.C+l]
-				if v != 0 {
-					m.Append(row, s.ColIdx[base+j*s.C+l], v)
-				}
+			for j := 0; j < int(s.RowLen[pos]); j++ {
+				m.Append(row, s.ColIdx[base+j*s.C+l], s.Vals[base+j*s.C+l])
 			}
 		}
 	}
@@ -168,16 +163,8 @@ func (s *SELLCS[T]) FormatName() string { return "sellcs" }
 // Dims returns the logical matrix dimensions.
 func (s *SELLCS[T]) Dims() (int, int) { return s.Rows, s.Cols }
 
-// NNZ reports the number of logical nonzeros.
-func (s *SELLCS[T]) NNZ() int {
-	n := 0
-	for _, v := range s.Vals {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+// NNZ reports the number of logical nonzeros: the real slots of every lane.
+func (s *SELLCS[T]) NNZ() int { return sumLens(s.RowLen) }
 
 // Stored reports the stored value slots, padding included.
 func (s *SELLCS[T]) Stored() int { return len(s.Vals) }
@@ -185,7 +172,7 @@ func (s *SELLCS[T]) Stored() int { return len(s.Vals) }
 // Bytes implements Sparse.
 func (s *SELLCS[T]) Bytes() int {
 	var z T
-	return len(s.Perm)*4 + len(s.SlicePtr)*4 + len(s.Width)*4 +
+	return len(s.Perm)*4 + len(s.SlicePtr)*4 + len(s.Width)*4 + len(s.RowLen)*4 +
 		len(s.ColIdx)*4 + len(s.Vals)*valueSize(z)
 }
 
@@ -221,6 +208,23 @@ func (s *SELLCS[T]) Validate() error {
 	for i, col := range s.ColIdx {
 		if col < 0 || (int(col) >= s.Cols && s.Cols > 0) {
 			return invalidf("sellcs: slot %d column %d outside [0, %d)", i, col, s.Cols)
+		}
+	}
+	if len(s.RowLen) != len(s.Width)*s.C {
+		return invalidf("sellcs: %d row lengths, want %d", len(s.RowLen), len(s.Width)*s.C)
+	}
+	for sl, w := range s.Width {
+		lo, base := sl*s.C, int(s.SlicePtr[sl])
+		err := checkLens("sellcs", s.RowLen[lo:lo+s.C], s.C, int(w),
+			func(l int) int32 {
+				if lo+l >= s.Rows {
+					return 0
+				}
+				return int32(min(int(s.Perm[lo+l]), max(s.Cols-1, 0)))
+			},
+			func(l, j int) (int32, bool) { return s.ColIdx[base+j*s.C+l], s.Vals[base+j*s.C+l] == 0 })
+		if err != nil {
+			return err
 		}
 	}
 	return nil

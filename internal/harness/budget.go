@@ -26,8 +26,8 @@ func EstimateBytes(format string, pr metrics.Properties, block int) int64 {
 		return nnz*(valBytes+idxBytes) + (rows+1)*idxBytes
 	case "ell", "sellcs":
 		// SELL-C-σ pads each slice to its own maximum, which ELL's
-		// rows × MaxRow bounds from above.
-		return rows * int64(pr.MaxRow) * (valBytes + idxBytes)
+		// rows × MaxRow bounds from above; both store a length per row.
+		return rows*int64(pr.MaxRow)*(valBytes+idxBytes) + rows*idxBytes
 	case "bcsr", "bell":
 		if block < 1 {
 			block = 1

@@ -31,10 +31,11 @@ func allocFixtures(tb testing.TB, k int) (*matrix.COO[float64], *formats.CSR[flo
 
 func TestSerialCalculateZeroAlloc(t *testing.T) { eachInner(t, serialCalculateZeroAlloc) }
 
-// All six formats: the gather buffers of the padded formats (rowBuf, one per
-// C row in flight) must stay on the range function's stack.
+// All six formats: row-major ELL hands the row entry slices of its own
+// arrays, and the gather buffers of the strided and blocked formats (rowBuf,
+// one per C row in flight) must stay on the range function's stack.
 func serialCalculateZeroAlloc(t *testing.T) {
-	for _, k := range []int{128, 336} { // single panel and tiled
+	for _, k := range []int{1, 128, 336} { // a vector, a single panel, tiled
 		coo, csr, ell, bcsr, b, c := allocFixtures(t, k)
 		ellCM := formats.ELLFromCOO(coo, formats.ColMajor)
 		bell, err := formats.BELLFromCOO(coo, 4, 4)

@@ -6,10 +6,9 @@ import (
 )
 
 // BELL computes C[:, :k] = A × B[:, :k] with A in Blocked-ELL form,
-// executed as s says. Every block row walks exactly Width blocks — padded
-// block slots hold zero values and are skipped by the value guard, but
-// their slots are visited, the same fixed-shape trade-off as scalar
-// ELLPACK — so static chunks of block rows are perfectly balanced.
+// executed as s says. A block row is walked to its stored length, so the
+// padded block slots behind it cost footprint, not work; zeros inside a
+// stored block are fill and are skipped by value, as in BCSR.
 func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowBELL, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
@@ -27,7 +26,7 @@ func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k,
 	blk := blocks[T]{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
 	var g [gatherLanes]rowBuf[T]
 	for bri := lo; bri < hi; bri++ {
-		blk.rowPanel(&g, bri, bri*a.Width, (bri+1)*a.Width, b, c, 0, k)
+		blk.rowPanel(&g, bri, bri*a.Width, bri*a.Width+int(a.RowLen[bri]), b, c, 0, k)
 	}
 }
 
@@ -36,7 +35,8 @@ func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k,
 // output rows are un-permuted on the fly via the stored permutation. Slices
 // own disjoint output rows (the permutation maps each row to exactly one
 // lane), so they parallelise without synchronisation; balanced scheduling
-// equalises stored (padded) elements per worker, read off SlicePtr.
+// equalises stored elements per worker, read off SlicePtr (padding included:
+// a proxy for the real ones the lanes walk).
 func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowSELLCS, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
@@ -55,23 +55,18 @@ func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, 
 }
 
 // sellSlices walks each slice lane by lane: a lane is one C row, cleared,
-// gathered and flushed before the next, with its un-permuted row looked up
-// once.
+// gathered to its stored length and flushed before the next, with its
+// un-permuted row looked up once.
 func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, lo, hi int) {
 	var g rowBuf[T]
 	for sl := lo; sl < hi; sl++ {
 		base := int(a.SlicePtr[sl])
-		w := int(a.Width[sl])
 		laneLim := min(a.C, a.Rows-sl*a.C)
 		for l := 0; l < laneLim; l++ {
 			crow := panelRow(c, int(a.Perm[sl*a.C+l]), 0, k)
 			clear(crow)
-			for idx := base + l; idx < base+w*a.C; idx += a.C {
-				v := a.Vals[idx]
-				if v == 0 {
-					continue
-				}
-				if g.push(a.ColIdx[idx], v) {
+			for idx, end := base+l, base+int(a.RowLen[sl*a.C+l])*a.C; idx < end; idx += a.C {
+				if g.push(a.ColIdx[idx], a.Vals[idx]) {
 					g.flush(crow, b, 0)
 				}
 			}

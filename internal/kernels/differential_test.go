@@ -180,6 +180,70 @@ func sweepPoint(t *testing.T, v Variant, fx sweepFixture) {
 	}
 }
 
+// TestStoredZeroTimesNonFinite is the one point of the sweep where a stored
+// zero is observable: 0 × Inf and 0 × NaN are NaN. COO, CSR, ELL (both
+// layouts) and SELL-C-σ multiply every stored entry, so they agree with
+// csr-serial bit for bit, NaNs included; BCSR and BELL store dense blocks, in
+// which a zero is fill, so they compute the product of the matrix without
+// it (DESIGN.md section 5).
+func TestStoredZeroTimesNonFinite(t *testing.T) { eachInner(t, storedZeroTimesNonFinite) }
+
+func storedZeroTimesNonFinite(t *testing.T) {
+	const rows, cols = 9, 40
+	with, without := matrix.NewCOO[float64](rows, cols, 0), matrix.NewCOO[float64](rows, cols, 0)
+	for i := int32(0); i < rows; i++ {
+		for j := i % 3; j < cols; j += 1 + i%4 { // row 0 is full: past one rowBuf
+			v := float64(1+i) - float64(j)/8
+			if (j == 5 || j == 17) && i != 4 { // row 4 meets Inf and NaN with real values
+				v = 0
+			} else {
+				without.Append(i, j, v)
+			}
+			with.Append(i, j, v)
+		}
+	}
+	for _, k := range sweepKs {
+		b := matrix.NewDenseRand[float64](cols, k, 3)
+		for j := 0; j < k; j++ {
+			b.Set(5, j, math.Inf(1-2*(j%2)))
+			b.Set(17, j, math.NaN())
+		}
+		run := func(m *matrix.COO[float64], format string, layout formats.ELLLayout) *matrix.Dense[float64] {
+			a, err := formats.FromCOO(format, m.Clone(), formats.Params{Block: 4, Layout: layout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := matrix.NewDense[float64](rows, k)
+			if err := Multiply(a, b, c, k, Spec{}); err != nil {
+				t.Fatalf("%s: %v", format, err)
+			}
+			return c
+		}
+		ref, fill := run(with, "csr", 0), run(without, "csr", 0)
+		if !math.IsNaN(ref.At(0, 0)) || math.IsNaN(fill.At(0, 0)) || !math.IsNaN(fill.At(4, 0)) || math.IsNaN(ref.At(3, 0)) {
+			t.Fatalf("k=%d: fixture does not observe the stored zero: with it C[0,0] = %v, C[3,0] = %v; as fill C[0,0] = %v, C[4,0] = %v",
+				k, ref.At(0, 0), ref.At(3, 0), fill.At(0, 0), fill.At(4, 0))
+		}
+		for _, f := range []struct {
+			format string
+			layout formats.ELLLayout
+			want   *matrix.Dense[float64]
+		}{
+			{"coo", 0, ref}, {"ell", formats.RowMajor, ref}, {"ell", formats.ColMajor, ref}, {"sellcs", 0, ref},
+			{"bcsr", 0, fill}, {"bell", 0, fill},
+		} {
+			got := run(with, f.format, f.layout)
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(f.want.Data[i]) {
+					t.Errorf("%s %v k=%d: C[%d] = %v (%#x), want %v (%#x)", f.format, f.layout, k, i,
+						got.Data[i], math.Float64bits(got.Data[i]), f.want.Data[i], math.Float64bits(f.want.Data[i]))
+					break
+				}
+			}
+		}
+	}
+}
+
 // notKernels are the two exported functions over an operand named a that are
 // not sparse kernels of their own: the dense reference, and the vector view
 // of Multiply (TestSpMVKernels holds it to Multiply's column 0 on every

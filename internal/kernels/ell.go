@@ -6,11 +6,11 @@ import (
 )
 
 // ELL computes C[:, :k] = A × B[:, :k] with A in ELLPACK form, executed as
-// s says. Both storage layouts are supported; the padded slots carry value
-// zero, so they contribute nothing (but do cost work — the ELL trade-off
-// the thesis studies). Every row stores exactly Width slots, so the static
-// row partition is already nonzero-balanced — the property that makes the
-// format attractive in parallel environments. Under InnerTransB, b is Bᵀ.
+// s says. Both storage layouts are supported. The kernels are ELLPACK-R: a
+// row is walked to its stored length, so padding costs footprint and
+// conversion time but no work per multiply, and a stored zero is multiplied
+// as CSR multiplies it. The static row partition is balanced by rows, not by
+// nonzeros. Under InnerTransB, b is Bᵀ.
 func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowELL, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
@@ -49,38 +49,26 @@ func ellRows[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi
 	}
 }
 
-// ellRowsPanel scans each row's Width slots once, in whichever layout, and
-// hands the ones that are not padding to the row entry.
+// ellRowsPanel walks each row to its stored length. A row-major row is
+// already the run of (col, val) pairs the row entry takes, as a CSR row is;
+// a column-major row is strided, so it is gathered first.
 func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
 	var g rowBuf[T]
 	for i := lo; i < hi; i++ {
 		crow := panelRow(c, i, j0, jw)
 		clear(crow)
+		n := int(a.RowLen[i])
 		if a.Layout == formats.ColMajor {
-			for s := 0; s < a.Width; s++ {
-				idx := s*a.Rows + i
-				v := a.Vals[idx]
-				if v == 0 {
-					continue
-				}
-				if g.push(a.ColIdx[idx], v) {
+			for idx, end := i, n*a.Rows; idx < end; idx += a.Rows {
+				if g.push(a.ColIdx[idx], a.Vals[idx]) {
 					g.flush(crow, b, j0)
 				}
 			}
+			g.flush(crow, b, j0)
 		} else {
 			base := i * a.Width
-			cols := a.ColIdx[base : base+a.Width : base+a.Width]
-			vals := a.Vals[base : base+a.Width : base+a.Width]
-			for s, v := range vals {
-				if v == 0 {
-					continue
-				}
-				if g.push(cols[s], v) {
-					g.flush(crow, b, j0)
-				}
-			}
+			matrix.AxpyRow(crow, b, j0, a.ColIdx[base:base+n], a.Vals[base:base+n])
 		}
-		g.flush(crow, b, j0)
 	}
 }
 
@@ -89,11 +77,8 @@ func ellRowsT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k, lo, 
 	for i := lo; i < hi; i++ {
 		crow := c.Data[i*c.Stride : i*c.Stride+k]
 		clear(crow)
-		for s := 0; s < a.Width; s++ {
+		for s := 0; s < int(a.RowLen[i]); s++ {
 			col, v := a.At(i, s)
-			if v == 0 {
-				continue
-			}
 			for j := range crow {
 				crow[j] += v * bt.Data[j*bt.Stride+int(col)]
 			}

@@ -54,10 +54,11 @@ const tileK = 128
 // buffers of a block row's lanes stay on the stack and in L1.
 const gatherLen = 32
 
-// rowBuf collects the surviving nonzeros of one C row for the formats that
-// store padding: the range function scans its slots once, pushes what is
-// not zero, and flushes through matrix.AxpyRow when push reports the buffer
-// full and again at row end. It lives on the range function's stack.
+// rowBuf collects the pairs of one C row for the formats whose rows are not
+// a contiguous run: the range function pushes a strided row's real slots
+// (column-major ELL, SELL-C-σ) or a block lane's nonzeros (BCSR, BELL) and
+// flushes through matrix.AxpyRow when push reports the buffer full and again
+// at row end. It lives on the range function's stack.
 type rowBuf[T matrix.Float] struct {
 	n    int
 	cols [gatherLen]int32
