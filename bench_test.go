@@ -330,30 +330,24 @@ func BenchmarkStudy8(b *testing.B) {
 	})
 }
 
-// BenchmarkStudy9 covers Figure 5.19: generic runtime-k kernels vs the
-// fixed-k specialisations (the manual optimisation).
+// BenchmarkStudy9 covers Figure 5.19: what a compile-time k could still buy
+// the one generic kernel — k = 128 runs only the row entry's 32-column
+// tiles, k = 127 forces its 16-, 4-wide and scalar tails.
 func BenchmarkStudy9(b *testing.B) {
 	m := benchMatrix(b)
-	const k = 128
-	bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
-	c := matrix.NewDense[float64](m.Rows, k)
 	csr := formats.CSRFromCOO(m)
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
-				b.Fatal(err)
+	for _, k := range []int{128, 127} {
+		bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
+		c := matrix.NewDense[float64](m.Rows, k)
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
-	b.Run("fixedk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Inner: kernels.InnerFixedK}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
+			reportMFLOPS(b, m.NNZ(), k)
+		})
+	}
 }
 
 // ---- Ablation benches (DESIGN.md §4) ----
@@ -421,33 +415,6 @@ func BenchmarkAblationBCSRBuild(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationUnroll: the specialised unrolled inner loop at each
-// supported fixed k against the generic loop at the same k.
-func BenchmarkAblationUnroll(b *testing.B) {
-	m := benchMatrix(b)
-	csr := formats.CSRFromCOO(m)
-	for _, k := range kernels.FixedKs {
-		bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
-		c := matrix.NewDense[float64](m.Rows, k)
-		b.Run(fmt.Sprintf("generic/k%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMFLOPS(b, m.NNZ(), k)
-		})
-		b.Run(fmt.Sprintf("fixed/k%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Inner: kernels.InnerFixedK}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMFLOPS(b, m.NNZ(), k)
-		})
-	}
 }
 
 // BenchmarkAblationValueType: float64 vs float32 values — the memory

@@ -157,11 +157,8 @@ func (k *gpuKernel) ModelSeconds() float64 { return k.lastSeconds }
 
 func kernelName(format string, mode Mode, inner kernels.Inner) string {
 	name := format + "-" + mode.String()
-	switch inner {
-	case kernels.InnerTransB:
+	if inner == kernels.InnerTransB {
 		name += "-t"
-	case kernels.InnerFixedK:
-		name += "-fixedk"
 	}
 	return name
 }

@@ -50,7 +50,7 @@ func init() {
 	// name per format × mode × inner loop the format's row has.
 	for _, mode := range []Mode{Serial, Parallel} {
 		for _, format := range Formats() {
-			for _, inner := range []kernels.Inner{kernels.InnerTiled, kernels.InnerTransB, kernels.InnerFixedK} {
+			for _, inner := range []kernels.Inner{kernels.InnerTiled, kernels.InnerTransB} {
 				if _, ok := kernels.ParseVariant(format + "/" + (kernels.Spec{Inner: inner}).Name()); !ok {
 					continue
 				}

@@ -77,7 +77,7 @@ func FormatOf(kernelName string) string {
 
 // fallbackKernel rewrites a registry kernel name to the same mode and
 // variant in the fallback format: "ell-omp" → "csr-omp",
-// "bell-gpu" → "csr-gpu". The suffix (mode, -t, -fixedk) is preserved.
+// "bell-gpu" → "csr-gpu". The suffix (mode, -t) is preserved.
 func fallbackKernel(kernelName, from, to string) string {
 	name := strings.TrimPrefix(kernelName, "vendor-")
 	if name == from {

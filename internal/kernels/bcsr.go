@@ -32,12 +32,9 @@ func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Sp
 
 // bcsrRange runs the range function inner selects over block rows [lo, hi).
 func bcsrRange[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	switch inner {
-	case InnerFixedK: // k % 8 == 0 known in advance: one untiled panel
-		bcsrBlockRowsPanel(a, b, c, 0, k, lo, hi)
-	case InnerTransB:
+	if inner == InnerTransB {
 		bcsrBlockRowsT(a, b, c, k, lo, hi)
-	default:
+	} else {
 		bcsrBlockRows(a, b, c, k, lo, hi)
 	}
 }

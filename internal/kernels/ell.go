@@ -27,12 +27,9 @@ func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec
 
 // ellRange runs the range function inner selects over rows [lo, hi).
 func ellRange[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	switch inner {
-	case InnerFixedK: // k % 8 == 0 known in advance: one untiled panel
-		ellRowsPanel(a, b, c, 0, k, lo, hi)
-	case InnerTransB:
+	if inner == InnerTransB {
 		ellRowsT(a, b, c, k, lo, hi)
-	default:
+	} else {
 		ellRows(a, b, c, k, lo, hi)
 	}
 }

@@ -2,8 +2,7 @@
 // kernels of the benchmark suite as a lattice: one exported entry per format
 // (COO, CSR, CSC, ELL, BCSR, BELL, SELLCS) taking a Spec that says how the
 // call executes — serial or parallel, which partition, which machinery,
-// cancellable or not, and which of the format's inner loops (runtime-k
-// tiled, the fixed-k specialisation of the manual-optimisation study, or
+// cancellable or not, and which of the format's inner loops (k-tiled or
 // transposed-B) — plus Multiply, which dispatches a prepared float64 matrix
 // to its entry. Three ablations the thesis discusses sit outside the
 // lattice as named functions. The SpMV the thesis lists as future work
@@ -12,9 +11,11 @@
 //
 // Every SpMM kernel computes C[:, :k] = A × B[:, :k] for a sparse m×n A and
 // dense n×kb B (kb >= k), overwriting the first k columns of C. The "k loop"
-// bound is the runtime parameter Study 4 sweeps; the InnerFixedK range
-// functions embed it at compile time instead, mirroring the thesis' C++
-// template trick.
+// bound is the runtime parameter Study 4 sweeps. The thesis' manual
+// optimisations (Study 9) hard-code it with C++ templates so the compiler
+// can unroll and vectorise; here every format's k loop is matrix.AxpyRow,
+// unrolled and vectorised by hand for any k, so there is one k loop per
+// format and Study 9 measures what a compile-time k would still remove.
 package kernels
 
 import (
@@ -33,10 +34,6 @@ var ErrShape = errors.New("kernels: operand shape mismatch")
 // to cancel within microseconds of work, large enough that the atomic load
 // disappears in the row loop's cost.
 const cancelStride = 1024
-
-// ErrUnsupportedK is returned under InnerFixedK when no specialisation
-// exists for the requested k.
-var ErrUnsupportedK = errors.New("kernels: no fixed-k specialisation for this k")
 
 // tileK is the dense-column panel width of the k-tiled row loops. Beyond
 // this width a row's B traffic no longer fits the L1/L2 working set, so the

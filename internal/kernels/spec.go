@@ -19,8 +19,9 @@ import (
 // persistent pool, precomputed bounds and dynamic self-scheduling, and the
 // single place that steps a range in cancelStride pieces under a context.
 // The range functions themselves (csrRows, csrRowsT, ...) are the paper's
-// subject and stay one separate loop nest each; InnerFixedK enters the
-// tiled one's panel loop once, untiled.
+// subject and stay one separate loop nest each. There is one k loop per
+// format: k is a runtime bound, and a compile-time k would leave the row
+// entry nothing to remove but its remainder tiles (Study 9).
 
 // Schedule selects how a parallel kernel partitions its rows over workers.
 type Schedule int
@@ -55,16 +56,13 @@ func (s Schedule) String() string {
 	return "static"
 }
 
-// Inner selects which of a format's range functions runs: the three loop
+// Inner selects which of a format's range functions runs: the two loop
 // nests the paper compares per format.
 type Inner uint8
 
 const (
 	// InnerTiled is the runtime-k loop, k-tiled in tileK panels.
 	InnerTiled Inner = iota
-	// InnerFixedK is the Study 9 specialisation: k known in advance, one
-	// untiled panel, defined for k % 8 == 0 (HasFixedK).
-	InnerFixedK
 	// InnerTransB is the Study 8 variant: the dense operand is Bᵀ (kb×n).
 	InnerTransB
 )
@@ -127,8 +125,8 @@ type row struct {
 	// dynamic: any split of the loop range is valid, so chunks can be
 	// claimed on the fly (COO's must fall on row boundaries).
 	dynamic bool
-	// inners: fixed-k and transposed-B range functions exist.
-	inners bool
+	// transB: a transposed-B range function exists.
+	transB bool
 	// colMajor: the format has a second, column-major storage layout
 	// (formats.Params.Layout) the same entry runs on.
 	colMajor bool
@@ -145,11 +143,11 @@ func (r *row) register() *row {
 }
 
 var (
-	rowCOO    = (&row{format: "coo", parallel: true, inners: true}).register()
-	rowCSR    = (&row{format: "csr", parallel: true, balanced: true, dynamic: true, inners: true}).register()
+	rowCOO    = (&row{format: "coo", parallel: true, transB: true}).register()
+	rowCSR    = (&row{format: "csr", parallel: true, balanced: true, dynamic: true, transB: true}).register()
 	rowCSC    = (&row{format: "csc"}).register()
-	rowELL    = (&row{format: "ell", parallel: true, dynamic: true, inners: true, colMajor: true}).register()
-	rowBCSR   = (&row{format: "bcsr", parallel: true, balanced: true, dynamic: true, inners: true}).register()
+	rowELL    = (&row{format: "ell", parallel: true, dynamic: true, transB: true, colMajor: true}).register()
+	rowBCSR   = (&row{format: "bcsr", parallel: true, balanced: true, dynamic: true, transB: true}).register()
 	rowBELL   = (&row{format: "bell", parallel: true, dynamic: true}).register()
 	rowSELLCS = (&row{format: "sellcs", parallel: true, balanced: true, dynamic: true}).register()
 
@@ -159,14 +157,12 @@ var (
 // check validates s against the format's row and the operand shapes.
 func check[T matrix.Float](r *row, s Spec, ar, ac int, b, c *matrix.Dense[T], k int) error {
 	switch {
-	case s.Inner != InnerTiled && !r.inners:
+	case s.Inner != InnerTiled && !r.transB:
 		return fmt.Errorf("%w: %s has only the tiled inner loop", ErrSpec, r.format)
 	case s.Threads > 1 && !r.parallel:
 		return fmt.Errorf("%w: %s has no row-parallel decomposition", ErrSpec, r.format)
 	case s.Threads > 1 && s.Schedule == ScheduleDynamic && (!r.dynamic || s.Pool != nil):
 		return fmt.Errorf("%w: dynamic scheduling on %s (pool=%v)", ErrSpec, r.format, s.Pool != nil)
-	case s.Inner == InnerFixedK && !HasFixedK(k):
-		return ErrUnsupportedK
 	}
 	return checkSpMM(ar, ac, b, c, k, s.Inner == InnerTransB)
 }

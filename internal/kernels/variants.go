@@ -38,9 +38,6 @@ type Variant struct {
 	// bit; false means it reassociates partial sums (replicated/private
 	// accumulators) and is only required to match within tolerance.
 	Bitwise bool
-	// NeedsFixedK marks the fixed-k specialisations, defined only for
-	// k % 8 == 0 (HasFixedK); sweeps with other k skip these.
-	NeedsFixedK bool
 
 	// The lattice coordinates, with the Spec's resources reduced to
 	// present/absent; Run binds them from the VariantInput.
@@ -74,11 +71,8 @@ func (v Variant) machinery() string {
 	if v.Ctx {
 		name += "-ctx"
 	}
-	switch v.Inner {
-	case InnerTransB:
+	if v.Inner == InnerTransB {
 		name += "-bt"
-	case InnerFixedK:
-		name += "-fixed"
 	}
 	return name
 }
@@ -86,7 +80,6 @@ func (v Variant) machinery() string {
 // point completes the lattice variant at the coordinates v holds.
 func (r *row) point(v Variant) Variant {
 	v.Format, v.Func, v.Bitwise = r.format, strings.ToUpper(r.format), true
-	v.NeedsFixedK = v.Inner == InnerFixedK
 	v.Name = r.format + "/" + v.machinery()
 	if v.Layout == formats.ColMajor {
 		v.Name += "-colmajor"
@@ -99,8 +92,8 @@ func (r *row) point(v Variant) Variant {
 // ServableVariants (and so the tuner's round-robin) has always had.
 func (r *row) points() []Variant {
 	inners := []Inner{InnerTiled}
-	if r.inners {
-		inners = []Inner{InnerTiled, InnerTransB, InnerFixedK}
+	if r.transB {
+		inners = []Inner{InnerTiled, InnerTransB}
 	}
 	layouts := []formats.ELLLayout{formats.RowMajor}
 	if r.colMajor {

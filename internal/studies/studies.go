@@ -11,8 +11,8 @@
 // machine), so both of the thesis' machines appear in every figure even on
 // a single-core host; the GPU panels run on the simulated devices
 // (H100-like for the Arm machine, A100-like for Aries); and Study 9 — whose
-// subject is what the compiler does with fixed-k code — measures the real
-// Go kernels on the host.
+// subject is what a compile-time k could buy the k loop — measures the
+// real Go kernels on the host.
 package studies
 
 import (

@@ -168,34 +168,38 @@ func (e *env) study8() ([]Section, error) {
 	return sections, nil
 }
 
-// study9 regenerates Figure 5.19: the manual-optimisation (fixed-k)
-// kernels against the generic runtime-k kernels, serial and parallel.
+// study9 regenerates Figure 5.19, the manual optimisations. The thesis
+// hard-codes k with C++ templates so the compiler can unroll and vectorise
+// the k loop; here every format's k loop is the hand-vectorised row entry
+// for any k, so all a compile-time k could still remove is the row entry's
+// remainder tiles. The study prices them with the one generic kernel per
+// format: k = 128 runs only 32-column tiles, k = 127 forces the 16-, 4-wide
+// and scalar tails, and MFLOPS puts both on a per-flop footing.
 func (e *env) study9() ([]Section, error) {
 	sections := []Section{}
 	for _, mode := range []string{"serial", "omp"} {
-		t := metrics.NewTable("matrix", "format", "generic", "fixed-k", "delta")
+		t := metrics.NewTable("matrix", "format", "k=128", "k=127", "delta")
 		for _, name := range e.cfg.matrixNames() {
 			for _, f := range mainFormats {
-				p := e.params()
-				p.K = 128 // a k with a compiled specialisation
-				generic, err := e.run(f+"-"+mode, name, e.cfg.Scale, p, core.Options{})
-				if err != nil {
-					return nil, fmt.Errorf("study 9: %w", err)
-				}
-				fixed, err := e.run(f+"-"+mode+"-fixedk", name, e.cfg.Scale, p, core.Options{})
-				if err != nil {
-					return nil, fmt.Errorf("study 9: %w", err)
+				var mf [2]float64
+				for i, k := range []int{128, 127} {
+					p := e.params()
+					p.K = k
+					r, err := e.run(f+"-"+mode, name, e.cfg.Scale, p, core.Options{})
+					if err != nil {
+						return nil, fmt.Errorf("study 9: %w", err)
+					}
+					mf[i] = r.MFLOPS
 				}
 				delta := 0.0
-				if generic.MFLOPS > 0 {
-					delta = (fixed.MFLOPS - generic.MFLOPS) / generic.MFLOPS * 100
+				if mf[1] > 0 {
+					delta = (mf[0] - mf[1]) / mf[1] * 100
 				}
-				t.AddRow(name, f, fmtMF(generic.MFLOPS), fmtMF(fixed.MFLOPS),
-					fmt.Sprintf("%+.1f%%", delta))
+				t.AddRow(name, f, fmtMF(mf[0]), fmtMF(mf[1]), fmt.Sprintf("%+.1f%%", delta))
 			}
 		}
 		sections = append(sections, Section{
-			Title: fmt.Sprintf("Study 9 (Fig 5.19): manual optimisations (fixed k), %s kernels, MFLOPS", mode),
+			Title: fmt.Sprintf("Study 9 (Fig 5.19): manual optimisations (aligned k), %s kernels, MFLOPS", mode),
 			Table: t,
 		})
 	}

@@ -13,8 +13,8 @@ import (
 // Aries-x86 sockets (package machine) so both of the thesis' machines are
 // reproduced regardless of the host, with GPU panels from the simulated
 // devices. Study 9 (manual optimisations) instead measures the real Go
-// kernels on the host, since its subject is what a compiler does with
-// fixed-k code.
+// kernels on the host, since its subject is what a compile-time k could
+// still buy the k loop.
 
 // study1 regenerates Figures 5.1/5.2: every format in every environment
 // (serial CPU, parallel CPU with 32 threads, GPU), per architecture. The

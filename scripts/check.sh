@@ -153,6 +153,14 @@ if ! awk '
     echo "SpMV is kernels.Multiply at k = 1 (kernels.MultiplyVec for callers holding slices): no second kernel family" >&2; exit 1
 fi
 
+echo "== one k loop per format (no fixed-k kernel family: no FixedK, fixedk, HasFixedK or ErrUnsupportedK in non-test Go) =="
+# Every format's k loop is matrix.AxpyRow, hand-vectorised for any k, so a
+# compile-time k would only drop the row entry's remainder tiles; Study 9
+# prices those on the one generic kernel (DESIGN.md section 5).
+if grep -nE 'FixedK|fixedk|ErrUnsupportedK' $(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*'); then
+    echo "k is a runtime bound: one k loop per format, no fixed-k specialisation" >&2; exit 1
+fi
+
 echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~19 s under -race), so a partition

@@ -16,7 +16,7 @@ WANTED = [
     "Study 6 (Fig 5.13): all formats serial",
     "Study 7 (Figs 5.15/5.16): cuSparse-equivalent vs offload kernels, Arm",
     "Study 8 (Figs 5.17/5.18): transposing B, csr parallel, Arm",
-    "Study 9 (Fig 5.19): manual optimisations (fixed k), serial",
+    "Study 9 (Fig 5.19): manual optimisations (aligned k), serial",
     "Memory study (§6.3.5): format footprints",
 ]
 
