@@ -8,10 +8,8 @@ package spmmbench
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/gpusim"
@@ -19,9 +17,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 	"repro/internal/vendorlib"
 )
 
@@ -452,34 +448,44 @@ func BenchmarkAblationValueType(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSchedule: OpenMP-style static chunks vs dynamic
-// self-scheduling on the most irregular matrix (torso1's huge-row skew is
-// where static chunking loses balance).
+// BenchmarkAblationSchedule: the parallel work partition and dispatch on the
+// most irregular matrix (torso1's huge-row skew is where static chunking
+// loses balance). Each row differs from "static" (OpenMP-style equal-row
+// chunks on goroutines spawned per call) in one thing: "dynamic"
+// self-schedules, "balanced" chunks by nonzeros, "pooled" dispatches the
+// static chunks to one persistent worker pool.
 func BenchmarkAblationSchedule(b *testing.B) {
 	m, _, err := gen.GenerateScaled("torso1", 0.02)
 	if err != nil {
 		b.Fatal(err)
 	}
 	csr := formats.CSRFromCOO(m)
-	const k = 64
+	const k, threads = 64, 4
 	bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
 	c := matrix.NewDense[float64](m.Rows, k)
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
-				b.Fatal(err)
+	csr.BalancedBounds(threads) // warm the partition cache, as Prepare does
+	pool := parallel.NewPool(threads)
+	defer pool.Close()
+	runs := []struct {
+		name string
+		spec kernels.Spec
+	}{
+		{"static", kernels.Spec{Threads: threads}},
+		{"dynamic", kernels.Spec{Threads: threads, Schedule: kernels.ScheduleDynamic, Chunk: 32}},
+		{"balanced", kernels.Spec{Threads: threads, Schedule: kernels.ScheduleBalanced}},
+		{"pooled", kernels.Spec{Threads: threads, Pool: pool}},
+	}
+	for _, r := range runs {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := kernels.CSR(csr, bb, c, k, r.spec); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
-	b.Run("dynamic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4, Schedule: kernels.ScheduleDynamic, Chunk: 32}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
+			reportMFLOPS(b, m.NNZ(), k)
+		})
+	}
 }
 
 // BenchmarkAblationBlockedGPU: BCSR vs Blocked-ELL on the simulated GPU.
@@ -525,244 +531,6 @@ func BenchmarkAblationBlockedGPU(b *testing.B) {
 		}
 		b.ReportMetric(metrics.MFLOPS(kernels.SpMMFlops(m.NNZ(), k), modelled), "model-MFLOPS")
 	})
-}
-
-// ---- Perf-baseline benches (scripts/bench.sh) ----
-//
-// These three are the regression gate's subjects: scripts/bench.sh runs
-// them with -benchmem, snapshots ns/op, B/op and allocs/op into
-// results/bench/BENCH_<date>.json, and fails when a number regresses past
-// the tolerance against the previous baseline.
-
-// powerLawBench builds the hub-heavy matrix the scheduling benches use: a
-// few rows own most nonzeros, so row-static chunking leaves threads idle.
-func powerLawBench(b *testing.B) (*formats.CSR[float64], int) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(5))
-	m := matrix.NewCOO[float64](4000, 600, 0)
-	for i := 0; i < 4000; i++ {
-		u := rng.Float64()
-		deg := int(u * u * u * 600)
-		if i%17 == 0 {
-			deg = 0
-		}
-		if i == 4000/3 {
-			deg = 600
-		}
-		for d := 0; d < deg; d++ {
-			m.Append(int32(i), int32(rng.Intn(600)), rng.NormFloat64())
-		}
-	}
-	m.Dedup()
-	return formats.CSRFromCOO(m), m.NNZ()
-}
-
-// BenchmarkCalculate is the steady-state Calculate cost per format and
-// mode. The serial rows double as the zero-allocation audit's perf face:
-// their allocs/op column in the committed baseline must read 0.
-func BenchmarkCalculate(b *testing.B) {
-	m := benchMatrix(b)
-	const k = 128
-	bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
-	c := matrix.NewDense[float64](m.Rows, k)
-	csr := formats.CSRFromCOO(m)
-	ell := formats.ELLFromCOO(m, formats.RowMajor)
-	bcsr, err := formats.BCSRFromCOO(m, 4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runs := []struct {
-		name string
-		fn   func() error
-	}{
-		{"csr-serial", func() error { return kernels.CSR(csr, bb, c, k, kernels.Spec{}) }},
-		{"ell-serial", func() error { return kernels.ELL(ell, bb, c, k, kernels.Spec{}) }},
-		{"bcsr-serial", func() error { return kernels.BCSR(bcsr, bb, c, k, kernels.Spec{}) }},
-		{"csr-omp", func() error { return kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}) }},
-		{"ell-omp", func() error { return kernels.ELL(ell, bb, c, k, kernels.Spec{Threads: 4}) }},
-		{"bcsr-omp", func() error { return kernels.BCSR(bcsr, bb, c, k, kernels.Spec{Threads: 4}) }},
-	}
-	for _, r := range runs {
-		b.Run(r.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := r.fn(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMFLOPS(b, m.NNZ(), k)
-		})
-	}
-}
-
-// BenchmarkSchedule races row-static against nonzero-balanced chunking on
-// the power-law matrix at 4+ threads — the wall-clock face of the sched
-// study. On a multi-core host balanced wins; on a single core the two
-// coincide (the partition is precomputed either way).
-func BenchmarkSchedule(b *testing.B) {
-	csr, nnz := powerLawBench(b)
-	const k, threads = 128, 4
-	bb := matrix.NewDenseRand[float64](csr.Cols, k, 1)
-	c := matrix.NewDense[float64](csr.Rows, k)
-	csr.BalancedBounds(threads) // warm the partition cache, as Prepare does
-	b.Run("static", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: threads}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, nnz, k)
-	})
-	b.Run("balanced", func(b *testing.B) {
-		b.ReportAllocs()
-		s := kernels.Spec{Threads: threads, Schedule: kernels.ScheduleBalanced}
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, nnz, k)
-	})
-}
-
-// BenchmarkPool races per-call goroutine spawning against the persistent
-// worker pool — the dispatch overhead a long campaign amortises away.
-func BenchmarkPool(b *testing.B) {
-	csr, nnz := powerLawBench(b)
-	const k, threads = 128, 4
-	bb := matrix.NewDenseRand[float64](csr.Cols, k, 1)
-	c := matrix.NewDense[float64](csr.Rows, k)
-	b.Run("spawn", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: threads}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, nnz, k)
-	})
-	b.Run("pooled", func(b *testing.B) {
-		pool := parallel.NewPool(threads)
-		defer pool.Close()
-		s := kernels.Spec{Threads: threads, Pool: pool}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, nnz, k)
-	})
-}
-
-// BenchmarkTraceOverhead pins the tracer's cost contract on the serial CSR
-// Calculate. The "disabled" row must read 0 allocs/op and stay within the
-// perf gate's tolerance of BenchmarkCalculate/csr-serial — a tracer that
-// taxes instrumented-but-untraced runs is a regression even if every other
-// number holds. The "enabled" row documents the recording cost for scale.
-func BenchmarkTraceOverhead(b *testing.B) {
-	m := benchMatrix(b)
-	const k = 128
-	bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
-	c := matrix.NewDense[float64](m.Rows, k)
-	csr := formats.CSRFromCOO(m)
-	run := func(b *testing.B, tr *trace.Tracer) {
-		parallel.SetTracer(tr)
-		defer parallel.SetTracer(nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := tr.Start()
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
-				b.Fatal(err)
-			}
-			tr.EndDetail(0, trace.PhaseCalculate, "csr-serial", s, 0)
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	}
-	b.Run("disabled", func(b *testing.B) {
-		run(b, trace.New(8, 1<<10)) // constructed but never enabled
-	})
-	b.Run("enabled", func(b *testing.B) {
-		tr := trace.New(8, 1<<10)
-		tr.SetEnabled(true)
-		run(b, tr)
-	})
-}
-
-// BenchmarkObsOverhead pins the metric registry's cost contract on the
-// serial CSR Calculate. The "bare" row is the uninstrumented kernel; the
-// "instrumented" row adds the same shape of metric traffic the kernels
-// dispatch layer emits per call (dispatch counter, rows/nonzeros totals,
-// imbalance gauge, one latency observation) against live registered
-// instruments. Both rows must read 0 allocs/op — the registry's hot path
-// is a handful of atomic adds, and the perf gate holds it there.
-func BenchmarkObsOverhead(b *testing.B) {
-	m := benchMatrix(b)
-	const k = 128
-	bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
-	c := matrix.NewDense[float64](m.Rows, k)
-	csr := formats.CSRFromCOO(m)
-	dispatch := obs.NewCounter("spmm_bench_obs_dispatch_total", "bench-only dispatch counter")
-	rows := obs.NewCounter("spmm_bench_obs_rows_total", "bench-only rows counter")
-	nnz := obs.NewCounter("spmm_bench_obs_nonzeros_total", "bench-only nonzeros counter")
-	imbalance := obs.NewGauge("spmm_bench_obs_imbalance_ratio", "bench-only imbalance gauge")
-	seconds := obs.NewHistogram("spmm_bench_obs_seconds", "bench-only latency histogram")
-	run := func(b *testing.B, instrumented bool) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			start := b.Elapsed()
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{}); err != nil {
-				b.Fatal(err)
-			}
-			if instrumented {
-				dispatch.Inc()
-				rows.Add(int64(csr.Rows))
-				nnz.Add(int64(csr.NNZ()))
-				imbalance.Set(1)
-				seconds.Observe((b.Elapsed() - start).Seconds())
-			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	}
-	b.Run("bare", func(b *testing.B) { run(b, false) })
-	b.Run("instrumented", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkPhaseMix runs the full benchmark pipeline (prepare, warm-up,
-// calculate, verify) with tracing enabled and reports the per-phase time
-// shares and worker idle fraction as custom metrics. perf.Parse stores
-// custom units in the baseline JSON, so scripts/bench.sh makes regressions
-// in phase *mix* — not just end-to-end ns/op — diffable across baselines.
-func BenchmarkPhaseMix(b *testing.B) {
-	m := benchMatrix(b)
-	tr := trace.New(8, 1<<14)
-	tr.SetEnabled(true)
-	parallel.SetTracer(tr)
-	defer parallel.SetTracer(nil)
-	k, err := core.New("csr-omp", core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := core.DefaultParams()
-	p.Reps = 1
-	p.Threads = 4
-	p.Trace = tr
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(k, m, "bcsstk17", p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	mix := metrics.PhaseMixFrom(tr.Summary())
-	for _, phase := range []string{trace.PhasePrepare, trace.PhaseCalculate, trace.PhaseVerify} {
-		b.ReportMetric(mix.Shares[phase]*100, phase+"-%")
-	}
-	b.ReportMetric(mix.WorkerIdleFraction*100, "worker-idle-%")
 }
 
 // BenchmarkSpMV is the §6.3.4 SpMV reading: the six formats' lattice

@@ -31,20 +31,12 @@
 // mode the whole sweep reuses the same warmed workers:
 //
 //	spmmbench -kernel csr-omp -matrix torso1 -t 8 -schedule balanced -pool
-//
-// Perf gate: -perf-baseline parses `go test -bench` output, snapshots it
-// as <dir>/BENCH_<date>.json and fails against the previous baseline when
-// ns/op grows past -perf-tolerance or allocs/op grows at all
-// (scripts/bench.sh is the normal driver):
-//
-//	go test -run '^$' -bench . -benchmem . | spmmbench -perf-baseline results/bench
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // -pprof opt-in profiling endpoint
@@ -65,7 +57,6 @@ import (
 	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/trace"
 )
 
@@ -101,18 +92,8 @@ func main() {
 		serveAddr = flag.String("serve", "", "serve /metrics (Prometheus), /healthz, /debug/vars and /debug/pprof on this address for the duration of the run, e.g. :9090 (use :0 for an ephemeral port)")
 		logFormat = flag.String("log-format", "text", "structured log format on stderr: text or json")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
-
-		perfBaseline = flag.String("perf-baseline", "", "perf gate: parse `go test -bench` output (stdin or -perf-input), snapshot a dated baseline into this directory and compare against the previous one")
-		perfInput    = flag.String("perf-input", "", "perf gate: bench output file (default: stdin)")
-		perfTol      = flag.Float64("perf-tolerance", 0.25, "perf gate: allowed fractional ns/op growth before failing (allocs/op growth always fails)")
-		perfLabel    = flag.String("perf-label", "", "perf gate: provenance note stored in the baseline")
 	)
 	flag.Parse()
-
-	if *perfBaseline != "" {
-		runPerfGate(*perfBaseline, *perfInput, *perfTol, *perfLabel)
-		return
-	}
 
 	level, err := obs.ParseLogLevel(*logLevel)
 	if err != nil {
@@ -317,63 +298,6 @@ func main() {
 		fatal(err)
 	}
 	report(r, *debug)
-}
-
-// runPerfGate is the benchmark-regression harness's CLI face: it parses
-// `go test -bench` output, writes today's BENCH_<date>.json into dir, and
-// fails (exit 2) when a benchmark regresses past the tolerance against the
-// most recent previous baseline. scripts/bench.sh is the normal driver.
-func runPerfGate(dir, input string, tol float64, label string) {
-	var r io.Reader = os.Stdin
-	if input != "" {
-		f, err := os.Open(input)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r = f
-	}
-	entries, err := perf.Parse(r)
-	if err != nil {
-		fatal(err)
-	}
-	date := time.Now().Format("2006-01-02")
-	prev, prevPath, havePrev, err := perf.Latest(dir, date)
-	if err != nil {
-		fatal(err)
-	}
-	path, err := perf.Write(dir, perf.Baseline{Date: date, Label: label, Benchmarks: entries})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("perf baseline: %s (%d benchmarks)\n", path, len(entries))
-	if !havePrev {
-		fmt.Println("perf gate: no previous baseline — nothing to compare against")
-		return
-	}
-	deltas := perf.Compare(prev.Benchmarks, entries, tol)
-	t := metrics.NewTable("benchmark", "old ns/op", "new ns/op", "ratio", "allocs", "verdict")
-	for _, d := range deltas {
-		verdict := "ok"
-		if d.Regressed {
-			verdict = "REGRESSED: " + d.Reason
-		}
-		allocs := "-"
-		if d.NewAllocs >= 0 {
-			allocs = fmt.Sprintf("%.0f", d.NewAllocs)
-		}
-		t.AddRow(d.Name, fmt.Sprintf("%.0f", d.OldNs), fmt.Sprintf("%.0f", d.NewNs),
-			fmt.Sprintf("%.2f", d.Ratio), allocs, verdict)
-	}
-	if err := t.Render(os.Stdout); err != nil {
-		fatal(err)
-	}
-	if reg := perf.Regressions(deltas); len(reg) > 0 {
-		fmt.Fprintf(os.Stderr, "spmmbench: perf gate FAILED vs %s: %d regression(s)\n", prevPath, len(reg))
-		os.Exit(2)
-	}
-	fmt.Printf("perf gate: ok vs %s (%d benchmarks compared, tolerance %.0f%%)\n",
-		prevPath, len(deltas), tol*100)
 }
 
 func splitList(s string) []string {

@@ -398,10 +398,6 @@ func main() {
 					firstP50.Round(time.Microsecond), steadyP50.Round(time.Microsecond),
 					100*(float64(steadyP50)-float64(firstP50))/float64(firstP50))
 			}
-			if steadyP50 > 0 {
-				// Machine-parseable: scripts/bench.sh tune-compare greps it.
-				fmt.Printf("steady p50_us %d\n", steadyP50.Microseconds())
-			}
 		}
 	}
 	var serverStats *serve.StatsResponse

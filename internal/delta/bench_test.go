@@ -2,42 +2,17 @@ package delta
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
 )
 
-// benchOverlay builds an overlay holding frac × base-nnz random updates
-// and inserts over base. frac == 0 returns a nil overlay — the clean-path
-// case the perf gate pins at 0 allocs/op.
-func benchOverlay(b *testing.B, base *matrix.COO[float64], frac float64) *Overlay {
-	b.Helper()
-	if frac == 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(17))
-	n := int(frac * float64(base.NNZ()))
-	ops := make([]Op, 0, n)
-	for i := 0; i < n; i++ {
-		ops = append(ops, Op{
-			Row: int32(rng.Intn(base.Rows)),
-			Col: int32(rng.Intn(base.Cols)),
-			Val: rng.NormFloat64(),
-		})
-	}
-	ov, err := (*Overlay)(nil).Extend(base, ops)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ov
-}
-
 // BenchmarkOverlayApply prices overlay application on top of a prepared
 // CSR multiply: the empty row is the hot-path tax every clean multiply
-// pays (must be 0 allocs/op), the 1% and 10% rows bound the dirty-matrix
-// tax the compaction cost model trades against re-preparation.
+// pays, the 1% and 10% rows bound the dirty-matrix tax the compaction cost
+// model trades against re-preparation. TestOverlayApplyEmptyIsNoop pins
+// all three at 0 allocs/op.
 func BenchmarkOverlayApply(b *testing.B) {
 	const rows, cols, k = 2048, 2048, 32
 	base := randomCOO(b, rows, cols, 0.01, 13)
@@ -61,7 +36,7 @@ func BenchmarkOverlayApply(b *testing.B) {
 		{"overlay1pct", 0.01},
 		{"overlay10pct", 0.10},
 	} {
-		ov := benchOverlay(b, base, tc.frac)
+		ov := randomOverlay(b, base, tc.frac)
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -81,7 +56,7 @@ func BenchmarkOverlayApply(b *testing.B) {
 func BenchmarkCompaction(b *testing.B) {
 	const rows, cols = 2048, 2048
 	base := randomCOO(b, rows, cols, 0.01, 19)
-	ov := benchOverlay(b, base, 0.05)
+	ov := randomOverlay(b, base, 0.05)
 	p := core.DefaultParams()
 	p.Reps, p.K, p.Verify = 1, 32, false
 	b.Run(fmt.Sprintf("nnz%d_overlay%d", base.NNZ(), ov.NNZ()), func(b *testing.B) {

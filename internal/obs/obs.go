@@ -15,8 +15,8 @@
 //     handle resolved once (package-level var, registration at init) or a
 //     value field of the component that counts it, attached to a registry
 //     afterwards (Attach*); either way every Add/Set/Observe is one or two
-//     atomic operations. The alloc audit (TestHotPathZeroAlloc) and
-//     BenchmarkObsOverhead pin 0 allocs/op on the serial-kernel hot path.
+//     atomic operations. The alloc audit (TestHotPathZeroAlloc) pins
+//     0 allocs/op on the hot path.
 //   - Registration is explicit and collision-checked: the same name must
 //     always carry the same type and help text; a family never mixes metric
 //     types; an attached value never shares its name. Misregistration

@@ -37,7 +37,8 @@ func benchServer(b *testing.B, cfg Config) (*Server, *Client, *RegisterResponse,
 
 // BenchmarkServeCachedMultiply is the single-client round-trip latency of a
 // cached multiply: HTTP overhead + panel codec + one kernel dispatch, zero
-// preparation. This is the serving layer's perf-baseline number.
+// preparation. `go run ./benchmark -workload serve-small` measures the same
+// round trip end to end.
 func BenchmarkServeCachedMultiply(b *testing.B) {
 	const k = 32
 	_, client, reg, done := benchServer(b, Config{BatchWindow: 0})
@@ -150,7 +151,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // phase, prepare phase, batcher fan-out (batch + kernel), respond, finish,
 // and (enabled only) the X-Spmm-Timing render. The disabled variant is the
 // hot path every untraced deployment pays and must stay at 0 allocs/op —
-// scripts/bench.sh gates on it via the stored baseline.
+// TestRequestsDisabledZeroAlloc (internal/trace) pins it.
 func BenchmarkRequestTraceOverhead(b *testing.B) {
 	run := func(b *testing.B, rr *trace.Requests) {
 		b.ReportAllocs()

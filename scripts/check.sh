@@ -161,6 +161,18 @@ if grep -nE 'FixedK|fixedk|ErrUnsupportedK' $(find . -name '*.go' -not -name '*_
     echo "k is a runtime bound: one k loop per format, no fixed-k specialisation" >&2; exit 1
 fi
 
+echo "== one perf system (go run ./benchmark: no internal/perf, perf-baseline flag, PhaseMix or scripts/bench.sh) =="
+# go run ./benchmark is the one instrument every change is judged by
+# (benchmark/README.md, DESIGN.md section 5); a property it cannot see, such
+# as an allocation count, is a test beside the code. A second gate with its
+# own stored baselines drifts with the host and goes unread.
+if grep -nE 'repro/internal/perf|perf-baseline|PhaseMix' $(find . -name '*.go' -not -path './.git/*'); then
+    echo "one perf system: measure with go run ./benchmark, pin with a test" >&2; exit 1
+fi
+if [ -e scripts/bench.sh ]; then
+    echo "scripts/bench.sh is retired: go run ./benchmark [-compare] is the one perf system" >&2; exit 1
+fi
+
 echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~19 s under -race), so a partition
