@@ -142,7 +142,7 @@ func BenchmarkStudy3(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/t%d", mc.Prof.Name, threads), func(b *testing.B) {
 				var mf float64
 				for i := 0; i < b.N; i++ {
-					r, err := mc.CSRParallel(csr, k, threads)
+					r, err := mc.Simulate(csr, k, threads, kernels.ScheduleStatic, kernels.InnerTiled)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -166,7 +166,7 @@ func BenchmarkStudy3_1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bestMF := -1.0
 				for _, t := range threadList {
-					r, err := mc.CSRParallel(csr, 128, t)
+					r, err := mc.Simulate(csr, 128, t, kernels.ScheduleStatic, kernels.InnerTiled)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -241,7 +241,7 @@ func BenchmarkStudy6(b *testing.B) {
 		b.Run(prof.Name+"/csr", func(b *testing.B) {
 			var mf float64
 			for i := 0; i < b.N; i++ {
-				r, err := machine.SimulateCSR(prof, csr, 128)
+				r, err := machine.Simulate(prof, csr, 128, kernels.InnerTiled)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,7 +252,7 @@ func BenchmarkStudy6(b *testing.B) {
 		b.Run(prof.Name+"/bcsr4", func(b *testing.B) {
 			var mf float64
 			for i := 0; i < b.N; i++ {
-				r, err := machine.SimulateBCSR(prof, bcsr, 128)
+				r, err := machine.Simulate(prof, bcsr, 128, kernels.InnerTiled)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/formats"
 	"repro/internal/gen"
+	"repro/internal/kernels"
 )
 
 func TestCacheBasics(t *testing.T) {
@@ -171,11 +172,11 @@ func TestSimulationsProduceConsistentResults(t *testing.T) {
 	k := 64
 	csr := formats.CSRFromCOO(m)
 	for _, prof := range Profiles() {
-		r1, err := SimulateCSR(prof, csr, k)
+		r1, err := Simulate(prof, csr, k, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := SimulateCSR(prof, csr, k)
+		r2, err := Simulate(prof, csr, k, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,18 +204,18 @@ func TestArchitectureShape(t *testing.T) {
 		csr := formats.CSRFromCOO(m)
 		ell := formats.ELLFromCOO(m, formats.RowMajor)
 
-		gCOO, _ := SimulateCOO(grace, m, k)
-		aCOO, _ := SimulateCOO(aries, m, k)
+		gCOO, _ := Simulate(grace, m, k, kernels.InnerTiled)
+		aCOO, _ := Simulate(aries, m, k, kernels.InnerTiled)
 		if aCOO.MFLOPS <= gCOO.MFLOPS {
 			t.Errorf("%s: COO should favour x86 (%0.f vs %0.f)", name, aCOO.MFLOPS, gCOO.MFLOPS)
 		}
-		gCSR, _ := SimulateCSR(grace, csr, k)
-		aCSR, _ := SimulateCSR(aries, csr, k)
+		gCSR, _ := Simulate(grace, csr, k, kernels.InnerTiled)
+		aCSR, _ := Simulate(aries, csr, k, kernels.InnerTiled)
 		if aCSR.MFLOPS <= gCSR.MFLOPS {
 			t.Errorf("%s: CSR should favour x86 (%0.f vs %0.f)", name, aCSR.MFLOPS, gCSR.MFLOPS)
 		}
-		gELL, _ := SimulateELL(grace, ell, k)
-		aELL, _ := SimulateELL(aries, ell, k)
+		gELL, _ := Simulate(grace, ell, k, kernels.InnerTiled)
+		aELL, _ := Simulate(aries, ell, k, kernels.InnerTiled)
 		if aELL.MFLOPS <= gELL.MFLOPS {
 			t.Errorf("%s: ELL should favour x86 (%0.f vs %0.f)", name, aELL.MFLOPS, gELL.MFLOPS)
 		}
@@ -223,8 +224,8 @@ func TestArchitectureShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gB, _ := SimulateBCSR(grace, b, k)
-			aB, _ := SimulateBCSR(aries, b, k)
+			gB, _ := Simulate(grace, b, k, kernels.InnerTiled)
+			aB, _ := Simulate(aries, b, k, kernels.InnerTiled)
 			if gB.MFLOPS <= aB.MFLOPS {
 				t.Errorf("%s: BCSR b=%d should favour Arm (%0.f vs %0.f)",
 					name, bs, gB.MFLOPS, aB.MFLOPS)
@@ -247,7 +248,7 @@ func TestBCSRBlockSizeTrend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := SimulateBCSR(prof, b, 128)
+			r, err := Simulate(prof, b, 128, kernels.InnerTiled)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,8 +268,8 @@ func TestELLPaddingHurtsHighRatioMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := AriesX86()
-	csr, _ := SimulateCSR(prof, formats.CSRFromCOO(m), 128)
-	ell, _ := SimulateELL(prof, formats.ELLFromCOO(m, formats.RowMajor), 128)
+	csr, _ := Simulate(prof, formats.CSRFromCOO(m), 128, kernels.InnerTiled)
+	ell, _ := Simulate(prof, formats.ELLFromCOO(m, formats.RowMajor), 128, kernels.InnerTiled)
 	if ell.MFLOPS >= csr.MFLOPS*0.65 {
 		t.Errorf("high-ratio matrix: ELL %0.f should badly trail CSR %0.f", ell.MFLOPS, csr.MFLOPS)
 	}

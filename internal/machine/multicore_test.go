@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/formats"
 	"repro/internal/gen"
+	"repro/internal/kernels"
 	"repro/internal/matrix"
 )
 
@@ -26,11 +28,11 @@ func benchFixture(t *testing.T, name string, scale float64) (*formats.CSR[float6
 func TestMulticoreValidation(t *testing.T) {
 	bad := GraceMachine()
 	bad.Cores = 0
-	if _, err := bad.CSRParallel(&formats.CSR[float64]{Rows: 1, RowPtr: []int32{0, 0}}, 8, 4); err == nil {
+	if _, err := bad.Simulate(&formats.CSR[float64]{Rows: 1, RowPtr: []int32{0, 0}}, 8, 4, kernels.ScheduleStatic, kernels.InnerTiled); err == nil {
 		t.Fatal("invalid multicore config accepted")
 	}
 	good := GraceMachine()
-	if _, err := good.CSRParallel(&formats.CSR[float64]{Rows: 1, RowPtr: []int32{0, 0}, Cols: 1}, 8, 0); err == nil {
+	if _, err := good.Simulate(&formats.CSR[float64]{Rows: 1, RowPtr: []int32{0, 0}, Cols: 1}, 8, 0, kernels.ScheduleStatic, kernels.InnerTiled); err == nil {
 		t.Fatal("threads=0 accepted")
 	}
 }
@@ -38,11 +40,11 @@ func TestMulticoreValidation(t *testing.T) {
 func TestMulticoreDeterministic(t *testing.T) {
 	csr, _ := benchFixture(t, "bcsstk17", 0.2)
 	mc := AriesMachine()
-	r1, err := mc.CSRParallel(csr, 64, 16)
+	r1, err := mc.Simulate(csr, 64, 16, kernels.ScheduleStatic, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := mc.CSRParallel(csr, 64, 16)
+	r2, err := mc.Simulate(csr, 64, 16, kernels.ScheduleStatic, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +60,11 @@ func TestMulticoreDeterministic(t *testing.T) {
 func TestParallelSpeedupRealistic(t *testing.T) {
 	csr, _ := benchFixture(t, "cant", 0.05)
 	for _, mc := range Machines() {
-		serial, err := SimulateCSR(mc.Prof, csr, 128)
+		serial, err := Simulate(mc.Prof, csr, 128, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := mc.CSRParallel(csr, 128, 32)
+		par, err := mc.Simulate(csr, 128, 32, kernels.ScheduleStatic, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +88,7 @@ func TestGraceScalesToHighThreadCounts(t *testing.T) {
 		best, bestT := -1.0, 0
 		var at72 float64
 		for _, threads := range []int{2, 4, 8, 16, 32, 48, 64, 72} {
-			r, err := mc.CSRParallel(csr, 128, threads)
+			r, err := mc.Simulate(csr, 128, threads, kernels.ScheduleStatic, kernels.InnerTiled)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +119,11 @@ func TestAriesHyperthreadingHelpsBlockedFormats(t *testing.T) {
 	// behaviour is dominated by fork/join noise.
 	for _, name := range []string{"cant", "2cubes_sphere"} {
 		csr, bcsr := benchFixture(t, name, 0.05)
-		c48, err := mc.CSRParallel(csr, 128, 48)
+		c48, err := mc.Simulate(csr, 128, 48, kernels.ScheduleStatic, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c72, err := mc.CSRParallel(csr, 128, 72)
+		c72, err := mc.Simulate(csr, 128, 72, kernels.ScheduleStatic, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +131,11 @@ func TestAriesHyperthreadingHelpsBlockedFormats(t *testing.T) {
 			t.Errorf("%s: CSR should not gain much from hyperthreading (48t %.0f vs 72t %.0f)",
 				name, c48.MFLOPS, c72.MFLOPS)
 		}
-		b48, err := mc.BCSRParallel(bcsr, 128, 48)
+		b48, err := mc.Simulate(bcsr, 128, 48, kernels.ScheduleStatic, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b72, err := mc.BCSRParallel(bcsr, 128, 72)
+		b72, err := mc.Simulate(bcsr, 128, 72, kernels.ScheduleStatic, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +152,11 @@ func TestTransposeUsuallyLoses(t *testing.T) {
 	for _, name := range []string{"cant", "2cubes_sphere", "bcsstk17"} {
 		csr, _ := benchFixture(t, name, 0.05)
 		for _, mc := range Machines() {
-			plain, err := mc.CSRParallel(csr, 128, 32)
+			plain, err := mc.Simulate(csr, 128, 32, kernels.ScheduleStatic, kernels.InnerTiled)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trans, err := mc.CSRParallelT(csr, 128, 32)
+			trans, err := mc.Simulate(csr, 128, 32, kernels.ScheduleStatic, kernels.InnerTransB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,10 +183,10 @@ func TestTransposedKernelsCoverAllFormats(t *testing.T) {
 	}
 	mc := GraceMachine()
 	for label, run := range map[string]func() (Result, error){
-		"coo-t":  func() (Result, error) { return mc.COOParallelT(m, 64, 8) },
-		"csr-t":  func() (Result, error) { return mc.CSRParallelT(csr, 64, 8) },
-		"ell-t":  func() (Result, error) { return mc.ELLParallelT(ell, 64, 8) },
-		"bcsr-t": func() (Result, error) { return mc.BCSRParallelT(bcsr, 64, 8) },
+		"coo-t":  func() (Result, error) { return mc.Simulate(m, 64, 8, kernels.ScheduleStatic, kernels.InnerTransB) },
+		"csr-t":  func() (Result, error) { return mc.Simulate(csr, 64, 8, kernels.ScheduleStatic, kernels.InnerTransB) },
+		"ell-t":  func() (Result, error) { return mc.Simulate(ell, 64, 8, kernels.ScheduleStatic, kernels.InnerTransB) },
+		"bcsr-t": func() (Result, error) { return mc.Simulate(bcsr, 64, 8, kernels.ScheduleStatic, kernels.InnerTransB) },
 	} {
 		r, err := run()
 		if err != nil {
@@ -201,11 +203,11 @@ func TestTransposedKernelsCoverAllFormats(t *testing.T) {
 func TestSerialTransposeSimulation(t *testing.T) {
 	csr, _ := benchFixture(t, "bcsstk13", 0.5)
 	for _, prof := range Profiles() {
-		r, err := SimulateCSRT(prof, csr, 64)
+		r, err := Simulate(prof, csr, 64, kernels.InnerTransB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := SimulateCSR(prof, csr, 64)
+		plain, err := Simulate(prof, csr, 64, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,11 +251,11 @@ func TestBalancedBeatsStaticOnSkewedMatrix(t *testing.T) {
 	skew := powerLawCSR(4000, 600, 5)
 	for _, mc := range Machines() {
 		for _, threads := range []int{4, 8, 16, 32} {
-			static, err := mc.CSRParallel(skew, 128, threads)
+			static, err := mc.Simulate(skew, 128, threads, kernels.ScheduleStatic, kernels.InnerTiled)
 			if err != nil {
 				t.Fatal(err)
 			}
-			balanced, err := mc.CSRParallelBalanced(skew, 128, threads)
+			balanced, err := mc.Simulate(skew, 128, threads, kernels.ScheduleBalanced, kernels.InnerTiled)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,11 +267,11 @@ func TestBalancedBeatsStaticOnSkewedMatrix(t *testing.T) {
 	}
 	uniform, _ := benchFixture(t, "cant", 0.05)
 	mc := GraceMachine()
-	static, err := mc.CSRParallel(uniform, 128, 32)
+	static, err := mc.Simulate(uniform, 128, 32, kernels.ScheduleStatic, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	balanced, err := mc.CSRParallelBalanced(uniform, 128, 32)
+	balanced, err := mc.Simulate(uniform, 128, 32, kernels.ScheduleBalanced, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestThreadsClampToWork(t *testing.T) {
 	}
 	csr := formats.CSRFromCOO(m)
 	mc := GraceMachine()
-	r, err := mc.CSRParallel(csr, 32, 10*csr.Rows)
+	r, err := mc.Simulate(csr, 32, 10*csr.Rows, kernels.ScheduleStatic, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,7 @@ func TestSmallMatrixPrefersFewThreads(t *testing.T) {
 	mc := GraceMachine()
 	best, bestT := -1.0, 0
 	for _, threads := range []int{2, 4, 8, 16, 32, 48, 64, 72} {
-		r, err := mc.CSRParallel(csr, 128, threads)
+		r, err := mc.Simulate(csr, 128, threads, kernels.ScheduleStatic, kernels.InnerTiled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,5 +316,45 @@ func TestSmallMatrixPrefersFewThreads(t *testing.T) {
 	}
 	if bestT > 48 {
 		t.Errorf("tiny matrix peaked at %d threads; fork/join should cap it lower", bestT)
+	}
+}
+
+// TestSimulateRejectsWhatItDoesNotModel: the formats without a trace, the
+// dynamic schedule, and a balanced schedule outside CSR are kernels.ErrSpec
+// from both entries, as an unsupported Spec is from kernels.Multiply.
+func TestSimulateRejectsWhatItDoesNotModel(t *testing.T) {
+	m, _, err := gen.GenerateScaled("bcsstk13", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := GraceMachine()
+	for _, f := range []string{"csc", "bell", "sellcs"} {
+		a, err := formats.FromCOO(f, m, formats.Params{Block: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Simulate(mc.Prof, a, 8, kernels.InnerTiled); !errors.Is(err, kernels.ErrSpec) {
+			t.Errorf("serial %s: err = %v, want ErrSpec", f, err)
+		}
+		if _, err := mc.Simulate(a, 8, 4, kernels.ScheduleStatic, kernels.InnerTiled); !errors.Is(err, kernels.ErrSpec) {
+			t.Errorf("parallel %s: err = %v, want ErrSpec", f, err)
+		}
+	}
+	for _, c := range []struct {
+		format string
+		sched  kernels.Schedule
+	}{
+		{"csr", kernels.ScheduleDynamic},
+		{"coo", kernels.ScheduleBalanced},
+		{"ell", kernels.ScheduleBalanced},
+		{"bcsr", kernels.ScheduleBalanced},
+	} {
+		a, err := formats.FromCOO(c.format, m, formats.Params{Block: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mc.Simulate(a, 8, 4, c.sched, kernels.InnerTiled); !errors.Is(err, kernels.ErrSpec) {
+			t.Errorf("%s %s: err = %v, want ErrSpec", c.format, c.sched, err)
+		}
 	}
 }

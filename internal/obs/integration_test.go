@@ -88,7 +88,7 @@ func TestSimulatorCountersFlow(t *testing.T) {
 
 	machBefore := metricValue(t, "spmm_machine_dram_bytes_total")
 	simsBefore := metricValue(t, "spmm_machine_sims_total")
-	if _, err := machine.SimulateCSR(machine.GraceArm(), csr, k); err != nil {
+	if _, err := machine.Simulate(machine.GraceArm(), csr, k, kernels.InnerTiled); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricValue(t, "spmm_machine_dram_bytes_total"); got <= machBefore {

@@ -4,152 +4,50 @@ import (
 	"fmt"
 
 	"repro/internal/formats"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 )
 
-// This file adapts the machine cost models to the studies: cached format
-// conversions per matrix, and uniform helpers to run a serial or parallel
-// simulation for any (format, block size, transposed) combination on either
-// architecture profile.
+// This file adapts the machine cost models to the studies: format
+// conversions cached per matrix, and the serial and parallel simulation of
+// any (format, block size, inner loop) on either architecture.
 
-type fmtCache struct {
-	csr  map[string]*formats.CSR[float64]
-	ell  map[string]*formats.ELL[float64]
-	bcsr map[string]*formats.BCSR[float64]
-}
-
-func (e *env) caches() *fmtCache {
-	if e.fmts == nil {
-		e.fmts = &fmtCache{
-			csr:  map[string]*formats.CSR[float64]{},
-			ell:  map[string]*formats.ELL[float64]{},
-			bcsr: map[string]*formats.BCSR[float64]{},
-		}
-	}
-	return e.fmts
-}
-
-func (e *env) csr(name string, scale float64) (*formats.CSR[float64], error) {
-	key := fmt.Sprintf("%s@%g", name, scale)
-	c := e.caches()
-	if f, ok := c.csr[key]; ok {
+// prepared returns matrix name@scale converted by formats.FromCOO (BCSR and
+// BELL at block×block), converting once per env.
+func (e *env) prepared(name string, scale float64, format string, block int) (formats.Sparse, error) {
+	key := fmt.Sprintf("%s@%g/%s/b%d", name, scale, format, block)
+	if f, ok := e.fmts[key]; ok {
 		return f, nil
 	}
 	m, err := e.matrix(name, scale)
 	if err != nil {
 		return nil, err
 	}
-	f := formats.CSRFromCOO(m)
-	c.csr[key] = f
-	return f, nil
-}
-
-func (e *env) ell(name string, scale float64) (*formats.ELL[float64], error) {
-	key := fmt.Sprintf("%s@%g", name, scale)
-	c := e.caches()
-	if f, ok := c.ell[key]; ok {
-		return f, nil
-	}
-	m, err := e.matrix(name, scale)
+	f, err := formats.FromCOO(format, m, formats.Params{Block: block})
 	if err != nil {
 		return nil, err
 	}
-	f := formats.ELLFromCOO(m, formats.RowMajor)
-	c.ell[key] = f
-	return f, nil
-}
-
-func (e *env) bcsr(name string, scale float64, block int) (*formats.BCSR[float64], error) {
-	key := fmt.Sprintf("%s@%g/b%d", name, scale, block)
-	c := e.caches()
-	if f, ok := c.bcsr[key]; ok {
-		return f, nil
-	}
-	m, err := e.matrix(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	f, err := formats.BCSRFromCOO(m, block, block)
-	if err != nil {
-		return nil, err
-	}
-	c.bcsr[key] = f
+	e.fmts[key] = f
 	return f, nil
 }
 
 // simSerial runs the single-core cost model for one format.
 func (e *env) simSerial(prof machine.Profile, format, name string, block, k int) (machine.Result, error) {
-	switch format {
-	case "coo":
-		m, err := e.matrix(name, e.cfg.Scale)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		return machine.SimulateCOO(prof, m, k)
-	case "csr":
-		f, err := e.csr(name, e.cfg.Scale)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		return machine.SimulateCSR(prof, f, k)
-	case "ell":
-		f, err := e.ell(name, e.cfg.Scale)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		return machine.SimulateELL(prof, f, k)
-	case "bcsr":
-		f, err := e.bcsr(name, e.cfg.Scale, block)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		return machine.SimulateBCSR(prof, f, k)
+	a, err := e.prepared(name, e.cfg.Scale, format, block)
+	if err != nil {
+		return machine.Result{}, err
 	}
-	return machine.Result{}, fmt.Errorf("studies: no serial simulation for format %q", format)
+	return machine.Simulate(prof, a, k, kernels.InnerTiled)
 }
 
-// simParallel runs the socket cost model for one format, optionally the
-// transposed-B variant.
-func (e *env) simParallel(mc machine.Multicore, format, name string, block, k, threads int, transposed bool) (machine.Result, error) {
-	switch format {
-	case "coo":
-		m, err := e.matrix(name, e.cfg.Scale)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		if transposed {
-			return mc.COOParallelT(m, k, threads)
-		}
-		return mc.COOParallel(m, k, threads)
-	case "csr":
-		f, err := e.csr(name, e.cfg.Scale)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		if transposed {
-			return mc.CSRParallelT(f, k, threads)
-		}
-		return mc.CSRParallel(f, k, threads)
-	case "ell":
-		f, err := e.ell(name, e.cfg.Scale)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		if transposed {
-			return mc.ELLParallelT(f, k, threads)
-		}
-		return mc.ELLParallel(f, k, threads)
-	case "bcsr":
-		f, err := e.bcsr(name, e.cfg.Scale, block)
-		if err != nil {
-			return machine.Result{}, err
-		}
-		if transposed {
-			return mc.BCSRParallelT(f, k, threads)
-		}
-		return mc.BCSRParallel(f, k, threads)
+// simParallel runs the socket cost model for one format under the static
+// schedule.
+func (e *env) simParallel(mc machine.Multicore, format, name string, block, k, threads int, inner kernels.Inner) (machine.Result, error) {
+	a, err := e.prepared(name, e.cfg.Scale, format, block)
+	if err != nil {
+		return machine.Result{}, err
 	}
-	return machine.Result{}, fmt.Errorf("studies: no parallel simulation for format %q", format)
+	return mc.Simulate(a, k, threads, kernels.ScheduleStatic, inner)
 }
 
 // archLabel maps a profile to the thesis' machine naming.

@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/gpusim"
 	"repro/internal/matrix"
@@ -135,11 +136,11 @@ func Render(w io.Writer, sections []Section) error {
 type env struct {
 	cfg  Config
 	coos map[string]*matrix.COO[float64] // keyed by name@scale
-	fmts *fmtCache
+	fmts map[string]formats.Sparse       // keyed by name@scale/format/block
 }
 
 func newEnv(cfg Config) *env {
-	return &env{cfg: cfg, coos: make(map[string]*matrix.COO[float64])}
+	return &env{cfg: cfg, coos: map[string]*matrix.COO[float64]{}, fmts: map[string]formats.Sparse{}}
 }
 
 func (e *env) matrix(name string, scale float64) (*matrix.COO[float64], error) {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/gpusim"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 )
@@ -16,57 +16,37 @@ import (
 // at all three block sizes.
 func (e *env) study6() ([]Section, error) {
 	profiles := machine.Profiles()
-	k := core.DefaultParams().K
+	p := e.params()
 
-	scalar := metrics.NewTable("matrix", "format", profiles[0].Name, profiles[1].Name, "faster")
-	for _, name := range e.cfg.matrixNames() {
-		m, err := e.matrix(name, e.cfg.Scale)
-		if err != nil {
-			return nil, err
+	// arch prices one format on both profiles.
+	arch := func(f, name string, block int) (map[string]float64, error) {
+		vals := map[string]float64{}
+		for _, prof := range profiles {
+			r, err := e.simSerial(prof, f, name, block, p.K)
+			if err != nil {
+				return nil, fmt.Errorf("study 6: %w", err)
+			}
+			vals[prof.Name] = r.MFLOPS
 		}
-		csr := formats.CSRFromCOO(m)
-		ell := formats.ELLFromCOO(m, formats.RowMajor)
+		return vals, nil
+	}
+	scalar := metrics.NewTable("matrix", "format", profiles[0].Name, profiles[1].Name, "faster")
+	blocked := metrics.NewTable("matrix", "block", profiles[0].Name, profiles[1].Name, "faster")
+	for _, name := range e.cfg.matrixNames() {
 		for _, f := range []string{"coo", "csr", "ell"} {
-			vals := map[string]float64{}
-			for _, prof := range profiles {
-				var r machine.Result
-				var err error
-				switch f {
-				case "coo":
-					r, err = machine.SimulateCOO(prof, m, k)
-				case "csr":
-					r, err = machine.SimulateCSR(prof, csr, k)
-				case "ell":
-					r, err = machine.SimulateELL(prof, ell, k)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("study 6: %w", err)
-				}
-				vals[prof.Name] = r.MFLOPS
+			vals, err := arch(f, name, p.BlockSize)
+			if err != nil {
+				return nil, err
 			}
 			scalar.AddRow(name, f,
 				fmtMF(vals[profiles[0].Name]), fmtMF(vals[profiles[1].Name]), argmax(vals))
 		}
 	}
-
-	blocked := metrics.NewTable("matrix", "block", profiles[0].Name, profiles[1].Name, "faster")
 	for _, name := range e.cfg.matrixNames() {
-		m, err := e.matrix(name, e.cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
 		for _, bs := range bcsrBlocks {
-			b, err := formats.BCSRFromCOO(m, bs, bs)
+			vals, err := arch("bcsr", name, bs)
 			if err != nil {
 				return nil, err
-			}
-			vals := map[string]float64{}
-			for _, prof := range profiles {
-				r, err := machine.SimulateBCSR(prof, b, k)
-				if err != nil {
-					return nil, fmt.Errorf("study 6: %w", err)
-				}
-				vals[prof.Name] = r.MFLOPS
 			}
 			blocked.AddRow(name, bs,
 				fmtMF(vals[profiles[0].Name]), fmtMF(vals[profiles[1].Name]), argmax(vals))
@@ -144,11 +124,11 @@ func (e *env) study8() ([]Section, error) {
 		for _, f := range mainFormats {
 			t := metrics.NewTable("matrix", "omp", "omp-transposed", "speedup")
 			for _, name := range e.cfg.matrixNames() {
-				plain, err := e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, false)
+				plain, err := e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, kernels.InnerTiled)
 				if err != nil {
 					return nil, fmt.Errorf("study 8: %w", err)
 				}
-				trans, err := e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, true)
+				trans, err := e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, kernels.InnerTransB)
 				if err != nil {
 					return nil, fmt.Errorf("study 8: %w", err)
 				}

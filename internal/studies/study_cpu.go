@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 )
@@ -35,7 +36,7 @@ func (e *env) study1() ([]Section, error) {
 					if mode == "serial" {
 						r, err = e.simSerial(mc.Prof, f, name, p.BlockSize, p.K)
 					} else {
-						r, err = e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, false)
+						r, err = e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, kernels.InnerTiled)
 					}
 					if err != nil {
 						return nil, fmt.Errorf("study 1 (%s %s %s): %w", f, mode, name, err)
@@ -106,7 +107,7 @@ func (e *env) study2() ([]Section, error) {
 					return nil, fmt.Errorf("study 2: %w", err)
 				}
 				vals["serial"] = rSer.MFLOPS
-				rOmp, err := e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, false)
+				rOmp, err := e.simParallel(mc, f, name, p.BlockSize, p.K, p.Threads, kernels.InnerTiled)
 				if err != nil {
 					return nil, fmt.Errorf("study 2: %w", err)
 				}
@@ -146,7 +147,7 @@ func (e *env) study3() ([]Section, error) {
 				vals := map[string]float64{}
 				row := []any{name}
 				for _, threads := range threadCounts {
-					r, err := e.simParallel(mc, f, name, p.BlockSize, p.K, threads, false)
+					r, err := e.simParallel(mc, f, name, p.BlockSize, p.K, threads, kernels.InnerTiled)
 					if err != nil {
 						return nil, fmt.Errorf("study 3: %w", err)
 					}
@@ -183,7 +184,7 @@ func (e *env) study31() ([]Section, error) {
 			for _, f := range mainFormats {
 				bestThreads, bestMF := 0, -1.0
 				for _, threads := range threadList {
-					r, err := e.simParallel(mc, f, name, p.BlockSize, p.K, threads, false)
+					r, err := e.simParallel(mc, f, name, p.BlockSize, p.K, threads, kernels.InnerTiled)
 					if err != nil {
 						return nil, fmt.Errorf("study 3.1: %w", err)
 					}
@@ -232,7 +233,7 @@ func (e *env) study4() ([]Section, error) {
 			for _, name := range e.cfg.matrixNames() {
 				row := []any{name}
 				for _, k := range ks {
-					r, err := e.simParallel(mc, f, name, p.BlockSize, k, p.Threads, false)
+					r, err := e.simParallel(mc, f, name, p.BlockSize, k, p.Threads, kernels.InnerTiled)
 					if err != nil {
 						return nil, fmt.Errorf("study 4: %w", err)
 					}
@@ -272,7 +273,7 @@ func (e *env) study5() ([]Section, error) {
 					if mode == "serial" {
 						r, err = e.simSerial(mc.Prof, "bcsr", name, b, p.K)
 					} else {
-						r, err = e.simParallel(mc, "bcsr", name, b, p.K, p.Threads, false)
+						r, err = e.simParallel(mc, "bcsr", name, b, p.K, p.Threads, kernels.InnerTiled)
 					}
 					if err != nil {
 						return nil, fmt.Errorf("study 5: %w", err)

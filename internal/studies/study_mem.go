@@ -29,26 +29,15 @@ func (e *env) studyMem() ([]Section, error) {
 		if err != nil {
 			return nil, err
 		}
-		csr, err := e.csr(name, e.cfg.Scale)
-		if err != nil {
-			return nil, err
+		f := map[string]formats.Sparse{}
+		for _, format := range []string{"csr", "ell", "bcsr", "bell", "sellcs"} {
+			if f[format], err = e.prepared(name, e.cfg.Scale, format, 4); err != nil {
+				return nil, err
+			}
 		}
-		ell, err := e.ell(name, e.cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		bcsr, err := e.bcsr(name, e.cfg.Scale, 4)
-		if err != nil {
-			return nil, err
-		}
-		bell, err := formats.FromCOO("bell", m, formats.Params{Block: 4})
-		if err != nil {
-			return nil, err
-		}
-		sell, err := formats.FromCOO("sellcs", m, formats.Params{})
-		if err != nil {
-			return nil, err
-		}
+		csr := f["csr"].(*formats.CSR[float64])
+		ell := f["ell"].(*formats.ELL[float64])
+		bcsr := f["bcsr"].(*formats.BCSR[float64])
 		// The float32 variant halves every value slot (§6.3.5: "making
 		// this change would cut our memory use in half").
 		csr32 := csr.Bytes() - 4*len(csr.Vals)
@@ -58,7 +47,7 @@ func (e *env) studyMem() ([]Section, error) {
 			m.Bytes(), csr.Bytes(), ell.Bytes()-4*len(ell.RowLen), ell.Bytes(),
 			fmt.Sprintf("%.1fx", props.ELLOverhead()),
 			bcsr.Bytes(), fmt.Sprintf("%.2f", bcsr.FillRatio()),
-			bell.Bytes(), sell.Bytes(), csr32)
+			f["bell"].Bytes(), f["sellcs"].Bytes(), csr32)
 
 		// One CSR benchmark run keeps the original COO (for verification),
 		// the formatted matrix, and the dense operands resident — the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/formats"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -23,7 +24,7 @@ func (e *env) studySched() ([]Section, error) {
 	type entry struct {
 		name string
 		coo  *matrix.COO[float64]
-		csr  *formats.CSR[float64]
+		csr  formats.Sparse
 	}
 	entries := []entry{}
 	for _, name := range e.cfg.matrixNames() {
@@ -31,7 +32,7 @@ func (e *env) studySched() ([]Section, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := e.csr(name, e.cfg.Scale)
+		f, err := e.prepared(name, e.cfg.Scale, "csr", p.BlockSize)
 		if err != nil {
 			return nil, err
 		}
@@ -44,11 +45,11 @@ func (e *env) studySched() ([]Section, error) {
 		t := metrics.NewTable("matrix", "gini", "static", "balanced", "speedup")
 		for _, en := range entries {
 			props := metrics.Compute(en.coo)
-			static, err := mc.CSRParallel(en.csr, p.K, p.Threads)
+			static, err := mc.Simulate(en.csr, p.K, p.Threads, kernels.ScheduleStatic, kernels.InnerTiled)
 			if err != nil {
 				return nil, fmt.Errorf("study sched (%s static): %w", en.name, err)
 			}
-			balanced, err := mc.CSRParallelBalanced(en.csr, p.K, p.Threads)
+			balanced, err := mc.Simulate(en.csr, p.K, p.Threads, kernels.ScheduleBalanced, kernels.InnerTiled)
 			if err != nil {
 				return nil, fmt.Errorf("study sched (%s balanced): %w", en.name, err)
 			}

@@ -173,6 +173,16 @@ if [ -e scripts/bench.sh ]; then
     echo "scripts/bench.sh is retired: go run ./benchmark [-compare] is the one perf system" >&2; exit 1
 fi
 
+echo "== one simulator entry (machine.Simulate and Multicore.Simulate over formats.Sparse: no per-format Simulate*, *Parallel* method or transposed-B trace) =="
+# The cost model has the kernels' shape (DESIGN.md section 2): the serial and
+# the socket entry switch on the format's concrete type, as kernels.Multiply
+# does, and each format has one trace whose inner-loop branch reads B tiled or
+# transposed. The kernels' ablations (COOParallelReplicated,
+# BCSRParallelInner) are functions, not Multicore methods, and stay.
+if grep -nE 'func Simulate(COO|CSR|ELL|BCSR|CSRT)|func \([a-z]+ \*?Multicore\) (COO|CSR|ELL|BCSR)Parallel|func trace(COO|CSR|ELL|BCSR)T\b' $(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*'); then
+    echo "one simulator entry: machine.Simulate / Multicore.Simulate take a formats.Sparse, kernels.Schedule and kernels.Inner" >&2; exit 1
+fi
+
 echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~19 s under -race), so a partition
