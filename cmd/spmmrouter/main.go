@@ -33,7 +33,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -69,7 +68,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	logger := log.New(os.Stderr, "spmmrouter: ", log.LstdFlags)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	rt, err := cluster.New(cluster.Config{
 		Replicas:       fleet,
@@ -83,7 +82,6 @@ func main() {
 		AttemptTimeout: *attemptTime,
 		ReqTraceRing:   *reqRing,
 		SlowRequest:    *slowReq,
-		Slog:           slog.New(slog.NewTextHandler(os.Stderr, nil)),
 		Log:            logger,
 	})
 	if err != nil {
@@ -94,7 +92,7 @@ func main() {
 
 	var monitor *obs.Server
 	if *metricsAddr != "" {
-		monitor, err = obs.Serve(*metricsAddr, obs.ServerOpts{Pprof: true})
+		monitor, err = obs.Serve(*metricsAddr, obs.ServerOpts{Pprof: true, Log: logger})
 		if err != nil {
 			fatal(err)
 		}
@@ -121,7 +119,7 @@ func main() {
 	for _, r := range fleet {
 		names = append(names, r.Name)
 	}
-	logger.Printf("listening on %s, fleet %v, %d vnodes", ln.Addr().String(), names, *vnodes)
+	logger.Info("spmmrouter listening", "addr", ln.Addr().String(), "fleet", names, "vnodes", *vnodes)
 
 	select {
 	case err := <-done:
@@ -129,10 +127,10 @@ func main() {
 			fatal(err)
 		}
 	case <-ctx.Done():
-		logger.Printf("shutting down")
+		logger.Info("shutting down")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			logger.Printf("shutdown incomplete: %v", err)
+			logger.Warn("shutdown incomplete", "err", err)
 		}
 		cancel()
 		<-done
@@ -142,7 +140,7 @@ func main() {
 		monitor.Close(shutCtx)
 		cancel()
 	}
-	logger.Printf("stopped")
+	logger.Info("spmmrouter stopped")
 }
 
 // parseReplicas turns "a=http://host:port,b=..." into the initial fleet.

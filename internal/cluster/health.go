@@ -66,14 +66,14 @@ func (rt *Router) probeAll() {
 				rep.down = true
 				rep.stateChange = time.Now()
 				rt.ejects.Inc()
-				rt.logf("cluster: ejected %s after %d failed probes: %v", rep.name, rep.fails, err)
+				rt.log.Warn("replica ejected", "replica", rep.name, "failed_probes", rep.fails, "err", err)
 			}
 		} else {
 			if rep.down {
 				rep.down = false
 				rep.stateChange = time.Now()
 				rt.readmits.Inc()
-				rt.logf("cluster: re-admitted %s", rep.name)
+				rt.log.Info("replica re-admitted", "replica", rep.name)
 			}
 			rep.fails = 0
 		}

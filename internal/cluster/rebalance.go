@@ -51,8 +51,8 @@ func (rt *Router) rehome(e *entry, target *replica, leaving string) error {
 	e.pinned = ""
 	rt.mu.Unlock()
 	if err != nil {
+		rt.log.Warn("move failed", "matrix", e.id, "replica", target.name, "err", err)
 		err = fmt.Errorf("cluster: move %s to %s: %w", e.id, target.name, err)
-		rt.logf("%v", err)
 	}
 	return err
 }
@@ -106,7 +106,7 @@ func (rt *Router) Join(spec JoinRequest) (int, error) {
 	}
 	rt.ring.Store(next)
 	rt.mu.Unlock()
-	rt.logf("cluster: %s joined; ring %v; %d matrices to move", spec.Name, next.Members(), len(moved))
+	rt.log.Info("replica joined", "replica", spec.Name, "ring", next.Members(), "moves", len(moved))
 	return rt.rehomeAll(moved, "")
 }
 
@@ -151,7 +151,7 @@ func (rt *Router) Leave(name string) (int, error) {
 	}
 	rt.ring.Store(next)
 	rt.mu.Unlock()
-	rt.logf("cluster: %s leaving; ring %v; %d matrices to move", name, next.Members(), len(moved))
+	rt.log.Info("replica leaving", "replica", name, "ring", next.Members(), "moves", len(moved))
 
 	count, err := rt.rehomeAll(moved, name)
 
@@ -199,7 +199,7 @@ func (rt *Router) maybeReplicate(e *entry) {
 		rt.mu.Unlock()
 		if err == nil {
 			rt.replications.Inc()
-			rt.logf("cluster: replicated hot matrix %s to %s", e.id, target.name)
+			rt.log.Info("hot matrix replicated", "matrix", e.id, "replica", target.name)
 		}
 	}()
 }

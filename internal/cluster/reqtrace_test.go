@@ -50,7 +50,7 @@ func tracedCluster(t *testing.T, logbuf *logBuffer, mutate func(*Config)) *testC
 			cfg.SpillMargin = 1000
 			cfg.ReqTraceRing = 64
 			cfg.SlowRequest = time.Nanosecond
-			cfg.Slog = slog.New(slog.NewTextHandler(logbuf, nil))
+			cfg.Log = slog.New(slog.NewTextHandler(logbuf, nil))
 			if mutate != nil {
 				mutate(cfg)
 			}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -56,8 +55,6 @@ type Config struct {
 	Clock clock.Clock
 	// HTTP is the proxy transport; nil uses a dedicated client.
 	HTTP *http.Client
-	// Log receives router events; nil discards.
-	Log *log.Logger
 	// ReqTraceRing enables request-scoped tracing at the router: it keeps
 	// this many recent request records (one attempt-remote span per proxy
 	// attempt, verdict in the detail), serves them at /v1/trace/requests,
@@ -65,12 +62,13 @@ type Config struct {
 	// /v1/trace/requests/{rid}/chrome. 0 disables it (nil checks only on
 	// the proxy path).
 	ReqTraceRing int
-	// SlowRequest, when > 0 with request tracing on and Slog set, logs one
+	// SlowRequest, when > 0 with request tracing on and Log set, logs one
 	// structured line (request ID, attempts, per-phase ms) for every
 	// multiply slower than this threshold end to end.
 	SlowRequest time.Duration
-	// Slog receives the slow-request lines; nil discards them.
-	Slog *slog.Logger
+	// Log receives router events (ejections, ring changes, failed
+	// attempts) and the slow-request lines; nil discards them.
+	Log *slog.Logger
 }
 
 // Router shards content-addressed matrix IDs across spmmserve replicas. It
@@ -82,8 +80,7 @@ type Router struct {
 	cfg   Config
 	clk   clock.Clock
 	httpc *http.Client
-	logf  func(format string, args ...any)
-	slog  *slog.Logger
+	log   *slog.Logger
 	reqs  *trace.Requests
 
 	ring atomic.Pointer[Ring]
@@ -223,11 +220,10 @@ func New(cfg Config) (*Router, error) {
 		probeKick: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
-	rt.logf = func(string, ...any) {}
-	if cfg.Log != nil {
-		rt.logf = cfg.Log.Printf
+	rt.log = cfg.Log
+	if rt.log == nil {
+		rt.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
-	rt.slog = cfg.Slog
 	rt.reqs = trace.NewRequests(cfg.ReqTraceRing)
 	names := make([]string, 0, len(cfg.Replicas))
 	for _, spec := range cfg.Replicas {
@@ -460,7 +456,7 @@ func (rt *Router) forward(ctx context.Context, e *entry, cands []*replica, out o
 		switch {
 		case err != nil:
 			lastErr = fmt.Errorf("cluster: replica %s: %w", rep.name, err)
-			rt.logf("cluster: %s %s on %s failed: %v", out.method, out.path, rep.name, err)
+			rt.log.Warn("attempt failed", "method", out.method, "path", out.path, "replica", rep.name, "err", err)
 		case rp.status == http.StatusNotFound && e != nil:
 			rt.mu.Lock()
 			e.dropHolderLocked(rep.name)
@@ -805,7 +801,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case err != nil:
 			lastErr = fmt.Errorf("cluster: replica %s: %w", rep.name, err)
-			rt.logf("cluster: mutate %s on %s failed: %v", id, rep.name, err)
+			rt.log.Warn("mutate failed", "matrix", id, "replica", rep.name, "err", err)
 		case rp.status != http.StatusOK:
 			lastErr = fmt.Errorf("cluster: replica %s returned %d", rep.name, rp.status)
 			refused = &rp
@@ -826,7 +822,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.mu.Unlock()
 		if len(diverged) > 0 {
-			rt.logf("cluster: dropped diverged holders %v of %s after mutate fan-out", diverged, id)
+			rt.log.Warn("dropped diverged holders after mutate fan-out", "matrix", id, "holders", diverged)
 		}
 		acked.relay(w)
 	case refused != nil:

@@ -28,7 +28,7 @@ func (rt *Router) finishRequest(req *trace.Req) {
 		return
 	}
 	rec := req.Finish()
-	if rt.cfg.SlowRequest > 0 && rt.slog != nil && time.Duration(rec.TotalNs) >= rt.cfg.SlowRequest {
+	if rt.cfg.SlowRequest > 0 && rt.cfg.Log != nil && time.Duration(rec.TotalNs) >= rt.cfg.SlowRequest {
 		attrs := []any{"rid", rec.ID, "matrix", rec.Subject,
 			"total_ms", float64(rec.TotalNs) / 1e6}
 		attempts := 0
@@ -43,7 +43,7 @@ func (rt *Router) finishRequest(req *trace.Req) {
 		if rec.Error != "" {
 			attrs = append(attrs, "err", rec.Error)
 		}
-		rt.slog.Warn("slow request", attrs...)
+		rt.log.Warn("slow request", attrs...)
 	}
 }
 
@@ -120,6 +120,6 @@ func (rt *Router) handleTraceChrome(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(procs[1:], func(i, j int) bool { return procs[1+i].Name < procs[1+j].Name })
 	w.Header().Set("Content-Type", "application/json")
 	if err := trace.WriteStitchedChromeTrace(w, procs); err != nil {
-		rt.logf("cluster: stitched trace write failed: %v", err)
+		rt.log.Warn("stitched trace write failed", "err", err)
 	}
 }

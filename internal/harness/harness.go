@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"runtime/debug"
@@ -48,12 +47,9 @@ type Config struct {
 	Seed int64
 	// Injector injects test faults; nil in production.
 	Injector *Injector
-	// Log receives progress notes as text records; nil discards them.
-	// Ignored when Logger is set.
-	Log io.Writer
 	// Logger, when non-nil, receives structured progress records (the
-	// CLIs pass their -log-format/-log-level logger here). When nil but
-	// Log is set, a plain text logger over Log is built.
+	// CLIs pass their -log-format/-log-level logger here); nil discards
+	// them.
 	Logger *slog.Logger
 	// Trace, when non-nil and enabled, receives recovery-machinery spans
 	// (attempt/backoff intervals, retry/degrade/skip instants on lane 0)
@@ -129,20 +125,11 @@ type Harness struct {
 func New(cfg Config) (*Harness, error) {
 	h := &Harness{
 		cfg:      cfg,
+		log:      cfg.Logger,
 		done:     map[string]Record{},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		matrices: map[string]*matrix.COO[float64]{},
 		sleep:    time.Sleep,
-	}
-	h.log = cfg.Logger
-	if h.log == nil && cfg.Log != nil {
-		// Legacy io.Writer sink: wrap it in a text handler so callers that
-		// only set Log keep getting human-readable progress lines.
-		log, err := obs.NewLogger(cfg.Log, "text", slog.LevelInfo)
-		if err != nil {
-			return nil, err
-		}
-		h.log = log
 	}
 	if cfg.Resume && cfg.Journal != "" {
 		recs, torn, err := ReadJournalTorn(cfg.Journal)
