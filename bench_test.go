@@ -327,8 +327,9 @@ func BenchmarkStudy8(b *testing.B) {
 }
 
 // BenchmarkStudy9 covers Figure 5.19: what a compile-time k could still buy
-// the one generic kernel — k = 128 runs only the row entry's 32-column
-// tiles, k = 127 forces its 16-, 4-wide and scalar tails.
+// the one generic kernel — k = 128 runs only the row entry's full tiles
+// (128 columns on AVX-512, 32 on AVX2), k = 127 forces its 32-column tiles
+// and 16-, 4-wide and scalar tails.
 func BenchmarkStudy9(b *testing.B) {
 	m := benchMatrix(b)
 	csr := formats.CSRFromCOO(m)

@@ -186,7 +186,7 @@ func main() {
 		for _, n := range gen.Names() {
 			fmt.Println("  " + n)
 		}
-		fmt.Println("inner loop:", map[bool]string{false: "scalar", true: "avx2"}[matrix.VectorInner()])
+		fmt.Println("inner loop:", matrix.InnerBody())
 		return
 	}
 

@@ -8,22 +8,23 @@ import (
 	"repro/internal/matrix"
 )
 
-// vectorInner is matrix's unexported inner-loop switch (see
+// vectorInner is matrix's unexported inner-loop level (see
 // internal/kernels/inner_test.go).
 //
 //go:linkname vectorInner repro/internal/matrix.vector
-var vectorInner bool
+var vectorInner uint8
 
-// TestOverlayApplyBothInners: Apply and the base kernel share matrix.Axpy,
-// so base output + Apply must equal csr-serial over the merged matrix bit
-// for bit whichever body each of the two ran — including a kernel on the
+// TestOverlayApplyBothInners: Apply and the base kernel share the inner
+// loop, so base output + Apply must equal csr-serial over the merged matrix
+// bit for bit whichever level each of the two ran — including a kernel on a
 // vector body patched by an overlay on the scalar one, which is a replica
-// without AVX2 replaying what its peer served. k = 37 walks the 16-wide
-// loop, the 4-wide loop and the scalar tail.
+// without AVX2 replaying what its peer served. k = 181 walks every tile of
+// the row entry — 128 (AVX-512), 32, 16, 4 and the scalar one — and Axpy's
+// 16-wide, 4-wide and scalar loops.
 func TestOverlayApplyBothInners(t *testing.T) {
 	live := vectorInner
 	defer func() { vectorInner = live }()
-	const k = 37
+	const k = 181
 	base := randomCOO(t, 40, 30, 0.2, 9)
 	rng := rand.New(rand.NewSource(10))
 	var ops []Op
@@ -36,16 +37,16 @@ func TestOverlayApplyBothInners(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := matrix.NewDenseRand[float64](base.Cols, k, 42)
-	vectorInner = false
+	vectorInner = 0
 	want := serialResult(t, "csr", ov.Merge(), b, k)
-	for _, kernelVec := range []bool{false, live} {
-		for _, applyVec := range []bool{false, live} {
+	for kernelVec := uint8(0); kernelVec <= live; kernelVec++ {
+		for applyVec := uint8(0); applyVec <= live; applyVec++ {
 			vectorInner = kernelVec
 			got := serialResult(t, "csr", base, b, k)
 			vectorInner = applyVec
 			ov.Apply(got, b, k)
 			if !bitsEqual(got, want) {
-				t.Fatalf("kernel vector=%v, apply vector=%v: base+overlay differs from csr-serial over the merged matrix", kernelVec, applyVec)
+				t.Fatalf("kernel level %d, apply level %d: base+overlay differs from csr-serial over the merged matrix", kernelVec, applyVec)
 			}
 		}
 	}

@@ -8,26 +8,28 @@ import (
 	"repro/internal/matrix"
 )
 
-// vectorInner is matrix's unexported inner-loop switch. Tests reach it by
-// linkname so that no build carries a knob.
+// vectorInner is matrix's unexported inner-loop level — 0 scalar, 1 AVX2,
+// 2 AVX-512 — as init set it for this build and CPU. Tests reach it by
+// linkname so that no build carries a knob; a level above the one init set
+// would run instructions the CPU lacks.
 //
 //go:linkname vectorInner repro/internal/matrix.vector
-var vectorInner bool
+var vectorInner uint8
 
-// eachInner runs f as a subtest under the scalar body and, where this build
-// and CPU have one, under the vector body — the sweep, the property test and
-// the allocation audit hold under both or the lattice's bitwise contract
-// depends on which machine served the request.
+// innerNames are the levels' subtest names; scalar and AVX2 keep the
+// boolean-style names that recorded test IDs use.
+var innerNames = [...]string{"vector=false", "vector=true", "vector=avx512"}
+
+// eachInner runs f as a subtest under every level this build and CPU have —
+// scalar, AVX2, AVX-512 — the sweep, the property test and the allocation
+// audit hold under all of them or the lattice's bitwise contract depends on
+// which machine served the request.
 func eachInner(t *testing.T, f func(t *testing.T)) {
 	live := vectorInner
 	defer func() { vectorInner = live }()
-	bodies := []bool{false}
-	if live {
-		bodies = append(bodies, true)
-	}
-	for _, on := range bodies {
-		vectorInner = on
-		t.Run(fmt.Sprintf("vector=%v", on), f)
+	for l := uint8(0); l <= live; l++ {
+		vectorInner = l
+		t.Run(innerNames[l], f)
 	}
 }
 
@@ -43,13 +45,13 @@ func BenchmarkAxpy(b *testing.B) {
 	for j := range x {
 		x[j] = float64(j)
 	}
-	for _, body := range []string{"scalar", "vector"} {
-		if body == "vector" && !live {
+	for l, body := range []string{"scalar", "vector"} {
+		if uint8(l) > live {
 			continue
 		}
 		for _, k := range []int{1, 2, 4, 8, 16, 32, 128} {
 			b.Run(fmt.Sprintf("%s/k=%d", body, k), func(b *testing.B) {
-				vectorInner = body == "vector"
+				vectorInner = uint8(l)
 				for i := 0; i < b.N; i++ {
 					matrix.Axpy(c, x, 1e-9, k)
 				}
@@ -59,10 +61,10 @@ func BenchmarkAxpy(b *testing.B) {
 	}
 }
 
-// BenchmarkAxpyRow prices the row entry on a run of gatherLen pairs, operands
-// L1-resident (2·gatherLen·k flops per op): what a nonzero costs once the call
-// and the C tile's load and store are shared by a row (DESIGN.md section 5,
-// beside BenchmarkAxpy's table).
+// BenchmarkAxpyRow prices the row entry per body on a run of gatherLen
+// pairs, operands L1-resident (2·gatherLen·k flops per op): what a nonzero
+// costs once the call and the C tile's load and store are shared by a row
+// (DESIGN.md section 5, beside BenchmarkAxpy's table).
 func BenchmarkAxpyRow(b *testing.B) {
 	live := vectorInner
 	defer func() { vectorInner = live }()
@@ -73,13 +75,13 @@ func BenchmarkAxpyRow(b *testing.B) {
 	for p := range cols {
 		cols[p], vals[p] = int32(p*5%x.Rows), 1e-9
 	}
-	for _, body := range []string{"scalar", "vector"} {
-		if body == "vector" && !live {
+	for l, body := range []string{"scalar", "avx2", "avx512"} {
+		if uint8(l) > live {
 			continue
 		}
 		for _, k := range []int{1, 2, 4, 8, 16, 32, 128} {
 			b.Run(fmt.Sprintf("%s/k=%d", body, k), func(b *testing.B) {
-				vectorInner = body == "vector"
+				vectorInner = uint8(l)
 				for i := 0; i < b.N; i++ {
 					matrix.AxpyRow(c[:k], x, 0, cols[:], vals[:])
 				}

@@ -354,7 +354,7 @@ func TestSpecErrors(t *testing.T) {
 }
 
 // TestSpMVKernels: SpMV is Multiply at k = 1. On every format, serial and
-// on four workers, under both inner bodies, MultiplyVec over plain slices
+// on four workers, under every inner level, MultiplyVec over plain slices
 // equals column 0 of the k = 16 product of the same operands bit for bit
 // (the differential sweep holds that product to the dense reference).
 func TestSpMVKernels(t *testing.T) {

@@ -23,7 +23,7 @@ var (
 
 func init() {
 	obs.NewGaugeFunc("spmm_kernels_inner_vector",
-		"Inner loop body of every kernel and the overlay: 1 = AVX2, 0 = scalar (no AVX2, not amd64, or a -race build).",
+		"Inner loop body of every kernel and the overlay: 1 = a vector body (AVX2, or AVX-512 for the row entry where the CPU has AVX-512F), 0 = scalar (no AVX2, not amd64, or a -race build).",
 		func() float64 {
 			if matrix.VectorInner() {
 				return 1

@@ -12,7 +12,7 @@ import (
 
 // TestRecycledCNeedsNoZeroing is why the serving layer may hand a dispatch a
 // recycled, unzeroed C (internal/serve/pool.go): every servable variant,
-// under both inner bodies, leaves bit for bit the same panel in a C that
+// under every inner level, leaves bit for bit the same panel in a C that
 // arrived full of NaNs as in a zeroed one — on a banded (cant-shaped) matrix,
 // on the sweep's power-law and empty-row classes, and after a non-empty
 // overlay has patched its dirty rows on top. A variant that fails here is

@@ -6,12 +6,10 @@ package matrix
 // stores, and the differential sweep under -race is what catches two workers
 // sharing a C row.
 
-func init() { vector = hasAVX2() }
-
 //go:noescape
 func axpyAVX2(c, b []float64, v float64)
 
 //go:noescape
-func axpyRowAVX2(c, b []float64, stride, rows int, cols []int32, vals []float64) int
+func axpyRowVec(c, b []float64, stride, rows int, cols []int32, vals []float64, zmm bool) int
 
-func hasAVX2() bool
+func cpuLevel() level

@@ -79,13 +79,13 @@ done:
 
 // PAIR loads pair BX of the row entry: AX = byte offset of B row cols[BX]
 // from SI, bounds-checked unsigned against R9 = B.Rows (a negative index
-// sign-extends to a huge one), and vals[BX] into every lane of Y8.
-#define PAIR \
+// sign-extends to a huge one), and vals[BX] into every lane of v.
+#define PAIR(v) \
 	MOVLQSX      (R10)(BX*4), AX \
 	CMPQ         AX, R9          \
 	JAE          rowBad          \
 	IMULQ        R8, AX          \
-	VBROADCASTSD (R11)(BX*8), Y8
+	VBROADCASTSD (R11)(BX*8), v
 
 // ACC16 adds vals[BX] * B[col][off : off+16] into four accumulators, in
 // BLOCK16's operand order: b*v, then product + c.
@@ -103,14 +103,35 @@ done:
 	VADDPD  a2, Y11, a2           \
 	VADDPD  a3, Y12, a3
 
-// func axpyRowAVX2(c, b []float64, stride, rows int, cols []int32, vals []float64) int
+// ACC32 is ACC16 on ZMM registers: vals[BX] (in Z16) * B[col][off :
+// off+32] into four accumulators, through four scratch registers. b is
+// loaded first so that it is the first source of VMULPD, as in BLOCK16; no
+// rounding override, no fused instruction.
+#define ACC32(off, a0, a1, a2, a3, t0, t1, t2, t3) \
+	VMOVUPD off+0(SI)(AX*1), t0   \
+	VMOVUPD off+64(SI)(AX*1), t1  \
+	VMOVUPD off+128(SI)(AX*1), t2 \
+	VMOVUPD off+192(SI)(AX*1), t3 \
+	VMULPD  Z16, t0, t0           \
+	VMULPD  Z16, t1, t1           \
+	VMULPD  Z16, t2, t2           \
+	VMULPD  Z16, t3, t3           \
+	VADDPD  a0, t0, a0            \
+	VADDPD  a1, t1, a1            \
+	VADDPD  a2, t2, a2            \
+	VADDPD  a3, t3, a3
+
+// func axpyRowVec(c, b []float64, stride, rows int, cols []int32, vals []float64, zmm bool) int
 // The row entry: c[t] += sum over p of vals[p] * b[cols[p]*stride + t], p
 // ascending per element, with a tile of c held in registers across the
-// pairs — 32 columns in Y0-Y7, then 16, 4 and 1 for what is left — loaded
-// once and stored once. Needs len(cols) > 0, len(vals) >= len(cols) and
-// (rows-1)*stride + len(c) <= len(b); returns -1, or the index of the first
-// pair whose column is outside [0, rows) with that tile of c unwritten.
-TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-120
+// pairs, loaded once and stored once. With zmm (AVX-512F) the head tiles are
+// 128 columns in Z0-Z15 — one sweep of each pair's B row at k = 128 — then
+// 32 in Z0-Z3; without it 32 columns in Y0-Y7. Either way what is left runs
+// the YMM tiles of 16 and 4 and the scalar one. Needs len(cols) > 0,
+// len(vals) >= len(cols) and (rows-1)*stride + len(c) <= len(b); returns -1,
+// or the index of the first pair whose column is outside [0, rows) with that
+// tile of c unwritten.
+TEXT ·axpyRowVec(SB), NOSPLIT, $0-128
 	MOVQ c_base+0(FP), DI
 	MOVQ c_len+8(FP), CX
 	MOVQ b_base+24(FP), SI
@@ -120,8 +141,90 @@ TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-120
 	MOVQ cols_base+64(FP), R10
 	MOVQ cols_len+72(FP), R12
 	MOVQ vals_base+88(FP), R11
-	SUBQ $32, CX
+	SUBQ $32, CX // CX = remaining - 32
 	JB   rowRem16
+	CMPB zmm+112(FP), $0
+	JEQ  rowTile32
+	SUBQ $96, CX // CX = remaining - 128
+	JB   rowZRem32
+
+rowZTile128:
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	VMOVUPD 512(DI), Z8
+	VMOVUPD 576(DI), Z9
+	VMOVUPD 640(DI), Z10
+	VMOVUPD 704(DI), Z11
+	VMOVUPD 768(DI), Z12
+	VMOVUPD 832(DI), Z13
+	VMOVUPD 896(DI), Z14
+	VMOVUPD 960(DI), Z15
+	XORQ    BX, BX
+	PCALIGN $32
+
+rowZPair128:
+	PAIR(Z16)
+	ACC32(0, Z0, Z1, Z2, Z3, Z17, Z18, Z19, Z20)
+	ACC32(256, Z4, Z5, Z6, Z7, Z21, Z22, Z23, Z24)
+	ACC32(512, Z8, Z9, Z10, Z11, Z17, Z18, Z19, Z20)
+	ACC32(768, Z12, Z13, Z14, Z15, Z21, Z22, Z23, Z24)
+	INCQ BX
+	CMPQ BX, R12
+	JB   rowZPair128
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VMOVUPD Z8, 512(DI)
+	VMOVUPD Z9, 576(DI)
+	VMOVUPD Z10, 640(DI)
+	VMOVUPD Z11, 704(DI)
+	VMOVUPD Z12, 768(DI)
+	VMOVUPD Z13, 832(DI)
+	VMOVUPD Z14, 896(DI)
+	VMOVUPD Z15, 960(DI)
+	ADDQ    $1024, DI
+	ADDQ    $1024, SI
+	SUBQ    $128, CX
+	JAE     rowZTile128
+
+rowZRem32:
+	ADDQ $96, CX  // CX = remaining - 32
+	JNC  rowRem16 // remaining < 32
+
+rowZTile32:
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	XORQ    BX, BX
+	PCALIGN $32
+
+rowZPair32:
+	PAIR(Z16)
+	ACC32(0, Z0, Z1, Z2, Z3, Z17, Z18, Z19, Z20)
+	INCQ BX
+	CMPQ BX, R12
+	JB   rowZPair32
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	SUBQ    $32, CX
+	JAE     rowZTile32
+	JMP     rowRem16
 
 rowTile32:
 	VMOVUPD (DI), Y0
@@ -136,7 +239,7 @@ rowTile32:
 	PCALIGN $32
 
 rowPair32:
-	PAIR
+	PAIR(Y8)
 	ACC16(0, Y0, Y1, Y2, Y3)
 	ACC16(128, Y4, Y5, Y6, Y7)
 	INCQ BX
@@ -166,7 +269,7 @@ rowRem16:
 	PCALIGN $32
 
 rowPair16:
-	PAIR
+	PAIR(Y8)
 	ACC16(0, Y0, Y1, Y2, Y3)
 	INCQ BX
 	CMPQ BX, R12
@@ -188,7 +291,7 @@ rowTile4:
 	XORQ    BX, BX
 
 rowPair4:
-	PAIR
+	PAIR(Y8)
 	VMOVUPD (SI)(AX*1), Y9
 	VMULPD  Y8, Y9, Y9
 	VADDPD  Y0, Y9, Y0
@@ -210,7 +313,7 @@ rowTile1:
 	XORQ   BX, BX
 
 rowPair1:
-	PAIR
+	PAIR(Y8)
 	VMOVSD (SI)(AX*1), X9
 	VMULSD X8, X9, X9
 	VADDSD X0, X9, X0
@@ -227,36 +330,46 @@ rowDone:
 	MOVQ $-1, BX
 
 rowBad:
-	MOVQ BX, ret+112(FP)
+	MOVQ BX, ret+120(FP)
 	VZEROUPPER
 	RET
 
-// func hasAVX2() bool
-// AVX2 (CPUID.7:EBX[5]) on a CPU whose OS saves XMM and YMM state
-// (CPUID.1:ECX OSXSAVE and AVX, then XCR0[2:1] == 11b).
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+// func cpuLevel() level
+// The one probe: avx2 when the CPU has AVX2 (CPUID.7:EBX[5]) and the OS
+// saves XMM and YMM state (CPUID.1:ECX OSXSAVE and AVX, then XCR0[2:1] ==
+// 11b); avx512 when it also has AVX-512F (CPUID.7:EBX[16]) and the OS saves
+// the opmask and all 512 bits of all 32 ZMM registers (XCR0[7:5] == 111b);
+// else scalar.
+TEXT ·cpuLevel(SB), NOSPLIT, $0-1
 	MOVB   $0, ret+0(FP)
 	XORL   AX, AX
 	CPUID
 	CMPL   AX, $7
-	JB     no
+	JB     done
 	MOVL   $1, AX
 	XORL   CX, CX
 	CPUID
 	ANDL   $0x18000000, CX
 	CMPL   CX, $0x18000000
-	JNE    no
+	JNE    done
 	XORL   CX, CX
 	XGETBV
+	MOVL   AX, SI // XCR0's low half; CPUID below overwrites AX to DX
 	ANDL   $6, AX
 	CMPL   AX, $6
-	JNE    no
+	JNE    done
 	MOVL   $7, AX
 	XORL   CX, CX
 	CPUID
 	BTL    $5, BX
-	JCC    no
+	JCC    done
 	MOVB   $1, ret+0(FP)
+	BTL    $16, BX
+	JCC    done
+	ANDL   $0xe6, SI
+	CMPL   SI, $0xe6
+	JNE    done
+	MOVB   $2, ret+0(FP)
 
-no:
+done:
 	RET

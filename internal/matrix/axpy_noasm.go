@@ -2,11 +2,13 @@
 
 package matrix
 
-// No vector body in this build: vector stays false, and a test that sets it
-// finds the scalar loop behind both names.
+// No vector body in this build: vector stays scalar, and a test that sets it
+// finds the scalar loop behind every name.
+
+func cpuLevel() level { return scalar }
 
 func axpyAVX2(c, b []float64, v float64) { axpyScalar(c, b[:len(c)], v) }
 
-func axpyRowAVX2(c, b []float64, stride, rows int, cols []int32, vals []float64) int {
+func axpyRowVec(c, b []float64, stride, rows int, cols []int32, vals []float64, zmm bool) int {
 	return axpyRowScalar(c, b, stride, rows, cols, vals)
 }

@@ -153,8 +153,10 @@ func (e *env) study8() ([]Section, error) {
 // the k loop; here every format's k loop is the hand-vectorised row entry
 // for any k, so all a compile-time k could still remove is the row entry's
 // remainder tiles. The study prices them with the one generic kernel per
-// format: k = 128 runs only 32-column tiles, k = 127 forces the 16-, 4-wide
-// and scalar tails, and MFLOPS puts both on a per-flop footing.
+// format: k = 128 runs only full tiles (one 128-column tile on an AVX-512
+// host, four 32-column ones on AVX2), k = 127 forces 32-column tiles and
+// the 16-, 4-wide and scalar tails, and MFLOPS puts both on a per-flop
+// footing.
 func (e *env) study9() ([]Section, error) {
 	sections := []Section{}
 	for _, mode := range []string{"serial", "omp"} {

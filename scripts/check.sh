@@ -94,7 +94,7 @@ if grep -n 'make(\[\]byte' $(ls internal/cluster/*.go | grep -v _test.go); then
 fi
 [ "$pool_bad" = 0 ] || exit 1
 
-echo "== one inner loop (one .s file, no fused multiply-add in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no value test in front of ELL and SELL rows, scalar-only build compiles) =="
+echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or rounding override in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no value test in front of ELL and SELL rows, scalar-only build compiles) =="
 # Every format accumulates through matrix.AxpyRow — one call per C row, the
 # tile of C held in registers across the row's nonzeros — and the overlay,
 # GEMM and the ablations through matrix.Axpy (DESIGN.md section 5). Both
@@ -107,8 +107,13 @@ asm=$(find . -name '*.s' -not -name '*_test.s' -not -path './.git/*')
 if [ "$asm" != "./internal/matrix/axpy_amd64.s" ]; then
     echo "the only assembly in the tree is internal/matrix/axpy_amd64.s; found:" >&2; echo "$asm" >&2; exit 1
 fi
-if grep -nE 'VF(N?MADD|N?MSUB)' "$asm"; then
-    echo "fused multiply-add in $asm: results would stop matching the scalar loop" >&2; exit 1
+if grep -nE 'VF(N?MADD|N?MSUB)|\.(R[NZUD]_)?SAE' "$asm"; then
+    echo "fused multiply-add or rounding override in $asm: results would stop matching the scalar loop" >&2; exit 1
+fi
+# Which body runs is decided once, by cpuLevel in the .s file: a second
+# CPUID anywhere would be a second switch.
+if grep -nw 'CPUID' $(find . \( -name '*.go' -o -name '*.s' \) -not -path './.git/*' -not -path "$asm"); then
+    echo "CPUID belongs to internal/matrix/axpy_amd64.s alone: one probe, one level (DESIGN.md section 5)" >&2; exit 1
 fi
 bodies=$(grep -nE '^\s*c\[j\] \+= v \* b\[j\]' $(ls internal/kernels/*.go internal/delta/*.go internal/matrix/*.go | grep -v _test.go))
 if [ "$(echo "$bodies" | wc -l)" != 1 ] || [ "${bodies%%:*}" != "internal/matrix/axpy.go" ]; then
