@@ -259,5 +259,12 @@ func (b *BCSR[T]) Validate() error {
 			return invalidf("bcsr: block %d column %d outside [0, %d)", p, col, b.BlockCols)
 		}
 	}
+	for i := 0; i < b.BlockRows; i++ {
+		for p := int(b.RowPtr[i]); p < int(b.RowPtr[i+1]); p++ {
+			if !fringeZero(b.Block(p), i, int(b.ColIdx[p]), b.Rows, b.Cols, b.BR, b.BC) {
+				return invalidf("bcsr: block %d holds a nonzero outside the %dx%d matrix", p, b.Rows, b.Cols)
+			}
+		}
+	}
 	return nil
 }

@@ -149,6 +149,9 @@ func (e *BELL[T]) Validate() error {
 		if col < 0 || (int(col) >= e.BlockCols && e.BlockCols > 0) {
 			return invalidf("bell: slot %d block column %d outside [0, %d)", i, col, e.BlockCols)
 		}
+		if !fringeZero(e.BlockAt(i/e.Width, i%e.Width), i/e.Width, int(col), e.Rows, e.Cols, e.BR, e.BC) {
+			return invalidf("bell: slot %d holds a nonzero outside the %dx%d matrix", i, e.Rows, e.Cols)
+		}
 	}
 	return checkLens("bell", e.RowLen, e.BlockRows, e.Width,
 		func(i int) int32 { return int32(min(i, max(e.BlockCols-1, 0))) },

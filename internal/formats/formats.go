@@ -87,6 +87,24 @@ func sumLens(lens []int32) int {
 	return n
 }
 
+// fringeZero reports whether blk, the br×bc block at block row bri and block
+// column bcj of a rows×cols matrix, holds only zeros in its padded fringe:
+// its rows at or past rows and its columns at or past cols. The kernels walk
+// a block lane's bc values with no column limit and skip zeros as fill, so a
+// nonzero there would name a column outside B.
+func fringeZero[T matrix.Float](blk []T, bri, bcj, rows, cols, br, bc int) bool {
+	rowLim, colLim := rows-bri*br, cols-bcj*bc
+	if rowLim >= br && colLim >= bc {
+		return true
+	}
+	for i, v := range blk {
+		if (i/bc >= rowLim || i%bc >= colLim) && v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // checkLens is the invariant ELL, BELL and SELL-C-σ share: n lengths, each
 // in [0, width], the longest exactly width, and past each length only the
 // padding FromCOO writes — zero values at the column of the row's last real

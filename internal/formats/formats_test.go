@@ -152,6 +152,45 @@ func TestPaddedValidateCatchesCorruption(t *testing.T) {
 	if err := ell.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Errorf("ell: width past the longest row undetected: %v", err)
 	}
+
+	// A nonzero in the padded fringe of a trailing block names a row or a
+	// column outside the matrix: the kernels read a block lane's values with
+	// no column limit, so BCSR and BELL reject it. With 3×3 blocks over 5×5,
+	// the block holding (4, 4) covers rows and columns 3 .. 5.
+	fr := matrix.NewCOO[float64](5, 5, 0)
+	fr.Append(0, 0, 1)
+	fr.Append(2, 3, 2)
+	fr.Append(4, 4, 3)
+	fb, err := BCSRFromCOO(fr, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := BELLFromCOO(fr, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name     string
+		blk      []float64
+		validate func() error
+	}{
+		{"bcsr", fb.Block(fb.NumBlocks() - 1), fb.Validate},
+		{"bell", fe.BlockAt(1, int(fe.RowLen[1])-1), fe.Validate},
+	} {
+		if err := f.validate(); err != nil || f.blk[4] != 3 {
+			t.Fatalf("%s: fresh conversion: block %v, Validate %v", f.name, f.blk, err)
+		}
+		for at, where := range map[int]string{1*3 + 2: "column 5 of row 4", 2*3 + 1: "row 5"} {
+			f.blk[at] = 7
+			if err := f.validate(); !errors.Is(err, ErrInvalid) {
+				t.Errorf("%s: a nonzero at %s undetected: %v", f.name, where, err)
+			}
+			f.blk[at] = 0
+		}
+		if err := f.validate(); err != nil {
+			t.Errorf("%s: restored fixture invalid: %v", f.name, err)
+		}
+	}
 }
 
 // TestStoredZeroSurvivesRoundTrip: an explicit zero is an entry. ELL and

@@ -31,9 +31,8 @@ func allocFixtures(tb testing.TB, k int) (*matrix.COO[float64], *formats.CSR[flo
 
 func TestSerialCalculateZeroAlloc(t *testing.T) { eachInner(t, serialCalculateZeroAlloc) }
 
-// All six formats: row-major ELL hands the row entry slices of its own
-// arrays, and the gather buffers of the strided and blocked formats (rowBuf,
-// one per C row in flight) must stay on the range function's stack.
+// All six formats: every one hands the row entry slices of its own arrays —
+// a run, pairs a stride apart, or a block lane — and nothing may box them.
 func serialCalculateZeroAlloc(t *testing.T) {
 	for _, k := range []int{1, 128, 336} { // a vector, a single panel, tiled
 		coo, csr, ell, bcsr, b, c := allocFixtures(t, k)

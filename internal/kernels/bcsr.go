@@ -39,10 +39,11 @@ func bcsrRange[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int,
 	}
 }
 
-// bcsrBlockRows processes block rows [lo, hi). A trailing padded fringe
-// (rows/cols beyond the logical dimensions) is guarded explicitly; interior
-// padding is plain zero values. The dense-column loop is k-tiled like
-// csrRows so wide-k runs keep each B panel cache-hot across the band.
+// bcsrBlockRows processes block rows [lo, hi). The padded fringe of the
+// trailing block row and column holds only zeros (Validate), which the row
+// entry skips as fill; the trailing block row's lanes stop at Rows. The
+// dense-column loop is k-tiled like csrRows so wide-k runs keep each B panel
+// cache-hot across the band.
 func bcsrBlockRows[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
 	if k <= tileK {
 		bcsrBlockRowsPanel(a, b, c, 0, k, lo, hi)
@@ -54,10 +55,9 @@ func bcsrBlockRows[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k,
 }
 
 func bcsrBlockRowsPanel[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
-	blk := blocks[T]{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
-	var g [gatherLanes]rowBuf[T]
+	blk := blocks[T]{rows: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
 	for bri := lo; bri < hi; bri++ {
-		blk.rowPanel(&g, bri, int(a.RowPtr[bri]), int(a.RowPtr[bri+1]), b, c, j0, jw)
+		blk.rowPanel(bri, int(a.RowPtr[bri]), int(a.RowPtr[bri+1]), b, c, j0, jw)
 	}
 }
 
@@ -65,44 +65,24 @@ func bcsrBlockRowsPanel[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T
 // index and br*bc row-major values. They differ only in which slots a block
 // row owns.
 type blocks[T matrix.Float] struct {
-	rows, cols, br, bc int
-	colIdx             []int32
-	vals               []T
+	rows, br, bc int
+	colIdx       []int32
+	vals         []T
 }
 
-// gatherLanes is how many C rows of a block row are in flight at once, one
-// rowBuf each; a taller block is walked in bands of this many lanes.
-const gatherLanes = 16
-
 // rowPanel accumulates columns [j0, j0+jw) of the C rows of block row bri
-// from its slots [p, q). Each block is walked once, its lanes' survivors
-// going to one rowBuf per C row, so a lane's pairs reach the row entry in
-// slot order — the accumulation order of the per-nonzero loop.
-func (a blocks[T]) rowPanel(g *[gatherLanes]rowBuf[T], bri, p, q int, b, c *matrix.Dense[T], j0, jw int) {
+// from its slots [p, q). Each lane is one C row, cleared and then handed to
+// the row entry as a block lane over all of the slots, which reads the
+// lane's values in place and skips the zeros among them as fill; so a lane's
+// pairs arrive in slot order, then column order.
+func (a blocks[T]) rowPanel(bri, p, q int, b, c *matrix.Dense[T], j0, jw int) {
 	rowBase := bri * a.br
-	rowLim := min(a.br, a.rows-rowBase)
-	for r0 := 0; r0 < rowLim; r0 += gatherLanes {
-		lanes := min(gatherLanes, rowLim-r0)
-		for r := 0; r < lanes; r++ {
-			clear(panelRow(c, rowBase+r0+r, j0, jw))
-		}
-		for s := p; s < q; s++ {
-			colBase := int(a.colIdx[s]) * a.bc
-			colLim := min(a.bc, a.cols-colBase)
-			blk := a.vals[s*a.br*a.bc : (s+1)*a.br*a.bc]
-			for r := 0; r < lanes; r++ {
-				for cc, v := range blk[(r0+r)*a.bc : (r0+r)*a.bc+colLim] {
-					if v == 0 {
-						continue
-					}
-					if g[r].push(int32(colBase+cc), v) {
-						g[r].flush(panelRow(c, rowBase+r0+r, j0, jw), b, j0)
-					}
-				}
-			}
-		}
-		for r := 0; r < lanes; r++ {
-			g[r].flush(panelRow(c, rowBase+r0+r, j0, jw), b, j0)
+	cols, vals := a.colIdx[p:q], a.vals[p*a.br*a.bc:q*a.br*a.bc]
+	for r := range min(a.br, a.rows-rowBase) {
+		crow := panelRow(c, rowBase+r, j0, jw)
+		clear(crow)
+		if p < q {
+			matrix.AxpyRowBlock(crow, b, j0, cols, vals[r*a.bc:], a.bc, a.br*a.bc)
 		}
 	}
 }

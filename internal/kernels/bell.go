@@ -23,10 +23,9 @@ func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Sp
 }
 
 func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	blk := blocks[T]{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
-	var g [gatherLanes]rowBuf[T]
+	blk := blocks[T]{rows: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
 	for bri := lo; bri < hi; bri++ {
-		blk.rowPanel(&g, bri, bri*a.Width, bri*a.Width+int(a.RowLen[bri]), b, c, 0, k)
+		blk.rowPanel(bri, bri*a.Width, bri*a.Width+int(a.RowLen[bri]), b, c, 0, k)
 	}
 }
 
@@ -54,23 +53,19 @@ func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, 
 	})
 }
 
-// sellSlices walks each slice lane by lane: a lane is one C row, cleared,
-// gathered to its stored length and flushed before the next, with its
+// sellSlices walks each slice lane by lane: a lane is one C row, cleared
+// and handed to the row entry to its stored length, C slots apart, with its
 // un-permuted row looked up once.
 func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	var g rowBuf[T]
 	for sl := lo; sl < hi; sl++ {
 		base := int(a.SlicePtr[sl])
 		laneLim := min(a.C, a.Rows-sl*a.C)
 		for l := 0; l < laneLim; l++ {
 			crow := panelRow(c, int(a.Perm[sl*a.C+l]), 0, k)
 			clear(crow)
-			for idx, end := base+l, base+int(a.RowLen[sl*a.C+l])*a.C; idx < end; idx += a.C {
-				if g.push(a.ColIdx[idx], a.Vals[idx]) {
-					g.flush(crow, b, 0)
-				}
+			if n := int(a.RowLen[sl*a.C+l]); n > 0 {
+				matrix.AxpyRowStrided(crow, b, 0, a.ColIdx[base+l:], a.Vals[base+l:], n, a.C)
 			}
-			g.flush(crow, b, 0)
 		}
 	}
 }

@@ -227,14 +227,15 @@ func sweepPoint(t *testing.T, v Variant, fx sweepFixture) {
 // layouts) and SELL-C-σ multiply every stored entry, so they agree with
 // csr-serial bit for bit, NaNs included; BCSR and BELL store dense blocks, in
 // which a zero is fill, so they compute the product of the matrix without
-// it (DESIGN.md section 5).
+// it (DESIGN.md section 5). k = 181 runs every tile of the row entry (128 +
+// 32 + 16 + 4 + 1), each of which carries the block lanes' fill skip.
 func TestStoredZeroTimesNonFinite(t *testing.T) { eachInner(t, storedZeroTimesNonFinite) }
 
 func storedZeroTimesNonFinite(t *testing.T) {
 	const rows, cols = 9, 40
 	with, without := matrix.NewCOO[float64](rows, cols, 0), matrix.NewCOO[float64](rows, cols, 0)
 	for i := int32(0); i < rows; i++ {
-		for j := i % 3; j < cols; j += 1 + i%4 { // row 0 is full: past one rowBuf
+		for j := i % 3; j < cols; j += 1 + i%4 { // row 0 is full: ten 4-wide blocks
 			v := float64(1+i) - float64(j)/8
 			if (j == 5 || j == 17) && i != 4 { // row 4 meets Inf and NaN with real values
 				v = 0
@@ -244,7 +245,7 @@ func storedZeroTimesNonFinite(t *testing.T) {
 			with.Append(i, j, v)
 		}
 	}
-	for _, k := range sweepKs {
+	for _, k := range append(sweepKs, 181) {
 		b := matrix.NewDenseRand[float64](cols, k, 3)
 		for j := 0; j < k; j++ {
 			b.Set(5, j, math.Inf(1-2*(j%2)))

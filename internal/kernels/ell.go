@@ -48,20 +48,17 @@ func ellRows[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi
 
 // ellRowsPanel walks each row to its stored length. A row-major row is
 // already the run of (col, val) pairs the row entry takes, as a CSR row is;
-// a column-major row is strided, so it is gathered first.
+// a column-major row is the same pairs Rows slots apart, which the row
+// entry reads in place.
 func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
-	var g rowBuf[T]
 	for i := lo; i < hi; i++ {
 		crow := panelRow(c, i, j0, jw)
 		clear(crow)
 		n := int(a.RowLen[i])
 		if a.Layout == formats.ColMajor {
-			for idx, end := i, n*a.Rows; idx < end; idx += a.Rows {
-				if g.push(a.ColIdx[idx], a.Vals[idx]) {
-					g.flush(crow, b, j0)
-				}
+			if n > 0 {
+				matrix.AxpyRowStrided(crow, b, j0, a.ColIdx[i:], a.Vals[i:], n, a.Rows)
 			}
-			g.flush(crow, b, j0)
 		} else {
 			base := i * a.Width
 			matrix.AxpyRow(crow, b, j0, a.ColIdx[base:base+n], a.Vals[base:base+n])

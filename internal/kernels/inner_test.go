@@ -61,32 +61,60 @@ func BenchmarkAxpy(b *testing.B) {
 	}
 }
 
-// BenchmarkAxpyRow prices the row entry per body on a run of gatherLen
-// pairs, operands L1-resident (2·gatherLen·k flops per op): what a nonzero
-// costs once the call and the C tile's load and store are shared by a row
-// (DESIGN.md section 5, beside BenchmarkAxpy's table).
+// BenchmarkAxpyRow prices the row entry per layout and body, one call on a
+// row of pairs with its operands L1-resident (2·pairs·k flops per op): what a
+// nonzero costs once the call and the C tile's load and store are shared by
+// a row (DESIGN.md section 5, beside BenchmarkAxpy's table). The layouts are
+// the three ways the formats store a row: a contiguous run (CSR, COO,
+// row-major ELL), the same pairs 8 slots apart (a SELL-C-σ lane, C = 8), and
+// one lane of 16 4×4 blocks with 31 of its 64 values nonzero (BCSR and BELL
+// on cant fill 49 % of each block), whose fill is read and skipped.
 func BenchmarkAxpyRow(b *testing.B) {
+	const run, step, slots = 32, 8, 16
 	live := vectorInner
 	defer func() { vectorInner = live }()
-	x := matrix.NewDenseRand[float64](8, 128, 1)
+	x := matrix.NewDenseRand[float64](16, 128, 1)
 	c := make([]float64, 128)
-	var cols [gatherLen]int32
-	var vals [gatherLen]float64
-	for p := range cols {
-		cols[p], vals[p] = int32(p*5%x.Rows), 1e-9
+	cols, vals := make([]int32, run*step), make([]float64, run*step)
+	for p := 0; p < run; p++ {
+		cols[p*step], vals[p*step] = int32(p*5%x.Rows), 1e-9
 	}
-	for l, body := range []string{"scalar", "avx2", "avx512"} {
-		if uint8(l) > live {
-			continue
+	bcols, bvals, nnz := make([]int32, slots), make([]float64, slots*16), 0
+	for s := range bcols {
+		bcols[s] = int32(s * 3 % 4)
+		for t := 0; t < 4; t++ {
+			if (s*4+t)*37%64 < 31 {
+				bvals[s*16+t] = 1e-9
+				nnz++
+			}
 		}
-		for _, k := range []int{1, 2, 4, 8, 16, 32, 128} {
-			b.Run(fmt.Sprintf("%s/k=%d", body, k), func(b *testing.B) {
-				vectorInner = uint8(l)
-				for i := 0; i < b.N; i++ {
-					matrix.AxpyRow(c[:k], x, 0, cols[:], vals[:])
-				}
-				b.ReportMetric(2*gatherLen*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+	}
+	runCols, runVals := make([]int32, run), make([]float64, run)
+	for p := range runCols {
+		runCols[p], runVals[p] = cols[p*step], vals[p*step]
+	}
+	for _, layout := range []struct {
+		name  string
+		pairs int
+		call  func(c []float64)
+	}{
+		{"contiguous", run, func(c []float64) { matrix.AxpyRow(c, x, 0, runCols, runVals) }},
+		{"strided", run, func(c []float64) { matrix.AxpyRowStrided(c, x, 0, cols, vals, run, step) }},
+		{"block", nnz, func(c []float64) { matrix.AxpyRowBlock(c, x, 0, bcols, bvals, 4, 16) }},
+	} {
+		for l, body := range []string{"scalar", "avx2", "avx512"} {
+			if uint8(l) > live {
+				continue
+			}
+			for _, k := range []int{1, 2, 4, 8, 16, 32, 128} {
+				b.Run(fmt.Sprintf("%s/%s/k=%d", layout.name, body, k), func(b *testing.B) {
+					vectorInner = uint8(l)
+					for i := 0; i < b.N; i++ {
+						layout.call(c[:k])
+					}
+					b.ReportMetric(2*float64(layout.pairs)*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
 		}
 	}
 }

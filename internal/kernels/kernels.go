@@ -13,9 +13,11 @@
 // dense n×kb B (kb >= k), overwriting the first k columns of C. The "k loop"
 // bound is the runtime parameter Study 4 sweeps. The thesis' manual
 // optimisations (Study 9) hard-code it with C++ templates so the compiler
-// can unroll and vectorise; here every format's k loop is matrix.AxpyRow,
-// unrolled and vectorised by hand for any k, so there is one k loop per
-// format and Study 9 measures what a compile-time k would still remove.
+// can unroll and vectorise; here every format's k loop is the row entry
+// (matrix.AxpyRow, or its strided and block-lane forms, which read pairs
+// where the format stores them), unrolled and vectorised by hand for any k,
+// so there is one k loop per format and Study 9 measures what a
+// compile-time k would still remove.
 package kernels
 
 import (
@@ -44,37 +46,6 @@ const cancelStride = 1024
 // the per-element accumulation order over nonzeros, so tiled results are
 // bitwise identical to the untiled kernels.
 const tileK = 128
-
-// gatherLen is how many (col, val) pairs a rowBuf holds before it goes
-// through the row entry: enough that the call and the C tile's load and
-// store are a few percent of the pairs' own work, small enough that the
-// buffers of a block row's lanes stay on the stack and in L1.
-const gatherLen = 32
-
-// rowBuf collects the pairs of one C row for the formats whose rows are not
-// a contiguous run: the range function pushes a strided row's real slots
-// (column-major ELL, SELL-C-σ) or a block lane's nonzeros (BCSR, BELL) and
-// flushes through matrix.AxpyRow when push reports the buffer full and again
-// at row end. It lives on the range function's stack.
-type rowBuf[T matrix.Float] struct {
-	n    int
-	cols [gatherLen]int32
-	vals [gatherLen]T
-}
-
-// push appends one pair and reports whether the buffer is now full.
-func (g *rowBuf[T]) push(col int32, v T) bool {
-	g.cols[g.n], g.vals[g.n] = col, v
-	g.n++
-	return g.n == gatherLen
-}
-
-// flush accumulates the buffered pairs into crow, columns [j0, j0+len(crow))
-// of B, and empties the buffer.
-func (g *rowBuf[T]) flush(crow []T, b *matrix.Dense[T], j0 int) {
-	matrix.AxpyRow(crow, b, j0, g.cols[:g.n], g.vals[:g.n])
-	g.n = 0
-}
 
 // panelRow is columns [j0, j0+jw) of row i of c.
 func panelRow[T matrix.Float](c *matrix.Dense[T], i, j0, jw int) []T {

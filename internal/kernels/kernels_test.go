@@ -192,7 +192,7 @@ func TestELLKernels(t *testing.T) {
 }
 
 func TestBCSRKernels(t *testing.T) {
-	// 20 rows per block is taller than gatherLanes: the lane-band walk.
+	// 20 rows per block: a block taller than 16 lanes.
 	for _, bs := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {3, 5}, {20, 3}} {
 		forAllShapes(t, "bcsr", func(t *testing.T, tc *testCase, threads int) {
 			a, err := formats.BCSRFromCOO(tc.coo, bs[0], bs[1])

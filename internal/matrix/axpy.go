@@ -57,36 +57,95 @@ func Axpy[T Float](c, b []T, v T, k int) {
 // stored once per row instead of once per nonzero; the AVX-512 body holds a
 // whole 128-column tile, so each pair reads its B row in one sweep at the
 // paper's k = 128. A column outside [0, b.Rows) panics, as the slice
-// expression of a per-nonzero loop would.
+// expression of a per-nonzero loop would. AxpyRowStrided and AxpyRowBlock
+// are the same entry over pairs that a format does not store as a run.
 func AxpyRow[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T) {
 	vals = vals[:len(cols)]
-	k := len(c)
-	if len(cols) == 0 || k == 0 {
+	if len(cols) == 0 || len(c) == 0 {
 		return
 	}
-	if b.Rows <= 0 {
-		badColumn(cols[0], b.Rows)
-	}
-	// One slice expression covers every tile the pairs can name: row
-	// b.Rows-1 is the furthest, and every body checks each column.
-	bd := b.Data[j0 : (b.Rows-1)*b.Stride+j0+k]
+	bd, rows := rowB(b, j0, len(c))
 	var bad int
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
-		bad = axpyRowVec(c64, any(bd).([]float64), b.Stride, b.Rows, cols, any(vals).([]float64), vector == avx512)
+		bad = axpyRowVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), vector == avx512)
 	} else {
-		bad = axpyRowScalar(c, bd, b.Stride, b.Rows, cols, vals)
+		bad = axpyRowScalar(c, bd, b.Stride, rows, cols, vals, 1)
 	}
 	if bad >= 0 {
-		badColumn(cols[bad], b.Rows)
+		badColumn(int(cols[bad]), b.Rows)
 	}
 }
 
-// axpyRowScalar is the row entry's Go body, with axpyRowVec's contract: b
-// starts at column j0 of row 0, and the return is -1 or the index of the
-// first pair whose column is outside [0, rows).
-func axpyRowScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T) int {
+// AxpyRowStrided is AxpyRow over n pairs stored step apart, read where the
+// format keeps them: pair p is cols[p*step], vals[p*step]. A SELL-C-σ lane
+// has step C, a column-major ELL row step Rows.
+func AxpyRowStrided[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, n, step int) {
+	if n <= 0 || len(c) == 0 {
+		return
+	}
+	if step < 1 {
+		panic(fmt.Sprintf("matrix: AxpyRowStrided: step %d", step))
+	}
+	cols = cols[:(n-1)*step+1]
+	vals = vals[:len(cols)]
+	bd, rows := rowB(b, j0, len(c))
+	var bad int
+	if c64, ok := any(c).([]float64); ok && vector != scalar {
+		bad = axpyRowStridedVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), step, vector == avx512)
+	} else {
+		bad = axpyRowScalar(c, bd, b.Stride, rows, cols, vals, step)
+	}
+	if bad >= 0 {
+		badColumn(int(cols[bad]), b.Rows)
+	}
+}
+
+// AxpyRowBlock is AxpyRow over one lane of a block row (a BCSR or BELL C
+// row): slot s of the len(cols) slots holds the lane's bc values
+// vals[s*vstep : s*vstep+bc], in columns cols[s]*bc + t. A ±0 value is fill
+// and is skipped — the test is v == 0, so a NaN is never skipped — and the
+// pairs left arrive in slot order, then column order, as a per-nonzero loop
+// over the blocks takes them. A nonzero value in a column outside
+// [0, b.Rows) panics.
+func AxpyRowBlock[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, bc, vstep int) {
+	if len(cols) == 0 || len(c) == 0 {
+		return
+	}
+	if bc < 1 || vstep < bc {
+		panic(fmt.Sprintf("matrix: AxpyRowBlock: %d values a slot, %d apart", bc, vstep))
+	}
+	vals = vals[:(len(cols)-1)*vstep+bc]
+	bd, rows := rowB(b, j0, len(c))
+	var bad int
+	if c64, ok := any(c).([]float64); ok && vector != scalar {
+		bad = axpyRowBlockVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), bc, vstep, vector == avx512)
+	} else {
+		bad = axpyRowBlockScalar(c, bd, b.Stride, rows, cols, vals, bc, vstep)
+	}
+	if bad >= 0 {
+		badColumn(int(cols[bad/bc])*bc+bad%bc, b.Rows)
+	}
+}
+
+// rowB is B as the row entry's bodies take it, from column j0 of row 0, and
+// the number of rows a column may name. One slice expression covers every
+// tile a column in [0, rows) can name — row rows-1 is the furthest — and
+// every body checks each column it reads; with no rows, none is read.
+func rowB[T Float](b *Dense[T], j0, k int) ([]T, int) {
+	if b.Rows <= 0 {
+		return nil, 0
+	}
+	return b.Data[j0 : (b.Rows-1)*b.Stride+j0+k], b.Rows
+}
+
+// axpyRowScalar is the Go body of the contiguous (step 1) and strided row
+// entries, with axpyRowVec's contract: b starts at column j0 of row 0, and
+// the return is -1 or the index into cols of the first pair whose column is
+// outside [0, rows).
+func axpyRowScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T, step int) int {
 	k := len(c)
-	for p, col := range cols {
+	for p := 0; p < len(cols); p += step {
+		col := cols[p]
 		if uint(col) >= uint(rows) {
 			return p
 		}
@@ -96,8 +155,29 @@ func axpyRowScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T) 
 	return -1
 }
 
+// axpyRowBlockScalar is the block lane's Go body, with axpyRowBlockVec's
+// contract: the return is -1 or s*bc + t for the first nonzero value, slot s
+// and column t, whose column is outside [0, rows).
+func axpyRowBlockScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T, bc, vstep int) int {
+	k := len(c)
+	for s, bcol := range cols {
+		for t, v := range vals[s*vstep : s*vstep+bc] {
+			if v == 0 {
+				continue
+			}
+			col := int(bcol)*bc + t
+			if uint(col) >= uint(rows) {
+				return s*bc + t
+			}
+			bo := col * stride
+			axpyScalar(c, b[bo:bo+k:bo+k], v)
+		}
+	}
+	return -1
+}
+
 //go:noinline
-func badColumn(col int32, rows int) {
+func badColumn(col, rows int) {
 	panic(fmt.Sprintf("matrix: AxpyRow: column %d outside the %d rows of B", col, rows))
 }
 

@@ -94,7 +94,7 @@ if grep -n 'make(\[\]byte' $(ls internal/cluster/*.go | grep -v _test.go); then
 fi
 [ "$pool_bad" = 0 ] || exit 1
 
-echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or rounding override in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no value test in front of ELL and SELL rows, scalar-only build compiles) =="
+echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or rounding override in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no gather buffer, no value test in front of the row entry, scalar-only build compiles) =="
 # Every format accumulates through matrix.AxpyRow — one call per C row, the
 # tile of C held in registers across the row's nonzeros — and the overlay,
 # GEMM and the ablations through matrix.Axpy (DESIGN.md section 5). Both
@@ -130,18 +130,26 @@ if ! awk '
 ' $(ls internal/kernels/*.go | grep -v _test.go); then
     echo "range functions reach the inner loop through matrix.AxpyRow, one call per C row (DESIGN.md section 5)" >&2; exit 1
 fi
+# The row entry reads every format's pairs where the format stores them — a
+# run, pairs a stride apart, a block lane — so nothing in internal/kernels
+# copies them into a buffer first (DESIGN.md section 5).
+if grep -nE 'rowBuf|gatherLen|\.(push|flush)\(' $(ls internal/kernels/*.go | grep -v _test.go); then
+    echo "the row entry reads pairs in place: no gather buffer in front of it (DESIGN.md section 5)" >&2; exit 1
+fi
 # Which slots of a padded format are real is its stored RowLen, never a value
 # test in front of the row entry: ELL and SELL-C-σ walk a row to its length
-# and multiply what is there, stored zeros included (DESIGN.md section 5).
-# BCSR and BELL still skip zeros inside a stored block, which are fill.
+# and multiply what is there, stored zeros included, and the zeros inside a
+# stored BCSR or BELL block, which are fill, are skipped by the row entry's
+# block lane (DESIGN.md section 5). Only the transposed-B block-row loop and
+# the inner-parallel ablation, which do not end in the row entry, test values.
 if ! awk '
     /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
     /^[ \t]*\/\// { next }
     { code = $0; sub(/[ \t]\/\/.*/, "", code) }
-    code ~ /== 0/ && (FILENAME ~ /\/ell\.go$/ || fn == "sellSlices") { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    code ~ /== 0/ && fn !~ /^(bcsrBlockRowsT|BCSRParallelInner)$/ { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
     END { exit bad }
-' internal/kernels/ell.go internal/kernels/bell.go; then
-    echo "ELL and SELL-C-σ loop to RowLen; a value test there scans the padding again and drops stored zeros" >&2; exit 1
+' internal/kernels/ell.go internal/kernels/bell.go internal/kernels/bcsr.go; then
+    echo "the row entry skips block fill and loops padded rows to RowLen; a value test in front of it scans the padding again or drops stored zeros" >&2; exit 1
 fi
 GOARCH=arm64 go vet ./internal/...
 
