@@ -242,6 +242,38 @@ func TestVerificationCatchesBrokenKernel(t *testing.T) {
 	}
 }
 
+// TestRunVerifiesUnsortedCOO: a matrix whose triplets come column-major, as
+// a MatrixMarket file may store them, verifies under csr-serial, whose
+// converter sorts it in place, and under bcsr-serial, whose converter leaves
+// it as it was: the runner hands the COO reference sorted triplets, which it
+// needs to write each row once.
+func TestRunVerifiesUnsortedCOO(t *testing.T) {
+	for _, name := range []string{"bcsr-serial", "csr-serial"} {
+		a := testCOO(12, 40, 30, 300)
+		byCol := matrix.NewCOO[float64](a.Rows, a.Cols, a.NNZ())
+		for j := int32(0); j < int32(a.Cols); j++ {
+			for i := range a.Vals {
+				if a.ColIdx[i] == j {
+					byCol.Append(a.RowIdx[i], j, a.Vals[i])
+				}
+			}
+		}
+		if byCol.IsSortedRowMajor() {
+			t.Fatal("fixture: column-major triplets are row-sorted")
+		}
+		k, err := New(name, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := smallParams()
+		p.Verify = true
+		res, err := Run(k, byCol, "by-column", p)
+		if err != nil || !res.Verified {
+			t.Fatalf("%s: verified=%v, err %v", name, res.Verified, err)
+		}
+	}
+}
+
 // brokenKernel returns a wrong (all-zero with one poisoned cell) result.
 type brokenKernel struct{ a *matrix.COO[float64] }
 

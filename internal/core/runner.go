@@ -122,8 +122,15 @@ func Run(k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result,
 		}
 		span = p.Trace.Start()
 		defer func() { p.Trace.EndDetail(0, trace.PhaseVerify, k.Name(), span, 0) }()
+		// The reference takes row-sorted triplets; a converter that does not
+		// sort a in place (BCSR's, say) leaves it as it was read.
+		sorted := a
+		if !a.IsSortedRowMajor() {
+			sorted = a.Clone()
+			sorted.SortRowMajor()
+		}
 		ref := matrix.NewDense[float64](a.Rows, p.K)
-		if err := kernels.COO(a, b, ref, p.K, kernels.Spec{Ctx: p.Ctx}); err != nil {
+		if err := kernels.COO(sorted, b, ref, p.K, kernels.Spec{Ctx: p.Ctx}); err != nil {
 			return Result{}, fmt.Errorf("core: reference kernel: %w", err)
 		}
 		diff, err := c.MaxAbsDiff(ref)

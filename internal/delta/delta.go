@@ -233,9 +233,10 @@ func (o *Overlay) Extend(base *matrix.COO[float64], ops []Op) (*Overlay, error) 
 // overlay is a no-op that allocates nothing — the clean-matrix hot path.
 //
 // Each dirty row is cleared and re-accumulated from the merge-scan of base
-// and overlay entries in ascending column order through matrix.Axpy, whose
-// result the kernels' row entry (matrix.AxpyRow) reproduces pair for pair,
-// so the accumulation matches bit for bit.
+// and overlay entries in ascending column order through matrix.Axpy: the
+// bits the kernels' row entry (matrix.AxpyRow), which writes a row from +0
+// without reading it, leaves for the same pairs, so the accumulation matches
+// bit for bit.
 func (o *Overlay) Apply(c, b *matrix.Dense[float64], k int) {
 	if o == nil || len(o.RowIdx) == 0 {
 		return
@@ -252,7 +253,9 @@ func (o *Overlay) Apply(c, b *matrix.Dense[float64], k int) {
 }
 
 // applyRow recomputes row r of c from the base row merged with overlay
-// entries [lo, hi).
+// entries [lo, hi): cleared, then one matrix.Axpy per merged pair — the bits
+// matrix.AxpyRow writes, with no clear, for the same pairs gathered into one
+// run.
 func (o *Overlay) applyRow(r, lo, hi int, c, b *matrix.Dense[float64], k int) {
 	crow := c.Data[r*c.Stride : r*c.Stride+k]
 	clear(crow)

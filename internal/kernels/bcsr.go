@@ -70,19 +70,21 @@ type blocks[T matrix.Float] struct {
 	vals         []T
 }
 
-// rowPanel accumulates columns [j0, j0+jw) of the C rows of block row bri
-// from its slots [p, q). Each lane is one C row, cleared and then handed to
-// the row entry as a block lane over all of the slots, which reads the
-// lane's values in place and skips the zeros among them as fill; so a lane's
-// pairs arrive in slot order, then column order.
+// rowPanel writes columns [j0, j0+jw) of the C rows of block row bri from
+// its slots [p, q). Each lane is one C row, handed to the row entry as a
+// block lane over all of the slots, which reads the lane's values in place
+// and skips the zeros among them as fill; so a lane's pairs arrive in slot
+// order, then column order. The row entry writes the lane's tile of C whole;
+// a block row with no slots is the empty run, which writes zeros.
 func (a blocks[T]) rowPanel(bri, p, q int, b, c *matrix.Dense[T], j0, jw int) {
 	rowBase := bri * a.br
 	cols, vals := a.colIdx[p:q], a.vals[p*a.br*a.bc:q*a.br*a.bc]
 	for r := range min(a.br, a.rows-rowBase) {
 		crow := panelRow(c, rowBase+r, j0, jw)
-		clear(crow)
 		if p < q {
 			matrix.AxpyRowBlock(crow, b, j0, cols, vals[r*a.bc:], a.bc, a.br*a.bc)
+		} else {
+			matrix.AxpyRow(crow, b, j0, nil, nil)
 		}
 	}
 }

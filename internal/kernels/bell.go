@@ -53,18 +53,20 @@ func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, 
 	})
 }
 
-// sellSlices walks each slice lane by lane: a lane is one C row, cleared
-// and handed to the row entry to its stored length, C slots apart, with its
-// un-permuted row looked up once.
+// sellSlices walks each slice lane by lane: a lane is one C row, handed to
+// the row entry to its stored length, C slots apart, with its un-permuted
+// row looked up once. The row entry writes the row whole; an empty lane is
+// the empty run, which writes zeros.
 func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, lo, hi int) {
 	for sl := lo; sl < hi; sl++ {
 		base := int(a.SlicePtr[sl])
 		laneLim := min(a.C, a.Rows-sl*a.C)
 		for l := 0; l < laneLim; l++ {
 			crow := panelRow(c, int(a.Perm[sl*a.C+l]), 0, k)
-			clear(crow)
 			if n := int(a.RowLen[sl*a.C+l]); n > 0 {
 				matrix.AxpyRowStrided(crow, b, 0, a.ColIdx[base+l:], a.Vals[base+l:], n, a.C)
+			} else {
+				matrix.AxpyRow(crow, b, 0, nil, nil)
 			}
 		}
 	}

@@ -55,14 +55,13 @@ func csrRows[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, lo, hi
 	}
 }
 
-// csrRowsPanel accumulates columns [j0, j0+jw) of C for rows [lo, hi): a
-// CSR row is already the run of (col, val) pairs the row entry takes.
+// csrRowsPanel writes columns [j0, j0+jw) of C for rows [lo, hi): a CSR
+// row is already the run of (col, val) pairs the row entry takes, and the
+// row entry writes its tile of C whole, an empty row's as zeros.
 func csrRowsPanel[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		crow := panelRow(c, i, j0, jw)
-		clear(crow)
 		p, q := a.RowPtr[i], a.RowPtr[i+1]
-		matrix.AxpyRow(crow, b, j0, a.ColIdx[p:q], a.Vals[p:q])
+		matrix.AxpyRow(panelRow(c, i, j0, jw), b, j0, a.ColIdx[p:q], a.Vals[p:q])
 	}
 }
 

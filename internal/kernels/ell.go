@@ -49,16 +49,15 @@ func ellRows[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi
 // ellRowsPanel walks each row to its stored length. A row-major row is
 // already the run of (col, val) pairs the row entry takes, as a CSR row is;
 // a column-major row is the same pairs Rows slots apart, which the row
-// entry reads in place.
+// entry reads in place. Either way the row entry writes the row's tile of C
+// whole; an empty row, in either layout, is the empty run, which writes
+// zeros.
 func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		crow := panelRow(c, i, j0, jw)
-		clear(crow)
 		n := int(a.RowLen[i])
-		if a.Layout == formats.ColMajor {
-			if n > 0 {
-				matrix.AxpyRowStrided(crow, b, j0, a.ColIdx[i:], a.Vals[i:], n, a.Rows)
-			}
+		if a.Layout == formats.ColMajor && n > 0 {
+			matrix.AxpyRowStrided(crow, b, j0, a.ColIdx[i:], a.Vals[i:], n, a.Rows)
 		} else {
 			base := i * a.Width
 			matrix.AxpyRow(crow, b, j0, a.ColIdx[base:base+n], a.Vals[base:base+n])

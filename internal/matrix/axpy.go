@@ -50,18 +50,20 @@ func Axpy[T Float](c, b []T, v T, k int) {
 }
 
 // AxpyRow is the row entry: for one C row tile and a run of (col, val)
-// pairs it computes c[t] += Σ_p vals[p] * b[cols[p]][j0+t] for t in
-// [0, len(c)), p ascending per element — bit for bit what feeding the same
-// pairs through Axpy one by one leaves in c, for any starting c. The vector
-// body keeps a tile of c in registers across the pairs, so c is loaded and
-// stored once per row instead of once per nonzero; the AVX-512 body holds a
-// whole 128-column tile, so each pair reads its B row in one sweep at the
-// paper's k = 128. A column outside [0, b.Rows) panics, as the slice
-// expression of a per-nonzero loop would. AxpyRowStrided and AxpyRowBlock
-// are the same entry over pairs that a format does not store as a run.
+// pairs it writes c[t] = Σ_p vals[p] * b[cols[p]][j0+t] for t in
+// [0, len(c)), p ascending per element — bit for bit what clearing c and
+// then feeding the same pairs through Axpy one by one leaves in it. The old
+// contents of c are never read, and an empty run zeroes c. The vector body
+// starts a tile's accumulators at +0 in registers, keeps them there across
+// the pairs and stores the tile once; the AVX-512 body holds a whole
+// 128-column tile, so each pair reads its B row in one sweep at the paper's
+// k = 128. A column outside [0, b.Rows) panics, as the slice expression of a
+// per-nonzero loop would. AxpyRowStrided and AxpyRowBlock are the same
+// entry over pairs that a format does not store as a run.
 func AxpyRow[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T) {
 	vals = vals[:len(cols)]
 	if len(cols) == 0 || len(c) == 0 {
+		clear(c)
 		return
 	}
 	bd, rows := rowB(b, j0, len(c))
@@ -69,6 +71,7 @@ func AxpyRow[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T) {
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
 		bad = axpyRowVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), vector == avx512)
 	} else {
+		clear(c)
 		bad = axpyRowScalar(c, bd, b.Stride, rows, cols, vals, 1)
 	}
 	if bad >= 0 {
@@ -81,6 +84,7 @@ func AxpyRow[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T) {
 // has step C, a column-major ELL row step Rows.
 func AxpyRowStrided[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, n, step int) {
 	if n <= 0 || len(c) == 0 {
+		clear(c)
 		return
 	}
 	if step < 1 {
@@ -93,6 +97,7 @@ func AxpyRowStrided[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T,
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
 		bad = axpyRowStridedVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), step, vector == avx512)
 	} else {
+		clear(c)
 		bad = axpyRowScalar(c, bd, b.Stride, rows, cols, vals, step)
 	}
 	if bad >= 0 {
@@ -105,10 +110,11 @@ func AxpyRowStrided[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T,
 // vals[s*vstep : s*vstep+bc], in columns cols[s]*bc + t. A ±0 value is fill
 // and is skipped — the test is v == 0, so a NaN is never skipped — and the
 // pairs left arrive in slot order, then column order, as a per-nonzero loop
-// over the blocks takes them. A nonzero value in a column outside
-// [0, b.Rows) panics.
+// over the blocks takes them; a lane of fill alone zeroes c. A nonzero value
+// in a column outside [0, b.Rows) panics.
 func AxpyRowBlock[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, bc, vstep int) {
 	if len(cols) == 0 || len(c) == 0 {
+		clear(c)
 		return
 	}
 	if bc < 1 || vstep < bc {
@@ -120,6 +126,7 @@ func AxpyRowBlock[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, b
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
 		bad = axpyRowBlockVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), bc, vstep, vector == avx512)
 	} else {
+		clear(c)
 		bad = axpyRowBlockScalar(c, bd, b.Stride, rows, cols, vals, bc, vstep)
 	}
 	if bad >= 0 {
@@ -139,9 +146,12 @@ func rowB[T Float](b *Dense[T], j0, k int) ([]T, int) {
 }
 
 // axpyRowScalar is the Go body of the contiguous (step 1) and strided row
-// entries, with axpyRowVec's contract: b starts at column j0 of row 0, and
-// the return is -1 or the index into cols of the first pair whose column is
-// outside [0, rows).
+// entries, with axpyRowVec's contract but for c, which it adds to — the
+// entries clear it first, outside the loop's function: with the clear
+// inside, the Go body read up to 2× slower per pair on the reference host
+// (BenchmarkAxpyRow, scalar). b starts at
+// column j0 of row 0, and the return is -1 or the index into cols of the
+// first pair whose column is outside [0, rows).
 func axpyRowScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T, step int) int {
 	k := len(c)
 	for p := 0; p < len(cols); p += step {
@@ -156,8 +166,9 @@ func axpyRowScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T, 
 }
 
 // axpyRowBlockScalar is the block lane's Go body, with axpyRowBlockVec's
-// contract: the return is -1 or s*bc + t for the first nonzero value, slot s
-// and column t, whose column is outside [0, rows).
+// contract but for c, which it adds to as axpyRowScalar does: the return is
+// -1 or s*bc + t for the first nonzero value, slot s and column t, whose
+// column is outside [0, rows).
 func axpyRowBlockScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T, bc, vstep int) int {
 	k := len(c)
 	for s, bcol := range cols {

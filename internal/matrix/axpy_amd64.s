@@ -136,10 +136,12 @@
 	CMPQ BX, R12  \
 	JB   slot
 
-// ROWTILES is the row entry's tile ladder, once for every fetch: c[t] +=
+// ROWTILES is the row entry's tile ladder, once for every fetch: c[t] =
 // the sum over the fetch's pairs of value * b[col*stride + t], pairs in
 // fetch order per element, with a tile of c held in registers across the
-// pairs, loaded once and stored once. On entry DI = c, CX = len(c) > 0,
+// pairs. c is never read: each tile's accumulators start at +0 (a register
+// XORed with itself), each product is added to them as to a cleared c, and
+// the tile is stored once. On entry DI = c, CX = len(c) > 0,
 // SI = b at column j0 of row 0, R8 = the stride in bytes, R9 = B.Rows and
 // AX = 1 for the AVX-512 tiles. With them the head tiles are 128 columns in
 // Z0-Z15 — one sweep of each pair's B row at k = 128 — then 32 in Z0-Z3;
@@ -154,22 +156,22 @@
 	SUBQ  $96, CX                                  \
 	JB    rowZRem32                                \
 rowZTile128:                                     \
-	VMOVUPD (DI), Z0                               \
-	VMOVUPD 64(DI), Z1                             \
-	VMOVUPD 128(DI), Z2                            \
-	VMOVUPD 192(DI), Z3                            \
-	VMOVUPD 256(DI), Z4                            \
-	VMOVUPD 320(DI), Z5                            \
-	VMOVUPD 384(DI), Z6                            \
-	VMOVUPD 448(DI), Z7                            \
-	VMOVUPD 512(DI), Z8                            \
-	VMOVUPD 576(DI), Z9                            \
-	VMOVUPD 640(DI), Z10                           \
-	VMOVUPD 704(DI), Z11                           \
-	VMOVUPD 768(DI), Z12                           \
-	VMOVUPD 832(DI), Z13                           \
-	VMOVUPD 896(DI), Z14                           \
-	VMOVUPD 960(DI), Z15                           \
+	VPXORQ  Z0, Z0, Z0                             \
+	VPXORQ  Z1, Z1, Z1                             \
+	VPXORQ  Z2, Z2, Z2                             \
+	VPXORQ  Z3, Z3, Z3                             \
+	VPXORQ  Z4, Z4, Z4                             \
+	VPXORQ  Z5, Z5, Z5                             \
+	VPXORQ  Z6, Z6, Z6                             \
+	VPXORQ  Z7, Z7, Z7                             \
+	VPXORQ  Z8, Z8, Z8                             \
+	VPXORQ  Z9, Z9, Z9                             \
+	VPXORQ  Z10, Z10, Z10                          \
+	VPXORQ  Z11, Z11, Z11                          \
+	VPXORQ  Z12, Z12, Z12                          \
+	VPXORQ  Z13, Z13, Z13                          \
+	VPXORQ  Z14, Z14, Z14                          \
+	VPXORQ  Z15, Z15, Z15                          \
 	FIRST                                          \
 rowZSlot128:                                     \
 	SLOT                                           \
@@ -206,10 +208,10 @@ rowZRem32:                                       \
 	ADDQ $96, CX                                   \
 	JNC  rowRem16                                  \
 rowZTile32:                                      \
-	VMOVUPD (DI), Z0                               \
-	VMOVUPD 64(DI), Z1                             \
-	VMOVUPD 128(DI), Z2                            \
-	VMOVUPD 192(DI), Z3                            \
+	VPXORQ  Z0, Z0, Z0                             \
+	VPXORQ  Z1, Z1, Z1                             \
+	VPXORQ  Z2, Z2, Z2                             \
+	VPXORQ  Z3, Z3, Z3                             \
 	FIRST                                          \
 rowZSlot32:                                      \
 	SLOT                                           \
@@ -229,14 +231,14 @@ rowZNext32:                                      \
 	JAE     rowZTile32                             \
 	JMP     rowRem16                               \
 rowTile32:                                       \
-	VMOVUPD (DI), Y0                               \
-	VMOVUPD 32(DI), Y1                             \
-	VMOVUPD 64(DI), Y2                             \
-	VMOVUPD 96(DI), Y3                             \
-	VMOVUPD 128(DI), Y4                            \
-	VMOVUPD 160(DI), Y5                            \
-	VMOVUPD 192(DI), Y6                            \
-	VMOVUPD 224(DI), Y7                            \
+	VXORPD  Y0, Y0, Y0                             \
+	VXORPD  Y1, Y1, Y1                             \
+	VXORPD  Y2, Y2, Y2                             \
+	VXORPD  Y3, Y3, Y3                             \
+	VXORPD  Y4, Y4, Y4                             \
+	VXORPD  Y5, Y5, Y5                             \
+	VXORPD  Y6, Y6, Y6                             \
+	VXORPD  Y7, Y7, Y7                             \
 	FIRST                                          \
 rowSlot32:                                       \
 	SLOT                                           \
@@ -262,10 +264,10 @@ rowNext32:                                       \
 rowRem16:                                        \
 	ADDQ    $16, CX                                \
 	JNC     rowRem4                                \
-	VMOVUPD (DI), Y0                               \
-	VMOVUPD 32(DI), Y1                             \
-	VMOVUPD 64(DI), Y2                             \
-	VMOVUPD 96(DI), Y3                             \
+	VXORPD  Y0, Y0, Y0                             \
+	VXORPD  Y1, Y1, Y1                             \
+	VXORPD  Y2, Y2, Y2                             \
+	VXORPD  Y3, Y3, Y3                             \
 	FIRST                                          \
 rowSlot16:                                       \
 	SLOT                                           \
@@ -286,7 +288,7 @@ rowRem4:                                         \
 	ADDQ $12, CX                                   \
 	JNC  rowTail                                   \
 rowTile4:                                        \
-	VMOVUPD (DI), Y0                               \
+	VXORPD  Y0, Y0, Y0                             \
 	FIRST                                          \
 rowSlot4:                                        \
 	SLOT                                           \
@@ -306,7 +308,7 @@ rowTail:                                         \
 	ADDQ $4, CX                                    \
 	JZ   rowDone                                   \
 rowTile1:                                        \
-	VMOVSD (DI), X0                                \
+	VXORPD X0, X0, X0                              \
 	FIRST                                          \
 rowSlot1:                                        \
 	SLOT                                           \
@@ -385,7 +387,7 @@ done:
 
 
 // func axpyRowVec(c, b []float64, stride, rows int, cols []int32, vals []float64, zmm bool) int
-// The row entry over a contiguous run: c[t] += sum over p of vals[p] *
+// The row entry over a contiguous run: c[t] = sum over p of vals[p] *
 // b[cols[p]*stride + t], p ascending per element. Needs len(cols) > 0,
 // len(vals) >= len(cols) and (rows-1)*stride + len(c) <= len(b); returns -1,
 // or the index of the first pair whose column is outside [0, rows) with that

@@ -149,9 +149,17 @@ func FuzzAxpy(f *testing.F) {
 	})
 }
 
+// canary is what the row entry's tile of c holds before every call the tests
+// make: a NaN whose payload no product here carries. The row entry writes c
+// without reading it, so none may survive; a body that loaded c and added
+// to it would leave NaNs where the reference, which starts from a cleared
+// tile, has numbers.
+var canary = math.Float64frombits(0x7ff80000deadbeef)
+
 // rowOperands draws a B of `rows` rows whose Stride exceeds j0+k (so a panel
 // at j0 > 0 of a wider matrix is covered), n pairs over it and a c0 with
-// `off` guard elements before the k-wide tile and four after.
+// `off` guard elements before the k-wide tile and four after; the tile holds
+// the canary.
 func rowOperands(rng *rand.Rand, rows, k, off, j0, n int, value func(*rand.Rand) float64) (c0 []float64, b *Dense[float64], cols []int32, vals []float64) {
 	b = &Dense[float64]{Rows: rows, Cols: j0 + k + 2, Stride: j0 + k + 5}
 	b.Data = make([]float64, (rows+2)*b.Stride) // slack: a column == rows is inside Data
@@ -161,6 +169,9 @@ func rowOperands(rng *rand.Rand, rows, k, off, j0, n int, value func(*rand.Rand)
 	c0 = make([]float64, off+k+4)
 	for i := range c0 {
 		c0[i] = value(rng)
+	}
+	for i := off; i < off+k; i++ {
+		c0[i] = canary
 	}
 	cols, vals = make([]int32, n), make([]float64, n)
 	for p := range cols {
@@ -176,16 +187,25 @@ func rowOperands(rng *rand.Rand, rows, k, off, j0, n int, value func(*rand.Rand)
 var nanPayloads = true
 
 // checkAxpyRow requires AxpyRow, under each body, to leave in all of c0 —
-// guards included — the bits that feeding the same pairs through the scalar
-// Axpy one by one leaves.
+// guards included — the bits that clearing the tile and then feeding the
+// same pairs through the scalar Axpy one by one leaves: all +0 for an empty
+// run.
 func checkAxpyRow(t *testing.T, c0 []float64, off, k int, b *Dense[float64], j0 int, cols []int32, vals []float64) {
 	t.Helper()
 	defer func(old level) { vector = old }(vector)
 	vector = scalar
 	want := append([]float64(nil), c0...)
+	clear(want[off : off+k])
 	for p, col := range cols {
 		bo := int(col)*b.Stride + j0
 		Axpy(want[off:], b.Data[bo:], vals[p], k)
+	}
+	if len(cols) == 0 {
+		for j, w := range want[off : off+k] {
+			if math.Float64bits(w) != 0 {
+				t.Fatalf("k=%d: empty run's reference c[%d] = %#x, want +0", k, j, math.Float64bits(w))
+			}
+		}
 	}
 	for _, l := range levels() {
 		vector = l
@@ -294,10 +314,10 @@ func specialValue(rng *rand.Rand) float64 {
 }
 
 // TestAxpyRowBodiesBitwise: every tile width and the tail (k 0..257 and 300
-// at offsets 0..3), run lengths either side of the kernels' gather buffer
-// (32) and one of torso1's longest row, a starting c that is never zero, and
-// panels at j0 > 0 of a B wider than the tile; at the tile edges again with
-// mostly special values.
+// at offsets 0..3), the empty run, run lengths either side of the kernels'
+// old gather buffer (32) and one of torso1's longest row, a tile of c that
+// starts as the canary, and panels at j0 > 0 of a B wider than the tile; at
+// the tile edges again with mostly special values.
 func TestAxpyRowBodiesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	ks := make([]int, 0, 259)
@@ -328,7 +348,7 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 	for _, k := range append([]int{0, 1, 2, 3, 4, 5, 8, 15, 16, 17, 20}, tileEdges...) {
 		j0 := k % 2 * 3
 		for _, step := range []int{1, 8, 13} {
-			for _, n := range []int{1, 2, 33} {
+			for _, n := range []int{0, 1, 2, 33} {
 				c0, b, cols, vals := rowOperands(rng, 9, k, 1, j0, n, axpyValue)
 				sc, sv := spread(cols, vals, step, b.Rows)
 				checkRowLayout(t, fmt.Sprintf("strided step=%d", step), c0, 1, k, b, j0, cols, vals, func(c []float64) {
@@ -338,7 +358,7 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 		}
 		for _, bs := range blockShapes {
 			bc, vstep := bs[0], bs[1]
-			for _, slots := range []int{1, 2, 9} {
+			for _, slots := range []int{0, 1, 2, 9} { // bc = 1 with poison: every value is fill
 				for _, poison := range []bool{false, true} {
 					c0, b, _, _ := rowOperands(rng, 3*bc, k, 1, j0, 0, axpyValue)
 					if poison { // fill over Inf and NaN: skipped, it leaves them out of c
@@ -359,8 +379,10 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 }
 
 // TestAxpyRowScalarTypes: float32 takes the Go body whatever the switch
-// says, and agrees with Axpy pair by pair — read as a run, strided (the
-// pairs two apart) or as a block lane (two 2-wide slots, a zero skipped).
+// says, writes c without reading it (c starts as a NaN canary) and agrees
+// with Axpy pair by pair from a cleared c — read as a run, strided (the
+// pairs two apart) or as a block lane (two 2-wide slots, a zero skipped) —
+// and the empty run of each layout leaves c all +0.
 func TestAxpyRowScalarTypes(t *testing.T) {
 	setVector(t, avx512)
 	b := NewDenseRand[float32](5, 24, 3)
@@ -382,10 +404,35 @@ func TestAxpyRowScalarTypes(t *testing.T) {
 		}},
 	} {
 		c := make([]float32, 24)
+		for j := range c {
+			c[j] = float32(canary)
+		}
 		walk.run(c)
 		for j := range c {
 			if c[j] != want[j] {
 				t.Fatalf("%s j=%d: %v, want %v", walk.name, j, c[j], want[j])
+			}
+		}
+	}
+	for _, empty := range []struct {
+		name string
+		run  func(c []float32)
+	}{
+		{"run", func(c []float32) { AxpyRow(c, b, 0, nil, nil) }},
+		{"strided", func(c []float32) { AxpyRowStrided(c, b, 0, nil, nil, 0, 2) }},
+		{"block", func(c []float32) { AxpyRowBlock(c, b, 0, nil, nil, 2, 3) }},
+		{"block fill", func(c []float32) {
+			AxpyRowBlock(c, b, 0, []int32{1}, []float32{0, float32(math.Copysign(0, -1))}, 2, 2)
+		}},
+	} {
+		c := make([]float32, 24)
+		for j := range c {
+			c[j] = float32(canary)
+		}
+		empty.run(c)
+		for j := range c {
+			if math.Float32bits(c[j]) != 0 {
+				t.Fatalf("empty %s j=%d: %#x, want +0", empty.name, j, math.Float32bits(c[j]))
 			}
 		}
 	}

@@ -228,7 +228,7 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) batchResult {
 	span := s.tracer.Start()
 	// Gather: a lone member's B is the dispatch's B; coalesced members' B
 	// panels are stacked side by side into one wide panel. C is leased
-	// unzeroed: kernels clear every row they write.
+	// unzeroed: kernels write every row whole, an empty one as zeros.
 	combB := &batch[0].b.panel
 	var gathered *Lease
 	if len(batch) > 1 {

@@ -18,7 +18,8 @@ import (
 // larger is a plain make and never pooled. A lease is reference-counted; the
 // last Release recycles it, and a reference nobody releases just leaves the
 // buffer to the collector. Recycled storage is not zeroed: codecs overwrite
-// it whole and kernels clear every C row they write.
+// it whole and kernels write every C row whole, an empty one as zeros
+// (kernels.TestEveryRowWritten).
 const (
 	minClassLog = 9  // 512 float64s
 	maxClassLog = 22 // 4 Mi float64s

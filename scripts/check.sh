@@ -94,7 +94,7 @@ if grep -n 'make(\[\]byte' $(ls internal/cluster/*.go | grep -v _test.go); then
 fi
 [ "$pool_bad" = 0 ] || exit 1
 
-echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or rounding override in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no gather buffer, no value test in front of the row entry, scalar-only build compiles) =="
+echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or rounding override in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no gather buffer, no value test in front of the row entry, the row entry never loads C and nothing clears C in front of it, scalar-only build compiles) =="
 # Every format accumulates through matrix.AxpyRow — one call per C row, the
 # tile of C held in registers across the row's nonzeros — and the overlay,
 # GEMM and the ablations through matrix.Axpy (DESIGN.md section 5). Both
@@ -118,6 +118,32 @@ fi
 bodies=$(grep -nE '^\s*c\[j\] \+= v \* b\[j\]' $(ls internal/kernels/*.go internal/delta/*.go internal/matrix/*.go | grep -v _test.go))
 if [ "$(echo "$bodies" | wc -l)" != 1 ] || [ "${bodies%%:*}" != "internal/matrix/axpy.go" ]; then
     echo "want exactly one scalar inner loop body, in internal/matrix/axpy.go; found:" >&2; echo "$bodies" >&2; exit 1
+fi
+# The row entry writes its tile of C without reading it: each tile of
+# ROWTILES starts its accumulators at +0 in registers and stores them once, so
+# no instruction in the macro takes (DI), the C tile, as a source. (Axpy's
+# body, BLOCK16 and axpyAVX2, still accumulates into c and is not in it.)
+if ! awk '
+    /^#define ROWTILES/ { tiles = 1 }
+    tiles && /\(DI\)(\([A-Z0-9*]+\))?[ \t]*,/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    tiles && !/\\$/ { tiles = 0 }
+    END { exit bad }
+' "$asm"; then
+    echo "the row entry stores C once and never loads it: ROWTILES starts each tile at zero (DESIGN.md section 5)" >&2; exit 1
+fi
+# So C is not cleared in front of it either: a range function that hands a
+# row to matrix.AxpyRow, AxpyRowStrided or AxpyRowBlock neither clears nor
+# zeroes C — an empty row is the empty run, which writes zeros.
+if ! awk '
+    function flush() { if (calls && zeroes != "") { print zeroes; bad = 1 } calls = 0; zeroes = "" }
+    FNR == 1 { flush() }
+    /^func / { flush(); fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    /matrix\.AxpyRow/ { calls = 1 }
+    /clear\(|zeroK/ && zeroes == "" { zeroes = FILENAME ":" FNR ": in " fn ": " $0 }
+    END { flush(); exit bad }
+' $(ls internal/kernels/*.go | grep -v _test.go); then
+    echo "the row entry writes every row it is handed, an empty run as zeros: no clear or zeroK in front of it (DESIGN.md section 5)" >&2; exit 1
 fi
 # A call per nonzero is what the row entry replaced: in internal/kernels only
 # the dense reference and the two ablations that are not lattice points still
