@@ -453,8 +453,9 @@ func BenchmarkAblationValueType(b *testing.B) {
 // most irregular matrix (torso1's huge-row skew is where static chunking
 // loses balance). Each row differs from "static" (OpenMP-style equal-row
 // chunks on goroutines spawned per call) in one thing: "dynamic"
-// self-schedules, "balanced" chunks by nonzeros, "pooled" dispatches the
-// static chunks to one persistent worker pool.
+// self-schedules, "balanced" chunks by nonzeros, "pooled" runs the static
+// chunks on one persistent worker pool, where the caller joins the pool's
+// workers and all of them claim the chunks' pieces from one counter.
 func BenchmarkAblationSchedule(b *testing.B) {
 	m, _, err := gen.GenerateScaled("torso1", 0.02)
 	if err != nil {

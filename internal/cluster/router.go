@@ -443,15 +443,15 @@ func attemptVerdict(parent context.Context, rp reply, err error) string {
 // a retryable status moves on unless this is the last candidate, whose
 // verdict is then relayed with its Retry-After intact; any other answer is
 // final — every replica would say the same. Each attempt is one
-// attempt-remote span on tr (nil when untraced), verdict in the detail. e is
+// attempt-remote span on tr (nil when untraced), verdict in the detail: a
+// Step of tr's chain, so it starts where the phase before it ended. e is
 // nil only while the matrix has no placement yet (a first registration).
 func (rt *Router) forward(ctx context.Context, e *entry, cands []*replica, out outbound, tr *trace.Req) (reply, error) {
 	var lastErr error
 	for i, rep := range cands {
-		start := tr.Now()
 		rp, err := rt.attempt(ctx, rep, out)
 		if tr != nil {
-			tr.Phase(trace.PhaseAttemptRemote, rep.name+" "+attemptVerdict(ctx, rp, err), start, int64(i+1))
+			tr.Step(trace.PhaseAttemptRemote, rep.name+" "+attemptVerdict(ctx, rp, err), int64(i+1))
 		}
 		switch {
 		case err != nil:
@@ -710,14 +710,17 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength < 0 { // chunked: the read itself stops at the panel
 		r.Body = http.MaxBytesReader(w, r.Body, bodyLen)
 	}
-	loadStart := req.Now()
+	// From here the phases are one chain of Steps — load, each attempt,
+	// respond — so the record's total exceeds their sum only by what ran
+	// before the load and after the respond.
+	req.Mark()
 	body, err := readBody(w, r)
 	if err != nil {
 		rt.failRequest(req, err)
 		return
 	}
 	defer body.Release()
-	req.Phase(trace.PhaseLoad, "panel", loadStart, 0)
+	req.Step(trace.PhaseLoad, "panel", 0)
 	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: "application/octet-stream", body: body}
 	if v := r.Header.Get(serve.HeaderDeadlineMs); v != "" {
 		out.header = append(out.header, headerPair{serve.HeaderDeadlineMs, v})
@@ -735,13 +738,12 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	// Everything the client sees comes from rp — the attempt that actually
 	// answered — so after a failover it is the survivor's variant, cache
 	// verdict and timing, never the dead holder's.
-	respondStart := req.Now()
 	rp.relay(w)
 	if rp.status != http.StatusOK {
 		rt.failRequest(req, fmt.Errorf("cluster: replica %s returned %d", rp.rep.name, rp.status))
 		return
 	}
-	req.Phase(trace.PhaseRespond, "", respondStart, 0)
+	req.Step(trace.PhaseRespond, "", 0)
 	rt.finishRequest(req)
 	e.serves.Add(1)
 	rt.maybeReplicate(e)

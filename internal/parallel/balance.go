@@ -134,17 +134,18 @@ type Exec struct {
 	Bounds []int
 	// Chunk, when positive, self-schedules chunks of that many iterations
 	// over fresh goroutines (ForDynamic). Workers claim chunks as they go,
-	// so neither precomputed Bounds nor the pool's one-chunk-per-task
-	// dispatch applies: Run panics if Chunk is combined with either.
+	// so neither precomputed Bounds nor the pool's pieces of fixed chunks
+	// apply: Run panics if Chunk is combined with either.
 	Chunk int
 }
 
 // Run executes body over [0, n) under the configured machinery. With nil
 // Bounds the loop is split into min(threads, n) static chunks exactly like
 // For; with Bounds set, n and threads only bound the degenerate serial case
-// and the chunk count comes from the bounds. The worker id passed to body is
-// always the chunk index — see the worker-id contract on For — except under
-// Chunk, where it is the claiming goroutine's index in [0, threads).
+// and the chunk count comes from the bounds. The worker id passed to body
+// follows the contract on For: the chunk index on fresh goroutines, the
+// participant index on the pool (many pieces per id, in sequence), and the
+// claiming goroutine's index in [0, threads) under Chunk.
 func (e Exec) Run(n, threads int, body func(lo, hi, worker int)) {
 	switch {
 	case e.Chunk > 0:

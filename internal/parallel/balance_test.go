@@ -121,22 +121,28 @@ func TestBalancedBoundsDegenerate(t *testing.T) {
 }
 
 // TestWorkerIDContract pins the contract documented on For: every loop
-// runner passes body a worker id equal to the chunk index, dense in
-// [0, min(threads, n)), even when threads exceeds n or the pool has fewer
-// goroutines than chunks.
+// runner passes body a worker id dense in [0, min(threads, n)), even when
+// threads exceeds n or the pool has fewer goroutines than chunks. On fresh
+// goroutines the id is the chunk index and runs exactly once; on the pool it
+// is the participant index, which may run many pieces, so there the test
+// asks that every item runs exactly once and that no two bodies run at once
+// under one id.
 func TestWorkerIDContract(t *testing.T) {
 	pool := NewPool(2) // smaller than every thread count below
 	defer pool.Close()
 
-	runners := map[string]func(n, threads int, body func(lo, hi, w int)){
-		"For":      For,
-		"Pool.Run": pool.Run,
-		"Exec{}":   Exec{}.Run,
-		"Exec{Pool}": func(n, threads int, body func(lo, hi, w int)) {
+	runners := map[string]struct {
+		run    func(n, threads int, body func(lo, hi, w int))
+		pooled bool
+	}{
+		"For":      {For, false},
+		"Exec{}":   {Exec{}.Run, false},
+		"Pool.Run": {pool.Run, true},
+		"Exec{Pool}": {func(n, threads int, body func(lo, hi, w int)) {
 			Exec{Pool: pool}.Run(n, threads, body)
-		},
+		}, true},
 	}
-	for name, run := range runners {
+	for name, r := range runners {
 		for _, tc := range []struct{ n, threads int }{
 			{5, 32},   // threads >> n: ids clamp to [0, n)
 			{100, 7},  // rows >> threads
@@ -146,14 +152,33 @@ func TestWorkerIDContract(t *testing.T) {
 		} {
 			want := min(tc.threads, tc.n)
 			seen := make([]atomic.Int32, want)
-			run(tc.n, tc.threads, func(_, _, w int) {
+			busy := make([]atomic.Int32, want)
+			hits := make([]atomic.Int32, tc.n)
+			r.run(tc.n, tc.threads, func(lo, hi, w int) {
 				if w < 0 || w >= want {
 					t.Errorf("%s(n=%d, threads=%d): worker id %d outside [0, %d)",
 						name, tc.n, tc.threads, w, want)
 					return
 				}
+				if busy[w].Add(1) != 1 {
+					t.Errorf("%s(n=%d, threads=%d): two bodies at once under worker id %d",
+						name, tc.n, tc.threads, w)
+				}
 				seen[w].Add(1)
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+				busy[w].Add(-1)
 			})
+			for i := range hits {
+				if hits[i].Load() != 1 {
+					t.Fatalf("%s(n=%d, threads=%d): item %d ran %d times, want 1",
+						name, tc.n, tc.threads, i, hits[i].Load())
+				}
+			}
+			if r.pooled {
+				continue
+			}
 			for w := range seen {
 				if seen[w].Load() != 1 {
 					t.Fatalf("%s(n=%d, threads=%d): worker %d ran %d chunks, want 1",

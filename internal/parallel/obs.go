@@ -4,8 +4,8 @@ import "repro/internal/obs"
 
 // Dispatch counters, exported to the process-wide metrics registry. Each
 // fork/join region does two or three atomic adds at entry — never per chunk
-// and never inside body — so the package's no-alloc dispatch contract and
-// the kernels' allocation audit are unaffected.
+// or piece and never inside body — so the package's no-alloc dispatch
+// contract and the kernels' allocation audit are unaffected.
 var (
 	obsRegionsStatic = obs.NewCounter(`spmm_parallel_regions_total{mode="static"}`,
 		"Fork/join regions dispatched, by scheduling machinery.")
@@ -16,7 +16,7 @@ var (
 	obsRegionsPool = obs.NewCounter(`spmm_parallel_regions_total{mode="pool"}`,
 		"Fork/join regions dispatched, by scheduling machinery.")
 	obsChunks = obs.NewCounter("spmm_parallel_chunks_total",
-		"Chunks dispatched across all regions.")
+		"Chunks dispatched across all regions; a pooled region counts its chunks, not the pieces it cuts them into.")
 	obsItems = obs.NewCounter("spmm_parallel_items_total",
 		"Loop iterations (rows/triplets/slices) covered by dispatched regions.")
 )

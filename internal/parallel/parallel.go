@@ -37,12 +37,16 @@ func ChunkBounds(n, chunks, i int) (lo, hi int) {
 // goroutine per chunk (OpenMP "schedule(static)"). threads < 1 is treated as
 // 1.
 //
-// Worker-id contract: body receives its chunk bounds and a worker id that is
-// the *chunk index*, in [0, min(threads, n)) — when threads exceeds n the
-// thread count is clamped to n and ids stay dense. Every loop runner in this
-// package (For, ForDynamic, Pool.Run, Pool.RunBounds, ForBounds, Exec.Run)
-// follows the same contract, so per-worker scratch indexed by the id is safe
-// regardless of the machinery; the id is never a pool-goroutine identity.
+// Worker-id contract: body receives a range and a worker id in
+// [0, min(threads, n)) — when threads exceeds n the thread count is clamped
+// to n and ids stay dense — and no two bodies running at the same time share
+// an id. Here and in ForBounds the id is the chunk index and each id runs
+// once. On the pool (Pool.Run, Pool.RunBounds) the id is the participant
+// index: one participant may run many pieces of the region, in sequence,
+// and a participant may run none. Under ForDynamic it is the claiming
+// goroutine's index in [0, threads), which also runs many chunks in
+// sequence. So per-worker scratch indexed by the id is safe under every
+// runner; the id is never a pool-goroutine identity.
 func For(n, threads int, body func(lo, hi, worker int)) {
 	body = traceBody(body)
 	if threads < 1 {
@@ -110,41 +114,60 @@ func ForDynamic(n, threads, chunk int, body func(lo, hi, worker int)) {
 // the same goroutines instead of paying spawn plus WaitGroup churn per
 // Calculate call, which dominates at small k and in best-thread sweeps.
 //
-// Dispatch is allocation-free: chunks travel to workers as plain structs
-// over a buffered channel and the fork/join WaitGroup lives in the pool, so
-// the only steady-state heap traffic of a pooled kernel call is the caller's
-// own body closure. Run serialises concurrent callers (one fork/join region
-// at a time), matching the single OpenMP team the thesis' suite uses.
+// A region's caller does not wait while the team works: it is participant
+// 0, and up to `chunks`−1 pool workers join it. The region's chunks are cut
+// into piecesPerChunk pieces each, and every participant claims the next
+// piece from one counter until none are left, so a participant slowed by
+// another goroutine on its core hands its share to whoever is free instead
+// of holding the join.
+//
+// Dispatch is allocation-free: the region's state lives in the pool, the
+// workers are woken by their participant index over a buffered channel,
+// and the join WaitGroup lives in the pool, so the only steady-state heap
+// traffic of a pooled kernel call is the caller's own body closure. Regions
+// are serialised on one mutex (one fork/join region at a time), matching
+// the single OpenMP team the thesis' suite uses.
 type Pool struct {
 	workers  int
-	tasks    chan poolTask
-	mu       sync.Mutex     // serialises Run/RunBounds
-	joinWG   sync.WaitGroup // completion of the current region's chunks
+	wake     chan int       // participant index of each joining worker
+	mu       sync.Mutex     // serialises regions
+	joinWG   sync.WaitGroup // the current region's joined workers
 	workerWG sync.WaitGroup // worker goroutine lifetimes
 	closed   atomic.Bool
+
+	// The current region, written under mu before any worker is woken and
+	// read only by its participants.
+	body   func(lo, hi, worker int)
+	n      int          // static partition of [0, n), when bounds is nil
+	chunks int          // chunks in the region
+	bounds []int        // precomputed chunk bounds, or nil
+	next   atomic.Int64 // the next unclaimed piece
 }
 
-// poolTask is one chunk of a fork/join region.
-type poolTask struct {
-	lo, hi, worker int
-	body           func(lo, hi, worker int)
-}
+// piecesPerChunk is how many pieces each chunk of a pooled region is cut
+// into: enough that a participant slowed for part of a region can hand
+// most of its chunk over, few enough that a claim (one atomic add) stays
+// far below a piece's work. DESIGN §5 has the 1-, 4- and 16-piece
+// measurements.
+const piecesPerChunk = 16
 
 // NewPool starts a pool of the given number of worker goroutines.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
+	// A region wakes at most `workers` workers, and each has received its
+	// index before the region returns, so the sends never block.
 	p := &Pool{
 		workers: workers,
-		tasks:   make(chan poolTask, workers),
+		wake:    make(chan int, workers),
 	}
 	p.workerWG.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.workerWG.Done()
-			for t := range p.tasks {
-				t.body(t.lo, t.hi, t.worker)
+			for id := range p.wake {
+				p.claim(id)
 				p.joinWG.Done()
 			}
 		}()
@@ -155,11 +178,12 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Run executes body over [0, n) in `threads` static chunks using pool
-// workers. If threads exceeds the pool size, the extra chunks queue behind
-// the busy workers — the same oversubscription behaviour as For, with reuse
-// of the warmed goroutines. Worker ids follow the For contract: the chunk
-// index in [0, min(threads, n)), not a pool-goroutine identity.
+// Run executes body over [0, n), the static partition of min(threads, n)
+// chunks, shared out in pieces among the caller and up to min(threads, n)−1
+// pool workers. threads may exceed the pool size: the region then has more
+// chunks than participants, and the participants run them all. Worker ids
+// are participant indices in [0, min(threads, n)) — see the contract on
+// For — never a pool-goroutine identity.
 func (p *Pool) Run(n, threads int, body func(lo, hi, worker int)) {
 	body = traceBody(body)
 	if threads < 1 {
@@ -177,7 +201,9 @@ func (p *Pool) Run(n, threads int, body func(lo, hi, worker int)) {
 }
 
 // RunBounds executes body over the precomputed chunks (for example from
-// BalancedBounds) on pool workers. body's worker id is the chunk index.
+// BalancedBounds), each split into pieces by count and shared out as Run
+// shares its chunks. body's worker id is the participant index in
+// [0, len(bounds)-1).
 func (p *Pool) RunBounds(bounds []int, body func(lo, hi, worker int)) {
 	body = traceBody(body)
 	chunks := len(bounds) - 1
@@ -192,39 +218,64 @@ func (p *Pool) RunBounds(bounds []int, body func(lo, hi, worker int)) {
 	p.dispatch(0, chunks, bounds, body)
 }
 
-// dispatch queues one fork/join region of `chunks` chunks and waits for the
-// join. With nil bounds the region is the static partition of [0, n); with
-// bounds set they hold the precomputed splits. The pool-level mutex keeps
-// regions from interleaving so the shared join WaitGroup stays coherent, and
-// nothing here reaches the heap — chunks are plain struct sends.
+// dispatch runs one region of `chunks` chunks: it publishes the region,
+// wakes min(chunks, Workers()+1)−1 workers as participants 1…, claims
+// pieces itself as participant 0, and returns once every woken worker has
+// found the pieces gone. With nil bounds the chunks are the static
+// partition of [0, n).
 func (p *Pool) dispatch(n, chunks int, bounds []int, body func(lo, hi, worker int)) {
 	if p.closed.Load() {
 		panic("parallel: Run on closed Pool")
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.joinWG.Add(chunks)
-	for w := 0; w < chunks; w++ {
-		var lo, hi int
-		if bounds != nil {
-			lo, hi = bounds[w], bounds[w+1]
-		} else {
-			lo, hi = ChunkBounds(n, chunks, w)
-		}
-		if lo >= hi {
-			p.joinWG.Done()
-			continue
-		}
-		p.tasks <- poolTask{lo: lo, hi: hi, worker: w, body: body}
+	p.body, p.n, p.chunks, p.bounds = body, n, chunks, bounds
+	p.next.Store(0)
+	helpers := min(chunks, p.workers+1) - 1
+	p.joinWG.Add(helpers)
+	for id := 1; id <= helpers; id++ {
+		p.wake <- id
 	}
+	// The runtime queues the last worker woken to run next on this P, where
+	// it would wait for another P to steal it (about 70 µs on a 2 vCPU
+	// host). Yielding runs it here now; the caller resumes on the next free
+	// P and claims beside it.
+	runtime.Gosched()
+	p.claim(0)
 	p.joinWG.Wait()
+	p.body, p.bounds = nil, nil
+}
+
+// claim runs the current region's unclaimed pieces as participant id until
+// none are left. Piece i is the (i mod piecesPerChunk)-th count split of
+// chunk i / piecesPerChunk; empty pieces of a chunk shorter than
+// piecesPerChunk are skipped.
+func (p *Pool) claim(id int) {
+	pieces := int64(p.chunks * piecesPerChunk)
+	for {
+		i := int(p.next.Add(1) - 1)
+		if int64(i) >= pieces {
+			return
+		}
+		c := i / piecesPerChunk
+		var lo, hi int
+		if p.bounds != nil {
+			lo, hi = p.bounds[c], p.bounds[c+1]
+		} else {
+			lo, hi = ChunkBounds(p.n, p.chunks, c)
+		}
+		plo, phi := ChunkBounds(hi-lo, piecesPerChunk, i%piecesPerChunk)
+		if plo < phi {
+			p.body(lo+plo, lo+phi, id)
+		}
+	}
 }
 
 // Close shuts the pool down and waits for the workers to exit. Run must not
 // be called after Close.
 func (p *Pool) Close() {
 	if p.closed.CompareAndSwap(false, true) {
-		close(p.tasks)
+		close(p.wake)
 	}
 	p.workerWG.Wait()
 }

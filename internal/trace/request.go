@@ -63,6 +63,7 @@ type Req struct {
 	mu   sync.Mutex
 	done bool
 	rec  ReqRecord
+	at   int64 // where the next Step starts: the last Mark or Step's end
 }
 
 // Now returns nanoseconds since the request began (0 for nil).
@@ -107,6 +108,32 @@ func (q *Req) Phase(name, detail string, start, arg int64) int64 {
 	}
 	q.AddPhase(name, detail, start, dur, arg)
 	return dur
+}
+
+// Mark starts a chain of contiguous phases: the next Step begins now.
+func (q *Req) Mark() {
+	if q == nil {
+		return
+	}
+	now := q.Now()
+	q.mu.Lock()
+	q.at = now
+	q.mu.Unlock()
+}
+
+// Step records a span from where the chain stands (the last Mark or Step)
+// to now, and that same clock read begins the next Step, so a chain of
+// Steps leaves no untimed gap between its spans. Nil receivers no-op.
+func (q *Req) Step(name, detail string, arg int64) {
+	if q == nil {
+		return
+	}
+	now := q.Now()
+	q.mu.Lock()
+	start := q.at
+	q.at = now
+	q.mu.Unlock()
+	q.AddPhase(name, detail, start, max(now-start, 0), arg)
 }
 
 // AddPhase records a span with an explicitly measured interval — the escape

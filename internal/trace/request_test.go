@@ -119,6 +119,42 @@ func TestRequestLifecycle(t *testing.T) {
 	}
 }
 
+// TestRequestStepsAreContiguous: after a Mark, each Step starts on the clock
+// read that ended the one before, so the chain's spans tile the time from
+// the Mark to the last Step exactly; on a nil *Req both are no-ops.
+func TestRequestStepsAreContiguous(t *testing.T) {
+	var off *Req
+	off.Mark()
+	off.Step(PhaseLoad, "", 0)
+
+	req := NewRequests(4).Begin("rid-s", "mat-s")
+	time.Sleep(time.Millisecond)
+	req.Mark()
+	for _, phase := range []string{PhaseLoad, PhaseAttemptRemote, PhaseAttemptRemote, PhaseRespond} {
+		time.Sleep(100 * time.Microsecond)
+		req.Step(phase, "", 0)
+	}
+	rec := req.Finish()
+	if len(rec.Spans) != 4 {
+		t.Fatalf("spans = %d, want 4", len(rec.Spans))
+	}
+	if rec.Spans[0].Start < int64(time.Millisecond) {
+		t.Fatalf("first Step starts at %d ns, before its Mark", rec.Spans[0].Start)
+	}
+	for i, sp := range rec.Spans {
+		if sp.Dur <= 0 {
+			t.Fatalf("span %d (%s) has duration %d", i, sp.Name, sp.Dur)
+		}
+		if i > 0 && sp.Start != rec.Spans[i-1].Start+rec.Spans[i-1].Dur {
+			t.Fatalf("span %d starts at %d, the span before ended at %d",
+				i, sp.Start, rec.Spans[i-1].Start+rec.Spans[i-1].Dur)
+		}
+	}
+	if end := rec.Spans[3].Start + rec.Spans[3].Dur; end > rec.TotalNs {
+		t.Fatalf("chain ends at %d, after the record's total %d", end, rec.TotalNs)
+	}
+}
+
 func TestRequestsRingBoundAndFilters(t *testing.T) {
 	rr := NewRequests(4)
 	for i := 0; i < 10; i++ {

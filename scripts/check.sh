@@ -256,6 +256,6 @@ echo "== cluster e2e (router + 3 replicas, SIGKILL a holder mid-load, rebalance)
 go test -run '^TestClusterSmokeE2E$' -count=1 ./internal/cluster
 
 echo "== bench smoke (1 iteration per bench) =="
-go test -run '^$' -bench . -benchtime=1x . ./internal/kernels ./internal/serve ./internal/delta > /dev/null
+go test -run '^$' -bench . -benchtime=1x . ./internal/kernels ./internal/parallel ./internal/serve ./internal/delta > /dev/null
 
 echo "check.sh: all checks passed"
