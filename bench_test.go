@@ -452,10 +452,10 @@ func BenchmarkAblationValueType(b *testing.B) {
 // BenchmarkAblationSchedule: the parallel work partition and dispatch on the
 // most irregular matrix (torso1's huge-row skew is where static chunking
 // loses balance). Each row differs from "static" (OpenMP-style equal-row
-// chunks on goroutines spawned per call) in one thing: "dynamic"
-// self-schedules, "balanced" chunks by nonzeros, "pooled" runs the static
-// chunks on one persistent worker pool, where the caller joins the pool's
-// workers and all of them claim the chunks' pieces from one counter.
+// chunks on the process pool, parallel.Default) in one thing: "balanced"
+// chunks by nonzeros, "pooled" runs the static chunks on a pool of its own
+// sized to the thread count. On either pool the caller joins the workers
+// and all of them claim the chunks' pieces from one counter.
 func BenchmarkAblationSchedule(b *testing.B) {
 	m, _, err := gen.GenerateScaled("torso1", 0.02)
 	if err != nil {
@@ -473,7 +473,6 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		spec kernels.Spec
 	}{
 		{"static", kernels.Spec{Threads: threads}},
-		{"dynamic", kernels.Spec{Threads: threads, Schedule: kernels.ScheduleDynamic, Chunk: 32}},
 		{"balanced", kernels.Spec{Threads: threads, Schedule: kernels.ScheduleBalanced}},
 		{"pooled", kernels.Spec{Threads: threads, Pool: pool}},
 	}

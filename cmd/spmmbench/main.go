@@ -27,10 +27,11 @@
 //
 // Scheduling: -schedule balanced switches the CPU-parallel kernels from
 // row-static chunks (the thesis' OpenMP baseline) to nonzero-balanced
-// chunks, and -pool runs them on one persistent worker pool — in campaign
-// mode the whole sweep reuses the same warmed workers:
+// chunks. Every parallel kernel runs on one persistent worker pool, sized
+// to the largest thread count the run uses — in campaign mode the whole
+// sweep reuses the same warmed workers:
 //
-//	spmmbench -kernel csr-omp -matrix torso1 -t 8 -schedule balanced -pool
+//	spmmbench -kernel csr-omp -matrix torso1 -t 8 -schedule balanced
 package main
 
 import (
@@ -76,7 +77,6 @@ func main() {
 		list        = flag.Bool("list", false, "list available kernels and matrices, then exit")
 
 		schedule = flag.String("schedule", "static", "parallel work partition: static (equal rows, the thesis' OpenMP baseline) or balanced (equal nonzeros, for skewed matrices)")
-		usePool  = flag.Bool("pool", false, "run parallel kernels on one persistent worker pool instead of spawning goroutines per call")
 
 		timeout   = flag.Duration("timeout", 0, "campaign: per-run timeout (0 disables)")
 		retries   = flag.Int("retries", 0, "campaign: extra attempts for transient failures")
@@ -124,17 +124,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spmmbench: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	// The tracer is sized to one pipeline lane plus one lane per worker the
-	// run can use; the ring keeps the newest 32Ki spans per lane.
+	// The widest region the run dispatches sizes its worker pool and, with
+	// one pipeline lane, its tracer; the ring keeps the newest 32Ki spans
+	// per lane.
+	width := *threads
+	for _, tok := range strings.Split(*threadsList, ",") {
+		if v, err := strconv.Atoi(strings.TrimSpace(tok)); err == nil {
+			width = max(width, v)
+		}
+	}
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceSum {
-		lanes := *threads + 2
-		for _, tok := range strings.Split(*threadsList, ",") {
-			if v, err := strconv.Atoi(strings.TrimSpace(tok)); err == nil && v+2 > lanes {
-				lanes = v + 2
-			}
-		}
-		tracer = trace.New(lanes, 1<<15)
+		tracer = trace.New(width+2, 1<<15)
 		tracer.SetEnabled(true)
 		parallel.SetTracer(tracer)
 		defer func() {
@@ -171,12 +172,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -schedule %q (static or balanced)", *schedule))
 	}
-	var pool *parallel.Pool
-	if *usePool {
-		pool = parallel.NewPool(*threads)
-		defer pool.Close()
-	}
-
 	if *list {
 		fmt.Println("spmm kernels:")
 		for _, n := range core.Names() {
@@ -189,6 +184,9 @@ func main() {
 		fmt.Println("inner loop:", matrix.InnerBody())
 		return
 	}
+
+	pool := parallel.NewPool(width)
+	defer pool.Close()
 
 	campaign := *timeout > 0 || *retries > 0 || *memBudget != "" || *journal != "" || *resume ||
 		strings.Contains(*kernelName, ",") || strings.Contains(*matrixName, ",")

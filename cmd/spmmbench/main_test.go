@@ -31,7 +31,7 @@ func spmmbench(args ...string) (string, error) {
 func TestSpMVCampaignJournalsAndResumes(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "spmv.jsonl")
 	args := []string{"-kernel", "sellcs-omp,bell-serial", "-matrix", "dw4096", "-scale", "0.05",
-		"-k", "1", "-t", "2", "-n", "2", "-schedule", "balanced", "-pool", "-journal", journal}
+		"-k", "1", "-t", "2", "-n", "2", "-schedule", "balanced", "-journal", journal}
 	out, err := spmmbench(args...)
 	if err != nil {
 		t.Fatalf("campaign: %v\n%s", err, out)
@@ -55,12 +55,16 @@ func TestSpMVCampaignJournalsAndResumes(t *testing.T) {
 	}
 }
 
-// TestOpFlagIsGone: an SpMV run is -k 1 and -op is not a flag, so a stale
-// command line fails flag parsing instead of quietly running SpMM.
-func TestOpFlagIsGone(t *testing.T) {
-	out, err := spmmbench("-op", "spmv", "-kernel", "csr-serial", "-matrix", "dw4096")
-	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 2 || !strings.Contains(out, "flag provided but not defined: -op") {
-		t.Fatalf("-op: err %v, output:\n%s", err, out)
+// TestRetiredFlagsAreGone: a stale command line fails flag parsing instead
+// of quietly running something else. An SpMV run is -k 1, so -op is not a
+// flag; every parallel kernel runs on the one pool -t sizes, so -pool is not
+// one either.
+func TestRetiredFlagsAreGone(t *testing.T) {
+	for _, args := range [][]string{{"-op", "spmv"}, {"-pool"}} {
+		out, err := spmmbench(append(args, "-kernel", "csr-serial", "-matrix", "dw4096")...)
+		exit, ok := err.(*exec.ExitError)
+		if !ok || exit.ExitCode() != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Fatalf("%s: err %v, output:\n%s", args[0], err, out)
+		}
 	}
 }

@@ -73,10 +73,9 @@ type Params struct {
 	// baseline) or ScheduleBalanced (equal nonzeros per worker, for skewed
 	// matrices). Serial and GPU kernels ignore it.
 	Schedule kernels.Schedule
-	// Pool, when non-nil, is a persistent worker pool the CPU-parallel
-	// kernels run on instead of spawning goroutines per Calculate call. A
+	// Pool is the persistent worker pool the CPU-parallel kernels run on. A
 	// campaign creates one pool up front and every run reuses its warmed
-	// workers; nil keeps the pool-free per-call path for one-off runs.
+	// workers; nil means parallel.Default(), the process pool.
 	Pool *parallel.Pool
 	// Ctx, when non-nil, cancels a run cooperatively: the runner checks it
 	// between repetitions and around Prepare/verify, and every CPU kernel

@@ -154,14 +154,14 @@ func TestRunCtxInterruptsELLMidCalculate(t *testing.T) {
 	}
 }
 
-// regions reads one series of spmm_parallel_regions_total.
-func regions(t *testing.T, mode string) float64 {
+// regions reads spmm_parallel_regions_total.
+func regions(t *testing.T) float64 {
 	t.Helper()
 	var b strings.Builder
 	if err := obs.Default.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	series := fmt.Sprintf("spmm_parallel_regions_total{mode=%q} ", mode)
+	const series = "spmm_parallel_regions_total "
 	for _, line := range strings.Split(b.String(), "\n") {
 		if rest, ok := strings.CutPrefix(line, series); ok {
 			var v float64
@@ -205,16 +205,13 @@ func TestRunCtxKeepsScheduleAndPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, static := regions(t, "pool"), regions(t, "static")
+		before := regions(t)
 		r, err := RunCtx(context.Background(), k, a, "t", p)
 		if err != nil || !r.Verified {
 			t.Fatalf("%s: %+v, %v", name, r, err)
 		}
-		if got := regions(t, "pool"); got <= pooled {
-			t.Errorf("%s: no region ran on the pool under a ctx (spmm_parallel_regions_total{mode=\"pool\"} stayed %v)", name, got)
-		}
-		if got := regions(t, "static"); got != static {
-			t.Errorf("%s: %v goroutine-per-call static regions under a ctx, want 0", name, got-static)
+		if got := regions(t); got <= before {
+			t.Errorf("%s: no region ran on the pool under a ctx (spmm_parallel_regions_total stayed %v)", name, got)
 		}
 
 		q := p

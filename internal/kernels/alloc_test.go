@@ -107,14 +107,18 @@ func TestSerialCalculateZeroAllocTracerInstalled(t *testing.T) {
 		t.Errorf("disabled tracer recorded %d spans", tr.Len())
 	}
 
-	// The pooled parallel path must stay within its existing closure-only
-	// budget when the hook holds a disabled tracer (the unpooled path's
-	// per-call goroutine spawns dominate its allocs either way).
+	// The parallel path must stay within its closure-only budget when the
+	// hook holds a disabled tracer, on a pool of the caller's and on the
+	// process pool a nil Spec.Pool means.
 	pool := parallel.NewPool(4)
 	defer pool.Close()
-	pooled := Spec{Threads: 4, Pool: pool, Trace: tr}
-	if n := testing.AllocsPerRun(10, func() { _ = CSR(csr, b, c, k, pooled) }); n > 3 {
-		t.Errorf("csr pooled opts with disabled tracer: %.0f allocs/op, want <= 3", n)
+	for name, s := range map[string]Spec{
+		"own pool":     {Threads: 4, Pool: pool, Trace: tr},
+		"process pool": {Threads: 4, Trace: tr},
+	} {
+		if n := testing.AllocsPerRun(10, func() { _ = CSR(csr, b, c, k, s) }); n > 3 {
+			t.Errorf("csr parallel on the %s with disabled tracer: %.0f allocs/op, want <= 3", name, n)
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func bcsrBlockRowsT[T matrix.Float](a *formats.BCSR[T], bt, c *matrix.Dense[T], 
 // the lattice: it parallelises the *inner* (within-block-row) loop instead
 // of the block-row loop. The thesis notes this change "clearly made the
 // overall performance worse"; the suite keeps it so the regression is
-// reproducible.
+// reproducible. Its regions run on the process pool.
 func BCSRParallelInner[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, threads int) error {
 	if err := checkSpMM(a.Rows, a.Cols, b, c, k, false); err != nil {
 		return err
@@ -144,7 +144,7 @@ func BCSRParallelInner[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T]
 		// races on C, so workers split the *row* dimension of the block
 		// instead — tiny chunks, heavy fork/join per block row. That is
 		// the pathology the thesis observed.
-		parallel.For(rowLim, threads, func(rlo, rhi, _ int) {
+		parallel.Default().Run(rowLim, threads, func(rlo, rhi, _ int) {
 			for p := first; p < first+nblk; p++ {
 				colBase := int(a.ColIdx[p]) * bc
 				colLim := min(bc, a.Cols-colBase)

@@ -8,7 +8,7 @@ import (
 // CSR computes C[:, :k] = A × B[:, :k] with A in CSR form, executed as s
 // says: rows are the unit of every partition, so each Spec — static (the
 // thesis' OpenMP "parallel for" over rows), nonzero-balanced from the
-// memoized prefix-sum splits, dynamic, pooled, cancellable — is bitwise
+// memoized prefix-sum splits, on any pool, cancellable — is bitwise
 // identical to the serial kernel. Under InnerTransB, b is Bᵀ.
 func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowCSR, s, a.Rows, a.Cols, b, c, k); err != nil {

@@ -66,9 +66,6 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 			"coo-t":   func(out *matrix.Dense[float64]) error { return COO(coo, bt, out, k, Spec{Inner: InnerTransB}) },
 			"csr":     func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{}) },
 			"csr-par": func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{Threads: threads}) },
-			"csr-dyn": func(out *matrix.Dense[float64]) error {
-				return CSR(csr, b, out, k, Spec{Threads: threads, Schedule: ScheduleDynamic, Chunk: 4})
-			},
 			"csr-t": func(out *matrix.Dense[float64]) error {
 				return CSR(csr, bt, out, k, Spec{Threads: threads, Inner: InnerTransB})
 			},

@@ -92,8 +92,9 @@ func zeroKRows[T matrix.Float](c *matrix.Dense[T], k, lo, hi int) {
 }
 
 // replicated is the scaffolding the two reassociating ablations share: each
-// of `threads` workers accumulates its static chunk of [0, n) into a private
-// m×k copy of C, and the copies are then summed into c, parallel over rows.
+// of `threads` static chunks of [0, n) is accumulated into a private m×k
+// copy of C, and the copies are then summed into c, parallel over rows —
+// both regions on the process pool.
 // It costs threads×(m×k) extra memory and a reduction pass whose partial
 // sums no longer follow the serial accumulation order.
 func replicated[T matrix.Float](c *matrix.Dense[T], k, n, threads int, accumulate func(into *matrix.Dense[T], lo, hi int)) {
@@ -104,14 +105,15 @@ func replicated[T matrix.Float](c *matrix.Dense[T], k, n, threads int, accumulat
 		return
 	}
 	privs := make([]*matrix.Dense[T], threads)
-	parallel.For(threads, threads, func(wlo, whi, _ int) {
+	pool := parallel.Default()
+	pool.Run(threads, threads, func(wlo, whi, _ int) {
 		for w := wlo; w < whi; w++ {
 			privs[w] = matrix.NewDense[T](c.Rows, k)
 			lo, hi := parallel.ChunkBounds(n, threads, w)
 			accumulate(privs[w], lo, hi)
 		}
 	})
-	parallel.For(c.Rows, threads, func(lo, hi, _ int) {
+	pool.Run(c.Rows, threads, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			crow := c.Data[i*c.Stride : i*c.Stride+k]
 			clear(crow)

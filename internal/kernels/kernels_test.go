@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/formats"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
 // testCase bundles a sparse matrix, its dense expansion, a dense B, and the
@@ -132,9 +131,6 @@ func TestCSRKernels(t *testing.T) {
 		}{
 			{"CSRSerial", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, tc.k, Spec{}) }},
 			{"CSRParallel", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, tc.k, Spec{Threads: threads}) }},
-			{"CSRParallelDynamic", func(c *matrix.Dense[float64]) error {
-				return CSR(a, tc.b, c, tc.k, Spec{Threads: threads, Schedule: ScheduleDynamic, Chunk: 8})
-			}},
 			{"CSRSerialT", func(c *matrix.Dense[float64]) error { return CSR(a, tc.bt, c, tc.k, Spec{Inner: InnerTransB}) }},
 			{"CSRParallelT", func(c *matrix.Dense[float64]) error {
 				return CSR(a, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB})
@@ -336,13 +332,9 @@ func TestSpecErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := parallel.NewPool(2)
-	defer pool.Close()
 	for name, err := range map[string]error{
 		"bell transposed-B": BELL(bell, b, c, 8, Spec{Inner: InnerTransB}),
 		"csc parallel":      CSC(formats.CSCFromCOO(coo), b, c, 8, Spec{Threads: 2}),
-		"coo dynamic":       COO(coo, b, c, 8, Spec{Threads: 2, Schedule: ScheduleDynamic, Chunk: 1}),
-		"csr dynamic pool":  CSR(formats.CSRFromCOO(coo), b, c, 8, Spec{Threads: 2, Schedule: ScheduleDynamic, Pool: pool}),
 	} {
 		if !errors.Is(err, ErrSpec) {
 			t.Errorf("%s: %v, want ErrSpec", name, err)

@@ -15,9 +15,9 @@ import (
 // This file is the execution half of the format × execution lattice. Every
 // format has one exported entry taking a Spec; the entry validates, picks
 // its range function by Spec.Inner, and hands the range to run — the single
-// place that chooses between the caller's goroutine, fresh goroutines, a
-// persistent pool, precomputed bounds and dynamic self-scheduling, and the
-// single place that steps a range in cancelStride pieces under a context.
+// place that chooses between the caller's goroutine and a pool region over
+// the static partition or precomputed bounds, and the single place that
+// steps a range in cancelStride pieces under a context.
 // The range functions themselves (csrRows, csrRowsT, ...) are the paper's
 // subject and stay one separate loop nest each. There is one k loop per
 // format: k is a runtime bound, and a compile-time k would leave the row
@@ -38,20 +38,12 @@ const (
 	// calls pay nothing for it. Formats whose static partition already is
 	// nonzero-balanced (COO, ELL, BELL) accept it and run static.
 	ScheduleBalanced
-	// ScheduleDynamic self-schedules chunks of Spec.Chunk rows over fresh
-	// goroutines — OpenMP schedule(dynamic, chunk) — for row lengths too
-	// irregular for any precomputed partition, at the price of an atomic
-	// fetch per chunk. It excludes Spec.Pool.
-	ScheduleDynamic
 )
 
 // String returns the flag spelling of the schedule.
 func (s Schedule) String() string {
-	switch s {
-	case ScheduleBalanced:
+	if s == ScheduleBalanced {
 		return "balanced"
-	case ScheduleDynamic:
-		return "dynamic"
 	}
 	return "static"
 }
@@ -72,14 +64,12 @@ const (
 type Spec struct {
 	// Threads is the worker count. At 1 or below the whole range runs on
 	// the caller's goroutine with no parallel machinery (and, without Ctx,
-	// no allocation); Schedule, Chunk, Pool and Trace then have no effect.
+	// no allocation); Schedule, Pool and Trace then have no effect.
 	Threads int
 	// Schedule is the work partition of a parallel run.
 	Schedule Schedule
-	// Chunk is the rows-per-claim of ScheduleDynamic (minimum 1).
-	Chunk int
-	// Pool, when non-nil, runs the chunks on the persistent worker pool
-	// instead of spawning goroutines per call.
+	// Pool is the worker pool a parallel run's chunks are shared out on;
+	// nil means parallel.Default(), the process pool.
 	Pool *parallel.Pool
 	// Ctx, when non-nil, cancels cooperatively: serial and parallel runs
 	// alike check it every cancelStride rows (block rows, slices, COO
@@ -96,11 +86,11 @@ type Spec struct {
 }
 
 // Name is the machinery half of a variant name ("<format>/<machinery>"):
-// what the Spec's axes spell, with the resources reduced to present/absent.
-// ParseVariant is its inverse.
+// what the Spec's axes spell, with the context reduced to present/absent
+// and the pool left out (every parallel run is on one). ParseVariant is its
+// inverse.
 func (s Spec) Name() string {
-	return Variant{Parallel: s.Threads > 1, Schedule: s.Schedule, Pooled: s.Pool != nil,
-		Ctx: s.Ctx != nil, Inner: s.Inner}.machinery()
+	return Variant{Parallel: s.Threads > 1, Schedule: s.Schedule, Ctx: s.Ctx != nil, Inner: s.Inner}.machinery()
 }
 
 // direct reports whether the call is the closure-free serial path: the
@@ -122,9 +112,6 @@ type row struct {
 	// balanced: a nonzero-balanced partition distinct from the static one
 	// exists. Rows without it accept ScheduleBalanced and run static.
 	balanced bool
-	// dynamic: any split of the loop range is valid, so chunks can be
-	// claimed on the fly (COO's must fall on row boundaries).
-	dynamic bool
 	// transB: a transposed-B range function exists.
 	transB bool
 	// colMajor: the format has a second, column-major storage layout
@@ -144,12 +131,12 @@ func (r *row) register() *row {
 
 var (
 	rowCOO    = (&row{format: "coo", parallel: true, transB: true}).register()
-	rowCSR    = (&row{format: "csr", parallel: true, balanced: true, dynamic: true, transB: true}).register()
+	rowCSR    = (&row{format: "csr", parallel: true, balanced: true, transB: true}).register()
 	rowCSC    = (&row{format: "csc"}).register()
-	rowELL    = (&row{format: "ell", parallel: true, dynamic: true, transB: true, colMajor: true}).register()
-	rowBCSR   = (&row{format: "bcsr", parallel: true, balanced: true, dynamic: true, transB: true}).register()
-	rowBELL   = (&row{format: "bell", parallel: true, dynamic: true}).register()
-	rowSELLCS = (&row{format: "sellcs", parallel: true, balanced: true, dynamic: true}).register()
+	rowELL    = (&row{format: "ell", parallel: true, transB: true, colMajor: true}).register()
+	rowBCSR   = (&row{format: "bcsr", parallel: true, balanced: true, transB: true}).register()
+	rowBELL   = (&row{format: "bell", parallel: true}).register()
+	rowSELLCS = (&row{format: "sellcs", parallel: true, balanced: true}).register()
 
 	lattice = []*row{rowCOO, rowCSR, rowCSC, rowELL, rowBCSR, rowBELL, rowSELLCS}
 )
@@ -161,15 +148,15 @@ func check[T matrix.Float](r *row, s Spec, ar, ac int, b, c *matrix.Dense[T], k 
 		return fmt.Errorf("%w: %s has only the tiled inner loop", ErrSpec, r.format)
 	case s.Threads > 1 && !r.parallel:
 		return fmt.Errorf("%w: %s has no row-parallel decomposition", ErrSpec, r.format)
-	case s.Threads > 1 && s.Schedule == ScheduleDynamic && (!r.dynamic || s.Pool != nil):
-		return fmt.Errorf("%w: dynamic scheduling on %s (pool=%v)", ErrSpec, r.format, s.Pool != nil)
 	}
 	return checkSpMM(ar, ac, b, c, k, s.Inner == InnerTransB)
 }
 
-// run executes body over [0, n) as s says, as one dispatch of r's format.
-// bounds, when non-nil, are the precomputed chunk bounds of a balanced (or
-// row-aligned) partition.
+// run executes body over [0, n) as s says, as one dispatch of r's format:
+// on the caller's goroutine, or as one region on s.Pool (parallel.Default()
+// when nil). bounds, when non-nil, are the precomputed chunk bounds of a
+// balanced (or row-aligned) partition; otherwise the region is the static
+// partition into s.Threads chunks.
 func run(s Spec, r *row, n int, bounds []int, body func(lo, hi, worker int)) error {
 	ctx := s.Ctx
 	if s.Threads <= 1 {
@@ -182,14 +169,18 @@ func run(s Spec, r *row, n int, bounds []int, body func(lo, hi, worker int)) err
 		chunk := body
 		body = func(lo, hi, worker int) { _ = step(ctx, lo, hi, worker, chunk) }
 	}
-	e := parallel.Exec{Pool: s.Pool, Bounds: bounds}
-	if s.Schedule == ScheduleDynamic {
-		e.Chunk = max(s.Chunk, 1)
+	pool := s.Pool
+	if pool == nil {
+		pool = parallel.Default()
 	}
 	r.dispatches.Inc()
 	obsRows.Add(int64(n))
 	span := s.Trace.Start()
-	e.Run(n, s.Threads, body)
+	if bounds != nil {
+		pool.RunBounds(bounds, body)
+	} else {
+		pool.Run(n, s.Threads, body)
+	}
 	s.Trace.EndDetail(0, trace.PhaseKernel, r.format, span, int64(s.Threads))
 	if ctx != nil {
 		return ctx.Err()

@@ -39,11 +39,10 @@ type Variant struct {
 	// accumulators) and is only required to match within tolerance.
 	Bitwise bool
 
-	// The lattice coordinates, with the Spec's resources reduced to
+	// The lattice coordinates, with the Spec's context reduced to
 	// present/absent; Run binds them from the VariantInput.
 	Parallel bool // Spec.Threads > 1
 	Schedule Schedule
-	Pooled   bool // Spec.Pool != nil
 	Ctx      bool // Spec.Ctx != nil
 	Inner    Inner
 	Layout   formats.ELLLayout // ELL only
@@ -51,22 +50,16 @@ type Variant struct {
 	ablation func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error
 }
 
-// dynamicChunk is the rows-per-claim of the enumerated dynamic points.
-const dynamicChunk = 4
-
 // machinery spells v's execution coordinates as the second half of a
 // variant name. The parallel spellings keep the names the serving WAL
-// persists: "opts-static", "opts-balanced", "opts-pool" (static, pooled),
-// "opts-balanced-pool".
+// persists: "opts-pool" (static) and "opts-balanced-pool".
 func (v Variant) machinery() string {
 	name := "serial"
 	switch {
-	case v.Parallel && v.Pooled && v.Schedule == ScheduleStatic:
+	case v.Parallel && v.Schedule == ScheduleStatic:
 		name = "opts-pool"
-	case v.Parallel && v.Pooled:
-		name = "opts-" + v.Schedule.String() + "-pool"
 	case v.Parallel:
-		name = "opts-" + v.Schedule.String()
+		name = "opts-" + v.Schedule.String() + "-pool"
 	}
 	if v.Ctx {
 		name += "-ctx"
@@ -88,8 +81,8 @@ func (r *row) point(v Variant) Variant {
 }
 
 // points enumerates r's row of the lattice: the serial points, then the
-// parallel ones spawn-before-pooled and static-before-balanced — the order
-// ServableVariants (and so the tuner's round-robin) has always had.
+// parallel ones static-before-balanced — the order ServableVariants (and so
+// the tuner's round-robin) has always had.
 func (r *row) points() []Variant {
 	inners := []Inner{InnerTiled}
 	if r.transB {
@@ -100,19 +93,14 @@ func (r *row) points() []Variant {
 		layouts = []formats.ELLLayout{formats.RowMajor, formats.ColMajor}
 	}
 	type machine struct {
-		parallel, pooled bool
-		sched            Schedule
+		parallel bool
+		sched    Schedule
 	}
 	machines := []machine{{}}
 	if r.parallel {
-		for _, pooled := range []bool{false, true} {
-			machines = append(machines, machine{true, pooled, ScheduleStatic})
-			if r.balanced {
-				machines = append(machines, machine{true, pooled, ScheduleBalanced})
-			}
-			if r.dynamic && !pooled {
-				machines = append(machines, machine{true, false, ScheduleDynamic})
-			}
+		machines = append(machines, machine{true, ScheduleStatic})
+		if r.balanced {
+			machines = append(machines, machine{true, ScheduleBalanced})
 		}
 	}
 	var out []Variant
@@ -121,7 +109,7 @@ func (r *row) points() []Variant {
 			for _, inner := range inners {
 				for _, ctx := range []bool{false, true} {
 					out = append(out, r.point(Variant{Parallel: m.parallel, Schedule: m.sched,
-						Pooled: m.pooled, Ctx: ctx, Inner: inner, Layout: layout}))
+						Ctx: ctx, Inner: inner, Layout: layout}))
 				}
 			}
 		}
@@ -177,33 +165,56 @@ var index = sync.OnceValue(func() variantIndex {
 // The slice is a copy, so tests may not corrupt shared state.
 func Variants() []Variant { return append([]Variant(nil), index().all...) }
 
+// legacy maps the machinery prefix of each retired spelling to the prefix
+// of the point that now runs it, longest first. Parallel points once also
+// ran on fresh goroutines per call ("opts-static", "opts-balanced", and
+// before the lattice "parallel") or self-scheduled chunks ("opts-dynamic",
+// "parallel-dynamic"); a pool's participants already claim a region's
+// pieces as they go, so each now names its schedule's pooled point.
+var legacy = []struct {
+	old, now string
+	dynamic  bool
+}{
+	{"parallel-dynamic", "opts-pool", true},
+	{"opts-dynamic", "opts-pool", true},
+	{"parallel", "opts-pool", false},
+	{"opts-static", "opts-pool", false},
+	{"opts-balanced", "opts-balanced-pool", false},
+}
+
 // ParseVariant is the inverse of the enumeration's naming: it resolves a
-// variant name to its coordinates. The pre-lattice spellings of the
-// goroutine-per-call points — "parallel" for "opts-static",
-// "parallel-dynamic" for "opts-dynamic" — keep resolving.
+// variant name to its coordinates. The retired spellings in legacy keep
+// resolving, to the point that now runs them; the Variant carries the
+// canonical Name.
 func ParseVariant(name string) (Variant, bool) {
 	ix := index()
 	if v, ok := ix.byName[name]; ok {
 		return v, true
 	}
 	format, m, _ := strings.Cut(name, "/")
-	if rest, ok := strings.CutPrefix(m, "parallel-dynamic"); ok {
-		m = "opts-dynamic" + rest
-	} else if rest, ok := strings.CutPrefix(m, "parallel"); ok {
-		m = "opts-static" + rest
+	for _, l := range legacy {
+		rest, ok := strings.CutPrefix(m, l.old)
+		if !ok {
+			continue
+		}
+		// COO's chunks must fall on row boundaries, so it never had a
+		// dynamic point for the spelling to name.
+		if l.dynamic && format == rowCOO.format {
+			return Variant{}, false
+		}
+		v, ok := ix.byName[format+"/"+l.now+rest]
+		return v, ok
 	}
-	v, ok := ix.byName[format+"/"+m]
-	return v, ok
+	return Variant{}, false
 }
 
 // servable reports whether a server may dispatch a live multiply (or a
 // shadow trial) on v: a parallel lattice point on the row-major layout with
-// the tiled inner loop, a precomputed partition, and no context — bitwise
-// (so a challenger's output can be verified against the served result
-// exactly), valid for any k, and scheduled by its name alone.
+// the tiled inner loop and no context — bitwise (so a challenger's output
+// can be verified against the served result exactly), valid for any k, and
+// scheduled by its name alone.
 func (v Variant) servable() bool {
-	return v.Parallel && !v.Ctx && v.Inner == InnerTiled &&
-		v.Schedule != ScheduleDynamic && v.Layout == formats.RowMajor
+	return v.Parallel && !v.Ctx && v.Inner == InnerTiled && v.Layout == formats.RowMajor
 }
 
 // ServableVariants returns the enumeration's servable subset, in order.
@@ -218,27 +229,27 @@ func ServableVariants() []Variant {
 }
 
 // PlanForVariant decodes a servable variant name into the serving plan it
-// executes: the sparse format, the work-partition schedule, and whether
-// dispatch rides the persistent pool. ok is false for names outside the
-// servable subset.
-func PlanForVariant(name string) (format string, sched Schedule, pooled bool, ok bool) {
+// executes: the sparse format and the work-partition schedule. ok is false
+// for names outside the servable subset, which a retired dynamic spelling
+// stays in: no plan ever named one.
+func PlanForVariant(name string) (format string, sched Schedule, ok bool) {
 	v, found := ParseVariant(name)
-	if !found || !v.servable() {
-		return "", ScheduleStatic, false, false
+	if !found || !v.servable() || strings.Contains(name, "dynamic") {
+		return "", ScheduleStatic, false
 	}
-	return v.Format, v.Schedule, v.Pooled, true
+	return v.Format, v.Schedule, true
 }
 
 // ServingVariant composes the variant name for a serving plan. Formats
 // whose balanced partition is identical to static have no balanced points;
 // dropping the qualifier changes nothing about the dispatch for them.
-func ServingVariant(format string, sched Schedule, pooled bool) string {
+func ServingVariant(format string, sched Schedule) string {
 	for _, r := range lattice {
 		if r.format == format && !r.balanced {
 			sched = ScheduleStatic
 		}
 	}
-	return format + "/" + Variant{Parallel: true, Schedule: sched, Pooled: pooled}.machinery()
+	return format + "/" + Variant{Parallel: true, Schedule: sched}.machinery()
 }
 
 // VariantInput is one sparse matrix plus the dense operands and execution
@@ -255,8 +266,8 @@ type VariantInput struct {
 
 	K       int
 	Threads int
-	// Pool, when non-nil, backs the pooled points; nil degrades them to
-	// goroutine-per-call (still correct, just a different machinery).
+	// Pool is the worker pool the parallel points run on; nil means
+	// parallel.Default(), the process pool.
 	Pool *parallel.Pool
 
 	// Formats caches Prepare's conversions by format name ("ell-colmajor"
@@ -295,15 +306,9 @@ func (in *VariantInput) Prepare(v Variant) (formats.Sparse, error) {
 
 // spec binds the variant's coordinates to in's resources.
 func (v Variant) spec(in *VariantInput) Spec {
-	s := Spec{Threads: 1, Schedule: v.Schedule, Inner: v.Inner}
+	s := Spec{Threads: 1, Schedule: v.Schedule, Pool: in.Pool, Inner: v.Inner}
 	if v.Parallel {
 		s.Threads = in.Threads
-	}
-	if v.Schedule == ScheduleDynamic {
-		s.Chunk = dynamicChunk
-	}
-	if v.Pooled {
-		s.Pool = in.Pool
 	}
 	if v.Ctx {
 		s.Ctx = context.Background()

@@ -344,7 +344,6 @@ func TestSimulateRejectsWhatItDoesNotModel(t *testing.T) {
 		format string
 		sched  kernels.Schedule
 	}{
-		{"csr", kernels.ScheduleDynamic},
 		{"coo", kernels.ScheduleBalanced},
 		{"ell", kernels.ScheduleBalanced},
 		{"bcsr", kernels.ScheduleBalanced},

@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // This file implements nonzero-balanced work partitioning — the merge-path
@@ -92,74 +91,4 @@ func ValidateBounds(bounds []int, n int) error {
 		}
 	}
 	return nil
-}
-
-// ForBounds executes body over the precomputed chunks, one goroutine per
-// chunk. body receives the chunk's half-open range and the chunk index as
-// its worker id (the same worker-id contract as For).
-func ForBounds(bounds []int, body func(lo, hi, worker int)) {
-	body = traceBody(body)
-	chunks := len(bounds) - 1
-	if chunks <= 0 {
-		return
-	}
-	countRegion(obsRegionsBounds, chunks, boundsItems(bounds))
-	if chunks == 1 {
-		body(bounds[0], bounds[1], 0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(chunks)
-	for w := 0; w < chunks; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(bounds[w], bounds[w+1], w)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Exec selects the execution machinery for one parallel loop: an optional
-// persistent worker pool (reusing warmed goroutines instead of spawning
-// fresh ones per call), optional precomputed chunk bounds (nonzero-balanced
-// instead of row-static), or dynamic self-scheduling. The zero value behaves
-// exactly like For. Cancellation is not a machinery concern: a caller with a
-// context checks it inside body, at the granularity it needs.
-type Exec struct {
-	// Pool, when non-nil, runs the chunks on the persistent pool.
-	Pool *Pool
-	// Bounds, when non-nil, are precomputed chunk bounds (for example from
-	// BalancedBounds); the loop runs len(Bounds)-1 chunks and ignores the
-	// static partition of [0, n).
-	Bounds []int
-	// Chunk, when positive, self-schedules chunks of that many iterations
-	// over fresh goroutines (ForDynamic). Workers claim chunks as they go,
-	// so neither precomputed Bounds nor the pool's pieces of fixed chunks
-	// apply: Run panics if Chunk is combined with either.
-	Chunk int
-}
-
-// Run executes body over [0, n) under the configured machinery. With nil
-// Bounds the loop is split into min(threads, n) static chunks exactly like
-// For; with Bounds set, n and threads only bound the degenerate serial case
-// and the chunk count comes from the bounds. The worker id passed to body
-// follows the contract on For: the chunk index on fresh goroutines, the
-// participant index on the pool (many pieces per id, in sequence), and the
-// claiming goroutine's index in [0, threads) under Chunk.
-func (e Exec) Run(n, threads int, body func(lo, hi, worker int)) {
-	switch {
-	case e.Chunk > 0:
-		if e.Pool != nil || e.Bounds != nil {
-			panic("parallel: Exec.Chunk excludes Pool and Bounds")
-		}
-		ForDynamic(n, threads, e.Chunk, body)
-	case e.Bounds != nil && e.Pool != nil:
-		e.Pool.RunBounds(e.Bounds, body)
-	case e.Bounds != nil:
-		ForBounds(e.Bounds, body)
-	case e.Pool != nil:
-		e.Pool.Run(n, threads, body)
-	default:
-		For(n, threads, body)
-	}
 }

@@ -120,29 +120,21 @@ func TestBalancedBoundsDegenerate(t *testing.T) {
 	}
 }
 
-// TestWorkerIDContract pins the contract documented on For: every loop
-// runner passes body a worker id dense in [0, min(threads, n)), even when
-// threads exceeds n or the pool has fewer goroutines than chunks. On fresh
-// goroutines the id is the chunk index and runs exactly once; on the pool it
-// is the participant index, which may run many pieces, so there the test
-// asks that every item runs exactly once and that no two bodies run at once
-// under one id.
+// TestWorkerIDContract pins the contract documented on Pool: Run passes
+// body a worker id dense in [0, min(threads, n)), even when threads exceeds
+// n or the pool has fewer goroutines than chunks — on a pool of the caller's
+// and on the process pool a kernel without one runs on. The id is the
+// participant index, which may run many pieces, so the test asks that every
+// item runs exactly once and that no two bodies run at once under one id.
 func TestWorkerIDContract(t *testing.T) {
 	pool := NewPool(2) // smaller than every thread count below
 	defer pool.Close()
 
-	runners := map[string]struct {
-		run    func(n, threads int, body func(lo, hi, w int))
-		pooled bool
-	}{
-		"For":      {For, false},
-		"Exec{}":   {Exec{}.Run, false},
-		"Pool.Run": {pool.Run, true},
-		"Exec{Pool}": {func(n, threads int, body func(lo, hi, w int)) {
-			Exec{Pool: pool}.Run(n, threads, body)
-		}, true},
+	runners := map[string]func(n, threads int, body func(lo, hi, w int)){
+		"Pool.Run":      pool.Run,
+		"Default().Run": Default().Run,
 	}
-	for name, r := range runners {
+	for name, run := range runners {
 		for _, tc := range []struct{ n, threads int }{
 			{5, 32},   // threads >> n: ids clamp to [0, n)
 			{100, 7},  // rows >> threads
@@ -151,10 +143,9 @@ func TestWorkerIDContract(t *testing.T) {
 			{100, 50}, // chunks >> pool workers
 		} {
 			want := min(tc.threads, tc.n)
-			seen := make([]atomic.Int32, want)
 			busy := make([]atomic.Int32, want)
 			hits := make([]atomic.Int32, tc.n)
-			r.run(tc.n, tc.threads, func(lo, hi, w int) {
+			run(tc.n, tc.threads, func(lo, hi, w int) {
 				if w < 0 || w >= want {
 					t.Errorf("%s(n=%d, threads=%d): worker id %d outside [0, %d)",
 						name, tc.n, tc.threads, w, want)
@@ -164,7 +155,6 @@ func TestWorkerIDContract(t *testing.T) {
 					t.Errorf("%s(n=%d, threads=%d): two bodies at once under worker id %d",
 						name, tc.n, tc.threads, w)
 				}
-				seen[w].Add(1)
 				for i := lo; i < hi; i++ {
 					hits[i].Add(1)
 				}
@@ -176,37 +166,6 @@ func TestWorkerIDContract(t *testing.T) {
 						name, tc.n, tc.threads, i, hits[i].Load())
 				}
 			}
-			if r.pooled {
-				continue
-			}
-			for w := range seen {
-				if seen[w].Load() != 1 {
-					t.Fatalf("%s(n=%d, threads=%d): worker %d ran %d chunks, want 1",
-						name, tc.n, tc.threads, w, seen[w].Load())
-				}
-			}
-		}
-	}
-}
-
-func TestForBoundsCoversExactlyOnce(t *testing.T) {
-	bounds := []int{0, 3, 4, 90, 100}
-	hits := make([]atomic.Int32, 100)
-	workerSeen := make([]atomic.Int32, len(bounds)-1)
-	ForBounds(bounds, func(lo, hi, w int) {
-		workerSeen[w].Add(1)
-		for i := lo; i < hi; i++ {
-			hits[i].Add(1)
-		}
-	})
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("index %d hit %d times", i, hits[i].Load())
-		}
-	}
-	for w := range workerSeen {
-		if workerSeen[w].Load() != 1 {
-			t.Fatalf("chunk %d ran %d times", w, workerSeen[w].Load())
 		}
 	}
 }
@@ -215,16 +174,16 @@ func TestPoolRunBounds(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	bounds := []int{0, 1, 2, 640, 1000}
-	var total atomic.Int64
+	hits := make([]atomic.Int32, 1000)
 	p.RunBounds(bounds, func(lo, hi, _ int) {
-		var s int64
 		for i := lo; i < hi; i++ {
-			s += int64(i)
+			hits[i].Add(1)
 		}
-		total.Add(s)
 	})
-	if total.Load() != expectedSum(1000) {
-		t.Fatalf("RunBounds sum %d, want %d", total.Load(), expectedSum(1000))
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("RunBounds: index %d hit %d times, want 1", i, hits[i].Load())
+		}
 	}
 	// Degenerate single chunk runs inline.
 	ran := false
@@ -236,31 +195,6 @@ func TestPoolRunBounds(t *testing.T) {
 	}
 	// Empty bounds are a no-op.
 	p.RunBounds(nil, func(lo, hi, w int) { t.Fatal("body ran for nil bounds") })
-}
-
-func TestExecDispatch(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	bounds := []int{0, 500, 1000}
-	for name, e := range map[string]Exec{
-		"zero":        {},
-		"pool":        {Pool: p},
-		"bounds":      {Bounds: bounds},
-		"pool+bounds": {Pool: p, Bounds: bounds},
-		"dynamic":     {Chunk: 16},
-	} {
-		var total atomic.Int64
-		e.Run(1000, 4, func(lo, hi, _ int) {
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += int64(i)
-			}
-			total.Add(s)
-		})
-		if total.Load() != expectedSum(1000) {
-			t.Fatalf("Exec %s: sum %d, want %d", name, total.Load(), expectedSum(1000))
-		}
-	}
 }
 
 func TestPoolConcurrentRegions(t *testing.T) {

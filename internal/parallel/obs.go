@@ -3,18 +3,12 @@ package parallel
 import "repro/internal/obs"
 
 // Dispatch counters, exported to the process-wide metrics registry. Each
-// fork/join region does two or three atomic adds at entry — never per chunk
+// fork/join region does three atomic adds at entry — never per chunk
 // or piece and never inside body — so the package's no-alloc dispatch
 // contract and the kernels' allocation audit are unaffected.
 var (
-	obsRegionsStatic = obs.NewCounter(`spmm_parallel_regions_total{mode="static"}`,
-		"Fork/join regions dispatched, by scheduling machinery.")
-	obsRegionsDynamic = obs.NewCounter(`spmm_parallel_regions_total{mode="dynamic"}`,
-		"Fork/join regions dispatched, by scheduling machinery.")
-	obsRegionsBounds = obs.NewCounter(`spmm_parallel_regions_total{mode="bounds"}`,
-		"Fork/join regions dispatched, by scheduling machinery.")
-	obsRegionsPool = obs.NewCounter(`spmm_parallel_regions_total{mode="pool"}`,
-		"Fork/join regions dispatched, by scheduling machinery.")
+	obsRegions = obs.NewCounter("spmm_parallel_regions_total",
+		"Fork/join regions dispatched.")
 	obsChunks = obs.NewCounter("spmm_parallel_chunks_total",
 		"Chunks dispatched across all regions; a pooled region counts its chunks, not the pieces it cuts them into.")
 	obsItems = obs.NewCounter("spmm_parallel_items_total",
@@ -22,8 +16,8 @@ var (
 )
 
 // countRegion records one region of `chunks` chunks over `items` iterations.
-func countRegion(mode *obs.Counter, chunks, items int) {
-	mode.Inc()
+func countRegion(chunks, items int) {
+	obsRegions.Inc()
 	obsChunks.Add(int64(chunks))
 	obsItems.Add(int64(items))
 }

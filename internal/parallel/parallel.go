@@ -1,9 +1,10 @@
 // Package parallel is the suite's CPU threading substrate, standing in for
-// the OpenMP runtime the thesis uses. It provides OpenMP-style loop
-// scheduling with an explicit thread count that — exactly like
-// omp_set_num_threads — may exceed the number of physical cores. The
-// oversubscribed regime is what lets the suite reproduce the thesis'
-// hyperthreading observations (Studies 3 and 3.1).
+// the OpenMP runtime the thesis uses. Its one fork/join is the Pool, a
+// persistent team: a region has an explicit thread count that — exactly like
+// omp_set_num_threads — may exceed the number of physical cores, and that
+// count fixes the region's chunks (the static partition, or precomputed
+// bounds) whatever the team's size. A caller that brings no pool of its own
+// runs on Default, the process pool.
 package parallel
 
 import (
@@ -33,86 +34,10 @@ func ChunkBounds(n, chunks, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// For executes body over [0, n) split into `threads` contiguous chunks, one
-// goroutine per chunk (OpenMP "schedule(static)"). threads < 1 is treated as
-// 1.
-//
-// Worker-id contract: body receives a range and a worker id in
-// [0, min(threads, n)) — when threads exceeds n the thread count is clamped
-// to n and ids stay dense — and no two bodies running at the same time share
-// an id. Here and in ForBounds the id is the chunk index and each id runs
-// once. On the pool (Pool.Run, Pool.RunBounds) the id is the participant
-// index: one participant may run many pieces of the region, in sequence,
-// and a participant may run none. Under ForDynamic it is the claiming
-// goroutine's index in [0, threads), which also runs many chunks in
-// sequence. So per-worker scratch indexed by the id is safe under every
-// runner; the id is never a pool-goroutine identity.
-func For(n, threads int, body func(lo, hi, worker int)) {
-	body = traceBody(body)
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > n {
-		threads = max(n, 1)
-	}
-	countRegion(obsRegionsStatic, threads, n)
-	if threads == 1 {
-		body(0, n, 0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := ChunkBounds(n, threads, w)
-			if lo < hi {
-				body(lo, hi, w)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ForDynamic executes body over [0, n) using self-scheduled chunks of the
-// given size (OpenMP "schedule(dynamic, chunk)"). It balances irregular row
-// costs better than For at the price of an atomic fetch per chunk.
-func ForDynamic(n, threads, chunk int, body func(lo, hi, worker int)) {
-	body = traceBody(body)
-	if threads < 1 {
-		threads = 1
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	countRegion(obsRegionsDynamic, (n+chunk-1)/chunk, n)
-	if threads == 1 {
-		body(0, n, 0)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := min(lo+chunk, n)
-				body(lo, hi, w)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Pool is a persistent worker pool — a warmed OpenMP thread team. A
-// campaign keeps one pool per process so repeated kernel invocations reuse
-// the same goroutines instead of paying spawn plus WaitGroup churn per
-// Calculate call, which dominates at small k and in best-thread sweeps.
+// Pool is a persistent worker pool — a warmed OpenMP thread team, and the
+// package's only fork/join. Repeated kernel invocations reuse the same
+// goroutines instead of paying spawn plus WaitGroup churn per Calculate
+// call, which dominates at small k and in best-thread sweeps.
 //
 // A region's caller does not wait while the team works: it is participant
 // 0, and up to `chunks`−1 pool workers join it. The region's chunks are cut
@@ -120,6 +45,18 @@ func ForDynamic(n, threads, chunk int, body func(lo, hi, worker int)) {
 // piece from one counter until none are left, so a participant slowed by
 // another goroutine on its core hands its share to whoever is free instead
 // of holding the join.
+//
+// Worker-id contract: body receives a range and a worker id, the index of
+// the participant running it, in [0, min(threads, n)) for Run (when threads
+// exceeds n the thread count is clamped to n and ids stay dense) and
+// [0, len(bounds)-1) for RunBounds. One participant may run many pieces of
+// a region, in sequence, and a participant may run none; no two bodies
+// running at the same time share an id. So per-worker scratch indexed by the
+// id is safe; the id is never a pool-goroutine identity.
+//
+// A panic in body does not escape its participant: the first one is
+// recorded, the others stop claiming, and once every woken worker has
+// joined the region re-raises it on the caller. The pool stays usable.
 //
 // Dispatch is allocation-free: the region's state lives in the pool, the
 // workers are woken by their participant index over a buffered channel,
@@ -138,10 +75,11 @@ type Pool struct {
 	// The current region, written under mu before any worker is woken and
 	// read only by its participants.
 	body   func(lo, hi, worker int)
-	n      int          // static partition of [0, n), when bounds is nil
-	chunks int          // chunks in the region
-	bounds []int        // precomputed chunk bounds, or nil
-	next   atomic.Int64 // the next unclaimed piece
+	n      int                 // static partition of [0, n), when bounds is nil
+	chunks int                 // chunks in the region
+	bounds []int               // precomputed chunk bounds, or nil
+	next   atomic.Int64        // the next unclaimed piece
+	fault  atomic.Pointer[any] // the first panic a participant recovered
 }
 
 // piecesPerChunk is how many pieces each chunk of a pooled region is cut
@@ -150,6 +88,14 @@ type Pool struct {
 // far below a piece's work. DESIGN §5 has the 1-, 4- and 16-piece
 // measurements.
 const piecesPerChunk = 16
+
+// defaultPool is Default's pool, started on first use.
+var defaultPool = sync.OnceValue(func() *Pool { return NewPool(MaxThreads()) })
+
+// Default returns the process pool: MaxThreads() workers, started on first
+// use and never closed. Every parallel call that brings no pool of its own
+// runs on it.
+func Default() *Pool { return defaultPool() }
 
 // NewPool starts a pool of the given number of worker goroutines.
 func NewPool(workers int) *Pool {
@@ -167,7 +113,7 @@ func NewPool(workers int) *Pool {
 		go func() {
 			defer p.workerWG.Done()
 			for id := range p.wake {
-				p.claim(id)
+				p.participate(id)
 				p.joinWG.Done()
 			}
 		}()
@@ -181,9 +127,8 @@ func (p *Pool) Workers() int { return p.workers }
 // Run executes body over [0, n), the static partition of min(threads, n)
 // chunks, shared out in pieces among the caller and up to min(threads, n)−1
 // pool workers. threads may exceed the pool size: the region then has more
-// chunks than participants, and the participants run them all. Worker ids
-// are participant indices in [0, min(threads, n)) — see the contract on
-// For — never a pool-goroutine identity.
+// chunks than participants, and the participants run them all. threads < 1
+// is treated as 1, and a one-chunk region runs on the caller alone.
 func (p *Pool) Run(n, threads int, body func(lo, hi, worker int)) {
 	body = traceBody(body)
 	if threads < 1 {
@@ -192,7 +137,7 @@ func (p *Pool) Run(n, threads int, body func(lo, hi, worker int)) {
 	if threads > n {
 		threads = max(n, 1)
 	}
-	countRegion(obsRegionsPool, threads, n)
+	countRegion(threads, n)
 	if threads == 1 {
 		body(0, n, 0)
 		return
@@ -210,7 +155,7 @@ func (p *Pool) RunBounds(bounds []int, body func(lo, hi, worker int)) {
 	if chunks <= 0 {
 		return
 	}
-	countRegion(obsRegionsPool, chunks, boundsItems(bounds))
+	countRegion(chunks, boundsItems(bounds))
 	if chunks == 1 {
 		body(bounds[0], bounds[1], 0)
 		return
@@ -221,8 +166,8 @@ func (p *Pool) RunBounds(bounds []int, body func(lo, hi, worker int)) {
 // dispatch runs one region of `chunks` chunks: it publishes the region,
 // wakes min(chunks, Workers()+1)−1 workers as participants 1…, claims
 // pieces itself as participant 0, and returns once every woken worker has
-// found the pieces gone. With nil bounds the chunks are the static
-// partition of [0, n).
+// found the pieces gone, re-raising the first panic a participant
+// recovered. With nil bounds the chunks are the static partition of [0, n).
 func (p *Pool) dispatch(n, chunks int, bounds []int, body func(lo, hi, worker int)) {
 	if p.closed.Load() {
 		panic("parallel: Run on closed Pool")
@@ -241,9 +186,30 @@ func (p *Pool) dispatch(n, chunks int, bounds []int, body func(lo, hi, worker in
 	// host). Yielding runs it here now; the caller resumes on the next free
 	// P and claims beside it.
 	runtime.Gosched()
-	p.claim(0)
+	p.participate(0)
 	p.joinWG.Wait()
 	p.body, p.bounds = nil, nil
+	if f := p.fault.Swap(nil); f != nil {
+		panic(*f)
+	}
+}
+
+// participate claims pieces as participant id. A panic in body is recorded
+// rather than propagated, so the participant still reaches the join.
+func (p *Pool) participate(id int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.fail(r)
+		}
+	}()
+	p.claim(id)
+}
+
+// fail records r if it is the region's first panic and leaves no piece for
+// the other participants to claim.
+func (p *Pool) fail(r any) {
+	p.fault.CompareAndSwap(nil, &r)
+	p.next.Store(int64(p.chunks * piecesPerChunk))
 }
 
 // claim runs the current region's unclaimed pieces as participant id until

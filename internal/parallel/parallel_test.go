@@ -57,92 +57,18 @@ func sumVia(run func(n int, body func(lo, hi, w int)), n int) int64 {
 
 func expectedSum(n int) int64 { return int64(n) * int64(n-1) / 2 }
 
-func TestForCoversRange(t *testing.T) {
-	for _, threads := range []int{1, 2, 7, 32, 100} {
-		for _, n := range []int{0, 1, 5, 1000} {
-			got := sumVia(func(n int, body func(lo, hi, w int)) {
-				For(n, threads, body)
-			}, n)
-			if got != expectedSum(n) {
-				t.Fatalf("For(n=%d, threads=%d): sum %d, want %d", n, threads, got, expectedSum(n))
-			}
-		}
-	}
-}
-
-func TestForEachIndexOnce(t *testing.T) {
-	n := 512
-	hits := make([]atomic.Int32, n)
-	For(n, 13, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			hits[i].Add(1)
-		}
-	})
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("index %d hit %d times", i, hits[i].Load())
-		}
-	}
-}
-
-func TestForNegativeAndZeroThreads(t *testing.T) {
-	got := sumVia(func(n int, body func(lo, hi, w int)) {
-		For(n, 0, body)
-	}, 100)
-	if got != expectedSum(100) {
-		t.Fatal("threads<=0 must still execute the full range")
-	}
-}
-
-func TestForWorkerIDsDistinct(t *testing.T) {
-	var seen [8]atomic.Int32
-	For(800, 8, func(_, _, w int) {
-		seen[w].Add(1)
-	})
-	for w := range seen {
-		if seen[w].Load() != 1 {
-			t.Fatalf("worker %d ran %d chunks, want 1", w, seen[w].Load())
-		}
-	}
-}
-
-func TestForDynamicCoversRange(t *testing.T) {
-	for _, threads := range []int{1, 3, 16} {
-		for _, chunk := range []int{1, 7, 64, 10000} {
-			got := sumVia(func(n int, body func(lo, hi, w int)) {
-				ForDynamic(n, threads, chunk, body)
-			}, 777)
-			if got != expectedSum(777) {
-				t.Fatalf("ForDynamic(threads=%d, chunk=%d): sum %d", threads, chunk, got)
-			}
-		}
-	}
-}
-
-func TestForDynamicEachIndexOnce(t *testing.T) {
-	n := 300
-	hits := make([]atomic.Int32, n)
-	ForDynamic(n, 9, 11, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			hits[i].Add(1)
-		}
-	})
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("index %d hit %d times", i, hits[i].Load())
-		}
-	}
-}
-
 func TestPoolRun(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	for _, threads := range []int{1, 4, 9, 64} {
-		got := sumVia(func(n int, body func(lo, hi, w int)) {
-			p.Run(n, threads, body)
-		}, 1234)
-		if got != expectedSum(1234) {
-			t.Fatalf("Pool.Run(threads=%d): sum %d", threads, got)
+	// threads <= 0 runs the whole range as one chunk; threads > n clamps.
+	for _, threads := range []int{-1, 0, 1, 2, 4, 7, 9, 64, 100} {
+		for _, n := range []int{0, 1, 5, 1234} {
+			got := sumVia(func(n int, body func(lo, hi, w int)) {
+				p.Run(n, threads, body)
+			}, n)
+			if got != expectedSum(n) {
+				t.Fatalf("Pool.Run(n=%d, threads=%d): sum %d, want %d", n, threads, got, expectedSum(n))
+			}
 		}
 	}
 }

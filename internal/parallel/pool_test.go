@@ -55,6 +55,65 @@ func TestPoolRegionOutlivesStalledParticipant(t *testing.T) {
 	}
 }
 
+// TestPoolBodyPanicSurfacesOnCaller: a body that panics on any participant
+// — the caller or a woken worker — panics the caller with the same value,
+// once the region has joined, and the pool stays usable: the next region on
+// it covers every item exactly once. The other participants hold their
+// first piece until the victim has panicked, so the victim is sure to claim
+// one.
+func TestPoolBodyPanicSurfacesOnCaller(t *testing.T) {
+	const n = 1024
+	type boom struct{ victim int }
+	p := NewPool(2)
+	defer p.Close()
+	runs := []struct {
+		name string
+		run  func(body func(lo, hi, w int))
+	}{
+		{"Run", func(body func(lo, hi, w int)) { p.Run(n, 4, body) }},
+		{"RunBounds", func(body func(lo, hi, w int)) { p.RunBounds([]int{0, n / 4, n / 2, n}, body) }},
+	}
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		for _, r := range runs {
+			for _, victim := range []int{0, 1} { // the caller, a woken worker
+				t.Run(fmt.Sprintf("%s/GOMAXPROCS=%d/participant=%d", r.name, procs, victim), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					panicked := make(chan struct{})
+					got := func() (v any) {
+						defer func() { v = recover() }()
+						r.run(func(lo, hi, w int) {
+							if w == victim {
+								close(panicked)
+								panic(boom{victim})
+							}
+							select {
+							case <-panicked:
+							case <-time.After(10 * time.Second):
+								t.Errorf("participant %d never ran a piece", victim)
+							}
+						})
+						return nil
+					}()
+					if got != (boom{victim}) {
+						t.Fatalf("caller recovered %v, want the body's panic %v", got, boom{victim})
+					}
+					hits := make([]atomic.Int32, n)
+					r.run(func(lo, hi, _ int) {
+						for i := lo; i < hi; i++ {
+							hits[i].Add(1)
+						}
+					})
+					for i := range hits {
+						if h := hits[i].Load(); h != 1 {
+							t.Fatalf("after the panic: item %d ran %d times, want 1", i, h)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestPoolRunZeroAlloc: with the body built once, a pooled region — the
 // caller joining, the workers woken, the pieces claimed — allocates
 // nothing, oversubscribed or not.

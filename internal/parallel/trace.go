@@ -7,14 +7,14 @@ import (
 )
 
 // tracer is the package-level span sink. A package-level hook (rather than a
-// parameter on every loop runner) keeps the loop APIs unchanged for the ~40
-// kernels that call them; the cost when unset or disabled is one atomic load
-// per loop *call* — not per chunk — and zero allocations, preserving the
+// parameter on Run and RunBounds) keeps the region API unchanged for the
+// kernels that call it; the cost when unset or disabled is one atomic load
+// per region — not per piece — and zero allocations, preserving the
 // kernels' zero-allocation audit.
 var tracer atomic.Pointer[trace.Tracer]
 
 // SetTracer installs (or, with nil, removes) the tracer that receives
-// per-worker chunk spans from every loop runner in this package. Chunk spans
+// per-worker chunk spans from every region a Pool runs. Chunk spans
 // land on lane worker+1 (lane 0 belongs to the sequential pipeline) with the
 // chunk's iteration count as the span argument, which is what makes load
 // imbalance visible as ragged lane ends in the Chrome trace.

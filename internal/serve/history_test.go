@@ -146,8 +146,8 @@ func (h *history) promote(m *histMatrix) (func(), error) {
 	h.script = append(h.script, fmt.Sprintf("promote %s to %s", m.id, v))
 	_, err := h.srv.Registry().Promote(context.Background(), m.id, v)
 	return func() {
-		format, sched, pooled, _ := kernels.PlanForVariant(v)
-		m.plan = Plan{Format: format, Schedule: sched, Block: m.plan.Block, Pooled: pooled, Variant: v, Version: m.plan.Version + 1}
+		format, sched, _ := kernels.PlanForVariant(v)
+		m.plan = Plan{Format: format, Schedule: sched, Block: m.plan.Block, Pooled: true, Variant: v, Version: m.plan.Version + 1}
 	}, err
 }
 

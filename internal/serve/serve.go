@@ -529,19 +529,13 @@ func (s *Server) rebaseTuner(m *Matrix) {
 }
 
 // params assembles the kernel dispatch parameters for one multiply from its
-// serving plan: schedule, block size, pool machinery and the tracer — the
-// same Opts path the benchmark pipeline uses. An unpooled plan leaves Pool
-// nil so core routes to the goroutine-per-call machinery the plan's variant
-// names.
+// serving plan: schedule, block size, the server's pool and the tracer —
+// the same Opts path the benchmark pipeline uses.
 func (s *Server) params(plan Plan, k int) core.Params {
-	p := core.Params{
+	return core.Params{
 		Reps: 1, Threads: s.cfg.Threads, BlockSize: plan.Block, K: k, Seed: 1,
-		Schedule: plan.Schedule, Trace: s.tracer,
+		Schedule: plan.Schedule, Pool: s.pool, Trace: s.tracer,
 	}
-	if plan.Pooled {
-		p.Pool = s.pool
-	}
-	return p
 }
 
 // Handler returns the service mux:

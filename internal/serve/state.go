@@ -58,8 +58,8 @@ type Plan struct {
 	Schedule kernels.Schedule
 	// Block is the BCSR block edge used when Format is "bcsr".
 	Block int
-	// Pooled selects dispatch on the persistent worker pool (the serving
-	// default) versus fresh goroutines per call.
+	// Pooled is always true: every dispatch runs on the server's worker
+	// pool. The field stays for readers that still check it.
 	Pooled bool
 	// Variant is the kernels registry name of the executing arm — the
 	// identity the tuner races and the X-Spmm-Variant header reports.
@@ -184,12 +184,15 @@ func (cur *state) apply(rec *walRecord) (*state, error) {
 		if version <= cur.plan.Version {
 			return cur, nil
 		}
-		format, sched, pooled, ok := kernels.PlanForVariant(variant)
+		format, sched, ok := kernels.PlanForVariant(variant)
 		if !ok {
 			return nil, fmt.Errorf("serve: promote %s: %q is not a servable variant", rec.ID, variant)
 		}
+		// The plan's coordinates spell the canonical name, so a promotion
+		// journaled under a legacy spelling serves and reports the pooled one.
 		next := *cur
-		next.plan = Plan{Format: format, Schedule: sched, Block: cur.plan.Block, Pooled: pooled, Variant: variant, Version: version}
+		next.plan = Plan{Format: format, Schedule: sched, Block: cur.plan.Block, Pooled: true,
+			Variant: kernels.ServingVariant(format, sched), Version: version}
 		return &next, nil
 	}
 	return nil, fmt.Errorf("serve: record %d for %s has unknown kind %q", rec.Seq, rec.ID, rec.Kind)
@@ -257,9 +260,10 @@ func (rec *walRecord) plan() Plan {
 	}
 	if plan.Variant == "" {
 		// Pre-tuner record: synthesize the arm name its plan executes.
-		plan.Variant = kernels.ServingVariant(plan.Format, sched, true)
-	} else if _, _, pooled, ok := kernels.PlanForVariant(plan.Variant); ok {
-		plan.Pooled = pooled
+		plan.Variant = kernels.ServingVariant(plan.Format, sched)
+	} else if v, ok := kernels.ParseVariant(plan.Variant); ok {
+		// A legacy spelling recovers as the pooled point that runs it.
+		plan.Variant = v.Name
 	}
 	if plan.Version < 1 {
 		plan.Version = 1
@@ -286,7 +290,7 @@ func advise(id string, m *matrix.COO[float64]) (advisor.Report, Plan, error) {
 		Schedule: sched,
 		Block:    4,
 		Pooled:   true,
-		Variant:  kernels.ServingVariant(best.Format, sched, true),
+		Variant:  kernels.ServingVariant(best.Format, sched),
 		Version:  1,
 	}, nil
 }

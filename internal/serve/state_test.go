@@ -17,6 +17,7 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/delta"
 	"repro/internal/harness"
+	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/tune"
 )
@@ -366,6 +367,36 @@ func TestParentDataDirRecovers(t *testing.T) {
 			t.Fatalf("%s: recovered\n%+v\nwant what the writer served\n%+v", fix, got, want)
 		}
 		teardown()
+	}
+}
+
+// TestLegacyVariantRecoversPooled: a promotion journaled under a retired
+// spelling — the goroutine-per-call "csr/opts-balanced" — serves, and after
+// a restart recovers, as the pooled point that now runs it; a registration
+// record naming a retired spelling recovers the same way.
+func TestLegacyVariantRecoversPooled(t *testing.T) {
+	cfg := Config{Threads: 2, DataDir: t.TempDir(), NoFsync: true, SnapshotEvery: -1}
+	s1, c1, teardown1 := newTestServer(t, cfg)
+	reg, _ := registerSmall(t, c1, 80, 60, 400, 11)
+	plan, err := s1.Registry().Promote(context.Background(), reg.ID, "csr/opts-balanced")
+	if err != nil || plan.Variant != "csr/opts-balanced-pool" || plan.Schedule != kernels.ScheduleBalanced {
+		t.Fatalf("live promote to csr/opts-balanced: plan %+v, %v; want csr/opts-balanced-pool", plan, err)
+	}
+	teardown1()
+
+	_, c2, teardown2 := newTestServer(t, cfg)
+	defer teardown2()
+	got, err := c2.Matrices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Variant != "csr/opts-balanced-pool" || got[0].PlanVersion != 2 {
+		t.Fatalf("recovered %+v, want csr/opts-balanced-pool at plan version 2", got)
+	}
+
+	rec := &walRecord{Format: "coo", Schedule: "static", Variant: "coo/opts-static", PlanVersion: 1}
+	if v := rec.plan().Variant; v != "coo/opts-pool" {
+		t.Fatalf("registration naming coo/opts-static recovers as %q, want coo/opts-pool", v)
 	}
 }
 

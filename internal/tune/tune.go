@@ -28,6 +28,7 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -188,6 +189,16 @@ type state struct {
 	in kernels.VariantInput // worker-only: lazily materialized formats
 }
 
+// lookup returns st's arm for a variant name, resolving a legacy spelling
+// to the pooled point that now runs it; nil when the name is no arm.
+func (st *state) lookup(name string) *arm {
+	v, ok := kernels.ParseVariant(name)
+	if !ok {
+		return nil
+	}
+	return st.byName[v.Name]
+}
+
 // New builds and starts a Tuner; Close stops it.
 func New(cfg Config) *Tuner {
 	if cfg.Duty <= 0 {
@@ -294,7 +305,7 @@ func (t *Tuner) Track(id string, coo *matrix.COO[float64], block int, feat advis
 		st.arms = append(st.arms, a)
 		st.byName[a.name] = a
 	}
-	st.incumbent = st.byName[incumbent]
+	st.incumbent = st.lookup(incumbent)
 	if st.incumbent == nil {
 		// An incumbent outside the arm space (shouldn't happen — serve
 		// derives it from the same registry) falls back to csr/opts-pool.
@@ -324,8 +335,10 @@ func (t *Tuner) Restore(id string, coo *matrix.COO[float64], block int, feat adv
 	defer t.mu.Unlock()
 	st := t.states[id]
 	for _, ap := range prof.Arms {
-		a := st.byName[ap.Variant]
-		if a == nil {
+		a := st.lookup(ap.Variant)
+		// A legacy spelling shares its arm with the pooled name; when the
+		// profile holds both, the pooled entry wins.
+		if a == nil || ap.Variant != a.name && slices.ContainsFunc(prof.Arms, func(o ArmProfile) bool { return o.Variant == a.name }) {
 			continue
 		}
 		a.window = append([]float64(nil), ap.Window...)
@@ -338,7 +351,7 @@ func (t *Tuner) Restore(id string, coo *matrix.COO[float64], block int, feat adv
 	st.trials = prof.Trials
 	st.rejects = prof.Rejects
 	st.history = append([]Promotion(nil), prof.History...)
-	if a := st.byName[prof.Incumbent]; a != nil {
+	if a := st.lookup(prof.Incumbent); a != nil {
 		st.incumbent = a
 	}
 	if prof.PlanVersion > st.planVersion {
@@ -372,7 +385,7 @@ func (t *Tuner) Rebase(id string, coo *matrix.COO[float64], block int, feat advi
 		st.arms = append(st.arms, a)
 		st.byName[a.name] = a
 	}
-	st.incumbent = st.byName[incumbent]
+	st.incumbent = st.lookup(incumbent)
 	if st.incumbent == nil {
 		st.incumbent = st.byName["csr/opts-pool"]
 	}

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -472,6 +473,36 @@ func TestProfileRoundTrip(t *testing.T) {
 	cold := tu3.Profile("m1")
 	if cold.Incumbent != testIncumbent || len(cold.Arms) != 0 || len(cold.History) != 0 {
 		t.Fatalf("mismatched profile left state behind: %+v", cold)
+	}
+}
+
+// TestRestoreLegacyNames: a profile written while parallel arms also ran on
+// fresh goroutines per call names those arms; Restore maps each name to the
+// pooled arm that now runs it, incumbent included, and where the profile
+// holds both spellings of one arm the pooled entry wins.
+func TestRestoreLegacyNames(t *testing.T) {
+	coo := testCOO(t)
+	feat := advisor.FeatureSummary{Density: 0.2}
+	prof := &Profile{ID: "m1", Features: feat, Incumbent: "coo/opts-static", PlanVersion: 3, Arms: []ArmProfile{
+		{Variant: "csr/opts-pool", Samples: 4, Window: []float64{2, 2, 2, 2}},
+		{Variant: "csr/opts-static", Samples: 9, Window: []float64{1}},
+		{Variant: "sellcs/opts-balanced", Samples: 5, Window: []float64{3, 3, 3, 3, 3}},
+	}}
+	tu := New(testConfig(&promoRecorder{version: 3}, func(string) time.Duration { return time.Millisecond }, ""))
+	defer tu.Close()
+	if err := tu.Restore("m1", coo, 4, feat, "coo/opts-static", 3, prof); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	got := tu.Profile("m1")
+	if got.Incumbent != "coo/opts-pool" {
+		t.Errorf("incumbent %q, want coo/opts-pool", got.Incumbent)
+	}
+	samples := map[string]int{}
+	for _, a := range got.Arms {
+		samples[a.Variant] = a.Samples
+	}
+	if want := map[string]int{"csr/opts-pool": 4, "sellcs/opts-balanced-pool": 5}; !maps.Equal(samples, want) {
+		t.Errorf("restored arm samples %v, want %v", samples, want)
 	}
 }
 

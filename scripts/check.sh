@@ -222,6 +222,24 @@ if grep -nE 'func Simulate(COO|CSR|ELL|BCSR|CSRT)|func \([a-z]+ \*?Multicore\) (
     echo "one simulator entry: machine.Simulate / Multicore.Simulate take a formats.Sparse, kernels.Schedule and kernels.Inner" >&2; exit 1
 fi
 
+echo "== one fork/join (parallel.Pool is the only runner: no go statement in kernels, core or parallel outside NewPool; no For, ForBounds, ForDynamic, Exec, ScheduleDynamic or -pool flag) =="
+# Every parallel kernel is one region on a Pool — the caller's, or
+# parallel.Default(), the process pool — whose participants claim the
+# region's pieces from one counter (DESIGN.md section 5, "Persistent pool").
+# A goroutine spawned per call, a dynamic schedule beside the pool's own
+# claiming, or a flag that picks between them would be a second machinery.
+if ! awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    /(^|[^A-Za-z0-9_])go (func|[a-z])/ && fn != "NewPool" { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    END { exit bad }
+' $(ls internal/kernels/*.go internal/core/*.go internal/parallel/*.go | grep -v _test.go); then
+    echo "a parallel region runs on a Pool: only NewPool starts goroutines in kernels, core and parallel" >&2; exit 1
+fi
+if grep -nE 'parallel\.(For|ForBounds|ForDynamic|Exec)\b|\bScheduleDynamic\b|\busePool\b|^func (For|ForBounds|ForDynamic)\(|^type Exec\b' $(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*'); then
+    echo "one fork/join: Pool.Run and Pool.RunBounds on the caller's pool or parallel.Default()" >&2; exit 1
+fi
+
 echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~19 s under -race), so a partition
