@@ -25,6 +25,16 @@ func TestRecycledCNeedsNoZeroing(t *testing.T) {
 	sweep := sweepMatrices()
 	pool := parallel.NewPool(sweepThreads)
 	defer pool.Close()
+	var points []retiredPoint
+	for _, v := range ServableVariants() {
+		points = append(points, retiredPoint{v.Name, v})
+	}
+	// The retired spellings a serving plan may still name dispatch too.
+	for _, p := range retiredSpellings(t, Variants()) {
+		if _, _, ok := PlanForVariant(p.name); ok {
+			points = append(points, p)
+		}
+	}
 	for class, coo := range map[string]*matrix.COO[float64]{
 		"banded": banded, "power-law": sweep["power-law"], "empty-row": sweep["empty-row"],
 	} {
@@ -39,8 +49,9 @@ func TestRecycledCNeedsNoZeroing(t *testing.T) {
 		if err != nil || ov.NNZ() == 0 {
 			t.Fatalf("%s: overlay fixture: %d entries, %v", class, ov.NNZ(), err)
 		}
-		for _, v := range ServableVariants() {
-			t.Run(class+"/"+v.Name, func(t *testing.T) {
+		for _, p := range points {
+			v := p.now
+			t.Run(class+"/"+p.name, func(t *testing.T) {
 				eachInner(t, func(t *testing.T) {
 					zeroed := matrix.NewDense[float64](coo.Rows, sweepK)
 					recycled := matrix.NewDense[float64](coo.Rows, sweepK)
