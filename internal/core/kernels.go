@@ -92,7 +92,7 @@ type gpuKernel struct {
 	transT bool
 
 	prepared
-	lastSeconds float64
+	last gpusim.LaunchResult
 }
 
 func (k *gpuKernel) Name() string     { return k.name }
@@ -148,12 +148,12 @@ func (k *gpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
 	if err != nil {
 		return err
 	}
-	k.lastSeconds = res.Seconds
+	k.last = res
 	return nil
 }
 
 // ModelSeconds implements ModelTimed.
-func (k *gpuKernel) ModelSeconds() float64 { return k.lastSeconds }
+func (k *gpuKernel) ModelSeconds() float64 { return k.last.Seconds }
 
 func kernelName(format string, mode Mode, inner kernels.Inner) string {
 	name := format + "-" + mode.String()
