@@ -121,7 +121,7 @@ func BenchmarkStudy2(b *testing.B) {
 		}
 		var modelled float64
 		for i := 0; i < b.N; i++ {
-			res, err := gpusim.SpMMCSR(dev, csr, bb, c, k)
+			res, err := gpusim.SpMM(dev, csr, bb, c, k, kernels.InnerTiled)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,10 +279,10 @@ func BenchmarkStudy7(b *testing.B) {
 		name string
 		fn   func() (gpusim.LaunchResult, error)
 	}{
-		{"offload-coo", func() (gpusim.LaunchResult, error) { return gpusim.SpMMCOO(dev, m, bb, c, k) }},
-		{"vendor-coo", func() (gpusim.LaunchResult, error) { return vendorlib.SpMMCOO(dev, m, bb, c, k) }},
-		{"offload-csr", func() (gpusim.LaunchResult, error) { return gpusim.SpMMCSR(dev, csr, bb, c, k) }},
-		{"vendor-csr", func() (gpusim.LaunchResult, error) { return vendorlib.SpMMCSR(dev, csr, bb, c, k) }},
+		{"offload-coo", func() (gpusim.LaunchResult, error) { return gpusim.SpMM(dev, m, bb, c, k, kernels.InnerTiled) }},
+		{"vendor-coo", func() (gpusim.LaunchResult, error) { return vendorlib.SpMM(dev, m, bb, c, k) }},
+		{"offload-csr", func() (gpusim.LaunchResult, error) { return gpusim.SpMM(dev, csr, bb, c, k, kernels.InnerTiled) }},
+		{"vendor-csr", func() (gpusim.LaunchResult, error) { return vendorlib.SpMM(dev, csr, bb, c, k) }},
 	}
 	for _, r := range runs {
 		b.Run(r.name, func(b *testing.B) {
@@ -513,7 +513,7 @@ func BenchmarkAblationBlockedGPU(b *testing.B) {
 	b.Run("bcsr", func(b *testing.B) {
 		var modelled float64
 		for i := 0; i < b.N; i++ {
-			res, err := gpusim.SpMMBCSR(dev, bcsr, bb, c, k)
+			res, err := gpusim.SpMM(dev, bcsr, bb, c, k, kernels.InnerTiled)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -524,7 +524,7 @@ func BenchmarkAblationBlockedGPU(b *testing.B) {
 	b.Run("bell", func(b *testing.B) {
 		var modelled float64
 		for i := 0; i < b.N; i++ {
-			res, err := gpusim.SpMMBELL(dev, bell, bb, c, k)
+			res, err := gpusim.SpMM(dev, bell, bb, c, k, kernels.InnerTiled)
 			if err != nil {
 				b.Fatal(err)
 			}

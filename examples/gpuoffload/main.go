@@ -12,6 +12,7 @@ import (
 	"repro/internal/formats"
 	"repro/internal/gen"
 	"repro/internal/gpusim"
+	"repro/internal/kernels"
 	"repro/internal/matrix"
 	"repro/internal/vendorlib"
 )
@@ -44,36 +45,29 @@ func main() {
 			res.Stats.L1Transactions, res.Stats.L2Transactions, res.Stats.DRAMTransactions)
 	}
 
-	res, err := gpusim.SpMMCOO(dev, a, b, c, k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("offload COO (atomics)", res)
-
-	res, err = gpusim.SpMMCSR(dev, csr, b, c, k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("offload CSR", res)
-
 	ell := formats.ELLFromCOO(a, formats.ColMajor)
-	res, err = gpusim.SpMMELL(dev, ell, b, c, k)
-	if err != nil {
-		log.Fatal(err)
+	for _, run := range []struct {
+		label  string
+		a      formats.Sparse
+		vendor bool
+	}{
+		{"offload COO (atomics)", a, false},
+		{"offload CSR", csr, false},
+		{"offload ELL (colmajor)", ell, false},
+		{"vendor COO", a, true},
+		{"vendor CSR", csr, true},
+	} {
+		var res gpusim.LaunchResult
+		if run.vendor {
+			res, err = vendorlib.SpMM(dev, run.a, b, c, k)
+		} else {
+			res, err = gpusim.SpMM(dev, run.a, b, c, k, kernels.InnerTiled)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		show(run.label, res)
 	}
-	show("offload ELL (colmajor)", res)
-
-	res, err = vendorlib.SpMMCOO(dev, a, b, c, k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("vendor COO", res)
-
-	res, err = vendorlib.SpMMCSR(dev, csr, b, c, k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("vendor CSR", res)
 
 	fmt.Println("\nThe vendor kernels' coalesced k-dimension mapping needs far fewer")
 	fmt.Println("memory transactions per useful flop — the same structural reason")

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/formats"
 	"repro/internal/gpusim"
 	"repro/internal/kernels"
@@ -86,10 +84,10 @@ type gpuKernel struct {
 	format string
 	dev    *gpusim.Device
 	vendor bool
-	// transT selects the transposed-B GPU kernel, which transposes B on
-	// the device itself (the cost is part of the modelled time), so
+	// inner is InnerTransB for the transposed-B kernel, which transposes B
+	// on the device itself (the cost is part of the modelled time), so
 	// Transposed() stays false and the runner passes the plain B.
-	transT bool
+	inner kernels.Inner
 
 	prepared
 	last gpusim.LaunchResult
@@ -111,45 +109,21 @@ func (k *gpuKernel) Prepare(a *matrix.COO[float64], p Params) error {
 }
 
 func (k *gpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
+	if k.a == nil {
+		return ErrNotPrepared
+	}
 	if p.Trace != nil && k.dev != nil {
 		// Forward the run's tracer so every Launch lands a simulated-time
 		// span; the device keeps it for subsequent launches.
 		k.dev.Trace = p.Trace
 	}
-	var res gpusim.LaunchResult
 	var err error
-	switch a := k.a.(type) {
-	case nil:
-		return ErrNotPrepared
-	case *matrix.COO[float64]:
-		if k.vendor {
-			res, err = vendorlib.SpMMCOO(k.dev, a, b, c, p.K)
-		} else {
-			res, err = gpusim.SpMMCOO(k.dev, a, b, c, p.K)
-		}
-	case *formats.CSR[float64]:
-		switch {
-		case k.vendor:
-			res, err = vendorlib.SpMMCSR(k.dev, a, b, c, p.K)
-		case k.transT:
-			res, err = gpusim.SpMMCSRT(k.dev, a, b, c, p.K)
-		default:
-			res, err = gpusim.SpMMCSR(k.dev, a, b, c, p.K)
-		}
-	case *formats.ELL[float64]:
-		res, err = gpusim.SpMMELL(k.dev, a, b, c, p.K)
-	case *formats.BCSR[float64]:
-		res, err = gpusim.SpMMBCSR(k.dev, a, b, c, p.K)
-	case *formats.BELL[float64]:
-		res, err = gpusim.SpMMBELL(k.dev, a, b, c, p.K)
-	default:
-		return fmt.Errorf("core: gpu kernel for %q not available", k.format)
+	if k.vendor {
+		k.last, err = vendorlib.SpMM(k.dev, k.a, b, c, p.K)
+	} else {
+		k.last, err = gpusim.SpMM(k.dev, k.a, b, c, p.K, k.inner)
 	}
-	if err != nil {
-		return err
-	}
-	k.last = res
-	return nil
+	return err
 }
 
 // ModelSeconds implements ModelTimed.

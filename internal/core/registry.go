@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/formats"
 	"repro/internal/gpusim"
@@ -23,13 +22,12 @@ type Options struct {
 // constructor builds a fresh kernel instance.
 type constructor func(o Options) (Kernel, error)
 
-func needDevice(name, format string, vendor bool) constructor {
+func needDevice(name, format string, vendor bool, inner kernels.Inner) constructor {
 	return func(o Options) (Kernel, error) {
 		if o.Device == nil {
 			return nil, fmt.Errorf("core: kernel %q needs a GPU device", name)
 		}
-		return &gpuKernel{name: name, format: format, dev: o.Device, vendor: vendor,
-			transT: strings.HasSuffix(name, "-t")}, nil
+		return &gpuKernel{name: name, format: format, dev: o.Device, vendor: vendor, inner: inner}, nil
 	}
 }
 
@@ -62,11 +60,11 @@ func init() {
 	}
 	for _, format := range []string{"coo", "csr", "ell", "bcsr", "bell"} {
 		name := format + "-gpu"
-		register(name, needDevice(name, format, false))
+		register(name, needDevice(name, format, false, kernels.InnerTiled))
 	}
-	register("csr-gpu-t", needDevice("csr-gpu-t", "csr", false))
-	register("vendor-coo-gpu", needDevice("vendor-coo-gpu", "coo", true))
-	register("vendor-csr-gpu", needDevice("vendor-csr-gpu", "csr", true))
+	register("csr-gpu-t", needDevice("csr-gpu-t", "csr", false, kernels.InnerTransB))
+	register("vendor-coo-gpu", needDevice("vendor-coo-gpu", "coo", true, kernels.InnerTiled))
+	register("vendor-csr-gpu", needDevice("vendor-csr-gpu", "csr", true, kernels.InnerTiled))
 }
 
 // New builds a fresh kernel by registry name.

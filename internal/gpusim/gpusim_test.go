@@ -267,78 +267,17 @@ func TestMaskFirst(t *testing.T) {
 	}
 }
 
-func TestGPUKernelsMatchReference(t *testing.T) {
-	for _, k := range []int{8, 32, 40} {
-		coo := testMatrix(int64(100+k), 70, 55, 600)
-		b := matrix.NewDenseRand[float64](55, 64, 5)
-		want := reference(t, coo, b, k)
-
-		d := newTestDevice(t)
-		c := matrix.NewDense[float64](70, 64)
-		if _, err := SpMMCOO(d, coo, b, c, k); err != nil {
-			t.Fatal(err)
-		}
-		checkC(t, c, want, k, "SpMMCOO")
-
-		csr := formats.CSRFromCOO(coo)
-		c = matrix.NewDense[float64](70, 64)
-		if _, err := SpMMCSR(d, csr, b, c, k); err != nil {
-			t.Fatal(err)
-		}
-		checkC(t, c, want, k, "SpMMCSR")
-
-		for _, layout := range []formats.ELLLayout{formats.RowMajor, formats.ColMajor} {
-			ell := formats.ELLFromCOO(coo, layout)
-			c = matrix.NewDense[float64](70, 64)
-			if _, err := SpMMELL(d, ell, b, c, k); err != nil {
-				t.Fatal(err)
-			}
-			checkC(t, c, want, k, "SpMMELL "+layout.String())
-		}
-
-		for _, bs := range [][2]int{{2, 2}, {4, 4}, {3, 5}} {
-			bcsr, err := formats.BCSRFromCOO(coo, bs[0], bs[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			c = matrix.NewDense[float64](70, 64)
-			if _, err := SpMMBCSR(d, bcsr, b, c, k); err != nil {
-				t.Fatal(err)
-			}
-			checkC(t, c, want, k, "SpMMBCSR")
-		}
-	}
-}
-
-func TestGPUKernelOOM(t *testing.T) {
-	d, err := NewDevice(TestDevice(256)) // far too small
-	if err != nil {
-		t.Fatal(err)
-	}
-	coo := testMatrix(1, 50, 50, 300)
-	csr := formats.CSRFromCOO(coo)
-	b := matrix.NewDenseRand[float64](50, 16, 1)
-	c := matrix.NewDense[float64](50, 16)
-	if _, err := SpMMCSR(d, csr, b, c, 16); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("expected OOM, got %v", err)
-	}
-	// The failed call must not leak allocation accounting.
-	if d.Allocated() != 0 {
-		t.Fatalf("leaked %d bytes after OOM", d.Allocated())
-	}
-}
-
 func TestELLColMajorCoalescesBetter(t *testing.T) {
 	coo := testMatrix(9, 256, 256, 2000)
 	b := matrix.NewDenseRand[float64](256, 32, 2)
 	d := newTestDevice(t)
 	c := matrix.NewDense[float64](256, 32)
 
-	rm, err := SpMMELL(d, formats.ELLFromCOO(coo, formats.RowMajor), b, c, 32)
+	rm, err := SpMM(d, formats.ELLFromCOO(coo, formats.RowMajor), b, c, 32, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := SpMMELL(d, formats.ELLFromCOO(coo, formats.ColMajor), b, c, 32)
+	cm, err := SpMM(d, formats.ELLFromCOO(coo, formats.ColMajor), b, c, 32, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +296,11 @@ func TestLaunchDeterministic(t *testing.T) {
 	b := matrix.NewDenseRand[float64](100, 32, 3)
 	d := newTestDevice(t)
 	c := matrix.NewDense[float64](100, 32)
-	r1, err := SpMMCSR(d, csr, b, c, 32)
+	r1, err := SpMM(d, csr, b, c, 32, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SpMMCSR(d, csr, b, c, 32)
+	r2, err := SpMM(d, csr, b, c, 32, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}

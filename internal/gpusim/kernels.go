@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/formats"
+	"repro/internal/kernels"
 	"repro/internal/matrix"
 )
 
@@ -16,42 +17,170 @@ import (
 // warps diverge on irregular row lengths — because that is the baseline the
 // cuSparse study (Study 7) compares the tuned vendorlib kernels against.
 //
-// The inner j-loops are accounted with the Warp range operations and the
-// arithmetic is done directly on the device buffers, keeping the functional
+// Every SpMM, naive or tuned, goes through one launch scaffold, Offload,
+// and accumulates through one product loop, Operands.MulAdd. The inner
+// j-loops are accounted with the Warp range operations and the arithmetic
+// is done directly on the device buffers, keeping the functional
 // simulation linear in real work.
 
 const threadsPerBlock = 256
 
-// checkGPU validates operand shapes for C[:, :k] = A(ar×ac) × B[:, :k].
-func checkGPU(ar, ac int, b, c *matrix.Dense[float64], k int) error {
+// Kernel is one SpMM launch as an entry hands it to Offload: A's shape and
+// arrays, and the grid and warp body that read them.
+type Kernel struct {
+	// Rows and Cols are A's shape.
+	Rows, Cols int
+	// Ptr (a row pointer, or COO's row index; nil for ELL and BELL), Idx
+	// and Vals are A's arrays, uploaded in that order.
+	Ptr, Idx []int32
+	Vals     []float64
+	// TransB transposes B on the device before the launch, and the body
+	// reads Bᵀ.
+	TransB bool
+	// Blocks and Threads are the grid; Body runs once per warp.
+	Blocks, Threads int
+	Body            func(w *Warp, o *Operands)
+}
+
+// Operands are one launch's device buffers: A's arrays, B's first K
+// columns (or Bᵀ) and C, Rows×K, each compact.
+type Operands struct {
+	Ptr, Idx *I32Buf
+	Vals     *F64Buf
+	B, C     *F64Buf
+	K        int
+	// transB says B holds Bᵀ, whose rows are n = A's Cols long.
+	transB bool
+	n      int
+}
+
+// CRow is C's row r.
+func (o *Operands) CRow(r int) []float64 { return o.C.Data[r*o.K : (r+1)*o.K] }
+
+// MulAdd adds v·B[col, :K] into dst, which has K elements. It is the one
+// product loop of every SpMM body: under Bᵀ it reads the column of Bᵀ a
+// stride of n apart.
+func (o *Operands) MulAdd(dst []float64, v float64, col int32) {
+	i, step := int(col)*o.K, 1
+	if o.transB {
+		i, step = int(col), o.n
+	}
+	for j := range dst {
+		dst[j] += v * o.B.Data[i]
+		i += step
+	}
+}
+
+// loadB charges each lane in m its read of B[col[lane], :K]: a run of K
+// elements, or under Bᵀ a column walk, one line per element.
+func (o *Operands) loadB(w *Warp, col *[WarpSize]int32, m uint32) {
+	if o.transB {
+		w.StridedBulk(o.K, m)
+		return
+	}
+	var idx [WarpSize]int32
+	for lane := range idx {
+		idx[lane] = col[lane] * int32(o.K)
+	}
+	w.GatherF64Range(o.B, &idx, o.K, m)
+}
+
+// SpMM runs a's naive offload kernel on the device and returns the
+// modelled launch. C[:, :k] is overwritten. Under kernels.InnerTransB the
+// device transposes B first (CSR only); a format or inner loop without a
+// kernel is a kernels.ErrSpec.
+func SpMM(d *Device, a formats.Sparse, b, c *matrix.Dense[float64], k int, inner kernels.Inner) (LaunchResult, error) {
+	kern, err := offload(a, inner)
+	if err != nil {
+		return LaunchResult{}, err
+	}
+	return Offload(d, kern, b, c, k)
+}
+
+// offload describes a's naive kernel: COO's atomic thread-per-nonzero body,
+// or the blocked row walk, of which CSR and ELL are the 1×1 case.
+func offload(a formats.Sparse, inner kernels.Inner) (Kernel, error) {
+	if _, csr := a.(*formats.CSR[float64]); inner != kernels.InnerTiled && !(csr && inner == kernels.InnerTransB) {
+		return Kernel{}, fmt.Errorf("%w: no GPU kernel for %T under inner loop %d", kernels.ErrSpec, a, inner)
+	}
+	switch a := a.(type) {
+	case *matrix.COO[float64]:
+		nnz := a.NNZ()
+		return Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowIdx, Idx: a.ColIdx, Vals: a.Vals,
+			Blocks: gridFor(nnz), Threads: threadsPerBlock, Body: cooBody(nnz)}, nil
+	case *formats.CSR[float64]:
+		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, ptr: true, fill: true}
+		return w.kernel(a.RowPtr, a.ColIdx, a.Vals, inner == kernels.InnerTransB), nil
+	case *formats.ELL[float64]:
+		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, width: a.Width,
+			colMajor: a.Layout == formats.ColMajor, fill: true}
+		return w.kernel(nil, a.ColIdx, a.Vals, false), nil
+	case *formats.BCSR[float64]:
+		w := rowWalk{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, ptr: true, fill: true}
+		return w.kernel(a.RowPtr, a.ColIdx, a.Vals, false), nil
+	case *formats.BELL[float64]:
+		w := rowWalk{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, width: a.Width, fill: true}
+		return w.kernel(nil, a.ColIdx, a.Vals, false), nil
+	}
+	return Kernel{}, fmt.Errorf("%w: no GPU kernel for %T", kernels.ErrSpec, a)
+}
+
+// Offload is the launch scaffold of every SpMM entry, naive or tuned: it
+// checks the shapes, uploads A's arrays, B's first k columns (transposed on
+// the device under TransB) and C, launches kern.Body over them, and
+// downloads C[:, :k]. The device's memory is released on return.
+func Offload(d *Device, kern Kernel, b, c *matrix.Dense[float64], k int) (LaunchResult, error) {
 	switch {
 	case k < 0 || k > b.Cols || k > c.Cols:
-		return fmt.Errorf("%w: k=%d with B %dx%d, C %dx%d", ErrLaunch, k, b.Rows, b.Cols, c.Rows, c.Cols)
-	case b.Rows != ac || c.Rows != ar:
-		return fmt.Errorf("%w: A is %dx%d, B %dx%d, C %dx%d", ErrLaunch, ar, ac, b.Rows, b.Cols, c.Rows, c.Cols)
+		return LaunchResult{}, fmt.Errorf("%w: k=%d with B %dx%d, C %dx%d", ErrLaunch, k, b.Rows, b.Cols, c.Rows, c.Cols)
+	case b.Rows != kern.Cols || c.Rows != kern.Rows:
+		return LaunchResult{}, fmt.Errorf("%w: A is %dx%d, B %dx%d, C %dx%d", ErrLaunch, kern.Rows, kern.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	return nil
+	defer d.FreeAll()
+	o, err := upload(d, kern, b, k)
+	if err != nil {
+		return LaunchResult{}, err
+	}
+	res, err := d.Launch(kern.Blocks, kern.Threads, func(w *Warp) { kern.Body(w, o) })
+	if err != nil {
+		return LaunchResult{}, err
+	}
+	for i := 0; i < c.Rows; i++ {
+		copy(c.Data[i*c.Stride:i*c.Stride+k], o.CRow(i))
+	}
+	return res, nil
 }
 
-// UploadDenseK copies the first k columns of h into a device buffer with
-// compact stride k.
-func UploadDenseK(d *Device, h *matrix.Dense[float64], k int) (*F64Buf, error) {
-	buf, err := d.AllocF64(h.Rows*k, nil)
-	if err != nil {
+// upload allocates a launch's operands in the order the model's buffer
+// addresses depend on: A's arrays, B, Bᵀ, C.
+func upload(d *Device, kern Kernel, b *matrix.Dense[float64], k int) (o *Operands, err error) {
+	o = &Operands{K: k, transB: kern.TransB, n: kern.Cols}
+	if kern.Ptr != nil {
+		if o.Ptr, err = d.AllocI32(len(kern.Ptr), kern.Ptr); err != nil {
+			return nil, err
+		}
+	}
+	if o.Idx, err = d.AllocI32(len(kern.Idx), kern.Idx); err != nil {
 		return nil, err
 	}
-	for i := 0; i < h.Rows; i++ {
-		copy(buf.Data[i*k:(i+1)*k], h.Data[i*h.Stride:i*h.Stride+k])
+	if o.Vals, err = d.AllocF64(len(kern.Vals), kern.Vals); err != nil {
+		return nil, err
 	}
-	return buf, nil
-}
-
-// DownloadDenseK copies a compact rows×k device buffer into the first k
-// columns of h.
-func DownloadDenseK(buf *F64Buf, h *matrix.Dense[float64], k int) {
-	for i := 0; i < h.Rows; i++ {
-		copy(h.Data[i*h.Stride:i*h.Stride+k], buf.Data[i*k:(i+1)*k])
+	if o.B, err = d.AllocF64(b.Rows*k, nil); err != nil {
+		return nil, err
 	}
+	for i := 0; i < b.Rows; i++ {
+		copy(o.B.Data[i*k:(i+1)*k], b.Data[i*b.Stride:i*b.Stride+k])
+	}
+	if kern.TransB {
+		if o.B, err = transposeB(d, o.B, b.Rows, k); err != nil {
+			return nil, err
+		}
+	}
+	if o.C, err = d.AllocF64(kern.Rows*k, nil); err != nil {
+		return nil, err
+	}
+	return o, nil
 }
 
 func gridFor(work int) int {
@@ -61,480 +190,11 @@ func gridFor(work int) int {
 	return (work + threadsPerBlock - 1) / threadsPerBlock
 }
 
-// csrBufs uploads a CSR matrix.
-func csrBufs(d *Device, a *formats.CSR[float64]) (rowPtr, colIdx *I32Buf, vals *F64Buf, err error) {
-	if rowPtr, err = d.AllocI32(len(a.RowPtr), a.RowPtr); err != nil {
-		return
-	}
-	if colIdx, err = d.AllocI32(len(a.ColIdx), a.ColIdx); err != nil {
-		return
-	}
-	vals, err = d.AllocF64(len(a.Vals), a.Vals)
-	return
-}
-
-// SpMMCSR runs the naive thread-per-row CSR SpMM on the device and returns
-// the modelled launch result. C[:, :k] is overwritten.
-func SpMMCSR(d *Device, a *formats.CSR[float64], b, c *matrix.Dense[float64], k int) (LaunchResult, error) {
-	if err := checkGPU(a.Rows, a.Cols, b, c, k); err != nil {
-		return LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	rowPtr, colIdx, vals, err := csrBufs(d, a)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	bd, err := UploadDenseK(d, b, k)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-
-	rows := a.Rows
-	res, err := d.Launch(gridFor(rows), threadsPerBlock, func(w *Warp) {
-		base := w.GlobalThread(0)
-		if base >= rows {
-			return
-		}
-		n := min(WarpSize, rows-base)
-		mask := MaskFirst(n)
-		var rIdx, start, length, cols, endIdx, idx, cIdx0, bIdx0 [WarpSize]int32
-		var vv [WarpSize]float64
-		for lane := 0; lane < n; lane++ {
-			rIdx[lane] = int32(base + lane)
-			endIdx[lane] = rIdx[lane] + 1
-			cIdx0[lane] = rIdx[lane] * int32(k)
-		}
-		// Row extents: two coalesced int32 gathers.
-		w.GatherI32(rowPtr, &rIdx, mask, &start)
-		w.GatherI32(rowPtr, &endIdx, mask, &length)
-		maxLen := 0
-		for lane := 0; lane < n; lane++ {
-			length[lane] -= start[lane]
-			maxLen = max(maxLen, int(length[lane]))
-		}
-		// Zero the output rows.
-		w.ScatterF64Range(cd, &cIdx0, k, mask)
-		for lane := 0; lane < n; lane++ {
-			clear(cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k])
-		}
-		// Walk nonzeros in lockstep; lanes with shorter rows idle while
-		// the warp's longest row finishes (thread-per-row divergence).
-		for t := 0; t < maxLen; t++ {
-			m := uint32(0)
-			for lane := 0; lane < n; lane++ {
-				if int32(t) < length[lane] {
-					m |= 1 << lane
-					idx[lane] = start[lane] + int32(t)
-				}
-			}
-			if m == 0 {
-				break
-			}
-			w.GatherI32(colIdx, &idx, m, &cols)
-			w.GatherF64(vals, &idx, m, &vv)
-			for lane := 0; lane < n; lane++ {
-				if m&(1<<lane) != 0 {
-					bIdx0[lane] = cols[lane] * int32(k)
-				}
-			}
-			// Per-lane private j-loop over B and C rows (uncoalesced
-			// across lanes).
-			w.GatherF64Range(bd, &bIdx0, k, m)
-			w.GatherF64Range(cd, &cIdx0, k, m)
-			w.ScatterF64Range(cd, &cIdx0, k, m)
-			w.FMAN(k, m)
-			for lane := 0; lane < n; lane++ {
-				if m&(1<<lane) == 0 || vv[lane] == 0 {
-					continue
-				}
-				crow := cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k]
-				brow := bd.Data[int(bIdx0[lane]) : int(bIdx0[lane])+k]
-				v := vv[lane]
-				for j := range crow {
-					crow[j] += v * brow[j]
-				}
-			}
-		}
-	})
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	DownloadDenseK(cd, c, k)
-	return res, nil
-}
-
-// SpMMCOO runs the naive thread-per-nonzero COO SpMM (atomic accumulation)
-// on the device. C[:, :k] is overwritten.
-func SpMMCOO(d *Device, a *matrix.COO[float64], b, c *matrix.Dense[float64], k int) (LaunchResult, error) {
-	if err := checkGPU(a.Rows, a.Cols, b, c, k); err != nil {
-		return LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	rowIdx, err := d.AllocI32(len(a.RowIdx), a.RowIdx)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	colIdx, err := d.AllocI32(len(a.ColIdx), a.ColIdx)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	vals, err := d.AllocF64(len(a.Vals), a.Vals)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	bd, err := UploadDenseK(d, b, k)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-
-	nnz := a.NNZ()
-	res, err := d.Launch(gridFor(nnz), threadsPerBlock, func(w *Warp) {
-		base := w.GlobalThread(0)
-		if base >= nnz {
-			return
-		}
-		n := min(WarpSize, nnz-base)
-		mask := MaskFirst(n)
-		var pIdx, rr, cc, bIdx0, cIdx0 [WarpSize]int32
-		var vv [WarpSize]float64
-		for lane := 0; lane < n; lane++ {
-			pIdx[lane] = int32(base + lane)
-		}
-		w.GatherI32(rowIdx, &pIdx, mask, &rr)
-		w.GatherI32(colIdx, &pIdx, mask, &cc)
-		w.GatherF64(vals, &pIdx, mask, &vv)
-		for lane := 0; lane < n; lane++ {
-			bIdx0[lane] = cc[lane] * int32(k)
-			cIdx0[lane] = rr[lane] * int32(k)
-		}
-		w.GatherF64Range(bd, &bIdx0, k, mask)
-		w.FMAN(k, mask)
-		// Every contribution lands with an atomic add (colliding rows!).
-		w.AtomicAddF64Range(cd, &cIdx0, k, mask)
-		for lane := 0; lane < n; lane++ {
-			if vv[lane] == 0 {
-				continue
-			}
-			crow := cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k]
-			brow := bd.Data[int(bIdx0[lane]) : int(bIdx0[lane])+k]
-			v := vv[lane]
-			for j := range crow {
-				crow[j] += v * brow[j]
-			}
-		}
-	})
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	DownloadDenseK(cd, c, k)
-	return res, nil
-}
-
-// SpMMELL runs the naive thread-per-row ELLPACK SpMM. The storage layout of
-// a decides the coalescing of the A-array loads: ColMajor lets adjacent
-// rows (lanes) read adjacent slots, RowMajor does not — the layout ablation
-// the suite benchmarks. Padded slots cost their slot loads and lockstep
-// iterations, the fixed-shape price of ELL on SIMT hardware.
-func SpMMELL(d *Device, a *formats.ELL[float64], b, c *matrix.Dense[float64], k int) (LaunchResult, error) {
-	if err := checkGPU(a.Rows, a.Cols, b, c, k); err != nil {
-		return LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	colIdx, err := d.AllocI32(len(a.ColIdx), a.ColIdx)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	vals, err := d.AllocF64(len(a.Vals), a.Vals)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	bd, err := UploadDenseK(d, b, k)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-
-	rows, width := a.Rows, a.Width
-	colMajor := a.Layout == formats.ColMajor
-	res, err := d.Launch(gridFor(rows), threadsPerBlock, func(w *Warp) {
-		base := w.GlobalThread(0)
-		if base >= rows {
-			return
-		}
-		n := min(WarpSize, rows-base)
-		mask := MaskFirst(n)
-		var slot, cols, bIdx0, cIdx0 [WarpSize]int32
-		var vv [WarpSize]float64
-		for lane := 0; lane < n; lane++ {
-			cIdx0[lane] = int32((base + lane) * k)
-		}
-		w.ScatterF64Range(cd, &cIdx0, k, mask)
-		for lane := 0; lane < n; lane++ {
-			clear(cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k])
-		}
-		for s := 0; s < width; s++ {
-			for lane := 0; lane < n; lane++ {
-				r := base + lane
-				if colMajor {
-					slot[lane] = int32(s*rows + r)
-				} else {
-					slot[lane] = int32(r*width + s)
-				}
-			}
-			w.GatherI32(colIdx, &slot, mask, &cols)
-			w.GatherF64(vals, &slot, mask, &vv)
-			// All lanes march in lockstep: padded lanes (v == 0) do the
-			// loads and FMAs too — the GPU has no cheap way to skip them.
-			for lane := 0; lane < n; lane++ {
-				bIdx0[lane] = cols[lane] * int32(k)
-			}
-			w.GatherF64Range(bd, &bIdx0, k, mask)
-			w.GatherF64Range(cd, &cIdx0, k, mask)
-			w.ScatterF64Range(cd, &cIdx0, k, mask)
-			w.FMAN(k, mask)
-			for lane := 0; lane < n; lane++ {
-				if vv[lane] == 0 {
-					continue // adds zero; result unchanged
-				}
-				crow := cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k]
-				brow := bd.Data[int(bIdx0[lane]) : int(bIdx0[lane])+k]
-				v := vv[lane]
-				for j := range crow {
-					crow[j] += v * brow[j]
-				}
-			}
-		}
-	})
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	DownloadDenseK(cd, c, k)
-	return res, nil
-}
-
-// SpMMBCSR runs the naive thread-per-output-row BCSR SpMM: thread i owns
-// matrix row i, walking the blocks of its block row.
-func SpMMBCSR(d *Device, a *formats.BCSR[float64], b, c *matrix.Dense[float64], k int) (LaunchResult, error) {
-	if err := checkGPU(a.Rows, a.Cols, b, c, k); err != nil {
-		return LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	rowPtr, err := d.AllocI32(len(a.RowPtr), a.RowPtr)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	colIdx, err := d.AllocI32(len(a.ColIdx), a.ColIdx)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	vals, err := d.AllocF64(len(a.Vals), a.Vals)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	bd, err := UploadDenseK(d, b, k)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-
-	rows, br, bc := a.Rows, a.BR, a.BC
-	cols := a.Cols
-	blkSize := int32(br * bc)
-	res, err := d.Launch(gridFor(rows), threadsPerBlock, func(w *Warp) {
-		base := w.GlobalThread(0)
-		if base >= rows {
-			return
-		}
-		n := min(WarpSize, rows-base)
-		mask := MaskFirst(n)
-		var briIdx, briNext, start, length, blkPos, bcol, vIdx, bIdx0, cIdx0 [WarpSize]int32
-		var vv [WarpSize]float64
-		for lane := 0; lane < n; lane++ {
-			briIdx[lane] = int32((base + lane) / br)
-			briNext[lane] = briIdx[lane] + 1
-			cIdx0[lane] = int32((base + lane) * k)
-		}
-		w.GatherI32(rowPtr, &briIdx, mask, &start)
-		w.GatherI32(rowPtr, &briNext, mask, &length)
-		maxBlocks := 0
-		for lane := 0; lane < n; lane++ {
-			length[lane] -= start[lane]
-			maxBlocks = max(maxBlocks, int(length[lane]))
-		}
-		w.ScatterF64Range(cd, &cIdx0, k, mask)
-		for lane := 0; lane < n; lane++ {
-			clear(cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k])
-		}
-		for t := 0; t < maxBlocks; t++ {
-			m := uint32(0)
-			for lane := 0; lane < n; lane++ {
-				if int32(t) < length[lane] {
-					m |= 1 << lane
-					blkPos[lane] = start[lane] + int32(t)
-				}
-			}
-			if m == 0 {
-				break
-			}
-			w.GatherI32(colIdx, &blkPos, m, &bcol)
-			for cc := 0; cc < bc; cc++ {
-				m2 := uint32(0)
-				for lane := 0; lane < n; lane++ {
-					if m&(1<<lane) == 0 {
-						continue
-					}
-					col := int(bcol[lane])*bc + cc
-					if col >= cols {
-						continue
-					}
-					m2 |= 1 << lane
-					r := (base + lane) % br
-					vIdx[lane] = blkPos[lane]*blkSize + int32(r*bc+cc)
-					bIdx0[lane] = int32(col * k)
-				}
-				if m2 == 0 {
-					continue
-				}
-				w.GatherF64(vals, &vIdx, m2, &vv)
-				w.GatherF64Range(bd, &bIdx0, k, m2)
-				w.GatherF64Range(cd, &cIdx0, k, m2)
-				w.ScatterF64Range(cd, &cIdx0, k, m2)
-				w.FMAN(k, m2)
-				for lane := 0; lane < n; lane++ {
-					if m2&(1<<lane) == 0 || vv[lane] == 0 {
-						continue
-					}
-					crow := cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k]
-					brow := bd.Data[int(bIdx0[lane]) : int(bIdx0[lane])+k]
-					v := vv[lane]
-					for j := range crow {
-						crow[j] += v * brow[j]
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	DownloadDenseK(cd, c, k)
-	return res, nil
-}
-
-// SpMMBELL runs the naive thread-per-output-row Blocked-ELL SpMM. BELL is
-// the blocked format GPU vendors actually expose (cuSPARSE's blocked-ELL):
-// every block row has the same number of block slots, so — unlike BCSR —
-// the lockstep walk has no divergence; padding blocks (zero values) are the
-// price.
-func SpMMBELL(d *Device, a *formats.BELL[float64], b, c *matrix.Dense[float64], k int) (LaunchResult, error) {
-	if err := checkGPU(a.Rows, a.Cols, b, c, k); err != nil {
-		return LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	colIdx, err := d.AllocI32(len(a.ColIdx), a.ColIdx)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	vals, err := d.AllocF64(len(a.Vals), a.Vals)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	bd, err := UploadDenseK(d, b, k)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-
-	rows, br, bc, width := a.Rows, a.BR, a.BC, a.Width
-	cols := a.Cols
-	blkSize := br * bc
-	res, err := d.Launch(gridFor(rows), threadsPerBlock, func(w *Warp) {
-		base := w.GlobalThread(0)
-		if base >= rows {
-			return
-		}
-		n := min(WarpSize, rows-base)
-		mask := MaskFirst(n)
-		var slot, bcol, vIdx, bIdx0, cIdx0 [WarpSize]int32
-		var vv [WarpSize]float64
-		for lane := 0; lane < n; lane++ {
-			cIdx0[lane] = int32((base + lane) * k)
-		}
-		w.ScatterF64Range(cd, &cIdx0, k, mask)
-		for lane := 0; lane < n; lane++ {
-			clear(cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k])
-		}
-		// Every block row walks exactly `width` slots: perfect lockstep,
-		// padding blocks included.
-		for s := 0; s < width; s++ {
-			for lane := 0; lane < n; lane++ {
-				brow := (base + lane) / br
-				slot[lane] = int32(brow*width + s)
-			}
-			w.GatherI32(colIdx, &slot, mask, &bcol)
-			for cc := 0; cc < bc; cc++ {
-				m2 := uint32(0)
-				for lane := 0; lane < n; lane++ {
-					col := int(bcol[lane])*bc + cc
-					if col >= cols {
-						continue
-					}
-					m2 |= 1 << lane
-					r := (base + lane) % br
-					vIdx[lane] = slot[lane]*int32(blkSize) + int32(r*bc+cc)
-					bIdx0[lane] = int32(col * k)
-				}
-				if m2 == 0 {
-					continue
-				}
-				w.GatherF64(vals, &vIdx, m2, &vv)
-				w.GatherF64Range(bd, &bIdx0, k, m2)
-				w.GatherF64Range(cd, &cIdx0, k, m2)
-				w.ScatterF64Range(cd, &cIdx0, k, m2)
-				w.FMAN(k, m2)
-				for lane := 0; lane < n; lane++ {
-					if m2&(1<<lane) == 0 || vv[lane] == 0 {
-						continue
-					}
-					crow := cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k]
-					brow := bd.Data[int(bIdx0[lane]) : int(bIdx0[lane])+k]
-					v := vv[lane]
-					for j := range crow {
-						crow[j] += v * brow[j]
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	DownloadDenseK(cd, c, k)
-	return res, nil
-}
-
-// TransposeDense charges an on-device blocked transpose of an n×k dense
-// matrix (coalesced reads, strided writes) and performs it functionally,
-// returning the kᵀ×n buffer. Study 8's rule applies on the GPU too: the
-// transposed kernels pay for producing Bᵀ.
-func TransposeDense(d *Device, src *F64Buf, n, k int) (*F64Buf, error) {
+// transposeB charges an on-device blocked transpose of an n×k dense matrix
+// (coalesced reads, strided writes) and performs it functionally, returning
+// the k×n buffer. Study 8's rule applies on the GPU too: the transposed
+// kernel pays for producing Bᵀ.
+func transposeB(d *Device, src *F64Buf, n, k int) (*F64Buf, error) {
 	dst, err := d.AllocF64(n*k, nil)
 	if err != nil {
 		return nil, err
@@ -566,93 +226,142 @@ func TransposeDense(d *Device, src *F64Buf, n, k int) (*F64Buf, error) {
 	return dst, nil
 }
 
-// SpMMCSRT runs the transposed-B thread-per-row CSR SpMM on the device,
-// including the on-device transposition of B (charged to the kernel, as in
-// Study 8). The inner loop walks a column of Bᵀ — one cache line per
-// element — which is what makes the transposed variant lose.
-func SpMMCSRT(d *Device, a *formats.CSR[float64], b, c *matrix.Dense[float64], k int) (LaunchResult, error) {
-	if err := checkGPU(a.Rows, a.Cols, b, c, k); err != nil {
-		return LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	rowPtr, colIdx, vals, err := csrBufs(d, a)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	bd, err := UploadDenseK(d, b, k)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	n := a.Cols
-	btd, err := TransposeDense(d, bd, n, k)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return LaunchResult{}, err
-	}
-
-	rows := a.Rows
-	res, err := d.Launch(gridFor(rows), threadsPerBlock, func(w *Warp) {
+// cooBody is the naive thread-per-nonzero COO kernel: every contribution
+// lands in C with an atomic add, so rows that collide serialise.
+func cooBody(nnz int) func(w *Warp, o *Operands) {
+	return func(w *Warp, o *Operands) {
 		base := w.GlobalThread(0)
-		if base >= rows {
+		if base >= nnz {
 			return
 		}
-		nw := min(WarpSize, rows-base)
-		mask := MaskFirst(nw)
-		var rIdx, endIdx, start, length, cols, idx, cIdx0 [WarpSize]int32
+		n := min(WarpSize, nnz-base)
+		mask := MaskFirst(n)
+		var pIdx, rr, cc, cIdx0 [WarpSize]int32
 		var vv [WarpSize]float64
-		for lane := 0; lane < nw; lane++ {
-			rIdx[lane] = int32(base + lane)
-			endIdx[lane] = rIdx[lane] + 1
-			cIdx0[lane] = rIdx[lane] * int32(k)
+		for lane := 0; lane < n; lane++ {
+			pIdx[lane] = int32(base + lane)
 		}
-		w.GatherI32(rowPtr, &rIdx, mask, &start)
-		w.GatherI32(rowPtr, &endIdx, mask, &length)
-		maxLen := 0
-		for lane := 0; lane < nw; lane++ {
+		w.GatherI32(o.Ptr, &pIdx, mask, &rr)
+		w.GatherI32(o.Idx, &pIdx, mask, &cc)
+		w.GatherF64(o.Vals, &pIdx, mask, &vv)
+		for lane := 0; lane < n; lane++ {
+			cIdx0[lane] = rr[lane] * int32(o.K)
+		}
+		o.loadB(w, &cc, mask)
+		w.FMAN(o.K, mask)
+		w.AtomicAddF64Range(o.C, &cIdx0, o.K, mask)
+		for lane := 0; lane < n; lane++ {
+			if vv[lane] == 0 {
+				continue
+			}
+			o.MulAdd(o.CRow(int(rr[lane])), vv[lane], cc[lane])
+		}
+	}
+}
+
+// rowWalk is the naive thread-per-row kernel of every row format: lane i
+// owns C row i and walks the slots of its block row in lockstep with the
+// warp, running the block's bc sub-columns per slot. With a row pointer
+// (CSR, BCSR) the slots are the block row's extent, and lanes with shorter
+// rows idle while the warp's longest finishes (thread-per-row divergence).
+// Without one (ELL, BELL) every block row has width slots, padding
+// included: perfect lockstep, the fixed-shape price of ELL on SIMT
+// hardware. CSR and ELL are the 1×1 block.
+type rowWalk struct {
+	rows, cols int
+	br, bc     int
+	// ptr says the kernel has a block-row pointer; otherwise every block
+	// row has width slots.
+	ptr   bool
+	width int
+	// colMajor lays slot s of block row i at s·blockRows + i (ELL's
+	// column-major layout, whose adjacent lanes read adjacent slots),
+	// otherwise at i·width + s.
+	colMajor bool
+	// fill skips zero values: charged, never multiplied.
+	fill bool
+}
+
+// kernel is the walk's launch over A's arrays: one thread per C row.
+func (rw rowWalk) kernel(ptr, idx []int32, vals []float64, transB bool) Kernel {
+	return Kernel{Rows: rw.rows, Cols: rw.cols, Ptr: ptr, Idx: idx, Vals: vals, TransB: transB,
+		Blocks: gridFor(rw.rows), Threads: threadsPerBlock, Body: rw.body}
+}
+
+func (rw rowWalk) body(w *Warp, o *Operands) {
+	base := w.GlobalThread(0)
+	if base >= rw.rows {
+		return
+	}
+	n := min(WarpSize, rw.rows-base)
+	mask := MaskFirst(n)
+	k := o.K
+	blockRows, blkSize := int32((rw.rows+rw.br-1)/rw.br), int32(rw.br*rw.bc)
+	var bri, next, start, length, slot, bcol, vIdx, col, cIdx0 [WarpSize]int32
+	var vv [WarpSize]float64
+	for lane := 0; lane < n; lane++ {
+		bri[lane] = int32((base + lane) / rw.br)
+		next[lane] = bri[lane] + 1
+		cIdx0[lane] = int32((base + lane) * k)
+	}
+	slots := rw.width
+	if rw.ptr {
+		// Block-row extents: two coalesced int32 gathers.
+		w.GatherI32(o.Ptr, &bri, mask, &start)
+		w.GatherI32(o.Ptr, &next, mask, &length)
+		slots = 0
+		for lane := 0; lane < n; lane++ {
 			length[lane] -= start[lane]
-			maxLen = max(maxLen, int(length[lane]))
+			slots = max(slots, int(length[lane]))
 		}
-		w.ScatterF64Range(cd, &cIdx0, k, mask)
-		for lane := 0; lane < nw; lane++ {
-			clear(cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k])
+	}
+	// Zero the output rows.
+	w.ScatterF64Range(o.C, &cIdx0, k, mask)
+	for lane := 0; lane < n; lane++ {
+		clear(o.CRow(base + lane))
+	}
+	for t := 0; t < slots; t++ {
+		m := mask
+		for lane := 0; lane < n; lane++ {
+			switch {
+			case rw.ptr && int32(t) >= length[lane]:
+				m &^= 1 << lane
+			case rw.ptr:
+				slot[lane] = start[lane] + int32(t)
+			case rw.colMajor:
+				slot[lane] = int32(t)*blockRows + bri[lane]
+			default:
+				slot[lane] = bri[lane]*int32(rw.width) + int32(t)
+			}
 		}
-		for t := 0; t < maxLen; t++ {
-			m := uint32(0)
-			for lane := 0; lane < nw; lane++ {
-				if int32(t) < length[lane] {
-					m |= 1 << lane
-					idx[lane] = start[lane] + int32(t)
-				}
-			}
-			if m == 0 {
-				break
-			}
-			w.GatherI32(colIdx, &idx, m, &cols)
-			w.GatherF64(vals, &idx, m, &vv)
-			// Bᵀ column walk: one line per element, per lane.
-			w.StridedBulk(k, m)
-			w.GatherF64Range(cd, &cIdx0, k, m)
-			w.ScatterF64Range(cd, &cIdx0, k, m)
-			w.FMAN(k, m)
-			for lane := 0; lane < nw; lane++ {
-				if m&(1<<lane) == 0 || vv[lane] == 0 {
+		w.GatherI32(o.Idx, &slot, m, &bcol)
+		for cc := 0; cc < rw.bc; cc++ {
+			m2 := uint32(0)
+			for lane := 0; lane < n; lane++ {
+				c := int(bcol[lane])*rw.bc + cc
+				if m&(1<<lane) == 0 || c >= rw.cols {
 					continue
 				}
-				crow := cd.Data[int(cIdx0[lane]) : int(cIdx0[lane])+k]
-				col := int(cols[lane])
-				v := vv[lane]
-				for j := range crow {
-					crow[j] += v * btd.Data[j*n+col]
+				m2 |= 1 << lane
+				vIdx[lane] = slot[lane]*blkSize + int32((base+lane)%rw.br*rw.bc+cc)
+				col[lane] = int32(c)
+			}
+			if m2 == 0 {
+				continue
+			}
+			// Per-lane private j-loop over B and C rows (uncoalesced
+			// across lanes).
+			w.GatherF64(o.Vals, &vIdx, m2, &vv)
+			o.loadB(w, &col, m2)
+			w.GatherF64Range(o.C, &cIdx0, k, m2)
+			w.ScatterF64Range(o.C, &cIdx0, k, m2)
+			w.FMAN(k, m2)
+			for lane := 0; lane < n; lane++ {
+				if m2&(1<<lane) == 0 || rw.fill && vv[lane] == 0 {
+					continue
 				}
+				o.MulAdd(o.CRow(base+lane), vv[lane], col[lane])
 			}
 		}
-	})
-	if err != nil {
-		return LaunchResult{}, err
 	}
-	DownloadDenseK(cd, c, k)
-	return res, nil
 }

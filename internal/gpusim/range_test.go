@@ -1,11 +1,6 @@
 package gpusim
 
-import (
-	"testing"
-
-	"repro/internal/formats"
-	"repro/internal/matrix"
-)
+import "testing"
 
 // launchOne runs the kernel as a single warp and returns the stats.
 func launchOne(t *testing.T, d *Device, kernel func(w *Warp)) Stats {
@@ -180,85 +175,5 @@ func TestScaledDown(t *testing.T) {
 	}
 	if same := cfg.ScaledDown(0); same.SMs != cfg.SMs {
 		t.Fatal("factor 0 must be identity (invalid factor ignored)")
-	}
-}
-
-func TestBELLGPUMatchesReference(t *testing.T) {
-	coo := testMatrix(31, 90, 70, 800)
-	b := matrix.NewDenseRand[float64](70, 64, 4)
-	want := reference(t, coo, b, 48)
-	bell, err := formats.BELLFromCOO(coo, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := newTestDevice(t)
-	c := matrix.NewDense[float64](90, 64)
-	if _, err := SpMMBELL(d, bell, b, c, 48); err != nil {
-		t.Fatal(err)
-	}
-	view, _ := c.View(0, 0, 90, 48)
-	if !view.Clone().EqualTol(want, 1e-9) {
-		t.Fatal("BELL GPU kernel mismatch")
-	}
-}
-
-func TestCSRTransposedGPUMatchesReference(t *testing.T) {
-	coo := testMatrix(77, 80, 60, 700)
-	csr := formats.CSRFromCOO(coo)
-	b := matrix.NewDenseRand[float64](60, 64, 9)
-	want := reference(t, coo, b, 40)
-	d := newTestDevice(t)
-	c := matrix.NewDense[float64](80, 64)
-	res, err := SpMMCSRT(d, csr, b, c, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, _ := c.View(0, 0, 80, 40)
-	if !view.Clone().EqualTol(want, 1e-9) {
-		t.Fatal("transposed GPU CSR mismatch")
-	}
-	plain, err := SpMMCSR(d, csr, b, c, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seconds <= plain.Seconds {
-		t.Errorf("transposed GPU kernel (%.3gs) should lose to plain (%.3gs)",
-			res.Seconds, plain.Seconds)
-	}
-}
-
-func TestAllGPUKernelsHandleOOM(t *testing.T) {
-	coo := testMatrix(3, 60, 60, 400)
-	csr := formats.CSRFromCOO(coo)
-	ell := formats.ELLFromCOO(coo, formats.ColMajor)
-	bcsr, err := formats.BCSRFromCOO(coo, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bell, err := formats.BELLFromCOO(coo, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := matrix.NewDenseRand[float64](60, 16, 1)
-	c := matrix.NewDense[float64](60, 16)
-	cfg := TestDevice(512) // nothing fits
-	d, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for label, run := range map[string]func() (LaunchResult, error){
-		"coo":   func() (LaunchResult, error) { return SpMMCOO(d, coo, b, c, 16) },
-		"csr":   func() (LaunchResult, error) { return SpMMCSR(d, csr, b, c, 16) },
-		"csr-t": func() (LaunchResult, error) { return SpMMCSRT(d, csr, b, c, 16) },
-		"ell":   func() (LaunchResult, error) { return SpMMELL(d, ell, b, c, 16) },
-		"bcsr":  func() (LaunchResult, error) { return SpMMBCSR(d, bcsr, b, c, 16) },
-		"bell":  func() (LaunchResult, error) { return SpMMBELL(d, bell, b, c, 16) },
-	} {
-		if _, err := run(); err == nil {
-			t.Errorf("%s: OOM not reported", label)
-		}
-		if d.Allocated() != 0 {
-			t.Errorf("%s: leaked %d bytes after OOM", label, d.Allocated())
-		}
 	}
 }

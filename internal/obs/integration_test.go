@@ -76,7 +76,7 @@ func TestSimulatorCountersFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gpusim.SpMMCSR(dev, csr, b, c, k); err != nil {
+	if _, err := gpusim.SpMM(dev, csr, b, c, k, kernels.InnerTiled); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricValue(t, "spmm_gpusim_l2_hits_total"); got <= l2Before {

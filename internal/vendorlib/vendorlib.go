@@ -12,120 +12,89 @@
 //     boundary).
 //
 // Against the naive "OpenMP offload" kernels in package gpusim, these win
-// for the same structural reasons cuSPARSE won in the thesis.
+// for the same structural reasons cuSPARSE won in the thesis. Both run on
+// gpusim's launch scaffold (gpusim.Offload) and its one product loop
+// (gpusim.Operands.MulAdd); only their warp bodies are theirs.
 package vendorlib
 
 import (
+	"fmt"
+
 	"repro/internal/formats"
 	"repro/internal/gpusim"
+	"repro/internal/kernels"
 	"repro/internal/matrix"
 )
 
-// SpMMCSR runs the tuned warp-per-row CSR SpMM on the device.
-// C[:, :k] is overwritten.
-func SpMMCSR(d *gpusim.Device, a *formats.CSR[float64], b, c *matrix.Dense[float64], k int) (gpusim.LaunchResult, error) {
-	if err := checkShapes(a.Rows, a.Cols, b, c, k); err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	rowPtr, err := d.AllocI32(len(a.RowPtr), a.RowPtr)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	colIdx, err := d.AllocI32(len(a.ColIdx), a.ColIdx)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	vals, err := d.AllocF64(len(a.Vals), a.Vals)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	bd, err := gpusim.UploadDenseK(d, b, k)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
+// warpsPerBlock is the vendor kernels' block shape.
+const warpsPerBlock = 8
 
-	rows := a.Rows
-	const warpsPerBlock = 8
-	blocks := (rows + warpsPerBlock - 1) / warpsPerBlock
-	res, err := d.Launch(blocks, warpsPerBlock*gpusim.WarpSize, func(w *gpusim.Warp) {
+// SpMM runs a's tuned kernel on the device and returns the modelled launch.
+// C[:, :k] is overwritten. Only COO and CSR have one; any other format is a
+// kernels.ErrSpec.
+func SpMM(d *gpusim.Device, a formats.Sparse, b, c *matrix.Dense[float64], k int) (gpusim.LaunchResult, error) {
+	var kern gpusim.Kernel
+	switch a := a.(type) {
+	case *formats.CSR[float64]:
+		kern = gpusim.Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowPtr, Idx: a.ColIdx, Vals: a.Vals,
+			Blocks: (a.Rows + warpsPerBlock - 1) / warpsPerBlock, Body: csrBody(a.Rows)}
+	case *matrix.COO[float64]:
+		nnz := a.NNZ()
+		totalWarps := (nnz + segment - 1) / segment
+		kern = gpusim.Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowIdx, Idx: a.ColIdx, Vals: a.Vals,
+			Blocks: (totalWarps + warpsPerBlock - 1) / warpsPerBlock, Body: cooBody(nnz)}
+	default:
+		return gpusim.LaunchResult{}, fmt.Errorf("%w: no vendor kernel for %T", kernels.ErrSpec, a)
+	}
+	kern.Threads = warpsPerBlock * gpusim.WarpSize
+	return gpusim.Offload(d, kern, b, c, k)
+}
+
+// csrBody is the tuned warp-per-row CSR kernel: A's index and value are
+// uniform loads, and the lanes tile the k dimension, so B and C accesses
+// coalesce.
+func csrBody(rows int) func(w *gpusim.Warp, o *gpusim.Operands) {
+	return func(w *gpusim.Warp, o *gpusim.Operands) {
 		row := w.GlobalWarp() // one warp per matrix row
 		if row >= rows {
 			return
 		}
-		start := w.BroadcastI32(rowPtr, int32(row), gpusim.FullMask)
-		end := w.BroadcastI32(rowPtr, int32(row)+1, gpusim.FullMask)
-		crow := cd.Data[row*k : (row+1)*k]
+		k := o.K
+		start := w.BroadcastI32(o.Ptr, int32(row), gpusim.FullMask)
+		end := w.BroadcastI32(o.Ptr, int32(row)+1, gpusim.FullMask)
+		crow := o.CRow(row)
 		clear(crow)
 		for p := start; p < end; p++ {
 			// Uniform loads: every lane needs the same col/val.
-			col := w.BroadcastI32(colIdx, p, gpusim.FullMask)
-			v := w.BroadcastF64(vals, p, gpusim.FullMask)
+			col := w.BroadcastI32(o.Idx, p, gpusim.FullMask)
+			v := w.BroadcastF64(o.Vals, p, gpusim.FullMask)
 			// Lanes tile the k dimension: perfectly coalesced B access.
-			w.GatherF64Coalesced(bd, col*int32(k), k, gpusim.FullMask)
+			w.GatherF64Coalesced(o.B, col*int32(k), k, gpusim.FullMask)
 			w.FMAN((k+gpusim.WarpSize-1)/gpusim.WarpSize, gpusim.FullMask)
 			if v != 0 {
-				brow := bd.Data[int(col)*k : int(col)*k+k]
-				for j := range crow {
-					crow[j] += v * brow[j]
-				}
+				o.MulAdd(crow, v, col)
 			}
 		}
 		// One coalesced store of the row's accumulators.
-		w.ScatterF64Coalesced(cd, int32(row*k), k, gpusim.FullMask)
-	})
-	if err != nil {
-		return gpusim.LaunchResult{}, err
+		w.ScatterF64Coalesced(o.C, int32(row*k), k, gpusim.FullMask)
 	}
-	gpusim.DownloadDenseK(cd, c, k)
-	return res, nil
 }
 
-// SpMMCOO runs the tuned COO SpMM: warps own contiguous nonzero segments
+// segment is the tuned COO kernel's nonzeros per warp.
+const segment = 128
+
+// cooBody is the tuned COO kernel: warps own contiguous nonzero segments
 // (row-major sorted), lanes tile the k dimension, and partial row sums are
 // flushed with an atomic only when the row changes within the segment —
 // the segmented-reduction strategy of vendor COO kernels.
-func SpMMCOO(d *gpusim.Device, a *matrix.COO[float64], b, c *matrix.Dense[float64], k int) (gpusim.LaunchResult, error) {
-	if err := checkShapes(a.Rows, a.Cols, b, c, k); err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	defer d.FreeAll()
-	rowIdx, err := d.AllocI32(len(a.RowIdx), a.RowIdx)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	colIdx, err := d.AllocI32(len(a.ColIdx), a.ColIdx)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	vals, err := d.AllocF64(len(a.Vals), a.Vals)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	bd, err := gpusim.UploadDenseK(d, b, k)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-	cd, err := d.AllocF64(a.Rows*k, nil)
-	if err != nil {
-		return gpusim.LaunchResult{}, err
-	}
-
-	nnz := a.NNZ()
-	const segment = 128 // nonzeros per warp
-	const warpsPerBlock = 8
-	totalWarps := (nnz + segment - 1) / segment
-	blocks := (totalWarps + warpsPerBlock - 1) / warpsPerBlock
-	res, err := d.Launch(blocks, warpsPerBlock*gpusim.WarpSize, func(w *gpusim.Warp) {
+func cooBody(nnz int) func(w *gpusim.Warp, o *gpusim.Operands) {
+	return func(w *gpusim.Warp, o *gpusim.Operands) {
 		seg := w.GlobalWarp()
 		lo := seg * segment
 		if lo >= nnz {
 			return
 		}
+		k := o.K
 		hi := min(lo+segment, nnz)
 		acc := make([]float64, k)
 		curRow := int32(-1)
@@ -135,42 +104,27 @@ func SpMMCOO(d *gpusim.Device, a *matrix.COO[float64], b, c *matrix.Dense[float6
 			}
 			// Segment boundaries may split a row across warps, so the
 			// flush must accumulate atomically (coalesced addresses).
-			w.AtomicAddF64Coalesced(cd, row*int32(k), k, gpusim.FullMask)
-			crow := cd.Data[int(row)*k : int(row)*k+k]
+			w.AtomicAddF64Coalesced(o.C, row*int32(k), k, gpusim.FullMask)
+			crow := o.CRow(int(row))
 			for j := range acc {
 				crow[j] += acc[j]
 				acc[j] = 0
 			}
 		}
 		for p := lo; p < hi; p++ {
-			row := w.BroadcastI32(rowIdx, int32(p), gpusim.FullMask)
-			col := w.BroadcastI32(colIdx, int32(p), gpusim.FullMask)
-			v := w.BroadcastF64(vals, int32(p), gpusim.FullMask)
+			row := w.BroadcastI32(o.Ptr, int32(p), gpusim.FullMask)
+			col := w.BroadcastI32(o.Idx, int32(p), gpusim.FullMask)
+			v := w.BroadcastF64(o.Vals, int32(p), gpusim.FullMask)
 			if row != curRow {
 				flush(curRow)
 				curRow = row
 			}
-			w.GatherF64Coalesced(bd, col*int32(k), k, gpusim.FullMask)
+			w.GatherF64Coalesced(o.B, col*int32(k), k, gpusim.FullMask)
 			w.FMAN((k+gpusim.WarpSize-1)/gpusim.WarpSize, gpusim.FullMask)
 			if v != 0 {
-				brow := bd.Data[int(col)*k : int(col)*k+k]
-				for j := range acc {
-					acc[j] += v * brow[j]
-				}
+				o.MulAdd(acc, v, col)
 			}
 		}
 		flush(curRow)
-	})
-	if err != nil {
-		return gpusim.LaunchResult{}, err
 	}
-	gpusim.DownloadDenseK(cd, c, k)
-	return res, nil
-}
-
-func checkShapes(ar, ac int, b, c *matrix.Dense[float64], k int) error {
-	if k < 0 || k > b.Cols || k > c.Cols || b.Rows != ac || c.Rows != ar {
-		return gpusim.ErrLaunch
-	}
-	return nil
 }

@@ -1,7 +1,9 @@
 package vendorlib
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/formats"
@@ -39,30 +41,29 @@ func reference(t *testing.T, coo *matrix.COO[float64], b *matrix.Dense[float64],
 	return want
 }
 
+// TestVendorKernelsMatchReference: both tuned kernels agree with a dense
+// GEMM at every k, an empty row included.
 func TestVendorKernelsMatchReference(t *testing.T) {
-	for _, k := range []int{8, 32, 50, 96} {
-		coo := testMatrix(int64(k), 80, 60, 700)
-		csr := formats.CSRFromCOO(coo)
+	for _, k := range []int{0, 8, 32, 50, 96} {
+		src := testMatrix(int64(k), 80, 60, 700)
+		coo := matrix.NewCOO[float64](src.Rows, src.Cols, src.NNZ())
+		for p := range src.Vals {
+			if src.RowIdx[p] != 7 {
+				coo.Append(src.RowIdx[p], src.ColIdx[p], src.Vals[p])
+			}
+		}
 		b := matrix.NewDenseRand[float64](60, 128, 7)
 		want := reference(t, coo, b, k)
 		d := newDevice(t)
-
-		c := matrix.NewDense[float64](80, 128)
-		if _, err := SpMMCSR(d, csr, b, c, k); err != nil {
-			t.Fatal(err)
-		}
-		view, _ := c.View(0, 0, 80, k)
-		if !view.Clone().EqualTol(want, 1e-9) {
-			t.Fatalf("k=%d: vendor CSR mismatch", k)
-		}
-
-		c = matrix.NewDense[float64](80, 128)
-		if _, err := SpMMCOO(d, coo, b, c, k); err != nil {
-			t.Fatal(err)
-		}
-		view, _ = c.View(0, 0, 80, k)
-		if !view.Clone().EqualTol(want, 1e-9) {
-			t.Fatalf("k=%d: vendor COO mismatch", k)
+		for label, a := range map[string]formats.Sparse{"coo": coo, "csr": formats.CSRFromCOO(coo)} {
+			c := matrix.NewDenseRand[float64](80, 128, 3) // stale values must be overwritten
+			if _, err := SpMM(d, a, b, c, k); err != nil {
+				t.Fatal(err)
+			}
+			view, _ := c.View(0, 0, 80, k)
+			if !view.Clone().EqualTol(want, 1e-9) {
+				t.Fatalf("k=%d: vendor %s mismatch", k, label)
+			}
 		}
 	}
 }
@@ -80,7 +81,7 @@ func TestVendorCOOHandlesRowsSpanningSegments(t *testing.T) {
 	}
 	c := matrix.NewDense[float64](4, 32)
 	d := newDevice(t)
-	if _, err := SpMMCOO(d, m, b, c, 32); err != nil {
+	if _, err := SpMM(d, m, b, c, 32); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 32; j++ {
@@ -102,11 +103,11 @@ func TestVendorBeatsNaiveOnTypicalMatrix(t *testing.T) {
 	c := matrix.NewDense[float64](512, 128)
 	d := newDevice(t)
 
-	naive, err := gpusim.SpMMCSR(d, csr, b, c, 128)
+	naive, err := gpusim.SpMM(d, csr, b, c, 128, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := SpMMCSR(d, csr, b, c, 128)
+	tuned, err := SpMM(d, csr, b, c, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestVendorBeatsNaiveOnTypicalMatrix(t *testing.T) {
 			tuned.Stats.CoalescingEfficiency(), naive.Stats.CoalescingEfficiency())
 	}
 
-	naiveCOO, err := gpusim.SpMMCOO(d, coo, b, c, 128)
+	naiveCOO, err := gpusim.SpMM(d, coo, b, c, 128, kernels.InnerTiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tunedCOO, err := SpMMCOO(d, coo, b, c, 128)
+	tunedCOO, err := SpMM(d, coo, b, c, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +132,53 @@ func TestVendorBeatsNaiveOnTypicalMatrix(t *testing.T) {
 	}
 }
 
+// TestVendorShapeErrors: mismatched operands are a gpusim.ErrLaunch that
+// names the shapes, and a device too small is an OOM that leaks nothing.
 func TestVendorShapeErrors(t *testing.T) {
-	coo := testMatrix(1, 10, 10, 20)
+	coo := testMatrix(1, 10, 12, 20)
 	csr := formats.CSRFromCOO(coo)
-	b := matrix.NewDense[float64](10, 8)
-	c := matrix.NewDense[float64](10, 8)
 	d := newDevice(t)
-	if _, err := SpMMCSR(d, csr, b, c, 16); err == nil {
-		t.Fatal("oversized k accepted")
+	for _, tc := range []struct {
+		label string
+		a     formats.Sparse
+		b, c  *matrix.Dense[float64]
+		k     int
+		want  string
+	}{
+		{"oversized k", csr, matrix.NewDense[float64](12, 8), matrix.NewDense[float64](10, 8), 16, "k=16 with B 12x8, C 10x8"},
+		{"mismatched B", coo, matrix.NewDense[float64](11, 8), matrix.NewDense[float64](10, 8), 8, "A is 10x12, B 11x8"},
+		{"mismatched C", csr, matrix.NewDense[float64](12, 8), matrix.NewDense[float64](11, 8), 8, "C 11x8"},
+	} {
+		_, err := SpMM(d, tc.a, tc.b, tc.c, tc.k)
+		if !errors.Is(err, gpusim.ErrLaunch) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want ErrLaunch naming %q", tc.label, err, tc.want)
+		}
 	}
-	badB := matrix.NewDense[float64](11, 8)
-	if _, err := SpMMCOO(d, coo, badB, c, 8); err == nil {
-		t.Fatal("mismatched B accepted")
+	small, err := gpusim.NewDevice(gpusim.TestDevice(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, a := range map[string]formats.Sparse{"coo": coo, "csr": csr} {
+		b, c := matrix.NewDense[float64](12, 8), matrix.NewDense[float64](10, 8)
+		if _, err := SpMM(small, a, b, c, 8); !errors.Is(err, gpusim.ErrOutOfMemory) || small.Allocated() != 0 {
+			t.Errorf("%s: got %v with %d bytes held, want an OOM that leaks nothing", label, err, small.Allocated())
+		}
+	}
+}
+
+// TestVendorUnsupported: vendorlib has kernels for COO and CSR only; every
+// other format is a kernels.ErrSpec, refused before anything is allocated.
+func TestVendorUnsupported(t *testing.T) {
+	coo := testMatrix(2, 16, 16, 40)
+	b, c := matrix.NewDense[float64](16, 4), matrix.NewDense[float64](16, 4)
+	d := newDevice(t)
+	for _, name := range []string{"ell", "bcsr", "bell", "sellcs"} {
+		a, err := formats.FromCOO(name, coo, formats.Params{Block: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SpMM(d, a, b, c, 4); !errors.Is(err, kernels.ErrSpec) || d.Allocated() != 0 {
+			t.Errorf("%s: got %v with %d bytes held, want kernels.ErrSpec", name, err, d.Allocated())
+		}
 	}
 }

@@ -222,6 +222,27 @@ if grep -nE 'func Simulate(COO|CSR|ELL|BCSR|CSRT)|func \([a-z]+ \*?Multicore\) (
     echo "one simulator entry: machine.Simulate / Multicore.Simulate take a formats.Sparse, kernels.Schedule and kernels.Inner" >&2; exit 1
 fi
 
+echo "== one GPU entry (gpusim.SpMM and vendorlib.SpMM on gpusim.Offload: no per-format SpMM* entry, no call to a retired one, one product loop in Operands.MulAdd) =="
+# The naive offload kernels are one blocked row walk plus COO's atomic body,
+# the tuned ones two warp bodies, and all of them share Offload's launch
+# scaffold and MulAdd's c += v·b loop (DESIGN.md section 2). A per-format
+# entry or a second product loop would be a hand copy of them.
+gpu_go=$(ls internal/gpusim/*.go internal/vendorlib/*.go | grep -v _test.go)
+if grep -nE '^func (\([^)]*\) )?SpMM[A-Za-z0-9_]+\(' $gpu_go; then
+    echo "one GPU entry per package: gpusim.SpMM(d, a, b, c, k, inner) and vendorlib.SpMM(d, a, b, c, k)" >&2; exit 1
+fi
+if grep -nE '\b(SpMM(COO|CSRT?|ELL|BCSR|BELL)|TransposeDense|UploadDenseK|DownloadDenseK)\(' $(find . -name '*.go' -not -path './.git/*'); then
+    echo "the per-format GPU entries are retired: call gpusim.SpMM or vendorlib.SpMM" >&2; exit 1
+fi
+if ! awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    /\[[A-Za-z0-9_]+\] \+= [A-Za-z0-9_.]+ \* / { if (fn == "MulAdd") loops++; else { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 } }
+    END { if (loops != 1) { print "want one product loop, in Operands.MulAdd; found " loops+0; bad = 1 } exit bad }
+' $gpu_go; then
+    echo "every GPU SpMM body accumulates through gpusim.Operands.MulAdd, the one per-lane product loop" >&2; exit 1
+fi
+
 echo "== one fork/join (parallel.Pool is the only runner: no go statement in kernels, core or parallel outside NewPool; no For, ForBounds, ForDynamic, Exec, ScheduleDynamic or -pool flag) =="
 # Every parallel kernel is one region on a Pool — the caller's, or
 # parallel.Default(), the process pool — whose participants claim the
