@@ -109,11 +109,11 @@ func offload(a formats.Sparse, inner kernels.Inner) (Kernel, error) {
 		return Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowIdx, Idx: a.ColIdx, Vals: a.Vals,
 			Blocks: gridFor(nnz), Threads: threadsPerBlock, Body: cooBody(nnz)}, nil
 	case *formats.CSR[float64]:
-		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, ptr: true, fill: true}
+		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, ptr: true}
 		return w.kernel(a.RowPtr, a.ColIdx, a.Vals, inner == kernels.InnerTransB), nil
 	case *formats.ELL[float64]:
 		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, width: a.Width,
-			colMajor: a.Layout == formats.ColMajor, fill: true}
+			colMajor: a.Layout == formats.ColMajor, rowLen: a.RowLen}
 		return w.kernel(nil, a.ColIdx, a.Vals, false), nil
 	case *formats.BCSR[float64]:
 		w := rowWalk{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, ptr: true, fill: true}
@@ -251,9 +251,6 @@ func cooBody(nnz int) func(w *Warp, o *Operands) {
 		w.FMAN(o.K, mask)
 		w.AtomicAddF64Range(o.C, &cIdx0, o.K, mask)
 		for lane := 0; lane < n; lane++ {
-			if vv[lane] == 0 {
-				continue
-			}
 			o.MulAdd(o.CRow(int(rr[lane])), vv[lane], cc[lane])
 		}
 	}
@@ -278,7 +275,12 @@ type rowWalk struct {
 	// column-major layout, whose adjacent lanes read adjacent slots),
 	// otherwise at i·width + s.
 	colMajor bool
-	// fill skips zero values: charged, never multiplied.
+	// rowLen, when set (ELL), is each row's count of real slots: the
+	// slots past it are padding, charged but never multiplied.
+	rowLen []int32
+	// fill says a zero value is in-block fill (BCSR, BELL), charged but
+	// never multiplied. Everywhere else a stored zero is an entry and is
+	// multiplied, so 0·Inf reaches C as it does under csr-serial.
 	fill bool
 }
 
@@ -357,7 +359,7 @@ func (rw rowWalk) body(w *Warp, o *Operands) {
 			w.ScatterF64Range(o.C, &cIdx0, k, m2)
 			w.FMAN(k, m2)
 			for lane := 0; lane < n; lane++ {
-				if m2&(1<<lane) == 0 || rw.fill && vv[lane] == 0 {
+				if m2&(1<<lane) == 0 || rw.fill && vv[lane] == 0 || rw.rowLen != nil && int32(t) >= rw.rowLen[base+lane] {
 					continue
 				}
 				o.MulAdd(o.CRow(base+lane), vv[lane], col[lane])

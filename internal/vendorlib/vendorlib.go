@@ -71,9 +71,7 @@ func csrBody(rows int) func(w *gpusim.Warp, o *gpusim.Operands) {
 			// Lanes tile the k dimension: perfectly coalesced B access.
 			w.GatherF64Coalesced(o.B, col*int32(k), k, gpusim.FullMask)
 			w.FMAN((k+gpusim.WarpSize-1)/gpusim.WarpSize, gpusim.FullMask)
-			if v != 0 {
-				o.MulAdd(crow, v, col)
-			}
+			o.MulAdd(crow, v, col)
 		}
 		// One coalesced store of the row's accumulators.
 		w.ScatterF64Coalesced(o.C, int32(row*k), k, gpusim.FullMask)
@@ -121,9 +119,7 @@ func cooBody(nnz int) func(w *gpusim.Warp, o *gpusim.Operands) {
 			}
 			w.GatherF64Coalesced(o.B, col*int32(k), k, gpusim.FullMask)
 			w.FMAN((k+gpusim.WarpSize-1)/gpusim.WarpSize, gpusim.FullMask)
-			if v != 0 {
-				o.MulAdd(acc, v, col)
-			}
+			o.MulAdd(acc, v, col)
 		}
 		flush(curRow)
 	}
