@@ -118,3 +118,28 @@ func calculate(t *testing.T, name string, a *matrix.COO[float64], b *matrix.Dens
 	}
 	return c
 }
+
+// TestGPUTransposePaysItsLaunch: csr-gpu-t's launch result includes the
+// on-device transpose of B (Study 8's rule), so its warps are the SpMM
+// grid's (one thread per row of A) plus the transpose grid's (one thread
+// per row of B).
+func TestGPUTransposePaysItsLaunch(t *testing.T) {
+	a := testCOO(3, 300, 600, 2000)
+	p := DefaultParams()
+	p.K = 16
+	kern, err := New("csr-gpu-t", gpuOptions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kern.Prepare(a, p); err != nil {
+		t.Fatal(err)
+	}
+	b := matrix.NewDenseRand[float64](a.Cols, p.K, 1)
+	if err := kern.Calculate(b, matrix.NewDense[float64](a.Rows, p.K), p); err != nil {
+		t.Fatal(err)
+	}
+	warps := func(threads int) int { return (threads + 255) / 256 * 8 }
+	if got, want := kern.(*gpuKernel).last.Stats.Warps, warps(a.Rows)+warps(a.Cols); got != want {
+		t.Fatalf("csr-gpu-t ran %d warps, want %d (SpMM %d + transpose %d)", got, want, warps(a.Rows), warps(a.Cols))
+	}
+}

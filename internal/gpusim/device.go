@@ -196,6 +196,33 @@ type LaunchResult struct {
 	Bound string
 }
 
+// then is r followed by next on the same device, as one result: cycles,
+// seconds and every counter add up, and the bound is the longer launch's.
+func (r LaunchResult) then(next LaunchResult) LaunchResult {
+	s, n := r.Stats, next.Stats
+	sum := LaunchResult{
+		Cycles:  r.Cycles + next.Cycles,
+		Seconds: r.Seconds + next.Seconds,
+		Stats: Stats{
+			Warps:             s.Warps + n.Warps,
+			FMAInstrs:         s.FMAInstrs + n.FMAInstrs,
+			MemInstrs:         s.MemInstrs + n.MemInstrs,
+			Transactions:      s.Transactions + n.Transactions,
+			AtomicTransacts:   s.AtomicTransacts + n.AtomicTransacts,
+			ActiveLaneFMAs:    s.ActiveLaneFMAs + n.ActiveLaneFMAs,
+			L1Transactions:    s.L1Transactions + n.L1Transactions,
+			L2Transactions:    s.L2Transactions + n.L2Transactions,
+			DRAMTransactions:  s.DRAMTransactions + n.DRAMTransactions,
+			IdealTransactions: s.IdealTransactions + n.IdealTransactions,
+		},
+		Bound: next.Bound,
+	}
+	if r.Cycles > next.Cycles {
+		sum.Bound = r.Bound
+	}
+	return sum
+}
+
 // Launch runs the kernel for every warp of a grid of `blocks` thread blocks
 // of `threadsPerBlock` threads. The kernel receives each warp exactly once.
 // Execution is sequential and deterministic.

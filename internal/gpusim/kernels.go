@@ -137,7 +137,7 @@ func Offload(d *Device, kern Kernel, b, c *matrix.Dense[float64], k int) (Launch
 		return LaunchResult{}, fmt.Errorf("%w: A is %dx%d, B %dx%d, C %dx%d", ErrLaunch, kern.Rows, kern.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
 	defer d.FreeAll()
-	o, err := upload(d, kern, b, k)
+	o, transpose, err := upload(d, kern, b, k)
 	if err != nil {
 		return LaunchResult{}, err
 	}
@@ -148,39 +148,40 @@ func Offload(d *Device, kern Kernel, b, c *matrix.Dense[float64], k int) (Launch
 	for i := 0; i < c.Rows; i++ {
 		copy(c.Data[i*c.Stride:i*c.Stride+k], o.CRow(i))
 	}
-	return res, nil
+	return transpose.then(res), nil
 }
 
 // upload allocates a launch's operands in the order the model's buffer
-// addresses depend on: A's arrays, B, Bᵀ, C.
-func upload(d *Device, kern Kernel, b *matrix.Dense[float64], k int) (o *Operands, err error) {
+// addresses depend on: A's arrays, B, Bᵀ, C. Under TransB it also returns
+// the transpose's launch, which the SpMM's result includes.
+func upload(d *Device, kern Kernel, b *matrix.Dense[float64], k int) (o *Operands, transpose LaunchResult, err error) {
 	o = &Operands{K: k, transB: kern.TransB, n: kern.Cols}
 	if kern.Ptr != nil {
 		if o.Ptr, err = d.AllocI32(len(kern.Ptr), kern.Ptr); err != nil {
-			return nil, err
+			return nil, LaunchResult{}, err
 		}
 	}
 	if o.Idx, err = d.AllocI32(len(kern.Idx), kern.Idx); err != nil {
-		return nil, err
+		return nil, LaunchResult{}, err
 	}
 	if o.Vals, err = d.AllocF64(len(kern.Vals), kern.Vals); err != nil {
-		return nil, err
+		return nil, LaunchResult{}, err
 	}
 	if o.B, err = d.AllocF64(b.Rows*k, nil); err != nil {
-		return nil, err
+		return nil, LaunchResult{}, err
 	}
 	for i := 0; i < b.Rows; i++ {
 		copy(o.B.Data[i*k:(i+1)*k], b.Data[i*b.Stride:i*b.Stride+k])
 	}
 	if kern.TransB {
-		if o.B, err = transposeB(d, o.B, b.Rows, k); err != nil {
-			return nil, err
+		if o.B, transpose, err = transposeB(d, o.B, b.Rows, k); err != nil {
+			return nil, LaunchResult{}, err
 		}
 	}
 	if o.C, err = d.AllocF64(kern.Rows*k, nil); err != nil {
-		return nil, err
+		return nil, LaunchResult{}, err
 	}
-	return o, nil
+	return o, transpose, nil
 }
 
 func gridFor(work int) int {
@@ -190,14 +191,14 @@ func gridFor(work int) int {
 	return (work + threadsPerBlock - 1) / threadsPerBlock
 }
 
-// transposeB charges an on-device blocked transpose of an n×k dense matrix
+// transposeB launches an on-device blocked transpose of an n×k dense matrix
 // (coalesced reads, strided writes) and performs it functionally, returning
-// the k×n buffer. Study 8's rule applies on the GPU too: the transposed
-// kernel pays for producing Bᵀ.
-func transposeB(d *Device, src *F64Buf, n, k int) (*F64Buf, error) {
+// the k×n buffer and the launch. Study 8's rule applies on the GPU too: the
+// transposed kernel pays for producing Bᵀ.
+func transposeB(d *Device, src *F64Buf, n, k int) (*F64Buf, LaunchResult, error) {
 	dst, err := d.AllocF64(n*k, nil)
 	if err != nil {
-		return nil, err
+		return nil, LaunchResult{}, err
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < k; j++ {
@@ -206,7 +207,7 @@ func transposeB(d *Device, src *F64Buf, n, k int) (*F64Buf, error) {
 	}
 	// One warp per 32 rows: coalesced source reads, strided destination
 	// writes.
-	_, err = d.Launch(gridFor(n), threadsPerBlock, func(w *Warp) {
+	res, err := d.Launch(gridFor(n), threadsPerBlock, func(w *Warp) {
 		base := w.GlobalThread(0)
 		if base >= n {
 			return
@@ -221,9 +222,9 @@ func transposeB(d *Device, src *F64Buf, n, k int) (*F64Buf, error) {
 		w.StridedBulk(k, mask)
 	})
 	if err != nil {
-		return nil, err
+		return nil, LaunchResult{}, err
 	}
-	return dst, nil
+	return dst, res, nil
 }
 
 // cooBody is the naive thread-per-nonzero COO kernel: every contribution
