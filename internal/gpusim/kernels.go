@@ -37,9 +37,10 @@ type Kernel struct {
 	// TransB transposes B on the device before the launch, and the body
 	// reads Bᵀ.
 	TransB bool
-	// Blocks and Threads are the grid; Body runs once per warp.
-	Blocks, Threads int
-	Body            func(w *Warp, o *Operands)
+	// Threads is how many threads the launch needs, run in blocks of 256;
+	// Body runs once per warp.
+	Threads int
+	Body    func(w *Warp, o *Operands)
 }
 
 // Operands are one launch's device buffers: A's arrays, B's first K
@@ -90,16 +91,16 @@ func (o *Operands) loadB(w *Warp, col *[WarpSize]int32, m uint32) {
 // device transposes B first (CSR only); a format or inner loop without a
 // kernel is a kernels.ErrSpec.
 func SpMM(d *Device, a formats.Sparse, b, c *matrix.Dense[float64], k int, inner kernels.Inner) (LaunchResult, error) {
-	kern, err := offload(a, inner)
+	kern, err := naiveKernel(a, inner)
 	if err != nil {
 		return LaunchResult{}, err
 	}
 	return Offload(d, kern, b, c, k)
 }
 
-// offload describes a's naive kernel: COO's atomic thread-per-nonzero body,
-// or the blocked row walk, of which CSR and ELL are the 1×1 case.
-func offload(a formats.Sparse, inner kernels.Inner) (Kernel, error) {
+// naiveKernel describes a's offload kernel: COO's atomic thread-per-nonzero
+// body, or the blocked row walk, of which CSR and ELL are the 1×1 case.
+func naiveKernel(a formats.Sparse, inner kernels.Inner) (Kernel, error) {
 	if _, csr := a.(*formats.CSR[float64]); inner != kernels.InnerTiled && !(csr && inner == kernels.InnerTransB) {
 		return Kernel{}, fmt.Errorf("%w: no GPU kernel for %T under inner loop %d", kernels.ErrSpec, a, inner)
 	}
@@ -107,7 +108,7 @@ func offload(a formats.Sparse, inner kernels.Inner) (Kernel, error) {
 	case *matrix.COO[float64]:
 		nnz := a.NNZ()
 		return Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowIdx, Idx: a.ColIdx, Vals: a.Vals,
-			Blocks: gridFor(nnz), Threads: threadsPerBlock, Body: cooBody(nnz)}, nil
+			Threads: nnz, Body: cooBody(nnz)}, nil
 	case *formats.CSR[float64]:
 		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, ptr: true}
 		return w.kernel(a.RowPtr, a.ColIdx, a.Vals, inner == kernels.InnerTransB), nil
@@ -141,7 +142,7 @@ func Offload(d *Device, kern Kernel, b, c *matrix.Dense[float64], k int) (Launch
 	if err != nil {
 		return LaunchResult{}, err
 	}
-	res, err := d.Launch(kern.Blocks, kern.Threads, func(w *Warp) { kern.Body(w, o) })
+	res, err := d.Launch(gridFor(kern.Threads), threadsPerBlock, func(w *Warp) { kern.Body(w, o) })
 	if err != nil {
 		return LaunchResult{}, err
 	}
@@ -288,7 +289,7 @@ type rowWalk struct {
 // kernel is the walk's launch over A's arrays: one thread per C row.
 func (rw rowWalk) kernel(ptr, idx []int32, vals []float64, transB bool) Kernel {
 	return Kernel{Rows: rw.rows, Cols: rw.cols, Ptr: ptr, Idx: idx, Vals: vals, TransB: transB,
-		Blocks: gridFor(rw.rows), Threads: threadsPerBlock, Body: rw.body}
+		Threads: rw.rows, Body: rw.body}
 }
 
 func (rw rowWalk) body(w *Warp, o *Operands) {

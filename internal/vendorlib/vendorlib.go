@@ -26,9 +26,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// warpsPerBlock is the vendor kernels' block shape.
-const warpsPerBlock = 8
-
 // SpMM runs a's tuned kernel on the device and returns the modelled launch.
 // C[:, :k] is overwritten. Only COO and CSR have one; any other format is a
 // kernels.ErrSpec.
@@ -37,16 +34,14 @@ func SpMM(d *gpusim.Device, a formats.Sparse, b, c *matrix.Dense[float64], k int
 	switch a := a.(type) {
 	case *formats.CSR[float64]:
 		kern = gpusim.Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowPtr, Idx: a.ColIdx, Vals: a.Vals,
-			Blocks: (a.Rows + warpsPerBlock - 1) / warpsPerBlock, Body: csrBody(a.Rows)}
+			Threads: a.Rows * gpusim.WarpSize, Body: csrBody(a.Rows)}
 	case *matrix.COO[float64]:
 		nnz := a.NNZ()
-		totalWarps := (nnz + segment - 1) / segment
 		kern = gpusim.Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowIdx, Idx: a.ColIdx, Vals: a.Vals,
-			Blocks: (totalWarps + warpsPerBlock - 1) / warpsPerBlock, Body: cooBody(nnz)}
+			Threads: (nnz + segment - 1) / segment * gpusim.WarpSize, Body: cooBody(nnz)}
 	default:
 		return gpusim.LaunchResult{}, fmt.Errorf("%w: no vendor kernel for %T", kernels.ErrSpec, a)
 	}
-	kern.Threads = warpsPerBlock * gpusim.WarpSize
 	return gpusim.Offload(d, kern, b, c, k)
 }
 
