@@ -110,14 +110,14 @@ func naiveKernel(a formats.Sparse, inner kernels.Inner) (Kernel, error) {
 		return Kernel{Rows: a.Rows, Cols: a.Cols, Ptr: a.RowIdx, Idx: a.ColIdx, Vals: a.Vals,
 			Threads: nnz, Body: cooBody(nnz)}, nil
 	case *formats.CSR[float64]:
-		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, ptr: true}
+		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1}
 		return w.kernel(a.RowPtr, a.ColIdx, a.Vals, inner == kernels.InnerTransB), nil
 	case *formats.ELL[float64]:
 		w := rowWalk{rows: a.Rows, cols: a.Cols, br: 1, bc: 1, width: a.Width,
 			colMajor: a.Layout == formats.ColMajor, rowLen: a.RowLen}
 		return w.kernel(nil, a.ColIdx, a.Vals, false), nil
 	case *formats.BCSR[float64]:
-		w := rowWalk{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, ptr: true, fill: true}
+		w := rowWalk{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, fill: true}
 		return w.kernel(a.RowPtr, a.ColIdx, a.Vals, false), nil
 	case *formats.BELL[float64]:
 		w := rowWalk{rows: a.Rows, cols: a.Cols, br: a.BR, bc: a.BC, width: a.Width, fill: true}
@@ -269,9 +269,8 @@ func cooBody(nnz int) func(w *Warp, o *Operands) {
 type rowWalk struct {
 	rows, cols int
 	br, bc     int
-	// ptr says the kernel has a block-row pointer; otherwise every block
-	// row has width slots.
-	ptr   bool
+	// width is every block row's slot count when the kernel has no
+	// block-row pointer (Operands.Ptr is nil).
 	width int
 	// colMajor lays slot s of block row i at s·blockRows + i (ELL's
 	// column-major layout, whose adjacent lanes read adjacent slots),
@@ -308,8 +307,8 @@ func (rw rowWalk) body(w *Warp, o *Operands) {
 		next[lane] = bri[lane] + 1
 		cIdx0[lane] = int32((base + lane) * k)
 	}
-	slots := rw.width
-	if rw.ptr {
+	ptr, slots := o.Ptr != nil, rw.width
+	if ptr {
 		// Block-row extents: two coalesced int32 gathers.
 		w.GatherI32(o.Ptr, &bri, mask, &start)
 		w.GatherI32(o.Ptr, &next, mask, &length)
@@ -328,9 +327,9 @@ func (rw rowWalk) body(w *Warp, o *Operands) {
 		m := mask
 		for lane := 0; lane < n; lane++ {
 			switch {
-			case rw.ptr && int32(t) >= length[lane]:
+			case ptr && int32(t) >= length[lane]:
 				m &^= 1 << lane
-			case rw.ptr:
+			case ptr:
 				slot[lane] = start[lane] + int32(t)
 			case rw.colMajor:
 				slot[lane] = int32(t)*blockRows + bri[lane]
