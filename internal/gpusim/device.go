@@ -1,9 +1,9 @@
 package gpusim
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/cachesim"
 	"repro/internal/trace"
 )
 
@@ -13,7 +13,8 @@ type Device struct {
 	cfg       Config
 	allocated int64
 	nextBase  uint64
-	l2        *l2cache
+	// l2 is the device-wide L2, shared by every SM as on real GPUs.
+	l2 *cachesim.LRU
 	// Trace, when non-nil and enabled, receives one simulated-time span per
 	// Launch (the modelled kernel duration on the tracer's simulated
 	// timeline — same schema as real runs, separate Chrome-trace process).
@@ -27,70 +28,13 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	d := &Device{cfg: cfg, nextBase: 1 << 20}
 	if cfg.L2Bytes > 0 {
-		l2, err := newL2(cfg.L2Bytes, cfg.L2Ways, cfg.CachelineBytes)
+		l2, err := cachesim.New(cfg.L2Bytes/cfg.CachelineBytes, cfg.L2Ways)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("gpusim: L2: %w", err)
 		}
 		d.l2 = l2
 	}
 	return d, nil
-}
-
-// l2cache is a set-associative LRU tag cache at line granularity, shared
-// device-wide as on real GPUs.
-type l2cache struct {
-	ways    int
-	setMask uint64
-	tags    []uint64
-	age     []uint64
-	tick    uint64
-}
-
-func newL2(sizeBytes, ways, lineBytes int) (*l2cache, error) {
-	lines := sizeBytes / lineBytes
-	if lines < ways || lines%ways != 0 {
-		return nil, errors.New("gpusim: L2 size not divisible into ways")
-	}
-	sets := lines / ways
-	if sets&(sets-1) != 0 {
-		return nil, errors.New("gpusim: L2 set count not a power of two")
-	}
-	return &l2cache{
-		ways:    ways,
-		setMask: uint64(sets - 1),
-		tags:    make([]uint64, sets*ways),
-		age:     make([]uint64, sets*ways),
-	}, nil
-}
-
-// access touches a line (already divided by line size) and reports a hit.
-func (c *l2cache) access(line uint64) bool {
-	set := int(line & c.setMask)
-	tag := line | 1<<63
-	base := set * c.ways
-	c.tick++
-	lruWay, lruAge := 0, ^uint64(0)
-	for way := 0; way < c.ways; way++ {
-		i := base + way
-		if c.tags[i] == tag {
-			c.age[i] = c.tick
-			return true
-		}
-		if c.age[i] < lruAge {
-			lruAge = c.age[i]
-			lruWay = way
-		}
-	}
-	i := base + lruWay
-	c.tags[i] = tag
-	c.age[i] = c.tick
-	return false
-}
-
-func (c *l2cache) reset() {
-	clear(c.tags)
-	clear(c.age)
-	c.tick = 0
 }
 
 // Config returns the device configuration.
@@ -234,7 +178,7 @@ func (d *Device) Launch(blocks, threadsPerBlock int, kernel func(w *Warp)) (Laun
 	warpsPerBlock := threadsPerBlock / WarpSize
 	totalWarps := blocks * warpsPerBlock
 	if d.l2 != nil {
-		d.l2.reset()
+		d.l2.Reset()
 	}
 
 	smFMA := make([]int64, d.cfg.SMs)

@@ -54,10 +54,18 @@ func checkC(t *testing.T, c, want *matrix.Dense[float64], k int, label string) {
 }
 
 func TestDeviceConfigValidation(t *testing.T) {
-	bad := TestDevice(1 << 20)
-	bad.SMs = 0
-	if _, err := NewDevice(bad); err == nil {
-		t.Fatal("invalid config accepted")
+	for name, edit := range map[string]func(*Config){
+		"no SMs": func(c *Config) { c.SMs = 0 },
+		// TestDevice's L2 has 64-byte lines in 8 ways.
+		"L2 set count not a power of two": func(c *Config) { c.L2Bytes = 3 * 8 * 64 },
+		"L2 not divisible into ways":      func(c *Config) { c.L2Bytes = 12 * 64 },
+		"L2 smaller than one set":         func(c *Config) { c.L2Bytes = 4 * 64 },
+	} {
+		bad := TestDevice(1 << 20)
+		edit(&bad)
+		if _, err := NewDevice(bad); err == nil {
+			t.Errorf("%s: config accepted", name)
+		}
 	}
 }
 

@@ -123,7 +123,7 @@ func (w *Warp) touchLine(line uint64) {
 		}
 		w.l1[slot] = tag
 	}
-	if w.dev.l2 != nil && w.dev.l2.access(line) {
+	if w.dev.l2 != nil && w.dev.l2.Access(line) {
 		w.l2Transacts++
 		return
 	}

@@ -1,89 +1,44 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
 
-// Cache is a set-associative cache with LRU replacement, simulated at line
-// granularity. Tags only — no data is stored.
+	"repro/internal/cachesim"
+)
+
+// Cache is one level of the hierarchy: the shared set-associative LRU
+// (package cachesim), addressed by byte. Tags only — no data is stored.
 type Cache struct {
 	cfg      CacheConfig
-	sets     int
 	lineBits uint
-	setMask  uint64
-	// tags[set*ways+way]; 0 means empty (tag 0 is avoided by offsetting).
-	tags []uint64
-	// age[set*ways+way] for LRU; larger is more recent.
-	age    []uint64
-	tick   uint64
-	hits   int64
-	misses int64
+	lru      *cachesim.LRU
 }
 
 // NewCache builds a cache from the configuration. Size must be a positive
-// multiple of Ways*LineBytes and the set count a power of two.
+// multiple of Ways*LineBytes, the line size and the set count powers of two.
 func NewCache(cfg CacheConfig) (*Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
 		return nil, fmt.Errorf("machine: invalid cache config %+v", cfg)
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
-	if lines*cfg.LineBytes != cfg.SizeBytes || lines%cfg.Ways != 0 {
-		return nil, fmt.Errorf("machine: cache size %d not divisible into %d-byte lines and %d ways",
-			cfg.SizeBytes, cfg.LineBytes, cfg.Ways)
+	if lines*cfg.LineBytes != cfg.SizeBytes {
+		return nil, fmt.Errorf("machine: cache size %d not divisible into %d-byte lines", cfg.SizeBytes, cfg.LineBytes)
 	}
-	sets := lines / cfg.Ways
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("machine: set count %d not a power of two", sets)
-	}
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
-	}
+	lineBits := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	if 1<<lineBits != cfg.LineBytes {
 		return nil, fmt.Errorf("machine: line size %d not a power of two", cfg.LineBytes)
 	}
-	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		lineBits: lineBits,
-		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, sets*cfg.Ways),
-		age:      make([]uint64, sets*cfg.Ways),
-	}, nil
+	lru, err := cachesim.New(lines, cfg.Ways)
+	if err != nil {
+		return nil, fmt.Errorf("machine: cache size %d: %w", cfg.SizeBytes, err)
+	}
+	return &Cache{cfg: cfg, lineBits: lineBits, lru: lru}, nil
 }
 
 // Access touches the line containing addr and reports whether it hit.
 // Misses install the line, evicting the LRU way.
-func (c *Cache) Access(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line | 1<<63 // bias so a valid tag is never zero
-	base := set * c.cfg.Ways
-	c.tick++
-	lruWay, lruAge := 0, ^uint64(0)
-	for way := 0; way < c.cfg.Ways; way++ {
-		i := base + way
-		if c.tags[i] == tag {
-			c.age[i] = c.tick
-			c.hits++
-			return true
-		}
-		if c.age[i] < lruAge {
-			lruAge = c.age[i]
-			lruWay = way
-		}
-	}
-	i := base + lruWay
-	c.tags[i] = tag
-	c.age[i] = c.tick
-	c.misses++
-	return false
-}
+func (c *Cache) Access(addr uint64) bool { return c.lru.Access(addr >> c.lineBits) }
 
-// Stats reports accumulated hits and misses.
-func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.age)
-	c.tick, c.hits, c.misses = 0, 0, 0
-}
+// Reset clears the contents.
+func (c *Cache) Reset() { c.lru.Reset() }

@@ -8,51 +8,6 @@ import (
 	"repro/internal/kernels"
 )
 
-func TestCacheBasics(t *testing.T) {
-	c, err := NewCache(CacheConfig{SizeBytes: 1024, Ways: 2, LineBytes: 64, HitCycles: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Access(0) {
-		t.Fatal("cold access must miss")
-	}
-	if !c.Access(0) || !c.Access(32) {
-		t.Fatal("same line must hit")
-	}
-	if c.Access(64) {
-		t.Fatal("next line must miss")
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("stats %d/%d", hits, misses)
-	}
-	c.Reset()
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatal("reset must clear stats")
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	// 2-way, 8 sets of 64B lines: three lines mapping to the same set
-	// evict the least recently used.
-	c, err := NewCache(CacheConfig{SizeBytes: 1024, Ways: 2, LineBytes: 64, HitCycles: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setStride := uint64(8 * 64) // 8 sets
-	a, b, d := uint64(0), setStride, 2*setStride
-	c.Access(a)
-	c.Access(b)
-	c.Access(a) // a most recent
-	c.Access(d) // evicts b
-	if !c.Access(a) {
-		t.Fatal("a should survive")
-	}
-	if c.Access(b) {
-		t.Fatal("b should have been evicted")
-	}
-}
-
 func TestCacheConfigValidation(t *testing.T) {
 	bad := []CacheConfig{
 		{SizeBytes: 0, Ways: 2, LineBytes: 64},

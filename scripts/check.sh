@@ -243,6 +243,26 @@ if ! awk '
     echo "every GPU SpMM body accumulates through gpusim.Operands.MulAdd, the one per-lane product loop" >&2; exit 1
 fi
 
+echo "== one cache model (one set-associative LRU, in internal/cachesim: no age or tick in machine or gpusim, no tag array elsewhere, no machine in the servers) =="
+# The CPU levels and the GPU's L2 are one cachesim.LRU, each set kept
+# most-recent-first (DESIGN.md section 2). A per-way age stamp, or a second
+# set-associative tag scan, would be a hand copy of it; the warp's
+# direct-mapped L1 (gpusim's l1 slot array) is not set-associative. cachesim
+# imports nothing from the module, so gpusim's use of it links no
+# spmm_machine_* counter into spmmserve or spmmrouter.
+if ! awk '
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/[ \t]\/\/.*/, "", code) }
+    FILENAME ~ /^internal\/(machine|gpusim)\// && code ~ /(^|[^A-Za-z0-9_])(age|tick)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    code ~ /(^|[^A-Za-z0-9_.])(ways|tags|setMask|lruWay)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }
+' $(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' -not -path './internal/cachesim/*' | sed 's|^\./||'); then
+    echo "one cache model: set-associative LRU lives in internal/cachesim alone, kept in recency order" >&2; exit 1
+fi
+if go list -deps ./cmd/spmmserve ./cmd/spmmrouter | grep -qx 'repro/internal/machine'; then
+    echo "spmmserve or spmmrouter links internal/machine: its spmm_machine_* counters would join their /metrics" >&2; exit 1
+fi
+
 echo "== one fork/join (parallel.Pool is the only runner: no go statement in kernels, core or parallel outside NewPool; no For, ForBounds, ForDynamic, Exec, ScheduleDynamic or -pool flag) =="
 # Every parallel kernel is one region on a Pool — the caller's, or
 # parallel.Default(), the process pool — whose participants claim the
@@ -293,6 +313,35 @@ go test -run '^TestMutationCrashRecoveryE2E$' -count=1 ./internal/serve
 
 echo "== cluster e2e (router + 3 replicas, SIGKILL a holder mid-load, rebalance) =="
 go test -run '^TestClusterSmokeE2E$' -count=1 ./internal/cluster
+
+echo "== committed results (regenerate Table 5.1, Studies 1-8, sched and the footprint table with results/README.md's command; cmp every CSV) =="
+# The simulated studies are deterministic, so a change to either simulator
+# that is meant to keep its numbers proves it here, byte for byte, at the
+# committed scale (TestAllStudiesRun pins the same sections at a tiny one).
+# Study 9 times the real kernels on the host and stays out.
+regen=$(mktemp -d)
+trap 'rm -rf "$regen"' EXIT
+regen_start=$SECONDS
+go run ./cmd/spmmstudy -study props,1,2,3,3.1,4,5,6,7,8,mem,sched -scale 0.035 -gpuscale 0.015 -quiet -csv "$regen" > /dev/null
+echo "regenerated in $((SECONDS - regen_start)) s"
+regen_bad=0
+for f in results/csv/*.csv; do
+    name=$(basename "$f")
+    case "$name" in study9_*) continue ;; esac
+    if [ ! -e "$regen/$name" ]; then
+        echo "results/csv/$name: not regenerated" >&2; regen_bad=1
+    elif ! cmp "$f" "$regen/$name" >&2; then
+        regen_bad=1
+    fi
+done
+for f in "$regen"/*.csv; do
+    if [ ! -e "results/csv/$(basename "$f")" ]; then
+        echo "$(basename "$f"): regenerated but not committed in results/csv" >&2; regen_bad=1
+    fi
+done
+if [ "$regen_bad" != 0 ]; then
+    echo "the simulated results moved: recommit them with results/README.md's command, or find what changed the model" >&2; exit 1
+fi
 
 echo "== bench smoke (1 iteration per bench) =="
 go test -run '^$' -bench . -benchtime=1x . ./internal/kernels ./internal/parallel ./internal/serve ./internal/delta > /dev/null
