@@ -161,6 +161,42 @@ func TestWarpL1ResetBetweenWarps(t *testing.T) {
 	}
 }
 
+// TestWarpL1HoldsL1Lines touches as many consecutive lines as a
+// non-power-of-two L1 holds (A100Like's 1536), twice: every touch of the
+// second pass must hit, so every slot of the direct-mapped L1 is in use.
+func TestWarpL1HoldsL1Lines(t *testing.T) {
+	const lines = 1536
+	cfg := TestDevice(1 << 20)
+	cfg.L1Lines = lines
+	d, err := NewDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perLine := int32(cfg.CachelineBytes / 8)
+	buf, err := d.AllocF64(lines*int(perLine), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx [WarpSize]int32
+	var out [WarpSize]float64
+	s := launchOne(t, d, func(w *Warp) {
+		for pass := 0; pass < 2; pass++ {
+			for first := int32(0); first < lines; first += WarpSize {
+				for lane := range idx {
+					idx[lane] = (first + int32(lane)) * perLine
+				}
+				w.GatherF64(buf, &idx, FullMask, &out)
+			}
+		}
+	})
+	if s.L1Transactions != lines {
+		t.Fatalf("second pass hit L1 on %d of %d lines", s.L1Transactions, lines)
+	}
+	if got := s.L2Transactions + s.DRAMTransactions; got != lines {
+		t.Fatalf("hierarchy transactions %d, want %d (the first pass only)", got, lines)
+	}
+}
+
 func TestScaledDown(t *testing.T) {
 	cfg := H100Like()
 	small := cfg.ScaledDown(0.02)

@@ -38,8 +38,9 @@ type Warp struct {
 
 	lineBuf [WarpSize]uint64
 	// l1 is a direct-mapped per-warp line cache standing in for the SM's
-	// L1/read-only cache; it is what lets loop-invariant A loads and
-	// consecutive-j B loads avoid repeated L2/DRAM traffic.
+	// L1/read-only cache, a line in slot line mod L1Lines; it is what lets
+	// loop-invariant A loads and consecutive-j B loads avoid repeated
+	// L2/DRAM traffic.
 	l1 []uint64
 }
 
@@ -115,7 +116,7 @@ func (w *Warp) countTransactions(addrs *[WarpSize]uint64, elemBytes int, mask ui
 // touchLine classifies one transaction through the warp L1 and device L2.
 func (w *Warp) touchLine(line uint64) {
 	if n := len(w.l1); n > 0 {
-		slot := int(line) & (n - 1)
+		slot := int(line % uint64(n))
 		tag := line | 1<<63
 		if w.l1[slot] == tag {
 			w.l1Transacts++

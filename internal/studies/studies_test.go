@@ -47,7 +47,7 @@ var studyPins = map[string][]uint64{
 		0x6e20ac1bcb6ca6de,
 	},
 	"6": {0x3f9067a7da7d0486, 0x257ecad74d1001a3},
-	"7": {0x59a3cb2bf3c7ed25, 0x475ed89ce8384273},
+	"7": {0x59a3cb2bf3c7ed25, 0xc95e81f57abdf87c},
 	"8": {
 		0xf5df3b37e667c022, 0xaac8996c95cf8ba0, 0x35d0770d3e61d4a4, 0x3ab7685665eb0157,
 		0x5d489674dee8ffa9, 0x90df6e568cf290f8, 0x348865d30ad030e4, 0x9b4e01913a49b9c1,
