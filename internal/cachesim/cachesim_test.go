@@ -46,20 +46,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestNewRejectsBadGeometry(t *testing.T) {
-	for _, g := range []struct{ lines, ways int }{
-		{0, 1},  // no line
-		{4, 0},  // no way
-		{2, 4},  // fewer lines than ways
-		{10, 4}, // not divisible into ways
-		{12, 4}, // 3 sets: not a power of two
-	} {
-		if _, err := New(g.lines, g.ways); err == nil {
-			t.Errorf("New(%d, %d) accepted", g.lines, g.ways)
-		}
-	}
-}
-
 // mtfSet is the reference model of one set: a move-to-front list of at
 // most ways lines, most recent first.
 type mtfSet struct {

@@ -39,6 +39,3 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 // Access touches the line containing addr and reports whether it hit.
 // Misses install the line, evicting the LRU way.
 func (c *Cache) Access(addr uint64) bool { return c.lru.Access(addr >> c.lineBits) }
-
-// Reset clears the contents.
-func (c *Cache) Reset() { c.lru.Reset() }

@@ -206,6 +206,6 @@ func (m *Machine) ResetCosts() {
 func (m *Machine) Reset() {
 	m.ResetCosts()
 	for _, c := range m.caches {
-		c.Reset()
+		c.lru.Reset()
 	}
 }
