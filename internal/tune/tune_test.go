@@ -207,7 +207,8 @@ func TestWithinMarginNoPromotion(t *testing.T) {
 
 // TestDutyCycleBounds pins the deterministic duty cycle: exactly
 // floor(n*duty) of n offers are sampled, and a settled matrix's duty drops
-// by settleFactor.
+// by settleFactor. No trial finishes inside the offer loop, so the matrix
+// cannot explore every arm and settle before the loop ends.
 func TestDutyCycleBounds(t *testing.T) {
 	coo := testCOO(t)
 	rec := &promoRecorder{version: 1}
@@ -216,6 +217,12 @@ func TestDutyCycleBounds(t *testing.T) {
 	cfg := testConfig(rec, dur, "")
 	cfg.Duty = 0.25
 	cfg.QueueDepth = 4096
+	release := make(chan struct{})
+	exec := cfg.Exec
+	cfg.Exec = func(variant string, in *kernels.VariantInput, out *matrix.Dense[float64]) (time.Duration, error) {
+		<-release
+		return exec(variant, in, out)
+	}
 	tu := New(cfg)
 	defer tu.Close()
 	tu.Track("m1", coo, 4, advisor.FeatureSummary{}, testIncumbent, 1)
@@ -230,6 +237,7 @@ func TestDutyCycleBounds(t *testing.T) {
 			taken++
 		}
 	}
+	close(release)
 	if want := int(float64(n) * 0.25); taken != want {
 		t.Fatalf("sampled %d of %d offers at duty 0.25, want exactly %d", taken, n, want)
 	}
