@@ -2,7 +2,10 @@ package formats
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -322,36 +325,94 @@ func TestBCSRRoundTripAllBlockSizes(t *testing.T) {
 	}
 }
 
-func TestBCSRMapAndSortedBuildersAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		m := quickCOO(seed)
-		fast, err1 := BCSRFromCOO(m, 4, 4)
-		slow, err2 := BCSRFromCOOMap(m, 4, 4)
-		if err1 != nil || err2 != nil {
-			return false
+// messyCOO draws a COO holding everything a BCSR builder must handle
+// without help: duplicate triplets (some pairs cancelling to exactly 0),
+// explicit zeros, values spread over seven decades so that the order
+// duplicates are summed in shows in the bits, a band of rows left empty so
+// whole block rows are empty, dimensions that leave fringe blocks, and its
+// triplets in drawn (unsorted), row-major or column-major order.
+func messyCOO(rng *rand.Rand, order string) *matrix.COO[float64] {
+	rows := 1 + rng.Intn(70)
+	cols := 1 + rng.Intn(70)
+	emptyLo := rng.Intn(rows)
+	emptyHi := emptyLo + rng.Intn(20)
+	m := matrix.NewCOO[float64](rows, cols, 0)
+	for n := rng.Intn(3 * rows); n > 0; n-- {
+		r := int32(rng.Intn(rows))
+		if int(r) >= emptyLo && int(r) < emptyHi {
+			continue
 		}
-		if len(fast.ColIdx) != len(slow.ColIdx) || len(fast.Vals) != len(slow.Vals) {
-			return false
-		}
-		for i := range fast.RowPtr {
-			if fast.RowPtr[i] != slow.RowPtr[i] {
-				return false
+		c := int32(rng.Intn(cols))
+		v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		switch rng.Intn(8) {
+		case 0:
+			v = 0
+		case 1, 2: // a duplicate of an earlier triplet
+			if i := rng.Intn(m.NNZ() + 1); i < m.NNZ() {
+				r, c = m.RowIdx[i], m.ColIdx[i]
 			}
+		case 3: // a pair cancelling to 0, with other duplicates around it
+			m.Append(r, c, v)
+			v = -v
 		}
-		for i := range fast.ColIdx {
-			if fast.ColIdx[i] != slow.ColIdx[i] {
-				return false
-			}
-		}
-		for i := range fast.Vals {
-			if fast.Vals[i] != slow.Vals[i] {
-				return false
-			}
-		}
-		return true
+		m.Append(r, c, v)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	perm := make([]int, m.NNZ())
+	for i := range perm {
+		perm[i] = i
+	}
+	switch order {
+	case "row-major":
+		slices.SortStableFunc(perm, func(a, b int) int {
+			return cmp.Or(cmp.Compare(m.RowIdx[a], m.RowIdx[b]), cmp.Compare(m.ColIdx[a], m.ColIdx[b]))
+		})
+	case "col-major":
+		slices.SortStableFunc(perm, func(a, b int) int {
+			return cmp.Or(cmp.Compare(m.ColIdx[a], m.ColIdx[b]), cmp.Compare(m.RowIdx[a], m.RowIdx[b]))
+		})
+	}
+	out := matrix.NewCOO[float64](rows, cols, len(perm))
+	for _, i := range perm {
+		out.Append(m.RowIdx[i], m.ColIdx[i], m.Vals[i])
+	}
+	return out
+}
+
+// TestBCSRCountingAndMapBuildersAgree pins BCSRFromCOO's doc comment: on
+// any input — duplicates in any order, explicit zeros, empty block rows,
+// fringe blocks — it builds the matrix BCSRFromCOOMap builds, bit for bit.
+// Duplicates are summed in triplet order by both.
+func TestBCSRCountingAndMapBuildersAgree(t *testing.T) {
+	for _, bs := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {3, 5}, {16, 16}} {
+		for _, order := range []string{"drawn", "row-major", "col-major", "deduplicated"} {
+			t.Run(fmt.Sprintf("%dx%d/%s", bs[0], bs[1], order), func(t *testing.T) {
+				for seed := int64(0); seed < 100; seed++ {
+					var m *matrix.COO[float64]
+					if order == "deduplicated" {
+						m = quickCOO(seed)
+					} else {
+						m = messyCOO(rand.New(rand.NewSource(seed)), order)
+					}
+					got, err1 := BCSRFromCOO(m, bs[0], bs[1])
+					want, err2 := BCSRFromCOOMap(m, bs[0], bs[1])
+					if err1 != nil || err2 != nil {
+						t.Fatalf("seed %d: %v, %v", seed, err1, err2)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+						t.Fatalf("seed %d: block structure differs: RowPtr %v / %v, ColIdx %v / %v",
+							seed, got.RowPtr, want.RowPtr, got.ColIdx, want.ColIdx)
+					}
+					if !slices.EqualFunc(got.Vals, want.Vals, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					}) {
+						t.Fatalf("seed %d: block values differ in their bits", seed)
+					}
+				}
+			})
+		}
 	}
 }
 
