@@ -394,11 +394,11 @@ func BenchmarkAblationELLLayout(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBCSRBuild: the sorted two-pass BCSR builder (this
-// suite's fix) vs the thesis' original map-based block discovery.
+// BenchmarkAblationBCSRBuild: the counting-sort BCSR builder (this suite's
+// fix) vs the thesis' original map-based block discovery.
 func BenchmarkAblationBCSRBuild(b *testing.B) {
 	m := benchMatrix(b)
-	b.Run("sorted", func(b *testing.B) {
+	b.Run("counting", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := formats.BCSRFromCOO(m, 4, 4); err != nil {
 				b.Fatal(err)

@@ -4,9 +4,9 @@
 // ("format the BCSR matrix into a given block configuration, and then save
 // that to a file, which the BCSR kernels could quickly load and use").
 //
-// This suite's sorted two-pass formatter is fast, but the pre-formatted
-// files remain useful for repeated runs on large matrices and for sharing
-// block configurations.
+// This suite's counting-sort formatter is linear in the nonzeros, but the
+// pre-formatted files remain useful for repeated runs on large matrices and
+// for sharing block configurations.
 //
 // Examples:
 //
