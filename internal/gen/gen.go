@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/matrix"
 )
@@ -184,13 +184,23 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 	}
 	m := matrix.NewCOO[T](rows, p.Cols, total)
 	cols := make([]int32, 0, 512)
-	seen := make(map[int32]struct{}, 512)
+	// taken[c] == i+1 marks column c as used by row i, so nothing is
+	// cleared between rows. A taken column's jump points at or before the
+	// next free column, cyclically (every column from c up to jump[c] is
+	// taken), so a collision skips a run of taken columns in one step.
+	taken := make([]int32, p.Cols)
+	jump := make([]int32, p.Cols)
 	for i, d := range deg {
 		if d == 0 {
 			continue
 		}
 		cols = cols[:0]
-		clear(seen)
+		stamp := int32(i + 1)
+		take := func(c int32) {
+			taken[c] = stamp
+			jump[c] = (c + 1) % int32(p.Cols)
+			cols = append(cols, c)
+		}
 		diag := 0
 		if rows > 1 {
 			diag = i * (p.Cols - 1) / (rows - 1)
@@ -208,8 +218,7 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 			start = p.Cols - nLocal
 		}
 		for c := start; c < start+nLocal; c++ {
-			cols = append(cols, int32(c))
-			seen[int32(c)] = struct{}{}
+			take(int32(c))
 		}
 		// Scattered remainder.
 		for len(cols) < d {
@@ -225,24 +234,31 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 			if c >= int32(p.Cols) {
 				c = int32(p.Cols - 1)
 			}
-			if _, dup := seen[c]; dup {
-				// Collision: walk forward to the next free column.
-				for {
-					c = (c + 1) % int32(p.Cols)
-					if _, dup := seen[c]; !dup {
-						break
-					}
-				}
-			}
-			cols = append(cols, c)
-			seen[c] = struct{}{}
+			// Collision: move on to the next free column.
+			take(nextFree(taken, jump, stamp, c))
 		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
+		slices.Sort(cols)
 		for _, c := range cols {
 			m.Append(int32(i), c, T(rng.Float64()*2-1))
 		}
 	}
 	return m, nil
+}
+
+// nextFree returns the first column at or after c, cyclically, that the row
+// stamped stamp has not taken, and points every taken column it passed
+// straight at that column (path compression).
+func nextFree(taken, jump []int32, stamp, c int32) int32 {
+	free := c
+	for taken[free] == stamp {
+		free = jump[free]
+	}
+	for c != free {
+		next := jump[c]
+		jump[c] = free
+		c = next
+	}
+	return free
 }
 
 // Banded generates a square matrix with a full band of the given half-width
