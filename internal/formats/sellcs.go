@@ -1,7 +1,8 @@
 package formats
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/matrix"
 )
@@ -66,8 +67,8 @@ func SELLCSFromCOO[T matrix.Float](m *matrix.COO[T], c, sigma int) (*SELLCS[T], 
 	for lo := 0; lo < rows; lo += sigma {
 		hi := min(lo+sigma, rows)
 		win := perm[lo:hi]
-		sort.SliceStable(win, func(a, b int) bool {
-			return csr.RowNNZ(int(win[a])) > csr.RowNNZ(int(win[b]))
+		slices.SortStableFunc(win, func(a, b int32) int {
+			return cmp.Compare(csr.RowNNZ(int(b)), csr.RowNNZ(int(a)))
 		})
 	}
 
