@@ -416,6 +416,21 @@ func TestBCSRCountingAndMapBuildersAgree(t *testing.T) {
 	}
 }
 
+// TestBCSRFromCOOAllocs pins BCSRFromCOO's heap objects, whatever the
+// input: the matrix, its three arrays and one scratch slice.
+func TestBCSRFromCOOAllocs(t *testing.T) {
+	for _, m := range []*matrix.COO[float64]{quickCOO(5), messyCOO(rand.New(rand.NewSource(3)), "drawn")} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := BCSRFromCOO(m, 4, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 5 {
+			t.Fatalf("%d triplets: %v allocations, want at most 5", m.NNZ(), allocs)
+		}
+	}
+}
+
 func TestBCSRRejectsBadBlockSize(t *testing.T) {
 	m := quickCOO(1)
 	for _, bs := range [][2]int{{0, 4}, {4, 0}, {-1, 2}} {

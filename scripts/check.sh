@@ -344,6 +344,6 @@ if [ "$regen_bad" != 0 ]; then
 fi
 
 echo "== bench smoke (1 iteration per bench) =="
-go test -run '^$' -bench . -benchtime=1x . ./internal/kernels ./internal/parallel ./internal/serve ./internal/delta > /dev/null
+go test -run '^$' -bench . -benchtime=1x . ./internal/formats ./internal/kernels ./internal/parallel ./internal/serve ./internal/delta > /dev/null
 
 echo "check.sh: all checks passed"
