@@ -30,15 +30,15 @@ type BCSR[T matrix.Float] struct {
 	balanced partitionCache // memoized block-balanced block-row splits
 }
 
-// BCSRFromCOO converts a COO matrix to BCSR with BR×BC blocks in time
-// linear in nnz plus the block-grid dimensions: a counting sort of the
-// triplets by block row, then per block row a stamp array over block
-// columns. This is the suite's fast formatting path — the thesis reports its
-// original (map-heavy) BCSR formatter took 40 hours over its matrix set
-// (§6.3.2); BCSRFromCOOMap preserves that strategy for the ablation
-// benchmark. Duplicate triplets are summed in triplet order, as
-// BCSRFromCOOMap sums them, so the two build identical matrices from any
-// input.
+// BCSRFromCOO converts a COO matrix to BCSR with BR×BC blocks by a counting
+// sort of the triplets by block row and, per block row, a stamp array over
+// block columns: linear in nnz and the block grid, except that each block
+// row's own short list of block columns is sorted. This is the suite's fast
+// formatting path — the thesis reports its original (map-heavy) BCSR
+// formatter took 40 hours over its matrix set (§6.3.2); BCSRFromCOOMap
+// preserves that strategy for the ablation benchmark. Duplicate triplets
+// are summed in triplet order, as BCSRFromCOOMap sums them, so the two
+// build identical matrices from any input.
 func BCSRFromCOO[T matrix.Float](m *matrix.COO[T], br, bc int) (*BCSR[T], error) {
 	if br < 1 || bc < 1 {
 		return nil, invalidBlock(br, bc)

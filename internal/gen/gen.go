@@ -234,7 +234,7 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 			if c >= int32(p.Cols) {
 				c = int32(p.Cols - 1)
 			}
-			// Collision: move on to the next free column.
+			// On a collision, take the next free column instead.
 			take(nextFree(taken, jump, stamp, c))
 		}
 		slices.Sort(cols)
