@@ -66,7 +66,7 @@ func Fallback(format string) (string, bool) {
 }
 
 // FormatOf extracts the format family from a registry kernel name:
-// "ell-omp-t" → "ell", "vendor-csr-gpu" → "csr".
+// "ell-omp" → "ell", "csr-gpu-t" → "csr", "vendor-csr-gpu" → "csr".
 func FormatOf(kernelName string) string {
 	name := strings.TrimPrefix(kernelName, "vendor-")
 	if i := strings.IndexByte(name, '-'); i > 0 {
@@ -75,18 +75,23 @@ func FormatOf(kernelName string) string {
 	return name
 }
 
-// fallbackKernel rewrites a registry kernel name to the same mode and
-// variant in the fallback format: "ell-omp" → "csr-omp",
-// "bell-gpu" → "csr-gpu". The suffix (mode, -t) is preserved.
+// fallbackKernel rewrites a registry kernel name to the plain kernel of the
+// same mode in the fallback format: "ell-omp" → "csr-omp", "bell-gpu" →
+// "csr-gpu", "csr-gpu-t" → "coo-gpu". Only the mode is kept: what else a
+// name spells (the vendor- prefix, csr-gpu-t's -t) is a kernel of the
+// source format alone, while every fallback format has a plain kernel in
+// every mode.
 func fallbackKernel(kernelName, from, to string) string {
 	name := strings.TrimPrefix(kernelName, "vendor-")
 	if name == from {
 		return to
 	}
-	if strings.HasPrefix(name, from+"-") {
-		return to + strings.TrimPrefix(name, from)
+	rest, ok := strings.CutPrefix(name, from+"-")
+	if !ok {
+		return kernelName
 	}
-	return kernelName
+	mode, _, _ := strings.Cut(rest, "-")
+	return to + "-" + mode
 }
 
 // ParseBytes parses a human-readable byte size for the -mem-budget flag:

@@ -140,9 +140,11 @@ func TestFallbackKernelRewriting(t *testing.T) {
 	cases := []struct{ in, from, to, want string }{
 		{"ell-serial", "ell", "csr", "csr-serial"},
 		{"bcsr-omp", "bcsr", "csr", "csr-omp"},
-		{"csr-omp-t", "csr", "coo", "coo-omp-t"},
-		// Vendor kernels degrade to the baseline (non-vendor) fallback.
+		{"csr-omp", "csr", "coo", "coo-omp"},
+		// Vendor and transposed-B kernels degrade to the plain kernel of the
+		// fallback format: neither exists for it.
 		{"vendor-csr-gpu", "csr", "coo", "coo-gpu"},
+		{"csr-gpu-t", "csr", "coo", "coo-gpu"},
 	}
 	for _, c := range cases {
 		if got := fallbackKernel(c.in, c.from, c.to); got != c.want {
@@ -154,6 +156,30 @@ func TestFallbackKernelRewriting(t *testing.T) {
 	}
 	if got := FormatOf("sellcs-omp"); got != "sellcs" {
 		t.Errorf("FormatOf(sellcs-omp) = %q", got)
+	}
+}
+
+// TestFallbackChainsStayRegistered walks every registry kernel through its
+// whole degradation chain: each step must name a kernel core.New builds, or
+// an over-budget run fails as an unknown kernel instead of degrading.
+func TestFallbackChainsStayRegistered(t *testing.T) {
+	registered := map[string]bool{}
+	for _, name := range core.Names() {
+		registered[name] = true
+	}
+	for _, name := range core.Names() {
+		kernel, format := name, FormatOf(name)
+		for {
+			fb, ok := Fallback(format)
+			if !ok {
+				break
+			}
+			next := fallbackKernel(kernel, format, fb)
+			if !registered[next] {
+				t.Errorf("%s: %s degrades to %s, which is not a registered kernel", name, kernel, next)
+			}
+			kernel, format = next, fb
+		}
 	}
 }
 

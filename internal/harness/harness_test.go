@@ -301,6 +301,25 @@ func TestOverBudgetNoFallback(t *testing.T) {
 	}
 }
 
+// TestBudgetDegradesTransposedGPU: csr-gpu-t over budget runs on coo-gpu.
+// On a diagonal, CSR's row pointers make it 4 bytes larger than COO, so a
+// budget between the two estimates degrades one step.
+func TestBudgetDegradesTransposedGPU(t *testing.T) {
+	const n = 32
+	h, err := New(Config{MemBudget: 16*n + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	out := h.RunOne(context.Background(), Spec{
+		Kernel: "csr-gpu-t", Matrix: "m", Load: load(diagMatrix(n)),
+		Opts: core.Options{Device: testDevice(t)}, Params: testParams()})
+	if out.Status != StatusDegraded || out.RanKernel != "coo-gpu" || !out.Result.Verified {
+		t.Fatalf("status %q ran %q verified %v, err %v; want degraded to a verified coo-gpu",
+			out.Status, out.RanKernel, out.Result.Verified, out.Err)
+	}
+}
+
 // TestRunnerAppliesContainment: the studies-facing Runner turns a panic
 // into a typed error instead of crashing the caller.
 func TestRunnerAppliesContainment(t *testing.T) {
