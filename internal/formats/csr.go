@@ -109,18 +109,51 @@ type CSC[T matrix.Float] struct {
 	Vals       []T
 }
 
-// CSCFromCOO converts a COO matrix to CSC by transposing, compressing, and
-// relabelling.
+// CSCFromCOO converts a COO matrix to CSC by two stable counting sorts of
+// the triplet indices, by row and then by column, so each column's entries
+// come out in ascending row order: linear in nnz, rows and columns, and m is
+// left as it was. Duplicates are preserved, in triplet order, matching the
+// additive semantics of the multiply kernels.
 func CSCFromCOO[T matrix.Float](m *matrix.COO[T]) *CSC[T] {
-	t := m.Transpose()
-	csr := CSRFromCOO(t)
-	return &CSC[T]{
+	nnz := m.NNZ()
+	c := &CSC[T]{
 		Rows:   m.Rows,
 		Cols:   m.Cols,
-		ColPtr: csr.RowPtr,
-		RowIdx: csr.ColIdx,
-		Vals:   csr.Vals,
+		ColPtr: make([]int32, m.Cols+1),
+		RowIdx: make([]int32, nnz),
+		Vals:   make([]T, nnz),
 	}
+	// Pass 1: triplet indices in row order, each row's in triplet order.
+	scratch := make([]int32, nnz+m.Rows+2)
+	order, start := scratch[:nnz], scratch[nnz:]
+	for _, r := range m.RowIdx {
+		start[r+2]++
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	for t, r := range m.RowIdx {
+		order[start[r+1]] = int32(t)
+		start[r+1]++
+	}
+	// Pass 2: deal them out by column in that order. ColPtr[j] is column
+	// j's write cursor, which ends at column j+1's start; shifting ColPtr
+	// one place right then makes it the prefix-sum array.
+	for _, col := range m.ColIdx {
+		c.ColPtr[col+1]++
+	}
+	for j := 0; j < m.Cols; j++ {
+		c.ColPtr[j+1] += c.ColPtr[j]
+	}
+	for _, t := range order {
+		col := m.ColIdx[t]
+		d := c.ColPtr[col]
+		c.RowIdx[d], c.Vals[d] = m.RowIdx[t], m.Vals[t]
+		c.ColPtr[col]++
+	}
+	copy(c.ColPtr[1:], c.ColPtr[:m.Cols])
+	c.ColPtr[0] = 0
+	return c
 }
 
 // FormatName is the short name used in reports.
