@@ -299,33 +299,6 @@ func BenchmarkStudy7(b *testing.B) {
 	}
 }
 
-// BenchmarkStudy8 covers Figures 5.17/5.18: plain vs transposed-B parallel
-// kernels (the transpose is charged to the transposed variant).
-func BenchmarkStudy8(b *testing.B) {
-	m := benchMatrix(b)
-	const k = 128
-	bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
-	c := matrix.NewDense[float64](m.Rows, k)
-	csr := formats.CSRFromCOO(m)
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kernels.CSR(csr, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
-	b.Run("transposed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bt := bb.Transpose() // part of the measured work (§5.10)
-			if err := kernels.CSR(csr, bt, c, k, kernels.Spec{Threads: 4, Inner: kernels.InnerTransB}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
-}
-
 // BenchmarkStudy9 covers Figure 5.19: what a compile-time k could still buy
 // the one generic kernel — k = 128 runs only the row entry's full tiles
 // (128 columns on AVX-512, 32 on AVX2), k = 127 forces its 32-column tiles

@@ -27,7 +27,6 @@ type diaKernel struct {
 func (d *diaKernel) Name() string         { return "dia-serial" }
 func (d *diaKernel) Format() string       { return "dia" }
 func (d *diaKernel) Mode() spmmbench.Mode { return spmmbench.ModeSerial }
-func (d *diaKernel) Transposed() bool     { return false }
 
 func (d *diaKernel) Prepare(a *spmmbench.COO, p spmmbench.Params) error {
 	d.rows, d.cols = a.Rows, a.Cols

@@ -137,8 +137,6 @@ type Kernel interface {
 	Format() string
 	// Mode reports the execution environment.
 	Mode() Mode
-	// Transposed reports whether the kernel consumes Bᵀ (Study 8).
-	Transposed() bool
 	// Prepare converts the COO base representation into the kernel's
 	// format (the per-format "formatting function"). It must be called
 	// before Calculate and may be called again with a new matrix.
@@ -146,8 +144,8 @@ type Kernel interface {
 	// Bytes reports the formatted matrix's memory footprint
 	// (future-work §6.3.5), valid after Prepare.
 	Bytes() int
-	// Calculate computes C[:, :k] = A × B[:, :k] (for transposed kernels
-	// B is the kb×n transpose). It overwrites C's first k columns.
+	// Calculate computes C[:, :k] = A × B[:, :k]. It overwrites C's first
+	// k columns.
 	Calculate(b, c *matrix.Dense[float64], p Params) error
 }
 

@@ -42,17 +42,16 @@ func gpuOptions(t *testing.T) Options {
 
 func TestRegistryComplete(t *testing.T) {
 	names := Names()
-	// 4 main formats × {serial, omp} × {plain, -t} = 16,
-	// bell/sellcs × {serial, omp} = 4, 5 gpu + 1 gpu-t + 2 vendor gpu = 8.
+	// 6 formats × {serial, omp} = 12, 5 gpu + 1 gpu-t + 2 vendor gpu = 8.
 	golden := []string{
-		"bcsr-gpu", "bcsr-omp", "bcsr-omp-t", "bcsr-serial", "bcsr-serial-t",
+		"bcsr-gpu", "bcsr-omp", "bcsr-serial",
 		"bell-gpu", "bell-omp", "bell-serial",
-		"coo-gpu", "coo-omp", "coo-omp-t", "coo-serial", "coo-serial-t",
-		"csr-gpu", "csr-gpu-t", "csr-omp", "csr-omp-t", "csr-serial", "csr-serial-t",
-		"ell-gpu", "ell-omp", "ell-omp-t", "ell-serial", "ell-serial-t",
+		"coo-gpu", "coo-omp", "coo-serial",
+		"csr-gpu", "csr-gpu-t", "csr-omp", "csr-serial",
+		"ell-gpu", "ell-omp", "ell-serial",
 		"sellcs-omp", "sellcs-serial", "vendor-coo-gpu", "vendor-csr-gpu",
 	}
-	if len(golden) != 28 || !slices.Equal(names, golden) {
+	if len(golden) != 20 || !slices.Equal(names, golden) {
 		t.Fatalf("registry names changed:\n got %v\nwant %v", names, golden)
 	}
 	for _, want := range golden {
@@ -176,6 +175,29 @@ func TestRunFixedKRejectsUnsupportedK(t *testing.T) {
 	}
 }
 
+// TestRetiredTransposedKernels: the CPU transposed-B kernels are gone from
+// the registry and from the lattice, not aliased to a plain kernel. Each of
+// the eight registry names is an unknown kernel and the variant it ran is
+// an unknown variant; csr-gpu-t, the simulated device's, stays.
+func TestRetiredTransposedKernels(t *testing.T) {
+	for _, name := range []string{
+		"coo-serial-t", "coo-omp-t", "csr-serial-t", "csr-omp-t",
+		"ell-serial-t", "ell-omp-t", "bcsr-serial-t", "bcsr-omp-t",
+	} {
+		if _, err := New(name, Options{}); !errors.Is(err, ErrUnknownKernel) {
+			t.Errorf("%s: %v, want ErrUnknownKernel", name, err)
+		}
+		format, mode, _ := strings.Cut(strings.TrimSuffix(name, "-t"), "-")
+		machinery := map[string]string{"serial": "serial-bt", "omp": "opts-pool-bt"}[mode]
+		if v, ok := kernels.ParseVariant(format + "/" + machinery); ok {
+			t.Errorf("%s: variant %s/%s resolves to %q", name, format, machinery, v.Name)
+		}
+	}
+	if _, err := New("csr-gpu-t", gpuOptions(t)); err != nil {
+		t.Errorf("csr-gpu-t: %v", err)
+	}
+}
+
 func TestRunKZeroDefaults(t *testing.T) {
 	a := testCOO(3, 20, 20, 60)
 	k, _ := New("csr-serial", Options{})
@@ -277,11 +299,10 @@ func TestRunVerifiesUnsortedCOO(t *testing.T) {
 // brokenKernel returns a wrong (all-zero with one poisoned cell) result.
 type brokenKernel struct{ a *matrix.COO[float64] }
 
-func (b *brokenKernel) Name() string     { return "broken" }
-func (b *brokenKernel) Format() string   { return "broken" }
-func (b *brokenKernel) Mode() Mode       { return Serial }
-func (b *brokenKernel) Transposed() bool { return false }
-func (b *brokenKernel) Bytes() int       { return 1 }
+func (b *brokenKernel) Name() string   { return "broken" }
+func (b *brokenKernel) Format() string { return "broken" }
+func (b *brokenKernel) Mode() Mode     { return Serial }
+func (b *brokenKernel) Bytes() int     { return 1 }
 func (b *brokenKernel) Prepare(a *matrix.COO[float64], p Params) error {
 	b.a = a
 	return nil
@@ -331,11 +352,8 @@ func TestModeStrings(t *testing.T) {
 }
 
 func TestKernelNamesEncodeVariants(t *testing.T) {
-	if kernelName("csr", Parallel, kernels.InnerTransB) != "csr-omp-t" {
-		t.Fatal("transposed name")
-	}
-	if kernelName("ell", Serial, kernels.InnerTiled) != "ell-serial" {
-		t.Fatal("tiled name")
+	if kernelName("csr", Parallel) != "csr-omp" || kernelName("ell", Serial) != "ell-serial" {
+		t.Fatal("kernel name")
 	}
 	for _, n := range Names() {
 		if strings.ContainsAny(n, " /") {

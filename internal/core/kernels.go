@@ -8,8 +8,8 @@ import (
 	"repro/internal/vendorlib"
 )
 
-// This file implements the Kernel interface for every format × mode ×
-// inner-loop combination the registry exposes. A kernel holds its formatted
+// This file implements the Kernel interface for every format × mode
+// combination the registry exposes. A kernel holds its formatted
 // matrix between Prepare and Calculate, exactly as the thesis' C++ objects
 // hold their format-specific structures.
 
@@ -25,20 +25,18 @@ func (p prepared) Bytes() int {
 }
 
 // cpuKernel is every CPU kernel of the registry: a format name, the mode
-// and inner loop its registry name spells, and the prepared matrix.
-// Calculate is kernels.Multiply under the Spec the run's Params describe.
+// its registry name spells, and the prepared matrix. Calculate is
+// kernels.Multiply under the Spec the run's Params describe.
 type cpuKernel struct {
 	format string
 	mode   Mode
-	inner  kernels.Inner
 	layout formats.ELLLayout
 	prepared
 }
 
-func (k *cpuKernel) Name() string     { return kernelName(k.format, k.mode, k.inner) }
-func (k *cpuKernel) Format() string   { return k.format }
-func (k *cpuKernel) Mode() Mode       { return k.mode }
-func (k *cpuKernel) Transposed() bool { return k.inner == kernels.InnerTransB }
+func (k *cpuKernel) Name() string   { return kernelName(k.format, k.mode) }
+func (k *cpuKernel) Format() string { return k.format }
+func (k *cpuKernel) Mode() Mode     { return k.mode }
 
 func (k *cpuKernel) Prepare(a *matrix.COO[float64], p Params) error {
 	f, err := formats.FromCOO(k.format, a, formats.Params{Block: p.BlockSize, Layout: k.layout})
@@ -65,9 +63,9 @@ func (k *cpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
 
 // spec maps the run's parameters onto the kernel lattice. A serial kernel
 // keeps only the context; a parallel one takes the thread count, schedule,
-// pool and tracer whatever its inner loop is.
+// pool and tracer.
 func (k *cpuKernel) spec(p Params) kernels.Spec {
-	s := kernels.Spec{Threads: 1, Ctx: p.Ctx, Inner: k.inner}
+	s := kernels.Spec{Threads: 1, Ctx: p.Ctx}
 	if k.mode == Parallel {
 		s.Threads, s.Schedule, s.Pool, s.Trace = p.Threads, p.Schedule, p.Pool, p.Trace
 	}
@@ -84,19 +82,18 @@ type gpuKernel struct {
 	format string
 	dev    *gpusim.Device
 	vendor bool
-	// inner is InnerTransB for the transposed-B kernel, which transposes B
-	// on the device itself (the cost is part of the modelled time), so
-	// Transposed() stays false and the runner passes the plain B.
+	// inner is InnerTransB for csr-gpu-t, which transposes B on the device
+	// itself (the cost is part of the modelled time), so the runner passes
+	// the plain B as to every kernel.
 	inner kernels.Inner
 
 	prepared
 	last gpusim.LaunchResult
 }
 
-func (k *gpuKernel) Name() string     { return k.name }
-func (k *gpuKernel) Format() string   { return k.format }
-func (k *gpuKernel) Mode() Mode       { return GPU }
-func (k *gpuKernel) Transposed() bool { return false }
+func (k *gpuKernel) Name() string   { return k.name }
+func (k *gpuKernel) Format() string { return k.format }
+func (k *gpuKernel) Mode() Mode     { return GPU }
 
 func (k *gpuKernel) Prepare(a *matrix.COO[float64], p Params) error {
 	// GPU ELL uses the column-major layout (coalesced).
@@ -129,10 +126,4 @@ func (k *gpuKernel) Calculate(b, c *matrix.Dense[float64], p Params) error {
 // ModelSeconds implements ModelTimed.
 func (k *gpuKernel) ModelSeconds() float64 { return k.last.Seconds }
 
-func kernelName(format string, mode Mode, inner kernels.Inner) string {
-	name := format + "-" + mode.String()
-	if inner == kernels.InnerTransB {
-		name += "-t"
-	}
-	return name
-}
+func kernelName(format string, mode Mode) string { return format + "-" + mode.String() }

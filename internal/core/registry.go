@@ -45,17 +45,12 @@ func register(name string, c constructor) {
 
 func init() {
 	// The CPU kernels are the lattice's serial and parallel columns: one
-	// name per format × mode × inner loop the format's row has.
+	// name per format × mode.
 	for _, mode := range []Mode{Serial, Parallel} {
 		for _, format := range Formats() {
-			for _, inner := range []kernels.Inner{kernels.InnerTiled, kernels.InnerTransB} {
-				if _, ok := kernels.ParseVariant(format + "/" + (kernels.Spec{Inner: inner}).Name()); !ok {
-					continue
-				}
-				register(kernelName(format, mode, inner), func(o Options) (Kernel, error) {
-					return &cpuKernel{format: format, mode: mode, inner: inner, layout: o.ELLLayout}, nil
-				})
-			}
+			register(kernelName(format, mode), func(o Options) (Kernel, error) {
+				return &cpuKernel{format: format, mode: mode, layout: o.ELLLayout}, nil
+			})
 		}
 	}
 	for _, format := range []string{"coo", "csr", "ell", "bcsr", "bell"} {

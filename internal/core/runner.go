@@ -19,9 +19,7 @@ import (
 // logical nonzero count exactly as the thesis' suite reports them (§4.3).
 //
 // The dense B operand is generated deterministically from p.Seed, matching
-// the suite's auto-generated B. Transposed kernels receive Bᵀ, and the
-// transposition is performed inside every timed repetition — Study 8
-// explicitly charges the transpose against the kernel.
+// the suite's auto-generated B.
 func Run(k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result, error) {
 	if p.K == 0 {
 		p.K = DefaultParams().K
@@ -59,11 +57,6 @@ func Run(k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result,
 	b := matrix.NewDenseRand[float64](a.Cols, p.K, p.Seed)
 	c := matrix.NewDense[float64](a.Rows, p.K)
 
-	operand := b
-	if k.Transposed() {
-		operand = b.Transpose()
-	}
-
 	model, isModel := k.(ModelTimed)
 	reps := p.Reps
 	if isModel {
@@ -73,7 +66,7 @@ func Run(k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result,
 	} else {
 		// Warm-up (untimed), also surfacing calculation errors early.
 		span = p.Trace.Start()
-		if err := k.Calculate(operand, c, p); err != nil {
+		if err := k.Calculate(b, c, p); err != nil {
 			return Result{}, fmt.Errorf("core: %s: calculate: %w", k.Name(), err)
 		}
 		p.Trace.EndDetail(0, trace.PhaseWarmup, k.Name(), span, 0)
@@ -84,23 +77,12 @@ func Run(k Kernel, a *matrix.COO[float64], matrixName string, p Params) (Result,
 		if err := p.Context().Err(); err != nil {
 			return Result{}, fmt.Errorf("core: %s: rep %d: %w", k.Name(), rep, err)
 		}
-		var secs float64
 		span = p.Trace.Start()
-		if k.Transposed() {
-			// The transpose is part of the measured work.
-			t0 := time.Now()
-			operand = b.Transpose()
-			if err := k.Calculate(operand, c, p); err != nil {
-				return Result{}, fmt.Errorf("core: %s: calculate: %w", k.Name(), err)
-			}
-			secs = time.Since(t0).Seconds()
-		} else {
-			t0 := time.Now()
-			if err := k.Calculate(operand, c, p); err != nil {
-				return Result{}, fmt.Errorf("core: %s: calculate: %w", k.Name(), err)
-			}
-			secs = time.Since(t0).Seconds()
+		t0 := time.Now()
+		if err := k.Calculate(b, c, p); err != nil {
+			return Result{}, fmt.Errorf("core: %s: calculate: %w", k.Name(), err)
 		}
+		secs := time.Since(t0).Seconds()
 		p.Trace.EndDetail(0, trace.PhaseCalculate, k.Name(), span, int64(rep))
 		if isModel {
 			secs = model.ModelSeconds()

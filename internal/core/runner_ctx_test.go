@@ -21,11 +21,10 @@ type flakyThreadsKernel struct {
 	failOn map[int]bool
 }
 
-func (f *flakyThreadsKernel) Name() string     { return "flaky-omp" }
-func (f *flakyThreadsKernel) Format() string   { return "coo" }
-func (f *flakyThreadsKernel) Mode() Mode       { return Parallel }
-func (f *flakyThreadsKernel) Transposed() bool { return false }
-func (f *flakyThreadsKernel) Bytes() int       { return 1 }
+func (f *flakyThreadsKernel) Name() string   { return "flaky-omp" }
+func (f *flakyThreadsKernel) Format() string { return "coo" }
+func (f *flakyThreadsKernel) Mode() Mode     { return Parallel }
+func (f *flakyThreadsKernel) Bytes() int     { return 1 }
 func (f *flakyThreadsKernel) Prepare(a *matrix.COO[float64], p Params) error {
 	return nil
 }

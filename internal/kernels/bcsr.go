@@ -11,14 +11,12 @@ import (
 // extra work a badly chosen block size costs. Parallelising at block-row
 // granularity is what the blocked format buys: each worker owns whole C
 // row-bands, and balanced scheduling equalises stored blocks per worker.
-// Under InnerTransB, b is Bᵀ.
 func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowBCSR, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	inner := s.Inner
 	if s.direct() {
-		bcsrRange(a, b, c, k, inner, 0, a.BlockRows)
+		bcsrBlockRows(a, b, c, k, 0, a.BlockRows)
 		return nil
 	}
 	var bounds []int
@@ -26,17 +24,8 @@ func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Sp
 		bounds = a.BalancedBounds(s.Threads)
 	}
 	return run(s, rowBCSR, a.BlockRows, bounds, func(lo, hi, _ int) {
-		bcsrRange(a, b, c, k, inner, lo, hi)
-	})
-}
-
-// bcsrRange runs the range function inner selects over block rows [lo, hi).
-func bcsrRange[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	if inner == InnerTransB {
-		bcsrBlockRowsT(a, b, c, k, lo, hi)
-	} else {
 		bcsrBlockRows(a, b, c, k, lo, hi)
-	}
+	})
 }
 
 // bcsrBlockRows processes block rows [lo, hi). The padded fringe of the
@@ -89,44 +78,13 @@ func (a blocks[T]) rowPanel(bri, p, q int, b, c *matrix.Dense[T], j0, jw int) {
 	}
 }
 
-// bcsrBlockRowsT is the transposed-B block-row loop: bt is the kb×n
-// transpose of B.
-func bcsrBlockRowsT[T matrix.Float](a *formats.BCSR[T], bt, c *matrix.Dense[T], k, lo, hi int) {
-	br, bc := a.BR, a.BC
-	for bri := lo; bri < hi; bri++ {
-		rowBase := bri * br
-		rowLim := min(br, a.Rows-rowBase)
-		for r := 0; r < rowLim; r++ {
-			clear(c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k])
-		}
-		for p := a.RowPtr[bri]; p < a.RowPtr[bri+1]; p++ {
-			colBase := int(a.ColIdx[p]) * bc
-			colLim := min(bc, a.Cols-colBase)
-			blk := a.Block(int(p))
-			for r := 0; r < rowLim; r++ {
-				crow := c.Data[(rowBase+r)*c.Stride : (rowBase+r)*c.Stride+k]
-				for cc := 0; cc < colLim; cc++ {
-					v := blk[r*bc+cc]
-					if v == 0 {
-						continue
-					}
-					col := colBase + cc
-					for j := range crow {
-						crow[j] += v * bt.Data[j*bt.Stride+col]
-					}
-				}
-			}
-		}
-	}
-}
-
 // BCSRParallelInner is the Study 9 footnote variant, an ablation outside
 // the lattice: it parallelises the *inner* (within-block-row) loop instead
 // of the block-row loop. The thesis notes this change "clearly made the
 // overall performance worse"; the suite keeps it so the regression is
 // reproducible. Its regions run on the process pool.
 func BCSRParallelInner[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k, false); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	zeroK(c, k)

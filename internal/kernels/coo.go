@@ -16,16 +16,15 @@ import (
 // run splits the triplets at row boundaries, a partition that is
 // nonzero-balanced by construction, so the schedule axis changes nothing
 // and row-aligned chunks keep every Spec bitwise identical to the serial
-// kernel. Under InnerTransB, b is Bᵀ.
+// kernel.
 func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowCOO, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	inner := s.Inner
 	// With no triplets there is nothing to split: the one empty range owns,
 	// and writes, every row.
 	if s.direct() || a.NNZ() == 0 {
-		cooRange(a, b, c, k, inner, 0, a.NNZ())
+		cooTriplets(a, b, c, k, 0, a.NNZ())
 		return nil
 	}
 	var bounds []int
@@ -34,17 +33,8 @@ func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec)
 		obsNonzeros.Add(int64(a.NNZ()))
 	}
 	return run(s, rowCOO, a.NNZ(), bounds, func(lo, hi, _ int) {
-		cooRange(a, b, c, k, inner, lo, hi)
-	})
-}
-
-// cooRange runs the range function inner selects over triplets [lo, hi).
-func cooRange[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	if inner == InnerTransB {
-		cooTripletsT(a, b, c, k, lo, hi)
-	} else {
 		cooTriplets(a, b, c, k, lo, hi)
-	}
+	})
 }
 
 // cooRuns is what triplet range [lo, hi) of a row-sorted A owns: the runs
@@ -106,24 +96,6 @@ func cooTriplets[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo,
 	}
 }
 
-// cooTripletsT is the transposed-B triplet loop: bt is the kb×n transpose
-// of B. It zeroes the C rows triplets [lo, hi) own (cooRuns), then
-// accumulates their runs one triplet at a time. Study 8 measures whether
-// transposed access to B pays off.
-func cooTripletsT[T matrix.Float](a *matrix.COO[T], bt, c *matrix.Dense[T], k, lo, hi int) {
-	lo, hi, r0, r1 := cooRuns(a, lo, hi)
-	zeroKRows(c, k, r0, r1)
-	for p := lo; p < hi; p++ {
-		r := int(a.RowIdx[p])
-		col := int(a.ColIdx[p])
-		v := a.Vals[p]
-		crow := c.Data[r*c.Stride : r*c.Stride+k]
-		for j := range crow {
-			crow[j] += v * bt.Data[j*bt.Stride+col]
-		}
-	}
-}
-
 // cooRowPartition splits [0, nnz) into up to `threads` chunks whose
 // boundaries fall on row boundaries, so concurrent workers never write the
 // same C row. It requires a row-major sorted matrix. A row longer than a
@@ -155,7 +127,7 @@ func cooRowPartition[T matrix.Float](a *matrix.COO[T], threads int) []int {
 // row-aligned) slice of triplets and writes the rows that slice owns into a
 // private copy of C (see replicated). A must be row-sorted, as for COO.
 func COOParallelReplicated[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k, false); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	replicated(c, k, a.NNZ(), threads, func(into *matrix.Dense[T], lo, hi int) {

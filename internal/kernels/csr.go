@@ -9,14 +9,13 @@ import (
 // says: rows are the unit of every partition, so each Spec — static (the
 // thesis' OpenMP "parallel for" over rows), nonzero-balanced from the
 // memoized prefix-sum splits, on any pool, cancellable — is bitwise
-// identical to the serial kernel. Under InnerTransB, b is Bᵀ.
+// identical to the serial kernel.
 func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowCSR, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	inner := s.Inner
 	if s.direct() {
-		csrRange(a, b, c, k, inner, 0, a.Rows)
+		csrRows(a, b, c, k, 0, a.Rows)
 		return nil
 	}
 	var bounds []int
@@ -28,18 +27,8 @@ func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec
 		recordCSRImbalance(a.RowPtr, a.Rows, s.Threads, bounds)
 	}
 	return run(s, rowCSR, a.Rows, bounds, func(lo, hi, _ int) {
-		csrRange(a, b, c, k, inner, lo, hi)
-	})
-}
-
-// csrRange runs the range function inner selects over rows [lo, hi): one
-// branch per range, never per nonzero.
-func csrRange[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	if inner == InnerTransB {
-		csrRowsT(a, b, c, k, lo, hi)
-	} else {
 		csrRows(a, b, c, k, lo, hi)
-	}
+	})
 }
 
 // csrRows runs the CSR row loop over rows [lo, hi), processing B in panels
@@ -62,21 +51,6 @@ func csrRowsPanel[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], j0, 
 	for i := lo; i < hi; i++ {
 		p, q := a.RowPtr[i], a.RowPtr[i+1]
 		matrix.AxpyRow(panelRow(c, i, j0, jw), b, j0, a.ColIdx[p:q], a.Vals[p:q])
-	}
-}
-
-// csrRowsT is the transposed-B row loop: bt is the kb×n transpose of B.
-func csrRowsT[T matrix.Float](a *formats.CSR[T], bt, c *matrix.Dense[T], k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+k]
-		clear(crow)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			col := int(a.ColIdx[p])
-			v := a.Vals[p]
-			for j := range crow {
-				crow[j] += v * bt.Data[j*bt.Stride+col]
-			}
-		}
 	}
 }
 
@@ -115,7 +89,7 @@ func cscCols[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k, lo, hi
 // — the strategy column orientation forces, since all workers scatter into
 // all C rows.
 func CSCParallel[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k, false); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	replicated(c, k, a.Cols, threads, func(into *matrix.Dense[T], lo, hi int) {

@@ -33,7 +33,7 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestCtxEverywhere runs every cancellable lattice point — every format,
-// serial and parallel, every schedule, every inner loop —
+// serial and parallel, every schedule —
 // under three contexts. The fixture has one nonzero per row and column,
 // block edge 1 and slice height 1, so every format's loop unit (row, block
 // row, slice, triplet, column) is one output row and "work done" can be
@@ -77,17 +77,13 @@ func TestCtxEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
-		b := in.B
-		if v.Inner == InnerTransB {
-			b = in.BT
-		}
 		run := func(ctx context.Context, c *matrix.Dense[float64]) error {
 			for i := range c.Data {
 				c.Data[i] = poison
 			}
 			s := v.spec(in)
 			s.Ctx = ctx
-			return Multiply(a, b, c, k, s)
+			return Multiply(a, in.B, c, k, s)
 		}
 
 		// A nil ctx is the unchanged path; a live ctx must not change a bit.
@@ -123,7 +119,7 @@ func TestCtxEverywhere(t *testing.T) {
 				v.Name, got, n, checks, checks*cancelStride)
 		}
 	}
-	if points < 30 {
+	if points < 18 {
 		t.Fatalf("only %d cancellable lattice points enumerated", points)
 	}
 }

@@ -21,7 +21,7 @@ import (
 
 // The differential sweep: every valid point of the format × execution
 // lattice (serial, parallel, balanced, cancellable,
-// transposed-B, both ELL layouts, every format) and the three
+// both ELL layouts, every format) and the three
 // ablations run against the dense GEMM reference on five structurally
 // adversarial matrix classes, as a panel (k = 16) and as a vector (k = 1:
 // SpMV is the same kernels at one column, held to the same contract).
@@ -120,7 +120,7 @@ func TestDifferentialSweep(t *testing.T) {
 	defer pool.Close()
 	variants := Variants()
 	spellings := retiredSpellings(t, variants)
-	retired := retiredFixedK(t, variants, spellings)
+	retired := retiredFamilies(t, variants)
 	for class, coo := range sweepMatrices() {
 		// Slices of 4 rows sorted in windows of 8, so even the 30-row
 		// classes span several slices and sorting windows.
@@ -176,7 +176,7 @@ type retiredPoint struct {
 	now  Variant
 }
 
-// retiredSpellings lists the 54 names the enumeration dropped when the pool
+// retiredSpellings lists the 32 names the enumeration dropped when the pool
 // became the only fork/join: each pooled point's per-call goroutine spelling
 // ("opts-static" for "opts-pool", "opts-balanced" for "opts-balanced-pool")
 // and, off COO, its self-scheduled one ("opts-dynamic" for "opts-pool").
@@ -204,43 +204,66 @@ func retiredSpellings(t *testing.T, variants []Variant) []retiredPoint {
 			out = append(out, retiredPoint{name, v})
 		}
 	}
-	if len(out) != 54 {
-		t.Fatalf("%d retired spellings, want 54", len(out))
+	if len(out) != 32 {
+		t.Fatalf("%d retired spellings, want 32", len(out))
 	}
 	return out
 }
 
-// retiredFixedK lists the 46 names of the deleted fixed-k inner loop, one
-// per transposed-B point, under its lattice name or a retired spelling, and
-// spelled like it with "-fixed" for "-bt". That loop was the tiled one
-// entered as a single panel, so at k <= tileK each point is its tiled
-// sibling, and the sweep holds that sibling to the dense reference under the
-// old name. None of the names may resolve: the family is gone, not aliased.
-func retiredFixedK(t *testing.T, variants []Variant, spellings []retiredPoint) []retiredPoint {
+// retiredFamilies is the table of the two deleted inner-loop families of
+// COO, CSR, ELL and BCSR: the fixed-k loop ("-fixed") and the transposed-B
+// loop ("-bt"), each spelled after every name ParseVariant resolves to a
+// lattice point of those formats — the point's own name and each legacy
+// spelling of it, 64 in all — with the family's suffix after the machinery
+// and before "-colmajor". The fixed-k loop was the tiled one entered as a
+// single panel, so at k <= tileK each "-fixed" point is its tiled sibling,
+// and the sweep holds that sibling to the dense reference under the old
+// name. The transposed-B loop read Bᵀ and has no sibling to stand for it,
+// so its names are only checked here. None of the 128 names may resolve:
+// the families are gone, not aliased.
+func retiredFamilies(t *testing.T, variants []Variant) []retiredPoint {
 	t.Helper()
-	points := slices.Clone(spellings)
+	var fixed []retiredPoint
+	transB := 0
 	for _, v := range variants {
-		points = append(points, retiredPoint{v.Name, v})
-	}
-	var out []retiredPoint
-	for _, p := range points {
-		if v := p.now; v.Inner != InnerTransB || v.Func != strings.ToUpper(v.Format) {
+		if !slices.Contains([]string{"coo", "csr", "ell", "bcsr"}, v.Format) || v.ablation != nil {
 			continue
 		}
-		name := strings.Replace(p.name, "-bt", "-fixed", 1)
-		if _, ok := ParseVariant(name); ok {
-			t.Fatalf("retired fixed-k name %q still resolves", name)
+		for _, name := range namesOf(v) {
+			base, colMajor := strings.CutSuffix(name, "-colmajor")
+			for _, family := range []string{"-fixed", "-bt"} {
+				old := base + family
+				if colMajor {
+					old += "-colmajor"
+				}
+				if got, ok := ParseVariant(old); ok {
+					t.Fatalf("retired name %q resolves to %q", old, got.Name)
+				}
+				if family == "-bt" {
+					transB++
+				} else {
+					fixed = append(fixed, retiredPoint{old, v})
+				}
+			}
 		}
-		tiled, ok := ParseVariant(strings.Replace(p.name, "-bt", "", 1))
-		if !ok || tiled.Inner != InnerTiled {
-			t.Fatalf("%s: no tiled sibling", p.name)
+	}
+	if len(fixed) != 64 || transB != 64 {
+		t.Fatalf("%d retired fixed-k and %d transposed-B names, want 64 and 64", len(fixed), transB)
+	}
+	return fixed
+}
+
+// namesOf lists every name ParseVariant resolves to the lattice point v: its
+// own, then one per legacy spelling of its machinery.
+func namesOf(v Variant) []string {
+	names := []string{v.Name}
+	rest := strings.TrimPrefix(v.Name, v.Format+"/")
+	for _, l := range legacy {
+		if r, ok := strings.CutPrefix(rest, l.now); ok && !(l.dynamic && v.Format == rowCOO.format) {
+			names = append(names, v.Format+"/"+l.old+r)
 		}
-		out = append(out, retiredPoint{name, tiled})
 	}
-	if len(out) != 46 {
-		t.Fatalf("%d retired fixed-k points, want 46", len(out))
-	}
-	return out
+	return names
 }
 
 // sweepPoint runs one variant on one fixture and checks it against the
@@ -414,23 +437,21 @@ func TestVariantRegistryComplete(t *testing.T) {
 	}
 }
 
-// legacyVariantNames are the 49 names of the hand-written registry the
+// legacyVariantNames are the 41 names of the hand-written registry the
 // lattice replaced that still name a kernel. Serving WALs, tuner profiles
 // and saved sweep output hold them, so every one must keep resolving. The
-// registry's eight "-fixed" names are gone with the fixed-k family: they
+// registry's eight "-fixed" names are gone with the fixed-k family and its
+// eight "-bt" names with the transposed-B family (retiredFamilies): they
 // were never servable, so no WAL or tuner profile held one.
 var legacyVariantNames = []string{
 	"coo/serial", "coo/serial-ctx", "coo/parallel", "coo/parallel-ctx", "coo/parallel-replicated",
-	"coo/serial-bt", "coo/parallel-bt",
 	"coo/opts-static", "coo/opts-pool",
 	"csr/serial", "csr/serial-ctx", "csr/parallel", "csr/parallel-ctx", "csr/parallel-dynamic",
-	"csr/serial-bt", "csr/parallel-bt",
 	"csr/opts-static", "csr/opts-balanced", "csr/opts-pool", "csr/opts-balanced-pool",
 	"csc/serial", "csc/parallel",
 	"ell/serial", "ell/serial-colmajor", "ell/parallel", "ell/parallel-colmajor",
-	"ell/serial-bt", "ell/parallel-bt",
 	"ell/opts-static", "ell/opts-pool",
-	"bcsr/serial", "bcsr/parallel", "bcsr/parallel-inner", "bcsr/serial-bt", "bcsr/parallel-bt",
+	"bcsr/serial", "bcsr/parallel", "bcsr/parallel-inner",
 	"bcsr/opts-static", "bcsr/opts-balanced", "bcsr/opts-pool", "bcsr/opts-balanced-pool",
 	"bell/serial", "bell/parallel", "bell/opts-static", "bell/opts-pool",
 	"sellcs/serial", "sellcs/parallel",
@@ -448,8 +469,8 @@ var servableVariantNames = []string{
 }
 
 func TestVariantNamesGolden(t *testing.T) {
-	if len(legacyVariantNames) != 49 {
-		t.Fatalf("golden list has %d names, want 49", len(legacyVariantNames))
+	if len(legacyVariantNames) != 41 {
+		t.Fatalf("golden list has %d names, want 41", len(legacyVariantNames))
 	}
 	for _, name := range legacyVariantNames {
 		v, ok := ParseVariant(name)
@@ -472,7 +493,6 @@ func TestVariantNamesGolden(t *testing.T) {
 		"csr/opts-balanced":        "csr/opts-balanced-pool",
 		"bcsr/opts-balanced-ctx":   "bcsr/opts-balanced-pool-ctx",
 		"sellcs/opts-dynamic":      "sellcs/opts-pool",
-		"ell/opts-dynamic-bt":      "ell/opts-pool-bt",
 		"ell/opts-static-colmajor": "ell/opts-pool-colmajor",
 		"bcsr/parallel-inner":      "bcsr/parallel-inner", // an ablation, not an alias
 	} {
@@ -514,8 +534,8 @@ func TestVariantNamesGolden(t *testing.T) {
 func TestVariantNameRoundTrip(t *testing.T) {
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	if n := len(Variants()); n != 63 {
-		t.Errorf("%d variants enumerated, want 60 lattice points and 3 ablations", n)
+	if n := len(Variants()); n != 39 {
+		t.Errorf("%d variants enumerated, want 36 lattice points and 3 ablations", n)
 	}
 	seen := map[string]bool{}
 	for _, v := range Variants() {
@@ -533,7 +553,7 @@ func TestVariantNameRoundTrip(t *testing.T) {
 			t.Errorf("ParseVariant(%q) = %+v, want %+v", v.Name, got, v)
 		}
 		if v.Func == strings.ToUpper(v.Format) { // a lattice point
-			s := Spec{Threads: 1, Schedule: v.Schedule, Inner: v.Inner}
+			s := Spec{Threads: 1, Schedule: v.Schedule}
 			if v.Parallel {
 				s.Threads, s.Pool = 2, pool
 			}

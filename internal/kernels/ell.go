@@ -10,28 +10,18 @@ import (
 // row is walked to its stored length, so padding costs footprint and
 // conversion time but no work per multiply, and a stored zero is multiplied
 // as CSR multiplies it. The static row partition is balanced by rows, not by
-// nonzeros. Under InnerTransB, b is Bᵀ.
+// nonzeros.
 func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec) error {
 	if err := check(rowELL, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	inner := s.Inner
 	if s.direct() {
-		ellRange(a, b, c, k, inner, 0, a.Rows)
+		ellRows(a, b, c, k, 0, a.Rows)
 		return nil
 	}
 	return run(s, rowELL, a.Rows, nil, func(lo, hi, _ int) {
-		ellRange(a, b, c, k, inner, lo, hi)
-	})
-}
-
-// ellRange runs the range function inner selects over rows [lo, hi).
-func ellRange[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, inner Inner, lo, hi int) {
-	if inner == InnerTransB {
-		ellRowsT(a, b, c, k, lo, hi)
-	} else {
 		ellRows(a, b, c, k, lo, hi)
-	}
+	})
 }
 
 // ellRows runs the ELL row loop over rows [lo, hi), k-tiled like csrRows so
@@ -61,20 +51,6 @@ func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, 
 		} else {
 			base := i * a.Width
 			matrix.AxpyRow(crow, b, j0, a.ColIdx[base:base+n], a.Vals[base:base+n])
-		}
-	}
-}
-
-// ellRowsT is the transposed-B row loop: bt is the kb×n transpose of B.
-func ellRowsT[T matrix.Float](a *formats.ELL[T], bt, c *matrix.Dense[T], k, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := c.Data[i*c.Stride : i*c.Stride+k]
-		clear(crow)
-		for s := 0; s < int(a.RowLen[i]); s++ {
-			col, v := a.At(i, s)
-			for j := range crow {
-				crow[j] += v * bt.Data[j*bt.Stride+int(col)]
-			}
 		}
 	}
 }

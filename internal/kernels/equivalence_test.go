@@ -37,7 +37,6 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 			t.Logf("reference: %v", err)
 			return false
 		}
-		bt := b.Transpose()
 
 		csr := formats.CSRFromCOO(coo)
 		csc := formats.CSCFromCOO(coo)
@@ -61,14 +60,10 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 		}
 
 		runs := map[string]func(out *matrix.Dense[float64]) error{
-			"coo-par": func(out *matrix.Dense[float64]) error { return COO(coo, b, out, k, Spec{Threads: threads}) },
-			"coo-rep": func(out *matrix.Dense[float64]) error { return COOParallelReplicated(coo, b, out, k, threads) },
-			"coo-t":   func(out *matrix.Dense[float64]) error { return COO(coo, bt, out, k, Spec{Inner: InnerTransB}) },
-			"csr":     func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{}) },
-			"csr-par": func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{Threads: threads}) },
-			"csr-t": func(out *matrix.Dense[float64]) error {
-				return CSR(csr, bt, out, k, Spec{Threads: threads, Inner: InnerTransB})
-			},
+			"coo-par":    func(out *matrix.Dense[float64]) error { return COO(coo, b, out, k, Spec{Threads: threads}) },
+			"coo-rep":    func(out *matrix.Dense[float64]) error { return COOParallelReplicated(coo, b, out, k, threads) },
+			"csr":        func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{}) },
+			"csr-par":    func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{Threads: threads}) },
 			"csc":        func(out *matrix.Dense[float64]) error { return CSC(csc, b, out, k, Spec{}) },
 			"csc-par":    func(out *matrix.Dense[float64]) error { return CSCParallel(csc, b, out, k, threads) },
 			"ell":        func(out *matrix.Dense[float64]) error { return ELL(ell, b, out, k, Spec{}) },

@@ -2,9 +2,8 @@
 // kernels of the benchmark suite as a lattice: one exported entry per format
 // (COO, CSR, CSC, ELL, BCSR, BELL, SELLCS) taking a Spec that says how the
 // call executes — serial or parallel, which partition, which machinery,
-// cancellable or not, and which of the format's inner loops (k-tiled or
-// transposed-B) — plus Multiply, which dispatches a prepared float64 matrix
-// to its entry. Three ablations the thesis discusses sit outside the
+// cancellable or not — plus Multiply, which dispatches a prepared float64
+// matrix to its entry. Three ablations the thesis discusses sit outside the
 // lattice as named functions. The SpMV the thesis lists as future work
 // (§6.3.4) is Multiply at k = 1; MultiplyVec is that call for a caller
 // holding plain vectors.
@@ -59,20 +58,15 @@ func panelRow[T matrix.Float](c *matrix.Dense[T], i, j0, jw int) []T {
 // matching the thesis' metric (§4.3).
 func SpMMFlops(nnz, k int) float64 { return 2 * float64(nnz) * float64(k) }
 
-// checkSpMM validates C[:, :k] = A(ar×ac) × B[:, :k]. With transposed set,
-// b is the kb×n transpose of B.
-func checkSpMM[T matrix.Float](ar, ac int, b, c *matrix.Dense[T], k int, transposed bool) error {
-	name, bn, bk := "B", b.Rows, b.Cols
-	if transposed {
-		name, bn, bk = "Bᵀ", b.Cols, b.Rows
-	}
+// checkSpMM validates C[:, :k] = A(ar×ac) × B[:, :k].
+func checkSpMM[T matrix.Float](ar, ac int, b, c *matrix.Dense[T], k int) error {
 	switch {
 	case k < 0:
 		return fmt.Errorf("%w: negative k=%d", ErrShape, k)
-	case bn != ac:
-		return fmt.Errorf("%w: A is %dx%d but %s is %dx%d", ErrShape, ar, ac, name, b.Rows, b.Cols)
-	case k > bk:
-		return fmt.Errorf("%w: k=%d exceeds the %d columns of B (%s is %dx%d)", ErrShape, k, bk, name, b.Rows, b.Cols)
+	case b.Rows != ac:
+		return fmt.Errorf("%w: A is %dx%d but B is %dx%d", ErrShape, ar, ac, b.Rows, b.Cols)
+	case k > b.Cols:
+		return fmt.Errorf("%w: k=%d exceeds the %d columns of B", ErrShape, k, b.Cols)
 	case c.Rows != ar:
 		return fmt.Errorf("%w: A has %d rows but C has %d", ErrShape, ar, c.Rows)
 	case k > c.Cols:

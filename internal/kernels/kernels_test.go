@@ -16,7 +16,6 @@ import (
 type testCase struct {
 	coo  *matrix.COO[float64]
 	b    *matrix.Dense[float64]
-	bt   *matrix.Dense[float64]
 	want *matrix.Dense[float64]
 	k    int
 }
@@ -38,7 +37,7 @@ func newCase(t *testing.T, seed int64, rows, cols, nnz, kmax, k int) *testCase {
 	if err := GEMM(coo.ToDense(), bk.Clone(), want); err != nil {
 		t.Fatal(err)
 	}
-	return &testCase{coo: coo, b: b, bt: b.Transpose(), want: want, k: k}
+	return &testCase{coo: coo, b: b, want: want, k: k}
 }
 
 // checkResult compares the first k columns of got against want.
@@ -107,18 +106,6 @@ func TestCOOKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "COOParallelReplicated")
-
-		c = tc.out()
-		if err := COO(tc.coo, tc.bt, c, tc.k, Spec{Inner: InnerTransB}); err != nil {
-			t.Fatal(err)
-		}
-		tc.check(t, c, "COOSerialT")
-
-		c = tc.out()
-		if err := COO(tc.coo, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB}); err != nil {
-			t.Fatal(err)
-		}
-		tc.check(t, c, "COOParallelT")
 	})
 }
 
@@ -131,10 +118,6 @@ func TestCSRKernels(t *testing.T) {
 		}{
 			{"CSRSerial", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, tc.k, Spec{}) }},
 			{"CSRParallel", func(c *matrix.Dense[float64]) error { return CSR(a, tc.b, c, tc.k, Spec{Threads: threads}) }},
-			{"CSRSerialT", func(c *matrix.Dense[float64]) error { return CSR(a, tc.bt, c, tc.k, Spec{Inner: InnerTransB}) }},
-			{"CSRParallelT", func(c *matrix.Dense[float64]) error {
-				return CSR(a, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB})
-			}},
 		} {
 			c := tc.out()
 			if err := run.fn(c); err != nil {
@@ -171,18 +154,6 @@ func TestELLKernels(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "ELLParallel "+layout.String())
-
-			c = tc.out()
-			if err := ELL(a, tc.bt, c, tc.k, Spec{Inner: InnerTransB}); err != nil {
-				t.Fatal(err)
-			}
-			tc.check(t, c, "ELLSerialT "+layout.String())
-
-			c = tc.out()
-			if err := ELL(a, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB}); err != nil {
-				t.Fatal(err)
-			}
-			tc.check(t, c, "ELLParallelT "+layout.String())
 		})
 	}
 }
@@ -212,18 +183,6 @@ func TestBCSRKernels(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.check(t, c, "BCSRParallelInner")
-
-			c = tc.out()
-			if err := BCSR(a, tc.bt, c, tc.k, Spec{Inner: InnerTransB}); err != nil {
-				t.Fatal(err)
-			}
-			tc.check(t, c, "BCSRSerialT")
-
-			c = tc.out()
-			if err := BCSR(a, tc.bt, c, tc.k, Spec{Threads: threads, Inner: InnerTransB}); err != nil {
-				t.Fatal(err)
-			}
-			tc.check(t, c, "BCSRParallelT")
 		})
 	}
 }
@@ -314,11 +273,6 @@ func TestShapeErrors(t *testing.T) {
 	if err := CSR(a, b, badC, 4, Spec{}); !errors.Is(err, ErrShape) {
 		t.Fatalf("C rows mismatch: %v", err)
 	}
-	// Transposed-B checks.
-	bt := matrix.NewDense[float64](8, 5)
-	if err := CSR(a, bt, c, 4, Spec{Inner: InnerTransB}); !errors.Is(err, ErrShape) {
-		t.Fatalf("Bᵀ cols mismatch: %v", err)
-	}
 }
 
 // TestSpecErrors: a Spec outside a format's lattice row is an error, never
@@ -328,17 +282,8 @@ func TestSpecErrors(t *testing.T) {
 	coo.Append(0, 0, 1)
 	b := matrix.NewDense[float64](4, 8)
 	c := matrix.NewDense[float64](4, 8)
-	bell, err := formats.BELLFromCOO(coo, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, err := range map[string]error{
-		"bell transposed-B": BELL(bell, b, c, 8, Spec{Inner: InnerTransB}),
-		"csc parallel":      CSC(formats.CSCFromCOO(coo), b, c, 8, Spec{Threads: 2}),
-	} {
-		if !errors.Is(err, ErrSpec) {
-			t.Errorf("%s: %v, want ErrSpec", name, err)
-		}
+	if err := CSC(formats.CSCFromCOO(coo), b, c, 8, Spec{Threads: 2}); !errors.Is(err, ErrSpec) {
+		t.Errorf("csc parallel: %v, want ErrSpec", err)
 	}
 	if err := Multiply(struct{ formats.Sparse }{}, b, c, 8, Spec{}); err == nil {
 		t.Error("Multiply accepted a format it has no kernel for")

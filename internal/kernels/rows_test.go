@@ -128,7 +128,7 @@ func splitsCOO() *matrix.COO[float64] {
 	return m
 }
 
-// TestCOOSplits runs both triplet walks over [0, lo), [lo, hi) and [hi, nnz)
+// TestCOOSplits runs the triplet walk over [0, lo), [lo, hi) and [hi, nnz)
 // for every 0 <= lo <= hi <= nnz of splitsCOO: each range on its own canary
 // C must write a set of rows disjoint from the other two's, together every
 // row; all three on one C must leave csr-serial's bits.
@@ -138,47 +138,39 @@ func TestCOOSplits(t *testing.T) {
 	eachInner(t, func(t *testing.T) {
 		for _, k := range []int{3, 33} {
 			b := matrix.NewDenseRand[float64](coo.Cols, k, 4)
-			bt := b.Transpose()
 			ref := csrSerialRef(t, coo, b, k)
-			for _, walk := range []struct {
-				name string
-				run  func(c *matrix.Dense[float64], lo, hi int)
-			}{
-				{"tiled", func(c *matrix.Dense[float64], lo, hi int) { cooTriplets(coo, b, c, k, lo, hi) }},
-				{"transB", func(c *matrix.Dense[float64], lo, hi int) { cooTripletsT(coo, bt, c, k, lo, hi) }},
-			} {
-				for lo := 0; lo <= nnz; lo++ {
-					for hi := lo; hi <= nnz; hi++ {
-						name := fmt.Sprintf("%s k=%d split %d,%d", walk.name, k, lo, hi)
-						ranges := [][2]int{{0, lo}, {lo, hi}, {hi, nnz}}
-						owner := make([]int, coo.Rows)
-						for i := range owner {
-							owner[i] = -1
-						}
-						for r, rg := range ranges {
-							c := canaryDense(coo.Rows, k)
-							walk.run(c, rg[0], rg[1])
-							for i := 0; i < coo.Rows; i++ {
-								if math.Float64bits(c.At(i, 0)) == math.Float64bits(rowCanary) {
-									continue
-								}
-								if owner[i] >= 0 {
-									t.Fatalf("%s: row %d written by ranges %v and %v", name, i, ranges[owner[i]], rg)
-								}
-								owner[i] = r
-							}
-						}
-						for i, r := range owner {
-							if r < 0 {
-								t.Fatalf("%s: row %d written by no range", name, i)
-							}
-						}
-						c := canaryDense(coo.Rows, k)
-						for _, rg := range ranges {
-							walk.run(c, rg[0], rg[1])
-						}
-						requireBitwise(t, name, c, ref)
+			walk := func(c *matrix.Dense[float64], lo, hi int) { cooTriplets(coo, b, c, k, lo, hi) }
+			for lo := 0; lo <= nnz; lo++ {
+				for hi := lo; hi <= nnz; hi++ {
+					name := fmt.Sprintf("k=%d split %d,%d", k, lo, hi)
+					ranges := [][2]int{{0, lo}, {lo, hi}, {hi, nnz}}
+					owner := make([]int, coo.Rows)
+					for i := range owner {
+						owner[i] = -1
 					}
+					for r, rg := range ranges {
+						c := canaryDense(coo.Rows, k)
+						walk(c, rg[0], rg[1])
+						for i := 0; i < coo.Rows; i++ {
+							if math.Float64bits(c.At(i, 0)) == math.Float64bits(rowCanary) {
+								continue
+							}
+							if owner[i] >= 0 {
+								t.Fatalf("%s: row %d written by ranges %v and %v", name, i, ranges[owner[i]], rg)
+							}
+							owner[i] = r
+						}
+					}
+					for i, r := range owner {
+						if r < 0 {
+							t.Fatalf("%s: row %d written by no range", name, i)
+						}
+					}
+					c := canaryDense(coo.Rows, k)
+					for _, rg := range ranges {
+						walk(c, rg[0], rg[1])
+					}
+					requireBitwise(t, name, c, ref)
 				}
 			}
 		}
@@ -188,7 +180,7 @@ func TestCOOSplits(t *testing.T) {
 // TestCOOCancelStridePieces: with a context the triplets run in pieces of
 // cancelStride. Here the piece boundary at triplet cancelStride falls inside
 // a run, and the last piece is short — the end of that run, empty rows, one
-// more run and the trailing empty rows — serial and parallel, both walks.
+// more run and the trailing empty rows — serial and parallel.
 func TestCOOCancelStridePieces(t *testing.T) {
 	const rows, cols, k = 90, 40, 7
 	coo := matrix.NewCOO[float64](rows, cols, 0)
@@ -211,24 +203,17 @@ func TestCOOCancelStridePieces(t *testing.T) {
 			n, coo.RowIdx[cancelStride-1], cancelStride-1, coo.RowIdx[cancelStride], cancelStride, row+5, rows)
 	}
 	b := matrix.NewDenseRand[float64](cols, k, 8)
-	bt := b.Transpose()
 	ref := csrSerialRef(t, coo, b, k)
 	pool := parallel.NewPool(3)
 	defer pool.Close()
 	eachInner(t, func(t *testing.T) {
 		for _, threads := range []int{1, 3} {
-			for _, inner := range []Inner{InnerTiled, InnerTransB} {
-				operand := b
-				if inner == InnerTransB {
-					operand = bt
-				}
-				c := canaryDense(rows, k)
-				s := Spec{Threads: threads, Ctx: context.Background(), Inner: inner, Pool: pool}
-				if err := COO(coo, operand, c, k, s); err != nil {
-					t.Fatal(err)
-				}
-				requireBitwise(t, fmt.Sprintf("threads=%d inner=%v", threads, inner), c, ref)
+			c := canaryDense(rows, k)
+			s := Spec{Threads: threads, Ctx: context.Background(), Pool: pool}
+			if err := COO(coo, b, c, k, s); err != nil {
+				t.Fatal(err)
 			}
+			requireBitwise(t, fmt.Sprintf("threads=%d", threads), c, ref)
 		}
 	})
 }

@@ -13,15 +13,16 @@ import (
 )
 
 // This file is the execution half of the format × execution lattice. Every
-// format has one exported entry taking a Spec; the entry validates, picks
-// its range function by Spec.Inner, and hands the range to run — the single
-// place that chooses between the caller's goroutine and a pool region over
-// the static partition or precomputed bounds, and the single place that
-// steps a range in cancelStride pieces under a context.
-// The range functions themselves (csrRows, csrRowsT, ...) are the paper's
-// subject and stay one separate loop nest each. There is one k loop per
-// format: k is a runtime bound, and a compile-time k would leave the row
-// entry nothing to remove but its remainder tiles (Study 9).
+// format has one exported entry taking a Spec; the entry validates and hands
+// its range function to run — the single place that chooses between the
+// caller's goroutine and a pool region over the static partition or
+// precomputed bounds, and the single place that steps a range in
+// cancelStride pieces under a context.
+// The range functions themselves (csrRows, ellRows, ...) are the paper's
+// subject and stay one separate loop nest each. There is one inner loop per
+// format, the row entry, and one k loop: k is a runtime bound, and a
+// compile-time k would leave the row entry nothing to remove but its
+// remainder tiles (Study 9).
 
 // Schedule selects how a parallel kernel partitions its rows over workers.
 type Schedule int
@@ -48,8 +49,9 @@ func (s Schedule) String() string {
 	return "static"
 }
 
-// Inner selects which of a format's range functions runs: the two loop
-// nests the paper compares per format.
+// Inner selects how a simulated kernel reads B: the two loop nests Study 8
+// compares. It is an argument of the simulators (machine.Simulate,
+// gpusim.SpMM) only; every host kernel reads B row by row.
 type Inner uint8
 
 const (
@@ -76,8 +78,6 @@ type Spec struct {
 	// triplets, CSC columns) and return ctx.Err() early, leaving C
 	// partially written.
 	Ctx context.Context
-	// Inner selects the range function.
-	Inner Inner
 	// Trace, when non-nil and enabled, receives one "kernel" span per
 	// parallel dispatch (lane 0, detail = format, arg = thread count; COO
 	// dispatches twice, zeroing C and then accumulating).
@@ -90,7 +90,7 @@ type Spec struct {
 // and the pool left out (every parallel run is on one). ParseVariant is its
 // inverse.
 func (s Spec) Name() string {
-	return Variant{Parallel: s.Threads > 1, Schedule: s.Schedule, Ctx: s.Ctx != nil, Inner: s.Inner}.machinery()
+	return Variant{Parallel: s.Threads > 1, Schedule: s.Schedule, Ctx: s.Ctx != nil}.machinery()
 }
 
 // direct reports whether the call is the closure-free serial path: the
@@ -112,8 +112,6 @@ type row struct {
 	// balanced: a nonzero-balanced partition distinct from the static one
 	// exists. Rows without it accept ScheduleBalanced and run static.
 	balanced bool
-	// transB: a transposed-B range function exists.
-	transB bool
 	// colMajor: the format has a second, column-major storage layout
 	// (formats.Params.Layout) the same entry runs on.
 	colMajor bool
@@ -130,11 +128,11 @@ func (r *row) register() *row {
 }
 
 var (
-	rowCOO    = (&row{format: "coo", parallel: true, transB: true}).register()
-	rowCSR    = (&row{format: "csr", parallel: true, balanced: true, transB: true}).register()
+	rowCOO    = (&row{format: "coo", parallel: true}).register()
+	rowCSR    = (&row{format: "csr", parallel: true, balanced: true}).register()
 	rowCSC    = (&row{format: "csc"}).register()
-	rowELL    = (&row{format: "ell", parallel: true, transB: true, colMajor: true}).register()
-	rowBCSR   = (&row{format: "bcsr", parallel: true, balanced: true, transB: true}).register()
+	rowELL    = (&row{format: "ell", parallel: true, colMajor: true}).register()
+	rowBCSR   = (&row{format: "bcsr", parallel: true, balanced: true}).register()
 	rowBELL   = (&row{format: "bell", parallel: true}).register()
 	rowSELLCS = (&row{format: "sellcs", parallel: true, balanced: true}).register()
 
@@ -143,13 +141,10 @@ var (
 
 // check validates s against the format's row and the operand shapes.
 func check[T matrix.Float](r *row, s Spec, ar, ac int, b, c *matrix.Dense[T], k int) error {
-	switch {
-	case s.Inner != InnerTiled && !r.transB:
-		return fmt.Errorf("%w: %s has only the tiled inner loop", ErrSpec, r.format)
-	case s.Threads > 1 && !r.parallel:
+	if s.Threads > 1 && !r.parallel {
 		return fmt.Errorf("%w: %s has no row-parallel decomposition", ErrSpec, r.format)
 	}
-	return checkSpMM(ar, ac, b, c, k, s.Inner == InnerTransB)
+	return checkSpMM(ar, ac, b, c, k)
 }
 
 // run executes body over [0, n) as s says, as one dispatch of r's format:
@@ -229,8 +224,7 @@ func Multiply(a formats.Sparse, b, c *matrix.Dense[float64], k int, s Spec) erro
 // MultiplyVec computes y = A × x: Multiply at k = 1 over the caller's
 // slices, viewed without copying as one-column panels, so a vector gets
 // every format and every Spec the lattice has. A len(x) or len(y) that
-// does not match A's shape is ErrShape, as for any panel — and so is
-// InnerTransB, since x is viewed as the n×1 B, never as a 1×n Bᵀ.
+// does not match A's shape is ErrShape, as for any panel.
 func MultiplyVec(a formats.Sparse, x, y []float64, s Spec) error {
 	b := &matrix.Dense[float64]{Rows: len(x), Cols: 1, Stride: 1, Data: x}
 	c := &matrix.Dense[float64]{Rows: len(y), Cols: 1, Stride: 1, Data: y}

@@ -43,8 +43,7 @@ type Variant struct {
 	// present/absent; Run binds them from the VariantInput.
 	Parallel bool // Spec.Threads > 1
 	Schedule Schedule
-	Ctx      bool // Spec.Ctx != nil
-	Inner    Inner
+	Ctx      bool              // Spec.Ctx != nil
 	Layout   formats.ELLLayout // ELL only
 
 	ablation func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error
@@ -64,9 +63,6 @@ func (v Variant) machinery() string {
 	if v.Ctx {
 		name += "-ctx"
 	}
-	if v.Inner == InnerTransB {
-		name += "-bt"
-	}
 	return name
 }
 
@@ -84,10 +80,6 @@ func (r *row) point(v Variant) Variant {
 // parallel ones static-before-balanced — the order ServableVariants (and so
 // the tuner's round-robin) has always had.
 func (r *row) points() []Variant {
-	inners := []Inner{InnerTiled}
-	if r.transB {
-		inners = []Inner{InnerTiled, InnerTransB}
-	}
 	layouts := []formats.ELLLayout{formats.RowMajor}
 	if r.colMajor {
 		layouts = []formats.ELLLayout{formats.RowMajor, formats.ColMajor}
@@ -106,11 +98,9 @@ func (r *row) points() []Variant {
 	var out []Variant
 	for _, m := range machines {
 		for _, layout := range layouts {
-			for _, inner := range inners {
-				for _, ctx := range []bool{false, true} {
-					out = append(out, r.point(Variant{Parallel: m.parallel, Schedule: m.sched,
-						Ctx: ctx, Inner: inner, Layout: layout}))
-				}
+			for _, ctx := range []bool{false, true} {
+				out = append(out, r.point(Variant{Parallel: m.parallel, Schedule: m.sched,
+					Ctx: ctx, Layout: layout}))
 			}
 		}
 	}
@@ -210,11 +200,11 @@ func ParseVariant(name string) (Variant, bool) {
 
 // servable reports whether a server may dispatch a live multiply (or a
 // shadow trial) on v: a parallel lattice point on the row-major layout with
-// the tiled inner loop and no context — bitwise (so a challenger's output
+// no context — bitwise (so a challenger's output
 // can be verified against the served result exactly), valid for any k, and
 // scheduled by its name alone.
 func (v Variant) servable() bool {
-	return v.Parallel && !v.Ctx && v.Inner == InnerTiled && v.Layout == formats.RowMajor
+	return v.Parallel && !v.Ctx && v.Layout == formats.RowMajor
 }
 
 // ServableVariants returns the enumeration's servable subset, in order.
@@ -261,8 +251,7 @@ type VariantInput struct {
 	// Block is the BCSR/BELL block edge Prepare converts with.
 	Block int
 
-	B  *matrix.Dense[float64] // n×k dense operand
-	BT *matrix.Dense[float64] // k×n transpose, for the InnerTransB points
+	B *matrix.Dense[float64] // n×k dense operand
 
 	K       int
 	Threads int
@@ -280,7 +269,7 @@ type VariantInput struct {
 // BCSR/BELL block edge, seed the B fill.
 func NewVariantInput(coo *matrix.COO[float64], k, threads, block int, seed int64) *VariantInput {
 	b := matrix.NewDenseRand[float64](coo.Cols, k, seed)
-	return &VariantInput{COO: coo, Block: block, B: b, BT: b.Transpose(), K: k, Threads: threads}
+	return &VariantInput{COO: coo, Block: block, B: b, K: k, Threads: threads}
 }
 
 // Prepare returns the format v consumes, converting and caching it on first
@@ -306,7 +295,7 @@ func (in *VariantInput) Prepare(v Variant) (formats.Sparse, error) {
 
 // spec binds the variant's coordinates to in's resources.
 func (v Variant) spec(in *VariantInput) Spec {
-	s := Spec{Threads: 1, Schedule: v.Schedule, Pool: in.Pool, Inner: v.Inner}
+	s := Spec{Threads: 1, Schedule: v.Schedule, Pool: in.Pool}
 	if v.Parallel {
 		s.Threads = in.Threads
 	}
@@ -325,11 +314,7 @@ func (v Variant) Run(in *VariantInput, out *matrix.Dense[float64]) error {
 	if v.ablation != nil {
 		return v.ablation(a, in, out)
 	}
-	b := in.B
-	if v.Inner == InnerTransB {
-		b = in.BT
-	}
-	return Multiply(a, b, out, in.K, v.spec(in))
+	return Multiply(a, in.B, out, in.K, v.spec(in))
 }
 
 // RunVariant executes the named variant against in.

@@ -126,16 +126,6 @@ func (m *COO[T]) Dedup() int {
 	return merged
 }
 
-// Transpose returns a new COO holding the transpose of m, sorted row-major.
-func (m *COO[T]) Transpose() *COO[T] {
-	t := NewCOO[T](m.Cols, m.Rows, m.NNZ())
-	for i := range m.Vals {
-		t.Append(m.ColIdx[i], m.RowIdx[i], m.Vals[i])
-	}
-	t.SortRowMajor()
-	return t
-}
-
 // ToDense expands m into a dense matrix, summing duplicates.
 func (m *COO[T]) ToDense() *Dense[T] {
 	d := NewDense[T](m.Rows, m.Cols)

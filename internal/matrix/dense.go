@@ -75,28 +75,6 @@ func (d *Dense[T]) Clone() *Dense[T] {
 	return c
 }
 
-// Transpose returns a newly allocated transpose of d. It is written with
-// blocked traversal so the transposition itself is cache-friendly; the
-// transpose study (Study 8) charges this cost against the transposed
-// kernels.
-func (d *Dense[T]) Transpose() *Dense[T] {
-	t := NewDense[T](d.Cols, d.Rows)
-	const bs = 32
-	for ii := 0; ii < d.Rows; ii += bs {
-		iEnd := min(ii+bs, d.Rows)
-		for jj := 0; jj < d.Cols; jj += bs {
-			jEnd := min(jj+bs, d.Cols)
-			for i := ii; i < iEnd; i++ {
-				row := d.Data[i*d.Stride:]
-				for j := jj; j < jEnd; j++ {
-					t.Data[j*t.Stride+i] = row[j]
-				}
-			}
-		}
-	}
-	return t
-}
-
 // EqualTol reports whether d and o have identical dimensions and all
 // elements equal within tol (see EqualTol on scalars).
 func (d *Dense[T]) EqualTol(o *Dense[T], tol float64) bool {

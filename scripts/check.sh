@@ -101,8 +101,7 @@ echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or
 # vector bodies multiply then add, lane by lane, so they are bit-identical to
 # the Go loop (axpyScalar, which the row entry's Go body calls) — a fused
 # instruction would round once and break every bitwise contract in the tree.
-# The transposed-B loops index bt and are a different statement. go vet above
-# ran asmdecl over the .s file.
+# go vet above ran asmdecl over the .s file.
 asm=$(find . -name '*.s' -not -name '*_test.s' -not -path './.git/*')
 if [ "$asm" != "./internal/matrix/axpy_amd64.s" ]; then
     echo "the only assembly in the tree is internal/matrix/axpy_amd64.s; found:" >&2; echo "$asm" >&2; exit 1
@@ -166,18 +165,37 @@ fi
 # test in front of the row entry: ELL and SELL-C-σ walk a row to its length
 # and multiply what is there, stored zeros included, and the zeros inside a
 # stored BCSR or BELL block, which are fill, are skipped by the row entry's
-# block lane (DESIGN.md section 5). Only the transposed-B block-row loop and
-# the inner-parallel ablation, which do not end in the row entry, test values.
+# block lane (DESIGN.md section 5). Only the inner-parallel ablation, which
+# is not a lattice point and does not end in the row entry, tests values.
 if ! awk '
     /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
     /^[ \t]*\/\// { next }
     { code = $0; sub(/[ \t]\/\/.*/, "", code) }
-    code ~ /== 0/ && fn !~ /^(bcsrBlockRowsT|BCSRParallelInner)$/ { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    code ~ /== 0/ && fn != "BCSRParallelInner" { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
     END { exit bad }
 ' internal/kernels/ell.go internal/kernels/bell.go internal/kernels/bcsr.go; then
     echo "the row entry skips block fill and loops padded rows to RowLen; a value test in front of it scans the padding again or drops stored zeros" >&2; exit 1
 fi
 GOARCH=arm64 go vet ./internal/...
+
+echo "== one inner loop per format (no host transposed-B kernel: InnerTransB only where it is declared and in csr-gpu-t's registration, no *RowsT or *TripletsT function, no Transposed() method) =="
+# Every host kernel reads B row by row through the row entry; Study 8's
+# transposed-B loop lives only in the simulators (machine.Simulate,
+# gpusim.SpMM), which take kernels.Inner as an argument, and in the simulated
+# device's csr-gpu-t, which transposes B on the device. The CPU family was
+# retired after the host table in EXPERIMENTS.md ("Study 8 on the host")
+# read every transposed kernel at 0.04–0.78× its plain one.
+if ! awk '
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/[ \t]\/\/.*/, "", code) }
+    code ~ /InnerTransB/ && code !~ /^[ \t]*InnerTransB[ \t]*$/ && !(FILENAME ~ /^internal\/core\/registry\.go$/ && code ~ /"csr-gpu-t"/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }
+' $(ls internal/kernels/*.go internal/core/*.go | grep -v _test.go); then
+    echo "InnerTransB is the simulators' argument: no host kernel reads Bᵀ (EXPERIMENTS.md, Study 8 on the host)" >&2; exit 1
+fi
+if grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*(RowsT|TripletsT)\b|^func \([^)]*\) Transposed\(|^[[:space:]]+Transposed\(\)' $(find . -name '*.go' -not -path './.git/*'); then
+    echo "one inner loop per format: no transposed-B range function, and no kernel consumes Bᵀ (core.Kernel has no Transposed)" >&2; exit 1
+fi
 
 echo "== one kernel family (SpMV is Multiply at k = 1: no SpMV function, registry name or identifier outside examples/batchedspmv) =="
 # A vector is a one-column panel: kernels.MultiplyVec views it and calls
