@@ -23,8 +23,9 @@ import (
 // lattice (serial, parallel, balanced, cancellable,
 // both ELL layouts, every format) and the three
 // ablations run against the dense GEMM reference on five structurally
-// adversarial matrix classes, as a panel (k = 16) and as a vector (k = 1:
-// SpMV is the same kernels at one column, held to the same contract).
+// adversarial matrix classes, as a panel (k = 16), as a vector (k = 1:
+// SpMV is the same kernels at one column, held to the same contract) and at
+// two ragged widths (k = 5 and 181, sweepRaggedKs).
 // Variants whose accumulation order matches the serial per-element order
 // must agree bit for bit; the reassociating variants (private-accumulator
 // reductions) must agree within one ULP of the accumulated magnitude per
@@ -36,12 +37,20 @@ import (
 // cannot dodge the sweep.
 
 // sweepK is one 16-wide tile of the row entry's vector body, as k = 1 is
-// one scalar column. Both are a single tileK panel: panel chaining is held
-// to the dense reference by the k = 328 row of shapes (kernels_test.go).
+// one scalar column. Both are a single tileK panel; panel chaining is the
+// k = 181 of sweepRaggedKs here and the k = 328 row of shapes
+// (kernels_test.go).
 const sweepK = 16
 
 // sweepKs are the column counts every point runs at.
 var sweepKs = []int{1, sweepK}
+
+// sweepRaggedKs are the ragged column counts every point also runs at, so
+// the reassociating points meet the row entry's whole tile ladder on the
+// adversarial classes too: k = 5 is the 4-wide tile and one scalar column
+// alone, and k = 181 = 128 + 32 + 16 + 4 + 1 runs every tile, across two
+// tileK panels of the k-tiled loops.
+var sweepRaggedKs = []int{5, 181}
 
 const sweepThreads = 4
 
@@ -128,9 +137,9 @@ func TestDifferentialSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fixture: %v", class, err)
 		}
-		converted := map[string]formats.Sparse{"sellcs": sell} // shared by both k
+		converted := map[string]formats.Sparse{"sellcs": sell} // shared by every k
 		var fixtures []sweepFixture
-		for _, k := range sweepKs {
+		for _, k := range append(slices.Clone(sweepKs), sweepRaggedKs...) {
 			in := NewVariantInput(coo, k, sweepThreads, 3, 21)
 			in.Pool, in.Formats = pool, converted
 			ref := matrix.NewDense[float64](coo.Rows, k)
@@ -161,7 +170,7 @@ func TestDifferentialSweep(t *testing.T) {
 		for _, r := range retired {
 			t.Run(class+"/"+r.name, func(t *testing.T) {
 				eachInner(t, func(t *testing.T) {
-					fx := fixtures[len(fixtures)-1] // k = sweepK: the family never served k = 1
+					fx := fixtures[1] // k = sweepK: the family served only k <= tileK, never k = 1
 					t.Run(fmt.Sprintf("k=%d", fx.in.K), func(t *testing.T) { sweepPoint(t, r.now, fx) })
 				})
 			})

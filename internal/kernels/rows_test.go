@@ -74,10 +74,11 @@ func gapsCOO() *matrix.COO[float64] {
 
 // TestEveryRowWritten runs every bitwise variant — the lattice points, which
 // include every servable one, and the inner-parallel ablation — under every
-// level on a C that starts as the canary, at k = 1, 5 and 181 (181 = 128 +
-// 32 + 16 + 4 + 1 runs every tile of the row entry, and two panels of the
-// k-tiled loops), and requires csr-serial's bits in every row: on gapsCOO and
-// on a matrix with no nonzeros at all.
+// level on a C that starts as the canary, at k = 1, 5, 32, 128 and 181 (32
+// and 128 are each exactly one tile of the row entry, the widest under AVX2
+// and under AVX-512, with no tail after it; 181 = 128 + 32 + 16 + 4 + 1 runs
+// every tile, and two panels of the k-tiled loops), and requires csr-serial's
+// bits in every row: on gapsCOO and on a matrix with no nonzeros at all.
 func TestEveryRowWritten(t *testing.T) {
 	pool := parallel.NewPool(sweepThreads)
 	defer pool.Close()
@@ -86,7 +87,7 @@ func TestEveryRowWritten(t *testing.T) {
 		points = append(points, retiredPoint{v.Name, v})
 	}
 	for class, coo := range map[string]*matrix.COO[float64]{"gaps": gapsCOO(), "all-zero": matrix.NewCOO[float64](22, 19, 0)} {
-		for _, k := range []int{1, 5, 181} {
+		for _, k := range []int{1, 5, 32, 128, 181} {
 			in := NewVariantInput(coo, k, sweepThreads, 3, 9)
 			in.Pool = pool
 			ref := csrSerialRef(t, coo, in.B, k)
