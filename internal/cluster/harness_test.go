@@ -46,13 +46,15 @@ type faultGate struct {
 	next    http.Handler
 }
 
-// answer is one scripted reply. At most one of status, cut, short and hang
-// is set; none means the replica answers itself, with header stamped on top.
+// answer is one scripted reply. At most one of status, cut, short, hang and
+// hold is set; none means the replica answers itself, with header stamped on
+// top.
 type answer struct {
 	status int         // answer this status (serve's error shape) without reaching the replica
 	cut    bool        // send a 200 status line and headers promising a body, then drop the connection
 	short  bool        // declare Content-Length 64, deliver 8 bytes
 	hang   bool        // hold the request until heal
+	hold   bool        // hold the request until heal, then let the replica answer it
 	header http.Header // added to whatever is answered
 }
 
@@ -89,6 +91,9 @@ func (a answer) play(w http.ResponseWriter, release chan struct{}) bool {
 	case a.hang:
 		<-release
 		w.WriteHeader(http.StatusServiceUnavailable)
+	case a.hold:
+		<-release
+		return false
 	case a.cut:
 		conn, buf, err := w.(http.Hijacker).Hijack()
 		if err != nil {
@@ -116,7 +121,7 @@ func (g *faultGate) script(match string, ans answer) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.mode, g.match, g.ans = "script", match, ans
-	if ans.hang {
+	if ans.hang || ans.hold {
 		g.release = make(chan struct{})
 	}
 }

@@ -39,8 +39,12 @@ import (
 // move: target joins the holder set, leaving (when named) drops out of it,
 // and the pin clears — or, when the copy failed, the pin alone clears and
 // the old placement keeps serving. It is the only code that ends a move.
+// The copy and the settling hold the entry's mutation lock together: a
+// batch fanned out between them would be acked without the target, which
+// would then serve the epoch before it.
 func (rt *Router) rehome(e *entry, target *replica, leaving string) error {
-	err := rt.moveEntry(target, e)
+	e.mutMu.Lock()
+	err := rt.ensureRegistered(target, e)
 	rt.mu.Lock()
 	if err == nil {
 		e.addHolderLocked(target.name)
@@ -50,6 +54,7 @@ func (rt *Router) rehome(e *entry, target *replica, leaving string) error {
 	}
 	e.pinned = ""
 	rt.mu.Unlock()
+	e.mutMu.Unlock()
 	if err != nil {
 		rt.log.Warn("move failed", "matrix", e.id, "replica", target.name, "err", err)
 		err = fmt.Errorf("cluster: move %s to %s: %w", e.id, target.name, err)
@@ -210,8 +215,8 @@ func (rt *Router) maybeReplicate(e *entry) {
 // new holder serves bitwise-identical results at the same epoch), verify
 // the content address, then prepare. Idempotent — re-registering an
 // existing matrix is a no-op on the replica, and prepare of a resident
-// format is a hit. Callers serialize against the mutation fan-out by
-// holding e.mutMu (moveEntry does), or the batch landing mid-copy would be
+// format is a hit. The caller serializes against the mutation fan-out by
+// holding e.mutMu (rehome does), or a batch landing mid-copy would be
 // missing on the new holder.
 func (rt *Router) ensureRegistered(rep *replica, e *entry) error {
 	rt.mu.Lock()
@@ -242,15 +247,6 @@ func (rt *Router) ensureRegistered(rep *replica, e *entry) error {
 		return fmt.Errorf("warm prepare: %w", err)
 	}
 	return nil
-}
-
-// moveEntry is ensureRegistered under the entry's mutation lock — every
-// re-home and replication copy goes through here so no mutation batch can
-// land between the export and the target's registration.
-func (rt *Router) moveEntry(rep *replica, e *entry) error {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	return rt.ensureRegistered(rep, e)
 }
 
 // pullExport fetches the canonical triplets from the first holder that

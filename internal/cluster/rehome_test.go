@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -113,4 +114,61 @@ func TestRehomeRollsBack(t *testing.T) {
 		})
 		assertRolledBack(t, tc, []*testMatrix{m}, target, before)
 	})
+}
+
+// TestMoveHoldsMutationsUntilCutover: a rebalance move holds its entry's
+// mutation lock from the copy through the cutover that makes the target a
+// holder. A batch fanned out in between would be acked without the target,
+// which would then serve the epoch before it — what
+// TestRebalanceMidMutationStream caught now and then as "router serves … at
+// epoch 9, want 10". The test takes the router lock, so the move stops
+// right before its cutover once its warm-up returns, and requires the
+// mutation lock to stay taken there.
+func TestMoveHoldsMutationsUntilCutover(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	tc.registerMatrices(12)
+	joiner := startReplica(t, "r3", nil)
+	tc.replicas["r3"] = joiner
+	joiner.gate.script("/prepare", answer{hold: true})
+	joined := make(chan error, 1)
+	go func() {
+		_, err := tc.router.Join(JoinRequest{Name: "r3", Base: joiner.base})
+		joined <- err
+	}()
+
+	// The first move's copy is registered on the joiner and its warm-up is
+	// held: that matrix is the one in flight.
+	direct := serve.NewClient(joiner.base)
+	var moving string
+	waitFor(t, "the first copy to land on the joiner", func() bool {
+		infos, err := direct.Matrices()
+		if err != nil || len(infos) == 0 {
+			return false
+		}
+		moving = infos[0].ID
+		return true
+	})
+	gap := func() bool {
+		tc.router.mu.Lock()
+		defer tc.router.mu.Unlock()
+		e := tc.router.entries[moving]
+		joiner.gate.heal()
+		waitFor(t, "the joiner's warm-up", func() bool {
+			infos, err := direct.Matrices()
+			return err == nil && len(infos) == 1 && infos[0].Prepared
+		})
+		for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if e.mutMu.TryLock() {
+				e.mutMu.Unlock()
+				return true
+			}
+		}
+		return false
+	}()
+	if gap {
+		t.Fatal("the mutation lock was free between the copy and the cutover: a batch there misses the joiner")
+	}
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
 }

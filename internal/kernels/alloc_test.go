@@ -34,7 +34,7 @@ func TestSerialCalculateZeroAlloc(t *testing.T) { eachInner(t, serialCalculateZe
 // All six formats: every one hands the row entry slices of its own arrays —
 // a run, pairs a stride apart, or a block lane — and nothing may box them.
 func serialCalculateZeroAlloc(t *testing.T) {
-	for _, k := range []int{1, 128, 336} { // a vector, a single panel, tiled
+	for _, k := range []int{1, 128, 336} { // a vector, one 128-wide tile, tiles and a tail
 		coo, csr, ell, bcsr, b, c := allocFixtures(t, k)
 		ellCM := formats.ELLFromCOO(coo, formats.ColMajor)
 		bell, err := formats.BELLFromCOO(coo, 4, 4)
@@ -63,7 +63,7 @@ func serialCalculateZeroAlloc(t *testing.T) {
 
 // TestFixedKCalculateZeroAlloc runs the serial audit at the k values the
 // retired fixed-k family specialised, where the row entry runs its vector
-// tiles without a remainder, and at two full panels.
+// tiles without a remainder, and at two full 128-column tiles.
 func TestFixedKCalculateZeroAlloc(t *testing.T) { eachInner(t, fixedKCalculateZeroAlloc) }
 
 func fixedKCalculateZeroAlloc(t *testing.T) {

@@ -30,23 +30,11 @@ func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Sp
 
 // bcsrBlockRows processes block rows [lo, hi). The padded fringe of the
 // trailing block row and column holds only zeros (Validate), which the row
-// entry skips as fill; the trailing block row's lanes stop at Rows. The
-// dense-column loop is k-tiled like csrRows so wide-k runs keep each B panel
-// cache-hot across the band.
+// entry skips as fill; the trailing block row's lanes stop at Rows.
 func bcsrBlockRows[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	if k <= tileK {
-		bcsrBlockRowsPanel(a, b, c, 0, k, lo, hi)
-		return
-	}
-	for j0 := 0; j0 < k; j0 += tileK {
-		bcsrBlockRowsPanel(a, b, c, j0, min(tileK, k-j0), lo, hi)
-	}
-}
-
-func bcsrBlockRowsPanel[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
 	blk := blocks[T]{rows: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
 	for bri := lo; bri < hi; bri++ {
-		blk.rowPanel(bri, int(a.RowPtr[bri]), int(a.RowPtr[bri+1]), b, c, j0, jw)
+		blk.blockRow(bri, int(a.RowPtr[bri]), int(a.RowPtr[bri+1]), b, c, k)
 	}
 }
 
@@ -59,21 +47,21 @@ type blocks[T matrix.Float] struct {
 	vals         []T
 }
 
-// rowPanel writes columns [j0, j0+jw) of the C rows of block row bri from
+// blockRow writes the first k columns of the C rows of block row bri from
 // its slots [p, q). Each lane is one C row, handed to the row entry as a
 // block lane over all of the slots, which reads the lane's values in place
 // and skips the zeros among them as fill; so a lane's pairs arrive in slot
-// order, then column order. The row entry writes the lane's tile of C whole;
+// order, then column order. The row entry writes the lane's row of C whole;
 // a block row with no slots is the empty run, which writes zeros.
-func (a blocks[T]) rowPanel(bri, p, q int, b, c *matrix.Dense[T], j0, jw int) {
+func (a blocks[T]) blockRow(bri, p, q int, b, c *matrix.Dense[T], k int) {
 	rowBase := bri * a.br
 	cols, vals := a.colIdx[p:q], a.vals[p*a.br*a.bc:q*a.br*a.bc]
 	for r := range min(a.br, a.rows-rowBase) {
-		crow := panelRow(c, rowBase+r, j0, jw)
+		crow := cRow(c, rowBase+r, k)
 		if p < q {
-			matrix.AxpyRowBlock(crow, b, j0, cols, vals[r*a.bc:], a.bc, a.br*a.bc)
+			matrix.AxpyRowBlock(crow, b, cols, vals[r*a.bc:], a.bc, a.br*a.bc)
 		} else {
-			matrix.AxpyRow(crow, b, j0, nil, nil)
+			matrix.AxpyRow(crow, b, nil, nil)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Sp
 func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
 	blk := blocks[T]{rows: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
 	for bri := lo; bri < hi; bri++ {
-		blk.rowPanel(bri, bri*a.Width, bri*a.Width+int(a.RowLen[bri]), b, c, 0, k)
+		blk.blockRow(bri, bri*a.Width, bri*a.Width+int(a.RowLen[bri]), b, c, k)
 	}
 }
 
@@ -62,11 +62,11 @@ func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, 
 		base := int(a.SlicePtr[sl])
 		laneLim := min(a.C, a.Rows-sl*a.C)
 		for l := 0; l < laneLim; l++ {
-			crow := panelRow(c, int(a.Perm[sl*a.C+l]), 0, k)
+			crow := cRow(c, int(a.Perm[sl*a.C+l]), k)
 			if n := int(a.RowLen[sl*a.C+l]); n > 0 {
-				matrix.AxpyRowStrided(crow, b, 0, a.ColIdx[base+l:], a.Vals[base+l:], n, a.C)
+				matrix.AxpyRowStrided(crow, b, a.ColIdx[base+l:], a.Vals[base+l:], n, a.C)
 			} else {
-				matrix.AxpyRow(crow, b, 0, nil, nil)
+				matrix.AxpyRow(crow, b, nil, nil)
 			}
 		}
 	}

@@ -86,13 +86,13 @@ func cooTriplets[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo,
 			q++
 		}
 		for ; r < row; r++ {
-			matrix.AxpyRow(panelRow(c, r, 0, k), b, 0, nil, nil)
+			matrix.AxpyRow(cRow(c, r, k), b, nil, nil)
 		}
-		matrix.AxpyRow(panelRow(c, row, 0, k), b, 0, a.ColIdx[p:q], a.Vals[p:q])
+		matrix.AxpyRow(cRow(c, row, k), b, a.ColIdx[p:q], a.Vals[p:q])
 		p, r = q, row+1
 	}
 	for ; r < r1; r++ {
-		matrix.AxpyRow(panelRow(c, r, 0, k), b, 0, nil, nil)
+		matrix.AxpyRow(cRow(c, r, k), b, nil, nil)
 	}
 }
 

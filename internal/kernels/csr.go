@@ -31,26 +31,13 @@ func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec
 	})
 }
 
-// csrRows runs the CSR row loop over rows [lo, hi), processing B in panels
-// of tileK columns so a panel stays cache-hot across the whole row band
-// (see tileK). For k <= tileK this is a single panel — the classic loop.
+// csrRows writes C rows [lo, hi): a CSR row is already the run of (col,
+// val) pairs the row entry takes, and the row entry writes the row whole, an
+// empty row's as zeros.
 func csrRows[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	if k <= tileK {
-		csrRowsPanel(a, b, c, 0, k, lo, hi)
-		return
-	}
-	for j0 := 0; j0 < k; j0 += tileK {
-		csrRowsPanel(a, b, c, j0, min(tileK, k-j0), lo, hi)
-	}
-}
-
-// csrRowsPanel writes columns [j0, j0+jw) of C for rows [lo, hi): a CSR
-// row is already the run of (col, val) pairs the row entry takes, and the
-// row entry writes its tile of C whole, an empty row's as zeros.
-func csrRowsPanel[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p, q := a.RowPtr[i], a.RowPtr[i+1]
-		matrix.AxpyRow(panelRow(c, i, j0, jw), b, j0, a.ColIdx[p:q], a.Vals[p:q])
+		matrix.AxpyRow(cRow(c, i, k), b, a.ColIdx[p:q], a.Vals[p:q])
 	}
 }
 

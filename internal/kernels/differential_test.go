@@ -37,9 +37,9 @@ import (
 // cannot dodge the sweep.
 
 // sweepK is one 16-wide tile of the row entry's vector body, as k = 1 is
-// one scalar column. Both are a single tileK panel; panel chaining is the
-// k = 181 of sweepRaggedKs here and the k = 328 row of shapes
-// (kernels_test.go).
+// one scalar column. Both sit below one 128-column tile; a row wider than
+// that tile is the k = 181 of sweepRaggedKs here and the k = 328 row of
+// shapes (kernels_test.go).
 const sweepK = 16
 
 // sweepKs are the column counts every point runs at.
@@ -48,8 +48,8 @@ var sweepKs = []int{1, sweepK}
 // sweepRaggedKs are the ragged column counts every point also runs at, so
 // the reassociating points meet the row entry's whole tile ladder on the
 // adversarial classes too: k = 5 is the 4-wide tile and one scalar column
-// alone, and k = 181 = 128 + 32 + 16 + 4 + 1 runs every tile, across two
-// tileK panels of the k-tiled loops.
+// alone, and k = 181 = 128 + 32 + 16 + 4 + 1 runs every tile in one row
+// entry call.
 var sweepRaggedKs = []int{5, 181}
 
 const sweepThreads = 4
@@ -170,7 +170,7 @@ func TestDifferentialSweep(t *testing.T) {
 		for _, r := range retired {
 			t.Run(class+"/"+r.name, func(t *testing.T) {
 				eachInner(t, func(t *testing.T) {
-					fx := fixtures[1] // k = sweepK: the family served only k <= tileK, never k = 1
+					fx := fixtures[1] // k = sweepK: the family served only k <= 128, never k = 1
 					t.Run(fmt.Sprintf("k=%d", fx.in.K), func(t *testing.T) { sweepPoint(t, r.now, fx) })
 				})
 			})
@@ -224,8 +224,8 @@ func retiredSpellings(t *testing.T, variants []Variant) []retiredPoint {
 // loop ("-bt"), each spelled after every name ParseVariant resolves to a
 // lattice point of those formats — the point's own name and each legacy
 // spelling of it, 64 in all — with the family's suffix after the machinery
-// and before "-colmajor". The fixed-k loop was the tiled one entered as a
-// single panel, so at k <= tileK each "-fixed" point is its tiled sibling,
+// and before "-colmajor". The fixed-k loop was the generic one entered with
+// k <= 128, so at those k each "-fixed" point is its generic sibling,
 // and the sweep holds that sibling to the dense reference under the old
 // name. The transposed-B loop read Bᵀ and has no sibling to stand for it,
 // so its names are only checked here. None of the 128 names may resolve:

@@ -24,33 +24,20 @@ func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec
 	})
 }
 
-// ellRows runs the ELL row loop over rows [lo, hi), k-tiled like csrRows so
-// wide-k runs keep each B panel cache-hot across the row band.
+// ellRows walks each of rows [lo, hi) to its stored length. A row-major row
+// is already the run of (col, val) pairs the row entry takes, as a CSR row
+// is; a column-major row is the same pairs Rows slots apart, which the row
+// entry reads in place. Either way the row entry writes the row whole; an
+// empty row, in either layout, is the empty run, which writes zeros.
 func ellRows[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	if k <= tileK {
-		ellRowsPanel(a, b, c, 0, k, lo, hi)
-		return
-	}
-	for j0 := 0; j0 < k; j0 += tileK {
-		ellRowsPanel(a, b, c, j0, min(tileK, k-j0), lo, hi)
-	}
-}
-
-// ellRowsPanel walks each row to its stored length. A row-major row is
-// already the run of (col, val) pairs the row entry takes, as a CSR row is;
-// a column-major row is the same pairs Rows slots apart, which the row
-// entry reads in place. Either way the row entry writes the row's tile of C
-// whole; an empty row, in either layout, is the empty run, which writes
-// zeros.
-func ellRowsPanel[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], j0, jw, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		crow := panelRow(c, i, j0, jw)
+		crow := cRow(c, i, k)
 		n := int(a.RowLen[i])
 		if a.Layout == formats.ColMajor && n > 0 {
-			matrix.AxpyRowStrided(crow, b, j0, a.ColIdx[i:], a.Vals[i:], n, a.Rows)
+			matrix.AxpyRowStrided(crow, b, a.ColIdx[i:], a.Vals[i:], n, a.Rows)
 		} else {
 			base := i * a.Width
-			matrix.AxpyRow(crow, b, j0, a.ColIdx[base:base+n], a.Vals[base:base+n])
+			matrix.AxpyRow(crow, b, a.ColIdx[base:base+n], a.Vals[base:base+n])
 		}
 	}
 }

@@ -103,9 +103,9 @@ func BenchmarkAxpyRow(b *testing.B) {
 			pairs int
 			call  func(c []float64)
 		}{
-			{"contiguous", run, func(c []float64) { matrix.AxpyRow(c, x, 0, runCols, runVals) }},
-			{"strided", run, func(c []float64) { matrix.AxpyRowStrided(c, x, 0, cols, vals, run, step) }},
-			{"block", nnz, func(c []float64) { matrix.AxpyRowBlock(c, x, 0, bcols, bvals, 4, 16) }},
+			{"contiguous", run, func(c []float64) { matrix.AxpyRow(c, x, runCols, runVals) }},
+			{"strided", run, func(c []float64) { matrix.AxpyRowStrided(c, x, cols, vals, run, step) }},
+			{"block", nnz, func(c []float64) { matrix.AxpyRowBlock(c, x, bcols, bvals, 4, 16) }},
 		} {
 			for l, body := range []string{"scalar", "avx2", "avx512"} {
 				if uint8(l) > live {

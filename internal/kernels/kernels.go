@@ -14,9 +14,11 @@
 // optimisations (Study 9) hard-code it with C++ templates so the compiler
 // can unroll and vectorise; here every format's k loop is the row entry
 // (matrix.AxpyRow, or its strided and block-lane forms, which read pairs
-// where the format stores them), unrolled and vectorised by hand for any k,
-// so there is one k loop per format and Study 9 measures what a
-// compile-time k would still remove.
+// where the format stores them), unrolled and vectorised by hand for any k.
+// Each range function hands the row entry one C row with all k columns, and
+// the row entry's own tile ladder (128, 32, 16, 4 and 1 columns) walks them;
+// no range function splits k into panels, so there is one k loop per format
+// and Study 9 measures what a compile-time k would still remove.
 package kernels
 
 import (
@@ -36,20 +38,11 @@ var ErrShape = errors.New("kernels: operand shape mismatch")
 // disappears in the row loop's cost.
 const cancelStride = 1024
 
-// tileK is the dense-column panel width of the k-tiled row loops. Beyond
-// this width a row's B traffic no longer fits the L1/L2 working set, so the
-// kernels process B in panels of tileK columns, keeping each panel hot
-// across a whole row band before moving right. One float64 panel row is
-// 1 KiB — 16 cache lines — so a band of A rows reuses it from cache instead
-// of streaming all of B per row. Panels only change the j-loop order, never
-// the per-element accumulation order over nonzeros, so tiled results are
-// bitwise identical to the untiled kernels.
-const tileK = 128
-
-// panelRow is columns [j0, j0+jw) of row i of c.
-func panelRow[T matrix.Float](c *matrix.Dense[T], i, j0, jw int) []T {
-	o := i*c.Stride + j0
-	return c.Data[o : o+jw : o+jw]
+// cRow is the first k columns of row i of c: the row the row entry writes
+// whole, all k columns in its own tile ladder.
+func cRow[T matrix.Float](c *matrix.Dense[T], i, k int) []T {
+	o := i * c.Stride
+	return c.Data[o : o+k : o+k]
 }
 
 // SpMMFlops returns the floating-point operation count of one SpMM with the

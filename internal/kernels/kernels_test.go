@@ -73,7 +73,7 @@ var shapes = []struct {
 	{5, 200, 300, 64, 64},
 	{80, 80, 0, 8, 8}, // empty matrix
 	{50, 50, 400, 24, 0},
-	{60, 45, 400, 336, 328}, // two full tileK panels and a ragged one, B strided
+	{60, 45, 400, 336, 328}, // two full 128-column tiles and a ragged tail, B strided
 }
 
 func forAllShapes(t *testing.T, name string, run func(t *testing.T, tc *testCase, threads int)) {

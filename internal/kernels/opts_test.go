@@ -63,7 +63,7 @@ func TestOptsVariantsBitwiseEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, k := range []int{5, 64, 128, 200, 336} { // 200, 336 > tileK
+		for _, k := range []int{5, 64, 128, 200, 336} { // 200, 336: wider than one 128-column tile
 			b := matrix.NewDenseRand[float64](shape.cols, k, 7)
 			serial := map[string]*matrix.Dense[float64]{}
 			for name, run := range map[string]func(out *matrix.Dense[float64]) error{
@@ -117,7 +117,7 @@ func TestOptsVariantsBitwiseEqual(t *testing.T) {
 }
 
 // TestFixedTiledMatchesGeneric pins the k values the retired fixed-k family
-// served by tiling (k % 8 == 0, up to three tileK panels) and the ones it
+// served by tiling (k % 8 == 0, up to three 128-column tiles) and the ones it
 // refused: COO, ELL and BCSR, serial and parallel, and parallel CSR must
 // match serial CSR bitwise at every one.
 func TestFixedTiledMatchesGeneric(t *testing.T) {

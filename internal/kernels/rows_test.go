@@ -77,8 +77,8 @@ func gapsCOO() *matrix.COO[float64] {
 // level on a C that starts as the canary, at k = 1, 5, 32, 128 and 181 (32
 // and 128 are each exactly one tile of the row entry, the widest under AVX2
 // and under AVX-512, with no tail after it; 181 = 128 + 32 + 16 + 4 + 1 runs
-// every tile, and two panels of the k-tiled loops), and requires csr-serial's
-// bits in every row: on gapsCOO and on a matrix with no nonzeros at all.
+// every tile in one row entry call), and requires csr-serial's bits in every
+// row: on gapsCOO and on a matrix with no nonzeros at all.
 func TestEveryRowWritten(t *testing.T) {
 	pool := parallel.NewPool(sweepThreads)
 	defer pool.Close()

@@ -55,7 +55,9 @@ func (s Schedule) String() string {
 type Inner uint8
 
 const (
-	// InnerTiled is the runtime-k loop, k-tiled in tileK panels.
+	// InnerTiled is the runtime-k loop: B read row by row, the k columns
+	// walked by the row entry's tile ladder in one call per C row. The name
+	// is kept: the simulators, the studies and their golden tables spell it.
 	InnerTiled Inner = iota
 	// InnerTransB is the Study 8 variant: the dense operand is Bᵀ (kb×n).
 	InnerTransB

@@ -49,24 +49,25 @@ func Axpy[T Float](c, b []T, v T, k int) {
 	axpyScalar(c, b, v)
 }
 
-// AxpyRow is the row entry: for one C row tile and a run of (col, val)
-// pairs it writes c[t] = Σ_p vals[p] * b[cols[p]][j0+t] for t in
-// [0, len(c)), p ascending per element — bit for bit what clearing c and
-// then feeding the same pairs through Axpy one by one leaves in it. The old
-// contents of c are never read, and an empty run zeroes c. The vector body
-// starts a tile's accumulators at +0 in registers, keeps them there across
+// AxpyRow is the row entry: for one C row and a run of (col, val) pairs it
+// writes c[t] = Σ_p vals[p] * b[cols[p]][t] for t in [0, len(c)), p
+// ascending per element — bit for bit what clearing c and then feeding the
+// same pairs through Axpy one by one leaves in it. The old contents of c are
+// never read, and an empty run zeroes c. The vector body walks c in tiles,
+// widest first — the tile ladder, the one k loop every format has — and
+// starts each tile's accumulators at +0 in registers, keeps them there across
 // the pairs and stores the tile once; the AVX-512 body holds a whole
 // 128-column tile, so each pair reads its B row in one sweep at the paper's
 // k = 128. A column outside [0, b.Rows) panics, as the slice expression of a
 // per-nonzero loop would. AxpyRowStrided and AxpyRowBlock are the same
 // entry over pairs that a format does not store as a run.
-func AxpyRow[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T) {
+func AxpyRow[T Float](c []T, b *Dense[T], cols []int32, vals []T) {
 	vals = vals[:len(cols)]
 	if len(cols) == 0 || len(c) == 0 {
 		clear(c)
 		return
 	}
-	bd, rows := rowB(b, j0, len(c))
+	bd, rows := rowB(b, len(c))
 	var bad int
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
 		bad = axpyRowVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), vector == avx512)
@@ -82,7 +83,7 @@ func AxpyRow[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T) {
 // AxpyRowStrided is AxpyRow over n pairs stored step apart, read where the
 // format keeps them: pair p is cols[p*step], vals[p*step]. A SELL-C-σ lane
 // has step C, a column-major ELL row step Rows.
-func AxpyRowStrided[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, n, step int) {
+func AxpyRowStrided[T Float](c []T, b *Dense[T], cols []int32, vals []T, n, step int) {
 	if n <= 0 || len(c) == 0 {
 		clear(c)
 		return
@@ -92,7 +93,7 @@ func AxpyRowStrided[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T,
 	}
 	cols = cols[:(n-1)*step+1]
 	vals = vals[:len(cols)]
-	bd, rows := rowB(b, j0, len(c))
+	bd, rows := rowB(b, len(c))
 	var bad int
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
 		bad = axpyRowStridedVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), step, vector == avx512)
@@ -112,7 +113,7 @@ func AxpyRowStrided[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T,
 // pairs left arrive in slot order, then column order, as a per-nonzero loop
 // over the blocks takes them; a lane of fill alone zeroes c. A nonzero value
 // in a column outside [0, b.Rows) panics.
-func AxpyRowBlock[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, bc, vstep int) {
+func AxpyRowBlock[T Float](c []T, b *Dense[T], cols []int32, vals []T, bc, vstep int) {
 	if len(cols) == 0 || len(c) == 0 {
 		clear(c)
 		return
@@ -121,7 +122,7 @@ func AxpyRowBlock[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, b
 		panic(fmt.Sprintf("matrix: AxpyRowBlock: %d values a slot, %d apart", bc, vstep))
 	}
 	vals = vals[:(len(cols)-1)*vstep+bc]
-	bd, rows := rowB(b, j0, len(c))
+	bd, rows := rowB(b, len(c))
 	var bad int
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
 		bad = axpyRowBlockVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), bc, vstep, vector == avx512)
@@ -134,24 +135,23 @@ func AxpyRowBlock[T Float](c []T, b *Dense[T], j0 int, cols []int32, vals []T, b
 	}
 }
 
-// rowB is B as the row entry's bodies take it, from column j0 of row 0, and
-// the number of rows a column may name. One slice expression covers every
-// tile a column in [0, rows) can name — row rows-1 is the furthest — and
-// every body checks each column it reads; with no rows, none is read.
-func rowB[T Float](b *Dense[T], j0, k int) ([]T, int) {
+// rowB is B as the row entry's bodies take it, and the number of rows a
+// column may name. One slice expression covers every tile a column in
+// [0, rows) can name — row rows-1 is the furthest — and every body checks
+// each column it reads; with no rows, none is read.
+func rowB[T Float](b *Dense[T], k int) ([]T, int) {
 	if b.Rows <= 0 {
 		return nil, 0
 	}
-	return b.Data[j0 : (b.Rows-1)*b.Stride+j0+k], b.Rows
+	return b.Data[:(b.Rows-1)*b.Stride+k], b.Rows
 }
 
 // axpyRowScalar is the Go body of the contiguous (step 1) and strided row
 // entries, with axpyRowVec's contract but for c, which it adds to — the
 // entries clear it first, outside the loop's function: with the clear
 // inside, the Go body read up to 2× slower per pair on the reference host
-// (BenchmarkAxpyRow, scalar). b starts at
-// column j0 of row 0, and the return is -1 or the index into cols of the
-// first pair whose column is outside [0, rows).
+// (BenchmarkAxpyRow, scalar). The return is -1 or the index into cols of
+// the first pair whose column is outside [0, rows).
 func axpyRowScalar[T Float](c, b []T, stride, rows int, cols []int32, vals []T, step int) int {
 	k := len(c)
 	for p := 0; p < len(cols); p += step {

@@ -142,7 +142,7 @@
 // pairs. c is never read: each tile's accumulators start at +0 (a register
 // XORed with itself), each product is added to them as to a cleared c, and
 // the tile is stored once. On entry DI = c, CX = len(c) > 0,
-// SI = b at column j0 of row 0, R8 = the stride in bytes, R9 = B.Rows and
+// SI = b at row 0, R8 = the stride in bytes, R9 = B.Rows and
 // AX = 1 for the AVX-512 tiles. With them the head tiles are 128 columns in
 // Z0-Z15 — one sweep of each pair's B row at k = 128 — then 32 in Z0-Z3;
 // without them 32 columns in Y0-Y7. Either way what is left runs the YMM

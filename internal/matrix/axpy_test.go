@@ -122,9 +122,9 @@ func TestAxpyZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() {
 			Axpy(c, b, 1.5, 128)
 			bd := &Dense[float64]{Rows: 1, Cols: 128, Stride: 128, Data: b}
-			AxpyRow(c, bd, 0, []int32{0, 0}, []float64{1.5, 2})
-			AxpyRowStrided(c, bd, 0, []int32{0, 0, 0}, []float64{1.5, 9, 2}, 2, 2)
-			AxpyRowBlock(c, bd, 0, []int32{0, 0}, []float64{1.5, 9, 2}, 1, 2)
+			AxpyRow(c, bd, []int32{0, 0}, []float64{1.5, 2})
+			AxpyRowStrided(c, bd, []int32{0, 0, 0}, []float64{1.5, 9, 2}, 2, 2)
+			AxpyRowBlock(c, bd, []int32{0, 0}, []float64{1.5, 9, 2}, 1, 2)
 		}); n != 0 {
 			t.Errorf("%v: %.0f allocs/op, want 0", l, n)
 		}
@@ -156,12 +156,12 @@ func FuzzAxpy(f *testing.F) {
 // tile, has numbers.
 var canary = math.Float64frombits(0x7ff80000deadbeef)
 
-// rowOperands draws a B of `rows` rows whose Stride exceeds j0+k (so a panel
-// at j0 > 0 of a wider matrix is covered), n pairs over it and a c0 with
+// rowOperands draws a B of `rows` rows whose Stride exceeds k (so the first
+// k columns of a wider matrix are covered), n pairs over it and a c0 with
 // `off` guard elements before the k-wide tile and four after; the tile holds
 // the canary.
-func rowOperands(rng *rand.Rand, rows, k, off, j0, n int, value func(*rand.Rand) float64) (c0 []float64, b *Dense[float64], cols []int32, vals []float64) {
-	b = &Dense[float64]{Rows: rows, Cols: j0 + k + 2, Stride: j0 + k + 5}
+func rowOperands(rng *rand.Rand, rows, k, off, n int, value func(*rand.Rand) float64) (c0 []float64, b *Dense[float64], cols []int32, vals []float64) {
+	b = &Dense[float64]{Rows: rows, Cols: k + 2, Stride: k + 5}
 	b.Data = make([]float64, (rows+2)*b.Stride) // slack: a column == rows is inside Data
 	for i := range b.Data {
 		b.Data[i] = value(rng)
@@ -190,14 +190,14 @@ var nanPayloads = true
 // guards included — the bits that clearing the tile and then feeding the
 // same pairs through the scalar Axpy one by one leaves: all +0 for an empty
 // run.
-func checkAxpyRow(t *testing.T, c0 []float64, off, k int, b *Dense[float64], j0 int, cols []int32, vals []float64) {
+func checkAxpyRow(t *testing.T, c0 []float64, off, k int, b *Dense[float64], cols []int32, vals []float64) {
 	t.Helper()
 	defer func(old level) { vector = old }(vector)
 	vector = scalar
 	want := append([]float64(nil), c0...)
 	clear(want[off : off+k])
 	for p, col := range cols {
-		bo := int(col)*b.Stride + j0
+		bo := int(col) * b.Stride
 		Axpy(want[off:], b.Data[bo:], vals[p], k)
 	}
 	if len(cols) == 0 {
@@ -210,11 +210,11 @@ func checkAxpyRow(t *testing.T, c0 []float64, off, k int, b *Dense[float64], j0 
 	for _, l := range levels() {
 		vector = l
 		got := append([]float64(nil), c0...)
-		AxpyRow(got[off:off+k:off+k], b, j0, cols, vals)
+		AxpyRow(got[off:off+k:off+k], b, cols, vals)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) && (nanPayloads || got[j] == got[j] || want[j] == want[j]) {
-				t.Fatalf("%v k=%d off=%d j0=%d n=%d: c[%d] = %#x, pair by pair %#x",
-					l, k, off, j0, len(cols), j-off, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				t.Fatalf("%v k=%d off=%d n=%d: c[%d] = %#x, pair by pair %#x",
+					l, k, off, len(cols), j-off, math.Float64bits(got[j]), math.Float64bits(want[j]))
 			}
 		}
 	}
@@ -224,20 +224,20 @@ func checkAxpyRow(t *testing.T, c0 []float64, off, k int, b *Dense[float64], j0 
 // walks on the tile it is given, to leave in all of c0 under each body the
 // bits the contiguous entry leaves under the Go body when handed the same
 // pairs gathered into slices first, as the kernels once did.
-func checkRowLayout(t *testing.T, name string, c0 []float64, off, k int, b *Dense[float64], j0 int, cols []int32, vals []float64, walk func(c []float64)) {
+func checkRowLayout(t *testing.T, name string, c0 []float64, off, k int, b *Dense[float64], cols []int32, vals []float64, walk func(c []float64)) {
 	t.Helper()
 	defer func(old level) { vector = old }(vector)
 	vector = scalar
 	want := append([]float64(nil), c0...)
-	AxpyRow(want[off:off+k:off+k], b, j0, cols, vals)
+	AxpyRow(want[off:off+k:off+k], b, cols, vals)
 	for _, l := range levels() {
 		vector = l
 		got := append([]float64(nil), c0...)
 		walk(got[off : off+k : off+k])
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) && (nanPayloads || got[j] == got[j] || want[j] == want[j]) {
-				t.Fatalf("%s %v k=%d off=%d j0=%d pairs=%d: c[%d] = %#x, gathered %#x",
-					name, l, k, off, j0, len(cols), j-off, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				t.Fatalf("%s %v k=%d off=%d pairs=%d: c[%d] = %#x, gathered %#x",
+					name, l, k, off, len(cols), j-off, math.Float64bits(got[j]), math.Float64bits(want[j]))
 			}
 		}
 	}
@@ -316,8 +316,8 @@ func specialValue(rng *rand.Rand) float64 {
 // TestAxpyRowBodiesBitwise: every tile width and the tail (k 0..257 and 300
 // at offsets 0..3), the empty run, run lengths either side of the kernels'
 // old gather buffer (32) and one of torso1's longest row, a tile of c that
-// starts as the canary, and panels at j0 > 0 of a B wider than the tile; at
-// the tile edges again with mostly special values.
+// starts as the canary, and a B wider than the tile; at the tile edges again
+// with mostly special values.
 func TestAxpyRowBodiesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	ks := make([]int, 0, 259)
@@ -331,28 +331,24 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 				ns = append(ns, 3263)
 			}
 			for _, n := range ns {
-				j0 := (k + off) % 2 * 5
-				c0, b, cols, vals := rowOperands(rng, 9, k, off, j0, n, axpyValue)
-				checkAxpyRow(t, c0, off, k, b, j0, cols, vals)
+				c0, b, cols, vals := rowOperands(rng, 9, k, off, n, axpyValue)
+				checkAxpyRow(t, c0, off, k, b, cols, vals)
 			}
 		}
 	}
 	for _, k := range tileEdges {
-		for _, j0 := range []int{0, 3, 128} {
-			for _, n := range []int{1, 2, 7, 33} {
-				c0, b, cols, vals := rowOperands(rng, 5, k, 1, j0, n, specialValue)
-				checkAxpyRow(t, c0, 1, k, b, j0, cols, vals)
-			}
+		for _, n := range []int{1, 2, 7, 33} {
+			c0, b, cols, vals := rowOperands(rng, 5, k, 1, n, specialValue)
+			checkAxpyRow(t, c0, 1, k, b, cols, vals)
 		}
 	}
 	for _, k := range append([]int{0, 1, 2, 3, 4, 5, 8, 15, 16, 17, 20}, tileEdges...) {
-		j0 := k % 2 * 3
 		for _, step := range []int{1, 8, 13} {
 			for _, n := range []int{0, 1, 2, 33} {
-				c0, b, cols, vals := rowOperands(rng, 9, k, 1, j0, n, axpyValue)
+				c0, b, cols, vals := rowOperands(rng, 9, k, 1, n, axpyValue)
 				sc, sv := spread(cols, vals, step, b.Rows)
-				checkRowLayout(t, fmt.Sprintf("strided step=%d", step), c0, 1, k, b, j0, cols, vals, func(c []float64) {
-					AxpyRowStrided(c, b, j0, sc, sv, n, step)
+				checkRowLayout(t, fmt.Sprintf("strided step=%d", step), c0, 1, k, b, cols, vals, func(c []float64) {
+					AxpyRowStrided(c, b, sc, sv, n, step)
 				})
 			}
 		}
@@ -360,7 +356,7 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 			bc, vstep := bs[0], bs[1]
 			for _, slots := range []int{0, 1, 2, 9} { // bc = 1 with poison: every value is fill
 				for _, poison := range []bool{false, true} {
-					c0, b, _, _ := rowOperands(rng, 3*bc, k, 1, j0, 0, axpyValue)
+					c0, b, _, _ := rowOperands(rng, 3*bc, k, 1, 0, axpyValue)
 					if poison { // fill over Inf and NaN: skipped, it leaves them out of c
 						for r := 0; r < b.Rows; r += bc {
 							for j := 0; j < b.Stride; j++ {
@@ -369,8 +365,8 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 						}
 					}
 					cols, vals, gcols, gvals := blockLane(rng, slots, bc, vstep, 3, poison, axpyValue)
-					checkRowLayout(t, fmt.Sprintf("block bc=%d vstep=%d", bc, vstep), c0, 1, k, b, j0, gcols, gvals, func(c []float64) {
-						AxpyRowBlock(c, b, j0, cols, vals, bc, vstep)
+					checkRowLayout(t, fmt.Sprintf("block bc=%d vstep=%d", bc, vstep), c0, 1, k, b, gcols, gvals, func(c []float64) {
+						AxpyRowBlock(c, b, cols, vals, bc, vstep)
 					})
 				}
 			}
@@ -395,12 +391,12 @@ func TestAxpyRowScalarTypes(t *testing.T) {
 		name string
 		run  func(c []float32)
 	}{
-		{"run", func(c []float32) { AxpyRow(c, b, 0, cols, vals) }},
+		{"run", func(c []float32) { AxpyRow(c, b, cols, vals) }},
 		{"strided", func(c []float32) {
-			AxpyRowStrided(c, b, 0, []int32{4, 9, 0, 9, 4, 9, 2}, []float32{1.5, 7, -2, 7, 0.25, 7, 3}, 4, 2)
+			AxpyRowStrided(c, b, []int32{4, 9, 0, 9, 4, 9, 2}, []float32{1.5, 7, -2, 7, 0.25, 7, 3}, 4, 2)
 		}},
 		{"block", func(c []float32) { // columns 2·2+0, 2·0+0, 2·2+0 again, 2·1+0; 0 is fill
-			AxpyRowBlock(c, b, 0, []int32{2, 0, 2, 1}, []float32{1.5, 0, 7, -2, 0, 7, 0.25, 0, 7, 3, 0}, 2, 3)
+			AxpyRowBlock(c, b, []int32{2, 0, 2, 1}, []float32{1.5, 0, 7, -2, 0, 7, 0.25, 0, 7, 3, 0}, 2, 3)
 		}},
 	} {
 		c := make([]float32, 24)
@@ -418,11 +414,11 @@ func TestAxpyRowScalarTypes(t *testing.T) {
 		name string
 		run  func(c []float32)
 	}{
-		{"run", func(c []float32) { AxpyRow(c, b, 0, nil, nil) }},
-		{"strided", func(c []float32) { AxpyRowStrided(c, b, 0, nil, nil, 0, 2) }},
-		{"block", func(c []float32) { AxpyRowBlock(c, b, 0, nil, nil, 2, 3) }},
+		{"run", func(c []float32) { AxpyRow(c, b, nil, nil) }},
+		{"strided", func(c []float32) { AxpyRowStrided(c, b, nil, nil, 0, 2) }},
+		{"block", func(c []float32) { AxpyRowBlock(c, b, nil, nil, 2, 3) }},
 		{"block fill", func(c []float32) {
-			AxpyRowBlock(c, b, 0, []int32{1}, []float32{0, float32(math.Copysign(0, -1))}, 2, 2)
+			AxpyRowBlock(c, b, []int32{1}, []float32{0, float32(math.Copysign(0, -1))}, 2, 2)
 		}},
 	} {
 		c := make([]float32, 24)
@@ -453,21 +449,21 @@ func TestAxpyRowColumnOutOfRange(t *testing.T) {
 		for _, k := range []int{1, 3, 4, 16, 37, 128, 160, 300} {
 			for _, bad := range []int32{9, 10, -1, math.MaxInt32, math.MinInt32} {
 				for _, at := range []int{0, 17, 39} {
-					c0, b, cols, vals := rowOperands(rng, 9, k, 2, 0, 40, axpyValue)
+					c0, b, cols, vals := rowOperands(rng, 9, k, 2, 40, axpyValue)
 					cols[at] = bad
 					sc, sv := spread(cols, vals, 5, b.Rows)
 					checkBadColumn(t, fmt.Sprintf("%v k=%d: column %d at pair %d", l, k, bad, at), l, c0, k, int(bad), func(c []float64) {
-						AxpyRow(c, b, 0, cols, vals)
+						AxpyRow(c, b, cols, vals)
 					})
 					checkBadColumn(t, fmt.Sprintf("%v k=%d strided: column %d at pair %d", l, k, bad, at), l, c0, k, int(bad), func(c []float64) {
-						AxpyRowStrided(c, b, 0, sc, sv, len(cols), 5)
+						AxpyRowStrided(c, b, sc, sv, len(cols), 5)
 					})
 				}
 			}
 			for _, bc := range []int{1, 3, 4} {
 				for _, bad := range []int32{3, -1, math.MaxInt32, math.MinInt32} {
 					for _, at := range []int{0, 6, 11} {
-						c0, b, _, _ := rowOperands(rng, 3*bc, k, 2, 0, 0, axpyValue)
+						c0, b, _, _ := rowOperands(rng, 3*bc, k, 2, 0, axpyValue)
 						cols, vals, _, _ := blockLane(rng, 12, bc, bc+1, 3, false, axpyValue)
 						cols[at] = bad
 						t0 := min(1, bc-1) // the slot's first value is fill, unless it is its only one
@@ -475,7 +471,7 @@ func TestAxpyRowColumnOutOfRange(t *testing.T) {
 							vals[at*(bc+1)+j] = float64(j + 1 - t0)
 						}
 						checkBadColumn(t, fmt.Sprintf("%v k=%d block bc=%d: block column %d at slot %d", l, k, bc, bad, at), l, c0, k, int(bad)*bc+t0, func(c []float64) {
-							AxpyRowBlock(c, b, 0, cols, vals, bc, bc+1)
+							AxpyRowBlock(c, b, cols, vals, bc, bc+1)
 						})
 					}
 				}
@@ -511,14 +507,14 @@ func checkBadColumn(t *testing.T, name string, l level, c0 []float64, k, col int
 // bit pattern of c, B and the values; walk picks the layout: a contiguous
 // run, a strided one, or a block lane of one of blockShapes.
 func FuzzAxpyRow(f *testing.F) {
-	f.Add(int64(1), uint16(37), uint16(33), uint8(1), uint8(0), uint8(0))
-	f.Add(int64(2), uint16(128), uint16(5), uint8(3), uint8(7), uint8(1))
-	f.Add(int64(3), uint16(3), uint16(64), uint8(0), uint8(2), uint8(2))
-	f.Add(int64(4), uint16(257), uint16(9), uint8(2), uint8(5), uint8(23))
-	f.Add(int64(5), uint16(161), uint16(40), uint8(1), uint8(3), uint8(50))
-	f.Add(int64(6), uint16(181), uint16(12), uint8(2), uint8(1), uint8(47))
-	f.Fuzz(func(t *testing.T, seed int64, k16, n16 uint16, off8, j8, walk uint8) {
-		k, n, off, j0 := int(k16)%300, int(n16)%100, int(off8)%4, int(j8)%9
+	f.Add(int64(1), uint16(37), uint16(33), uint8(1), uint8(0))
+	f.Add(int64(2), uint16(128), uint16(5), uint8(3), uint8(1))
+	f.Add(int64(3), uint16(3), uint16(64), uint8(0), uint8(2))
+	f.Add(int64(4), uint16(257), uint16(9), uint8(2), uint8(23))
+	f.Add(int64(5), uint16(161), uint16(40), uint8(1), uint8(50))
+	f.Add(int64(6), uint16(181), uint16(12), uint8(2), uint8(47))
+	f.Fuzz(func(t *testing.T, seed int64, k16, n16 uint16, off8, walk uint8) {
+		k, n, off := int(k16)%300, int(n16)%100, int(off8)%4
 		rng := rand.New(rand.NewSource(seed))
 		bits := func(rng *rand.Rand) float64 {
 			if rng.Intn(2) == 0 {
@@ -528,21 +524,21 @@ func FuzzAxpyRow(f *testing.F) {
 		}
 		switch walk % 3 {
 		case 0:
-			c0, b, cols, vals := rowOperands(rng, 1+int(n16)%7, k, off, j0, n, bits)
-			checkAxpyRow(t, c0, off, k, b, j0, cols, vals)
+			c0, b, cols, vals := rowOperands(rng, 1+int(n16)%7, k, off, n, bits)
+			checkAxpyRow(t, c0, off, k, b, cols, vals)
 		case 1:
 			step := 1 + int(walk/3)%16
-			c0, b, cols, vals := rowOperands(rng, 1+int(n16)%7, k, off, j0, n, bits)
+			c0, b, cols, vals := rowOperands(rng, 1+int(n16)%7, k, off, n, bits)
 			sc, sv := spread(cols, vals, step, b.Rows)
-			checkRowLayout(t, fmt.Sprintf("strided step=%d", step), c0, off, k, b, j0, cols, vals, func(c []float64) {
-				AxpyRowStrided(c, b, j0, sc, sv, n, step)
+			checkRowLayout(t, fmt.Sprintf("strided step=%d", step), c0, off, k, b, cols, vals, func(c []float64) {
+				AxpyRowStrided(c, b, sc, sv, n, step)
 			})
 		case 2:
 			bs := blockShapes[int(walk/3)%len(blockShapes)]
-			c0, b, _, _ := rowOperands(rng, 3*bs[0], k, off, j0, 0, bits)
+			c0, b, _, _ := rowOperands(rng, 3*bs[0], k, off, 0, bits)
 			cols, vals, gcols, gvals := blockLane(rng, n%20, bs[0], bs[1], 3, false, bits)
-			checkRowLayout(t, fmt.Sprintf("block bc=%d vstep=%d", bs[0], bs[1]), c0, off, k, b, j0, gcols, gvals, func(c []float64) {
-				AxpyRowBlock(c, b, j0, cols, vals, bs[0], bs[1])
+			checkRowLayout(t, fmt.Sprintf("block bc=%d vstep=%d", bs[0], bs[1]), c0, off, k, b, gcols, gvals, func(c []float64) {
+				AxpyRowBlock(c, b, cols, vals, bs[0], bs[1])
 			})
 		}
 	})

@@ -351,10 +351,21 @@ func TestClientMultiplyWrongRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := matrix.NewDenseRand[float64](reg.Cols, k, 9)
+	// Each multiply leases three panels of one class (the matrix is square):
+	// the client's body, the server's B and its C. The transport's write loop
+	// closes the body, and so releases it last, when it gets there — maybe
+	// after Multiply returned — so the test waits for all of them: a release
+	// left over would land in the next test's pool counters
+	// (TestLeaseLifecycle).
+	probe := leasePanel(reg.Cols, k)
+	class := int64(cap(probe.panel.Data) * 8)
+	probe.Release()
+	recycled := panels.recycled.Value()
 	if _, err := client.Multiply(reg.ID, reg.Rows, b, k, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, rows := range []int{reg.Rows - 1, reg.Rows + 1, 0} {
+	wrong := []int{reg.Rows - 1, reg.Rows + 1, 0}
+	for _, rows := range wrong {
 		res, err := client.Multiply(reg.ID, rows, b, k, 0)
 		if err == nil {
 			t.Fatalf("rows=%d against a %d-row matrix returned a %dx%d panel and no error", rows, reg.Rows, res.C.Rows, res.C.Cols)
@@ -363,4 +374,7 @@ func TestClientMultiplyWrongRows(t *testing.T) {
 			t.Fatalf("rows=%d: error %q does not say what is wrong", rows, err)
 		}
 	}
+	waitFor(t, "every panel the multiplies leased back in the pool", func() bool {
+		return panels.recycled.Value() >= recycled+3*int64(1+len(wrong))*class
+	})
 }

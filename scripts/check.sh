@@ -210,12 +210,23 @@ if ! awk '
     echo "SpMV is kernels.Multiply at k = 1 (kernels.MultiplyVec for callers holding slices): no second kernel family" >&2; exit 1
 fi
 
-echo "== one k loop per format (no fixed-k kernel family: no FixedK, fixedk, HasFixedK or ErrUnsupportedK in non-test Go) =="
+echo "== one k loop per format (no fixed-k kernel family: no FixedK, fixedk, HasFixedK or ErrUnsupportedK in non-test Go; no tileK or *Panel range function in kernels; no j0 on a row entry in matrix) =="
 # Every format's k loop is matrix.AxpyRow, hand-vectorised for any k, so a
 # compile-time k would only drop the row entry's remainder tiles; Study 9
 # prices those on the one generic kernel (DESIGN.md section 5).
 if grep -nE 'FixedK|fixedk|ErrUnsupportedK' $(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*'); then
     echo "k is a runtime bound: one k loop per format, no fixed-k specialisation" >&2; exit 1
+fi
+# Nor does a range function split k into panels around the row entry: each
+# hands it one C row with all k columns, and its tile ladder walks them. A
+# panel loop re-walked A and the B rows once per 128 columns (EXPERIMENTS.md,
+# Study 4 on the host), and a row entry that takes a column offset is what
+# such a loop needs.
+if grep -nE '\btileK\b|^func (\([^)]*\) )?[A-Za-z0-9_]*Panel\b' $(ls internal/kernels/*.go | grep -v _test.go); then
+    echo "one k loop: no tileK or *Panel range function in internal/kernels (DESIGN.md section 5)" >&2; exit 1
+fi
+if grep -nE '^func (AxpyRow[A-Za-z]*|rowB)\b.*\bj0\b' $(ls internal/matrix/*.go | grep -v _test.go); then
+    echo "one k loop: the row entry takes B from column 0, with no j0 (DESIGN.md section 5)" >&2; exit 1
 fi
 
 echo "== one perf system (go run ./benchmark: no internal/perf, perf-baseline flag, PhaseMix or scripts/bench.sh) =="
