@@ -374,6 +374,88 @@ func TestELLRelayoutPreservesContent(t *testing.T) {
 	}
 }
 
+// paddedBCSR pads a BCSR to Blocked-ELL the way BELLFromCOO once did, by
+// copying every block row's blocks into slots of the widest row's width
+// and repeating the row's last block column (or its diagonal block column,
+// when it has none) in the padding slots.
+func paddedBCSR(b *BCSR[float64]) *BELL[float64] {
+	width := 0
+	for i := 0; i < b.BlockRows; i++ {
+		width = max(width, int(b.RowPtr[i+1]-b.RowPtr[i]))
+	}
+	e := &BELL[float64]{
+		Rows: b.Rows, Cols: b.Cols, BR: b.BR, BC: b.BC,
+		BlockRows: b.BlockRows, BlockCols: b.BlockCols, Width: width,
+		ColIdx: make([]int32, b.BlockRows*width),
+		Vals:   make([]float64, b.BlockRows*width*b.BR*b.BC),
+		RowLen: make([]int32, b.BlockRows),
+	}
+	sz := b.BR * b.BC
+	for i := 0; i < b.BlockRows; i++ {
+		slot := 0
+		lastCol := int32(min(i, max(e.BlockCols-1, 0)))
+		for p := b.RowPtr[i]; p < b.RowPtr[i+1]; p++ {
+			copy(e.Vals[(i*width+slot)*sz:], b.Block(int(p)))
+			e.ColIdx[i*width+slot] = b.ColIdx[p]
+			lastCol = b.ColIdx[p]
+			slot++
+		}
+		e.RowLen[i] = int32(slot)
+		for ; slot < width; slot++ {
+			e.ColIdx[i*width+slot] = lastCol
+		}
+	}
+	return e
+}
+
+// TestBELLMatchesPaddedBCSR pins BELLFromCOO to the BCSR it pads, bit for
+// bit, on the inputs TestBCSRCountingAndMapBuildersAgree draws: duplicates
+// in any order, explicit zeros and cancelling pairs, empty block rows and
+// fringe blocks.
+func TestBELLMatchesPaddedBCSR(t *testing.T) {
+	for _, bs := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {3, 5}, {16, 16}} {
+		for _, order := range []string{"drawn", "row-major", "col-major", "deduplicated"} {
+			t.Run(fmt.Sprintf("%dx%d/%s", bs[0], bs[1], order), func(t *testing.T) {
+				for seed := int64(0); seed < 100; seed++ {
+					var m *matrix.COO[float64]
+					if order == "deduplicated" {
+						m = quickCOO(seed)
+					} else {
+						m = messyCOO(rand.New(rand.NewSource(seed)), order)
+					}
+					b, err := BCSRFromCOO(m, bs[0], bs[1])
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					want := paddedBCSR(b)
+					got, err := BELLFromCOO(m, bs[0], bs[1])
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					if got.Rows != want.Rows || got.Cols != want.Cols || got.BR != want.BR || got.BC != want.BC ||
+						got.BlockRows != want.BlockRows || got.BlockCols != want.BlockCols || got.Width != want.Width {
+						t.Fatalf("seed %d: shape %+v, want %+v", seed,
+							[]int{got.Rows, got.Cols, got.BR, got.BC, got.BlockRows, got.BlockCols, got.Width},
+							[]int{want.Rows, want.Cols, want.BR, want.BC, want.BlockRows, want.BlockCols, want.Width})
+					}
+					if !slices.Equal(got.RowLen, want.RowLen) || !slices.Equal(got.ColIdx, want.ColIdx) {
+						t.Fatalf("seed %d: slots differ: RowLen %v / %v, ColIdx %v / %v",
+							seed, got.RowLen, want.RowLen, got.ColIdx, want.ColIdx)
+					}
+					if !slices.EqualFunc(got.Vals, want.Vals, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					}) {
+						t.Fatalf("seed %d: block values differ in their bits", seed)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestBCSRRoundTripAllBlockSizes(t *testing.T) {
 	for _, bs := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {3, 5}, {16, 16}} {
 		f := func(seed int64) bool {
