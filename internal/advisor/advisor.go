@@ -60,20 +60,20 @@ type Features struct {
 	Density float64
 }
 
-// Extract computes the advisor features for a matrix. It builds a 4×4 BCSR
-// skeleton to measure block clustering, so it costs one pass over the
-// nonzeros.
+// Extract computes the advisor features for a matrix. Block clustering is
+// formats.BlockFill's count of the 4×4 blocks' nonzeros — the fill ratio
+// of the BCSR those blocks make, without building its values.
 func Extract(m *matrix.COO[float64]) (Features, error) {
 	p := metrics.Compute(m)
 	f := Features{Properties: p, ELLOverhead: p.ELLOverhead()}
 	if p.Rows > 0 && p.Cols > 0 {
 		f.Density = float64(p.NNZ) / (float64(p.Rows) * float64(p.Cols))
 	}
-	b, err := formats.BCSRFromCOO(m, 4, 4)
+	fill, err := formats.BlockFill(m, 4, 4)
 	if err != nil {
 		return Features{}, fmt.Errorf("advisor: %w", err)
 	}
-	f.BCSRFill4 = b.FillRatio()
+	f.BCSRFill4 = fill
 	return f, nil
 }
 

@@ -30,89 +30,166 @@ type BCSR[T matrix.Float] struct {
 	balanced partitionCache // memoized block-balanced block-row splits
 }
 
-// BCSRFromCOO converts a COO matrix to BCSR with BR×BC blocks by a counting
-// sort of the triplets by block row and, per block row, a stamp array over
-// block columns: linear in nnz and the block grid, except that each block
-// row's own short list of block columns is sorted. This is the suite's fast
-// formatting path — the thesis reports its original (map-heavy) BCSR
-// formatter took 40 hours over its matrix set (§6.3.2); BCSRFromCOOMap
-// preserves that strategy for the ablation benchmark. Duplicate triplets
-// are summed in triplet order, as BCSRFromCOOMap sums them, so the two
-// build identical matrices from any input.
+// BCSRFromCOO converts a COO matrix to BCSR with BR×BC blocks by the block
+// pass BELLFromCOO and BlockFill share (blockPass): linear in nnz and the
+// block grid, except that each block row's own short list of block columns
+// is sorted. This is the suite's fast formatting path — the thesis reports
+// its original (map-heavy) BCSR formatter took 40 hours over its matrix set
+// (§6.3.2); BCSRFromCOOMap preserves that strategy for the ablation
+// benchmark. Duplicate triplets are summed in triplet order, as
+// BCSRFromCOOMap sums them, so the two build identical matrices from any
+// input.
 func BCSRFromCOO[T matrix.Float](m *matrix.COO[T], br, bc int) (*BCSR[T], error) {
 	if br < 1 || bc < 1 {
 		return nil, invalidBlock(br, bc)
 	}
 	b := newBCSRShell[T](m, br, bc)
-	nnz := m.NNZ()
-	if nnz == 0 {
+	if m.NNZ() == 0 {
 		return b, nil
 	}
-	// One scratch allocation: the triplet order, the block-row starts
-	// (two longer than BlockRows for the counting sort), a stamp per block
-	// column and each block column's block slot within the current row.
-	scratch := make([]int32, nnz+b.BlockRows+2+2*b.BlockCols)
-	order, scratch := scratch[:nnz], scratch[nnz:]
-	start, scratch := scratch[:b.BlockRows+2], scratch[b.BlockRows+2:]
-	stamp, slot := scratch[:b.BlockCols], scratch[b.BlockCols:]
-
-	// Pass 1: a stable counting sort of triplet indices by block row.
-	// Block row i's triplets end up in order[start[i]:start[i+1]], in
-	// triplet order.
-	for _, r := range m.RowIdx {
-		start[int(r)/br+2]++
-	}
-	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	for t, r := range m.RowIdx {
-		i := int(r)/br + 1
-		order[start[i]] = int32(t)
-		start[i]++
-	}
-
-	// Pass 2: count each block row's distinct block columns, stamping a
-	// column with its block row + 1.
-	for i := 0; i < b.BlockRows; i++ {
-		for _, t := range order[start[i]:start[i+1]] {
-			if bj := int(m.ColIdx[t]) / bc; stamp[bj] != int32(i+1) {
-				stamp[bj] = int32(i + 1)
-				b.RowPtr[i+1]++
-			}
-		}
-	}
-	for i := 0; i < b.BlockRows; i++ {
-		b.RowPtr[i+1] += b.RowPtr[i]
+	p := newBlockPass(m, br, bc, b.BlockRows, b.BlockCols)
+	for i, n := range p.count {
+		b.RowPtr[i+1] = b.RowPtr[i] + n
 	}
 	b.ColIdx = make([]int32, b.RowPtr[b.BlockRows])
 	b.Vals = make([]T, len(b.ColIdx)*br*bc)
-
-	// Pass 3: list each block row's block columns (stamped with -(i+1) this
-	// time), sort them, then add every triplet into its block in triplet
-	// order.
-	for i := 0; i < b.BlockRows; i++ {
-		trips := order[start[i]:start[i+1]]
-		blocks := b.ColIdx[b.RowPtr[i]:b.RowPtr[i+1]]
-		n := 0
-		for _, t := range trips {
-			if bj := int(m.ColIdx[t]) / bc; stamp[bj] != -int32(i+1) {
-				stamp[bj] = -int32(i + 1)
-				blocks[n] = int32(bj)
-				n++
-			}
-		}
-		slices.Sort(blocks)
-		for j, bj := range blocks {
-			slot[bj] = b.RowPtr[i] + int32(j)
-		}
-		for _, t := range trips {
-			r := int(m.RowIdx[t]) % br
-			c := int(m.ColIdx[t])
-			blk := int(slot[c/bc])
-			b.Vals[blk*br*bc+r*bc+c%bc] += m.Vals[t]
-		}
+	// Block row i's blocks land at its RowPtr offsets.
+	sz := int32(br * bc)
+	for i := range p.count {
+		lo, hi := b.RowPtr[i], b.RowPtr[i+1]
+		p.row(i, b.ColIdx[lo:hi], b.Vals[lo*sz:hi*sz])
 	}
 	return b, nil
+}
+
+// BlockFill reports the fill ratio of m's BR×BC blocks — exactly
+// BCSRFromCOO(m, br, bc).FillRatio(), on any input: duplicates are summed
+// in triplet order before a slot counts, and a slot whose sum is zero does
+// not. It runs BCSRFromCOO's block pass, but lays out one block row at a
+// time in a scratch row, so it never holds the matrix's block values.
+func BlockFill[T matrix.Float](m *matrix.COO[T], br, bc int) (float64, error) {
+	if br < 1 || bc < 1 {
+		return 0, invalidBlock(br, bc)
+	}
+	if m.NNZ() == 0 {
+		return 1, nil
+	}
+	p := newBlockPass(m, br, bc, ceilDiv(max(m.Rows, 0), br), ceilDiv(max(m.Cols, 0), bc))
+	widest, blocks := 0, 0
+	for _, n := range p.count {
+		widest = max(widest, int(n))
+		blocks += int(n)
+	}
+	cols := make([]int32, widest)
+	vals := make([]T, widest*br*bc)
+	nonzeros := 0
+	for i, n := range p.count {
+		// The count needs no block order, so it skips the sort.
+		row := vals[:int(n)*br*bc]
+		p.blocks(i, cols[:n])
+		p.add(i, cols[:n], row)
+		for j, v := range row {
+			if v != 0 {
+				nonzeros++
+			}
+			row[j] = 0
+		}
+	}
+	return float64(nonzeros) / float64(blocks*br*bc), nil
+}
+
+// blockPass is the block structure of a COO matrix under BR×BC blocks, the
+// one pass BCSRFromCOO, BELLFromCOO and BlockFill share: the triplets
+// counting-sorted by block row, and how many distinct block columns each
+// block row holds. The three differ only in where a block row's blocks
+// land (row lays them out wherever its caller points it).
+type blockPass[T matrix.Float] struct {
+	m      *matrix.COO[T]
+	br, bc int
+	// order holds triplet indices: block row i's are
+	// order[start[i]:start[i+1]], in triplet order.
+	order, start []int32
+	// count[i] is the number of distinct block columns in block row i.
+	count []int32
+	// stamp and slot are per block column: the block row that last
+	// stamped it (i+1 while counting, -(i+1) while laying out), and its
+	// block's index within that row.
+	stamp, slot []int32
+}
+
+// newBlockPass runs the counting sort and the per-block-row count, in one
+// scratch allocation. m's triplets must be in range.
+func newBlockPass[T matrix.Float](m *matrix.COO[T], br, bc, blockRows, blockCols int) blockPass[T] {
+	nnz := m.NNZ()
+	p := blockPass[T]{m: m, br: br, bc: bc}
+	// start is two longer than blockRows for the counting sort.
+	scratch := make([]int32, nnz+blockRows+2+blockRows+2*blockCols)
+	p.order, scratch = scratch[:nnz], scratch[nnz:]
+	p.start, scratch = scratch[:blockRows+2], scratch[blockRows+2:]
+	p.count, scratch = scratch[:blockRows], scratch[blockRows:]
+	p.stamp, p.slot = scratch[:blockCols], scratch[blockCols:]
+
+	// A stable counting sort of triplet indices by block row.
+	for _, r := range m.RowIdx {
+		p.start[int(r)/br+2]++
+	}
+	for i := 2; i < len(p.start); i++ {
+		p.start[i] += p.start[i-1]
+	}
+	for t, r := range m.RowIdx {
+		i := int(r)/br + 1
+		p.order[p.start[i]] = int32(t)
+		p.start[i]++
+	}
+
+	// Count each block row's distinct block columns, stamping a column
+	// with its block row + 1.
+	for i := range p.count {
+		for _, t := range p.order[p.start[i]:p.start[i+1]] {
+			if bj := int(m.ColIdx[t]) / bc; p.stamp[bj] != int32(i+1) {
+				p.stamp[bj] = int32(i + 1)
+				p.count[i]++
+			}
+		}
+	}
+	return p
+}
+
+// row lays block row i out for a format: its count[i] block columns,
+// ascending, into cols, and its blocks into vals.
+func (p *blockPass[T]) row(i int, cols []int32, vals []T) {
+	p.blocks(i, cols)
+	slices.Sort(cols)
+	p.add(i, cols, vals)
+}
+
+// blocks lists block row i's count[i] distinct block columns into cols, in
+// the order its triplets first reach them.
+func (p *blockPass[T]) blocks(i int, cols []int32) {
+	n := 0
+	for _, t := range p.order[p.start[i]:p.start[i+1]] {
+		if bj := int(p.m.ColIdx[t]) / p.bc; p.stamp[bj] != -int32(i+1) {
+			p.stamp[bj] = -int32(i + 1)
+			cols[n] = int32(bj)
+			n++
+		}
+	}
+}
+
+// add sums block row i's triplets, in triplet order, into vals: the
+// blocks of the block columns in cols, in cols' order (len(cols)*BR*BC
+// values, zero on entry).
+func (p *blockPass[T]) add(i int, cols []int32, vals []T) {
+	m, br, bc := p.m, p.br, p.bc
+	for j, bj := range cols {
+		p.slot[bj] = int32(j)
+	}
+	sz, r0 := br*bc, i*br
+	for _, t := range p.order[p.start[i]:p.start[i+1]] {
+		c := int(m.ColIdx[t])
+		bj := c / bc
+		vals[int(p.slot[bj])*sz+(int(m.RowIdx[t])-r0)*bc+c-bj*bc] += m.Vals[t]
+	}
 }
 
 // BCSRFromCOOMap converts COO to BCSR via hash-map block discovery. This is

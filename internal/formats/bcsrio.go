@@ -72,16 +72,34 @@ func ReadBCSR[T matrix.Float](r io.Reader) (*BCSR[T], error) {
 			return nil, fmt.Errorf("formats: reading BCSR header: %w", err)
 		}
 	}
+	for _, v := range hdr {
+		if v < 0 || v > math.MaxInt32 {
+			return nil, invalidf("bcsrio: nonsense header %v", hdr)
+		}
+	}
 	rows, cols := int(hdr[0]), int(hdr[1])
 	brz, bcz := int(hdr[2]), int(hdr[3])
 	blockRows, blockCols := int(hdr[4]), int(hdr[5])
 	nblocks := int(hdr[6])
-	if rows < 0 || cols < 0 || brz < 1 || bcz < 1 || blockRows < 0 || blockCols < 0 || nblocks < 0 {
+	if brz < 1 || bcz < 1 {
 		return nil, invalidf("bcsrio: nonsense header %v", hdr)
 	}
 	const maxReasonable = 1 << 34
-	if int64(nblocks)*int64(brz)*int64(bcz) > maxReasonable {
+	slots := brz * bcz
+	if nblocks > 0 && slots > maxReasonable/nblocks {
 		return nil, invalidf("bcsrio: implausible block count %d", nblocks)
+	}
+	// The header's sizes are claims: read the body they declare before
+	// allocating anything of their size, so that a short input fails
+	// having allocated no more than it holds.
+	need := 4*(blockRows+1) + 4*nblocks + 8*nblocks*slots
+	body, err := io.ReadAll(io.LimitReader(br, int64(need)))
+	if err != nil {
+		return nil, fmt.Errorf("formats: reading BCSR body: %w", err)
+	}
+	if len(body) < need {
+		return nil, fmt.Errorf("formats: reading BCSR body: header declares %d bytes, input holds %d: %w",
+			need, len(body), io.ErrUnexpectedEOF)
 	}
 	b := &BCSR[T]{
 		Rows: rows, Cols: cols,
@@ -89,20 +107,17 @@ func ReadBCSR[T matrix.Float](r io.Reader) (*BCSR[T], error) {
 		BlockRows: blockRows, BlockCols: blockCols,
 		RowPtr: make([]int32, blockRows+1),
 		ColIdx: make([]int32, nblocks),
-		Vals:   make([]T, nblocks*brz*bcz),
+		Vals:   make([]T, nblocks*slots),
 	}
-	if err := binary.Read(br, binary.LittleEndian, b.RowPtr); err != nil {
-		return nil, fmt.Errorf("formats: reading BCSR row pointers: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, b.ColIdx); err != nil {
-		return nil, fmt.Errorf("formats: reading BCSR block columns: %w", err)
-	}
-	buf := make([]byte, 8)
-	for i := range b.Vals {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("formats: reading BCSR values: %w", err)
+	for _, dst := range [][]int32{b.RowPtr, b.ColIdx} {
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(body))
+			body = body[4:]
 		}
-		b.Vals[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+	}
+	for i := range b.Vals {
+		b.Vals[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(body)))
+		body = body[8:]
 	}
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("formats: loaded BCSR is invalid: %w", err)

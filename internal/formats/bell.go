@@ -28,46 +28,41 @@ type BELL[T matrix.Float] struct {
 	RowLen []int32
 }
 
-// BELLFromCOO converts a COO matrix to Blocked-ELL by building the block
-// structure (as BCSR does) and then padding every block row to the widest.
+// BELLFromCOO converts a COO matrix to Blocked-ELL by BCSRFromCOO's block
+// pass, laying block row i's blocks out at slot i·Width instead of at a
+// row pointer, and padding every block row to the widest.
 func BELLFromCOO[T matrix.Float](m *matrix.COO[T], br, bc int) (*BELL[T], error) {
-	bcsr, err := BCSRFromCOO(m, br, bc)
-	if err != nil {
-		return nil, err
-	}
-	width := 0
-	for i := 0; i < bcsr.BlockRows; i++ {
-		if w := int(bcsr.RowPtr[i+1] - bcsr.RowPtr[i]); w > width {
-			width = w
-		}
+	if br < 1 || bc < 1 {
+		return nil, invalidBlock(br, bc)
 	}
 	e := &BELL[T]{
-		Rows:      bcsr.Rows,
-		Cols:      bcsr.Cols,
+		Rows:      m.Rows,
+		Cols:      m.Cols,
 		BR:        br,
 		BC:        bc,
-		BlockRows: bcsr.BlockRows,
-		BlockCols: bcsr.BlockCols,
-		Width:     width,
-		ColIdx:    make([]int32, bcsr.BlockRows*width),
-		Vals:      make([]T, bcsr.BlockRows*width*br*bc),
-		RowLen:    make([]int32, bcsr.BlockRows),
+		BlockRows: ceilDiv(max(m.Rows, 0), br),
+		BlockCols: ceilDiv(max(m.Cols, 0), bc),
 	}
-	blkSize := br * bc
-	for i := 0; i < bcsr.BlockRows; i++ {
-		slot := 0
-		lastCol := int32(min(i, max(e.BlockCols-1, 0)))
-		for p := bcsr.RowPtr[i]; p < bcsr.RowPtr[i+1]; p++ {
-			dst := (i*width + slot) * blkSize
-			copy(e.Vals[dst:dst+blkSize], bcsr.Block(int(p)))
-			e.ColIdx[i*width+slot] = bcsr.ColIdx[p]
-			lastCol = bcsr.ColIdx[p]
-			slot++
+	p := newBlockPass(m, br, bc, e.BlockRows, e.BlockCols)
+	e.RowLen = make([]int32, e.BlockRows)
+	copy(e.RowLen, p.count)
+	for _, n := range e.RowLen {
+		e.Width = max(e.Width, int(n))
+	}
+	e.ColIdx = make([]int32, e.BlockRows*e.Width)
+	e.Vals = make([]T, len(e.ColIdx)*br*bc)
+	sz := br * bc
+	for i, n := range e.RowLen {
+		slots := e.ColIdx[i*e.Width : (i+1)*e.Width]
+		p.row(i, slots[:n], e.Vals[i*e.Width*sz:(i*e.Width+int(n))*sz])
+		// Padding slots repeat the row's last real block column (its
+		// diagonal block column when it has none); their values stay zero.
+		last := int32(min(i, max(e.BlockCols-1, 0)))
+		if n > 0 {
+			last = slots[n-1]
 		}
-		e.RowLen[i] = int32(slot)
-		for ; slot < width; slot++ {
-			e.ColIdx[i*width+slot] = lastCol
-			// Vals already zero.
+		for s := int(n); s < e.Width; s++ {
+			slots[s] = last
 		}
 	}
 	return e, nil

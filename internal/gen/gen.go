@@ -199,7 +199,6 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 		take := func(c int32) {
 			taken[c] = stamp
 			jump[c] = (c + 1) % int32(p.Cols)
-			cols = append(cols, c)
 		}
 		diag := 0
 		if rows > 1 {
@@ -209,7 +208,8 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 		if p.Kind != KindStencil {
 			nLocal = int(math.Round(float64(d) * loc))
 		}
-		// Contiguous run centred on the diagonal.
+		// Contiguous run centred on the diagonal: columns [start, end),
+		// already in order.
 		start := diag - nLocal/2
 		if start < 0 {
 			start = 0
@@ -217,11 +217,12 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 		if start+nLocal > p.Cols {
 			start = p.Cols - nLocal
 		}
-		for c := start; c < start+nLocal; c++ {
-			take(int32(c))
+		end := int32(start + nLocal)
+		for c := int32(start); c < end; c++ {
+			take(c)
 		}
-		// Scattered remainder.
-		for len(cols) < d {
+		// Scattered remainder, in cols.
+		for len(cols) < d-nLocal {
 			var c int32
 			if p.Kind == KindPowerLaw {
 				// Hub-heavy: square a uniform draw so low-index
@@ -235,11 +236,24 @@ func FromDegrees[T matrix.Float](deg []int, p PlaceParams, rng *rand.Rand) (*mat
 				c = int32(p.Cols - 1)
 			}
 			// On a collision, take the next free column instead.
-			take(nextFree(taken, jump, stamp, c))
+			c = nextFree(taken, jump, stamp, c)
+			take(c)
+			cols = append(cols, c)
 		}
+		// Only the remainder needs sorting; merging it with the run
+		// appends the row's columns in order, each with its value drawn
+		// as it is appended.
+		put := func(c int32) { m.Append(int32(i), c, T(rng.Float64()*2-1)) }
 		slices.Sort(cols)
+		next := int32(start)
 		for _, c := range cols {
-			m.Append(int32(i), c, T(rng.Float64()*2-1))
+			for ; next < end && next < c; next++ {
+				put(next)
+			}
+			put(c)
+		}
+		for ; next < end; next++ {
+			put(next)
 		}
 	}
 	return m, nil

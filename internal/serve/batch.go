@@ -288,9 +288,11 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) batchResult {
 		}
 		s.batchWait.Observe(wait.Seconds())
 		if req.req != nil {
+			// Batch runs on the request's chain from its prepare step to
+			// the dispatch, kernel from there to the dispatch's end.
 			at := req.req.At(dispatchAt)
-			req.req.AddPhase(trace.PhaseBatch, plan.Format, max(at-int64(wait), 0), int64(wait), int64(len(batch)))
-			req.req.AddPhase(trace.PhaseKernel, plan.Variant, at, kernelNs, int64(totalK))
+			req.req.StepTo(trace.PhaseBatch, plan.Format, at, int64(len(batch)))
+			req.req.StepTo(trace.PhaseKernel, plan.Variant, at+kernelNs, int64(totalK))
 		}
 		res := batchResult{lease: wide, plan: plan, width: len(batch), k: totalK, err: err}
 		if err == nil {

@@ -146,6 +146,38 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkRegister prices one registration of the serve-heavy workload's
+// matrix, nd24k@0.05, as a register request pays it: generate
+// (Materialize), then canonicalize, hash, extract the advisor's features
+// and install (RegisterSourced) into a fresh registry.
+func BenchmarkRegister(b *testing.B) {
+	req := RegisterRequest{Name: "nd24k", Scale: 0.05}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := Materialize(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, existed, err := NewRegistry(0, 2).RegisterSourced(m, RegisterSource{Name: req.Name, Scale: req.Scale}); err != nil || existed {
+			b.Fatalf("existed=%v err=%v", existed, err)
+		}
+	}
+}
+
+// BenchmarkContentID prices hashing nd24k@0.05's canonical triplets.
+func BenchmarkContentID(b *testing.B) {
+	m, err := Materialize(RegisterRequest{Name: "nd24k", Scale: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	Canonicalize(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ContentID(m)
+	}
+}
+
 // BenchmarkRequestTraceOverhead prices the per-request tracing
 // instrumentation exactly as the multiply handler runs it: begin, queue
 // phase, prepare phase, batcher fan-out (batch + kernel), respond, finish,
@@ -158,19 +190,16 @@ func BenchmarkRequestTraceOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			req := rr.Begin("bench-rid", "bench-matrix")
-			qs := req.Now()
-			req.Phase(trace.PhaseQueue, "", qs, 0)
-			ps := req.Now()
-			req.Phase(trace.PhasePrepare, "hit", ps, 0)
+			req.Step(trace.PhaseQueue, "", 0)
+			req.Step(trace.PhasePrepare, "hit", 0)
 			at := req.Now()
-			req.AddPhase(trace.PhaseBatch, "csr", at, 1000, 1)
-			req.AddPhase(trace.PhaseKernel, "csr-omp", at, 5000, 32)
-			rs := req.Now()
+			req.StepTo(trace.PhaseBatch, "csr", at, 1)
+			req.StepTo(trace.PhaseKernel, "csr-omp", at+5000, 32)
 			if rr.Enabled() {
 				snap := req.Snapshot()
-				_ = FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-rs)
+				_ = FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-req.Pos())
 			}
-			req.Phase(trace.PhaseRespond, "", rs, 0)
+			req.Step(trace.PhaseRespond, "", 0)
 			req.Finish()
 		}
 	}

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -611,5 +613,28 @@ func TestWALRecordGeneratorRoundTrip(t *testing.T) {
 	rec.Vals[0] += 1
 	if _, err := (*state)(nil).apply(rec); err == nil {
 		t.Fatal("corrupted triplets recovered without a hash mismatch")
+	}
+}
+
+// TestLoadSnapshotBoundsDeclaredLength hands loadSnapshot a file whose
+// header declares a 192 MiB body but which holds 16 bytes of it: the load
+// must fail as corrupt having allocated nothing near the declared size.
+func TestLoadSnapshotBoundsDeclaredLength(t *testing.T) {
+	dir := t.TempDir()
+	file := make([]byte, 20+16)
+	copy(file, snapshotMagic)
+	binary.LittleEndian.PutUint64(file[12:20], 192<<20)
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.dat"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := loadSnapshot(dir)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("loadSnapshot = %v, want ErrCorruptSnapshot", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 36-byte snapshot declaring 192 MiB allocated %d bytes before failing", grew)
 	}
 }

@@ -154,33 +154,36 @@ func NewRegistry(capacityBytes int64, threads int) *Registry {
 // Canonicalize sorts m row-major and merges duplicate entries — the
 // canonical form ContentID hashes and every format conversion starts from.
 // Clients that verify results against a local kernel must canonicalize
-// their copy the same way before preparing it.
+// their copy the same way before preparing it. Dedup sorts first, and its
+// sort scans for sortedness once, so an already sorted matrix is read once
+// for the check and once for the merge.
 func Canonicalize[T matrix.Float](m *matrix.COO[T]) {
-	if !m.IsSortedRowMajor() {
-		m.SortRowMajor()
-	}
 	m.Dedup()
 }
 
 // ContentID returns the content-addressed ID of a canonicalized matrix:
 // the first 16 hex digits of the SHA-256 over dims and the row-major
 // triplet stream. Two uploads of the same matrix — whether from a file or a
-// generator spec — collapse to one registry entry.
+// generator spec — collapse to one registry entry. The stream is each
+// 64-bit word little-endian: rows, cols, nnz, then per triplet row<<32|col
+// and the value's bits; it reaches the hash through a fixed buffer, in
+// 4 KiB writes.
 func ContentID(m *matrix.COO[float64]) string {
 	h := sha256.New()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(m.Rows))
-	put(uint64(m.Cols))
-	put(uint64(m.NNZ()))
+	var buf [4096]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(m.Rows))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.Cols))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.NNZ()))
 	for i := range m.Vals {
-		put(uint64(uint32(m.RowIdx[i]))<<32 | uint64(uint32(m.ColIdx[i])))
-		put(math.Float64bits(m.Vals[i]))
+		if len(b)+16 > len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(uint32(m.RowIdx[i]))<<32|uint64(uint32(m.ColIdx[i])))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Vals[i]))
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(buf[:0])[:8])
 }
 
 // Register adds a matrix to the registry, choosing its serving plan via the

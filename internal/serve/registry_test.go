@@ -2,6 +2,10 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"sync"
 	"testing"
 
@@ -38,6 +42,38 @@ func TestContentIDCanonical(t *testing.T) {
 	Canonicalize(c)
 	if ContentID(a) == ContentID(c) {
 		t.Fatal("different matrices collided on one content ID")
+	}
+}
+
+// TestContentIDStreamsEveryTriplet checks the buffered hash against the
+// stream ContentID documents, written one 64-bit word at a time, at
+// triplet counts around its buffer's edges (4 KiB holds 254 triplets after
+// the 24-byte header, then 256 per refill).
+func TestContentIDStreamsEveryTriplet(t *testing.T) {
+	want := func(m *matrix.COO[float64]) string {
+		h := sha256.New()
+		var w [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(w[:], v)
+			h.Write(w[:])
+		}
+		put(uint64(m.Rows))
+		put(uint64(m.Cols))
+		put(uint64(m.NNZ()))
+		for i := range m.Vals {
+			put(uint64(uint32(m.RowIdx[i]))<<32 | uint64(uint32(m.ColIdx[i])))
+			put(math.Float64bits(m.Vals[i]))
+		}
+		return hex.EncodeToString(h.Sum(nil))[:16]
+	}
+	for _, n := range []int{0, 1, 253, 254, 255, 256, 509, 510, 511, 766, 1000} {
+		m := matrix.NewCOO[float64](n+1, 3, n)
+		for i := 0; i < n; i++ {
+			m.Append(int32(i), int32(i%3), float64(i)-0.5)
+		}
+		if got, w := ContentID(m), want(m); got != w {
+			t.Errorf("%d triplets: ContentID %s, want %s", n, got, w)
+		}
 	}
 }
 

@@ -1053,13 +1053,15 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 
 	// The request timeline opens before admission so queue wait is on it.
 	// With request tracing off, rid is "" and req is nil — every
-	// instrumentation call below is then a free nil check.
+	// instrumentation call below is then a free nil check. Its phases are
+	// one chain of Steps from here — queue, load, prepare, the batcher's
+	// batch and kernel, respond — so they add up to the request's total but
+	// for what runs after the respond.
 	rid, req := s.beginRequest(r, id)
 
 	// Admission before the body read: overload answers 429 without paying
 	// for the payload, and a queued request that times out leaves without
 	// executing — the harness' cooperative-cancellation contract.
-	queueStart := req.Now()
 	if err := s.adm.acquire(ctx); err != nil {
 		s.failRequest(req, err)
 		if errors.Is(err, ErrOverloaded) {
@@ -1071,9 +1073,8 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adm.release()
-	req.Phase(trace.PhaseQueue, "", queueStart, 0)
+	req.Step(trace.PhaseQueue, "", 0)
 
-	loadStart := req.Now()
 	// The handler's references to B and its dispatch's C are released on
 	// return — unless the tuner sampled the pair for a shadow trial, which
 	// then owns them for good (the collector takes the buffers after it).
@@ -1091,9 +1092,8 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	req.Phase(trace.PhaseLoad, "panel", loadStart, int64(k))
+	req.Step(trace.PhaseLoad, "panel", int64(k))
 
-	prepStart := req.Now()
 	sv, hit, err := s.reg.Prepared(ctx, id)
 	if err != nil {
 		s.failRequest(req, err)
@@ -1104,7 +1104,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		cache = "hit"
 	}
-	req.Phase(trace.PhasePrepare, cache, prepStart, 0)
+	req.Step(trace.PhasePrepare, cache, 0)
 
 	res = s.multiply(ctx, m, sv, b, k, req)
 	if res.err != nil {
@@ -1131,7 +1131,6 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	// this request alone. The timing header has to precede the body, so its
 	// respond entry only covers getting this far; the recorded span adds the
 	// encode and the socket write.
-	respStart := req.Now()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(m.COO.Rows*k*8))
 	w.Header().Set(HeaderFormat, res.plan.Format)
@@ -1149,12 +1148,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if req != nil {
 		snap := req.Snapshot()
 		w.Header().Set(HeaderRequestID, rid)
-		w.Header().Set(HeaderTiming, FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-respStart))
+		w.Header().Set(HeaderTiming, FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-req.Pos()))
 	}
 	if err := WritePanel(w, res.c, k); err != nil && s.log != nil {
 		s.log.Warn("multiply response write failed", "id", id, "rid", rid, "err", err)
 	}
-	req.Phase(trace.PhaseRespond, "", respStart, 0)
+	req.Step(trace.PhaseRespond, "", 0)
 	s.finishRequest(req)
 	s.requestSeconds.Observe(time.Since(start).Seconds())
 }

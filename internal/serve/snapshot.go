@@ -115,8 +115,14 @@ func loadSnapshot(dir string) (*snapshot, error) {
 	}
 	wantCRC := binary.LittleEndian.Uint32(header[8:12])
 	length := binary.LittleEndian.Uint64(header[12:20])
-	if length > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible body length %d", ErrCorruptSnapshot, length)
+	// The declared length is a claim: bound it by the bytes the file holds
+	// before allocating the body.
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("serve: stat snapshot: %w", err)
+	}
+	if present := st.Size() - int64(len(header)); length > uint64(present) {
+		return nil, fmt.Errorf("%w: header declares a %d-byte body, file holds %d", ErrCorruptSnapshot, length, present)
 	}
 	body := make([]byte, length)
 	if _, err := io.ReadFull(f, body); err != nil {

@@ -123,17 +123,38 @@ func (q *Req) Mark() {
 
 // Step records a span from where the chain stands (the last Mark or Step)
 // to now, and that same clock read begins the next Step, so a chain of
-// Steps leaves no untimed gap between its spans. Nil receivers no-op.
+// Steps leaves no untimed gap between its spans. A chain not opened by
+// Mark starts at the request's begin. Nil receivers no-op.
 func (q *Req) Step(name, detail string, arg int64) {
 	if q == nil {
 		return
 	}
-	now := q.Now()
+	q.StepTo(name, detail, q.Now(), arg)
+}
+
+// StepTo is Step ending at an offset measured elsewhere (a prior Now or At
+// value) rather than now — how the batcher puts one dispatch's interval on
+// each joined request's chain. Nil receivers no-op.
+func (q *Req) StepTo(name, detail string, end, arg int64) {
+	if q == nil {
+		return
+	}
 	q.mu.Lock()
 	start := q.at
-	q.at = now
+	q.at = end
 	q.mu.Unlock()
-	q.AddPhase(name, detail, start, max(now-start, 0), arg)
+	q.AddPhase(name, detail, start, max(end-start, 0), arg)
+}
+
+// Pos returns where the chain stands: the offset the next Step starts at
+// (0 for nil).
+func (q *Req) Pos() int64 {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.at
 }
 
 // AddPhase records a span with an explicitly measured interval — the escape

@@ -229,6 +229,15 @@ if grep -nE '^func (AxpyRow[A-Za-z]*|rowB)\b.*\bj0\b' $(ls internal/matrix/*.go 
     echo "one k loop: the row entry takes B from column 0, with no j0 (DESIGN.md section 5)" >&2; exit 1
 fi
 
+echo "== no throwaway block format (no BCSRFromCOO call in non-test internal/advisor or in internal/formats/bell.go) =="
+# The advisor reads one ratio off the 4x4 blocks, and BELL lays its block
+# rows out itself: both run the block pass BCSR runs (formats.BlockFill,
+# BELLFromCOO), so a BCSR built for either would be built to be thrown away
+# (DESIGN.md section 2).
+if grep -nE '\bBCSRFromCOO(Map)?(\[[^]]*\])?\(' $(ls internal/advisor/*.go | grep -v _test.go) internal/formats/bell.go; then
+    echo "no throwaway block format: count the fill with formats.BlockFill, lay BELL out from the block pass" >&2; exit 1
+fi
+
 echo "== one perf system (go run ./benchmark: no internal/perf, perf-baseline flag, PhaseMix or scripts/bench.sh) =="
 # go run ./benchmark is the one instrument every change is judged by
 # (benchmark/README.md, DESIGN.md section 5); a property it cannot see, such
