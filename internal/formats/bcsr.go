@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -106,6 +107,8 @@ func BlockFill[T matrix.Float](m *matrix.COO[T], br, bc int) (float64, error) {
 type blockPass[T matrix.Float] struct {
 	m      *matrix.COO[T]
 	br, bc int
+	// rdiv and cdiv divide a row index by BR and a column index by BC.
+	rdiv, cdiv divisor
 	// order holds triplet indices: block row i's are
 	// order[start[i]:start[i+1]], in triplet order.
 	order, start []int32
@@ -121,7 +124,7 @@ type blockPass[T matrix.Float] struct {
 // scratch allocation. m's triplets must be in range.
 func newBlockPass[T matrix.Float](m *matrix.COO[T], br, bc, blockRows, blockCols int) blockPass[T] {
 	nnz := m.NNZ()
-	p := blockPass[T]{m: m, br: br, bc: bc}
+	p := blockPass[T]{m: m, br: br, bc: bc, rdiv: newDivisor(br), cdiv: newDivisor(bc)}
 	// start is two longer than blockRows for the counting sort.
 	scratch := make([]int32, nnz+blockRows+2+blockRows+2*blockCols)
 	p.order, scratch = scratch[:nnz], scratch[nnz:]
@@ -131,13 +134,13 @@ func newBlockPass[T matrix.Float](m *matrix.COO[T], br, bc, blockRows, blockCols
 
 	// A stable counting sort of triplet indices by block row.
 	for _, r := range m.RowIdx {
-		p.start[int(r)/br+2]++
+		p.start[p.rdiv.div(r)+2]++
 	}
 	for i := 2; i < len(p.start); i++ {
 		p.start[i] += p.start[i-1]
 	}
 	for t, r := range m.RowIdx {
-		i := int(r)/br + 1
+		i := p.rdiv.div(r) + 1
 		p.order[p.start[i]] = int32(t)
 		p.start[i]++
 	}
@@ -146,7 +149,7 @@ func newBlockPass[T matrix.Float](m *matrix.COO[T], br, bc, blockRows, blockCols
 	// with its block row + 1.
 	for i := range p.count {
 		for _, t := range p.order[p.start[i]:p.start[i+1]] {
-			if bj := int(m.ColIdx[t]) / bc; p.stamp[bj] != int32(i+1) {
+			if bj := p.cdiv.div(m.ColIdx[t]); p.stamp[bj] != int32(i+1) {
 				p.stamp[bj] = int32(i + 1)
 				p.count[i]++
 			}
@@ -168,7 +171,7 @@ func (p *blockPass[T]) row(i int, cols []int32, vals []T) {
 func (p *blockPass[T]) blocks(i int, cols []int32) {
 	n := 0
 	for _, t := range p.order[p.start[i]:p.start[i+1]] {
-		if bj := int(p.m.ColIdx[t]) / p.bc; p.stamp[bj] != -int32(i+1) {
+		if bj := p.cdiv.div(p.m.ColIdx[t]); p.stamp[bj] != -int32(i+1) {
 			p.stamp[bj] = -int32(i + 1)
 			cols[n] = int32(bj)
 			n++
@@ -187,10 +190,30 @@ func (p *blockPass[T]) add(i int, cols []int32, vals []T) {
 	sz, r0 := br*bc, i*br
 	for _, t := range p.order[p.start[i]:p.start[i+1]] {
 		c := int(m.ColIdx[t])
-		bj := c / bc
+		bj := p.cdiv.div(m.ColIdx[t])
 		vals[int(p.slot[bj])*sz+(int(m.RowIdx[t])-r0)*bc+c-bj*bc] += m.Vals[t]
 	}
 }
+
+// divisor divides a non-negative int32 by a fixed d ≥ 1 with a multiply and
+// a shift, exactly (Granlund and Montgomery, "Division by invariant
+// integers using multiplication", 1994, Theorem 4.2): with ℓ = ⌈log2 d⌉ and
+// m = ⌈2^(31+ℓ)/d⌉, a/d = (a·m) >> (31+ℓ) for every a < 2^31, and a·m
+// fits in 64 bits. The block pass divides every triplet's row and column
+// index by the block size; a hardware divide there costs more than the
+// rest of the pass's loop body.
+type divisor struct {
+	m     uint64
+	shift uint
+}
+
+func newDivisor(d int) divisor {
+	d = min(d, 1<<31) // past 2^31 every quotient is 0, as it is at 2^31
+	shift := 31 + uint(bits.Len(uint(d-1)))
+	return divisor{m: (1<<shift + uint64(d) - 1) / uint64(d), shift: shift}
+}
+
+func (v divisor) div(a int32) int { return int(uint64(a) * v.m >> v.shift) }
 
 // BCSRFromCOOMap converts COO to BCSR via hash-map block discovery. This is
 // the thesis' original formatting strategy ("we solved it ... by using the

@@ -106,3 +106,29 @@ func TestReadBCSRBoundsDeclaredSizes(t *testing.T) {
 		t.Fatalf("a %d-byte input declaring 128 MiB allocated %d bytes before failing", len(in), grew)
 	}
 }
+
+// TestDivisorExact checks the block pass's multiply-and-shift division
+// against the hardware's for every block size up to 300 and a sample of
+// larger ones, at the edges of every quotient and across the index range.
+func TestDivisorExact(t *testing.T) {
+	ds := []int{1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 65535, 65536, 65537, 1_000_003}
+	for d := 1; d <= 300; d++ {
+		ds = append(ds, d)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, d := range ds {
+		v := newDivisor(d)
+		as := []int32{0, 1, math.MaxInt32, math.MaxInt32 - 1}
+		for q := int64(1); q*int64(d) <= math.MaxInt32 && q < 1000; q++ {
+			as = append(as, int32(q*int64(d)-1), int32(q*int64(d)))
+		}
+		for i := 0; i < 1000; i++ {
+			as = append(as, rng.Int31())
+		}
+		for _, a := range as {
+			if got, want := v.div(a), int(int64(a)/int64(d)); got != want {
+				t.Fatalf("%d / %d = %d, want %d", a, d, got, want)
+			}
+		}
+	}
+}

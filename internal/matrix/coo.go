@@ -114,10 +114,12 @@ func (m *COO[T]) Dedup() int {
 			m.Vals[w] += m.Vals[i]
 			continue
 		}
-		w++
-		m.RowIdx[w] = m.RowIdx[i]
-		m.ColIdx[w] = m.ColIdx[i]
-		m.Vals[w] = m.Vals[i]
+		// Until the first duplicate every entry is already in place.
+		if w++; w != i {
+			m.RowIdx[w] = m.RowIdx[i]
+			m.ColIdx[w] = m.ColIdx[i]
+			m.Vals[w] = m.Vals[i]
+		}
 	}
 	merged := len(m.Vals) - (w + 1)
 	m.RowIdx = m.RowIdx[:w+1]
