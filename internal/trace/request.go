@@ -96,20 +96,6 @@ func (q *Req) ID() string {
 	return q.rec.ID
 }
 
-// Phase records a span from a start offset (a prior Now() value) to now and
-// returns its duration in nanoseconds. Nil receivers return 0.
-func (q *Req) Phase(name, detail string, start, arg int64) int64 {
-	if q == nil {
-		return 0
-	}
-	dur := q.Now() - start
-	if dur < 0 {
-		dur = 0
-	}
-	q.AddPhase(name, detail, start, dur, arg)
-	return dur
-}
-
 // Mark starts a chain of contiguous phases: the next Step begins now.
 func (q *Req) Mark() {
 	if q == nil {

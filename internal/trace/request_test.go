@@ -32,7 +32,11 @@ func TestRequestsDisabledNilSafe(t *testing.T) {
 	if req.At(time.Now()) != 0 {
 		t.Fatal("nil Req reports a nonzero At")
 	}
-	req.Phase(PhaseQueue, "", 0, 0)
+	req.Step(PhaseQueue, "", 0)
+	req.StepTo(PhaseBatch, "", 5, 1)
+	if req.Pos() != 0 {
+		t.Fatal("nil Req reports a nonzero Pos")
+	}
 	req.AddPhase(PhaseKernel, "v", 0, 10, 1)
 	req.SetError("boom")
 	if rec := req.Snapshot(); len(rec.Spans) != 0 {
@@ -57,7 +61,8 @@ func TestRequestsDisabledZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		req := rr.Begin("rid", "m")
 		s := req.Now()
-		req.Phase(PhaseQueue, "", s, 0)
+		req.Step(PhaseQueue, "", 0)
+		req.StepTo(PhaseBatch, "csr", s, 1)
 		req.AddPhase(PhaseKernel, "csr", s, 5, 1)
 		req.Finish()
 	})
@@ -78,10 +83,10 @@ func TestRequestLifecycle(t *testing.T) {
 	if req.ID() != "rid-7" {
 		t.Fatalf("ID = %q", req.ID())
 	}
-	qs := req.Now()
 	time.Sleep(time.Millisecond)
-	if d := req.Phase(PhaseQueue, "", qs, 3); d <= 0 {
-		t.Fatalf("Phase returned non-positive duration %d", d)
+	req.Step(PhaseQueue, "", 3)
+	if req.Pos() <= 0 {
+		t.Fatalf("after a Step the chain stands at %d, want > 0", req.Pos())
 	}
 	req.AddPhase(PhaseKernel, "csr-omp", req.Now(), 2e6, 64)
 	rec := req.Finish()
@@ -119,9 +124,10 @@ func TestRequestLifecycle(t *testing.T) {
 	}
 }
 
-// TestRequestStepsAreContiguous: after a Mark, each Step starts on the clock
-// read that ended the one before, so the chain's spans tile the time from
-// the Mark to the last Step exactly; on a nil *Req both are no-ops.
+// TestRequestStepsAreContiguous: after a Mark, each Step (or StepTo) starts
+// on the clock read that ended the one before, so the chain's spans tile
+// the time from the Mark to the last Step exactly; on a nil *Req both are
+// no-ops.
 func TestRequestStepsAreContiguous(t *testing.T) {
 	var off *Req
 	off.Mark()
@@ -130,8 +136,12 @@ func TestRequestStepsAreContiguous(t *testing.T) {
 	req := NewRequests(4).Begin("rid-s", "mat-s")
 	time.Sleep(time.Millisecond)
 	req.Mark()
-	for _, phase := range []string{PhaseLoad, PhaseAttemptRemote, PhaseAttemptRemote, PhaseRespond} {
+	for i, phase := range []string{PhaseLoad, PhaseAttemptRemote, PhaseAttemptRemote, PhaseRespond} {
 		time.Sleep(100 * time.Microsecond)
+		if i == 2 { // a span measured elsewhere joins the chain the same way
+			req.StepTo(phase, "", req.Now(), 0)
+			continue
+		}
 		req.Step(phase, "", 0)
 	}
 	rec := req.Finish()
@@ -211,7 +221,7 @@ func TestRequestConcurrentSpans(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			req.Phase(PhaseQueue, "", req.Now(), 0)
+			req.Step(PhaseQueue, "", 0)
 			req.Finish()
 		}()
 	}
