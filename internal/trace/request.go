@@ -120,16 +120,20 @@ func (q *Req) Step(name, detail string, arg int64) {
 
 // StepTo is Step ending at an offset measured elsewhere (a prior Now or At
 // value) rather than now — how the batcher puts one dispatch's interval on
-// each joined request's chain. Nil receivers no-op.
+// each joined request's chain. After Finish the record is immutable, so a
+// late span (a dispatch whose handler already gave up) is dropped rather
+// than racing the ring snapshot. Nil receivers no-op.
 func (q *Req) StepTo(name, detail string, end, arg int64) {
 	if q == nil {
 		return
 	}
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	start := q.at
 	q.at = end
-	q.mu.Unlock()
-	q.AddPhase(name, detail, start, max(end-start, 0), arg)
+	if !q.done {
+		q.rec.Spans = append(q.rec.Spans, ReqSpan{Name: name, Detail: detail, Start: start, Dur: max(end-start, 0), Arg: arg})
+	}
 }
 
 // Pos returns where the chain stands: the offset the next Step starts at
@@ -141,21 +145,6 @@ func (q *Req) Pos() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.at
-}
-
-// AddPhase records a span with an explicitly measured interval — the escape
-// hatch for spans measured outside the request goroutine (kernel dispatches
-// fanned out by the batcher). After Finish the record is immutable, so late
-// spans are dropped rather than racing the ring snapshot.
-func (q *Req) AddPhase(name, detail string, start, dur, arg int64) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	if !q.done {
-		q.rec.Spans = append(q.rec.Spans, ReqSpan{Name: name, Detail: detail, Start: start, Dur: dur, Arg: arg})
-	}
-	q.mu.Unlock()
 }
 
 // SetError tags the record with a failure class.
@@ -188,7 +177,7 @@ func (q *Req) Snapshot() ReqRecord {
 }
 
 // Finish seals the record, stamps its total duration, pushes it onto the
-// ring, and returns the finished record. Later Phase/AddPhase calls no-op.
+// ring, and returns the finished record. Later Steps no-op.
 // Finishing twice keeps the first seal.
 func (q *Req) Finish() ReqRecord {
 	if q == nil {

@@ -37,7 +37,6 @@ func TestRequestsDisabledNilSafe(t *testing.T) {
 	if req.Pos() != 0 {
 		t.Fatal("nil Req reports a nonzero Pos")
 	}
-	req.AddPhase(PhaseKernel, "v", 0, 10, 1)
 	req.SetError("boom")
 	if rec := req.Snapshot(); len(rec.Spans) != 0 {
 		t.Fatal("nil Req snapshot has spans")
@@ -63,7 +62,7 @@ func TestRequestsDisabledZeroAlloc(t *testing.T) {
 		s := req.Now()
 		req.Step(PhaseQueue, "", 0)
 		req.StepTo(PhaseBatch, "csr", s, 1)
-		req.AddPhase(PhaseKernel, "csr", s, 5, 1)
+		req.StepTo(PhaseKernel, "csr", s+5, 1)
 		req.Finish()
 	})
 	if allocs != 0 {
@@ -88,7 +87,7 @@ func TestRequestLifecycle(t *testing.T) {
 	if req.Pos() <= 0 {
 		t.Fatalf("after a Step the chain stands at %d, want > 0", req.Pos())
 	}
-	req.AddPhase(PhaseKernel, "csr-omp", req.Now(), 2e6, 64)
+	req.StepTo(PhaseKernel, "csr-omp", req.Pos()+2e6, 64)
 	rec := req.Finish()
 	if rec.ID != "rid-7" || rec.Subject != "mat-a" {
 		t.Fatalf("record identity = %q/%q", rec.ID, rec.Subject)
@@ -113,9 +112,9 @@ func TestRequestLifecycle(t *testing.T) {
 	}
 
 	// Post-Finish span adds (a late batcher flush) must drop silently.
-	req.AddPhase(PhaseBatch, "", 0, 1, 1)
+	req.StepTo(PhaseBatch, "", req.Pos()+1, 1)
 	if got := rr.Snapshot(ReqFilter{ID: "rid-7"}); len(got[0].Spans) != 2 {
-		t.Fatal("AddPhase after Finish mutated the sealed record")
+		t.Fatal("StepTo after Finish mutated the sealed record")
 	}
 	// Double Finish must not duplicate the ring entry.
 	req.Finish()
@@ -169,7 +168,7 @@ func TestRequestsRingBoundAndFilters(t *testing.T) {
 	rr := NewRequests(4)
 	for i := 0; i < 10; i++ {
 		req := rr.Begin(fmt.Sprintf("rid-%d", i), fmt.Sprintf("mat-%d", i%2))
-		req.AddPhase(PhaseKernel, "", 0, int64(i)*1e6, 1)
+		req.StepTo(PhaseKernel, "", int64(i)*1e6, 1)
 		req.Finish()
 	}
 	if rr.Total() != 10 {
@@ -216,7 +215,7 @@ func TestRequestConcurrentSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				req.AddPhase(PhaseBatch, "", 0, 1, 1)
+				req.StepTo(PhaseBatch, "", 1, 1)
 			}
 		}()
 		go func() {
