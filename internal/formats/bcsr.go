@@ -29,6 +29,7 @@ type BCSR[T matrix.Float] struct {
 	Vals []T
 
 	balanced partitionCache // memoized block-balanced block-row splits
+	reuse    matrix.Reuse   // the source's scan, for the kernels' slab rule
 }
 
 // BCSRFromCOO converts a COO matrix to BCSR with BR×BC blocks by the block
@@ -267,6 +268,7 @@ func newBCSRShell[T matrix.Float](m *matrix.COO[T], br, bc int) *BCSR[T] {
 		BlockRows: blockRows,
 		BlockCols: blockCols,
 		RowPtr:    make([]int32, blockRows+1),
+		reuse:     m.Reuse(),
 	}
 }
 
@@ -317,6 +319,10 @@ func (b *BCSR[T]) ToCOO() *matrix.COO[T] {
 
 // FormatName is the short name used in reports.
 func (b *BCSR[T]) FormatName() string { return "bcsr" }
+
+// Reuse is how the rows reuse columns, scanned from the COO the matrix was
+// converted from; zero (unsorted) for one built any other way.
+func (b *BCSR[T]) Reuse() matrix.Reuse { return b.reuse }
 
 // Dims returns the logical matrix dimensions.
 func (b *BCSR[T]) Dims() (int, int) { return b.Rows, b.Cols }

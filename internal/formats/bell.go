@@ -26,6 +26,8 @@ type BELL[T matrix.Float] struct {
 	// RowLen[i] is how many of block row i's slots hold a real block; zeros
 	// inside a real block are fill, as in BCSR.
 	RowLen []int32
+
+	reuse matrix.Reuse // the source's scan, for the kernels' slab rule
 }
 
 // BELLFromCOO converts a COO matrix to Blocked-ELL by BCSRFromCOO's block
@@ -42,6 +44,7 @@ func BELLFromCOO[T matrix.Float](m *matrix.COO[T], br, bc int) (*BELL[T], error)
 		BC:        bc,
 		BlockRows: ceilDiv(max(m.Rows, 0), br),
 		BlockCols: ceilDiv(max(m.Cols, 0), bc),
+		reuse:     m.Reuse(),
 	}
 	p := newBlockPass(m, br, bc, e.BlockRows, e.BlockCols)
 	e.RowLen = make([]int32, e.BlockRows)
@@ -105,6 +108,10 @@ func (e *BELL[T]) ToCOO() *matrix.COO[T] {
 
 // FormatName is the short name used in reports.
 func (e *BELL[T]) FormatName() string { return "bell" }
+
+// Reuse is how the rows reuse columns, scanned from the COO the matrix was
+// converted from; zero (unsorted) for one built any other way.
+func (e *BELL[T]) Reuse() matrix.Reuse { return e.reuse }
 
 // Dims returns the logical matrix dimensions.
 func (e *BELL[T]) Dims() (int, int) { return e.Rows, e.Cols }

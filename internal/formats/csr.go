@@ -15,6 +15,7 @@ type CSR[T matrix.Float] struct {
 	Vals   []T
 
 	balanced partitionCache // memoized nnz-balanced row splits
+	reuse    matrix.Reuse   // the source's scan, for the kernels' slab rule
 }
 
 // CSRFromCOO converts a COO matrix to CSR. The input is sorted row-major
@@ -29,6 +30,7 @@ func CSRFromCOO[T matrix.Float](m *matrix.COO[T]) *CSR[T] {
 		RowPtr: make([]int32, m.Rows+1),
 		ColIdx: make([]int32, nnz),
 		Vals:   make([]T, nnz),
+		reuse:  m.Reuse(),
 	}
 	for _, r := range m.RowIdx {
 		c.RowPtr[r+1]++
@@ -54,6 +56,10 @@ func (c *CSR[T]) ToCOO() *matrix.COO[T] {
 
 // FormatName is the short name used in reports.
 func (c *CSR[T]) FormatName() string { return "csr" }
+
+// Reuse is how the rows reuse columns, scanned from the COO the matrix was
+// converted from; zero (unsorted) for one built any other way.
+func (c *CSR[T]) Reuse() matrix.Reuse { return c.reuse }
 
 // Dims returns the logical matrix dimensions.
 func (c *CSR[T]) Dims() (int, int) { return c.Rows, c.Cols }

@@ -43,6 +43,8 @@ type ELL[T matrix.Float] struct {
 	// RowLen[i] is how many of row i's slots are real: the only statement
 	// of which slots are padding (a real slot may hold a stored zero).
 	RowLen []int32
+
+	reuse matrix.Reuse // the source's scan, for the kernels' slab rule
 }
 
 // ELLFromCOO converts a COO matrix to ELLPACK in the requested layout.
@@ -66,6 +68,7 @@ func ELLFromCOO[T matrix.Float](m *matrix.COO[T], layout ELLLayout) *ELL[T] {
 		ColIdx: make([]int32, m.Rows*width),
 		Vals:   make([]T, m.Rows*width),
 		RowLen: make([]int32, m.Rows),
+		reuse:  m.Reuse(),
 	}
 	if width == 0 {
 		return e
@@ -121,6 +124,7 @@ func (e *ELL[T]) Relayout(layout ELLLayout) *ELL[T] {
 		ColIdx: make([]int32, len(e.ColIdx)),
 		Vals:   make([]T, len(e.Vals)),
 		RowLen: e.RowLen, // never written after conversion
+		reuse:  e.reuse,
 	}
 	for i := 0; i < e.Rows; i++ {
 		for s := 0; s < e.Width; s++ {
@@ -149,6 +153,10 @@ func (e *ELL[T]) ToCOO() *matrix.COO[T] {
 
 // FormatName is the short name used in reports.
 func (e *ELL[T]) FormatName() string { return "ell" }
+
+// Reuse is how the rows reuse columns, scanned from the COO the matrix was
+// converted from; zero (unsorted) for one built any other way.
+func (e *ELL[T]) Reuse() matrix.Reuse { return e.reuse }
 
 // Dims returns the logical matrix dimensions.
 func (e *ELL[T]) Dims() (int, int) { return e.Rows, e.Cols }

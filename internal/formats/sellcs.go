@@ -41,6 +41,7 @@ type SELLCS[T matrix.Float] struct {
 	RowLen []int32
 
 	balanced partitionCache // memoized element-balanced slice splits
+	reuse    matrix.Reuse   // the source's scan, for the kernels' slab rule
 }
 
 // SELLCSFromCOO converts a COO matrix to SELL-C-σ form. c must be >= 1 and
@@ -85,6 +86,7 @@ func SELLCSFromCOO[T matrix.Float](m *matrix.COO[T], c, sigma int) (*SELLCS[T], 
 		SlicePtr: make([]int32, numSlices+1),
 		Width:    make([]int32, numSlices),
 		RowLen:   make([]int32, numSlices*c),
+		reuse:    m.Reuse(),
 	}
 
 	// First pass: slice widths and offsets.
@@ -160,6 +162,10 @@ func (s *SELLCS[T]) ToCOO() *matrix.COO[T] {
 
 // FormatName is the short name used in reports.
 func (s *SELLCS[T]) FormatName() string { return "sellcs" }
+
+// Reuse is how the rows reuse columns, scanned from the COO the matrix was
+// converted from; zero (unsorted) for one built any other way.
+func (s *SELLCS[T]) Reuse() matrix.Reuse { return s.reuse }
 
 // Dims returns the logical matrix dimensions.
 func (s *SELLCS[T]) Dims() (int, int) { return s.Rows, s.Cols }

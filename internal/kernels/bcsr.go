@@ -15,53 +15,64 @@ func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Sp
 	if err := check(rowBCSR, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	if s.direct() {
-		bcsrBlockRows(a, b, c, k, 0, a.BlockRows)
-		return nil
-	}
 	var bounds []int
 	if s.Threads > 1 && s.Schedule == ScheduleBalanced {
 		bounds = a.BalancedBounds(s.Threads)
 	}
-	return run(s, rowBCSR, a.BlockRows, bounds, func(lo, hi, _ int) {
-		bcsrBlockRows(a, b, c, k, lo, hi)
-	})
+	rg := blocks[T]{m: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals, rowPtr: a.RowPtr, b: b, c: c, k: k}
+	return walk(s, rowBCSR, a.BlockRows, bounds, rg, a.Cols, k, slabbed(a, a.Cols, k))
 }
 
-// bcsrBlockRows processes block rows [lo, hi). The padded fringe of the
+// blocks is the range function BCSR and BELL share, over block rows: per
+// stored slot one block-column index and br*bc row-major values. They
+// differ only in which slots a block row owns: those from BCSR's rowPtr, or
+// the first rowLen of BELL's width slots. The padded fringe of BCSR's
 // trailing block row and column holds only zeros (Validate), which the row
-// entry skips as fill; the trailing block row's lanes stop at Rows.
-func bcsrBlockRows[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	blk := blocks[T]{rows: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
+// entry skips as fill; the trailing block row's lanes stop at m, A's row
+// count.
+type blocks[T matrix.Float] struct {
+	m, br, bc int
+	colIdx    []int32
+	vals      []T
+	rowPtr    []int32 // BCSR
+	width     int     // BELL, with rowLen
+	rowLen    []int32
+	b, c      *matrix.Dense[T]
+	k         int
+}
+
+func (a blocks[T]) rows(lo, hi int, sl slab) {
+	bsl := sl.blocks(a.bc)
 	for bri := lo; bri < hi; bri++ {
-		blk.blockRow(bri, int(a.RowPtr[bri]), int(a.RowPtr[bri+1]), b, c, k)
+		if a.rowLen == nil {
+			a.blockRow(bri, int(a.rowPtr[bri]), int(a.rowPtr[bri+1]), bsl)
+		} else {
+			a.blockRow(bri, bri*a.width, bri*a.width+int(a.rowLen[bri]), bsl)
+		}
 	}
 }
 
-// blocks is what BCSR and BELL share: per stored slot one block-column
-// index and br*bc row-major values. They differ only in which slots a block
-// row owns.
-type blocks[T matrix.Float] struct {
-	rows, br, bc int
-	colIdx       []int32
-	vals         []T
-}
-
-// blockRow writes the first k columns of the C rows of block row bri from
-// its slots [p, q). Each lane is one C row, handed to the row entry as a
-// block lane over all of the slots, which reads the lane's values in place
-// and skips the zeros among them as fill; so a lane's pairs arrive in slot
-// order, then column order. The row entry writes the lane's row of C whole;
-// a block row with no slots is the empty run, which writes zeros.
-func (a blocks[T]) blockRow(bri, p, q int, b, c *matrix.Dense[T], k int) {
+// blockRow writes, or continues, the C rows of block row bri from those of
+// its slots [p, q) whose block columns lie in sl. Each lane is one C row,
+// handed to the row entry as a block lane over the slots, which reads the
+// lane's values in place and skips the zeros among them as fill; so a
+// lane's pairs arrive in slot order, then column order. The row entry
+// writes the lane's row of C from its first run and continues it from each
+// later one; a block row with no slots is the empty run, which writes zeros.
+func (a blocks[T]) blockRow(bri, p, q int, sl slab) {
+	s0, s1 := sl.cut(a.colIdx, p, q-p, 1)
+	if !sl.visits(s0, s1, q-p) {
+		return
+	}
+	sz := a.br * a.bc
 	rowBase := bri * a.br
-	cols, vals := a.colIdx[p:q], a.vals[p*a.br*a.bc:q*a.br*a.bc]
-	for r := range min(a.br, a.rows-rowBase) {
-		crow := cRow(c, rowBase+r, k)
-		if p < q {
-			matrix.AxpyRowBlock(crow, b, cols, vals[r*a.bc:], a.bc, a.br*a.bc)
+	cols, vals := a.colIdx[p+s0:p+s1], a.vals[(p+s0)*sz:(p+s1)*sz]
+	for r := range min(a.br, a.m-rowBase) {
+		crow := cRow(a.c, rowBase+r, a.k)
+		if s0 < s1 {
+			matrix.AxpyRowBlock(crow, a.b, cols, vals[r*a.bc:], a.bc, sz, s0 > 0)
 		} else {
-			matrix.AxpyRow(crow, b, nil, nil)
+			matrix.AxpyRow(crow, a.b, nil, nil, false)
 		}
 	}
 }

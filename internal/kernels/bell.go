@@ -13,20 +13,8 @@ func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Sp
 	if err := check(rowBELL, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	if s.direct() {
-		bellBlockRows(a, b, c, k, 0, a.BlockRows)
-		return nil
-	}
-	return run(s, rowBELL, a.BlockRows, nil, func(lo, hi, _ int) {
-		bellBlockRows(a, b, c, k, lo, hi)
-	})
-}
-
-func bellBlockRows[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	blk := blocks[T]{rows: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals}
-	for bri := lo; bri < hi; bri++ {
-		blk.blockRow(bri, bri*a.Width, bri*a.Width+int(a.RowLen[bri]), b, c, k)
-	}
+	rg := blocks[T]{m: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals, width: a.Width, rowLen: a.RowLen, b: b, c: c, k: k}
+	return walk(s, rowBELL, a.BlockRows, nil, rg, a.Cols, k, slabbed(a, a.Cols, k))
 }
 
 // SELLCS computes C[:, :k] = A × B[:, :k] with A in SELL-C-σ form,
@@ -40,33 +28,42 @@ func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, 
 	if err := check(rowSELLCS, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	if s.direct() {
-		sellSlices(a, b, c, k, 0, a.NumSlices())
-		return nil
-	}
 	var bounds []int
 	if s.Threads > 1 && s.Schedule == ScheduleBalanced {
 		bounds = a.BalancedBounds(s.Threads)
 	}
-	return run(s, rowSELLCS, a.NumSlices(), bounds, func(lo, hi, _ int) {
-		sellSlices(a, b, c, k, lo, hi)
-	})
+	return walk(s, rowSELLCS, a.NumSlices(), bounds, sellSlices[T]{a, b, c, k}, a.Cols, k, slabbed(a, a.Cols, k))
 }
 
-// sellSlices walks each slice lane by lane: a lane is one C row, handed to
-// the row entry to its stored length, C slots apart, with its un-permuted
-// row looked up once. The row entry writes the row whole; an empty lane is
-// the empty run, which writes zeros.
-func sellSlices[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k, lo, hi int) {
-	for sl := lo; sl < hi; sl++ {
-		base := int(a.SlicePtr[sl])
-		laneLim := min(a.C, a.Rows-sl*a.C)
+// sellSlices is SELL-C-σ's range function, over slices: it walks each slice
+// lane by lane. A lane is one C row, handed to the row entry to its stored
+// length, C slots apart, with its un-permuted row looked up once; a slab's
+// pairs are the lane's slots from p to q. The row entry writes the row from
+// its first run and continues it from each later one; an empty lane is the
+// empty run, which writes zeros.
+type sellSlices[T matrix.Float] struct {
+	a    *formats.SELLCS[T]
+	b, c *matrix.Dense[T]
+	k    int
+}
+
+func (r sellSlices[T]) rows(lo, hi int, sl slab) {
+	a := r.a
+	for s := lo; s < hi; s++ {
+		base := int(a.SlicePtr[s])
+		laneLim := min(a.C, a.Rows-s*a.C)
 		for l := 0; l < laneLim; l++ {
-			crow := cRow(c, int(a.Perm[sl*a.C+l]), k)
-			if n := int(a.RowLen[sl*a.C+l]); n > 0 {
-				matrix.AxpyRowStrided(crow, b, a.ColIdx[base+l:], a.Vals[base+l:], n, a.C)
+			n := int(a.RowLen[s*a.C+l])
+			p, q := sl.cut(a.ColIdx, base+l, n, a.C)
+			if !sl.visits(p, q, n) {
+				continue
+			}
+			crow := cRow(r.c, int(a.Perm[s*a.C+l]), r.k)
+			if p < q {
+				o := base + l + p*a.C
+				matrix.AxpyRowStrided(crow, r.b, a.ColIdx[o:], a.Vals[o:], q-p, a.C, p > 0)
 			} else {
-				matrix.AxpyRow(crow, b, nil, nil)
+				matrix.AxpyRow(crow, r.b, nil, nil, false)
 			}
 		}
 	}

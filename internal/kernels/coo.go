@@ -21,10 +21,11 @@ func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec)
 	if err := check(rowCOO, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
+	rg := cooTriplets[T]{a, b, c, k}
 	// With no triplets there is nothing to split: the one empty range owns,
 	// and writes, every row.
-	if s.direct() || a.NNZ() == 0 {
-		cooTriplets(a, b, c, k, 0, a.NNZ())
+	if a.NNZ() == 0 {
+		rg.rows(0, 0, whole)
 		return nil
 	}
 	var bounds []int
@@ -32,9 +33,7 @@ func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec)
 		bounds = cooRowPartition(a, s.Threads)
 		obsNonzeros.Add(int64(a.NNZ()))
 	}
-	return run(s, rowCOO, a.NNZ(), bounds, func(lo, hi, _ int) {
-		cooTriplets(a, b, c, k, lo, hi)
-	})
+	return walk(s, rowCOO, a.NNZ(), bounds, rg, a.Cols, k, slabbed(a, a.Cols, k))
 }
 
 // cooRuns is what triplet range [lo, hi) of a row-sorted A owns: the runs
@@ -70,11 +69,20 @@ func cooRuns[T matrix.Float](a *matrix.COO[T], lo, hi int) (p, q, r0, r1 int) {
 	return p, q, r0, r1
 }
 
-// cooTriplets writes the C rows triplets [lo, hi) own (cooRuns), one
-// row-entry call per row: a run of equal RowIdx, or the empty run for a row
-// without triplets, which writes zeros. A RowIdx that descends inside the
-// range panics: unsorted triplets would write a row twice or never.
-func cooTriplets[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo, hi int) {
+// cooTriplets is COO's range function: it writes, or for a later slab
+// continues, the C rows triplets [lo, hi) own (cooRuns), one row-entry call
+// per row: a row's triplets in the slab, a run of equal RowIdx, or in the
+// first pass the empty run for a row without triplets, which writes zeros.
+// A RowIdx that descends inside the range panics: unsorted triplets would
+// write a row twice or never.
+type cooTriplets[T matrix.Float] struct {
+	a    *matrix.COO[T]
+	b, c *matrix.Dense[T]
+	k    int
+}
+
+func (t cooTriplets[T]) rows(lo, hi int, sl slab) {
+	a := t.a
 	p, end, r, r1 := cooRuns(a, lo, hi)
 	for p < end {
 		row := int(a.RowIdx[p])
@@ -82,17 +90,53 @@ func cooTriplets[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, lo,
 			panic(fmt.Sprintf("kernels: COO triplet %d in row %d after row %d: the triplets are not row-sorted", p, row, r-1))
 		}
 		q := p + 1
-		for q < end && a.RowIdx[q] == a.RowIdx[p] {
-			q++
+		if sl.lo == 0 {
+			for q < end && a.RowIdx[q] == a.RowIdx[p] {
+				q++
+			}
+		} else {
+			q = rowEnd(a.RowIdx, p, end)
 		}
 		for ; r < row; r++ {
-			matrix.AxpyRow(cRow(c, r, k), b, nil, nil)
+			t.empty(r, sl)
 		}
-		matrix.AxpyRow(cRow(c, row, k), b, a.ColIdx[p:q], a.Vals[p:q])
+		if s0, s1 := sl.cut(a.ColIdx, p, q-p, 1); s0 < s1 {
+			matrix.AxpyRow(cRow(t.c, row, t.k), t.b, a.ColIdx[p+s0:p+s1], a.Vals[p+s0:p+s1], s0 > 0)
+		}
 		p, r = q, row+1
 	}
 	for ; r < r1; r++ {
-		matrix.AxpyRow(cRow(c, r, k), b, nil, nil)
+		t.empty(r, sl)
+	}
+}
+
+// rowEnd is the end of the run of RowIdx[p] in [p, end), found by
+// doubling steps and then halving them: a later pass, which meets every
+// triplet of a row again but hands the row entry only those in its slab,
+// pays for the rows it walks, not their lengths. The first pass walks each
+// run triplet by triplet, and so sees — and panics on — any descent.
+func rowEnd(rowIdx []int32, p, end int) int {
+	row, lo, step := rowIdx[p], p, 1
+	for lo+step < end && rowIdx[lo+step] == row {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, end) // rowIdx[lo] == row; rowIdx[hi] != row, or hi == end
+	for hi-lo > 1 {
+		m := int(uint(lo+hi) >> 1)
+		if rowIdx[m] == row {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
+}
+
+// empty writes the zeros of row r, which has no triplets, in the first pass.
+func (t cooTriplets[T]) empty(r int, sl slab) {
+	if sl.lo == 0 {
+		matrix.AxpyRow(cRow(t.c, r, t.k), t.b, nil, nil, false)
 	}
 }
 
@@ -131,7 +175,7 @@ func COOParallelReplicated[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[
 		return err
 	}
 	replicated(c, k, a.NNZ(), threads, func(into *matrix.Dense[T], lo, hi int) {
-		cooTriplets(a, b, into, k, lo, hi)
+		cooTriplets[T]{a, b, into, k}.rows(lo, hi, whole)
 	})
 	return nil
 }

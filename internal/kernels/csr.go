@@ -3,6 +3,7 @@ package kernels
 import (
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 )
 
 // CSR computes C[:, :k] = A × B[:, :k] with A in CSR form, executed as s
@@ -14,10 +15,6 @@ func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec
 	if err := check(rowCSR, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	if s.direct() {
-		csrRows(a, b, c, k, 0, a.Rows)
-		return nil
-	}
 	var bounds []int
 	if s.Threads > 1 {
 		if s.Schedule == ScheduleBalanced {
@@ -26,18 +23,26 @@ func CSR[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k int, s Spec
 		obsNonzeros.Add(int64(a.NNZ()))
 		recordCSRImbalance(a.RowPtr, a.Rows, s.Threads, bounds)
 	}
-	return run(s, rowCSR, a.Rows, bounds, func(lo, hi, _ int) {
-		csrRows(a, b, c, k, lo, hi)
-	})
+	return walk(s, rowCSR, a.Rows, bounds, csrRows[T]{a, b, c, k}, a.Cols, k, slabbed(a, a.Cols, k))
 }
 
-// csrRows writes C rows [lo, hi): a CSR row is already the run of (col,
-// val) pairs the row entry takes, and the row entry writes the row whole, an
-// empty row's as zeros.
-func csrRows[T matrix.Float](a *formats.CSR[T], b, c *matrix.Dense[T], k, lo, hi int) {
+// csrRows is CSR's range function: a CSR row is already the run of (col,
+// val) pairs the row entry takes, and its pairs in a slab are a run too. The
+// row entry writes the row from its first run, an empty row's as zeros, and
+// continues it from each later one.
+type csrRows[T matrix.Float] struct {
+	a    *formats.CSR[T]
+	b, c *matrix.Dense[T]
+	k    int
+}
+
+func (r csrRows[T]) rows(lo, hi int, sl slab) {
+	a := r.a
 	for i := lo; i < hi; i++ {
-		p, q := a.RowPtr[i], a.RowPtr[i+1]
-		matrix.AxpyRow(cRow(c, i, k), b, a.ColIdx[p:q], a.Vals[p:q])
+		o, n := int(a.RowPtr[i]), int(a.RowPtr[i+1]-a.RowPtr[i])
+		if p, q := sl.cut(a.ColIdx, o, n, 1); sl.visits(p, q, n) {
+			matrix.AxpyRow(cRow(r.c, i, r.k), r.b, a.ColIdx[o+p:o+q], a.Vals[o+p:o+q], p > 0)
+		}
 	}
 }
 
@@ -55,10 +60,10 @@ func CSC[T matrix.Float](a *formats.CSC[T], b, c *matrix.Dense[T], k int, s Spec
 		cscCols(a, b, c, k, 0, a.Cols)
 		return nil
 	}
-	if err := run(s, rowCSC, c.Rows, nil, func(lo, hi, _ int) { zeroKRows(c, k, lo, hi) }); err != nil {
+	if err := run(s, rowCSC, c.Rows, nil, parallel.Func(func(lo, hi, _ int) { zeroKRows(c, k, lo, hi) })); err != nil {
 		return err
 	}
-	return run(s, rowCSC, a.Cols, nil, func(lo, hi, _ int) { cscCols(a, b, c, k, lo, hi) })
+	return run(s, rowCSC, a.Cols, nil, parallel.Func(func(lo, hi, _ int) { cscCols(a, b, c, k, lo, hi) }))
 }
 
 // cscCols scatters columns [lo, hi) of A into C.

@@ -15,29 +15,46 @@ func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec
 	if err := check(rowELL, s, a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
-	if s.direct() {
-		ellRows(a, b, c, k, 0, a.Rows)
-		return nil
-	}
-	return run(s, rowELL, a.Rows, nil, func(lo, hi, _ int) {
-		ellRows(a, b, c, k, lo, hi)
-	})
+	return walk(s, rowELL, a.Rows, nil, ellRows[T]{a, b, c, k}, a.Cols, k, slabbed(a, a.Cols, k))
 }
 
-// ellRows walks each of rows [lo, hi) to its stored length. A row-major row
-// is already the run of (col, val) pairs the row entry takes, as a CSR row
-// is; a column-major row is the same pairs Rows slots apart, which the row
-// entry reads in place. Either way the row entry writes the row whole; an
-// empty row, in either layout, is the empty run, which writes zeros.
-func ellRows[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k, lo, hi int) {
+// ellRows is ELL's range function: it walks each row to its stored length.
+// A row-major row is already the run of (col, val) pairs the row entry
+// takes, as a CSR row is; a column-major row is the same pairs Rows slots
+// apart, which the row entry reads in place. Either way a slab's pairs are
+// the row's slots from p to q, the row entry writes the row from its first
+// run and continues it from each later one; an empty row, in either layout,
+// is the empty run, which writes zeros.
+type ellRows[T matrix.Float] struct {
+	a    *formats.ELL[T]
+	b, c *matrix.Dense[T]
+	k    int
+}
+
+func (r ellRows[T]) rows(lo, hi int, sl slab) {
+	a := r.a
+	step := 1
+	if a.Layout == formats.ColMajor {
+		step = a.Rows
+	}
 	for i := lo; i < hi; i++ {
-		crow := cRow(c, i, k)
 		n := int(a.RowLen[i])
-		if a.Layout == formats.ColMajor && n > 0 {
-			matrix.AxpyRowStrided(crow, b, a.ColIdx[i:], a.Vals[i:], n, a.Rows)
-		} else {
-			base := i * a.Width
-			matrix.AxpyRow(crow, b, a.ColIdx[base:base+n], a.Vals[base:base+n])
+		base := i * a.Width
+		if step > 1 {
+			base = i
+		}
+		p, q := sl.cut(a.ColIdx, base, n, step)
+		if !sl.visits(p, q, n) {
+			continue
+		}
+		crow := cRow(r.c, i, r.k)
+		switch {
+		case p == q:
+			matrix.AxpyRow(crow, r.b, nil, nil, false)
+		case step > 1:
+			matrix.AxpyRowStrided(crow, r.b, a.ColIdx[base+p*step:], a.Vals[base+p*step:], q-p, step, p > 0)
+		default:
+			matrix.AxpyRow(crow, r.b, a.ColIdx[base+p:base+q], a.Vals[base+p:base+q], p > 0)
 		}
 	}
 }

@@ -103,9 +103,9 @@ func BenchmarkAxpyRow(b *testing.B) {
 			pairs int
 			call  func(c []float64)
 		}{
-			{"contiguous", run, func(c []float64) { matrix.AxpyRow(c, x, runCols, runVals) }},
-			{"strided", run, func(c []float64) { matrix.AxpyRowStrided(c, x, cols, vals, run, step) }},
-			{"block", nnz, func(c []float64) { matrix.AxpyRowBlock(c, x, bcols, bvals, 4, 16) }},
+			{"contiguous", run, func(c []float64) { matrix.AxpyRow(c, x, runCols, runVals, false) }},
+			{"strided", run, func(c []float64) { matrix.AxpyRowStrided(c, x, cols, vals, run, step, false) }},
+			{"block", nnz, func(c []float64) { matrix.AxpyRowBlock(c, x, bcols, bvals, 4, 16, false) }},
 		} {
 			for l, body := range []string{"scalar", "avx2", "avx512"} {
 				if uint8(l) > live {

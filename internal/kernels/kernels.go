@@ -15,8 +15,10 @@
 // can unroll and vectorise; here every format's k loop is the row entry
 // (matrix.AxpyRow, or its strided and block-lane forms, which read pairs
 // where the format stores them), unrolled and vectorised by hand for any k.
-// Each range function hands the row entry one C row with all k columns, and
-// the row entry's own tile ladder (128, 32, 16, 4 and 1 columns) walks them;
+// Each range function hands the row entry one C row with all k columns — its
+// pairs in one run, or, when B outgrows the L2 and the slab rule says so,
+// in one run per column slab (slab.go) — and the row entry's own tile
+// ladder (128, 32, 16, 4 and 1 columns) walks them;
 // no range function splits k into panels, so there is one k loop per format
 // and Study 9 measures what a compile-time k would still remove.
 package kernels

@@ -140,7 +140,7 @@ func TestCOOSplits(t *testing.T) {
 		for _, k := range []int{3, 33} {
 			b := matrix.NewDenseRand[float64](coo.Cols, k, 4)
 			ref := csrSerialRef(t, coo, b, k)
-			walk := func(c *matrix.Dense[float64], lo, hi int) { cooTriplets(coo, b, c, k, lo, hi) }
+			walk := func(c *matrix.Dense[float64], lo, hi int) { cooTriplets[float64]{coo, b, c, k}.rows(lo, hi, whole) }
 			for lo := 0; lo <= nnz; lo++ {
 				for hi := lo; hi <= nnz; hi++ {
 					name := fmt.Sprintf("k=%d split %d,%d", k, lo, hi)

@@ -19,7 +19,8 @@ import (
 // precomputed bounds, and the single place that steps a range in
 // cancelStride pieces under a context.
 // The range functions themselves (csrRows, ellRows, ...) are the paper's
-// subject and stay one separate loop nest each. There is one inner loop per
+// subject and stay one separate loop nest each; the slab walk (slab.go) runs
+// each once per pass over A's columns. There is one inner loop per
 // format, the row entry, and one k loop: k is a runtime bound, and a
 // compile-time k would leave the row entry nothing to remove but its
 // remainder tiles (Study 9).
@@ -95,9 +96,9 @@ func (s Spec) Name() string {
 	return Variant{Parallel: s.Threads > 1, Schedule: s.Schedule, Ctx: s.Ctx != nil}.machinery()
 }
 
-// direct reports whether the call is the closure-free serial path: the
-// entry then calls its range function itself, which is what keeps serial
-// Calculate at 0 allocs/op.
+// direct reports whether the call is the allocation-free serial path: the
+// slab walk then calls the range function itself, which is what keeps
+// serial Calculate at 0 allocs/op.
 func (s Spec) direct() bool { return s.Threads <= 1 && s.Ctx == nil }
 
 // ErrSpec is returned when a format's entry is handed a Spec outside its
@@ -154,7 +155,7 @@ func check[T matrix.Float](r *row, s Spec, ar, ac int, b, c *matrix.Dense[T], k 
 // when nil). bounds, when non-nil, are the precomputed chunk bounds of a
 // balanced (or row-aligned) partition; otherwise the region is the static
 // partition into s.Threads chunks.
-func run(s Spec, r *row, n int, bounds []int, body func(lo, hi, worker int)) error {
+func run(s Spec, r *row, n int, bounds []int, body parallel.Body) error {
 	ctx := s.Ctx
 	if s.Threads <= 1 {
 		return step(ctx, 0, n, 0, body)
@@ -164,7 +165,7 @@ func run(s Spec, r *row, n int, bounds []int, body func(lo, hi, worker int)) err
 			return err
 		}
 		chunk := body
-		body = func(lo, hi, worker int) { _ = step(ctx, lo, hi, worker, chunk) }
+		body = parallel.Func(func(lo, hi, worker int) { _ = step(ctx, lo, hi, worker, chunk) })
 	}
 	pool := s.Pool
 	if pool == nil {
@@ -173,11 +174,7 @@ func run(s Spec, r *row, n int, bounds []int, body func(lo, hi, worker int)) err
 	r.dispatches.Inc()
 	obsRows.Add(int64(n))
 	span := s.Trace.Start()
-	if bounds != nil {
-		pool.RunBounds(bounds, body)
-	} else {
-		pool.Run(n, s.Threads, body)
-	}
+	pool.Region(n, s.Threads, bounds, body)
 	s.Trace.EndDetail(0, trace.PhaseKernel, r.format, span, int64(s.Threads))
 	if ctx != nil {
 		return ctx.Err()
@@ -187,16 +184,16 @@ func run(s Spec, r *row, n int, bounds []int, body func(lo, hi, worker int)) err
 
 // step runs body over [lo, hi) in cancelStride pieces, checking ctx before
 // each; a nil ctx is one piece.
-func step(ctx context.Context, lo, hi, worker int, body func(lo, hi, worker int)) error {
+func step(ctx context.Context, lo, hi, worker int, body parallel.Body) error {
 	if ctx == nil {
-		body(lo, hi, worker)
+		body.Range(lo, hi, worker)
 		return nil
 	}
 	for l := lo; l < hi; l += cancelStride {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		body(l, min(l+cancelStride, hi), worker)
+		body.Range(l, min(l+cancelStride, hi), worker)
 	}
 	return ctx.Err()
 }

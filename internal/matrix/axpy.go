@@ -52,27 +52,31 @@ func Axpy[T Float](c, b []T, v T, k int) {
 // AxpyRow is the row entry: for one C row and a run of (col, val) pairs it
 // writes c[t] = Σ_p vals[p] * b[cols[p]][t] for t in [0, len(c)), p
 // ascending per element — bit for bit what clearing c and then feeding the
-// same pairs through Axpy one by one leaves in it. The old contents of c are
-// never read, and an empty run zeroes c. The vector body walks c in tiles,
+// same pairs through Axpy one by one leaves in it. With acc false the old
+// contents of c are never read, and an empty run zeroes c. With acc true the
+// run continues the row: each tile starts from c instead of +0, so
+// c[t] += Σ_p, and a row cut into runs at any pair, the first written and
+// the rest accumulated in order, holds the bits of one call over the whole
+// row; an empty run leaves c as it is. The vector body walks c in tiles,
 // widest first — the tile ladder, the one k loop every format has — and
-// starts each tile's accumulators at +0 in registers, keeps them there across
+// starts each tile's accumulators in registers, keeps them there across
 // the pairs and stores the tile once; the AVX-512 body holds a whole
 // 128-column tile, so each pair reads its B row in one sweep at the paper's
 // k = 128. A column outside [0, b.Rows) panics, as the slice expression of a
 // per-nonzero loop would. AxpyRowStrided and AxpyRowBlock are the same
 // entry over pairs that a format does not store as a run.
-func AxpyRow[T Float](c []T, b *Dense[T], cols []int32, vals []T) {
+func AxpyRow[T Float](c []T, b *Dense[T], cols []int32, vals []T, acc bool) {
 	vals = vals[:len(cols)]
 	if len(cols) == 0 || len(c) == 0 {
-		clear(c)
+		start(c, acc)
 		return
 	}
 	bd, rows := rowB(b, len(c))
 	var bad int
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
-		bad = axpyRowVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), vector == avx512)
+		bad = axpyRowVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), vector == avx512, acc)
 	} else {
-		clear(c)
+		start(c, acc)
 		bad = axpyRowScalar(c, bd, b.Stride, rows, cols, vals, 1)
 	}
 	if bad >= 0 {
@@ -83,9 +87,9 @@ func AxpyRow[T Float](c []T, b *Dense[T], cols []int32, vals []T) {
 // AxpyRowStrided is AxpyRow over n pairs stored step apart, read where the
 // format keeps them: pair p is cols[p*step], vals[p*step]. A SELL-C-σ lane
 // has step C, a column-major ELL row step Rows.
-func AxpyRowStrided[T Float](c []T, b *Dense[T], cols []int32, vals []T, n, step int) {
+func AxpyRowStrided[T Float](c []T, b *Dense[T], cols []int32, vals []T, n, step int, acc bool) {
 	if n <= 0 || len(c) == 0 {
-		clear(c)
+		start(c, acc)
 		return
 	}
 	if step < 1 {
@@ -96,9 +100,9 @@ func AxpyRowStrided[T Float](c []T, b *Dense[T], cols []int32, vals []T, n, step
 	bd, rows := rowB(b, len(c))
 	var bad int
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
-		bad = axpyRowStridedVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), step, vector == avx512)
+		bad = axpyRowStridedVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), step, vector == avx512, acc)
 	} else {
-		clear(c)
+		start(c, acc)
 		bad = axpyRowScalar(c, bd, b.Stride, rows, cols, vals, step)
 	}
 	if bad >= 0 {
@@ -111,11 +115,11 @@ func AxpyRowStrided[T Float](c []T, b *Dense[T], cols []int32, vals []T, n, step
 // vals[s*vstep : s*vstep+bc], in columns cols[s]*bc + t. A ±0 value is fill
 // and is skipped — the test is v == 0, so a NaN is never skipped — and the
 // pairs left arrive in slot order, then column order, as a per-nonzero loop
-// over the blocks takes them; a lane of fill alone zeroes c. A nonzero value
-// in a column outside [0, b.Rows) panics.
-func AxpyRowBlock[T Float](c []T, b *Dense[T], cols []int32, vals []T, bc, vstep int) {
+// over the blocks takes them; a lane of fill alone zeroes c, or with acc
+// leaves it as it is. A nonzero value in a column outside [0, b.Rows) panics.
+func AxpyRowBlock[T Float](c []T, b *Dense[T], cols []int32, vals []T, bc, vstep int, acc bool) {
 	if len(cols) == 0 || len(c) == 0 {
-		clear(c)
+		start(c, acc)
 		return
 	}
 	if bc < 1 || vstep < bc {
@@ -125,13 +129,21 @@ func AxpyRowBlock[T Float](c []T, b *Dense[T], cols []int32, vals []T, bc, vstep
 	bd, rows := rowB(b, len(c))
 	var bad int
 	if c64, ok := any(c).([]float64); ok && vector != scalar {
-		bad = axpyRowBlockVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), bc, vstep, vector == avx512)
+		bad = axpyRowBlockVec(c64, any(bd).([]float64), b.Stride, rows, cols, any(vals).([]float64), bc, vstep, vector == avx512, acc)
 	} else {
-		clear(c)
+		start(c, acc)
 		bad = axpyRowBlockScalar(c, bd, b.Stride, rows, cols, vals, bc, vstep)
 	}
 	if bad >= 0 {
 		badColumn(int(cols[bad/bc])*bc+bad%bc, b.Rows)
+	}
+}
+
+// start is what a run's sums start from outside the vector bodies: +0, by
+// clearing c, unless the run continues the row (acc) and c holds them.
+func start[T Float](c []T, acc bool) {
+	if !acc {
+		clear(c)
 	}
 }
 
@@ -148,7 +160,8 @@ func rowB[T Float](b *Dense[T], k int) ([]T, int) {
 
 // axpyRowScalar is the Go body of the contiguous (step 1) and strided row
 // entries, with axpyRowVec's contract but for c, which it adds to — the
-// entries clear it first, outside the loop's function: with the clear
+// entries clear it first unless the run continues the row (start), outside
+// the loop's function: with the clear
 // inside, the Go body read up to 2× slower per pair on the reference host
 // (BenchmarkAxpyRow, scalar). The return is -1 or the index into cols of
 // the first pair whose column is outside [0, rows).

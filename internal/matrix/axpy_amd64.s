@@ -139,16 +139,18 @@
 // ROWTILES is the row entry's tile ladder, once for every fetch: c[t] =
 // the sum over the fetch's pairs of value * b[col*stride + t], pairs in
 // fetch order per element, with a tile of c held in registers across the
-// pairs. c is never read: each tile's accumulators start at +0 (a register
-// XORed with itself), each product is added to them as to a cleared c, and
-// the tile is stored once. On entry DI = c, CX = len(c) > 0,
+// pairs. ACC is the entry's acc argument: while it is 0, c is never read and
+// each tile's accumulators start at +0 (a register XORed with itself); else
+// the run continues the row, and they start from the tile of c. Each
+// product is added to them as to c, and the tile is stored once. On entry
+// DI = c, CX = len(c) > 0,
 // SI = b at row 0, R8 = the stride in bytes, R9 = B.Rows and
 // AX = 1 for the AVX-512 tiles. With them the head tiles are 128 columns in
 // Z0-Z15 — one sweep of each pair's B row at k = 128 — then 32 in Z0-Z3;
 // without them 32 columns in Y0-Y7. Either way what is left runs the YMM
 // tiles of 16 and 4 and the scalar one. It ends at rowDone; a bad column
 // leaves its tile of c unwritten.
-#define ROWTILES(FIRST, SLOT, PAIR, NEXT) \
+#define ROWTILES(FIRST, SLOT, PAIR, NEXT, ACC) \
 	SUBQ  $32, CX                                  \
 	JB    rowRem16                                 \
 	TESTB AX, AX                                   \
@@ -156,6 +158,8 @@
 	SUBQ  $96, CX                                  \
 	JB    rowZRem32                                \
 rowZTile128:                                     \
+	CMPB    ACC, $0                                \
+	JNE     rowZLoad128                            \
 	VPXORQ  Z0, Z0, Z0                             \
 	VPXORQ  Z1, Z1, Z1                             \
 	VPXORQ  Z2, Z2, Z2                             \
@@ -172,6 +176,25 @@ rowZTile128:                                     \
 	VPXORQ  Z13, Z13, Z13                          \
 	VPXORQ  Z14, Z14, Z14                          \
 	VPXORQ  Z15, Z15, Z15                          \
+	JMP     rowZFirst128                           \
+rowZLoad128:                                     \
+	VMOVUPD (DI), Z0                               \
+	VMOVUPD 64(DI), Z1                             \
+	VMOVUPD 128(DI), Z2                            \
+	VMOVUPD 192(DI), Z3                            \
+	VMOVUPD 256(DI), Z4                            \
+	VMOVUPD 320(DI), Z5                            \
+	VMOVUPD 384(DI), Z6                            \
+	VMOVUPD 448(DI), Z7                            \
+	VMOVUPD 512(DI), Z8                            \
+	VMOVUPD 576(DI), Z9                            \
+	VMOVUPD 640(DI), Z10                           \
+	VMOVUPD 704(DI), Z11                           \
+	VMOVUPD 768(DI), Z12                           \
+	VMOVUPD 832(DI), Z13                           \
+	VMOVUPD 896(DI), Z14                           \
+	VMOVUPD 960(DI), Z15                           \
+rowZFirst128:                                    \
 	FIRST                                          \
 rowZSlot128:                                     \
 	SLOT                                           \
@@ -208,10 +231,19 @@ rowZRem32:                                       \
 	ADDQ $96, CX                                   \
 	JNC  rowRem16                                  \
 rowZTile32:                                      \
+	CMPB    ACC, $0                                \
+	JNE     rowZLoad32                             \
 	VPXORQ  Z0, Z0, Z0                             \
 	VPXORQ  Z1, Z1, Z1                             \
 	VPXORQ  Z2, Z2, Z2                             \
 	VPXORQ  Z3, Z3, Z3                             \
+	JMP     rowZFirst32                            \
+rowZLoad32:                                      \
+	VMOVUPD (DI), Z0                               \
+	VMOVUPD 64(DI), Z1                             \
+	VMOVUPD 128(DI), Z2                            \
+	VMOVUPD 192(DI), Z3                            \
+rowZFirst32:                                     \
 	FIRST                                          \
 rowZSlot32:                                      \
 	SLOT                                           \
@@ -231,6 +263,8 @@ rowZNext32:                                      \
 	JAE     rowZTile32                             \
 	JMP     rowRem16                               \
 rowTile32:                                       \
+	CMPB    ACC, $0                                \
+	JNE     rowLoad32                              \
 	VXORPD  Y0, Y0, Y0                             \
 	VXORPD  Y1, Y1, Y1                             \
 	VXORPD  Y2, Y2, Y2                             \
@@ -239,6 +273,17 @@ rowTile32:                                       \
 	VXORPD  Y5, Y5, Y5                             \
 	VXORPD  Y6, Y6, Y6                             \
 	VXORPD  Y7, Y7, Y7                             \
+	JMP     rowFirst32                             \
+rowLoad32:                                       \
+	VMOVUPD (DI), Y0                               \
+	VMOVUPD 32(DI), Y1                             \
+	VMOVUPD 64(DI), Y2                             \
+	VMOVUPD 96(DI), Y3                             \
+	VMOVUPD 128(DI), Y4                            \
+	VMOVUPD 160(DI), Y5                            \
+	VMOVUPD 192(DI), Y6                            \
+	VMOVUPD 224(DI), Y7                            \
+rowFirst32:                                      \
 	FIRST                                          \
 rowSlot32:                                       \
 	SLOT                                           \
@@ -264,10 +309,19 @@ rowNext32:                                       \
 rowRem16:                                        \
 	ADDQ    $16, CX                                \
 	JNC     rowRem4                                \
+	CMPB    ACC, $0                                \
+	JNE     rowLoad16                              \
 	VXORPD  Y0, Y0, Y0                             \
 	VXORPD  Y1, Y1, Y1                             \
 	VXORPD  Y2, Y2, Y2                             \
 	VXORPD  Y3, Y3, Y3                             \
+	JMP     rowFirst16                             \
+rowLoad16:                                       \
+	VMOVUPD (DI), Y0                               \
+	VMOVUPD 32(DI), Y1                             \
+	VMOVUPD 64(DI), Y2                             \
+	VMOVUPD 96(DI), Y3                             \
+rowFirst16:                                      \
 	FIRST                                          \
 rowSlot16:                                       \
 	SLOT                                           \
@@ -288,7 +342,13 @@ rowRem4:                                         \
 	ADDQ $12, CX                                   \
 	JNC  rowTail                                   \
 rowTile4:                                        \
+	CMPB    ACC, $0                                \
+	JNE     rowLoad4                               \
 	VXORPD  Y0, Y0, Y0                             \
+	JMP     rowFirst4                              \
+rowLoad4:                                        \
+	VMOVUPD (DI), Y0                               \
+rowFirst4:                                       \
 	FIRST                                          \
 rowSlot4:                                        \
 	SLOT                                           \
@@ -308,7 +368,13 @@ rowTail:                                         \
 	ADDQ $4, CX                                    \
 	JZ   rowDone                                   \
 rowTile1:                                        \
+	CMPB   ACC, $0                                 \
+	JNE    rowLoad1                                \
 	VXORPD X0, X0, X0                              \
+	JMP    rowFirst1                               \
+rowLoad1:                                        \
+	VMOVSD (DI), X0                                \
+rowFirst1:                                       \
 	FIRST                                          \
 rowSlot1:                                        \
 	SLOT                                           \
@@ -386,9 +452,10 @@ done:
 	RET
 
 
-// func axpyRowVec(c, b []float64, stride, rows int, cols []int32, vals []float64, zmm bool) int
+// func axpyRowVec(c, b []float64, stride, rows int, cols []int32, vals []float64, zmm, acc bool) int
 // The row entry over a contiguous run: c[t] = sum over p of vals[p] *
-// b[cols[p]*stride + t], p ascending per element. Needs len(cols) > 0,
+// b[cols[p]*stride + t], p ascending per element, summed from +0 or, with
+// acc, from c[t]. Needs len(cols) > 0,
 // len(vals) >= len(cols) and (rows-1)*stride + len(c) <= len(b); returns -1,
 // or the index of the first pair whose column is outside [0, rows) with that
 // tile of c unwritten.
@@ -397,7 +464,7 @@ TEXT ·axpyRowVec(SB), NOSPLIT, $0-128
 	MOVQ    cols_len+72(FP), R12
 	MOVQ    vals_base+88(FP), R11
 	MOVBLZX zmm+112(FP), AX
-	ROWTILES(RUN_FIRST, RUN_SLOT, RUN_PAIR, RUN_NEXT)
+	ROWTILES(RUN_FIRST, RUN_SLOT, RUN_PAIR, RUN_NEXT, acc+113(FP))
 	MOVQ    $-1, BX
 
 rowBad:
@@ -405,7 +472,7 @@ rowBad:
 	VZEROUPPER
 	RET
 
-// func axpyRowStridedVec(c, b []float64, stride, rows int, cols []int32, vals []float64, step int, zmm bool) int
+// func axpyRowStridedVec(c, b []float64, stride, rows int, cols []int32, vals []float64, step int, zmm, acc bool) int
 // axpyRowVec over the pairs at cols[p*step] and vals[p*step], p*step <
 // len(cols); returns the bad pair's index into cols.
 TEXT ·axpyRowStridedVec(SB), NOSPLIT, $0-136
@@ -414,7 +481,7 @@ TEXT ·axpyRowStridedVec(SB), NOSPLIT, $0-136
 	MOVQ    vals_base+88(FP), R11
 	MOVQ    step+112(FP), R13
 	MOVBLZX zmm+120(FP), AX
-	ROWTILES(RUN_FIRST, RUN_SLOT, RUN_PAIR, STRIDED_NEXT)
+	ROWTILES(RUN_FIRST, RUN_SLOT, RUN_PAIR, STRIDED_NEXT, acc+121(FP))
 	MOVQ    $-1, BX
 
 rowBad:
@@ -422,7 +489,7 @@ rowBad:
 	VZEROUPPER
 	RET
 
-// func axpyRowBlockVec(c, b []float64, stride, rows int, cols []int32, vals []float64, bc, vstep int, zmm bool) int
+// func axpyRowBlockVec(c, b []float64, stride, rows int, cols []int32, vals []float64, bc, vstep int, zmm, acc bool) int
 // axpyRowVec over a block lane: slot s of the len(cols) slots holds the bc
 // values vals[s*vstep : s*vstep+bc], in columns cols[s]*bc + t, and a ±0
 // value is skipped. Needs bc >= 1 and len(vals) >= (len(cols)-1)*vstep + bc;
@@ -435,7 +502,7 @@ TEXT ·axpyRowBlockVec(SB), NOSPLIT, $0-144
 	MOVQ    vstep+120(FP), R14
 	SHLQ    $3, R14
 	MOVBLZX zmm+128(FP), AX
-	ROWTILES(LANE_FIRST, LANE_SLOT, LANE_PAIR, LANE_NEXT)
+	ROWTILES(LANE_FIRST, LANE_SLOT, LANE_PAIR, LANE_NEXT, acc+129(FP))
 	MOVQ    $-1, BX
 	JMP     laneRet
 

@@ -19,7 +19,7 @@ func TestRaceBuildIsScalar(t *testing.T) {
 	if c[0] != 3 || c[7] != 10 {
 		t.Fatalf("Axpy: c = %v", c)
 	}
-	AxpyRow(c, &Dense[float64]{Rows: 1, Cols: 8, Stride: 8, Data: b}, []int32{0}, []float64{2})
+	AxpyRow(c, &Dense[float64]{Rows: 1, Cols: 8, Stride: 8, Data: b}, []int32{0}, []float64{2}, false)
 	for _, v := range c { // the row entry writes c = 2·b, whatever c held
 		if v != 2 {
 			t.Fatalf("AxpyRow: c = %v", c)

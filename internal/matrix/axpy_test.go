@@ -122,9 +122,9 @@ func TestAxpyZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() {
 			Axpy(c, b, 1.5, 128)
 			bd := &Dense[float64]{Rows: 1, Cols: 128, Stride: 128, Data: b}
-			AxpyRow(c, bd, []int32{0, 0}, []float64{1.5, 2})
-			AxpyRowStrided(c, bd, []int32{0, 0, 0}, []float64{1.5, 9, 2}, 2, 2)
-			AxpyRowBlock(c, bd, []int32{0, 0}, []float64{1.5, 9, 2}, 1, 2)
+			AxpyRow(c, bd, []int32{0, 0}, []float64{1.5, 2}, false)
+			AxpyRowStrided(c, bd, []int32{0, 0, 0}, []float64{1.5, 9, 2}, 2, 2, false)
+			AxpyRowBlock(c, bd, []int32{0, 0}, []float64{1.5, 9, 2}, 1, 2, false)
 		}); n != 0 {
 			t.Errorf("%v: %.0f allocs/op, want 0", l, n)
 		}
@@ -210,7 +210,7 @@ func checkAxpyRow(t *testing.T, c0 []float64, off, k int, b *Dense[float64], col
 	for _, l := range levels() {
 		vector = l
 		got := append([]float64(nil), c0...)
-		AxpyRow(got[off:off+k:off+k], b, cols, vals)
+		AxpyRow(got[off:off+k:off+k], b, cols, vals, false)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) && (nanPayloads || got[j] == got[j] || want[j] == want[j]) {
 				t.Fatalf("%v k=%d off=%d n=%d: c[%d] = %#x, pair by pair %#x",
@@ -229,7 +229,7 @@ func checkRowLayout(t *testing.T, name string, c0 []float64, off, k int, b *Dens
 	defer func(old level) { vector = old }(vector)
 	vector = scalar
 	want := append([]float64(nil), c0...)
-	AxpyRow(want[off:off+k:off+k], b, cols, vals)
+	AxpyRow(want[off:off+k:off+k], b, cols, vals, false)
 	for _, l := range levels() {
 		vector = l
 		got := append([]float64(nil), c0...)
@@ -348,7 +348,7 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 				c0, b, cols, vals := rowOperands(rng, 9, k, 1, n, axpyValue)
 				sc, sv := spread(cols, vals, step, b.Rows)
 				checkRowLayout(t, fmt.Sprintf("strided step=%d", step), c0, 1, k, b, cols, vals, func(c []float64) {
-					AxpyRowStrided(c, b, sc, sv, n, step)
+					AxpyRowStrided(c, b, sc, sv, n, step, false)
 				})
 			}
 		}
@@ -366,7 +366,7 @@ func TestAxpyRowBodiesBitwise(t *testing.T) {
 					}
 					cols, vals, gcols, gvals := blockLane(rng, slots, bc, vstep, 3, poison, axpyValue)
 					checkRowLayout(t, fmt.Sprintf("block bc=%d vstep=%d", bc, vstep), c0, 1, k, b, gcols, gvals, func(c []float64) {
-						AxpyRowBlock(c, b, cols, vals, bc, vstep)
+						AxpyRowBlock(c, b, cols, vals, bc, vstep, false)
 					})
 				}
 			}
@@ -391,12 +391,12 @@ func TestAxpyRowScalarTypes(t *testing.T) {
 		name string
 		run  func(c []float32)
 	}{
-		{"run", func(c []float32) { AxpyRow(c, b, cols, vals) }},
+		{"run", func(c []float32) { AxpyRow(c, b, cols, vals, false) }},
 		{"strided", func(c []float32) {
-			AxpyRowStrided(c, b, []int32{4, 9, 0, 9, 4, 9, 2}, []float32{1.5, 7, -2, 7, 0.25, 7, 3}, 4, 2)
+			AxpyRowStrided(c, b, []int32{4, 9, 0, 9, 4, 9, 2}, []float32{1.5, 7, -2, 7, 0.25, 7, 3}, 4, 2, false)
 		}},
 		{"block", func(c []float32) { // columns 2·2+0, 2·0+0, 2·2+0 again, 2·1+0; 0 is fill
-			AxpyRowBlock(c, b, []int32{2, 0, 2, 1}, []float32{1.5, 0, 7, -2, 0, 7, 0.25, 0, 7, 3, 0}, 2, 3)
+			AxpyRowBlock(c, b, []int32{2, 0, 2, 1}, []float32{1.5, 0, 7, -2, 0, 7, 0.25, 0, 7, 3, 0}, 2, 3, false)
 		}},
 	} {
 		c := make([]float32, 24)
@@ -414,11 +414,11 @@ func TestAxpyRowScalarTypes(t *testing.T) {
 		name string
 		run  func(c []float32)
 	}{
-		{"run", func(c []float32) { AxpyRow(c, b, nil, nil) }},
-		{"strided", func(c []float32) { AxpyRowStrided(c, b, nil, nil, 0, 2) }},
-		{"block", func(c []float32) { AxpyRowBlock(c, b, nil, nil, 2, 3) }},
+		{"run", func(c []float32) { AxpyRow(c, b, nil, nil, false) }},
+		{"strided", func(c []float32) { AxpyRowStrided(c, b, nil, nil, 0, 2, false) }},
+		{"block", func(c []float32) { AxpyRowBlock(c, b, nil, nil, 2, 3, false) }},
 		{"block fill", func(c []float32) {
-			AxpyRowBlock(c, b, []int32{1}, []float32{0, float32(math.Copysign(0, -1))}, 2, 2)
+			AxpyRowBlock(c, b, []int32{1}, []float32{0, float32(math.Copysign(0, -1))}, 2, 2, false)
 		}},
 	} {
 		c := make([]float32, 24)
@@ -453,10 +453,10 @@ func TestAxpyRowColumnOutOfRange(t *testing.T) {
 					cols[at] = bad
 					sc, sv := spread(cols, vals, 5, b.Rows)
 					checkBadColumn(t, fmt.Sprintf("%v k=%d: column %d at pair %d", l, k, bad, at), l, c0, k, int(bad), func(c []float64) {
-						AxpyRow(c, b, cols, vals)
+						AxpyRow(c, b, cols, vals, false)
 					})
 					checkBadColumn(t, fmt.Sprintf("%v k=%d strided: column %d at pair %d", l, k, bad, at), l, c0, k, int(bad), func(c []float64) {
-						AxpyRowStrided(c, b, sc, sv, len(cols), 5)
+						AxpyRowStrided(c, b, sc, sv, len(cols), 5, false)
 					})
 				}
 			}
@@ -471,7 +471,7 @@ func TestAxpyRowColumnOutOfRange(t *testing.T) {
 							vals[at*(bc+1)+j] = float64(j + 1 - t0)
 						}
 						checkBadColumn(t, fmt.Sprintf("%v k=%d block bc=%d: block column %d at slot %d", l, k, bc, bad, at), l, c0, k, int(bad)*bc+t0, func(c []float64) {
-							AxpyRowBlock(c, b, cols, vals, bc, bc+1)
+							AxpyRowBlock(c, b, cols, vals, bc, bc+1, false)
 						})
 					}
 				}
@@ -503,17 +503,157 @@ func checkBadColumn(t *testing.T, name string, l level, c0 []float64, k, col int
 	}
 }
 
+// accKs are the widths the accumulate mode is tested at: either side of
+// every tile edge of both vector bodies (4, 16, 32, 128) and one, 181, whose
+// ladder runs a tile of every width.
+var accKs = []int{1, 4, 5, 16, 31, 32, 33, 127, 128, 129, 181}
+
+// checkCut requires a run cut at pair (or slot) cut — [0, cut) written, then
+// [cut, n) accumulated onto it — to leave in all of c0, under each body, the
+// bits that body's one call over all n pairs leaves; checkAxpyRow and
+// checkRowLayout tie that one call to the scalar reference. walk runs pairs
+// [lo, hi) of its layout on the tile it is given.
+func checkCut(t *testing.T, name string, c0 []float64, off, k, n, cut int, walk func(c []float64, lo, hi int, acc bool)) {
+	t.Helper()
+	defer func(old level) { vector = old }(vector)
+	for _, l := range levels() {
+		vector = l
+		want := append([]float64(nil), c0...)
+		walk(want[off:off+k:off+k], 0, n, false)
+		got := append([]float64(nil), c0...)
+		walk(got[off:off+k:off+k], 0, cut, false)
+		walk(got[off:off+k:off+k], cut, n, true)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) && (nanPayloads || got[j] == got[j] || want[j] == want[j]) {
+				t.Fatalf("%s %v k=%d off=%d n=%d cut=%d: c[%d] = %#x, one call %#x",
+					name, l, k, off, n, cut, j-off, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
+	}
+}
+
+// runWalk, stridedWalk and blockWalk are checkCut's walks over pairs (block
+// lane: slots) [lo, hi) of a contiguous run, of the same pairs laid out step
+// apart by spread, and of a block lane.
+func runWalk(b *Dense[float64], cols []int32, vals []float64) func(c []float64, lo, hi int, acc bool) {
+	return func(c []float64, lo, hi int, acc bool) { AxpyRow(c, b, cols[lo:hi], vals[lo:hi], acc) }
+}
+
+func stridedWalk(b *Dense[float64], sc []int32, sv []float64, step int) func(c []float64, lo, hi int, acc bool) {
+	return func(c []float64, lo, hi int, acc bool) {
+		if lo == hi {
+			AxpyRowStrided(c, b, nil, nil, 0, step, acc)
+			return
+		}
+		AxpyRowStrided(c, b, sc[lo*step:], sv[lo*step:], hi-lo, step, acc)
+	}
+}
+
+func blockWalk(b *Dense[float64], cols []int32, vals []float64, bc, vstep int) func(c []float64, lo, hi int, acc bool) {
+	return func(c []float64, lo, hi int, acc bool) {
+		if lo == hi {
+			AxpyRowBlock(c, b, nil, nil, bc, vstep, acc)
+			return
+		}
+		AxpyRowBlock(c, b, cols[lo:hi], vals[lo*vstep:], bc, vstep, acc)
+	}
+}
+
+// TestAxpyRowAccumulate: a run cut at any pair and finished in accumulate
+// mode holds the one call's bits, under every body, at every width of
+// accKs, in every layout — a block lane cut at any slot, fill over Inf and
+// NaN included — with ordinary values and with mostly ±0, infinities and
+// NaNs of distinct payloads. Cut at 0 the first run is empty and writes +0;
+// cut at n the continuation is empty and leaves c as it is.
+func TestAxpyRowAccumulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, value := range []func(*rand.Rand) float64{axpyValue, specialValue} {
+		for _, k := range accKs {
+			for off := 0; off < 2; off++ {
+				for _, n := range []int{0, 1, 2, 7, 33} {
+					for cut := 0; cut <= n; cut++ {
+						if n > 7 && cut%8 != 1 && cut != n {
+							continue
+						}
+						c0, b, cols, vals := rowOperands(rng, 9, k, off, n, value)
+						checkCut(t, "run", c0, off, k, n, cut, runWalk(b, cols, vals))
+						step := 1 + cut%13
+						sc, sv := spread(cols, vals, step, b.Rows)
+						checkCut(t, fmt.Sprintf("strided step=%d", step), c0, off, k, n, cut, stridedWalk(b, sc, sv, step))
+					}
+				}
+				for _, bs := range [][2]int{{1, 1}, {3, 6}, {4, 4}, {5, 8}} {
+					bc, vstep := bs[0], bs[1]
+					for _, slots := range []int{0, 1, 2, 9} {
+						for cut := 0; cut <= slots; cut++ {
+							poison := cut%2 == 1
+							c0, b, _, _ := rowOperands(rng, 3*bc, k, off, 0, value)
+							if poison {
+								for r := 0; r < b.Rows; r += bc {
+									for j := 0; j < b.Stride; j++ {
+										b.Data[r*b.Stride+j] = axpySpecials[2+(r+j)%4]
+									}
+								}
+							}
+							cols, vals, _, _ := blockLane(rng, slots, bc, vstep, 3, poison, value)
+							checkCut(t, fmt.Sprintf("block bc=%d vstep=%d", bc, vstep), c0, off, k, slots, cut, blockWalk(b, cols, vals, bc, vstep))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAxpyRowAccumulateReadsOnlyC: a continuation starts from c and reads
+// nothing else of it: an empty run, or a block lane of fill alone, in
+// accumulate mode leaves every bit of c — a NaN canary included — as it was,
+// and one pair adds its product to what c held.
+func TestAxpyRowAccumulateReadsOnlyC(t *testing.T) {
+	b := &Dense[float64]{Rows: 2, Cols: 181, Stride: 181, Data: make([]float64, 362)}
+	for j := range b.Data {
+		b.Data[j] = float64(j)
+	}
+	for _, l := range levels() {
+		setVector(t, l)
+		for _, k := range accKs {
+			c := make([]float64, k)
+			for j := range c {
+				c[j] = canary
+			}
+			AxpyRow(c, b, nil, nil, true)
+			AxpyRowStrided(c, b, nil, nil, 0, 3, true)
+			AxpyRowBlock(c, b, []int32{0}, []float64{0, math.Copysign(0, -1)}, 2, 2, true)
+			for j := range c {
+				if math.Float64bits(c[j]) != math.Float64bits(canary) {
+					t.Fatalf("%v k=%d: empty continuation wrote c[%d] = %#x", l, k, j, math.Float64bits(c[j]))
+				}
+			}
+			for j := range c {
+				c[j] = float64(-j)
+			}
+			AxpyRow(c, b, []int32{1}, []float64{2}, true)
+			for j := range c {
+				if want := float64(-j) + 2*float64(181+j); c[j] != want {
+					t.Fatalf("%v k=%d: c[%d] = %v, want %v", l, k, j, c[j], want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzAxpyRow lets the fuzzer pick the shape and, through the seed, every
 // bit pattern of c, B and the values; walk picks the layout: a contiguous
-// run, a strided one, or a block lane of one of blockShapes.
+// run, a strided one, or a block lane of one of blockShapes; cut is where
+// the run is cut and finished in accumulate mode (checkCut).
 func FuzzAxpyRow(f *testing.F) {
-	f.Add(int64(1), uint16(37), uint16(33), uint8(1), uint8(0))
-	f.Add(int64(2), uint16(128), uint16(5), uint8(3), uint8(1))
-	f.Add(int64(3), uint16(3), uint16(64), uint8(0), uint8(2))
-	f.Add(int64(4), uint16(257), uint16(9), uint8(2), uint8(23))
-	f.Add(int64(5), uint16(161), uint16(40), uint8(1), uint8(50))
-	f.Add(int64(6), uint16(181), uint16(12), uint8(2), uint8(47))
-	f.Fuzz(func(t *testing.T, seed int64, k16, n16 uint16, off8, walk uint8) {
+	f.Add(int64(1), uint16(37), uint16(33), uint8(1), uint8(0), uint16(0))
+	f.Add(int64(2), uint16(128), uint16(5), uint8(3), uint8(1), uint16(3))
+	f.Add(int64(3), uint16(3), uint16(64), uint8(0), uint8(2), uint16(17))
+	f.Add(int64(4), uint16(257), uint16(9), uint8(2), uint8(23), uint16(9))
+	f.Add(int64(5), uint16(161), uint16(40), uint8(1), uint8(50), uint16(1))
+	f.Add(int64(6), uint16(181), uint16(12), uint8(2), uint8(47), uint16(6))
+	f.Fuzz(func(t *testing.T, seed int64, k16, n16 uint16, off8, walk uint8, cut16 uint16) {
 		k, n, off := int(k16)%300, int(n16)%100, int(off8)%4
 		rng := rand.New(rand.NewSource(seed))
 		bits := func(rng *rand.Rand) float64 {
@@ -526,20 +666,26 @@ func FuzzAxpyRow(f *testing.F) {
 		case 0:
 			c0, b, cols, vals := rowOperands(rng, 1+int(n16)%7, k, off, n, bits)
 			checkAxpyRow(t, c0, off, k, b, cols, vals)
+			checkCut(t, "run", c0, off, k, n, int(cut16)%(n+1), runWalk(b, cols, vals))
 		case 1:
 			step := 1 + int(walk/3)%16
 			c0, b, cols, vals := rowOperands(rng, 1+int(n16)%7, k, off, n, bits)
 			sc, sv := spread(cols, vals, step, b.Rows)
-			checkRowLayout(t, fmt.Sprintf("strided step=%d", step), c0, off, k, b, cols, vals, func(c []float64) {
-				AxpyRowStrided(c, b, sc, sv, n, step)
+			name := fmt.Sprintf("strided step=%d", step)
+			checkRowLayout(t, name, c0, off, k, b, cols, vals, func(c []float64) {
+				AxpyRowStrided(c, b, sc, sv, n, step, false)
 			})
+			checkCut(t, name, c0, off, k, n, int(cut16)%(n+1), stridedWalk(b, sc, sv, step))
 		case 2:
 			bs := blockShapes[int(walk/3)%len(blockShapes)]
 			c0, b, _, _ := rowOperands(rng, 3*bs[0], k, off, 0, bits)
-			cols, vals, gcols, gvals := blockLane(rng, n%20, bs[0], bs[1], 3, false, bits)
-			checkRowLayout(t, fmt.Sprintf("block bc=%d vstep=%d", bs[0], bs[1]), c0, off, k, b, gcols, gvals, func(c []float64) {
-				AxpyRowBlock(c, b, cols, vals, bs[0], bs[1])
+			slots := n % 20
+			cols, vals, gcols, gvals := blockLane(rng, slots, bs[0], bs[1], 3, false, bits)
+			name := fmt.Sprintf("block bc=%d vstep=%d", bs[0], bs[1])
+			checkRowLayout(t, name, c0, off, k, b, gcols, gvals, func(c []float64) {
+				AxpyRowBlock(c, b, cols, vals, bs[0], bs[1], false)
 			})
+			checkCut(t, name, c0, off, k, slots, int(cut16)%(slots+1), blockWalk(b, cols, vals, bs[0], bs[1]))
 		}
 	})
 }

@@ -17,6 +17,8 @@ type COO[T Float] struct {
 	RowIdx     []int32
 	ColIdx     []int32
 	Vals       []T
+
+	reuse reuseMemo // Reuse's scan
 }
 
 // NewCOO returns an empty rows×cols COO matrix with capacity for nnz
@@ -82,6 +84,14 @@ func (m *COO[T]) SortRowMajor() {
 	}
 	s := cooSorter[T]{m}
 	sort.Sort(s)
+	m.forgetReuse()
+}
+
+// forgetReuse drops the memoized Reuse scan after the triplets moved.
+func (m *COO[T]) forgetReuse() {
+	m.reuse.mu.Lock()
+	m.reuse.n = 0
+	m.reuse.mu.Unlock()
 }
 
 type cooSorter[T Float] struct{ m *COO[T] }

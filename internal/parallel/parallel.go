@@ -61,7 +61,8 @@ func ChunkBounds(n, chunks, i int) (lo, hi int) {
 // Dispatch is allocation-free: the region's state lives in the pool, the
 // workers are woken by their participant index over a buffered channel,
 // and the join WaitGroup lives in the pool, so the only steady-state heap
-// traffic of a pooled kernel call is the caller's own body closure. Regions
+// traffic of a pooled kernel call is the caller's own body: a closure, or
+// the one value a Body is. Regions
 // are serialised on one mutex (one fork/join region at a time), matching
 // the single OpenMP team the thesis' suite uses.
 type Pool struct {
@@ -74,7 +75,7 @@ type Pool struct {
 
 	// The current region, written under mu before any worker is woken and
 	// read only by its participants.
-	body   func(lo, hi, worker int)
+	body   Body
 	n      int                 // static partition of [0, n), when bounds is nil
 	chunks int                 // chunks in the region
 	bounds []int               // precomputed chunk bounds, or nil
@@ -124,25 +125,26 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
+// Body is a region's work as a value: Range(lo, hi, worker) is what Run's
+// function is called with. A caller whose work carries state from one
+// region to the next implements it on a type of its own and hands the pool
+// that one value, where a closure over changing state would cost a second
+// heap object; Func makes a function a Body.
+type Body interface{ Range(lo, hi, worker int) }
+
+// Func is a function as a Body.
+type Func func(lo, hi, worker int)
+
+// Range calls f.
+func (f Func) Range(lo, hi, worker int) { f(lo, hi, worker) }
+
 // Run executes body over [0, n), the static partition of min(threads, n)
 // chunks, shared out in pieces among the caller and up to min(threads, n)−1
 // pool workers. threads may exceed the pool size: the region then has more
 // chunks than participants, and the participants run them all. threads < 1
 // is treated as 1, and a one-chunk region runs on the caller alone.
 func (p *Pool) Run(n, threads int, body func(lo, hi, worker int)) {
-	body = traceBody(body)
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > n {
-		threads = max(n, 1)
-	}
-	countRegion(threads, n)
-	if threads == 1 {
-		body(0, n, 0)
-		return
-	}
-	p.dispatch(n, threads, nil, body)
+	p.Region(n, threads, nil, Func(body))
 }
 
 // RunBounds executes body over the precomputed chunks (for example from
@@ -150,17 +152,33 @@ func (p *Pool) Run(n, threads int, body func(lo, hi, worker int)) {
 // shares its chunks. body's worker id is the participant index in
 // [0, len(bounds)-1).
 func (p *Pool) RunBounds(bounds []int, body func(lo, hi, worker int)) {
+	if len(bounds) > 1 {
+		p.Region(0, 0, bounds, Func(body))
+	}
+}
+
+// Region is Run over [0, n) in threads chunks when bounds is nil, else
+// RunBounds over bounds (none with fewer than two), with the work a Body.
+func (p *Pool) Region(n, threads int, bounds []int, body Body) {
 	body = traceBody(body)
-	chunks := len(bounds) - 1
-	if chunks <= 0 {
+	if bounds != nil {
+		threads, n = len(bounds)-1, boundsItems(bounds)
+		if threads <= 0 {
+			return
+		}
+	} else {
+		threads = min(max(threads, 1), max(n, 1))
+	}
+	countRegion(threads, n)
+	if threads == 1 {
+		lo := 0
+		if bounds != nil {
+			lo = bounds[0]
+		}
+		body.Range(lo, lo+n, 0)
 		return
 	}
-	countRegion(chunks, boundsItems(bounds))
-	if chunks == 1 {
-		body(bounds[0], bounds[1], 0)
-		return
-	}
-	p.dispatch(0, chunks, bounds, body)
+	p.dispatch(n, threads, bounds, body)
 }
 
 // dispatch runs one region of `chunks` chunks: it publishes the region,
@@ -168,7 +186,7 @@ func (p *Pool) RunBounds(bounds []int, body func(lo, hi, worker int)) {
 // pieces itself as participant 0, and returns once every woken worker has
 // found the pieces gone, re-raising the first panic a participant
 // recovered. With nil bounds the chunks are the static partition of [0, n).
-func (p *Pool) dispatch(n, chunks int, bounds []int, body func(lo, hi, worker int)) {
+func (p *Pool) dispatch(n, chunks int, bounds []int, body Body) {
 	if p.closed.Load() {
 		panic("parallel: Run on closed Pool")
 	}
@@ -232,7 +250,7 @@ func (p *Pool) claim(id int) {
 		}
 		plo, phi := ChunkBounds(hi-lo, piecesPerChunk, i%piecesPerChunk)
 		if plo < phi {
-			p.body(lo+plo, lo+phi, id)
+			p.body.Range(lo+plo, lo+phi, id)
 		}
 	}
 }

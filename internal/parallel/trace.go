@@ -22,14 +22,14 @@ func SetTracer(t *trace.Tracer) { tracer.Store(t) }
 
 // traceBody wraps body with chunk-span recording when a tracer is installed
 // and enabled; otherwise it returns body untouched (no closure, no alloc).
-func traceBody(body func(lo, hi, worker int)) func(lo, hi, worker int) {
+func traceBody(body Body) Body {
 	t := tracer.Load()
 	if !t.Enabled() {
 		return body
 	}
-	return func(lo, hi, worker int) {
+	return Func(func(lo, hi, worker int) {
 		s := t.Start()
-		body(lo, hi, worker)
+		body.Range(lo, hi, worker)
 		t.End(worker+1, trace.PhaseChunk, s, int64(hi-lo))
-	}
+	})
 }

@@ -275,8 +275,7 @@ func TestEpochSplitDispatchesAtOnce(t *testing.T) {
 	waitFor(t, "the epoch-0 request behind the held dispatch", func() bool { return srv.pendingBatch(reg.ID) == 1 })
 
 	// Epoch 1 rewrites one stored value; the canonical order does not move.
-	mutated := *local
-	mutated.Vals = append([]float64(nil), local.Vals...)
+	mutated := local.Clone()
 	mutated.Vals[0] = 2.5
 	if _, err := client.Mutate(reg.ID, []MutateOp{{Row: local.RowIdx[0], Col: local.ColIdx[0], Val: 2.5}}); err != nil {
 		t.Fatal(err)
@@ -289,7 +288,7 @@ func TestEpochSplitDispatchesAtOnce(t *testing.T) {
 		t.Fatalf("epoch-0 request: %+v, %v; want a lone dispatch of the unmutated matrix", got.res, got.err)
 	}
 	got = <-fresh
-	if got.err != nil || got.res.Epoch != 1 || got.res.BatchWidth != 1 || !bitsEqual(got.res.C, multiplyRef(t, &mutated, b, k)) {
+	if got.err != nil || got.res.Epoch != 1 || got.res.BatchWidth != 1 || !bitsEqual(got.res.C, multiplyRef(t, mutated, b, k)) {
 		t.Fatalf("epoch-1 request: %+v, %v; want a lone dispatch of the mutated matrix", got.res, got.err)
 	}
 }

@@ -94,7 +94,7 @@ if grep -n 'make(\[\]byte' $(ls internal/cluster/*.go | grep -v _test.go); then
 fi
 [ "$pool_bad" = 0 ] || exit 1
 
-echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or rounding override in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no gather buffer, no value test in front of the row entry, the row entry never loads C and nothing clears C in front of it, scalar-only build compiles) =="
+echo "== one inner loop (one .s file and one CPU probe, no fused multiply-add or rounding override in it, one scalar c[j] += v*b[j] body, no per-nonzero Axpy under a format, no gather buffer, no value test in front of the row entry, the row entry loads C only to continue a run and nothing clears C in front of it, scalar-only build compiles) =="
 # Every format accumulates through matrix.AxpyRow — one call per C row, the
 # tile of C held in registers across the row's nonzeros — and the overlay,
 # GEMM and the ablations through matrix.Axpy (DESIGN.md section 5). Both
@@ -118,17 +118,25 @@ bodies=$(grep -nE '^\s*c\[j\] \+= v \* b\[j\]' $(ls internal/kernels/*.go intern
 if [ "$(echo "$bodies" | wc -l)" != 1 ] || [ "${bodies%%:*}" != "internal/matrix/axpy.go" ]; then
     echo "want exactly one scalar inner loop body, in internal/matrix/axpy.go; found:" >&2; echo "$bodies" >&2; exit 1
 fi
-# The row entry writes its tile of C without reading it: each tile of
-# ROWTILES starts its accumulators at +0 in registers and stores them once, so
-# no instruction in the macro takes (DI), the C tile, as a source. (Axpy's
-# body, BLOCK16 and axpyAVX2, still accumulates into c and is not in it.)
+# The row entry writes its tile of C without reading it unless the run
+# continues the row: each tile of ROWTILES tests the entry's acc argument
+# (CMPB ACC) and starts its accumulators at +0 in registers, or — only then —
+# loads them from the C tile in its row*Load* block, and stores them once.
+# So no instruction in the macro outside a row*Load* block (from its label
+# to the row*First* label after it) takes (DI), the C tile, as a source, and
+# each Load block is entered only by the JNE after a CMPB ACC. (Axpy's body,
+# BLOCK16 and axpyAVX2, still accumulates into c and is not in it.)
 if ! awk '
     /^#define ROWTILES/ { tiles = 1 }
-    tiles && /\(DI\)(\([A-Z0-9*]+\))?[ \t]*,/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    tiles && /^row[A-Za-z]*Load[0-9]*:/ { load = 1; label = $1; sub(/:.*/, "", label); if (!(label in entered)) { print FILENAME ":" FNR ": " label " is not entered by a JNE after CMPB ACC"; bad = 1 } }
+    tiles && /^row[A-Za-z]*First[0-9]*:/ { load = 0 }
+    tiles && /CMPB[ \t]+ACC,/ { cmp = FNR }
+    tiles && /JNE[ \t]+row[A-Za-z]*Load[0-9]*/ && cmp == FNR - 1 { l = $0; sub(/^[ \t]*JNE[ \t]+/, "", l); sub(/[ \t\\].*/, "", l); entered[l] = 1 }
+    tiles && !load && /\(DI\)(\([A-Z0-9*]+\))?[ \t]*,/ { print FILENAME ":" FNR ": " $0; bad = 1 }
     tiles && !/\\$/ { tiles = 0 }
     END { exit bad }
 ' "$asm"; then
-    echo "the row entry stores C once and never loads it: ROWTILES starts each tile at zero (DESIGN.md section 5)" >&2; exit 1
+    echo "the row entry loads C only to continue a run (acc): ROWTILES starts each tile at zero otherwise (DESIGN.md section 5)" >&2; exit 1
 fi
 # So C is not cleared in front of it either: a range function that hands a
 # row to matrix.AxpyRow, AxpyRowStrided or AxpyRowBlock neither clears nor
@@ -227,6 +235,27 @@ if grep -nE '\btileK\b|^func (\([^)]*\) )?[A-Za-z0-9_]*Panel\b' $(ls internal/ke
 fi
 if grep -nE '^func (AxpyRow[A-Za-z]*|rowB)\b.*\bj0\b' $(ls internal/matrix/*.go | grep -v _test.go); then
     echo "one k loop: the row entry takes B from column 0, with no j0 (DESIGN.md section 5)" >&2; exit 1
+fi
+
+echo "== one slab walk (passes over A's columns only in kernels.walk: no passSlab call, slab literal or ranger pass outside slab.go's walk) =="
+# Every format's entry hands its range function to walk (slab.go), the one
+# loop over the passes of the slab walk; a range function takes the pass's
+# slab as an argument and cuts each row's run from it. A per-format copy of
+# the pass loop would be a second kernel per format, and the slab rule
+# (slabbed) would stop being the one place that decides (DESIGN.md
+# section 5). So outside walk nothing calls passSlab, only slab.go writes a
+# slab literal, and a ranger's rows is called only by walk, by the pass a
+# parallel walk hands the pool (Range), or over the whole slab.
+if ! awk '
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/[ \t]\/\/.*/, "", code) }
+    code ~ /passSlab\(/ && code !~ /^func passSlab/ && fn != "walk" { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    code ~ /(^|[^A-Za-z0-9_])slab\{/ && FILENAME !~ /slab\.go$/ { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    code ~ /\.rows\(/ && code !~ /\.rows\([^()]*, whole\)/ && fn !~ /^(walk|Range)$/ { print FILENAME ":" FNR ": in " fn ": " $0; bad = 1 }
+    END { exit bad }
+' $(ls internal/kernels/*.go | grep -v _test.go); then
+    echo "one slab walk: passes over A's columns run in kernels.walk alone (DESIGN.md section 5)" >&2; exit 1
 fi
 
 echo "== no throwaway block format (no BCSRFromCOO call in non-test internal/advisor or in internal/formats/bell.go) =="
