@@ -322,31 +322,6 @@ func BenchmarkStudy9(b *testing.B) {
 
 // ---- Ablation benches (DESIGN.md §4) ----
 
-// BenchmarkAblationCOOPartition: row-boundary partitioning vs replicated
-// private outputs with a reduction.
-func BenchmarkAblationCOOPartition(b *testing.B) {
-	m := benchMatrix(b)
-	const k = 64
-	bb := matrix.NewDenseRand[float64](m.Cols, k, 1)
-	c := matrix.NewDense[float64](m.Rows, k)
-	b.Run("rowpartition", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kernels.COO(m, bb, c, k, kernels.Spec{Threads: 4}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
-	b.Run("replicated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kernels.COOParallelReplicated(m, bb, c, k, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, m.NNZ(), k)
-	})
-}
-
 // BenchmarkAblationELLLayout: row-major vs column-major ELL storage on the
 // CPU kernel (the GPU side of this ablation is asserted in gpusim's tests).
 func BenchmarkAblationELLLayout(b *testing.B) {

@@ -20,7 +20,7 @@ func BenchmarkFromCOO(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, format := range []string{"coo", "csr", "csc", "ell", "bcsr", "bell", "sellcs"} {
+		for _, format := range []string{"coo", "csr", "ell", "bcsr", "bell", "sellcs"} {
 			b.Run(fmt.Sprintf("%s@%g/%s", mat.name, mat.scale, format), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

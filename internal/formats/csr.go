@@ -105,93 +105,6 @@ func (c *CSR[T]) Validate() error {
 	return nil
 }
 
-// CSC is the compressed sparse column format — the transpose-oriented twin
-// of CSR. The related work the thesis surveys ([17]) studies SpMM on CSC;
-// the suite provides it so a CSC kernel can be benchmarked alongside.
-type CSC[T matrix.Float] struct {
-	Rows, Cols int
-	ColPtr     []int32
-	RowIdx     []int32
-	Vals       []T
-}
-
-// CSCFromCOO converts a COO matrix to CSC by two stable counting sorts of
-// the triplet indices, by row and then by column, so each column's entries
-// come out in ascending row order: linear in nnz, rows and columns, and m is
-// left as it was. Duplicates are preserved, in triplet order, matching the
-// additive semantics of the multiply kernels.
-func CSCFromCOO[T matrix.Float](m *matrix.COO[T]) *CSC[T] {
-	nnz := m.NNZ()
-	c := &CSC[T]{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		ColPtr: make([]int32, m.Cols+1),
-		RowIdx: make([]int32, nnz),
-		Vals:   make([]T, nnz),
-	}
-	// Pass 1: triplet indices in row order, each row's in triplet order.
-	scratch := make([]int32, nnz+m.Rows+2)
-	order, start := scratch[:nnz], scratch[nnz:]
-	for _, r := range m.RowIdx {
-		start[r+2]++
-	}
-	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	for t, r := range m.RowIdx {
-		order[start[r+1]] = int32(t)
-		start[r+1]++
-	}
-	// Pass 2: deal them out by column in that order. ColPtr[j] is column
-	// j's write cursor, which ends at column j+1's start; shifting ColPtr
-	// one place right then makes it the prefix-sum array.
-	for _, col := range m.ColIdx {
-		c.ColPtr[col+1]++
-	}
-	for j := 0; j < m.Cols; j++ {
-		c.ColPtr[j+1] += c.ColPtr[j]
-	}
-	for _, t := range order {
-		col := m.ColIdx[t]
-		d := c.ColPtr[col]
-		c.RowIdx[d], c.Vals[d] = m.RowIdx[t], m.Vals[t]
-		c.ColPtr[col]++
-	}
-	copy(c.ColPtr[1:], c.ColPtr[:m.Cols])
-	c.ColPtr[0] = 0
-	return c
-}
-
-// FormatName is the short name used in reports.
-func (c *CSC[T]) FormatName() string { return "csc" }
-
-// Dims returns the logical matrix dimensions.
-func (c *CSC[T]) Dims() (int, int) { return c.Rows, c.Cols }
-
-// NNZ reports the number of logical nonzeros.
-func (c *CSC[T]) NNZ() int { return len(c.Vals) }
-
-// Stored reports the stored value slots, padding included.
-func (c *CSC[T]) Stored() int { return len(c.Vals) }
-
-// Bytes implements Sparse.
-func (c *CSC[T]) Bytes() int {
-	var z T
-	return len(c.ColPtr)*4 + len(c.RowIdx)*4 + len(c.Vals)*valueSize(z)
-}
-
-// ToCOO expands the CSC matrix into row-major sorted COO form.
-func (c *CSC[T]) ToCOO() *matrix.COO[T] {
-	m := matrix.NewCOO[T](c.Rows, c.Cols, c.NNZ())
-	for j := 0; j < c.Cols; j++ {
-		for p := c.ColPtr[j]; p < c.ColPtr[j+1]; p++ {
-			m.Append(c.RowIdx[p], int32(j), c.Vals[p])
-		}
-	}
-	m.SortRowMajor()
-	return m
-}
-
 func valueSize[T matrix.Float](T) int {
 	var z T
 	switch any(z).(type) {

@@ -57,8 +57,6 @@ func FromCOO[T matrix.Float](name string, m *matrix.COO[T], p Params) (Sparse, e
 		return m, nil
 	case "csr":
 		return CSRFromCOO(m), nil
-	case "csc":
-		return CSCFromCOO(m), nil
 	case "ell":
 		return ELLFromCOO(m, p.Layout), nil
 	case "bcsr":

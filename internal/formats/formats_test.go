@@ -233,82 +233,6 @@ func TestStoredZeroSurvivesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSCRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		m := quickCOO(seed)
-		c := CSCFromCOO(m)
-		return c.ToCOO().ToDense().EqualTol(m.ToDense(), 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// cscByTranspose is the CSC construction CSCFromCOO replaced: transpose the
-// triplets, sort them row-major and compress them as CSR.
-func cscByTranspose(m *matrix.COO[float64]) *CSC[float64] {
-	t := matrix.NewCOO[float64](m.Cols, m.Rows, m.NNZ())
-	for i := range m.Vals {
-		t.Append(m.ColIdx[i], m.RowIdx[i], m.Vals[i])
-	}
-	csr := CSRFromCOO(t)
-	return &CSC[float64]{Rows: m.Rows, Cols: m.Cols, ColPtr: csr.RowPtr, RowIdx: csr.ColIdx, Vals: csr.Vals}
-}
-
-// TestCSCCountingMatchesTranspose: on duplicate-free triplets in any order —
-// row-major, column-major, shuffled, reversed — with a band of empty rows
-// and a band of empty columns, CSCFromCOO builds, bit for bit, the matrix
-// the transpose-and-sort construction built, and leaves its input as it
-// was.
-func TestCSCCountingMatchesTranspose(t *testing.T) {
-	for _, order := range []string{"row-major", "col-major", "shuffled", "reversed"} {
-		t.Run(order, func(t *testing.T) {
-			for seed := int64(0); seed < 100; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				rows, cols := 1+rng.Intn(70), 1+rng.Intn(70)
-				emptyRow, emptyCol := rng.Intn(rows), rng.Intn(cols)
-				m := matrix.NewCOO[float64](rows, cols, 0)
-				for n := rng.Intn(3 * (rows + cols)); n > 0; n-- {
-					r, c := rng.Intn(rows), rng.Intn(cols)
-					if r >= emptyRow && r < emptyRow+5 || c >= emptyCol && c < emptyCol+5 {
-						continue
-					}
-					m.Append(int32(r), int32(c), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(7)-3)))
-				}
-				m.Dedup()
-				perm := make([]int, m.NNZ())
-				for i := range perm {
-					perm[i] = i
-				}
-				switch order {
-				case "col-major":
-					slices.SortFunc(perm, func(a, b int) int {
-						return cmp.Or(cmp.Compare(m.ColIdx[a], m.ColIdx[b]), cmp.Compare(m.RowIdx[a], m.RowIdx[b]))
-					})
-				case "shuffled":
-					rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-				case "reversed":
-					slices.Reverse(perm)
-				}
-				in := matrix.NewCOO[float64](rows, cols, len(perm))
-				for _, i := range perm {
-					in.Append(m.RowIdx[i], m.ColIdx[i], m.Vals[i])
-				}
-				before := in.Clone()
-				got, want := CSCFromCOO(in), cscByTranspose(before)
-				if !slices.Equal(got.ColPtr, want.ColPtr) || !slices.Equal(got.RowIdx, want.RowIdx) ||
-					!slices.EqualFunc(got.Vals, want.Vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-					t.Fatalf("seed %d: CSC differs from the transpose construction:\n got %v %v %v\nwant %v %v %v",
-						seed, got.ColPtr, got.RowIdx, got.Vals, want.ColPtr, want.RowIdx, want.Vals)
-				}
-				if !slices.Equal(in.RowIdx, before.RowIdx) || !slices.Equal(in.ColIdx, before.ColIdx) || !slices.Equal(in.Vals, before.Vals) {
-					t.Fatalf("seed %d: CSCFromCOO reordered its input", seed)
-				}
-			}
-		})
-	}
-}
-
 func TestELLRoundTripBothLayouts(t *testing.T) {
 	for _, layout := range []ELLLayout{RowMajor, ColMajor} {
 		f := func(seed int64) bool {
@@ -712,7 +636,8 @@ func TestSELLCSPadsLessThanELL(t *testing.T) {
 
 // TestFromCOO pins the single conversion site: every format name yields its
 // concrete type with the bookkeeping methods the reports rely on, "coo" hands
-// the sorted input back, and an unknown name or a bad block is an error.
+// the sorted input back, and an unknown name — a retired one too — or a bad
+// block is an error.
 func TestFromCOO(t *testing.T) {
 	m := quickCOO(11)
 	type described interface {
@@ -723,7 +648,7 @@ func TestFromCOO(t *testing.T) {
 		Stored() int
 	}
 	names := map[string]bool{}
-	for _, name := range []string{"csr", "csc", "ell", "bcsr", "bell", "sellcs"} {
+	for _, name := range []string{"csr", "ell", "bcsr", "bell", "sellcs"} {
 		sp, err := FromCOO(name, m, Params{Block: 4, Layout: ColMajor})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -760,8 +685,11 @@ func TestFromCOO(t *testing.T) {
 	if sp, err := FromCOO("coo", unsorted, Params{}); err != nil || sp != Sparse(unsorted) || !unsorted.IsSortedRowMajor() {
 		t.Fatalf("coo: got %v, %v; want the input itself, sorted", sp, err)
 	}
-	if _, err := FromCOO("dia", m, Params{}); err == nil {
-		t.Fatal("unknown format accepted")
+	// CSC is retired (EXPERIMENTS.md, "COO partition and CSC on the host").
+	for _, name := range []string{"dia", "csc"} {
+		if _, err := FromCOO(name, m, Params{}); err == nil {
+			t.Fatalf("unknown format %q accepted", name)
+		}
 	}
 	if _, err := FromCOO("bcsr", m, Params{}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("bcsr with block 0: %v, want ErrInvalid", err)

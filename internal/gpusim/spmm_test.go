@@ -119,7 +119,6 @@ func TestSpMMUnsupported(t *testing.T) {
 	}
 	cases := []spmmCase{
 		{"sellcs", sell, kernels.InnerTiled},
-		{"csc", formats.CSCFromCOO(coo), kernels.InnerTiled},
 		{"csr/unknown inner", formats.CSRFromCOO(coo), kernels.Inner(7)},
 	}
 	for _, tc := range spmmCases(t, coo) {

@@ -22,7 +22,7 @@ func EstimateBytes(format string, pr metrics.Properties, block int) int64 {
 	switch format {
 	case "coo":
 		return nnz * (valBytes + 2*idxBytes)
-	case "csr", "csc":
+	case "csr":
 		return nnz*(valBytes+idxBytes) + (rows+1)*idxBytes
 	case "ell", "sellcs":
 		// SELL-C-σ pads each slice to its own maximum, which ELL's
@@ -58,7 +58,7 @@ func Fallback(format string) (string, bool) {
 	switch format {
 	case "ell", "bell", "bcsr", "sellcs":
 		return "csr", true
-	case "csr", "csc":
+	case "csr":
 		return "coo", true
 	default:
 		return "", false

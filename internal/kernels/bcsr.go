@@ -12,7 +12,7 @@ import (
 // granularity is what the blocked format buys: each worker owns whole C
 // row-bands, and balanced scheduling equalises stored blocks per worker.
 func BCSR[T matrix.Float](a *formats.BCSR[T], b, c *matrix.Dense[T], k int, s Spec) error {
-	if err := check(rowBCSR, s, a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	var bounds []int

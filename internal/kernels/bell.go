@@ -10,7 +10,7 @@ import (
 // padded block slots behind it cost footprint, not work; zeros inside a
 // stored block are fill and are skipped by value, as in BCSR.
 func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Spec) error {
-	if err := check(rowBELL, s, a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	rg := blocks[T]{m: a.Rows, br: a.BR, bc: a.BC, colIdx: a.ColIdx, vals: a.Vals, width: a.Width, rowLen: a.RowLen, b: b, c: c, k: k}
@@ -25,7 +25,7 @@ func BELL[T matrix.Float](a *formats.BELL[T], b, c *matrix.Dense[T], k int, s Sp
 // equalises stored elements per worker, read off SlicePtr (padding included:
 // a proxy for the real ones the lanes walk).
 func SELLCS[T matrix.Float](a *formats.SELLCS[T], b, c *matrix.Dense[T], k int, s Spec) error {
-	if err := check(rowSELLCS, s, a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	var bounds []int

@@ -18,7 +18,7 @@ import (
 // and row-aligned chunks keep every Spec bitwise identical to the serial
 // kernel.
 func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec) error {
-	if err := check(rowCOO, s, a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	rg := cooTriplets[T]{a, b, c, k}
@@ -41,9 +41,8 @@ func COO[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k int, s Spec)
 // is finished past it — and C rows [r0, r1) = [rowAt(lo), rowAt(hi)), where
 // rowAt(x) is the row of the first run starting at or after x, rowAt(0) = 0
 // and rowAt(nnz) = Rows. Any split of [0, nnz) — the cancel-stride pieces,
-// the row-aligned parallel bounds, the replicated ablation's arbitrary
-// chunks — so gives each C row to exactly one range. With no triplets, the
-// one range [0, 0) owns every row.
+// the row-aligned parallel bounds — so gives each C row to exactly one
+// range. With no triplets, the one range [0, 0) owns every row.
 func cooRuns[T matrix.Float](a *matrix.COO[T], lo, hi int) (p, q, r0, r1 int) {
 	nnz := len(a.RowIdx)
 	runStart := func(x int) int {
@@ -164,18 +163,4 @@ func cooRowPartition[T matrix.Float](a *matrix.COO[T], threads int) []int {
 		bounds = append(bounds, nnz)
 	}
 	return bounds
-}
-
-// COOParallelReplicated is the ablation alternative to COO's row-aligned
-// partition, outside the lattice: each worker takes an arbitrary (not
-// row-aligned) slice of triplets and writes the rows that slice owns into a
-// private copy of C (see replicated). A must be row-sorted, as for COO.
-func COOParallelReplicated[T matrix.Float](a *matrix.COO[T], b, c *matrix.Dense[T], k, threads int) error {
-	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
-		return err
-	}
-	replicated(c, k, a.NNZ(), threads, func(into *matrix.Dense[T], lo, hi int) {
-		cooTriplets[T]{a, b, into, k}.rows(lo, hi, whole)
-	})
-	return nil
 }

@@ -12,7 +12,7 @@ import (
 // as CSR multiplies it. The static row partition is balanced by rows, not by
 // nonzeros.
 func ELL[T matrix.Float](a *formats.ELL[T], b, c *matrix.Dense[T], k int, s Spec) error {
-	if err := check(rowELL, s, a.Rows, a.Cols, b, c, k); err != nil {
+	if err := checkSpMM(a.Rows, a.Cols, b, c, k); err != nil {
 		return err
 	}
 	return walk(s, rowELL, a.Rows, nil, ellRows[T]{a, b, c, k}, a.Cols, k, slabbed(a, a.Cols, k))

@@ -11,9 +11,9 @@ import (
 
 // TestAllKernelsAgreeProperty is the suite's central correctness property:
 // for random matrices, shapes, k values, block sizes and thread counts,
-// every SpMM kernel of every format must produce the same C (within
-// floating-point reassociation tolerance). This is what lets the studies
-// compare formats knowing they compute the same thing.
+// every SpMM kernel of every format must produce the same C, to the bit:
+// no kernel reassociates a sum. This is what lets the studies compare
+// formats knowing they compute the same thing.
 func TestAllKernelsAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -39,7 +39,6 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 		}
 
 		csr := formats.CSRFromCOO(coo)
-		csc := formats.CSCFromCOO(coo)
 		ell := formats.ELLFromCOO(coo, formats.RowMajor)
 		ellCM := formats.ELLFromCOO(coo, formats.ColMajor)
 		bcsr, err := formats.BCSRFromCOO(coo, block, block)
@@ -61,11 +60,8 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 
 		runs := map[string]func(out *matrix.Dense[float64]) error{
 			"coo-par":    func(out *matrix.Dense[float64]) error { return COO(coo, b, out, k, Spec{Threads: threads}) },
-			"coo-rep":    func(out *matrix.Dense[float64]) error { return COOParallelReplicated(coo, b, out, k, threads) },
 			"csr":        func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{}) },
 			"csr-par":    func(out *matrix.Dense[float64]) error { return CSR(csr, b, out, k, Spec{Threads: threads}) },
-			"csc":        func(out *matrix.Dense[float64]) error { return CSC(csc, b, out, k, Spec{}) },
-			"csc-par":    func(out *matrix.Dense[float64]) error { return CSCParallel(csc, b, out, k, threads) },
 			"ell":        func(out *matrix.Dense[float64]) error { return ELL(ell, b, out, k, Spec{}) },
 			"ell-cm":     func(out *matrix.Dense[float64]) error { return ELL(ellCM, b, out, k, Spec{Threads: threads}) },
 			"bcsr":       func(out *matrix.Dense[float64]) error { return BCSR(bcsr, b, out, k, Spec{}) },
@@ -87,7 +83,7 @@ func TestAllKernelsAgreeProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if !view.Clone().EqualTol(ref, 1e-9) {
+			if !view.Clone().EqualTol(ref, 0) {
 				t.Logf("%s: result mismatch (rows=%d cols=%d nnz=%d k=%d threads=%d block=%d)",
 					name, rows, cols, coo.NNZ(), k, threads, block)
 				return false
@@ -131,7 +127,6 @@ func TestFormatsRoundTripProperty(t *testing.T) {
 			return false
 		}
 		return formats.CSRFromCOO(coo).ToCOO().ToDense().EqualTol(want, 0) &&
-			formats.CSCFromCOO(coo).ToCOO().ToDense().EqualTol(want, 0) &&
 			formats.ELLFromCOO(coo, formats.RowMajor).ToCOO().ToDense().EqualTol(want, 0) &&
 			bcsr.ToCOO().ToDense().EqualTol(want, 0) &&
 			bell.ToCOO().ToDense().EqualTol(want, 0) &&

@@ -1,12 +1,15 @@
 // Package kernels implements the sparse-dense matrix multiplication (SpMM)
 // kernels of the benchmark suite as a lattice: one exported entry per format
-// (COO, CSR, CSC, ELL, BCSR, BELL, SELLCS) taking a Spec that says how the
-// call executes — serial or parallel, which partition, which machinery,
+// (COO, CSR, ELL, BCSR, BELL, SELLCS) taking a Spec that says how the call
+// executes — serial or parallel, which partition, which machinery,
 // cancellable or not — plus Multiply, which dispatches a prepared float64
-// matrix to its entry. Three ablations the thesis discusses sit outside the
-// lattice as named functions. The SpMV the thesis lists as future work
-// (§6.3.4) is Multiply at k = 1; MultiplyVec is that call for a caller
-// holding plain vectors.
+// matrix to its entry. Every entry and every Spec is bitwise equal to the
+// serial CSR kernel: each range of a parallel run owns whole C rows, and
+// each C element sums its products in ascending column order. The one
+// ablation the thesis discusses, Study 9's inner-loop parallel BCSR, sits
+// outside the lattice as a named function under the same contract. The
+// SpMV the thesis lists as future work (§6.3.4) is Multiply at k = 1;
+// MultiplyVec is that call for a caller holding plain vectors.
 //
 // Every SpMM kernel computes C[:, :k] = A × B[:, :k] for a sparse m×n A and
 // dense n×kb B (kb >= k), overwriting the first k columns of C. The "k loop"
@@ -28,13 +31,12 @@ import (
 	"fmt"
 
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
 // ErrShape is returned when operand dimensions are inconsistent.
 var ErrShape = errors.New("kernels: operand shape mismatch")
 
-// cancelStride is how many rows (or block rows, slices, triplets, columns)
+// cancelStride is how many rows (or block rows, slices, triplets)
 // a kernel running under a context processes between checks: small enough
 // to cancel within microseconds of work, large enough that the atomic load
 // disappears in the row loop's cost.
@@ -71,49 +73,10 @@ func checkSpMM[T matrix.Float](ar, ac int, b, c *matrix.Dense[T], k int) error {
 }
 
 // zeroK zeroes the first k columns of every row of c.
-func zeroK[T matrix.Float](c *matrix.Dense[T], k int) { zeroKRows(c, k, 0, c.Rows) }
-
-// zeroKRows zeroes the first k columns of rows [lo, hi) of c.
-func zeroKRows[T matrix.Float](c *matrix.Dense[T], k, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func zeroK[T matrix.Float](c *matrix.Dense[T], k int) {
+	for i := 0; i < c.Rows; i++ {
 		clear(c.Data[i*c.Stride : i*c.Stride+k])
 	}
-}
-
-// replicated is the scaffolding the two reassociating ablations share: each
-// of `threads` static chunks of [0, n) is accumulated into a private m×k
-// copy of C, and the copies are then summed into c, parallel over rows —
-// both regions on the process pool.
-// It costs threads×(m×k) extra memory and a reduction pass whose partial
-// sums no longer follow the serial accumulation order.
-func replicated[T matrix.Float](c *matrix.Dense[T], k, n, threads int, accumulate func(into *matrix.Dense[T], lo, hi int)) {
-	threads = max(1, min(threads, n))
-	if threads == 1 {
-		zeroK(c, k)
-		accumulate(c, 0, n)
-		return
-	}
-	privs := make([]*matrix.Dense[T], threads)
-	pool := parallel.Default()
-	pool.Run(threads, threads, func(wlo, whi, _ int) {
-		for w := wlo; w < whi; w++ {
-			privs[w] = matrix.NewDense[T](c.Rows, k)
-			lo, hi := parallel.ChunkBounds(n, threads, w)
-			accumulate(privs[w], lo, hi)
-		}
-	})
-	pool.Run(c.Rows, threads, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			crow := c.Data[i*c.Stride : i*c.Stride+k]
-			clear(crow)
-			for _, priv := range privs {
-				prow := priv.Data[i*priv.Stride : i*priv.Stride+k]
-				for j := range crow {
-					crow[j] += prow[j]
-				}
-			}
-		}
-	})
 }
 
 // GEMM computes the dense product C = A × B naively. It exists for

@@ -100,12 +100,6 @@ func TestCOOKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.check(t, c, "COOParallel")
-
-		c = tc.out()
-		if err := COOParallelReplicated(tc.coo, tc.b, c, tc.k, threads); err != nil {
-			t.Fatal(err)
-		}
-		tc.check(t, c, "COOParallelReplicated")
 	})
 }
 
@@ -125,17 +119,6 @@ func TestCSRKernels(t *testing.T) {
 			}
 			tc.check(t, c, run.label)
 		}
-	})
-}
-
-func TestCSCKernel(t *testing.T) {
-	forAllShapes(t, "csc", func(t *testing.T, tc *testCase, threads int) {
-		a := formats.CSCFromCOO(tc.coo)
-		c := tc.out()
-		if err := CSC(a, tc.b, c, tc.k, Spec{}); err != nil {
-			t.Fatal(err)
-		}
-		tc.check(t, c, "CSCSerial")
 	})
 }
 
@@ -275,16 +258,12 @@ func TestShapeErrors(t *testing.T) {
 	}
 }
 
-// TestSpecErrors: a Spec outside a format's lattice row is an error, never
-// a silently different execution.
+// TestSpecErrors: every format's entry takes every Spec, so the one
+// execution Multiply refuses is a format it has no entry for — an error,
+// never a silently different execution.
 func TestSpecErrors(t *testing.T) {
-	coo := matrix.NewCOO[float64](4, 4, 1)
-	coo.Append(0, 0, 1)
 	b := matrix.NewDense[float64](4, 8)
 	c := matrix.NewDense[float64](4, 8)
-	if err := CSC(formats.CSCFromCOO(coo), b, c, 8, Spec{Threads: 2}); !errors.Is(err, ErrSpec) {
-		t.Errorf("csc parallel: %v, want ErrSpec", err)
-	}
 	if err := Multiply(struct{ formats.Sparse }{}, b, c, 8, Spec{}); err == nil {
 		t.Error("Multiply accepted a format it has no kernel for")
 	}
@@ -308,9 +287,6 @@ func TestSpMVKernels(t *testing.T) {
 				t.Fatalf("%s/%s: %v", class, r.format, err)
 			}
 			for _, threads := range []int{1, 4} {
-				if threads > 1 && !r.parallel {
-					continue
-				}
 				t.Run(fmt.Sprintf("%s/%s/t%d", class, r.format, threads), func(t *testing.T) {
 					eachInner(t, func(t *testing.T) {
 						s := Spec{Threads: threads}

@@ -72,7 +72,7 @@ func gapsCOO() *matrix.COO[float64] {
 	return m
 }
 
-// TestEveryRowWritten runs every bitwise variant — the lattice points, which
+// TestEveryRowWritten runs every variant — the lattice points, which
 // include every servable one, and the inner-parallel ablation — under every
 // level on a C that starts as the canary, at k = 1, 5, 32, 128 and 181 (32
 // and 128 are each exactly one tile of the row entry, the widest under AVX2
@@ -93,9 +93,6 @@ func TestEveryRowWritten(t *testing.T) {
 			ref := csrSerialRef(t, coo, in.B, k)
 			for _, p := range points {
 				v := p.now
-				if !v.Bitwise {
-					continue
-				}
 				t.Run(fmt.Sprintf("%s/k=%d/%s", class, k, p.name), func(t *testing.T) {
 					eachInner(t, func(t *testing.T) {
 						out := canaryDense(coo.Rows, k)

@@ -78,12 +78,11 @@ type Spec struct {
 	Pool *parallel.Pool
 	// Ctx, when non-nil, cancels cooperatively: serial and parallel runs
 	// alike check it every cancelStride rows (block rows, slices, COO
-	// triplets, CSC columns) and return ctx.Err() early, leaving C
-	// partially written.
+	// triplets) and return ctx.Err() early, leaving C partially written.
 	Ctx context.Context
 	// Trace, when non-nil and enabled, receives one "kernel" span per
-	// parallel dispatch (lane 0, detail = format, arg = thread count; COO
-	// dispatches twice, zeroing C and then accumulating).
+	// parallel dispatch (lane 0, detail = format, arg = thread count): one
+	// per pass of the slab walk, so one for a walk that does not slab.
 	// Per-worker chunk spans come from internal/parallel's own hook.
 	Trace *trace.Tracer
 }
@@ -101,17 +100,17 @@ func (s Spec) Name() string {
 // serial Calculate at 0 allocs/op.
 func (s Spec) direct() bool { return s.Threads <= 1 && s.Ctx == nil }
 
-// ErrSpec is returned when a format's entry is handed a Spec outside its
-// row of the lattice.
+// ErrSpec is returned by the simulators (machine.Simulate, gpusim.SpMM,
+// vendorlib.SpMM) for a format, schedule or inner loop they do not model.
+// Every host entry accepts every Spec.
 var ErrSpec = errors.New("kernels: spec not supported by this format")
 
 // row is one format's line of the lattice: the axes its entry accepts
-// beyond the serial tiled point every format has. Adding a format is one
+// beyond the serial and static parallel points every format has, each
+// range of its loop owning disjoint C rows. Adding a format is one
 // formats.FromCOO case, one range function, and one row here.
 type row struct {
 	format string // its upper-case spelling names the exported entry
-	// parallel: the loop decomposes into ranges that own disjoint C rows.
-	parallel bool
 	// balanced: a nonzero-balanced partition distinct from the static one
 	// exists. Rows without it accept ScheduleBalanced and run static.
 	balanced bool
@@ -123,32 +122,21 @@ type row struct {
 }
 
 func (r *row) register() *row {
-	if r.parallel {
-		r.dispatches = obs.NewCounter(fmt.Sprintf("spmm_kernels_dispatch_total{format=%q}", r.format),
-			"Parallel kernel dispatches (fork/join regions) by format.")
-	}
+	r.dispatches = obs.NewCounter(fmt.Sprintf("spmm_kernels_dispatch_total{format=%q}", r.format),
+		"Parallel kernel dispatches (fork/join regions) by format.")
 	return r
 }
 
 var (
-	rowCOO    = (&row{format: "coo", parallel: true}).register()
-	rowCSR    = (&row{format: "csr", parallel: true, balanced: true}).register()
-	rowCSC    = (&row{format: "csc"}).register()
-	rowELL    = (&row{format: "ell", parallel: true, colMajor: true}).register()
-	rowBCSR   = (&row{format: "bcsr", parallel: true, balanced: true}).register()
-	rowBELL   = (&row{format: "bell", parallel: true}).register()
-	rowSELLCS = (&row{format: "sellcs", parallel: true, balanced: true}).register()
+	rowCOO    = (&row{format: "coo"}).register()
+	rowCSR    = (&row{format: "csr", balanced: true}).register()
+	rowELL    = (&row{format: "ell", colMajor: true}).register()
+	rowBCSR   = (&row{format: "bcsr", balanced: true}).register()
+	rowBELL   = (&row{format: "bell"}).register()
+	rowSELLCS = (&row{format: "sellcs", balanced: true}).register()
 
-	lattice = []*row{rowCOO, rowCSR, rowCSC, rowELL, rowBCSR, rowBELL, rowSELLCS}
+	lattice = []*row{rowCOO, rowCSR, rowELL, rowBCSR, rowBELL, rowSELLCS}
 )
-
-// check validates s against the format's row and the operand shapes.
-func check[T matrix.Float](r *row, s Spec, ar, ac int, b, c *matrix.Dense[T], k int) error {
-	if s.Threads > 1 && !r.parallel {
-		return fmt.Errorf("%w: %s has no row-parallel decomposition", ErrSpec, r.format)
-	}
-	return checkSpMM(ar, ac, b, c, k)
-}
 
 // run executes body over [0, n) as s says, as one dispatch of r's format:
 // on the caller's goroutine, or as one region on s.Pool (parallel.Default()
@@ -206,8 +194,6 @@ func Multiply(a formats.Sparse, b, c *matrix.Dense[float64], k int, s Spec) erro
 		return COO(a, b, c, k, s)
 	case *formats.CSR[float64]:
 		return CSR(a, b, c, k, s)
-	case *formats.CSC[float64]:
-		return CSC(a, b, c, k, s)
 	case *formats.ELL[float64]:
 		return ELL(a, b, c, k, s)
 	case *formats.BCSR[float64]:

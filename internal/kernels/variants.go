@@ -12,16 +12,15 @@ import (
 )
 
 // This file is the naming half of the lattice: Variants enumerates every
-// valid (format, Spec) point from the lattice rows — plus the three
-// ablations that are different algorithms, not points — with its
-// accumulation-order contract recorded next to it. The differential sweep
-// runs the whole enumeration against the dense reference; the serving layer
-// and the tuner address points by name, so a name is a stable, parseable
-// spelling of the coordinates and every arm the tuner can promote is a code
-// path the sweep already verified.
+// valid (format, Spec) point from the lattice rows — plus the ablation that
+// is a different algorithm, not a point. The differential sweep runs the
+// whole enumeration against the dense reference, bit for bit; the serving
+// layer and the tuner address points by name, so a name is a stable,
+// parseable spelling of the coordinates and every arm the tuner can promote
+// is a code path the sweep already verified.
 
 // Variant is one named way to run SpMM: a point of the format × execution
-// lattice, or one of the three ablations outside it.
+// lattice, or the ablation outside it.
 type Variant struct {
 	// Name is "<format>/<machinery>": the Spec's Name, plus "-colmajor"
 	// for ELL points on the column-major layout.
@@ -32,12 +31,6 @@ type Variant struct {
 	// Multiply, for lattice points). The completeness test cross-checks
 	// this set against the package's declarations, in both directions.
 	Func string
-	// Bitwise records the accumulation-order contract: true means the
-	// variant preserves the serial per-element accumulation order (ascending
-	// column per output element) and must match the dense reference bit for
-	// bit; false means it reassociates partial sums (replicated/private
-	// accumulators) and is only required to match within tolerance.
-	Bitwise bool
 
 	// The lattice coordinates, with the Spec's context reduced to
 	// present/absent; Run binds them from the VariantInput.
@@ -68,7 +61,7 @@ func (v Variant) machinery() string {
 
 // point completes the lattice variant at the coordinates v holds.
 func (r *row) point(v Variant) Variant {
-	v.Format, v.Func, v.Bitwise = r.format, strings.ToUpper(r.format), true
+	v.Format, v.Func = r.format, strings.ToUpper(r.format)
 	v.Name = r.format + "/" + v.machinery()
 	if v.Layout == formats.ColMajor {
 		v.Name += "-colmajor"
@@ -88,12 +81,9 @@ func (r *row) points() []Variant {
 		parallel bool
 		sched    Schedule
 	}
-	machines := []machine{{}}
-	if r.parallel {
-		machines = append(machines, machine{true, ScheduleStatic})
-		if r.balanced {
-			machines = append(machines, machine{true, ScheduleBalanced})
-		}
+	machines := []machine{{}, {true, ScheduleStatic}}
+	if r.balanced {
+		machines = append(machines, machine{true, ScheduleBalanced})
 	}
 	var out []Variant
 	for _, m := range machines {
@@ -107,24 +97,12 @@ func (r *row) points() []Variant {
 	return out
 }
 
-// ablations are the three kernels outside the lattice: different
-// algorithms the paper discusses, not execution choices. The two that
-// reduce private accumulators reassociate sums and are the only
-// non-bitwise entries of the sweep.
+// ablations are the kernels outside the lattice: different algorithms the
+// paper discusses, not execution choices.
 var ablations = []Variant{
-	// Arbitrary (not row-aligned) triplet slices into private copies of C.
-	{Name: "coo/parallel-replicated", Format: "coo", Func: "COOParallelReplicated", Bitwise: false,
-		ablation: func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error {
-			return COOParallelReplicated(a.(*matrix.COO[float64]), in.B, out, in.K, in.Threads)
-		}},
-	// Column panels into private copies of C: what column orientation forces.
-	{Name: "csc/parallel", Format: "csc", Func: "CSCParallel", Bitwise: false,
-		ablation: func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error {
-			return CSCParallel(a.(*formats.CSC[float64]), in.B, out, in.K, in.Threads)
-		}},
 	// The Study 9 regression: it splits block rows, never an output
-	// element's terms, so even it stays bitwise.
-	{Name: "bcsr/parallel-inner", Format: "bcsr", Func: "BCSRParallelInner", Bitwise: true,
+	// element's terms, so it is bitwise too.
+	{Name: "bcsr/parallel-inner", Format: "bcsr", Func: "BCSRParallelInner",
 		ablation: func(a formats.Sparse, in *VariantInput, out *matrix.Dense[float64]) error {
 			return BCSRParallelInner(a.(*formats.BCSR[float64]), in.B, out, in.K, in.Threads)
 		}},
@@ -151,7 +129,7 @@ var index = sync.OnceValue(func() variantIndex {
 	return ix
 })
 
-// Variants returns every valid lattice point followed by the ablations.
+// Variants returns every valid lattice point followed by the ablation.
 // The slice is a copy, so tests may not corrupt shared state.
 func Variants() []Variant { return append([]Variant(nil), index().all...) }
 

@@ -321,14 +321,14 @@ func TestSmallMatrixPrefersFewThreads(t *testing.T) {
 
 // TestSimulateRejectsWhatItDoesNotModel: the formats without a trace, the
 // dynamic schedule, and a balanced schedule outside CSR are kernels.ErrSpec
-// from both entries, as an unsupported Spec is from kernels.Multiply.
+// from both entries.
 func TestSimulateRejectsWhatItDoesNotModel(t *testing.T) {
 	m, _, err := gen.GenerateScaled("bcsstk13", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mc := GraceMachine()
-	for _, f := range []string{"csc", "bell", "sellcs"} {
+	for _, f := range []string{"bell", "sellcs"} {
 		a, err := formats.FromCOO(f, m, formats.Params{Block: 4})
 		if err != nil {
 			t.Fatal(err)

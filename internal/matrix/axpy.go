@@ -32,7 +32,7 @@ func VectorInner() bool { return vector != scalar }
 func InnerBody() string { return vector.String() }
 
 // Axpy computes c[j] += v * b[j] for j in [0, k): the inner loop, one
-// nonzero at a time, under the overlay, GEMM and the ablations (the formats
+// nonzero at a time, under the overlay, GEMM and the ablation (the formats
 // take a row's nonzeros through AxpyRow). Both bodies multiply, round, then
 // add, lane by lane — never fused — so they agree bit for bit and so does
 // everything built on them. The scalar loop serves float32, named element
