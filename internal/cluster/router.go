@@ -710,10 +710,9 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength < 0 { // chunked: the read itself stops at the panel
 		r.Body = http.MaxBytesReader(w, r.Body, bodyLen)
 	}
-	// From here the phases are one chain of Steps — load, each attempt,
-	// respond — so the record's total exceeds their sum only by what ran
-	// before the load and after the respond.
-	req.Mark()
+	// The phases are one chain of Steps from the request's begin — load
+	// (planning the route and reading the panel), each attempt, and respond,
+	// which Finish closes — so they add up to the record's total exactly.
 	body, err := readBody(w, r)
 	if err != nil {
 		rt.failRequest(req, err)
@@ -743,8 +742,7 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		rt.failRequest(req, fmt.Errorf("cluster: replica %s returned %d", rp.rep.name, rp.status))
 		return
 	}
-	req.Step(trace.PhaseRespond, "", 0)
-	rt.finishRequest(req)
+	rt.finishRequest(req, trace.PhaseRespond)
 	e.serves.Add(1)
 	rt.maybeReplicate(e)
 }

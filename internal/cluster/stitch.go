@@ -21,13 +21,14 @@ import (
 // span that carried them — the replica's own queue/batch/kernel breakdown
 // then renders nested under the attempt, on its own process row.
 
-// finishRequest seals a router-side request record and emits the
+// finishRequest seals a router-side request record, its chain closed by
+// phase last when that is non-empty (trace.Req.Finish), and emits the
 // slow-request slog line when the end-to-end time crosses the threshold.
-func (rt *Router) finishRequest(req *trace.Req) {
+func (rt *Router) finishRequest(req *trace.Req, last string) {
 	if req == nil {
 		return
 	}
-	rec := req.Finish()
+	rec := req.Finish(last)
 	if rt.cfg.SlowRequest > 0 && rt.cfg.Log != nil && time.Duration(rec.TotalNs) >= rt.cfg.SlowRequest {
 		attrs := []any{"rid", rec.ID, "matrix", rec.Subject,
 			"total_ms", float64(rec.TotalNs) / 1e6}
@@ -55,7 +56,7 @@ func (rt *Router) failRequest(req *trace.Req, err error) {
 	if err != nil {
 		req.SetError(err.Error())
 	}
-	rt.finishRequest(req)
+	rt.finishRequest(req, "")
 }
 
 // handleTraceRequests serves the router's own recent request records, same

@@ -200,7 +200,7 @@ func BenchmarkRequestTraceOverhead(b *testing.B) {
 				_ = FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-req.Pos())
 			}
 			req.Step(trace.PhaseRespond, "", 0)
-			req.Finish()
+			req.Finish("")
 		}
 	}
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })

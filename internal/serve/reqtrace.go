@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -87,20 +88,26 @@ func (t Timing) Valid() bool { return len(t.Phases) > 0 }
 // extraPhase/extraNs append one more (possibly still-open) phase — the
 // multiply handler uses it to include the response encode it has just
 // measured before the header must be flushed.
+//
+// Every entry is whole microseconds, and the phases are rounded
+// cumulatively: phase i is the rounded sum of phases 1..i less the rounded
+// sum of phases 1..i-1. So the phases add up to their rounded sum exactly,
+// each is within 1 µs of its own time, and, since rounding is monotone, a
+// breakdown that covers no more than the total never lists more than it.
 func FormatTiming(rec trace.ReqRecord, extraPhase string, extraNs int64) string {
 	type agg struct {
 		name string
 		ns   int64
 	}
-	var order []agg
-	idx := map[string]int{}
+	order := make([]agg, 0, len(rec.Spans)+1)
 	add := func(name string, ns int64) {
-		if i, ok := idx[name]; ok {
-			order[i].ns += ns
-			return
+		for i := range order {
+			if order[i].name == name {
+				order[i].ns += ns
+				return
+			}
 		}
-		idx[name] = len(order)
-		order = append(order, agg{name: name, ns: ns})
+		order = append(order, agg{name, ns})
 	}
 	for _, sp := range rec.Spans {
 		add(sp.Name, sp.Dur)
@@ -108,13 +115,22 @@ func FormatTiming(rec trace.ReqRecord, extraPhase string, extraNs int64) string 
 	if extraPhase != "" {
 		add(extraPhase, extraNs)
 	}
-	var b strings.Builder
+	var b []byte
+	var cumNs, cumUs int64
 	for _, a := range order {
-		fmt.Fprintf(&b, "%s=%.3f;", a.name, float64(a.ns)/1e6)
+		cumNs += a.ns
+		us := roundUs(cumNs)
+		b = append(appendMs(append(append(b, a.name...), '='), us-cumUs), ';')
+		cumUs = us
 	}
-	fmt.Fprintf(&b, "total=%.3f", float64(rec.TotalNs)/1e6)
-	return b.String()
+	return string(appendMs(append(b, "total="...), roundUs(rec.TotalNs)))
 }
+
+// roundUs rounds ns to the nearest microsecond.
+func roundUs(ns int64) int64 { return int64(math.Round(float64(ns) / 1e3)) }
+
+// appendMs appends us microseconds as milliseconds with three decimals.
+func appendMs(b []byte, us int64) []byte { return strconv.AppendFloat(b, float64(us)/1e3, 'f', 3, 64) }
 
 // ParseTiming decodes an X-Spmm-Timing value. ok is false when the value is
 // empty or malformed.
@@ -161,22 +177,35 @@ type RequestTraceRecord struct {
 	Phases  []RequestTracePhase `json:"phases"`
 }
 
-// TraceRecordWire converts a finished record to its wire shape.
+// TraceRecordWire converts a finished record to its wire shape. Every
+// offset is wireMs of its nanoseconds and a phase's ms is its end's less its
+// start's, so the phases of a record whose spans tile it from 0 add up, in
+// float64 and in any order, to exactly its total_ms.
 func TraceRecordWire(rec trace.ReqRecord) RequestTraceRecord {
 	out := RequestTraceRecord{
 		ID: rec.ID, Matrix: rec.Subject, Start: rec.Start,
-		TotalMs: float64(rec.TotalNs) / 1e6, Error: rec.Error,
+		TotalMs: wireMs(rec.TotalNs), Error: rec.Error,
 		Phases: make([]RequestTracePhase, 0, len(rec.Spans)),
 	}
 	for _, sp := range rec.Spans {
+		start := wireMs(sp.Start)
 		out.Phases = append(out.Phases, RequestTracePhase{
 			Phase: sp.Name, Detail: sp.Detail,
-			StartMs: float64(sp.Start) / 1e6, Ms: float64(sp.Dur) / 1e6,
+			StartMs: start, Ms: wireMs(sp.Start+sp.Dur) - start,
 			Arg: sp.Arg,
 		})
 	}
 	return out
 }
+
+// wireMs is ns in milliseconds on a binary grid of 2^-20 ms, finer than a
+// nanosecond. It is monotone in ns, and its values, their differences and
+// their sums are exact in float64, so a wire record's times add up as its
+// spans do; nsOf takes them back to the same nanoseconds.
+func wireMs(ns int64) float64 { return math.Round(float64(ns)/1e6*(1<<20)) / (1 << 20) }
+
+// nsOf is the inverse of wireMs.
+func nsOf(ms float64) int64 { return int64(math.Round(ms * 1e6)) }
 
 // ReqSpans converts a wire record back into span form (ns offsets) — the
 // router's stitcher pulls replica records over HTTP and aligns these onto
@@ -184,9 +213,10 @@ func TraceRecordWire(rec trace.ReqRecord) RequestTraceRecord {
 func (r RequestTraceRecord) ReqSpans() []trace.ReqSpan {
 	spans := make([]trace.ReqSpan, 0, len(r.Phases))
 	for _, p := range r.Phases {
+		start := nsOf(p.StartMs)
 		spans = append(spans, trace.ReqSpan{
 			Name: p.Phase, Detail: p.Detail,
-			Start: int64(p.StartMs * 1e6), Dur: int64(p.Ms * 1e6),
+			Start: start, Dur: nsOf(p.StartMs+p.Ms) - start,
 			Arg: p.Arg,
 		})
 	}
@@ -256,17 +286,18 @@ func (s *Server) failRequest(req *trace.Req, err error) {
 	if err != nil {
 		req.SetError(err.Error())
 	}
-	s.finishRequest(req)
+	s.finishRequest(req, "")
 }
 
-// finishRequest seals a traced request: the record lands in the ring, its
+// finishRequest seals a traced request, its chain closed by phase last when
+// that is non-empty (trace.Req.Finish): the record lands in the ring, its
 // phases feed the spmm_serve_phase_seconds histograms, and a request slower
 // than Config.SlowRequest emits one request-ID-correlated slog line.
-func (s *Server) finishRequest(req *trace.Req) {
+func (s *Server) finishRequest(req *trace.Req, last string) {
 	if req == nil {
 		return
 	}
-	rec := req.Finish()
+	rec := req.Finish(last)
 	s.observePhaseSeconds(rec)
 	if s.cfg.SlowRequest > 0 && s.log != nil && time.Duration(rec.TotalNs) >= s.cfg.SlowRequest {
 		s.log.Warn("slow request", slowAttrs(rec)...)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -53,6 +54,90 @@ func TestFormatParseTimingRoundTrip(t *testing.T) {
 	}
 	if _, ok := ParseTiming("queue=abc"); ok {
 		t.Fatal("malformed header parsed as valid")
+	}
+}
+
+// TestFormatTimingAddsUp: over drawn span lists — durations to the
+// nanosecond, names that repeat, an extra phase closing the chain and a
+// total at or past its end — the header's phases are whole microseconds,
+// each within 1 µs of its own time, and they add up to the rounded sum of
+// the spans exactly, never past the total.
+func TestFormatTimingAddsUp(t *testing.T) {
+	names := []string{trace.PhaseQueue, trace.PhasePrepare, trace.PhaseBatch, trace.PhaseKernel, trace.PhaseRespond}
+	rng := rand.New(rand.NewSource(1))
+	for draw := 0; draw < 2000; draw++ {
+		var rec trace.ReqRecord
+		want := map[string]int64{}
+		var sumNs int64
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			sp := trace.ReqSpan{Name: names[rng.Intn(len(names)-1)], Dur: rng.Int63n(2_000_000)}
+			rec.Spans = append(rec.Spans, sp)
+			want[sp.Name] += sp.Dur
+			sumNs += sp.Dur
+		}
+		extra := rng.Int63n(1_000_000)
+		want[trace.PhaseRespond] += extra
+		sumNs += extra
+		rec.TotalNs = sumNs + rng.Int63n(3)*rng.Int63n(2_000)
+		s := FormatTiming(rec, trace.PhaseRespond, extra)
+		timing, ok := ParseTiming(s)
+		if !ok {
+			t.Fatalf("ParseTiming(%q) not ok", s)
+		}
+		us := func(ms float64) int64 {
+			u := math.Round(ms * 1e3)
+			if math.Abs(ms*1e3-u) > 1e-6 {
+				t.Fatalf("%q: %v ms is not whole microseconds", s, ms)
+			}
+			return int64(u)
+		}
+		var sumUs int64
+		for _, p := range timing.Phases {
+			got := us(p.Ms)
+			if d := math.Abs(float64(got) - float64(want[p.Phase])/1e3); d > 1 {
+				t.Fatalf("%q: %s = %d µs, its spans take %d ns", s, p.Phase, got, want[p.Phase])
+			}
+			sumUs += got
+		}
+		if len(timing.Phases) != len(want) {
+			t.Fatalf("%q: %d phases, want %d", s, len(timing.Phases), len(want))
+		}
+		if r := int64(math.Round(float64(sumNs) / 1e3)); sumUs != r {
+			t.Fatalf("%q: phases add up to %d µs, the rounded sum of the spans is %d", s, sumUs, r)
+		}
+		if total := us(timing.TotalMs); sumUs > total {
+			t.Fatalf("%q: phases add up to %d µs, past the %d µs total", s, sumUs, total)
+		}
+	}
+}
+
+// TestTraceRecordWireAddsUp: over drawn records whose spans tile them from
+// 0 — durations to the nanosecond, up to an hour long — the wire record's
+// phases add up in float64, left to right, to exactly its total_ms, and
+// ReqSpans gives back every span's nanoseconds.
+func TestTraceRecordWireAddsUp(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for draw := 0; draw < 2000; draw++ {
+		var rec trace.ReqRecord
+		scale := []int64{1_000, 1_000_000, 1_000_000_000, 3_600_000_000_000}[rng.Intn(4)]
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			rec.Spans = append(rec.Spans, trace.ReqSpan{Name: trace.PhaseAttemptRemote, Start: rec.TotalNs, Dur: rng.Int63n(scale)})
+			rec.TotalNs += rec.Spans[len(rec.Spans)-1].Dur
+		}
+		w := TraceRecordWire(rec)
+		var sum float64
+		for _, p := range w.Phases {
+			sum += p.Ms
+		}
+		if sum != w.TotalMs {
+			t.Fatalf("draw %d: phases add up to %v ms, total_ms is %v", draw, sum, w.TotalMs)
+		}
+		for i, sp := range w.ReqSpans() {
+			if sp.Start != rec.Spans[i].Start || sp.Dur != rec.Spans[i].Dur {
+				t.Fatalf("draw %d: span %d came back as [%d +%d] ns, was [%d +%d]",
+					draw, i, sp.Start, sp.Dur, rec.Spans[i].Start, rec.Spans[i].Dur)
+			}
+		}
 	}
 }
 

@@ -1153,7 +1153,6 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if err := WritePanel(w, res.c, k); err != nil && s.log != nil {
 		s.log.Warn("multiply response write failed", "id", id, "rid", rid, "err", err)
 	}
-	req.Step(trace.PhaseRespond, "", 0)
-	s.finishRequest(req)
+	s.finishRequest(req, trace.PhaseRespond)
 	s.requestSeconds.Observe(time.Since(start).Seconds())
 }

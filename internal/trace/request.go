@@ -63,7 +63,7 @@ type Req struct {
 	mu   sync.Mutex
 	done bool
 	rec  ReqRecord
-	at   int64 // where the next Step starts: the last Mark or Step's end
+	at   int64 // where the next Step starts: 0, or the last Step's end
 }
 
 // Now returns nanoseconds since the request began (0 for nil).
@@ -96,21 +96,10 @@ func (q *Req) ID() string {
 	return q.rec.ID
 }
 
-// Mark starts a chain of contiguous phases: the next Step begins now.
-func (q *Req) Mark() {
-	if q == nil {
-		return
-	}
-	now := q.Now()
-	q.mu.Lock()
-	q.at = now
-	q.mu.Unlock()
-}
-
-// Step records a span from where the chain stands (the last Mark or Step)
-// to now, and that same clock read begins the next Step, so a chain of
-// Steps leaves no untimed gap between its spans. A chain not opened by
-// Mark starts at the request's begin. Nil receivers no-op.
+// Step records a span from where the chain stands (the request's begin, or
+// the last Step's end) to now, and that same clock read begins the next
+// Step, so a chain of Steps leaves no untimed gap between its spans or
+// before the first. Nil receivers no-op.
 func (q *Req) Step(name, detail string, arg int64) {
 	if q == nil {
 		return
@@ -129,6 +118,11 @@ func (q *Req) StepTo(name, detail string, end, arg int64) {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.stepLocked(name, detail, end, arg)
+}
+
+// stepLocked is StepTo under q.mu.
+func (q *Req) stepLocked(name, detail string, end, arg int64) {
 	start := q.at
 	q.at = end
 	if !q.done {
@@ -177,16 +171,23 @@ func (q *Req) Snapshot() ReqRecord {
 }
 
 // Finish seals the record, stamps its total duration, pushes it onto the
-// ring, and returns the finished record. Later Steps no-op.
-// Finishing twice keeps the first seal.
-func (q *Req) Finish() ReqRecord {
+// ring, and returns the finished record. A non-empty last is the phase that
+// closes the chain: it is Stepped at the clock read that stamps the total,
+// so a record whose phases are one chain from its begin adds up to its
+// total exactly, with no instant between the last phase and the seal.
+// Later Steps no-op. Finishing twice keeps the first seal.
+func (q *Req) Finish(last string) ReqRecord {
 	if q == nil {
 		return ReqRecord{}
 	}
 	q.mu.Lock()
 	if !q.done {
+		now := q.Now()
+		if last != "" {
+			q.stepLocked(last, "", now, 0)
+		}
 		q.done = true
-		q.rec.TotalNs = q.Now()
+		q.rec.TotalNs = now
 		rec := q.rec
 		q.mu.Unlock()
 		q.ring.push(rec)

@@ -41,7 +41,7 @@ func TestRequestsDisabledNilSafe(t *testing.T) {
 	if rec := req.Snapshot(); len(rec.Spans) != 0 {
 		t.Fatal("nil Req snapshot has spans")
 	}
-	if rec := req.Finish(); rec.ID != "" {
+	if rec := req.Finish(""); rec.ID != "" {
 		t.Fatal("nil Req Finish returned a record")
 	}
 	if got := rr.Snapshot(ReqFilter{}); got != nil {
@@ -63,7 +63,7 @@ func TestRequestsDisabledZeroAlloc(t *testing.T) {
 		req.Step(PhaseQueue, "", 0)
 		req.StepTo(PhaseBatch, "csr", s, 1)
 		req.StepTo(PhaseKernel, "csr", s+5, 1)
-		req.Finish()
+		req.Finish("")
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled request-trace path allocates %v per op, want 0", allocs)
@@ -88,7 +88,7 @@ func TestRequestLifecycle(t *testing.T) {
 		t.Fatalf("after a Step the chain stands at %d, want > 0", req.Pos())
 	}
 	req.StepTo(PhaseKernel, "csr-omp", req.Pos()+2e6, 64)
-	rec := req.Finish()
+	rec := req.Finish("")
 	if rec.ID != "rid-7" || rec.Subject != "mat-a" {
 		t.Fatalf("record identity = %q/%q", rec.ID, rec.Subject)
 	}
@@ -117,25 +117,25 @@ func TestRequestLifecycle(t *testing.T) {
 		t.Fatal("StepTo after Finish mutated the sealed record")
 	}
 	// Double Finish must not duplicate the ring entry.
-	req.Finish()
+	req.Finish("")
 	if n := len(rr.Snapshot(ReqFilter{ID: "rid-7"})); n != 1 {
 		t.Fatalf("double Finish produced %d ring entries", n)
 	}
 }
 
-// TestRequestStepsAreContiguous: after a Mark, each Step (or StepTo) starts
-// on the clock read that ended the one before, so the chain's spans tile
-// the time from the Mark to the last Step exactly; on a nil *Req both are
-// no-ops.
+// TestRequestStepsAreContiguous: the first Step starts at the request's
+// begin, each later Step (or StepTo) on the clock read that ended the one
+// before, and the phase Finish closes the chain with ends on the clock read
+// that stamps the total, so the chain's spans tile the request from its
+// begin to its seal exactly; on a nil *Req Step and Finish are no-ops.
 func TestRequestStepsAreContiguous(t *testing.T) {
 	var off *Req
-	off.Mark()
 	off.Step(PhaseLoad, "", 0)
+	off.Finish(PhaseRespond)
 
 	req := NewRequests(4).Begin("rid-s", "mat-s")
 	time.Sleep(time.Millisecond)
-	req.Mark()
-	for i, phase := range []string{PhaseLoad, PhaseAttemptRemote, PhaseAttemptRemote, PhaseRespond} {
+	for i, phase := range []string{PhaseLoad, PhaseAttemptRemote, PhaseAttemptRemote} {
 		time.Sleep(100 * time.Microsecond)
 		if i == 2 { // a span measured elsewhere joins the chain the same way
 			req.StepTo(phase, "", req.Now(), 0)
@@ -143,12 +143,14 @@ func TestRequestStepsAreContiguous(t *testing.T) {
 		}
 		req.Step(phase, "", 0)
 	}
-	rec := req.Finish()
+	time.Sleep(100 * time.Microsecond)
+	rec := req.Finish(PhaseRespond)
 	if len(rec.Spans) != 4 {
 		t.Fatalf("spans = %d, want 4", len(rec.Spans))
 	}
-	if rec.Spans[0].Start < int64(time.Millisecond) {
-		t.Fatalf("first Step starts at %d ns, before its Mark", rec.Spans[0].Start)
+	if rec.Spans[0].Start != 0 || rec.Spans[0].Dur < int64(time.Millisecond) {
+		t.Fatalf("first Step spans [%d, %d) ns, want it to start at the begin and cover the 1 ms before it",
+			rec.Spans[0].Start, rec.Spans[0].Start+rec.Spans[0].Dur)
 	}
 	for i, sp := range rec.Spans {
 		if sp.Dur <= 0 {
@@ -159,8 +161,11 @@ func TestRequestStepsAreContiguous(t *testing.T) {
 				i, sp.Start, rec.Spans[i-1].Start+rec.Spans[i-1].Dur)
 		}
 	}
-	if end := rec.Spans[3].Start + rec.Spans[3].Dur; end > rec.TotalNs {
-		t.Fatalf("chain ends at %d, after the record's total %d", end, rec.TotalNs)
+	if last := rec.Spans[3]; last.Name != PhaseRespond || last.Start+last.Dur != rec.TotalNs {
+		t.Fatalf("last span %s ends at %d, the record's total is %d", last.Name, last.Start+last.Dur, rec.TotalNs)
+	}
+	if again := req.Finish(PhaseRespond); len(again.Spans) != 4 || again.TotalNs != rec.TotalNs {
+		t.Fatalf("a second Finish changed the sealed record: %d spans, total %d", len(again.Spans), again.TotalNs)
 	}
 }
 
@@ -169,7 +174,7 @@ func TestRequestsRingBoundAndFilters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		req := rr.Begin(fmt.Sprintf("rid-%d", i), fmt.Sprintf("mat-%d", i%2))
 		req.StepTo(PhaseKernel, "", int64(i)*1e6, 1)
-		req.Finish()
+		req.Finish("")
 	}
 	if rr.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", rr.Total())
@@ -221,7 +226,7 @@ func TestRequestConcurrentSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			req.Step(PhaseQueue, "", 0)
-			req.Finish()
+			req.Finish("")
 		}()
 	}
 	wg.Wait()
