@@ -481,10 +481,24 @@ func TestVariantNamesGolden(t *testing.T) {
 			t.Errorf("ParseVariant(%q) = %q, %v; want %q", alias, v.Name, ok, want)
 		}
 	}
-	for _, bad := range append([]string{"", "csr", "csr/", "dia/serial", "csc/opts-static", "bell/serial-bt", "coo/opts-dynamic", "csr/opts-dynamic-pool"}, retiredVariantNames...) {
+	for _, bad := range []string{"", "csr", "csr/", "dia/serial", "csc/opts-static", "bell/serial-bt", "coo/opts-dynamic", "csr/opts-dynamic-pool"} {
 		if v, ok := ParseVariant(bad); ok {
 			t.Errorf("ParseVariant(%q) resolved to %q", bad, v.Name)
 		}
+	}
+	for _, name := range retiredVariantNames {
+		t.Run("retired/"+name, func(t *testing.T) {
+			if v, ok := ParseVariant(name); ok {
+				t.Errorf("ParseVariant(%q) resolved to %q", name, v.Name)
+			}
+			if _, _, ok := PlanForVariant(name); ok {
+				t.Errorf("PlanForVariant(%q) ok", name)
+			}
+			in := NewVariantInput(matrix.NewCOO[float64](2, 2, 0), 1, 1, 1, 1)
+			if err := RunVariant(name, in, matrix.NewDense[float64](2, 1)); err == nil {
+				t.Errorf("RunVariant(%q) ran", name)
+			}
+		})
 	}
 
 	var servable []string

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/formats"
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 )
 
 // testCase bundles a sparse matrix, its dense expansion, a dense B, and the
@@ -269,46 +270,52 @@ func TestSpecErrors(t *testing.T) {
 	}
 }
 
-// TestSpMVKernels: SpMV is Multiply at k = 1. On every format, serial and
-// on four workers, under every inner level, MultiplyVec over plain slices
-// equals column 0 of the k = 16 product of the same operands bit for bit
-// (the differential sweep holds that product to the dense reference).
+// TestSpMVKernels: SpMV is Multiply at k = 1. On every lattice point —
+// every format, serial and on four workers, each schedule, with and
+// without a context, both ELL layouts — under every inner level,
+// MultiplyVec over plain slices equals column 0 of the k = 16 product of
+// the same operands under the same Spec bit for bit (the differential
+// sweep holds that product to the dense reference).
 func TestSpMVKernels(t *testing.T) {
 	const k = 16
+	pool := parallel.NewPool(sweepThreads)
+	defer pool.Close()
 	for class, coo := range sweepMatrices() {
-		b := matrix.NewDenseRand[float64](coo.Cols, k, 5)
+		in := NewVariantInput(coo, k, sweepThreads, 3, 5)
+		in.Pool = pool
 		x := make([]float64, coo.Cols)
 		for i := range x {
-			x[i] = b.At(i, 0)
+			x[i] = in.B.At(i, 0)
 		}
-		for _, r := range lattice {
-			a, err := formats.FromCOO(r.format, coo, formats.Params{Block: 3})
+		for _, v := range Variants() {
+			if v.ablation != nil {
+				continue // outside the lattice: no vector entry
+			}
+			a, err := in.Prepare(v)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", class, r.format, err)
+				t.Fatalf("%s/%s: %v", class, v.Name, err)
 			}
-			for _, threads := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/t%d", class, r.format, threads), func(t *testing.T) {
-					eachInner(t, func(t *testing.T) {
-						s := Spec{Threads: threads}
-						wide := matrix.NewDense[float64](coo.Rows, k)
-						if err := Multiply(a, b, wide, k, s); err != nil {
-							t.Fatal(err)
+			t.Run(class+"/"+v.Name, func(t *testing.T) {
+				eachInner(t, func(t *testing.T) {
+					s := v.spec(in)
+					wide := matrix.NewDense[float64](coo.Rows, k)
+					if err := Multiply(a, in.B, wide, k, s); err != nil {
+						t.Fatal(err)
+					}
+					y := make([]float64, coo.Rows)
+					for i := range y {
+						y[i] = 1e301 // poison: the kernel must overwrite
+					}
+					if err := MultiplyVec(a, x, y, s); err != nil {
+						t.Fatal(err)
+					}
+					for i, got := range y {
+						if want := wide.At(i, 0); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("y[%d] = %v, column 0 at k=%d is %v", i, got, k, want)
 						}
-						y := make([]float64, coo.Rows)
-						for i := range y {
-							y[i] = 1e301 // poison: the kernel must overwrite
-						}
-						if err := MultiplyVec(a, x, y, s); err != nil {
-							t.Fatal(err)
-						}
-						for i, got := range y {
-							if want := wide.At(i, 0); math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("y[%d] = %v, column 0 at k=%d is %v", i, got, k, want)
-							}
-						}
-					})
+					}
 				})
-			}
+			})
 		}
 	}
 }
