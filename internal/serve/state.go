@@ -64,8 +64,8 @@ type Plan struct {
 	// Variant is the kernels registry name of the executing arm — the
 	// identity the tuner races and the X-Spmm-Variant header reports.
 	Variant string
-	// Version increments on every promotion and compaction; 1 is the
-	// advisor's plan.
+	// Version increments on every promotion and compaction; 1 is
+	// servingPlan.
 	Version int64
 }
 
@@ -271,28 +271,26 @@ func (rec *walRecord) plan() Plan {
 	return plan
 }
 
-// advise runs the advisor over m and turns its pick into version 1 of a
-// serving plan. It costs a pass over the nonzeros, so callers run it outside
-// every lock.
+// servingPlan is version 1 of every matrix's serving plan: CSR on the
+// pool's static partition. It is the rule EXPERIMENTS.md ("Serving plan
+// regret on the host") reads off results/host/plan-regret.csv: over 14
+// registry matrices and k from 1 to 128 it is never beyond the quartile
+// spread of the best servable variant, and no matrix feature buys a lower
+// worst regret. TestAdvisorRegret holds it to that table.
+var servingPlan = Plan{
+	Format: "csr", Schedule: kernels.ScheduleStatic, Block: 4, Pooled: true,
+	Variant: kernels.ServingVariant("csr", kernels.ScheduleStatic), Version: 1,
+}
+
+// advise runs the advisor over m for the register response's report — the
+// paper's reading of the matrix — and pairs it with servingPlan. It costs a
+// pass over the nonzeros, so callers run it outside every lock.
 func advise(id string, m *matrix.COO[float64]) (advisor.Report, Plan, error) {
 	f, err := advisor.Extract(m)
 	if err != nil {
 		return advisor.Report{}, Plan{}, err
 	}
-	report := advisor.NewReport(id, f, []advisor.Environment{advisor.ParallelCPU})
-	best := report.Best(advisor.ParallelCPU)
-	sched := kernels.ScheduleStatic
-	if report.Schedule.Format == "balanced" {
-		sched = kernels.ScheduleBalanced
-	}
-	return report, Plan{
-		Format:   best.Format,
-		Schedule: sched,
-		Block:    4,
-		Pooled:   true,
-		Variant:  kernels.ServingVariant(best.Format, sched),
-		Version:  1,
-	}, nil
+	return advisor.NewReport(id, f, []advisor.Environment{advisor.ParallelCPU}), servingPlan, nil
 }
 
 // registration builds the record that installs base (hashing to baseHash)
