@@ -198,7 +198,7 @@ func main() {
 		maxWidth   int64
 		next       atomic.Int64
 		// variants counts responses per executing kernel variant; more than
-		// one entry means the tuner promoted mid-run. ordered keeps each
+		// one entry means the plan was promoted mid-run. ordered keeps each
 		// request's latency at its issue index so the steady-state (last
 		// quarter) p50 can be compared against the warm-up (first quarter).
 		variants = map[string]int64{}
@@ -358,9 +358,8 @@ func main() {
 		reportPhases(phaseMs)
 		reportSlowest(client.Base, tracked)
 
-		// Per-variant counts and warm-up vs steady-state latency: with the
-		// tuner on, a promotion shows up as a variant change mid-run and
-		// (when the tuner found a faster arm) a lower steady-state p50.
+		// Per-variant counts and warm-up vs steady-state latency: a
+		// promotion shows up as a variant change mid-run.
 		if len(variants) > 0 {
 			names := make([]string, 0, len(variants))
 			for v := range variants {
@@ -429,21 +428,6 @@ func main() {
 			fmt.Printf("cluster[%s]: %s (for %s), %d matrices, %d proxied, %d errors, %d failover serves, %d consecutive probe fails\n",
 				rs.Name, state, (time.Duration(rs.SinceStateChangeSec * float64(time.Second))).Round(time.Second),
 				rs.Matrices, rs.Proxied, rs.Errors, rs.Failovers, rs.ProbeFails)
-		}
-	}
-	if ts, err := client.Tune(); err == nil && ts.Enabled {
-		fmt.Printf("tuner: %d trials, %d promotions, %d rejects (%d dropped, %d stale)\n",
-			ts.Trials, ts.Promotions, ts.Rejects, ts.Dropped, ts.Stale)
-		for _, m := range ts.Matrices {
-			if m.ID != reg.ID {
-				continue
-			}
-			fmt.Printf("tuner[%s]: incumbent %s (plan v%d), %d arms measured, settled=%v\n",
-				m.ID, m.Incumbent, m.PlanVersion, len(m.Arms), m.Settled)
-			for _, pr := range m.History {
-				fmt.Printf("  promoted %s -> %s (p50 %.0fus -> %.0fus at trial %d)\n",
-					pr.From, pr.To, pr.FromP50Micros, pr.ToP50Micros, pr.Trials)
-			}
 		}
 	}
 	if *verify {

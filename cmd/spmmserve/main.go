@@ -30,7 +30,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/serve"
 	"repro/internal/trace"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -46,9 +45,6 @@ func main() {
 		queue        = flag.Int("queue", -1, "admission queue depth before 429 shedding (-1 = 4x max-inflight)")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		dataDir      = flag.String("data-dir", "", "durability directory: registrations are WAL-journaled (fsynced before ack) and recovered on restart; empty keeps the registry in memory only")
-		tuneOn       = flag.Bool("tune", false, "enable the online auto-tuner: shadow-measure kernel variants on live traffic and promote the measured-fastest per matrix")
-		tuneDuty     = flag.Float64("tune-duty", 0.05, "fraction of live multiplies shadow-measured by the tuner")
-		tuneMinSamp  = flag.Int("tune-min-samples", 8, "per-variant samples required before the tuner may promote")
 		snapEvery    = flag.Int("snapshot-every", 64, "compact the WAL into a snapshot after this many registrations (<0 disables)")
 		compactRatio = flag.Float64("compact-ratio", 0, "background overlay compaction when overlay nnz exceeds this fraction of base nnz (0 = default 0.25, negative disables the ratio trigger)")
 		compactCost  = flag.Float64("compact-cost", 0, "background overlay compaction when accumulated overlay-apply time exceeds this multiple of one re-preparation (0 = default 1.0, negative disables the cost trigger)")
@@ -106,9 +102,6 @@ func main() {
 		CompactRatio:    *compactRatio,
 		CompactCost:     *compactCost,
 	}
-	if *tuneOn {
-		cfg.Tune = &tune.Config{Duty: *tuneDuty, MinSamples: *tuneMinSamp}
-	}
 	srv, err := serve.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -143,8 +136,7 @@ func main() {
 	}()
 	logger.Info("spmmserve listening", "addr", ln.Addr().String(),
 		"threads", *threads, "cache_mb", *cacheMB,
-		"batch_window", batchWindow.String(), "metrics", *metricsAddr,
-		"tune", *tuneOn)
+		"batch_window", batchWindow.String(), "metrics", *metricsAddr)
 
 	select {
 	case err := <-done:

@@ -2,8 +2,9 @@ package advisor
 
 // Report is the machine-readable advisor output: `spmmadvise -json` emits
 // it, and the serving layer (internal/serve) embeds it in its register
-// response as the format-selection explanation. One struct in one place so
-// the CLI and the server never drift.
+// response as the paper's reading of the matrix (the served plan comes from
+// the host-measured rule in serve, not from this ranking). One struct in
+// one place so the CLI and the server never drift.
 type Report struct {
 	Matrix string `json:"matrix"`
 	Rows   int    `json:"rows"`
@@ -15,23 +16,6 @@ type Report struct {
 	Schedule Advice `json:"schedule"`
 	// Environments holds the per-environment format rankings, best first.
 	Environments []EnvAdvice `json:"environments"`
-	// Measured holds live kernel-variant timings, fastest first, when an
-	// online tuner (internal/tune) has shadow-measured the matrix. The
-	// heuristic rankings above are the prior; this is the ground truth
-	// that replaces them once a server has actually run the variants.
-	Measured []Measurement `json:"measured,omitempty"`
-}
-
-// Measurement is one measured kernel-variant timing: the serving layer's
-// tuner races registry variants against live traffic and reports the
-// per-dispatch p50 it observed.
-type Measurement struct {
-	// Variant is the kernels registry name ("csr/opts-balanced-pool").
-	Variant string `json:"variant"`
-	// Samples is how many shadow trials back the estimate.
-	Samples int `json:"samples"`
-	// P50Micros is the median measured dispatch time in microseconds.
-	P50Micros float64 `json:"p50_micros"`
 }
 
 // FeatureSummary is the JSON rendering of the scored Features.

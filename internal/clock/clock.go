@@ -1,9 +1,10 @@
-// Package clock is the suite's injectable time source. internal/tune
-// established the pattern — tests script time through Config.Now instead of
-// sleeping on real timers — but a bare func() time.Time cannot script timer
-// callbacks, which is exactly what the serving batcher (its coalescing
-// window is a timer) and the cluster health prober (its probe cadence and
-// probe timeouts are timers) hang off. This package generalizes the seam:
+// Package clock is the suite's injectable time source. The retired online
+// tuner established the pattern — tests script time through Config.Now
+// instead of sleeping on real timers — but a bare func() time.Time cannot
+// script timer callbacks, which is exactly what the serving batcher (its
+// coalescing window is a timer) and the cluster health prober (its probe
+// cadence and probe timeouts are timers) hang off. This package generalizes
+// the seam:
 // a Clock hands out the current instant and timer callbacks, the Real
 // implementation delegates to package time, and the Fake implementation
 // lets a test advance a virtual now and fire every due callback

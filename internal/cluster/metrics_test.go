@@ -19,13 +19,12 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/tune"
 )
 
-// The stats == metrics suite: each service component (serve, tune, the
+// The stats == metrics suite: each service component (serve and the
 // router) is driven through every fact it counts, and its JSON stats are
 // held against the series it exports through a name table. The tables live
-// here, in the one package that can see all three components.
+// here, in the one package that can see both components.
 
 // exposition renders r the way a scrape sees it.
 func exposition(tb testing.TB, r *obs.Registry) string {
@@ -187,11 +186,6 @@ var serveTable = []row{
 	{"durability.snapshot_failures", "spmm_serve_snapshot_errors_total"},
 	{"durability.recovered", "spmm_serve_recovered_matrices"},
 	{"durability.recovery_seconds", "spmm_serve_recovery_seconds"},
-	{"tune.trials", "spmm_tune_trials_total"},
-	{"tune.promotions", "spmm_tune_promotions_total"},
-	{"tune.rejects", "spmm_tune_rejects_total+spmm_tune_disqualified_total"},
-	{"tune.dropped", "spmm_tune_dropped_total"},
-	{"tune.stale", "spmm_tune_stale_total"},
 	{"delta.mutations", "spmm_delta_mutations_total"},
 	{"delta.ops", "spmm_delta_ops_total"},
 	{field: "delta.mutated"},
@@ -218,30 +212,13 @@ var serveTable = []row{
 	{series: "spmm_serve_snapshot_seconds"},
 	{series: "spmm_delta_overlay_apply_seconds"},
 	{series: "spmm_delta_compaction_seconds"},
-	{series: "spmm_tune_trial_seconds"},
-	{series: "spmm_tune_regret"},
-	{series: "spmm_tune_duty_cycle"},
 }
 
-// tuneTable is the tuner's name table, over /v1/tune's totals.
-var tuneTable = []row{
-	{"duty", "spmm_tune_duty_cycle"},
-	{field: "min_samples"}, // configuration
-	{field: "margin"},      // configuration
-	{"trials", "spmm_tune_trials_total"},
-	{"promotions", "spmm_tune_promotions_total"},
-	{"rejects", "spmm_tune_rejects_total+spmm_tune_disqualified_total"},
-	{"dropped", "spmm_tune_dropped_total"},
-	{"stale", "spmm_tune_stale_total"},
-	{series: "spmm_tune_trial_seconds"},
-	{series: "spmm_tune_regret"},
-}
-
-// TestServeStatsAgreeWithMetrics drives one durable, tuned server through
-// every fact it counts — a recovery, a registration, an eviction, a cache
-// miss and hits, a shed, a queue timeout, mutations, a failed and a landed
-// snapshot, a forced compaction, shadow trials — and holds /v1/stats and
-// /v1/tune against the exported series. Both views read the same fields, so
+// TestServeStatsAgreeWithMetrics drives one durable server through every
+// fact it counts — a recovery, a registration, an eviction, a cache miss
+// and hits, a shed, a queue timeout, mutations, a failed and a landed
+// snapshot, a forced compaction — and holds /v1/stats against the exported
+// series. Both views read the same fields, so
 // they agree exactly, not approximately.
 func TestServeStatsAgreeWithMetrics(t *testing.T) {
 	const k = 4
@@ -269,7 +246,6 @@ func TestServeStatsAgreeWithMetrics(t *testing.T) {
 		MaxInFlight: 1, QueueDepth: 1, CacheBytes: cacheBytes,
 		SnapshotEvery: 2, // the first automatic snapshot hits the injected fault, the second lands
 		Injector:      harness.NewInjector(1, harness.Fault{Point: harness.PointSnapshot, Kind: harness.FaultErr}),
-		Tune:          &tune.Config{Duty: 0.5},
 	})
 	defer closeSrv()
 	reg := obs.NewRegistry()
@@ -376,20 +352,17 @@ func TestServeStatsAgreeWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv.Tuner().Flush()
 	st := stats()
 	got := samples(t, reg)
-	checkStats(t, st, got, serveTable, "spmm_serve_", "spmm_delta_", "spmm_tune_")
-	checkStats(t, srv.Tuner().Stats(), got, tuneTable)
+	checkStats(t, st, got, serveTable, "spmm_serve_", "spmm_delta_")
 
 	// The scenario must have moved what it claims to, or agreement is 0 == 0.
 	d, ca, du := st.Delta, st.Cache, st.Durability
 	if st.Shed != 1 || st.Timeouts != 1 || st.Multiplies != 6 || st.Batches != 6 ||
 		ca.Misses < 2 || ca.Hits < 4 || ca.Evictions < 1 ||
 		du.Recovered != 1 || du.Snapshots < 1 || du.SnapshotFailures != 1 || du.WALBytes == 0 ||
-		d == nil || d.Mutations != 3 || d.Ops != 4 || d.Compactions != 1 || d.OverlayNNZ != 2 ||
-		st.Tune == nil || st.Tune.Trials < 1 {
-		t.Fatalf("scenario did not exercise every counter: %+v cache=%+v durability=%+v delta=%+v tune=%+v", st, ca, du, d, st.Tune)
+		d == nil || d.Mutations != 3 || d.Ops != 4 || d.Compactions != 1 || d.OverlayNNZ != 2 {
+		t.Fatalf("scenario did not exercise every counter: %+v cache=%+v durability=%+v delta=%+v", st, ca, du, d)
 	}
 }
 
@@ -536,14 +509,15 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 }
 
 // TestMetricsSchemaGolden pins the exposition's contract with dashboards:
-// the family names, types and help strings of every serving, delta, cluster
-// and tuner series. The golden file was generated by the commit before the
+// the family names, types and help strings of every serving, delta and
+// cluster series. The golden file was generated by the commit before the
 // metrics became per-instance fields (from its process-wide registry, after
-// building one durable, tuned server and one router over replica "a"), so a
-// match proves the instance export is the same schema — and every later
-// signal gets its golden line here.
+// building one durable server and one router over replica "a"), so a match
+// proves the instance export is the same schema — every later signal gets
+// its golden line here, and a retired one (the online tuner's spmm_tune_*)
+// loses it.
 func TestMetricsSchemaGolden(t *testing.T) {
-	srv, err := serve.New(serve.Config{Threads: 1, DataDir: t.TempDir(), Tune: &tune.Config{}})
+	srv, err := serve.New(serve.Config{Threads: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

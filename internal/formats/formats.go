@@ -32,8 +32,8 @@ type Sparse interface {
 
 // SELLC and SELLSigma are the suite's one SELL-C-σ shape: slices of 8 rows
 // (one AVX-512 register of float64 lanes) sorted inside windows of 64 rows.
-// Benchmarks, studies, the serving registry and the tuner's lab all convert
-// with these values, so a timing measured in one transfers to the others.
+// Benchmarks, studies and the serving registry all convert with these
+// values, so a timing measured in one transfers to the others.
 const (
 	SELLC     = 8
 	SELLSigma = 64

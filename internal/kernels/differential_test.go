@@ -160,7 +160,7 @@ type retiredPoint struct {
 // became the only fork/join: each pooled point's per-call goroutine spelling
 // ("opts-static" for "opts-pool", "opts-balanced" for "opts-balanced-pool")
 // and, off COO, its self-scheduled one ("opts-dynamic" for "opts-pool").
-// Serving WALs and tuner profiles still hold these names, so each must
+// Serving WALs still hold these names, so each must
 // resolve to its pooled point, and the sweeps hold that point to its
 // contract under the old name.
 func retiredSpellings(t *testing.T, variants []Variant) []retiredPoint {
@@ -413,12 +413,13 @@ func TestVariantRegistryComplete(t *testing.T) {
 }
 
 // legacyVariantNames are the 38 names of the hand-written registry the
-// lattice replaced that still name a kernel. Serving WALs, tuner profiles
-// and saved sweep output hold them, so every one must keep resolving. The
+// lattice replaced that still name a kernel. Serving WALs (their
+// promotion and tuner-profile records among them) and saved sweep output
+// hold them, so every one must keep resolving. The
 // registry's eight "-fixed" names are gone with the fixed-k family, its
 // eight "-bt" names with the transposed-B family (retiredFamilies), and its
 // CSC and replicated-COO names with those kernels (retiredVariantNames):
-// none was servable, so no WAL or tuner profile held one.
+// none was servable, so no WAL held one.
 var legacyVariantNames = []string{
 	"coo/serial", "coo/serial-ctx", "coo/parallel", "coo/parallel-ctx",
 	"coo/opts-static", "coo/opts-pool",
@@ -439,7 +440,7 @@ var legacyVariantNames = []string{
 // "COO partition and CSC on the host"). ParseVariant refuses every one.
 var retiredVariantNames = []string{"csc/serial", "csc/serial-ctx", "csc/parallel", "coo/parallel-replicated"}
 
-// servableVariantNames are the tuner's arms, in its round-robin order.
+// servableVariantNames are the servable variants, in enumeration order.
 var servableVariantNames = []string{
 	"coo/opts-pool",
 	"csr/opts-pool", "csr/opts-balanced-pool",

@@ -15,9 +15,9 @@ import (
 // valid (format, Spec) point from the lattice rows — plus the ablation that
 // is a different algorithm, not a point. The differential sweep runs the
 // whole enumeration against the dense reference, bit for bit; the serving
-// layer and the tuner address points by name, so a name is a stable,
-// parseable spelling of the coordinates and every arm the tuner can promote
-// is a code path the sweep already verified.
+// layer addresses points by name, so a name is a stable, parseable spelling
+// of the coordinates and every variant a plan can name is a code path the
+// sweep already verified.
 
 // Variant is one named way to run SpMM: a point of the format × execution
 // lattice, or the ablation outside it.
@@ -70,8 +70,8 @@ func (r *row) point(v Variant) Variant {
 }
 
 // points enumerates r's row of the lattice: the serial points, then the
-// parallel ones static-before-balanced — the order ServableVariants (and so
-// the tuner's round-robin) has always had.
+// parallel ones static-before-balanced — the order ServableVariants has
+// always had.
 func (r *row) points() []Variant {
 	layouts := []formats.ELLLayout{formats.RowMajor}
 	if r.colMajor {
@@ -176,10 +176,9 @@ func ParseVariant(name string) (Variant, bool) {
 	return Variant{}, false
 }
 
-// servable reports whether a server may dispatch a live multiply (or a
-// shadow trial) on v: a parallel lattice point on the row-major layout with
-// no context — bitwise (so a challenger's output
-// can be verified against the served result exactly), valid for any k, and
+// servable reports whether a server may dispatch a live multiply on v: a
+// parallel lattice point on the row-major layout with no context — bitwise
+// (so a promotion never changes a result bit), valid for any k, and
 // scheduled by its name alone.
 func (v Variant) servable() bool {
 	return v.Parallel && !v.Ctx && v.Layout == formats.RowMajor
@@ -222,8 +221,8 @@ func ServingVariant(format string, sched Schedule) string {
 
 // VariantInput is one sparse matrix plus the dense operands and execution
 // resources a Variant runs with. Formats are converted on first use and
-// cached, so one fixture drives every variant and a tuner pays for a format
-// only once an arm needs it.
+// cached, so one fixture drives every variant and pays for a format only
+// once a variant needs it.
 type VariantInput struct {
 	COO *matrix.COO[float64]
 	// Block is the BCSR/BELL block edge Prepare converts with.

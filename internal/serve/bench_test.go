@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/trace"
-	"repro/internal/tune"
 )
 
 // benchServer builds a warmed server + client for the serving-path
@@ -70,49 +69,6 @@ func BenchmarkServeUnbatched(b *testing.B) {
 // more callers queue than one dispatch absorbs.
 func BenchmarkServeBatched(b *testing.B) {
 	benchConcurrent(b, 500*time.Microsecond)
-}
-
-// BenchmarkTunedMultiply prices the auto-tuner on the serving path:
-// steady-state cached multiplies with tuning off (advisor's static pick)
-// versus on (5% shadow-measurement duty, post-exploration). The tuned
-// number carries both the tuner's off-critical-path overhead and whatever
-// promotion it found during warm-up.
-func BenchmarkTunedMultiply(b *testing.B) {
-	const k = 32
-	for _, mode := range []struct {
-		name string
-		tc   *tune.Config
-	}{
-		{"advisor", nil},
-		{"tuned", &tune.Config{Duty: 0.05, MinSamples: 8}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := Config{BatchWindow: 0}
-			if mode.tc != nil {
-				tc := *mode.tc
-				cfg.Tune = &tc
-			}
-			s, client, reg, done := benchServer(b, cfg)
-			defer done()
-			panel := matrix.NewDenseRand[float64](reg.Cols, k, 1)
-			// Warm to steady state: format resident, and with tuning on the
-			// exploration phase mostly behind us before the clock starts.
-			for i := 0; i < 200; i++ {
-				if _, err := client.Multiply(reg.ID, reg.Rows, panel, k, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if s.Tuner() != nil {
-				s.Tuner().Flush()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := client.Multiply(reg.ID, reg.Rows, panel, k, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkWALAppend prices the durability tax on registration: seal (two

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/matrix"
-	"repro/internal/tune"
 )
 
 // Client is the Go client for a spmmserve endpoint — the library behind
@@ -271,7 +270,7 @@ type MultiplyResult struct {
 	// Format is the sparse format the server dispatched on.
 	Format string
 	// Variant is the kernel variant the dispatch executed (X-Spmm-Variant)
-	// — watching it change is how a client observes a tuner promotion.
+	// — watching it change is how a client observes a promotion.
 	Variant string
 	// CacheHit reports the prepared format was already resident.
 	CacheHit bool
@@ -389,14 +388,4 @@ func (c *Client) TraceRequests(id, matrixID string, minMs float64, n int) ([]Req
 		return nil, err
 	}
 	return out, nil
-}
-
-// Tune fetches the auto-tuner's decision trail (/v1/tune). With tuning
-// disabled the result has Enabled false.
-func (c *Client) Tune() (*tune.Stats, error) {
-	var out tune.Stats
-	if err := c.getJSON("/v1/tune", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }

@@ -33,11 +33,11 @@ func (s *Server) observePhaseSeconds(rec trace.ReqRecord) {
 }
 
 // ExportMetrics names this server's metrics — its own, its admission
-// gate's, its registry's, its durability store's and its tuner's — in r.
+// gate's, its registry's and its durability store's — in r.
 // This is the serving layer's only name/help table: the values are the
 // fields /v1/stats reads, and everything that is state held elsewhere (queue
 // depth, cache bytes, WAL length, pending overlay) is computed at scrape.
-// A server without a data dir or a tuner exports no series for them.
+// A server without a data dir exports no series for its store.
 // cmd/spmmserve calls it once with obs.Default; exporting a second server
 // into the same registry panics on the first counter, before any gauge
 // function could be replaced.
@@ -143,8 +143,5 @@ func (s *Server) ExportMetrics(r *obs.Registry) {
 		r.NewGaugeFunc("spmm_serve_recovered_matrices",
 			"Registrations restored by the last startup recovery.",
 			func() float64 { return float64(st.recovered) })
-	}
-	if s.tuner != nil {
-		s.tuner.ExportMetrics(r)
 	}
 }

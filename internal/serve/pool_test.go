@@ -7,8 +7,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,49 +224,6 @@ func TestShedBodyOutlivesMultiply(t *testing.T) {
 	next := matrix.NewDenseRand[float64](reg.Cols, k, 2)
 	if res, err := client.Multiply(reg.ID, reg.Rows, next, k, 0); err != nil || !bitsEqual(res.C, multiplyRef(t, local, next, k)) {
 		t.Fatalf("the request after the sheds is not bitwise csr-serial (err %v)", err)
-	}
-}
-
-// TestSampledPanelsStayOutOfThePool: with the tuner sampling at its maximum
-// duty, every B/C pair it queued — lone panels and strided views of a
-// coalesced dispatch's C — is still what was served when the shadow trial
-// gets to it, however many later requests have leased the same classes.
-func TestSampledPanelsStayOutOfThePool(t *testing.T) {
-	const k, width, rounds = 6, 3, 8
-	var nobody atomic.Value
-	cfg := scriptedTuneConfig(&nobody) // every arm "measures" the same: no promotion
-	cfg.Duty = 1                       // the tuner clamps to 0.5: every second request
-	srv, client, _ := newTestServer(t, Config{Threads: 2, BatchWindow: time.Hour, Clock: clock.NewFake(), Tune: cfg})
-	reg, local := registerSmall(t, client, 300, 200, 2500, 5)
-	for round := 0; round < rounds; round++ {
-		n := 1 + round%2*(width-1) // lone and coalesced dispatches alternate
-		bs := make([]*matrix.Dense[float64], n)
-		results := make([]*MultiplyResult, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		release := holdDispatch(t, srv, reg.ID)
-		for i := range bs {
-			bs[i] = matrix.NewDenseRand[float64](reg.Cols, k, int64(100*round+i))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[i], errs[i] = client.Multiply(reg.ID, reg.Rows, bs[i], k, 0)
-			}()
-		}
-		waitFor(t, "the round's requests behind the held dispatch", func() bool { return srv.pendingBatch(reg.ID) == n })
-		release()
-		wg.Wait()
-		for i, res := range results {
-			if errs[i] != nil || !bitsEqual(res.C, multiplyRef(t, local, bs[i], k)) {
-				t.Fatalf("round %d, request %d is not bitwise csr-serial (err %v)", round, i, errs[i])
-			}
-		}
-	}
-	srv.Tuner().Flush()
-	st := srv.Tuner().Stats()
-	if st.Rejects != 0 || st.Dropped != 0 || st.Stale != 0 || st.Trials < rounds {
-		t.Fatalf("shadow trials over sampled panels: %d trials, %d rejects, %d dropped, %d stale; want every sample verified",
-			st.Trials, st.Rejects, st.Dropped, st.Stale)
 	}
 }
 

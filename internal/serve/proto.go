@@ -26,8 +26,8 @@ const (
 	// HeaderBatchK is the total dense-column count of that dispatch.
 	HeaderBatchK = "X-Spmm-Batch-K"
 	// HeaderVariant reports the kernel variant (the kernels registry name,
-	// e.g. "csr/opts-balanced-pool") the multiply's serving plan executed —
-	// the identity the online tuner promotes.
+	// e.g. "csr/opts-pool") the multiply's serving plan executed — the
+	// identity Registry.Promote installs.
 	HeaderVariant = "X-Spmm-Variant"
 	// HeaderDeadlineMs is the request header carrying the client's
 	// deadline in milliseconds; absent means the server default applies.
@@ -116,11 +116,11 @@ type RegisterResponse struct {
 	// Block is the BCSR/BELL block edge multiplies will use.
 	Block int `json:"block"`
 	// Variant is the kernel variant the serving plan currently executes —
-	// the advisor's pick at first registration, possibly a tuner promotion
+	// the serving rule's pick at first registration, possibly a promotion
 	// on a re-registration of an already-served matrix.
 	Variant string `json:"variant"`
-	// PlanVersion is the serving-plan version (1 = the advisor's plan;
-	// each tuner promotion increments it).
+	// PlanVersion is the serving-plan version (1 = the serving rule's
+	// plan; each promotion and compaction increments it).
 	PlanVersion int64 `json:"plan_version"`
 	// Existed reports that the matrix was already registered.
 	Existed bool `json:"existed"`
@@ -150,7 +150,7 @@ type MatrixInfo struct {
 	Name  string  `json:"name,omitempty"`
 	Scale float64 `json:"scale,omitempty"`
 	// Variant/PlanVersion identify the serving plan currently installed
-	// (promotions by the online tuner bump the version).
+	// (promotions and compactions bump the version).
 	Variant     string `json:"variant"`
 	PlanVersion int64  `json:"plan_version"`
 	// Prepared reports whether the prepared format currently cached matches
@@ -255,11 +255,8 @@ type StatsResponse struct {
 	Cache           CacheStats      `json:"cache"`
 	Durability      DurabilityStats `json:"durability"`
 	// Variants counts multiplies served per kernel variant name — the
-	// externally-visible trace of tuner promotions.
+	// externally-visible trace of promotions.
 	Variants map[string]int64 `json:"variants,omitempty"`
-	// Tune summarizes the online tuner; nil when tuning is disabled (the
-	// full decision trail lives at /v1/tune).
-	Tune *TuneSummary `json:"tune,omitempty"`
 	// Delta summarizes the mutation subsystem; nil until the first
 	// mutation lands.
 	Delta *DeltaStats `json:"delta,omitempty"`
@@ -280,16 +277,6 @@ type DeltaStats struct {
 	// base still swapped in; the prepared format rebuilds lazily).
 	Compactions      int64 `json:"compactions"`
 	CompactionErrors int64 `json:"compaction_errors"`
-}
-
-// TuneSummary is the /v1/stats digest of the online tuner's counters.
-type TuneSummary struct {
-	Enabled    bool  `json:"enabled"`
-	Trials     int64 `json:"trials"`
-	Promotions int64 `json:"promotions"`
-	Rejects    int64 `json:"rejects"`
-	Dropped    int64 `json:"dropped"`
-	Stale      int64 `json:"stale"`
 }
 
 // ExportRecord is the registry-metadata export of one matrix

@@ -60,10 +60,9 @@ type Registry struct {
 }
 
 // Matrix is one registered matrix: immutable identity plus the one state
-// pointer everything mutable lives behind. The plan starts as the advisor's
-// pick; the online tuner (internal/tune) promotes a measured-faster variant,
-// mutations extend the overlay, compactions re-base — each by publishing a
-// new state. Multiplies read it with one atomic load, so no transition ever
+// pointer everything mutable lives behind. The plan starts as servingPlan;
+// Promote installs another variant, mutations extend the overlay,
+// compactions re-base — each by publishing a new state. Multiplies read it with one atomic load, so no transition ever
 // blocks the data path.
 type Matrix struct {
 	ID string
@@ -513,9 +512,9 @@ func (r *Registry) removeLocked(el *list.Element, e *cacheEntry) {
 // bumping the plan version, and synchronously re-prepares the new format
 // through the normal Prepared path — so by the time Promote returns, the
 // promoted plan is warm (single-flight shared with any concurrent
-// multiplies that observed the new version first). The tuner calls this
-// off the request path; multiplies in flight keep the plan + kernel pair
-// they captured, which stays bitwise-correct.
+// multiplies that observed the new version first). It runs off the
+// request path; multiplies in flight keep the plan + kernel pair they
+// captured, which stays bitwise-correct.
 func (r *Registry) Promote(ctx context.Context, id, variant string) (Plan, error) {
 	_, st, _, err := r.transact(id, func(cur *state) (*walRecord, error) {
 		if cur == nil {

@@ -257,3 +257,160 @@ func TestConcurrentRegisterEvict(t *testing.T) {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, workers*iters)
 	}
 }
+
+// altVariant picks a servable pool variant different from current, so a
+// test promotion always changes the plan. Block-free formats only — the
+// registered plan's Block is meaningful just for bcsr/bell.
+func altVariant(current string) string {
+	if current != "ell/opts-pool" {
+		return "ell/opts-pool"
+	}
+	return "csr/opts-pool"
+}
+
+// TestPromoteReprepare pins the promotion contract on the registry: the
+// promoted plan bumps the version, the stale cached format is replaced
+// through the normal miss path (exactly one extra prepare, synchronous
+// warm), the byte gauge tracks only the new resident format, and
+// subsequent lookups are version-matched hits.
+func TestPromoteReprepare(t *testing.T) {
+	r := NewRegistry(0, 2)
+	ctx := context.Background()
+	m, _, err := r.Register(testMatrix(t, 80, 80, 0.03, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sv0, hit, err := r.Prepared(ctx, m.ID)
+	if err != nil || hit {
+		t.Fatalf("first Prepared: hit=%v err=%v", hit, err)
+	}
+	k0, p0 := sv0.Kernel, sv0.Plan
+	if p0.Version != 1 || k0.Format() != p0.Format {
+		t.Fatalf("initial plan %+v served by a %s kernel", p0, k0.Format())
+	}
+	if got := r.Stats().Prepares; got != 1 {
+		t.Fatalf("prepares = %d, want 1", got)
+	}
+
+	tgt := altVariant(p0.Variant)
+	plan, err := r.Promote(ctx, m.ID, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Variant != tgt || plan.Version != 2 {
+		t.Fatalf("promoted plan %+v, want %s v2", plan, tgt)
+	}
+	// Promote warms synchronously: exactly one more prepare, and the stale
+	// format's bytes are released.
+	if got := r.Stats().Prepares; got != 2 {
+		t.Fatalf("prepares after promote = %d, want 2 (one warm re-prepare)", got)
+	}
+
+	sv1, hit, err := r.Prepared(ctx, m.ID)
+	if err != nil || !hit {
+		t.Fatalf("post-promotion Prepared: hit=%v err=%v — warm promote must leave a resident format", hit, err)
+	}
+	k1, p1 := sv1.Kernel, sv1.Plan
+	if p1 != plan {
+		t.Fatalf("served plan %+v != promoted plan %+v", p1, plan)
+	}
+	if k1.Format() != p1.Format {
+		t.Fatalf("kernel format %s does not match plan format %s", k1.Format(), p1.Format)
+	}
+	if got := r.Stats().Prepares; got != 2 {
+		t.Fatalf("version-matched hit re-prepared: prepares = %d", got)
+	}
+	if got, want := r.Stats().Bytes, int64(k1.Bytes()); got != want {
+		t.Fatalf("cache bytes = %d, want %d — the stale format's bytes must be released on promotion", got, want)
+	}
+
+	// An unservable variant is refused without touching the plan.
+	if _, err := r.Promote(ctx, m.ID, "no-such/variant"); err == nil {
+		t.Fatal("promoting an unknown variant succeeded")
+	}
+	if got := m.Plan(); got != plan {
+		t.Fatalf("failed promotion changed the plan: %+v", got)
+	}
+}
+
+// TestPromoteChurn hammers Prepared from many readers while a promoter
+// cycles the plan — under -race this is the audit of the mutable-plan
+// cache path. Every lookup must return a kernel whose format matches the
+// plan it was returned with (never a half-built or mismatched format), and
+// the byte gauge must end exactly equal to the resident footprints.
+func TestPromoteChurn(t *testing.T) {
+	r := NewRegistry(0, 2)
+	ctx := context.Background()
+	ids := make([]string, 2)
+	for i, seed := range []int64{3, 4} {
+		m, _, err := r.Register(testMatrix(t, 80, 80, 0.03, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = m.ID
+	}
+
+	cycle := []string{"csr/opts-pool", "ell/opts-pool", "coo/opts-pool", "sellcs/opts-balanced-pool"}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < 24; i++ {
+			for _, id := range ids {
+				if _, err := r.Promote(ctx, id, cycle[i%len(cycle)]); err != nil {
+					t.Errorf("promote %s to %s: %v", id, cycle[i%len(cycle)], err)
+					return
+				}
+			}
+		}
+	}()
+
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := ids[(w+i)%len(ids)]
+				sv, _, err := r.Prepared(ctx, id)
+				if err != nil {
+					t.Errorf("Prepared(%s): %v", id, err)
+					return
+				}
+				if sv.Kernel.Format() != sv.Plan.Format {
+					t.Errorf("Prepared(%s) returned a %s kernel for plan %+v", id, sv.Kernel.Format(), sv.Plan)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// Quiescent accounting: the gauge equals the sum of resident bytes.
+	r.mu.Lock()
+	var sum int64
+	for _, el := range r.entries {
+		sum += el.Value.(*cacheEntry).bytes
+	}
+	used := r.used
+	r.mu.Unlock()
+	if used != sum {
+		t.Fatalf("cache gauge %d != sum of resident entries %d after promotion churn", used, sum)
+	}
+
+	// Every matrix still serves a plan-consistent kernel.
+	for _, id := range ids {
+		sv, _, err := r.Prepared(ctx, id)
+		if err != nil || sv.Kernel.Format() != sv.Plan.Format {
+			t.Fatalf("post-churn Prepared(%s): format %s, plan %+v, err %v", id, sv.Kernel.Format(), sv.Plan, err)
+		}
+	}
+}

@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/delta"
@@ -51,7 +50,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/trace"
-	"repro/internal/tune"
 )
 
 // Config tunes a Server. The zero value is usable: defaults fill in New.
@@ -127,13 +125,6 @@ type Config struct {
 	// CompactCost × the last measured base-preparation time (default 1.0;
 	// negative disables the measured trigger).
 	CompactCost float64
-
-	// Tune, when non-nil, enables the online auto-tuner (internal/tune):
-	// live multiplies are shadow-measured on a duty cycle and a measured-
-	// faster kernel variant is promoted into the matrix's serving plan.
-	// Threads, Promote, Persist and Log are filled by the server; the
-	// caller sets policy (Duty, MinSamples, Margin, ...).
-	Tune *tune.Config
 }
 
 // Server is the SpMM service: registry, cache, batcher and admission gate
@@ -149,7 +140,6 @@ type Server struct {
 	log     *slog.Logger
 	clk     clock.Clock
 	store   *Store
-	tuner   *tune.Tuner
 	// draining flips when shutdown begins: new expensive requests get a
 	// clean 503 + Retry-After instead of racing http.Server.Shutdown.
 	draining atomic.Bool
@@ -250,7 +240,6 @@ func New(cfg Config) (*Server, error) {
 		s.pool = parallel.NewPool(cfg.Threads)
 		s.ownPool = true
 	}
-	profiles := map[string]*tune.Profile{}
 	if cfg.DataDir != "" {
 		st, recs, err := OpenStore(cfg.DataDir, StoreOpts{
 			SnapshotEvery: cfg.SnapshotEvery,
@@ -274,97 +263,15 @@ func New(cfg Config) (*Server, error) {
 				}
 				continue
 			}
-			if rec.Profile != nil {
-				profiles[rec.ID] = rec.Profile
-			}
 		}
-		// The registry dump feeding snapshots carries the tuner's learned
-		// profiles alongside the registrations, so a compaction that
-		// truncates a profile's WAL record preserves it in the snapshot.
-		st.dump = func() []walRecord {
-			out := s.reg.dumpRecords()
-			if s.tuner != nil {
-				for _, p := range s.tuner.Profiles() {
-					out = append(out, walRecord{Kind: walKindProfile, ID: p.ID, Profile: p})
-				}
-			}
-			return out
-		}
+		st.dump = s.reg.dumpRecords
 		s.reg.journal = st.Append
 		s.store = st
 	}
 	s.compactWG.Add(1)
 	go s.compactorLoop()
-	if cfg.Tune != nil {
-		tc := *cfg.Tune
-		if tc.Threads < 1 {
-			tc.Threads = cfg.Threads
-		}
-		if tc.Log == nil {
-			tc.Log = cfg.Log
-		}
-		tc.Promote = func(id string, pr tune.Promotion) (int64, error) {
-			plan, err := s.reg.Promote(context.Background(), id, pr.To)
-			if err != nil {
-				return 0, err
-			}
-			return plan.Version, nil
-		}
-		if s.store != nil {
-			tc.Persist = s.persistProfile
-		}
-		s.tuner = tune.New(tc)
-		// Warm-start recovered matrices from their newest recovered profile
-		// (its plan half was already applied above, tuner or no tuner).
-		for _, id := range s.reg.order {
-			m := s.reg.matrices[id]
-			st, prof := m.st.Load(), profiles[id]
-			// A compacted matrix's current base diverged from the original
-			// registration the profile (and the registration report) describe:
-			// the tuner's lab copy and feature vector must track the CURRENT
-			// base — its trials verify bitwise against served results — so the
-			// learned profile is dropped and the features recomputed.
-			feat := m.Report.Features
-			if st.base != m.COO {
-				f, err := advisor.Extract(st.base)
-				if err != nil {
-					// Tracking the stale base would make every shadow trial
-					// diverge bitwise; leave the matrix untuned instead.
-					if s.log != nil {
-						s.log.Warn("feature extraction on recovered compacted base failed; matrix left untuned", "id", m.ID, "err", err)
-					}
-					continue
-				}
-				feat = advisor.NewReport(m.ID, f, []advisor.Environment{advisor.ParallelCPU}).Features
-				prof = nil
-			}
-			if err := s.tuner.Restore(m.ID, st.base, st.plan.Block, feat,
-				st.plan.Variant, st.plan.Version, prof); err != nil && s.log != nil {
-				s.log.Warn("recovered tuning profile rejected; starting cold", "id", m.ID, "err", err)
-			}
-		}
-	}
 	return s, nil
 }
-
-// persistProfile durably appends a tuner profile record — the tuner's
-// learned windows, not per-matrix state: Promote already journaled and
-// published the plan the profile names. The commit runs immediately: by the
-// time the tuner calls Persist its in-memory state (the source of the
-// snapshot dump) already reflects the profile, so the compactor never needs
-// to carry it.
-func (s *Server) persistProfile(id string, p *tune.Profile) error {
-	commit, err := s.reg.journal(&walRecord{Kind: walKindProfile, ID: id, Profile: p})
-	if err != nil {
-		return err
-	}
-	commit()
-	return nil
-}
-
-// Tuner exposes the online auto-tuner (nil when tuning is disabled) — the
-// load generator and the benchmarks flush it for deterministic reads.
-func (s *Server) Tuner() *tune.Tuner { return s.tuner }
 
 // countVariant attributes n served multiplies to a kernel variant.
 func (s *Server) countVariant(variant string, n int64) {
@@ -413,11 +320,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // durability store). Callers drain in-flight HTTP requests first
 // (http.Server.Shutdown); Close does not interrupt running dispatches.
 func (s *Server) Close() {
-	if s.tuner != nil {
-		// Stop the tuner before its Promote/Persist targets go away; Close
-		// drains queued trials first.
-		s.tuner.Close()
-	}
 	// Stop the compactor before the store: an in-flight compaction journals
 	// through Store.Append and must finish before the WAL closes.
 	s.compactMu.Lock()
@@ -466,15 +368,8 @@ func (s *Server) compactorLoop() {
 	}
 }
 
-// driftKeepWithin is the feature-drift threshold under which a compaction
-// carries the tuner's measured arm windows over to the merged base: the
-// matrix is still the same shape, so the rankings stay informative.
-const driftKeepWithin = 0.25
-
 // compactNow runs one compaction through the registry and settles the
-// bookkeeping around it: counters, the compact trace span, and rebasing
-// the online tuner onto the merged base (its lab copy must match the
-// served base bitwise for shadow trials to verify).
+// bookkeeping around it: counters and the compact trace span.
 func (s *Server) compactNow(m *Matrix) (bool, error) {
 	id := m.ID
 	start := time.Now()
@@ -499,33 +394,7 @@ func (s *Server) compactNow(m *Matrix) (bool, error) {
 		s.log.Info("overlay compacted", "id", id, "epoch", st.epoch,
 			"hash", st.hash, "seconds", dur.Seconds())
 	}
-	s.rebaseTuner(m)
 	return did, err
-}
-
-// rebaseTuner swaps the tuner's lab state onto the matrix's current base
-// (after a compaction or a mutated-state import). Measured arm windows
-// carry over when the feature drift stays under driftKeepWithin; past it
-// the matrix's arms restart cold. A feature-extraction failure untracks
-// nothing — the stale state's trials are dropped by plan-version skew, so
-// the tuner just stops learning for this matrix until the next rebase.
-func (s *Server) rebaseTuner(m *Matrix) {
-	if s.tuner == nil {
-		return
-	}
-	st := m.st.Load()
-	f, err := advisor.Extract(st.base)
-	if err != nil {
-		if s.log != nil {
-			s.log.Warn("tuner rebase: feature extraction failed", "id", m.ID, "err", err)
-		}
-		return
-	}
-	feat := advisor.NewReport(m.ID, f, []advisor.Environment{advisor.ParallelCPU}).Features
-	kept := s.tuner.Rebase(m.ID, st.base, st.plan.Block, feat, st.plan.Variant, st.plan.Version, driftKeepWithin)
-	if s.log != nil {
-		s.log.Info("tuner rebased onto merged base", "id", m.ID, "windows_kept", kept)
-	}
 }
 
 // params assembles the kernel dispatch parameters for one multiply from its
@@ -549,7 +418,6 @@ func (s *Server) params(plan Plan, k int) core.Params {
 //	POST /v1/matrices/{id}/mutate  apply one insert/update/delete batch
 //	POST /v1/matrices/{id}/compact force a synchronous overlay compaction
 //	GET  /v1/stats                 serving counters snapshot
-//	GET  /v1/tune                  auto-tuner decision trail
 //	GET  /v1/trace/requests        recent per-request phase records
 //	GET  /healthz                  liveness
 func (s *Server) Handler() http.Handler {
@@ -571,7 +439,6 @@ func (s *Server) Handler() http.Handler {
 	counted("POST /v1/matrices/{id}/mutate", s.handleMutate)
 	counted("POST /v1/matrices/{id}/compact", s.handleCompact)
 	counted("GET /v1/stats", s.handleStats)
-	counted("GET /v1/tune", s.handleTune)
 	counted("GET /v1/trace/requests", s.handleTraceRequests)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -710,13 +577,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		formatBytes = sv.Kernel.Bytes()
 	}
 	plan := m.Plan()
-	advice := m.Report
-	if s.tuner != nil {
-		s.tuner.Track(m.ID, m.COO, plan.Block, m.Report.Features, plan.Variant, plan.Version)
-		// A re-registered matrix that has already been shadow-measured gets
-		// the measured rankings alongside the heuristic ones.
-		advice.Measured = s.tuner.Measured(m.ID)
-	}
 	if s.log != nil {
 		s.log.Info("matrix registered", "id", m.ID, "rows", m.COO.Rows,
 			"nnz", m.COO.NNZ(), "format", plan.Format,
@@ -727,7 +587,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		ID: m.ID, Rows: m.COO.Rows, Cols: m.COO.Cols, NNZ: m.COO.NNZ(),
 		Format: plan.Format, Schedule: plan.Schedule.String(), Block: plan.Block,
 		Variant: plan.Variant, PlanVersion: plan.Version,
-		Existed: existed, FormatBytes: formatBytes, Advice: advice,
+		Existed: existed, FormatBytes: formatBytes, Advice: m.Report,
 	})
 }
 
@@ -735,7 +595,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // with ServeID set): the cluster rebalancer shipping a matrix whose served
 // state has diverged from its original registration. The receiver adopts
 // the exporter's handle, verifies the base hash, installs base + overlay
-// bitwise-identical, and points the tuner at the imported base.
+// bitwise-identical.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *RegisterRequest) {
 	if !req.Triplets() {
 		WriteError(w, http.StatusBadRequest, errors.New("serve: import needs the base triplets"))
@@ -770,9 +630,6 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, req *Regis
 			return
 		}
 		formatBytes = sv.Kernel.Bytes()
-	}
-	if !existed {
-		s.rebaseTuner(m)
 	}
 	st := m.st.Load()
 	if s.log != nil {
@@ -889,8 +746,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 // handleCompact forces a synchronous overlay compaction — the ops endpoint
 // for "merge now, don't wait for the cost model". It shares the background
-// compactor's code path (counters, tuner rebase included) and serializes
-// with it on the matrix's writer lock.
+// compactor's code path (counters included) and serializes with it on the
+// matrix's writer lock.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		WriteError(w, http.StatusServiceUnavailable, errDraining)
@@ -986,25 +843,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CompactionErrors: s.compactionErrors.Value(),
 		}
 	}
-	if s.tuner != nil {
-		ts := s.tuner.Stats()
-		resp.Tune = &TuneSummary{
-			Enabled: true, Trials: ts.Trials, Promotions: ts.Promotions,
-			Rejects: ts.Rejects, Dropped: ts.Dropped, Stale: ts.Stale,
-		}
-	}
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleTune serves the auto-tuner's full decision trail: per-matrix arm
-// rankings, promotion history and the global counters. With tuning disabled
-// it reports {"enabled": false}.
-func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	if s.tuner == nil {
-		WriteJSON(w, http.StatusOK, tune.Stats{})
-		return
-	}
-	WriteJSON(w, http.StatusOK, s.tuner.Stats())
 }
 
 // handleMultiply is the data path: admission, panel read, prepared-format
@@ -1076,16 +915,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	req.Step(trace.PhaseQueue, "", 0)
 
 	// The handler's references to B and its dispatch's C are released on
-	// return — unless the tuner sampled the pair for a shadow trial, which
-	// then owns them for good (the collector takes the buffers after it).
+	// return.
 	b := leasePanel(m.COO.Cols, k)
 	var res batchResult
-	sampled := false
 	defer func() {
-		if !sampled {
-			b.Release()
-			res.lease.Release()
-		}
+		b.Release()
+		res.lease.Release()
 	}()
 	if err := fillPanel(http.MaxBytesReader(w, r.Body, bodyLen), &b.panel); err != nil {
 		s.failRequest(req, err)
@@ -1115,15 +950,6 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		}
 		WriteError(w, code, res.err)
 		return
-	}
-
-	// Hand the request panel and the served result to the tuner (res.c is
-	// this request's column view of its dispatch's C). On the duty cycle the
-	// pair becomes a shadow trial — off this request's critical path. A
-	// matrix with a pending overlay is never offered: shadow trials replay
-	// against the base-only prepared formats and would mis-verify.
-	if s.tuner != nil && sv.Overlay.NNZ() == 0 {
-		sampled = s.tuner.Offer(id, res.plan.Variant, res.plan.Version, &b.panel, res.c, k)
 	}
 
 	// One response path, traced or not: headers, then the panel through the

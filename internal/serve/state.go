@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/advisor"
@@ -62,7 +63,7 @@ type Plan struct {
 	// pool. The field stays for readers that still check it.
 	Pooled bool
 	// Variant is the kernels registry name of the executing arm — the
-	// identity the tuner races and the X-Spmm-Variant header reports.
+	// identity Promote installs and the X-Spmm-Variant header reports.
 	Variant string
 	// Version increments on every promotion and compaction; 1 is
 	// servingPlan.
@@ -179,7 +180,14 @@ func (cur *state) apply(rec *walRecord) (*state, error) {
 		// names them as its incumbent.
 		variant, version := rec.Variant, rec.PlanVersion
 		if rec.Profile != nil {
-			variant, version = rec.Profile.Incumbent, rec.Profile.PlanVersion
+			var p struct {
+				Incumbent   string `json:"incumbent"`
+				PlanVersion int64  `json:"plan_version"`
+			}
+			if err := json.Unmarshal(rec.Profile, &p); err != nil {
+				return nil, fmt.Errorf("serve: promote %s: profile: %w", rec.ID, err)
+			}
+			variant, version = p.Incumbent, p.PlanVersion
 		}
 		if version <= cur.plan.Version {
 			return cur, nil
@@ -259,7 +267,8 @@ func (rec *walRecord) plan() Plan {
 		Pooled: true, Variant: rec.Variant, Version: rec.PlanVersion,
 	}
 	if plan.Variant == "" {
-		// Pre-tuner record: synthesize the arm name its plan executes.
+		// A record older than variant names: synthesize the arm its plan
+		// executes.
 		plan.Variant = kernels.ServingVariant(plan.Format, sched)
 	} else if v, ok := kernels.ParseVariant(plan.Variant); ok {
 		// A legacy spelling recovers as the pooled point that runs it.

@@ -19,7 +19,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/kernels"
 	"repro/internal/matrix"
-	"repro/internal/tune"
 )
 
 // Tests of the per-matrix state machine: replayed state equals live state
@@ -292,10 +291,7 @@ func TestWALRecordGolden(t *testing.T) {
 		"mutate": {Seq: 3, Kind: walKindMutate, ID: "00c0ffee00c0ffee", Epoch: 8,
 			MutRowIdx: []int32{0, 1}, MutColIdx: []int32{0, 1}, MutVals: []float64{0.25, 0}, MutDel: []bool{false, true}},
 		"compact": {Seq: 4, Kind: walKindCompact, ID: "00c0ffee00c0ffee", Epoch: 8, BaseHash: "fedcba9876543210"},
-		"profile": {Seq: 5, Kind: walKindProfile, ID: "00c0ffee00c0ffee", Profile: &tune.Profile{
-			ID: "00c0ffee00c0ffee", Incumbent: "ell/opts-pool", PlanVersion: 2, Trials: 9,
-			Arms:    []tune.ArmProfile{{Variant: "ell/opts-pool", Samples: 3, P50Micros: 1.5, Window: []float64{1, 1.5, 2}}},
-			History: []tune.Promotion{{From: "csr/opts-pool", To: "ell/opts-pool", FromP50Micros: 3, ToP50Micros: 1.5, Trials: 9, UnixNanos: 1}}}},
+		"profile": {Seq: 5, Kind: walKindProfile, ID: "00c0ffee00c0ffee", Profile: json.RawMessage(`{"id":"00c0ffee00c0ffee","features":{"max_row":0,"avg_row":0,"ratio":0,"gini":0,"ell_overhead":0,"bcsr_fill4":0,"density":0},"incumbent":"ell/opts-pool","plan_version":2,"trials":9,"arms":[{"variant":"ell/opts-pool","samples":3,"p50_micros":1.5,"window":[1,1.5,2]}],"history":[{"from":"csr/opts-pool","to":"ell/opts-pool","from_p50_micros":3,"to_p50_micros":1.5,"trials":9,"unix_nanos":1}]}`)},
 		"promote": {Seq: 6, Kind: walKindProfile, ID: "00c0ffee00c0ffee", Variant: "coo/opts-pool", PlanVersion: 4},
 	}
 	golden, err := os.ReadFile(filepath.Join("testdata", "wal_golden.jsonl"))
@@ -461,7 +457,7 @@ func TestApplyPreconditions(t *testing.T) {
 		"replayed compaction":    {Kind: walKindCompact, ID: id, Epoch: 2},
 		"replayed promotion":     {Kind: walKindProfile, ID: id, Variant: "ell/opts-pool", PlanVersion: 2},
 		"older registration":     reg,
-		"profile at the plan":    {Kind: walKindProfile, ID: id, Profile: &tune.Profile{Incumbent: "ell/opts-pool", PlanVersion: 1}},
+		"profile at the plan":    {Kind: walKindProfile, ID: id, Profile: json.RawMessage(`{"incumbent":"ell/opts-pool","plan_version":1}`)},
 		"same-epoch re-register": func() *walRecord { r := *reg; r.Epoch = 2; return &r }(),
 	} {
 		if next, err := compacted.apply(rec); err != nil || next != compacted {

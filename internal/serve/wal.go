@@ -10,7 +10,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/tune"
 )
 
 // The registry write-ahead log: one fsynced JSONL record per successful
@@ -39,7 +38,7 @@ import (
 // it.
 var maxWALRecordBytes = 8 * maxRegisterBody
 
-// walKindProfile marks a tuner-profile record; the empty kind is a
+// walKindProfile marks a promotion record; the empty kind is a
 // registration (the only kind PR-6 logs wrote, so old logs replay as-is).
 const walKindProfile = "profile"
 
@@ -59,9 +58,9 @@ const walKindCompact = "compact"
 // walRecord is one durable record, and one serialized state transition:
 // state.apply (state.go) is what each kind means. Kind "" registers a
 // matrix, "mutate" and "compact" journal the mutation write path, and
-// "profile" is a promotion — journaled bare by Registry.Promote, or carried
-// by a learned tuning profile (Profile set; the tuner restores the newest
-// per matrix).
+// "profile" is a promotion — journaled bare by Registry.Promote, or, in logs
+// written while the server had an online tuner, carried by its learned
+// profile (Profile set).
 type walRecord struct {
 	// Seq is the append sequence number, assigned by the Store; snapshots
 	// record the last seq they cover so replay knows where the tail starts.
@@ -82,16 +81,19 @@ type walRecord struct {
 	ColIdx []int32   `json:"col_idx,omitempty"`
 	Vals   []float64 `json:"vals,omitempty"`
 	// The serving plan — recovery reuses it rather than re-running the
-	// advisor. Variant/PlanVersion track tuner promotions; both empty on
-	// pre-tuner records (replay then derives the variant from the plan).
+	// advisor. Variant/PlanVersion track promotions; both empty on records
+	// older than variant names (replay then derives the variant from the
+	// plan).
 	Format      string         `json:"format"`
 	Schedule    string         `json:"schedule"`
 	Block       int            `json:"block"`
 	Variant     string         `json:"variant,omitempty"`
 	PlanVersion int64          `json:"plan_version,omitempty"`
 	Report      advisor.Report `json:"report"`
-	// Profile is the tuner's learned state for Kind "profile" records.
-	Profile *tune.Profile `json:"profile,omitempty"`
+	// Profile is the payload of "profile" records the retired online tuner
+	// wrote, kept verbatim so they reseal byte-identical; apply reads only
+	// its incumbent and plan_version.
+	Profile json.RawMessage `json:"profile,omitempty"`
 	// Epoch is the mutation epoch: for "mutate" records, the epoch the
 	// batch produced; for "compact" records, the boundary merged through;
 	// for registration records written after mutations (snapshot dumps,

@@ -20,8 +20,8 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== one metrics path (no package-level obs registrations in serve, cluster, tune) =="
-if grep -nE '^\s*obs[A-Z][A-Za-z]*\s*=\s*obs\.New|obs\.New(Counter|Gauge|GaugeFunc|Histogram)\(' $(ls internal/serve/*.go internal/cluster/*.go internal/tune/*.go | grep -v _test.go); then
+echo "== one metrics path (no package-level obs registrations in serve, cluster) =="
+if grep -nE '^\s*obs[A-Z][A-Za-z]*\s*=\s*obs\.New|obs\.New(Counter|Gauge|GaugeFunc|Histogram)\(' $(ls internal/serve/*.go internal/cluster/*.go | grep -v _test.go); then
     echo "metrics are fields of their owner, named once in ExportMetrics (DESIGN.md section 7)" >&2; exit 1
 fi
 
@@ -368,16 +368,14 @@ if grep -nE 'parallel\.(For|ForBounds|ForDynamic|Exec)\b|\bScheduleDynamic\b|\bu
     echo "one fork/join: Pool.Run and Pool.RunBounds on the caller's pool or parallel.Default()" >&2; exit 1
 fi
 
-echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, tune, clock, cluster) =="
+echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, serve, delta, clock, cluster) =="
 # The kernels package runs the differential sweep over every lattice point
 # and the ctx-everywhere table here (~19 s under -race), so a partition
 # that lets two workers touch one C row is a reported race, not a flaky
 # bit — which is why a -race build runs the scalar inner loop only (the
 # detector cannot see assembly stores; matrix's TestRaceBuildIsScalar pins
 # it). -short skips the subprocess e2e; the full chaos suite (torn WAL tails,
-# corrupt snapshots, injected fsync/disk-full faults), the deterministic
-# auto-tuner suite (promotion hysteresis, duty bounds, wrong-variant
-# rejection), the mutation suite (1000-batch mutation stream against
+# corrupt snapshots, injected fsync/disk-full faults), the mutation suite (1000-batch mutation stream against
 # concurrent bitwise-verified multiplies with background compactions, plus
 # the mutate/compact chaos tests), and the in-process cluster suite
 # (hash-ring properties, scripted kill/hang failover, rebalance-without-
@@ -385,7 +383,7 @@ echo "== go test -race (matrix, parallel, kernels, core, harness, trace, obs, se
 # propagation test — one rid across router attempt spans, replica phase
 # spans, and the slow-request log, under scripted failover) run here
 # under -race.
-go test -race -short ./internal/matrix/... ./internal/parallel/... ./internal/kernels/... ./internal/core/... ./internal/harness/... ./internal/trace/... ./internal/obs/... ./internal/serve/... ./internal/delta/... ./internal/tune/... ./internal/clock/... ./internal/cluster/...
+go test -race -short ./internal/matrix/... ./internal/parallel/... ./internal/kernels/... ./internal/core/... ./internal/harness/... ./internal/trace/... ./internal/obs/... ./internal/serve/... ./internal/delta/... ./internal/clock/... ./internal/cluster/...
 
 echo "== flake gate (serve + delta + cluster, shuffled, 3x) =="
 # The time-sensitive suites run on injected clocks; repeated shuffled runs
@@ -399,7 +397,6 @@ echo "== known flakes (each test CHANGES.md records as having failed by chance, 
 flake_start=$SECONDS
 go test -count=20 -run '^TestRequestTracePropagation$|^TestRebalanceMidMutationStream$' ./internal/cluster
 go test -count=20 -run '^TestMultiplyRequestTracing$|^TestLeaseLifecycle$' ./internal/serve
-go test -count=20 -run '^TestDutyCycleBounds$' ./internal/tune
 echo "known flakes: 20 runs each in $((SECONDS - flake_start)) s"
 
 echo "== crash-recovery e2e (SIGKILL mid-load, restart, bitwise verify) =="
