@@ -352,48 +352,6 @@ func (o *Overlay) Merge() *matrix.COO[float64] {
 	return m
 }
 
-// Rebase re-expresses the overlay over a new base — the freshly merged
-// matrix a compaction installs. Entries already represented in the new
-// base (same value at the same coordinate, or a tombstone of an absent
-// coordinate) are dropped; what remains are exactly the mutations that
-// landed after the compaction's merge snapshot. Rebasing an overlay onto
-// its own Merge() therefore yields nil: the matrix is clean.
-func (o *Overlay) Rebase(base *matrix.COO[float64]) *Overlay {
-	if o == nil {
-		return nil
-	}
-	n := NewOverlay(base)
-	for i := range o.RowIdx {
-		r, c := o.RowIdx[i], o.ColIdx[i]
-		lo, hi := int(n.rowPtr[r]), int(n.rowPtr[r+1])
-		cols := base.ColIdx[lo:hi]
-		p := sort.Search(len(cols), func(j int) bool { return cols[j] >= c })
-		present := p < len(cols) && cols[p] == c
-		if o.Del[i] {
-			if !present {
-				continue // already absent from the new base
-			}
-		} else if present && sameBits(base.Vals[lo+p], o.Vals[i]) {
-			continue // already merged into the new base
-		}
-		n.RowIdx = append(n.RowIdx, r)
-		n.ColIdx = append(n.ColIdx, c)
-		n.Vals = append(n.Vals, o.Vals[i])
-		n.Del = append(n.Del, o.Del[i])
-		if !o.Del[i] {
-			n.live++
-		}
-	}
-	if len(n.RowIdx) == 0 {
-		return nil
-	}
-	return n
-}
-
-func sameBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
 // Ops returns the overlay's entries as a mutation batch — the wire and
 // journal form of a pending overlay. Applying the result to an empty
 // overlay over the same base reproduces o exactly.

@@ -221,43 +221,6 @@ func TestOverlayNoopTombstoneDropped(t *testing.T) {
 	}
 }
 
-func TestOverlayRebase(t *testing.T) {
-	base := randomCOO(t, 20, 20, 0.15, 5)
-	ov, err := (*Overlay)(nil).Extend(base, []Op{
-		{Row: 1, Col: 1, Val: 4},
-		{Row: 2, Col: 2, Del: true},
-		{Row: 3, Col: 3, Val: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := ov.Merge()
-	// Rebasing an overlay onto its own merge yields a clean matrix.
-	if re := ov.Rebase(merged); re != nil {
-		t.Fatalf("rebase onto own merge left %d entries", re.NNZ())
-	}
-	// Mutations landing after the merge snapshot survive a rebase.
-	ov2, err := ov.Extend(base, []Op{{Row: 4, Col: 4, Val: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := ov2.Rebase(merged)
-	if re == nil || re.NNZ() != 1 || re.Vals[0] != 9 {
-		t.Fatalf("rebase lost the post-snapshot mutation: %+v", re)
-	}
-	// The rebased overlay over the merged base is bitwise-equivalent to
-	// the full overlay over the original base.
-	k := 6
-	b := matrix.NewDenseRand[float64](base.Cols, k, 7)
-	want := serialResult(t, "csr", base, b, k)
-	ov2.Apply(want, b, k)
-	got := serialResult(t, "csr", merged, b, k)
-	re.Apply(got, b, k)
-	if !bitsEqual(got, want) {
-		t.Fatal("rebased overlay over merged base differs from full overlay over original base")
-	}
-}
-
 func TestOverlayMergedNNZ(t *testing.T) {
 	base := randomCOO(t, 16, 16, 0.2, 6)
 	ov, err := (*Overlay)(nil).Extend(base, []Op{

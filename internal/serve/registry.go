@@ -405,7 +405,8 @@ type Serving struct {
 	Epoch int64
 	Hash  string
 	// Overlay is the pending delta the kernel's output must be corrected
-	// by; nil for a clean matrix (the zero-cost fast path).
+	// by; for a clean matrix it is empty (the zero-cost fast path) and
+	// carries Base's row pointer, so extending it costs O(batch).
 	Overlay *delta.Overlay
 	// Base is the canonical matrix the kernel was prepared from.
 	Base *matrix.COO[float64]
@@ -433,7 +434,7 @@ func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit boo
 	}
 	st := m.st.Load()
 	plan := st.plan
-	sv = Serving{Plan: plan, Epoch: st.epoch, Hash: st.hash, Overlay: st.overlay, Base: st.base}
+	sv = Serving{Plan: plan, Epoch: st.epoch, Hash: st.hash, Overlay: st.pending(), Base: st.base}
 	if el, ok := r.entries[id]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.plan.Version == plan.Version {

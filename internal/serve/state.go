@@ -46,6 +46,10 @@ type state struct {
 	// overlay is the pending delta; nil when clean, so never-mutated
 	// matrices pay one nil check on the multiply path.
 	overlay *delta.Overlay
+	// clean is the empty overlay over base, built when the base is
+	// installed: it carries base's row pointer, so the first mutation after
+	// a registration or a compaction extends it in O(batch), not O(nnz).
+	clean *delta.Overlay
 }
 
 // Plan is one immutable serving-plan version: which kernel variant every
@@ -116,9 +120,10 @@ func (cur *state) apply(rec *walRecord) (*state, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: register %s: %w", rec.ID, err)
 		}
+		clean := delta.NewOverlay(base)
 		var ov *delta.Overlay
 		if len(ops) > 0 {
-			if ov, err = ov.Extend(base, ops); err != nil {
+			if ov, err = clean.Extend(base, ops); err != nil {
 				return nil, fmt.Errorf("serve: register %s: %w", rec.ID, err)
 			}
 		}
@@ -129,7 +134,7 @@ func (cur *state) apply(rec *walRecord) (*state, error) {
 			// state.
 			plan.Version = cur.plan.Version + 1
 		}
-		return newState(plan, rec.Epoch, rec.CompactEpoch, baseHash, base, ov), nil
+		return newState(plan, rec.Epoch, rec.CompactEpoch, baseHash, base, clean, ov), nil
 
 	case walKindMutate:
 		if rec.Epoch <= cur.epoch {
@@ -142,11 +147,11 @@ func (cur *state) apply(rec *walRecord) (*state, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: mutate %s: %w", rec.ID, err)
 		}
-		ov, err := cur.overlay.Extend(cur.base, ops)
+		ov, err := cur.pending().Extend(cur.base, ops)
 		if err != nil {
 			return nil, fmt.Errorf("serve: mutate %s: %w", rec.ID, err)
 		}
-		return newState(cur.plan, rec.Epoch, cur.compactedThrough, cur.baseHash, cur.base, ov), nil
+		return newState(cur.plan, rec.Epoch, cur.compactedThrough, cur.baseHash, cur.base, cur.clean, ov), nil
 
 	case walKindCompact:
 		if rec.Epoch <= cur.compactedThrough {
@@ -172,7 +177,7 @@ func (cur *state) apply(rec *walRecord) (*state, error) {
 		}
 		plan := cur.plan
 		plan.Version++
-		return newState(plan, cur.epoch, rec.Epoch, hash, merged, nil), nil
+		return newState(plan, cur.epoch, rec.Epoch, hash, merged, delta.NewOverlay(merged), nil), nil
 
 	case walKindProfile:
 		// A promotion: Registry.Promote journals the variant and version at
@@ -206,15 +211,24 @@ func (cur *state) apply(rec *walRecord) (*state, error) {
 	return nil, fmt.Errorf("serve: record %d for %s has unknown kind %q", rec.Seq, rec.ID, rec.Kind)
 }
 
+// pending is the overlay a multiply corrects by and the next mutation
+// extends: the pending delta, or the empty overlay over base when clean.
+func (st *state) pending() *delta.Overlay {
+	if st.overlay != nil {
+		return st.overlay
+	}
+	return st.clean
+}
+
 // newState assembles a state, deriving the served hash. An empty overlay is
 // stored as nil so a state has one representation however it was reached.
-func newState(plan Plan, epoch, compactedThrough int64, baseHash string, base *matrix.COO[float64], ov *delta.Overlay) *state {
+func newState(plan Plan, epoch, compactedThrough int64, baseHash string, base *matrix.COO[float64], clean, ov *delta.Overlay) *state {
 	if ov.NNZ() == 0 {
 		ov = nil
 	}
 	return &state{
 		plan: plan, epoch: epoch, compactedThrough: compactedThrough,
-		baseHash: baseHash, hash: mutHash(baseHash, epoch, ov), base: base, overlay: ov,
+		baseHash: baseHash, hash: mutHash(baseHash, epoch, ov), base: base, overlay: ov, clean: clean,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -409,6 +410,55 @@ func applyAll(t *testing.T, recs ...*walRecord) *state {
 		st = next
 	}
 	return st
+}
+
+// TestFirstMutationAfterCompaction: a compaction installs the merged base
+// with its empty overlay, so the first mutation after it extends in
+// O(batch) — it allocates no more than a later mutation of the same size
+// over a 64-entry overlay does, where rebuilding the base's row pointer
+// would cost O(rows).
+func TestFirstMutationAfterCompaction(t *testing.T) {
+	base := testMatrix(t, 20000, 64, 0.01, 1)
+	Canonicalize(base)
+	id := ContentID(base)
+	plan := Plan{Format: "csr", Block: 4, Version: 1, Variant: "csr/opts-pool", Pooled: true}
+	mutate := func(epoch int64, n int) *walRecord {
+		ops := make([]delta.Op, n)
+		for i := range ops {
+			ops[i] = delta.Op{Row: int32(100*epoch) + int32(i), Col: 3, Val: float64(epoch)}
+		}
+		rec := &walRecord{Kind: walKindMutate, ID: id, Epoch: epoch}
+		rec.MutRowIdx, rec.MutColIdx, rec.MutVals, rec.MutDel = opArrays(ops)
+		return rec
+	}
+	compacted := applyAll(t, registration(id, RegisterSource{}, advisor.Report{}, plan, base, id),
+		mutate(1, 1), &walRecord{Kind: walKindCompact, ID: id, Epoch: 1})
+	if compacted.overlay != nil {
+		t.Fatalf("compaction left overlay %+v", compacted.overlay)
+	}
+	bytesPer := func(st *state, rec *walRecord) uint64 {
+		const n = 50
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := st.apply(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	first := bytesPer(compacted, mutate(2, 1))
+	mutated, err := compacted.apply(mutate(2, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := bytesPer(mutated, mutate(3, 1))
+	t.Logf("first mutation after the compaction: %d B, a later one: %d B", first, later)
+	if first > later {
+		t.Fatalf("the first mutation after a compaction allocates %d B, a later one %d B: it rebuilt the base's row pointer", first, later)
+	}
 }
 
 // TestApplyPreconditions pins the transition table's refusals and skips
