@@ -200,9 +200,12 @@ func (p *Pool) dispatch(n, chunks int, bounds []int, body Body) {
 		p.wake <- id
 	}
 	// The runtime queues the last worker woken to run next on this P, where
-	// it would wait for another P to steal it (about 70 µs on a 2 vCPU
-	// host). Yielding runs it here now; the caller resumes on the next free
-	// P and claims beside it.
+	// it would wait for another P to steal it. Yielding runs it here now;
+	// the caller resumes on the next free P and claims beside it. Back to
+	// back that P is awake and both claim within about 12 µs; after the
+	// process went idle it must be woken first: 30–45 µs at p50, and a p90
+	// from 60 µs to 0.6 ms, by which time the helper has run most of a 1 ms
+	// region alone (BenchmarkRegionAfterIdle, 2 vCPU host).
 	runtime.Gosched()
 	p.participate(0)
 	p.joinWG.Wait()

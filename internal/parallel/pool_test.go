@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,6 +173,60 @@ func BenchmarkPoolRegion(b *testing.B) {
 			b.StopTimer()
 			stop.Store(true)
 			wg.Wait()
+		})
+	}
+}
+
+// BenchmarkRegionAfterIdle prices the helper's wake-up: the same region as
+// BenchmarkPoolRegion's "alone" (two chunks, about 1 ms of work, a
+// two-worker pool), started back to back ("gap=0") or after the process has
+// slept 100 µs or 1 ms. It reports the p50 and p90 region times (ns/op
+// includes the gap) and the p50 and p90 of the join: from the dispatch to
+// the moment both participants have started a piece (the caller yields
+// its P to the woken helper and resumes on the other one), or the whole
+// region when one participant ran every piece.
+func BenchmarkRegionAfterIdle(b *testing.B) {
+	const n = 256 // ≈ 1 ms of spin
+	p := NewPool(2)
+	defer p.Close()
+	var sink atomic.Uint64
+	var t0 time.Time
+	var first [2]atomic.Int64 // each participant's first piece, after t0
+	body := func(lo, hi, worker int) {
+		if first[worker].Load() == 0 {
+			first[worker].CompareAndSwap(0, int64(time.Since(t0)))
+		}
+		sink.Add(spin(hi*regionSpin - lo*regionSpin))
+	}
+	pct := func(ds []time.Duration, q int) float64 {
+		slices.Sort(ds)
+		return float64(ds[len(ds)*q/100].Microseconds())
+	}
+	for _, gap := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond} {
+		b.Run(fmt.Sprintf("gap=%v", gap), func(b *testing.B) {
+			took := make([]time.Duration, 0, b.N)
+			joins := make([]time.Duration, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				// No StopTimer around the sleep: it reads the memory
+				// statistics, which stops the world and so wakes every P.
+				if gap > 0 {
+					time.Sleep(gap)
+				}
+				first[0].Store(0)
+				first[1].Store(0)
+				t0 = time.Now()
+				p.Run(n, 2, body)
+				d := time.Since(t0)
+				took = append(took, d)
+				if a, b := first[0].Load(), first[1].Load(); a > 0 && b > 0 {
+					d = time.Duration(max(a, b))
+				}
+				joins = append(joins, d)
+			}
+			b.ReportMetric(pct(took, 50), "p50-us")
+			b.ReportMetric(pct(took, 90), "p90-us")
+			b.ReportMetric(pct(joins, 50), "join-p50-us")
+			b.ReportMetric(pct(joins, 90), "join-p90-us")
 		})
 	}
 }
