@@ -1,6 +1,5 @@
-// Package clock is the suite's injectable time source. The retired online
-// tuner established the pattern — tests script time through Config.Now
-// instead of sleeping on real timers — but a bare func() time.Time cannot
+// Package clock is the suite's injectable time source. Tests script time
+// instead of sleeping on real timers, and a bare func() time.Time cannot
 // script timer callbacks, which is exactly what the serving batcher (its
 // coalescing window is a timer) and the cluster health prober (its probe
 // cadence and probe timeouts are timers) hang off. This package generalizes

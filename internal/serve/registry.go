@@ -62,8 +62,8 @@ type Registry struct {
 // Matrix is one registered matrix: immutable identity plus the one state
 // pointer everything mutable lives behind. The plan starts as servingPlan;
 // Promote installs another variant, mutations extend the overlay,
-// compactions re-base — each by publishing a new state. Multiplies read it with one atomic load, so no transition ever
-// blocks the data path.
+// compactions re-base — each by publishing a new state. Multiplies read it
+// with one atomic load, so no transition ever blocks the data path.
 type Matrix struct {
 	ID string
 	// COO is the canonical matrix as registered. It is immutable: the
