@@ -105,6 +105,80 @@ func TestPromotionReplaysWithoutTuner(t *testing.T) {
 	}
 }
 
+// TestTunerProfileReplays: logs written while the server had an online
+// tuner journal its promotions only as "profile" records, whose payload
+// names the plan as its incumbent. Such a record still promotes on replay —
+// from the WAL tail and, once a snapshot has folded it in, from the
+// snapshot; a legacy incumbent spelling recovers as the pooled point that
+// runs it; and a payload that does not decode is skipped with the usual
+// warning, leaving the registered plan serving.
+func TestTunerProfileReplays(t *testing.T) {
+	const k = 4
+	for _, tc := range []struct {
+		name, payload string
+		snapshot      bool
+		want          string // the recovered variant; "" keeps the registered plan
+	}{
+		{name: "wal tail", payload: `{"incumbent":"ell/opts-pool","plan_version":2,"trials":9}`, want: "ell/opts-pool"},
+		{name: "snapshot", payload: `{"incumbent":"ell/opts-pool","plan_version":2,"trials":9}`, snapshot: true, want: "ell/opts-pool"},
+		{name: "legacy incumbent", payload: `{"incumbent":"csr/opts-balanced","plan_version":2}`, want: "csr/opts-balanced-pool"},
+		{name: "malformed payload", payload: `{"incumbent":7}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, c1, teardown1 := durableServer(t, dir, nil)
+			reg, local := registerSmall(t, c1, 80, 60, 400, 11)
+			teardown1()
+			if reg.Variant == tc.want {
+				t.Fatalf("registered plan is already %s: the profile would promote nothing", reg.Variant)
+			}
+			line, err := sealRecord(&walRecord{Seq: 100, Kind: walKindProfile, ID: reg.ID, Profile: json.RawMessage(tc.payload)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, "wal.jsonl"), os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(line); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			var warn warnings
+			cfg := Config{Threads: 1, DataDir: dir, SnapshotEvery: -1, Log: warn.logger()}
+			s2, c2, teardown2 := newTestServer(t, cfg)
+			if tc.snapshot {
+				if err := s2.store.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				teardown2()
+				_, c2, teardown2 = newTestServer(t, cfg)
+			}
+			defer teardown2()
+
+			wantVariant, wantVersion := tc.want, int64(2)
+			if tc.want == "" {
+				wantVariant, wantVersion = reg.Variant, reg.PlanVersion
+				if !strings.Contains(warn.buf.String(), "skipping unrecoverable record") {
+					t.Fatalf("malformed profile replayed without a warning:\n%s", warn.buf.String())
+				}
+			}
+			if info := mutateInfo(t, c2, reg.ID); info.Variant != wantVariant || info.PlanVersion != wantVersion {
+				t.Fatalf("recovered %s v%d, want %s v%d", info.Variant, info.PlanVersion, wantVariant, wantVersion)
+			}
+			b := matrix.NewDenseRand[float64](reg.Cols, k, 3)
+			res, err := c2.Multiply(reg.ID, reg.Rows, b, k, 0)
+			if err != nil || res.Variant != wantVariant {
+				t.Fatalf("recovered server served %v (err %v), want %s", res, err, wantVariant)
+			}
+			if !bitsEqual(res.C, multiplyRef(t, local, b, k)) {
+				t.Fatalf("%s response is not bitwise csr-serial", res.Variant)
+			}
+		})
+	}
+}
+
 // TestCompactionPlanVersionSurvivesRestart: a compaction bumps the plan
 // version on replay exactly as it did live, so GET /v1/matrices reports the
 // same plan_version before and after a crash.
