@@ -138,21 +138,28 @@ func (r *Ring) Owners(id string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.members) {
-		n = len(r.members)
+	return r.appendOwners(make([]string, 0, min(n, len(r.members))), id, n)
+}
+
+// appendOwners appends Owners(id, n) to dst: the router's multiply path
+// plans into a buffer on its stack.
+func (r *Ring) appendOwners(dst []string, id string, n int) []string {
+	if len(r.points) == 0 || n <= 0 {
+		return dst
 	}
+	n = min(n, len(r.members))
 	h := hash64(id)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
 	taken := make(map[int]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	for i, got := 0, 0; i < len(r.points) && got < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !taken[p.owner] {
 			taken[p.owner] = true
-			out = append(out, r.members[p.owner])
+			dst = append(dst, r.members[p.owner])
+			got++
 		}
 	}
-	return out
+	return dst
 }
 
 // ringState is the serialized form: the derived point table is rebuilt, not

@@ -131,6 +131,8 @@ type replica struct {
 	// not a metric.
 	inFlight atomic.Int64
 	*replicaMetrics
+	// nameHdr is name as the X-Spmm-Replica value relay sets, built once.
+	nameHdr []string
 }
 
 // replicaMetrics is one replica name's proxy traffic, kept by the router
@@ -256,7 +258,8 @@ func (rt *Router) newReplicaLocked(spec JoinRequest) *replica {
 			m.export(rt.exported, spec.Name)
 		}
 	}
-	return &replica{name: spec.Name, base: spec.Base, stateChange: time.Now(), replicaMetrics: m}
+	return &replica{name: spec.Name, base: spec.Base, stateChange: time.Now(), replicaMetrics: m,
+		nameHdr: []string{spec.Name}}
 }
 
 // Close stops the prober. In-flight proxies complete on their own.
@@ -352,15 +355,26 @@ func readBody(w http.ResponseWriter, r *http.Request) (*serve.Lease, error) {
 	return body, err
 }
 
-// outbound is one request as the router sends it to a replica.
+// outbound is one request as the router sends it to a replica. Header
+// values are assigned by canonical name and never written, so they can be
+// interned (jsonBody, panelBody) or the inbound request's own.
 type outbound struct {
 	method, path string
-	contentType  string       // of body
+	contentType  []string     // of body
 	body         *serve.Lease // nil for a bodiless request
 	header       []headerPair
 }
 
-type headerPair struct{ name, value string }
+type headerPair struct {
+	name   string // canonical
+	values []string
+}
+
+// The Content-Type values of the bodies the router sends.
+var (
+	jsonBody  = []string{"application/json"}
+	panelBody = []string{"application/octet-stream"}
+)
 
 // reply is a replica's complete answer: attempt has read the whole body, so
 // holding a reply pins no connection, timer or counter. relay releases the
@@ -380,11 +394,14 @@ var errMidResponse = errors.New("cut mid-response")
 // the whole exchange — connect to last body byte — by AttemptTimeout on the
 // router clock, settles the replica's load and traffic counters, and reads
 // the body once, so a replica killed mid-body, hung mid-body or lying about
-// its length is a failed attempt like one that never connected.
+// its length is a failed attempt like one that never connected. Without an
+// AttemptTimeout the attempt runs under ctx itself: a cancel of its own would
+// exist only for the timer.
 func (rt *Router) attempt(ctx context.Context, rep *replica, out outbound) (reply, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	if rt.cfg.AttemptTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 		defer rt.clk.AfterFunc(rt.cfg.AttemptTimeout, cancel).Stop()
 	}
 	req, err := http.NewRequestWithContext(ctx, out.method, rep.base+out.path, nil)
@@ -393,10 +410,10 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, out outbound) (repl
 	}
 	out.body.SetBody(req) // under a reference of its own, until the transport closes it
 	if out.body != nil {
-		req.Header.Set("Content-Type", out.contentType)
+		req.Header["Content-Type"] = out.contentType
 	}
 	for _, h := range out.header {
-		req.Header.Set(h.name, h.value)
+		req.Header[h.name] = h.values
 	}
 	rep.inFlight.Add(1)
 	defer rep.inFlight.Add(-1)
@@ -486,9 +503,17 @@ func (rp reply) relay(w http.ResponseWriter) {
 			h[name] = vals
 		}
 	}
-	h.Set(serve.HeaderReplica, rp.rep.name)
+	h[serve.HeaderReplica] = rp.rep.nameHdr
 	body := rp.body.Bytes()
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	// The replica's Content-Length is relayed as it came when it spells the
+	// length of the body attempt read, which it does unless the replica sent
+	// none (a chunked answer).
+	var digits [20]byte
+	if cl := rp.header["Content-Length"]; len(cl) == 1 && cl[0] == string(strconv.AppendInt(digits[:0], int64(len(body)), 10)) {
+		h["Content-Length"] = cl
+	} else {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(rp.status)
 	w.Write(body)
 	rp.body.Release()
@@ -523,7 +548,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rp, err := rt.forward(r.Context(), nil, cands,
-		outbound{method: http.MethodPost, path: "/v1/matrices", contentType: "application/json", body: body}, nil)
+		outbound{method: http.MethodPost, path: "/v1/matrices", contentType: jsonBody, body: body}, nil)
 	if err != nil {
 		serve.WriteError(w, http.StatusBadGateway, err)
 		return
@@ -647,12 +672,14 @@ func (rt *Router) plan(id string) (*entry, []*replica, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: unknown matrix %q", id)
 	}
-	var names []string
+	// Both name lists stay on the stack for fleets of up to 16 replicas.
+	var ownersBuf, namesBuf [16]string
+	names := namesBuf[:0]
 	pinned := e.pinned != "" && e.holdsLocked(e.pinned)
 	if pinned {
 		names = append(names, e.pinned)
 	}
-	for _, n := range ring.Owners(id, ring.Len()) {
+	for _, n := range ring.appendOwners(ownersBuf[:0], id, ring.Len()) {
 		if e.holdsLocked(n) {
 			names = append(names, n)
 		}
@@ -699,7 +726,7 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	k, _ := strconv.Atoi(r.URL.Query().Get("k"))
+	k, _ := strconv.Atoi(serve.QueryValue(r.URL, "k"))
 	bodyLen := int64(e.cols) * int64(k) * 8
 	if k < 1 || (r.ContentLength >= 0 && r.ContentLength <= maxBody && r.ContentLength != bodyLen) {
 		err := fmt.Errorf("cluster: multiply body is %d bytes, a %dx%d panel (k a positive integer) is %d", r.ContentLength, e.cols, k, bodyLen)
@@ -720,13 +747,14 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 	defer body.Release()
 	req.Step(trace.PhaseLoad, "panel", 0)
-	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: "application/octet-stream", body: body}
-	if v := r.Header.Get(serve.HeaderDeadlineMs); v != "" {
-		out.header = append(out.header, headerPair{serve.HeaderDeadlineMs, v})
+	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: panelBody, body: body}
+	if v := r.Header[serve.HeaderDeadlineMs]; len(v) > 0 && v[0] != "" {
+		out.header = append(out.header, headerPair{serve.HeaderDeadlineMs, v[:1:1]})
 	}
 	if rid != "" {
-		out.header = append(out.header, headerPair{serve.HeaderRequestID, rid})
-		w.Header().Set(serve.HeaderRequestID, rid)
+		ridHdr := []string{rid}
+		out.header = append(out.header, headerPair{serve.HeaderRequestID, ridHdr})
+		w.Header()[serve.HeaderRequestID] = ridHdr
 	}
 	rp, err := rt.forward(r.Context(), e, cands, out, req)
 	if err != nil {
@@ -792,7 +820,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: matrix %q has no live holder", id))
 		return
 	}
-	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: "application/json", body: body}
+	out := outbound{method: http.MethodPost, path: r.URL.RequestURI(), contentType: jsonBody, body: body}
 	var acked, refused *reply
 	var diverged []string
 	var lastErr error

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -49,11 +50,25 @@ func newAdmission(inFlight, queueDepth int) *admission {
 // the queue is full, and with ctx.Err() when the deadline expires while
 // waiting. On success the caller must release().
 func (a *admission) acquire(ctx context.Context) error {
+	return a.admit(&deadline{ctx: ctx})
+}
+
+// admit is acquire under a deadline that is still a value: a free slot is
+// taken without looking at it, and only a request that has to queue arms the
+// timer it queues under.
+func (a *admission) admit(d *deadline) error {
 	if a.admitted.Add(1) > a.inFlight+a.queueDepth {
 		a.admitted.Add(-1)
 		a.shed.Inc()
 		return ErrOverloaded
 	}
+	select {
+	case a.sem <- struct{}{}:
+		a.executing.Add(1)
+		return nil
+	default:
+	}
+	ctx := d.wait()
 	select {
 	case a.sem <- struct{}{}:
 		a.executing.Add(1)
@@ -79,4 +94,36 @@ func (a *admission) queued() int64 {
 		q = 0
 	}
 	return q
+}
+
+// deadline is one request's absolute deadline, kept as a value until
+// something has to wait on it. A context.WithDeadline costs a timer, its
+// heap insert and delete, the parent's children map and, on the first
+// Done, a channel; a request that finds a free slot, a prepared format and
+// no dispatch in flight waits on nothing, so it pays none of them. Each wait
+// point (admission, a pending prepare, a batch join) first tries without
+// waiting and calls wait only when it must block. A deadline belongs to one
+// goroutine, the handler's.
+type deadline struct {
+	parent context.Context
+	at     time.Time
+	// ctx is the context wait built (or the caller's own, when a deadline
+	// wraps one); cancel is non-nil only for one built here.
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// wait returns the context to block on, building it at the first call.
+func (d *deadline) wait() context.Context {
+	if d.ctx == nil {
+		d.ctx, d.cancel = context.WithDeadline(d.parent, d.at)
+	}
+	return d.ctx
+}
+
+// stop releases the timer wait armed, if it armed one.
+func (d *deadline) stop() {
+	if d.cancel != nil {
+		d.cancel()
+	}
 }

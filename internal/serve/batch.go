@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"slices"
 	"sync"
 	"time"
@@ -80,8 +79,9 @@ type batchResult struct {
 // (window <= 0), a panel already at the batch-width cap, or no dispatch in
 // flight it dispatches alone and takes the result by value; otherwise it
 // joins pending and waits for its turn — to lead the batch or to be handed
-// its result — or the caller's deadline, whichever comes first.
-func (s *Server) multiply(ctx context.Context, m *Matrix, sv Serving, b *Lease, k int, tr *trace.Req) batchResult {
+// its result — or the caller's deadline, whichever comes first. Only a
+// request that joins and finds no turn waiting arms the deadline.
+func (s *Server) multiply(d *deadline, m *Matrix, sv Serving, b *Lease, k int, tr *trace.Req) batchResult {
 	b.retain()
 	lone := []*batchRequest{{sv: sv, b: b, k: k, req: tr}}
 	if s.cfg.BatchWindow <= 0 || k >= s.cfg.MaxBatchK {
@@ -119,6 +119,13 @@ func (s *Server) multiply(ctx context.Context, m *Matrix, sv Serving, b *Lease, 
 	}
 	t.mu.Unlock()
 
+	// The cap above may already have made this request the leader.
+	select {
+	case turn := <-req.turn:
+		return s.take(m, turn)
+	default:
+	}
+	ctx := d.wait()
 	select {
 	case turn := <-req.turn:
 		return s.take(m, turn)
@@ -270,10 +277,9 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) batchResult {
 	s.batchWidth.Observe(float64(len(batch)))
 
 	// Fan out: every member gets the dispatch's interval on its timeline and
-	// its column block of the dispatch's C as a view — no copy-out. A lone
-	// member's view is the whole compact panel, so it leaves the server as
-	// its own wire form; a coalesced member's strided view is encoded once,
-	// straight to the socket. A kernel error reaches every member through the
+	// its column block of the dispatch's C — no copy-out. A lone member gets
+	// the compact panel itself, which is its own wire form; a coalesced
+	// member gets a strided view, encoded once, straight to the socket. A kernel error reaches every member through the
 	// same loop.
 	for range batch[1:] {
 		wide.retain()
@@ -295,7 +301,11 @@ func (s *Server) runBatch(m *Matrix, batch []*batchRequest) batchResult {
 			req.req.StepTo(trace.PhaseKernel, plan.Variant, at+kernelNs, int64(totalK))
 		}
 		res := batchResult{lease: wide, plan: plan, width: len(batch), k: totalK, err: err}
-		if err == nil {
+		switch {
+		case err != nil:
+		case len(batch) == 1:
+			res.c = combC // a lone member's columns are the whole panel
+		default:
 			res.c, res.err = combC.View(0, off, rows, req.k)
 		}
 		off += req.k

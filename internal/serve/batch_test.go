@@ -350,7 +350,7 @@ func TestWaiterLeaves(t *testing.T) {
 	direct := func(ctx context.Context, sv Serving, seed int64) *member {
 		mb := &member{panel: matrix.NewDenseRand[float64](reg.Cols, k, seed), res: make(chan batchResult, 1)}
 		mb.b = leased(mb.panel)
-		go func() { mb.res <- srv.multiply(ctx, m, sv, mb.b, k, nil) }()
+		go func() { mb.res <- srv.multiply(&deadline{ctx: ctx}, m, sv, mb.b, k, nil) }()
 		return mb
 	}
 	probe := leasePanel(reg.Cols, k)

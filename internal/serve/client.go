@@ -311,16 +311,22 @@ func (c *Client) Multiply(id string, rows int, b *matrix.Dense[float64], k int, 
 	body := LeaseBytes(len(wire))
 	defer body.Release()
 	copy(body.Bytes(), wire)
-	url := fmt.Sprintf("%s/v1/matrices/%s/multiply?k=%d", c.Base, id, k)
+	url := c.Base + "/v1/matrices/" + id + "/multiply?k=" + strconv.Itoa(k)
+	var deadlineMs []string
+	if deadline > 0 {
+		deadlineMs = []string{strconv.Itoa(int(deadline.Milliseconds()))}
+	}
 	resp, err := c.do(func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, url, nil)
 		if err != nil {
 			return nil, err
 		}
 		body.SetBody(req)
-		req.Header.Set("Content-Type", "application/octet-stream")
-		if deadline > 0 {
-			req.Header.Set(HeaderDeadlineMs, strconv.Itoa(int(deadline.Milliseconds())))
+		// Interned values by canonical key, as the server's response headers
+		// are: transports read request headers, never write them.
+		req.Header["Content-Type"] = octetStream
+		if deadlineMs != nil {
+			req.Header[HeaderDeadlineMs] = deadlineMs
 		}
 		return req, nil
 	})
@@ -341,9 +347,14 @@ func (c *Client) Multiply(id string, rows int, b *matrix.Dense[float64], k int, 
 	width, _ := strconv.Atoi(resp.Header.Get(HeaderBatchWidth))
 	batchK, _ := strconv.Atoi(resp.Header.Get(HeaderBatchK))
 	timing, _ := ParseTiming(resp.Header.Get(HeaderTiming))
-	epoch, _ := strconv.ParseInt(resp.Header.Get(HeaderEpoch), 10, 64)
 	// The server omits the epoch/hash headers while the matrix has never
-	// mutated — the served hash is then the content-addressed ID itself.
+	// mutated — the epoch is then 0 and the served hash the content-addressed
+	// ID itself. An absent header is not parsed: strconv's error for "" is
+	// an allocation on every clean multiply.
+	var epoch int64
+	if v := resp.Header.Get(HeaderEpoch); v != "" {
+		epoch, _ = strconv.ParseInt(v, 10, 64)
+	}
 	hash := resp.Header.Get(HeaderContentHash)
 	if hash == "" {
 		hash = id

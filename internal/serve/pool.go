@@ -40,6 +40,20 @@ type Lease struct {
 	n     int                   // bytes leased
 	class int                   // index into panels.class; -1: too large to pool
 	refs  atomic.Int32
+	// getBody is SetBody's GetBody, built with the Lease: the pool reuses
+	// both, so a request body costs no closure.
+	getBody func() (io.ReadCloser, error)
+}
+
+// newLease allocates a lease of floats values in class.
+func newLease(class, floats int) *Lease {
+	l := &Lease{class: class}
+	l.panel.Data = make([]float64, floats)
+	l.getBody = func() (io.ReadCloser, error) {
+		l.retain()
+		return &leaseBody{l: l, rest: l.Bytes()}, nil
+	}
+	return l
 }
 
 // leasePanel returns a rows×cols panel of arbitrary contents, one reference.
@@ -48,14 +62,12 @@ func leasePanel(rows, cols int) *Lease {
 	class := max(bits.Len(uint(max(floats, 1)-1)), minClassLog) - minClassLog
 	var l *Lease
 	if class >= len(panels.class) {
-		l = &Lease{class: -1}
-		l.panel.Data = make([]float64, floats)
+		l = newLease(-1, floats)
 	} else if l, _ = panels.class[class].Get().(*Lease); l != nil {
 		panels.hits.Inc()
 	} else {
 		panels.misses.Inc()
-		l = &Lease{class: class}
-		l.panel.Data = make([]float64, 1<<(class+minClassLog))
+		l = newLease(class, 1<<(class+minClassLog))
 	}
 	l.panel = matrix.Dense[float64]{Rows: rows, Cols: cols, Stride: cols, Data: l.panel.Data[:floats]}
 	l.n = floats * 8
@@ -110,10 +122,7 @@ func (l *Lease) SetBody(req *http.Request) {
 		return
 	}
 	req.ContentLength = int64(l.n)
-	req.GetBody = func() (io.ReadCloser, error) {
-		l.retain()
-		return &leaseBody{l: l, rest: l.Bytes()}, nil
-	}
+	req.GetBody = l.getBody
 	req.Body, _ = req.GetBody()
 }
 

@@ -87,6 +87,12 @@ func TestLeaseLifecycle(t *testing.T) {
 	if refs := l.refs.Load(); refs != 1 || stale[7] != 42 {
 		t.Fatalf("releasing one of two references: %d left, stale[7] = %v; want 1 and untouched", refs, stale[7])
 	}
+	// The recycle check below looks for this storage in the class's pool.
+	// sync.Pool keeps a Put in the putting P's private slot, which no other
+	// P reads, so a migration between the last Release and the next lease
+	// would hide it: one P from here to the end of the check rules that out.
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	l.Release()
 	if refs := l.refs.Load(); refs != 0 {
 		t.Fatalf("the last release left %d references", refs)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"net/http"
+	"net/url"
+	"strings"
 
 	"repro/internal/advisor"
 )
@@ -365,4 +367,24 @@ func RetryableStatus(code int) bool {
 		return true
 	}
 	return false
+}
+
+// QueryValue is u.Query().Get(key) without the url.Values map that Query
+// builds on every call: a multiply reads its k this way on the server and
+// on the router. A query holding '%' or '+' (escapes) or ';' (which
+// url.ParseQuery refuses) goes through Query, so the two agree on every
+// input.
+func QueryValue(u *url.URL, key string) string {
+	raw := u.RawQuery
+	if strings.ContainsAny(raw, "%+;") {
+		return u.Query().Get(key)
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if name, value, _ := strings.Cut(pair, "="); name == key {
+			return value
+		}
+	}
+	return ""
 }

@@ -95,6 +95,9 @@ type Matrix struct {
 	// they feed the compaction cost model.
 	applyNs atomic.Int64
 	prepNs  atomic.Int64
+	// respLen is the multiply response's Content-Length for the last k
+	// served (contentLength).
+	respLen atomic.Pointer[lengthHeader]
 }
 
 // CurrentBase returns the matrix's current canonical base — the registered
@@ -410,6 +413,9 @@ type Serving struct {
 	Overlay *delta.Overlay
 	// Base is the canonical matrix the kernel was prepared from.
 	Base *matrix.COO[float64]
+	// epochHdr and hashHdr are the interned X-Spmm-Epoch and
+	// X-Spmm-Content-Hash values of a mutated matrix's state; nil at epoch 0.
+	epochHdr, hashHdr []string
 }
 
 // Prepared returns the matrix's serving state — prepared-format kernel,
@@ -426,6 +432,12 @@ type Serving struct {
 // the base bumps the plan version) always matches the returned base +
 // overlay pair.
 func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit bool, err error) {
+	return r.prepared(&deadline{ctx: ctx}, id)
+}
+
+// prepared is Prepared under a deadline that is still a value: a hit whose
+// format is ready returns without arming it.
+func (r *Registry) prepared(d *deadline, id string) (sv Serving, hit bool, err error) {
 	r.mu.Lock()
 	m, ok := r.matrices[id]
 	if !ok {
@@ -434,7 +446,8 @@ func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit boo
 	}
 	st := m.st.Load()
 	plan := st.plan
-	sv = Serving{Plan: plan, Epoch: st.epoch, Hash: st.hash, Overlay: st.pending(), Base: st.base}
+	sv = Serving{Plan: plan, Epoch: st.epoch, Hash: st.hash, Overlay: st.pending(), Base: st.base,
+		epochHdr: st.epochHdr, hashHdr: st.hashHdr}
 	if el, ok := r.entries[id]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.plan.Version == plan.Version {
@@ -442,8 +455,13 @@ func (r *Registry) Prepared(ctx context.Context, id string) (sv Serving, hit boo
 			r.mu.Unlock()
 			select {
 			case <-e.ready:
-			case <-ctx.Done():
-				return sv, false, ctx.Err()
+			default:
+				ctx := d.wait()
+				select {
+				case <-e.ready:
+				case <-ctx.Done():
+					return sv, false, ctx.Err()
+				}
 			}
 			if e.err != nil {
 				return sv, false, e.err

@@ -95,27 +95,32 @@ func (t Timing) Valid() bool { return len(t.Phases) > 0 }
 // each is within 1 µs of its own time, and, since rounding is monotone, a
 // breakdown that covers no more than the total never lists more than it.
 func FormatTiming(rec trace.ReqRecord, extraPhase string, extraNs int64) string {
+	// Both buffers live on the stack for any record of up to 16 phases (a
+	// multiply has 6 to 8), so the string is the one allocation.
 	type agg struct {
 		name string
 		ns   int64
 	}
-	order := make([]agg, 0, len(rec.Spans)+1)
-	add := func(name string, ns int64) {
-		for i := range order {
-			if order[i].name == name {
-				order[i].ns += ns
-				return
-			}
+	var aggs [16]agg
+	var buf [256]byte
+	order := aggs[:0]
+	for i := 0; i <= len(rec.Spans); i++ {
+		name, ns := extraPhase, extraNs
+		if i < len(rec.Spans) {
+			name, ns = rec.Spans[i].Name, rec.Spans[i].Dur
+		} else if name == "" {
+			break
 		}
-		order = append(order, agg{name, ns})
+		j := 0
+		for j < len(order) && order[j].name != name {
+			j++
+		}
+		if j == len(order) {
+			order = append(order, agg{name: name})
+		}
+		order[j].ns += ns
 	}
-	for _, sp := range rec.Spans {
-		add(sp.Name, sp.Dur)
-	}
-	if extraPhase != "" {
-		add(extraPhase, extraNs)
-	}
-	var b []byte
+	b := buf[:0]
 	var cumNs, cumUs int64
 	for _, a := range order {
 		cumNs += a.ns

@@ -861,7 +861,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: unknown matrix %q", id))
 		return
 	}
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
+	k, err := strconv.Atoi(QueryValue(r.URL, "k"))
 	if err != nil || k < 1 || k > s.cfg.MaxK {
 		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("serve: k must be an integer in [1, %d]", s.cfg.MaxK))
@@ -877,7 +877,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := s.cfg.DefaultDeadline
+	timeout := s.cfg.DefaultDeadline
 	if h := r.Header.Get(HeaderDeadlineMs); h != "" {
 		ms, err := strconv.Atoi(h)
 		if err != nil || ms < 1 {
@@ -885,10 +885,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("serve: bad %s %q", HeaderDeadlineMs, h))
 			return
 		}
-		deadline = time.Duration(ms) * time.Millisecond
+		timeout = time.Duration(ms) * time.Millisecond
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
+	// The deadline is a value until a wait needs it: queueing for a slot,
+	// waiting on another request's prepare, or joining a batch arms it.
+	dl := deadline{parent: r.Context(), at: start.Add(timeout)}
+	defer dl.stop()
 
 	// The request timeline opens before admission so queue wait is on it.
 	// With request tracing off, rid is "" and req is nil — every
@@ -901,7 +903,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	// Admission before the body read: overload answers 429 without paying
 	// for the payload, and a queued request that times out leaves without
 	// executing — the harness' cooperative-cancellation contract.
-	if err := s.adm.acquire(ctx); err != nil {
+	if err := s.adm.admit(&dl); err != nil {
 		s.failRequest(req, err)
 		if errors.Is(err, ErrOverloaded) {
 			WriteError(w, http.StatusTooManyRequests, err)
@@ -922,26 +924,32 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		b.Release()
 		res.lease.Release()
 	}()
-	if err := fillPanel(http.MaxBytesReader(w, r.Body, bodyLen), &b.panel); err != nil {
+	// A declared length is already the panel's, and net/http's body stops
+	// there; only a chunked body needs the cap.
+	body := r.Body
+	if r.ContentLength < 0 {
+		body = http.MaxBytesReader(w, body, bodyLen)
+	}
+	if err := fillPanel(body, &b.panel); err != nil {
 		s.failRequest(req, err)
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	req.Step(trace.PhaseLoad, "panel", int64(k))
 
-	sv, hit, err := s.reg.Prepared(ctx, id)
+	sv, hit, err := s.reg.prepared(&dl, id)
 	if err != nil {
 		s.failRequest(req, err)
 		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	cache := "prepare"
+	cache, cacheHdr := "prepare", cachePrepare
 	if hit {
-		cache = "hit"
+		cache, cacheHdr = "hit", cacheHit
 	}
 	req.Step(trace.PhasePrepare, cache, 0)
 
-	res = s.multiply(ctx, m, sv, b, k, req)
+	res = s.multiply(&dl, m, sv, b, k, req)
 	if res.err != nil {
 		s.failRequest(req, res.err)
 		code := http.StatusInternalServerError
@@ -956,25 +964,26 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	// codec — one Write from the kernel's own output when the dispatch was
 	// this request alone. The timing header has to precede the body, so its
 	// respond entry only covers getting this far; the recorded span adds the
-	// encode and the socket write.
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(m.COO.Rows*k*8))
-	w.Header().Set(HeaderFormat, res.plan.Format)
-	w.Header().Set(HeaderVariant, res.plan.Variant)
+	// encode and the socket write. Every value but the trace's is interned
+	// (headers.go), assigned by its canonical key.
+	h := w.Header()
+	h["Content-Type"] = octetStream
+	h["Content-Length"] = m.contentLength(k)
+	h[HeaderFormat] = nameHeader(res.plan.Format)
+	h[HeaderVariant] = nameHeader(res.plan.Variant)
 	// Epoch/hash headers only once the matrix has mutated: at epoch 0 the
-	// served hash IS the request path's ID, and the clean multiply path
-	// stays at its baseline header (and allocation) budget.
+	// served hash IS the request path's ID.
 	if sv.Epoch > 0 {
-		w.Header().Set(HeaderEpoch, strconv.FormatInt(sv.Epoch, 10))
-		w.Header().Set(HeaderContentHash, sv.Hash)
+		h[HeaderEpoch] = sv.epochHdr
+		h[HeaderContentHash] = sv.hashHdr
 	}
-	w.Header().Set(HeaderCache, cache)
-	w.Header().Set(HeaderBatchWidth, strconv.Itoa(res.width))
-	w.Header().Set(HeaderBatchK, strconv.Itoa(res.k))
+	h[HeaderCache] = cacheHdr
+	h[HeaderBatchWidth] = intHeader(res.width)
+	h[HeaderBatchK] = intHeader(res.k)
 	if req != nil {
 		snap := req.Snapshot()
-		w.Header().Set(HeaderRequestID, rid)
-		w.Header().Set(HeaderTiming, FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-req.Pos()))
+		h.Set(HeaderRequestID, rid)
+		h.Set(HeaderTiming, FormatTiming(snap, trace.PhaseRespond, snap.TotalNs-req.Pos()))
 	}
 	if err := WritePanel(w, res.c, k); err != nil && s.log != nil {
 		s.log.Warn("multiply response write failed", "id", id, "rid", rid, "err", err)

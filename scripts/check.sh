@@ -399,6 +399,14 @@ go test -count=20 -run '^TestRequestTracePropagation$|^TestRebalanceMidMutationS
 go test -count=20 -run '^TestMultiplyRequestTracing$|^TestLeaseLifecycle$' ./internal/serve
 echo "known flakes: 20 runs each in $((SECONDS - flake_start)) s"
 
+echo "== allocation budgets (one multiply, direct and routed, its deadline and its timing header; 10x) =="
+# A multiply allocates nothing of this repository's own beyond its result
+# (DESIGN.md section 8, "Allocations of one multiply"). The round-trip pins
+# read runtime.MemStats, which counts every goroutine in the process, so each
+# runs ten times: a pin that passes once while sitting at its bound fails here.
+go test -count=10 -run '^TestMultiplyAllocBudget$|^TestAdmissionZeroAllocUnderDeadline$|^TestPreparedHitZeroAllocUnderDeadline$|^TestFormatTimingOneAlloc$' ./internal/serve
+go test -count=10 -run '^TestRoutedMultiplyAllocBudget$' ./internal/cluster
+
 echo "== crash-recovery e2e (SIGKILL mid-load, restart, bitwise verify) =="
 go test -run '^TestCrashRecoveryE2E$' -count=1 ./internal/serve
 
