@@ -15,8 +15,8 @@ import (
 // router's route plan, outbound URL and request body (DESIGN.md section 8,
 // "Allocations of one multiply").
 func TestRoutedMultiplyAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("an allocation pin for tier-1; check.sh runs -short under the race detector, where it means nothing")
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const k, warm, n = 32, 50, 200
 	tc := newTestCluster(t, 2, func(c *Config) { c.AttemptTimeout = 0 })

@@ -1,20 +1,14 @@
 package cluster
 
 import (
-	"bufio"
-	"flag"
 	"fmt"
-	"net"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
+	"repro/internal/serve/wiretest"
 )
-
-var writeWire = flag.Bool("write-wire", false, "rewrite testdata/routed_multiply_heads.golden from this tree")
 
 // TestRoutedMultiplyResponseHeadsUnchanged is serve's
 // TestMultiplyResponseHeadsUnchanged through the router: the response heads
@@ -31,7 +25,7 @@ func TestRoutedMultiplyResponseHeadsUnchanged(t *testing.T) {
 	var got strings.Builder
 	multiply := func(name string, k int, chunked bool, header ...string) {
 		path := "/v1/matrices/" + reg.ID + "/multiply?k=" + strconv.Itoa(k)
-		fmt.Fprintf(&got, "== %s\n%s", name, rawHead(t, tc.front.URL, path, header, make([]byte, reg.Cols*k*8), chunked))
+		fmt.Fprintf(&got, "== %s\n%s", name, wiretest.RawHead(t, tc.front.URL, path, header, make([]byte, reg.Cols*k*8), chunked, serve.HeaderTiming))
 	}
 	multiply("clean k=4", 4, false)
 	multiply("clean k=4 chunked", 4, true)
@@ -47,65 +41,7 @@ func TestRoutedMultiplyResponseHeadsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&got, "== traced k=4\n%s", rawHead(t, traced.front.URL, "/v1/matrices/"+treg.ID+"/multiply?k=4",
-		[]string{serve.HeaderRequestID + ": wire-test-1"}, make([]byte, treg.Cols*4*8), false))
-	path := "testdata/routed_multiply_heads.golden"
-	if *writeWire {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Fatalf("routed response heads differ from %s\n--- got\n%s--- want\n%s", path, got.String(), want)
-	}
-}
-
-// rawHead posts body to base+path over a connection of its own and returns
-// the response's status line and header lines exactly as they came, one per
-// line, with the Date and X-Spmm-Timing values masked.
-func rawHead(t *testing.T, base, path string, header []string, body []byte, chunked bool) string {
-	t.Helper()
-	addr := strings.TrimPrefix(base, "http://")
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	req := "POST " + path + " HTTP/1.1\r\nHost: " + addr + "\r\nConnection: close\r\nContent-Type: application/octet-stream\r\n"
-	for _, h := range header {
-		req += h + "\r\n"
-	}
-	if chunked {
-		req += "Transfer-Encoding: chunked\r\n\r\n" + strconv.FormatInt(int64(len(body)), 16) + "\r\n" + string(body) + "\r\n0\r\n\r\n"
-	} else {
-		req += "Content-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + string(body)
-	}
-	if _, err := conn.Write([]byte(req)); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	var head strings.Builder
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("reading the response head: %v (so far %q)", err, head.String())
-		}
-		if !strings.HasSuffix(line, "\r\n") {
-			t.Fatalf("response line %q does not end in CRLF", line)
-		}
-		line = strings.TrimSuffix(line, "\r\n")
-		if line == "" {
-			return head.String()
-		}
-		if name, _, ok := strings.Cut(line, ": "); ok && (name == "Date" || name == serve.HeaderTiming) {
-			line = name + ": <varies>"
-		}
-		head.WriteString(line + "\n")
-	}
+	fmt.Fprintf(&got, "== traced k=4\n%s", wiretest.RawHead(t, traced.front.URL, "/v1/matrices/"+treg.ID+"/multiply?k=4",
+		[]string{serve.HeaderRequestID + ": wire-test-1"}, make([]byte, treg.Cols*4*8), false, serve.HeaderTiming))
+	wiretest.CheckGolden(t, "testdata/routed_multiply_heads.golden", got.String())
 }

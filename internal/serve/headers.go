@@ -10,9 +10,9 @@ import (
 // Interned response header values. http.Header.Set allocates a one-element
 // []string for every value it stores, and a number's value a string besides,
 // so the multiply handler assigns these prebuilt slices by canonical key
-// instead: the bytes on the wire are the same, and a clean multiply's
-// headers cost no allocation of ours (DESIGN.md section 8, "Allocations of
-// one multiply"). Each slice has length and capacity 1 and is never written:
+// instead: the bytes on the wire are the same, and of a clean multiply's
+// headers only Content-Length, which depends on the matrix and k, is built
+// per request (DESIGN.md section 8, "Allocations of one multiply"). Each slice has length and capacity 1 and is never written:
 // an append by anyone else copies it first.
 var (
 	octetStream  = []string{"application/octet-stream"}
@@ -59,22 +59,4 @@ func nameHeader(name string) []string {
 		return v
 	}
 	return []string{name}
-}
-
-// lengthHeader is a multiply response's Content-Length value for one k.
-type lengthHeader struct {
-	k int
-	v []string
-}
-
-// contentLength is the Content-Length of an m.COO.Rows×k result panel. The
-// matrix keeps the value for the last k it was asked for, so a steady k
-// builds it once.
-func (m *Matrix) contentLength(k int) []string {
-	if h := m.respLen.Load(); h != nil && h.k == k {
-		return h.v
-	}
-	h := &lengthHeader{k: k, v: []string{strconv.Itoa(m.COO.Rows * k * 8)}}
-	m.respLen.Store(h)
-	return h.v
 }

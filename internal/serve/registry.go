@@ -95,9 +95,6 @@ type Matrix struct {
 	// they feed the compaction cost model.
 	applyNs atomic.Int64
 	prepNs  atomic.Int64
-	// respLen is the multiply response's Content-Length for the last k
-	// served (contentLength).
-	respLen atomic.Pointer[lengthHeader]
 }
 
 // CurrentBase returns the matrix's current canonical base — the registered
@@ -413,9 +410,6 @@ type Serving struct {
 	Overlay *delta.Overlay
 	// Base is the canonical matrix the kernel was prepared from.
 	Base *matrix.COO[float64]
-	// epochHdr and hashHdr are the interned X-Spmm-Epoch and
-	// X-Spmm-Content-Hash values of a mutated matrix's state; nil at epoch 0.
-	epochHdr, hashHdr []string
 }
 
 // Prepared returns the matrix's serving state — prepared-format kernel,
@@ -446,8 +440,7 @@ func (r *Registry) prepared(d *deadline, id string) (sv Serving, hit bool, err e
 	}
 	st := m.st.Load()
 	plan := st.plan
-	sv = Serving{Plan: plan, Epoch: st.epoch, Hash: st.hash, Overlay: st.pending(), Base: st.base,
-		epochHdr: st.epochHdr, hashHdr: st.hashHdr}
+	sv = Serving{Plan: plan, Epoch: st.epoch, Hash: st.hash, Overlay: st.pending(), Base: st.base}
 	if el, ok := r.entries[id]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.plan.Version == plan.Version {

@@ -968,14 +968,14 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	// (headers.go), assigned by its canonical key.
 	h := w.Header()
 	h["Content-Type"] = octetStream
-	h["Content-Length"] = m.contentLength(k)
+	h["Content-Length"] = []string{strconv.Itoa(m.COO.Rows * k * 8)}
 	h[HeaderFormat] = nameHeader(res.plan.Format)
 	h[HeaderVariant] = nameHeader(res.plan.Variant)
 	// Epoch/hash headers only once the matrix has mutated: at epoch 0 the
 	// served hash IS the request path's ID.
 	if sv.Epoch > 0 {
-		h[HeaderEpoch] = sv.epochHdr
-		h[HeaderContentHash] = sv.hashHdr
+		h.Set(HeaderEpoch, strconv.FormatInt(sv.Epoch, 10))
+		h.Set(HeaderContentHash, sv.Hash)
 	}
 	h[HeaderCache] = cacheHdr
 	h[HeaderBatchWidth] = intHeader(res.width)

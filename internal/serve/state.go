@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"repro/internal/advisor"
 	"repro/internal/delta"
@@ -51,9 +50,6 @@ type state struct {
 	// installed: it carries base's row pointer, so the first mutation after
 	// a registration or a compaction extends it in O(batch), not O(nnz).
 	clean *delta.Overlay
-	// epochHdr and hashHdr are epoch and hash as multiply response header
-	// values, built once per state; nil at epoch 0, where they are not sent.
-	epochHdr, hashHdr []string
 }
 
 // Plan is one immutable serving-plan version: which kernel variant every
@@ -230,15 +226,10 @@ func newState(plan Plan, epoch, compactedThrough int64, baseHash string, base *m
 	if ov.NNZ() == 0 {
 		ov = nil
 	}
-	st := &state{
+	return &state{
 		plan: plan, epoch: epoch, compactedThrough: compactedThrough,
 		baseHash: baseHash, hash: mutHash(baseHash, epoch, ov), base: base, overlay: ov, clean: clean,
 	}
-	if epoch > 0 {
-		st.epochHdr = []string{strconv.FormatInt(epoch, 10)}
-		st.hashHdr = []string{st.hash}
-	}
-	return st
 }
 
 // decodeBase returns the canonical base a registration record installs and

@@ -1,18 +1,13 @@
 package serve
 
 import (
-	"bufio"
-	"flag"
 	"fmt"
-	"net"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-)
 
-var writeWire = flag.Bool("write-wire", false, "rewrite testdata/multiply_heads.golden from this tree")
+	"repro/internal/serve/wiretest"
+)
 
 // TestMultiplyResponseHeadsUnchanged records multiply response heads as
 // net/http put them on the wire — status line, every header name and value,
@@ -29,7 +24,7 @@ func TestMultiplyResponseHeadsUnchanged(t *testing.T) {
 	var got strings.Builder
 	multiply := func(name string, c *Client, reg *RegisterResponse, k int, chunked bool, header ...string) {
 		path := "/v1/matrices/" + reg.ID + "/multiply?k=" + strconv.Itoa(k)
-		fmt.Fprintf(&got, "== %s\n%s", name, rawHead(t, c.Base, path, header, make([]byte, reg.Cols*k*8), chunked))
+		fmt.Fprintf(&got, "== %s\n%s", name, wiretest.RawHead(t, c.Base, path, header, make([]byte, reg.Cols*k*8), chunked, HeaderTiming))
 	}
 	multiply("clean k=4", client, reg, 4, false)
 	multiply("clean k=4 chunked", client, reg, 4, true)
@@ -40,69 +35,5 @@ func TestMultiplyResponseHeadsUnchanged(t *testing.T) {
 	}
 	multiply("mutated k=4", client, reg, 4, false)
 	multiply("traced k=4", traced, treg, 4, false, HeaderRequestID+": wire-test-1")
-	checkGolden(t, "testdata/multiply_heads.golden", got.String())
-}
-
-// rawHead posts body to base+path over a connection of its own and returns
-// the response's status line and header lines exactly as they came, one per
-// line, with the Date and X-Spmm-Timing values masked.
-func rawHead(t *testing.T, base, path string, header []string, body []byte, chunked bool) string {
-	t.Helper()
-	addr := strings.TrimPrefix(base, "http://")
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	req := "POST " + path + " HTTP/1.1\r\nHost: " + addr + "\r\nConnection: close\r\nContent-Type: application/octet-stream\r\n"
-	for _, h := range header {
-		req += h + "\r\n"
-	}
-	if chunked {
-		req += "Transfer-Encoding: chunked\r\n\r\n" + strconv.FormatInt(int64(len(body)), 16) + "\r\n" + string(body) + "\r\n0\r\n\r\n"
-	} else {
-		req += "Content-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + string(body)
-	}
-	if _, err := conn.Write([]byte(req)); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	var head strings.Builder
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("reading the response head: %v (so far %q)", err, head.String())
-		}
-		if !strings.HasSuffix(line, "\r\n") {
-			t.Fatalf("response line %q does not end in CRLF", line)
-		}
-		line = strings.TrimSuffix(line, "\r\n")
-		if line == "" {
-			return head.String()
-		}
-		if name, _, ok := strings.Cut(line, ": "); ok && (name == "Date" || name == HeaderTiming) {
-			line = name + ": <varies>"
-		}
-		head.WriteString(line + "\n")
-	}
-}
-
-// checkGolden compares got with the golden file, or writes it under
-// -write-wire.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	if *writeWire {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("response heads differ from %s\n--- got\n%s--- want\n%s", path, got, want)
-	}
+	wiretest.CheckGolden(t, "testdata/multiply_heads.golden", got.String())
 }

@@ -401,7 +401,8 @@ echo "known flakes: 20 runs each in $((SECONDS - flake_start)) s"
 
 echo "== allocation budgets (one multiply, direct and routed, its deadline and its timing header; 10x) =="
 # A multiply allocates nothing of this repository's own beyond its result
-# (DESIGN.md section 8, "Allocations of one multiply"). The round-trip pins
+# and its Content-Length value (DESIGN.md section 8, "Allocations of one
+# multiply"). The round-trip pins
 # read runtime.MemStats, which counts every goroutine in the process, so each
 # runs ten times: a pin that passes once while sitting at its bound fails here.
 go test -count=10 -run '^TestMultiplyAllocBudget$|^TestAdmissionZeroAllocUnderDeadline$|^TestPreparedHitZeroAllocUnderDeadline$|^TestFormatTimingOneAlloc$' ./internal/serve
